@@ -7,14 +7,16 @@ trace-free projection of d applied to the trace-free part of the field,
 which coincides by uniqueness of the standard decomposition).
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cartan import cartan_decompose, frame_norm, supported_pair
+from .cartan import FrameTensor, cartan_decompose, frame_norm, supported_pair
 from .constructors import special_conformal_residual
+from .dual import value_of
 from .errors import DegreeError, VerificationError
-from .fields import d_op, delta_op, nabla, tracefree_part_field
+from .fields import TensorField, d_op, delta_op, nabla
 from .multiindex import multi_indices
 from .symtensor import (
     SymTensor,
@@ -87,20 +89,29 @@ class ClassReport:
         return out
 
 
+def _worst(vals, empty=None):
+    """Largest value; NaN if any is not finite, so a NaN sample cannot pass."""
+    if not vals:
+        return empty
+    return max(vals) if all(map(math.isfinite, vals)) else math.nan
+
+
+def _scale(T):
+    """Residual normalizer max(1, |nabla K|); NaN if |nabla K| is not finite."""
+    s = frame_norm(T)
+    return max(1.0, s) if math.isfinite(s) else math.nan
+
+
 def _codazzi_residual(T):
     """Exchange symmetry of slot index against first tensor argument."""
     n, p = T.dim, T.degree
     if p < 1:
         return 0.0
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            for I in multi_indices(n, p - 1):
-                from .dual import value_of
-
-                d = value_of(T.slots[a][(b,) + I]) - value_of(T.slots[b][(a,) + I])
-                worst = max(worst, abs(d))
-    return worst
+    diffs = [
+        value_of(T.slots[a][(b,) + I]) - value_of(T.slots[b][(a,) + I])
+        for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)
+    ]
+    return _worst([abs(d) for d in diffs], empty=0.0)
 
 
 def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
@@ -126,15 +137,15 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     rng = np.random.default_rng(seed)
     res = {k: [] for k in RESIDUAL_KEYS}
     use_parts = p_parts and supported_pair(n, p)
-    k0_field = tracefree_part_field(field) if (use_parts and p >= 2) else field
-    tr_fn = _trace_scalar_field(field) if p == 2 else None
 
     points = []
     for _ in range(samples):
         x = base.sample_point(rng)
         points.append(list(x))
+        # g is parallel, so nabla K_0 = (nabla K)_0 and d tr K = tr nabla K
+        # are read off this one jet instead of re-differentiated
         T = nabla(field, x)
-        scale = max(1.0, frame_norm(T))
+        scale = _scale(T)
         K = field(x)
         dK = d_op(field, x, T=T)
         deltaK = delta_op(field, x, T=T)
@@ -147,7 +158,7 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
         res["special_conformal"].append(special_conformal_residual(field, x, T=T))
         res["codazzi"].append(_codazzi_residual(T) / scale)
         if use_parts:
-            T0 = nabla(k0_field, x) if p >= 2 else T
+            T0 = FrameTensor([tracefree_part(s) for s in T.slots]) if p >= 2 else T
             parts = cartan_decompose(T0)
             res["p1"].append(frame_norm(parts.P1) / scale)
             res["p2"].append(frame_norm(parts.P2) / scale)
@@ -155,22 +166,20 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
             if p == 2:
                 # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z)
                 c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
-                k_vec = delta_op(k0_field, x, T=T0).scale(-c2)
+                k_vec = delta_op(field, x, T=T0).scale(-c2)
                 model = [
                     tracefree_sym_product(SymTensor.basis_vector(n, a), k_vec)
                     for a in range(n)
                 ]
-                from .cartan import FrameTensor
-
                 res["special1"].append(
                     frame_norm(T0 - FrameTensor(model)) / scale
                 )
         if p == 2:
             # d tr K = 2 delta K for Killing 2-tensors
-            dtr = d_op(tr_fn, x)
+            dtr = SymTensor(n, 1, [trace_Lambda(s).comps[0] for s in T.slots])
             res["two_tensor"].append(norm(dtr - deltaK.scale(2.0)) / scale)
 
-    maxes = {k: (max(v) if v else None) for k, v in res.items()}
+    maxes = {k: _worst(v) for k, v in res.items()}
     verdicts = {}
     verdicts["killing"] = maxes["killing"] <= tol
     verdicts["tracefree"] = maxes["tracefree"] <= tol
@@ -197,18 +206,6 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     )
 
 
-def _trace_scalar_field(field):
-    from .fields import TensorField
-
-    n = field.base.dim
-
-    def comps(x):
-        K = SymTensor(n, field.degree, field.comps_fn(x))
-        return [trace_Lambda(K).comps[0]]
-
-    return TensorField(field.base, 0, comps, name=f"tr({field.name})")
-
-
 def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
     """Check the standard-decomposition parts of a divergence-free Killing
     tensor for the trace-free-Killing property.
@@ -227,8 +224,6 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
     base = field.base
     n, p = base.dim, field.degree
     rng = np.random.default_rng(seed)
-    from .fields import TensorField
-
     out = {}
     for i in range(p // 2 + 1):
         deg_i = p - 2 * i
@@ -239,16 +234,15 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
 
         part_field = TensorField(base, deg_i, comps,
                                  name=f"{field.name}[part {i}]")
-        worst_d, worst_delta = 0.0, 0.0
+        ds, deltas = [], []
         for _ in range(samples):
             x = base.sample_point(rng)
             T = nabla(part_field, x)
-            scale = max(1.0, frame_norm(T))
-            worst_d = max(worst_d, norm(d_op(part_field, x)) / scale)
+            scale = _scale(T)
+            ds.append(norm(d_op(part_field, x, T=T)) / scale)
             if deg_i >= 1:
-                worst_delta = max(
-                    worst_delta, norm(delta_op(part_field, x)) / scale
-                )
+                deltas.append(norm(delta_op(part_field, x, T=T)) / scale)
+        worst_d, worst_delta = _worst(ds, 0.0), _worst(deltas, 0.0)
         out[i] = {
             "degree": deg_i,
             "d": worst_d,

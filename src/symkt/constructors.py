@@ -209,7 +209,7 @@ def verify_killing(field, rng, samples=KILLING_CHECK_SAMPLES, tol=KILLING_CHECK_
         x = field.base.sample_point(rng)
         T = nabla(field, x)
         scale = max(1.0, frame_norm(T))
-        dK = d_op(field, x)
+        dK = d_op(field, x, T=T)
         worst = max(worst, norm(dK) / scale)
     if worst > tol:
         raise VerificationError(f"field is not Killing (residual {worst:.2e})")

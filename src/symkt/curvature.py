@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import jacobian, value_of
-from .fields import TensorField, d_delta, delta_d, nabla, rough_laplacian
+from .fields import TensorField, d_delta, delta_d, nabla, nabla2, rough_laplacian
 from .manifolds import frame_at, gamma_frame
 from .multiindex import multi_indices
 from .symtensor import (
@@ -164,8 +164,9 @@ def lichnerowicz_defect(field, x):
     """|(delta d - d delta)K - (nabla*nabla - q(R))K| at x, relative."""
     if field.degree < 1:
         raise ValueError("defect check needs degree >= 1")
-    lhs = delta_d(field, x) - d_delta(field, x)
-    rl = rough_laplacian(field, x)
+    W = nabla2(field, x)
+    lhs = delta_d(field, x, W=W) - d_delta(field, x, W=W)
+    rl = rough_laplacian(field, x, W=W)
     K = field(x)
     rhs = rl - qR_act(field.base, x, K)
     scale = max(1.0, norm(rl))

@@ -401,9 +401,9 @@ def d0_op(field, x, T=None):
     return dK + mult_L(delta_op(field, x, T=T)).scale(1.0 / (n + 2 * p - 2))
 
 
-def rough_laplacian(field, x):
-    """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K."""
-    W = nabla2(field, x)
+def rough_laplacian(field, x, W=None):
+    """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K from ``W = nabla2``."""
+    W = nabla2(field, x) if W is None else W
     n = field.base.dim
     out = SymTensor.zero(n, field.degree)
     for a in range(n):
@@ -411,9 +411,9 @@ def rough_laplacian(field, x):
     return out
 
 
-def delta_d(field, x):
-    """delta d K assembled from the second covariant derivative."""
-    W = nabla2(field, x)
+def delta_d(field, x, W=None):
+    """delta d K assembled from the second covariant derivative ``W``."""
+    W = nabla2(field, x) if W is None else W
     n = field.base.dim
     out = SymTensor.zero(n, field.degree)
     basis = [SymTensor.basis_vector(n, i) for i in range(n)]
@@ -425,11 +425,11 @@ def delta_d(field, x):
     return out
 
 
-def d_delta(field, x):
-    """d delta K assembled from the second covariant derivative."""
+def d_delta(field, x, W=None):
+    """d delta K assembled from the second covariant derivative ``W``."""
     if field.degree < 1:
         raise DegreeError("d delta needs degree >= 1")
-    W = nabla2(field, x)
+    W = nabla2(field, x) if W is None else W
     n = field.base.dim
     out = SymTensor.zero(n, field.degree)
     basis = [SymTensor.basis_vector(n, i) for i in range(n)]

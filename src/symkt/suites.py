@@ -39,10 +39,13 @@ from .curvature import lichnerowicz_defect, qR_act, qrh_check, ricci_killing_res
 from .errors import ConfigError
 from .fields import (
     TensorField,
+    d_delta,
     d_op,
+    delta_d,
     delta_op,
     metric_field,
     nabla,
+    nabla2,
     product_field,
     random_polynomial_field,
     random_tangential_field,
@@ -396,9 +399,8 @@ def _lichnerowicz_cases(report, seed, samples):
 
     mfield = metric_field(sp)
     x = sp.sample_point(rng)
-    from .fields import d_delta, delta_d
-
-    both = max(norm(delta_d(mfield, x)), norm(d_delta(mfield, x)))
+    W = nabla2(mfield, x)
+    both = max(norm(delta_d(mfield, x, W=W)), norm(d_delta(mfield, x, W=W)))
     report.add("lichnerowicz:metric-field", both, 1e-12)
 
 
@@ -481,9 +483,9 @@ def _identity_cases(report, seed, samples):
         fdot = scalar_field(base, dot_fn, name="g(xi,zeta)")
         for _ in range(max(5, samples // 10)):
             x = base.sample_point(rng)
-            lhs = delta_op(h, x)
-            rhs = d_op(fdot, x)
             T = nabla(h, x)
+            lhs = delta_op(h, x, T=T)
+            rhs = d_op(fdot, x)
             worst = max(worst, norm(lhs - rhs) / max(1.0, frame_norm(T)))
     report.add("killing-pair-divergence-identity", worst, SPHERE_TOL)
 
