@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cartan import FrameTensor, cartan_decompose, frame_norm, supported_pair
-from .constructors import special_conformal_residual
+from .constructors import _worst, special_conformal_residual
 from .dual import value_of
 from .errors import DegreeError, VerificationError
 from .fields import TensorField, d_op, delta_op, nabla
@@ -87,13 +87,6 @@ class ClassReport:
                     rec["residuals"][key] = vals[i]
             out.append(rec)
         return out
-
-
-def _worst(vals, empty=None):
-    """Largest value; NaN if any is not finite, so a NaN sample cannot pass."""
-    if not vals:
-        return empty
-    return max(vals) if all(map(math.isfinite, vals)) else math.nan
 
 
 def _scale(T):

@@ -6,13 +6,15 @@ plus deliberately broken variants used as negative controls for
 classifier sensitivity.
 """
 
+import math
+import zlib
 from dataclasses import dataclass, field as dc_field
 from itertools import permutations
 
 import numpy as np
 
 from .cartan import FrameTensor, frame_norm
-from .dual import value_of
+from .dual import jacobian, value_of
 from .errors import ConfigError, VerificationError
 from .fields import (
     TensorField,
@@ -25,7 +27,7 @@ from .fields import (
     product_field,
     tracefree_part_field,
 )
-from .manifolds import EmbeddedSphere, euclidean_chart
+from .manifolds import EmbeddedSphere, euclidean_chart, frame_at, manifold_from_key
 from .multiindex import multi_indices
 from .symtensor import (
     SymTensor,
@@ -202,16 +204,26 @@ def killing_vector(base, generator, translation=None, name="killing-vector"):
     return field_from_components(base, 1, amb, rep="coordinate", name=name)
 
 
+def _worst(vals, empty=None):
+    """Largest value; NaN if any is not finite, so a NaN sample cannot pass."""
+    if not vals:
+        return empty
+    return max(vals) if all(map(math.isfinite, vals)) else math.nan
+
+
 def verify_killing(field, rng, samples=KILLING_CHECK_SAMPLES, tol=KILLING_CHECK_TOL):
-    """Raise unless the d-residual of the field is below tol at samples."""
-    worst = 0.0
+    """Raise unless the d-residual of the field is below tol at samples.
+
+    A non-finite residual raises too.
+    """
+    res = []
     for _ in range(samples):
         x = field.base.sample_point(rng)
         T = nabla(field, x)
         scale = max(1.0, frame_norm(T))
-        dK = d_op(field, x, T=T)
-        worst = max(worst, norm(dK) / scale)
-    if worst > tol:
+        res.append(norm(d_op(field, x, T=T)) / scale)
+    worst = _worst(res, 0.0)
+    if not worst <= tol:
         raise VerificationError(f"field is not Killing (residual {worst:.2e})")
     return worst
 
@@ -252,13 +264,10 @@ class FormField:
 
     def frame_components(self, x):
         """Dense frame components at a float point (projection implicit)."""
-        dense = self(x)
-        F = np.array(
-            [[value_of(c) for c in col] for col in self.base.frame(list(x))]
-        )  # (n, N)
-        out = dense
+        F = frame_at(self.base, x)  # (N, n)
+        out = self(x)
         for axis in range(self.degree):
-            out = np.tensordot(out, F.T, axes=([axis], [0]))
+            out = np.tensordot(out, F, axes=([axis], [0]))
             out = np.moveaxis(out, -1, axis)
         return out
 
@@ -302,9 +311,10 @@ def _dense_value(node, idx):
 
 
 def killing_form_residual(u, x):
-    """Max over frame directions of |X -| nabla_X u| at x (tangential)."""
-    from .dual import jacobian
+    """Max over frame directions of |X -| nabla_X u| at x (tangential).
 
+    NaN if any entry is not finite, so a NaN form cannot pass.
+    """
     sphere = u.base
     N = sphere.coord_dim
     q = u.degree
@@ -322,8 +332,8 @@ def killing_form_residual(u, x):
     vals = np.array([value_of(v) for v in vals]).reshape(shape)
     jacm = np.array([[value_of(g) for g in row] for row in jac]).reshape(shape + (N,))
     P = np.eye(N) - np.outer(xf, xf) / np.dot(xf, xf)
-    F = np.array([[value_of(c) for c in col] for col in sphere.frame(xf)])  # (n, N)
-    worst = 0.0
+    F = frame_at(sphere, xf).T  # (n, N)
+    hooks = []
     for a in range(sphere.dim):
         X = F[a]
         D = np.tensordot(jacm, X, axes=([q], [0]))  # ambient derivative along X
@@ -331,9 +341,8 @@ def killing_form_residual(u, x):
             D = np.tensordot(P, D, axes=([1], [axis]))
             D = np.moveaxis(D, 0, axis)
         hooked = np.tensordot(X, D, axes=([0], [0]))
-        worst = max(worst, float(np.abs(hooked).max()))
-    scale = max(1.0, float(np.abs(vals).max()))
-    return worst / scale
+        hooks.append(float(np.abs(hooked).max()))
+    return _worst(hooks) / _worst([1.0, float(np.abs(vals).max())])
 
 
 def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
@@ -346,9 +355,8 @@ def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
         for _ in range(KILLING_CHECK_SAMPLES):
             x = sphere.sample_point(rng)
             r = killing_form_residual(u, x)
-            if r > tol:
+            if not r <= tol:
                 raise VerificationError(f"form is not Killing (residual {r:.2e})")
-    from math import factorial
 
     shape = (N,) * (q - 1)
 
@@ -364,7 +372,7 @@ def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
             for idx in np.ndindex(*shape) if q > 1 else [()]:
                 s = s + hook(A, idx) * hook(B, idx)
             if q > 1:
-                s = s / float(factorial(q - 1))
+                s = s / float(math.factorial(q - 1))
             out.append(s)
         return out
 
@@ -413,11 +421,13 @@ def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
     n, p = field.base.dim, field.degree
     if check:
         rng = np.random.default_rng(2) if rng is None else rng
-        worst = 0.0
-        for _ in range(KILLING_CHECK_SAMPLES):
-            x = field.base.sample_point(rng)
-            worst = max(worst, special_conformal_residual(field, x))
-        if worst > tol:
+        worst = _worst(
+            [
+                special_conformal_residual(field, field.base.sample_point(rng))
+                for _ in range(KILLING_CHECK_SAMPLES)
+            ]
+        )
+        if not worst <= tol:
             raise VerificationError(
                 f"input is not special conformal Killing (residual {worst:.2e})"
             )
@@ -502,8 +512,6 @@ class DistributionSplit:
 
 def _projector_frame_matrix(split, x):
     """Frame-basis matrix of the projector at a float point."""
-    from .manifolds import frame_at
-
     base = split.base
     F = frame_at(base, x)  # (m, n) columns
     P = np.array(
@@ -532,8 +540,6 @@ def condition_d1_residual(split, x, rng):
     zeros = [V[:, i] for i in range(n) if w[i] <= 0.5]
     if len(ones) != split.n1:
         raise VerificationError("projector rank differs from declared n1")
-    from .manifolds import frame_at
-
     F = frame_at(base, x)  # (m, n)
     worst = 0.0
     for group, proj_first in ((ones, True), (zeros, False)):
@@ -1089,8 +1095,6 @@ def constructor_catalog():
 
 def stable_stream(seed, label):
     """Deterministic per-task RNG: seed combined with a stable label hash."""
-    import zlib
-
     return np.random.default_rng([seed, zlib.crc32(str(label).encode())])
 
 
@@ -1106,8 +1110,6 @@ def build_constructor(key, base=None, seed=42, params=None):
         raise ConfigError(f"unknown constructor key {key!r}")
     entry = catalog[key]
     if base is None:
-        from .manifolds import manifold_from_key
-
         base = manifold_from_key(entry.manifold_key)
     field = entry.build(base, stable_stream(seed, key), params=params)
     return field, entry

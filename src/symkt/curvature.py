@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cartan import frame_norm
 from .dual import jacobian, value_of
 from .fields import TensorField, d_delta, delta_d, nabla, nabla2, rough_laplacian
 from .manifolds import frame_at, gamma_frame
@@ -66,38 +67,33 @@ class RiemannAtPoint:
         return float(self.R4[a, b, b, a])
 
 
-def _gamma_jets(base, x):
-    """Connection coefficients and their frame-direction derivatives."""
+def _curvature(base, x):
+    """R4[a,b,c,d] = g(R(e_a,e_b) e_c, e_d) from one jacobian of gamma_frame.
+
+    Generic over scalars: a float array at a float point, an object array
+    of Duals at a dual point (so Ricci and scalar curvature can be
+    differentiated in turn).
+    """
     n = base.dim
-    m = base.coord_dim
-
-    def flat_gamma(y):
-        g = gamma_frame(base, y)
-        return [g[a][b][c] for a in range(n) for b in range(n) for c in range(n)]
-
-    vals, jac = jacobian(flat_gamma, list(x))
-    F = frame_at(base, x)  # (m, n) float columns
-    gam = np.array([value_of(v) for v in vals]).reshape(n, n, n)
-    dg = np.array([[value_of(g) for g in row] for row in jac]).reshape(n, n, n, m)
-    # e_a(gamma[b][c][d]) = sum_i F[i,a] d_i gamma
-    egam = np.einsum("bcdi,ia->abcd", dg, F)
-    return gam, egam
+    vals, jac = jacobian(
+        lambda y: [g for ga in gamma_frame(base, y) for gb in ga for g in gb], list(x)
+    )
+    gam = np.array(vals).reshape(n, n, n)
+    F = np.array(base.frame(list(x))).T  # (m, n) columns e_a
+    # egam[a,b,c,d] = e_a(gamma[b][c][d])
+    egam = np.einsum("bcdi,ia->abcd", np.array(jac).reshape(n, n, n, -1), F)
+    return (
+        egam
+        - egam.transpose(1, 0, 2, 3)
+        + np.einsum("bce,aed->abcd", gam, gam)
+        - np.einsum("ace,bed->abcd", gam, gam)
+        - np.einsum("abe,ecd->abcd", gam - gam.transpose(1, 0, 2), gam)
+    )
 
 
 def riemann(base, x):
     """Frame curvature at x, with Ricci and scalar curvature."""
-    n = base.dim
-    gam, egam = _gamma_jets(base, x)
-    R = np.empty((n, n, n, n))
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    s = egam[a, b, c, d] - egam[b, a, c, d]
-                    for e in range(n):
-                        s += gam[b, c, e] * gam[a, e, d] - gam[a, c, e] * gam[b, e, d]
-                        s -= (gam[a, b, e] - gam[b, a, e]) * gam[e, c, d]
-                    R[a, b, c, d] = s
+    R = _curvature(base, x)
     ricci = np.einsum("aiib->ab", R)
     return RiemannAtPoint(R4=R, ricci=ricci, scal=float(np.trace(ricci)))
 
@@ -175,57 +171,18 @@ def lichnerowicz_defect(field, x):
 
 def ricci_field(base, name="ricci"):
     """The Ricci curvature as a degree-2 tensor field."""
-    n = base.dim
+    idx = multi_indices(base.dim, 2)
 
     def comps(x):
-        def flat_gamma(y):
-            g = gamma_frame(base, y)
-            return [g[a][b][c] for a in range(n) for b in range(n) for c in range(n)]
-
-        vals, jac = jacobian(flat_gamma, list(x))
-        F = base.frame(list(x))
-        m = base.coord_dim
-
-        def egam(a, b, c, d):
-            row = jac[(b * n + c) * n + d]
-            s = 0.0
-            for i in range(m):
-                s = s + F[a][i] * row[i]
-            return s
-
-        def gm(a, b, c):
-            return vals[(a * n + b) * n + c]
-
-        out = []
-        for a, b in multi_indices(n, 2):
-            s = 0.0
-            for i in range(n):
-                # R4[a,i,i,b]
-                t = egam(a, i, i, b) - egam(i, a, i, b)
-                for e in range(n):
-                    t = t + gm(i, i, e) * gm(a, e, b) - gm(a, i, e) * gm(i, e, b)
-                    t = t - (gm(a, i, e) - gm(i, a, e)) * gm(e, i, b)
-                s = s + t
-            out.append(s)
-        return out
+        ric = np.einsum("aiib->ab", _curvature(base, x))
+        return [ric[a, b] for a, b in idx]
 
     return TensorField(base, 2, comps, name=name)
 
 
 def scalar_curvature_fn(base):
     """Scalar curvature as a generic function of the point."""
-    n = base.dim
-    ric = ricci_field(base)
-
-    def scal(x):
-        comps = ric.comps_fn(x)
-        idx = {I: k for k, I in enumerate(multi_indices(n, 2))}
-        s = 0.0
-        for i in range(n):
-            s = s + comps[idx[(i, i)]]
-        return s
-
-    return scal
+    return lambda x: np.einsum("aiia->", _curvature(base, x))
 
 
 def ricci_killing_residual(base, x, X):
@@ -249,7 +206,5 @@ def ricci_killing_residual(base, x, X):
     grad_frame = F.T @ np.array([value_of(g) for g in jac[0]])
     x_scal = float(np.dot(grad_frame, Xc))
     g_xx = float(np.dot(Xc, Xc))
-    from .cartan import frame_norm
-
     denom = max(1.0, frame_norm(T))
     return abs(value_of(lhs) - 2.0 / (n + 2) * x_scal * g_xx) / denom

@@ -328,32 +328,20 @@ def nabla2(field, x):
     vals, jac = jacobian(flat_nabla, list(x))
     F = base.frame(list(x))
     gam = gamma_frame(base, list(x))
-    m = base.coord_dim
-    reps = replace_table(n, p) if p else None
-    idxs = multi_indices(n, p)
-
-    S = [[vals[a * size + k] for k in range(size)] for a in range(n)]
-    dS = [[jac[a * size + k] for k in range(size)] for a in range(n)]
+    S = [vals[a * size:(a + 1) * size] for a in range(n)]
+    # first[a][b] = e_b(S_a) minus the connection terms on the packed index;
+    # the slot index a takes the remaining term below
+    first = [
+        _assemble_first(n, p, S[a], jac[a * size:(a + 1) * size], F, gam)
+        for a in range(n)
+    ]
     grid = []
     for b in range(n):
         row_out = []
         for a in range(n):
-            comps = []
-            for k in range(size):
-                s = 0.0
-                for i in range(m):
-                    s = s + F[b][i] * dS[a][k][i]
-                for d in range(n):
-                    s = s - gam[b][a][d] * S[d][k]
-                if p:
-                    I = idxs[k]
-                    rows = reps[k]
-                    for mpos in range(p):
-                        gi = gam[b][I[mpos]]
-                        rrow = rows[mpos]
-                        for d in range(n):
-                            s = s - gi[d] * S[a][rrow[d]]
-                comps.append(s)
+            comps = first[a][b]
+            for d in range(n):
+                comps = [c - gam[b][a][d] * v for c, v in zip(comps, S[d])]
             row_out.append(SymTensor(n, p, comps))
         grid.append(row_out)
     return grid

@@ -24,7 +24,7 @@ g(X,Z)g(Y,V).
 
 import numpy as np
 
-from .dual import d_exp, jacobian, value_of
+from .dual import d_exp, d_sqrt, jacobian, value_of
 from .errors import ConfigError
 
 __all__ = [
@@ -49,6 +49,10 @@ __all__ = [
 # generic linear algebra on scalar lists (floats or Duals)
 
 
+def _identity(m):
+    return [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+
+
 def _cholesky(G):
     n = len(G)
     L = [[0.0] * n for _ in range(n)]
@@ -58,8 +62,6 @@ def _cholesky(G):
             for k in range(j):
                 s = s - L[i][k] * L[j][k]
             if i == j:
-                from .dual import d_sqrt
-
                 L[i][j] = d_sqrt(s)
             else:
                 L[i][j] = s / L[j][j]
@@ -130,33 +132,18 @@ class Chart:
         G = self._metric_fn(list(x))
         return np.array([[value_of(v) for v in row] for row in G])
 
-    def dmetric(self, x):
-        """d g_ij / d x_k as array [k][i][j] (exact, forward-mode)."""
+    def metric_jet(self, x):
+        """Metric G[i,j] and its partials dG[k,i,j] = d g_ij / d x_k.
+
+        Both come from one forward-mode jacobian at a float point.
+        """
         n = self.dim
-        _, jac = jacobian(lambda X: [v for row in self._metric_fn(X) for v in row], list(x))
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    out[k, i, j] = value_of(jac[i * n + j][k])
-        return out
-
-    def d2metric(self, x):
-        """Second coordinate derivatives of the metric, [l][k][i][j]."""
-        n = self.dim
-
-        def dm_flat(X):
-            _, jac = jacobian(lambda Y: [v for row in self._metric_fn(Y) for v in row], X)
-            return [g for row in jac for g in row]
-
-        _, jac2 = jacobian(dm_flat, list(x))
-        out = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        out[l, k, i, j] = value_of(jac2[(i * n + j) * n + k][l])
-        return out
+        vals, jac = jacobian(
+            lambda X: [v for row in self._metric_fn(X) for v in row], list(x)
+        )
+        G = np.array([value_of(v) for v in vals]).reshape(n, n)
+        dG = np.array([[value_of(g) for g in row] for row in jac]).reshape(n, n, n)
+        return G, dG.transpose(2, 0, 1)
 
     def sample_point(self, rng):
         if self.box is not None:
@@ -178,29 +165,17 @@ class Chart:
     def frame_components(self, x, vec):
         """Coefficients of a coordinate vector in the orthonormal frame."""
         G = self.metric(np.asarray(x, dtype=float))
-        F = np.array(
-            [[value_of(c) for c in col] for col in self.frame(list(x))]
-        ).T  # columns e_a
-        return F.T @ (G @ np.asarray(vec, dtype=float))
+        return frame_at(self, x).T @ (G @ np.asarray(vec, dtype=float))
 
 
 def christoffel(chart, x):
     """Coordinate Christoffel symbols Gamma^k_ij of a chart, shape (k,i,j)."""
     if not getattr(chart, "is_chart", False):
         raise ConfigError("christoffel symbols are only defined for chart backends")
-    G = chart.metric(np.asarray(x, dtype=float))
-    dG = chart.dmetric(x)
-    Ginv = np.linalg.inv(G)
-    n = chart.dim
-    out = np.empty((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                s = 0.0
-                for l in range(n):
-                    s += Ginv[k, l] * (dG[i, j, l] + dG[j, i, l] - dG[l, i, j])
-                out[k, i, j] = 0.5 * s
-    return out
+    G, dG = chart.metric_jet(x)
+    # first[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
+    first = dG.transpose(2, 0, 1) + dG.transpose(2, 1, 0) - dG
+    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(G), first)
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +200,9 @@ class EmbeddedSphere:
         self.key = f"sphere:{dim}"
 
     def metric_matrix(self, x):
-        N = self.coord_dim
-        return [[1.0 if i == j else 0.0 for j in range(N)] for i in range(N)]
+        return _identity(self.coord_dim)
 
     def frame(self, x):
-        from .dual import d_sqrt
-
         N = self.coord_dim
         r2 = x[0] * x[0]
         for xi in x[1:]:
@@ -261,8 +233,7 @@ class EmbeddedSphere:
         return v, -speed2 * np.asarray(x, dtype=float)
 
     def frame_components(self, x, vec):
-        F = np.array([[value_of(c) for c in col] for col in self.frame(list(x))])
-        return F @ np.asarray(vec, dtype=float)
+        return frame_at(self, x).T @ np.asarray(vec, dtype=float)
 
     def tangent_projection(self, x, vec):
         x = np.asarray(x, dtype=float)
@@ -281,7 +252,9 @@ class ProductManifold:
         self.second = second
         self.dim = first.dim + second.dim
         self.coord_dim = first.coord_dim + second.coord_dim
-        self.key = f"product:{first.key},{second.key}"
+        self.key = "product:" + ",".join(
+            f"({k})" if "," in k else k for k in (first.key, second.key)
+        )
         self.is_chart = getattr(first, "is_chart", False) and getattr(
             second, "is_chart", False
         )
@@ -466,44 +439,40 @@ def gamma_frame(base, x):
 # catalog
 
 
-def euclidean_chart(n, radius=2.0):
-    def metric(x):
-        return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+def _flat_metric(n):
+    return lambda x: _identity(n)
 
-    return Chart(n, metric, radius=radius, key=f"euclidean:{n}")
+
+def _conformally_flat_chart(n, sign, radius, key):
+    """Chart with g = 4/(1 + sign |x|^2)^2 delta, of constant curvature sign."""
+
+    def metric(x):
+        r2 = x[0] * x[0]
+        for xi in x[1:]:
+            r2 = r2 + xi * xi
+        s = 1.0 + sign * r2
+        c = 4.0 / (s * s)
+        return [[c if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+    return Chart(n, metric, radius=radius, key=key)
+
+
+def euclidean_chart(n, radius=2.0):
+    return Chart(n, _flat_metric(n), radius=radius, key=f"euclidean:{n}")
 
 
 def stereographic_sphere_chart(n, radius=0.8):
     """Unit sphere in stereographic coordinates, g = 4/(1+|x|^2)^2 delta."""
-
-    def metric(x):
-        r2 = x[0] * x[0]
-        for xi in x[1:]:
-            r2 = r2 + xi * xi
-        c = 4.0 / ((1.0 + r2) * (1.0 + r2))
-        return [[c if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    return Chart(n, metric, radius=radius, key=f"stereographic:{n}")
+    return _conformally_flat_chart(n, 1.0, radius, f"stereographic:{n}")
 
 
 def poincare_ball_chart(n, radius=0.7):
     """Hyperbolic space of curvature -1, g = 4/(1-|x|^2)^2 delta."""
-
-    def metric(x):
-        r2 = x[0] * x[0]
-        for xi in x[1:]:
-            r2 = r2 + xi * xi
-        c = 4.0 / ((1.0 - r2) * (1.0 - r2))
-        return [[c if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    return Chart(n, metric, radius=radius, key=f"hyperbolic:{n}")
+    return _conformally_flat_chart(n, -1.0, radius, f"hyperbolic:{n}")
 
 
 def flat_torus_chart(n):
-    def metric(x):
-        return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    return Chart(n, metric, key=f"torus:{n}", box=(2 * np.pi,) * n)
+    return Chart(n, _flat_metric(n), key=f"torus:{n}", box=(2 * np.pi,) * n)
 
 
 def bump_function(m, scale=0.1):
@@ -526,18 +495,31 @@ def conformal_rescale(base, f_fn=None, key=None):
 
 
 def _split_product_arg(body):
+    """Split ``KEY1,KEY2`` at its first comma outside parentheses.
+
+    A factor that is itself a product is wrapped in one pair of
+    parentheses, ``product:(product:sphere:2,sphere:2),euclidean:2``; that
+    pair is stripped from each side.
+    """
     depth = 0
+    split = None
     for k, ch in enumerate(body):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        elif ch == "," and depth == 0:
-            first, second = body[:k], body[k + 1:]
-            # a bare "product:a:2,b:2" has no parentheses; split at the
-            # first comma that leaves both sides parseable
-            return first, second
-    raise ConfigError(f"cannot split product spec {body!r}")
+            if depth < 0:
+                break
+        elif ch == "," and depth == 0 and split is None:
+            split = k
+    if depth != 0:
+        raise ConfigError(f"unbalanced parentheses in product spec {body!r}")
+    if split is None:
+        raise ConfigError(f"cannot split product spec {body!r}")
+    return tuple(
+        side[1:-1] if side.startswith("(") and side.endswith(")") else side
+        for side in (body[:split].strip(), body[split + 1:].strip())
+    )
 
 
 def manifold_from_key(key):
@@ -545,7 +527,8 @@ def manifold_from_key(key):
 
     Keys: ``euclidean:n``, ``sphere:n`` (embedded), ``stereographic:n``,
     ``hyperbolic:n``, ``torus:n``, ``product:KEY1,KEY2`` and
-    ``conformal:bump:KEY``.
+    ``conformal:bump:KEY``.  A product factor that contains a comma is
+    parenthesised: ``product:(product:sphere:2,sphere:2),euclidean:2``.
     """
     key = key.strip()
     if key.startswith("product:"):

@@ -318,7 +318,7 @@ def _per_manifold_cases(key, samples, seed, report):
         )
         r_gram = max(r_gram, float(np.abs(F.T @ G @ F - np.eye(base.dim)).max()))
         if is_chart:
-            dG = base.dmetric(x)
+            _, dG = base.metric_jet(x)
             h = 1e-5
             for k_dir in range(base.dim):
                 xp = np.array(x, dtype=float)

@@ -1,10 +1,13 @@
 """Constructor factories and their defining identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from symkt.cartan import frame_norm
 from symkt.constructors import (
+    FormField,
     _anticommuting_pair,
     _rotation_generator,
     build_constructor,
@@ -31,7 +34,8 @@ from symkt.constructors import (
     weyl_part,
 )
 from symkt.errors import ConfigError, VerificationError
-from symkt.fields import d_op, delta_op, metric_field, nabla, scalar_field
+from symkt.dual import value_of
+from symkt.fields import TensorField, d_op, delta_op, metric_field, nabla, scalar_field
 from symkt.manifolds import EmbeddedSphere, euclidean_chart
 from symkt.symtensor import SymTensor, norm, sym_product, trace_Lambda
 
@@ -373,3 +377,41 @@ def test_verify_killing_gate():
     eta = field_from_components(sp, 1, amb, rep="coordinate")
     with pytest.raises(VerificationError):
         verify_killing(eta, np.random.default_rng(83))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_killing_gates_fail_closed_on_nan():
+    # component 1 is NaN for x[0] > 0; a bare max(worst, r) drops the NaN
+    # residuals, so the zero-derivative field used to pass as Killing and
+    # as special conformal Killing
+    eu = euclidean_chart(3)
+
+    def comps(x):
+        out = [0.0 * x[0]] * 6
+        out[1] = out[1] + (math.nan if value_of(x[0]) > 0 else 0.0)
+        return out
+
+    field = TensorField(eu, 2, comps, name="half-nan")
+    with pytest.raises(VerificationError):
+        verify_killing(field, np.random.default_rng(4), samples=10)
+    with pytest.raises(VerificationError):
+        special_to_killing(field, rng=np.random.default_rng(4))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_killing_form_gates_fail_closed_on_nan():
+    sp = EmbeddedSphere(3)
+    omega = np.zeros((4, 4))
+    omega[0, 1], omega[1, 0] = 1.0, -1.0
+    good = killing_form_sphere(omega, sp)
+
+    def amb(x):
+        out = good.amb_fn(x)
+        out[2] = out[2] + (math.nan if value_of(x[0]) > 0 else 0.0)
+        return out
+
+    bad = FormField(sp, 1, amb, name="half-nan-form")
+    x = np.array([0.6, 0.0, 0.8, 0.0])
+    assert math.isnan(killing_form_residual(bad, x))
+    with pytest.raises(VerificationError):
+        killing_form_to_tensor(bad, rng=np.random.default_rng(4))

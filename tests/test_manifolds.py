@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from symkt.dual import value_of
+from symkt.dual import jacobian, value_of
 from symkt.errors import ConfigError
 from symkt.manifolds import (
     EmbeddedSphere,
@@ -28,6 +28,7 @@ ALL_KEYS = [
     "product:sphere:2,sphere:2",
     "conformal:bump:euclidean:3",
     "conformal:bump:sphere:2",
+    "product:(product:sphere:2,sphere:2),euclidean:2",
 ]
 
 
@@ -99,7 +100,8 @@ def test_dmetric_matches_finite_differences():
     st = stereographic_sphere_chart(3)
     rng = np.random.default_rng(11)
     x = st.sample_point(rng)
-    dG = st.dmetric(x)
+    G, dG = st.metric_jet(x)
+    assert np.array_equal(G, st.metric(x))
     h = 1e-5
     for k in range(3):
         xp, xm = x.copy(), x.copy()
@@ -109,19 +111,37 @@ def test_dmetric_matches_finite_differences():
         assert np.abs(fd - dG[k]).max() <= 1e-6
 
 
-def test_d2metric_matches_finite_differences():
-    hy = poincare_ball_chart(2)
-    rng = np.random.default_rng(13)
-    x = hy.sample_point(rng)
-    d2 = hy.d2metric(x)
-    h = 1e-4
-    for l in range(2):
-        xp, xm = x.copy(), x.copy()
-        xp[l] += h
-        xm[l] -= h
-        fd = (hy.dmetric(xp) - hy.dmetric(xm)) / (2 * h)
-        scale = max(1.0, np.abs(d2[l]).max())
-        assert np.abs(fd - d2[l]).max() <= 1e-6 * scale
+@pytest.mark.parametrize(
+    "key",
+    [
+        "euclidean:3",
+        "torus:2",
+        "stereographic:2",
+        "stereographic:3",
+        "hyperbolic:2",
+        "hyperbolic:3",
+    ],
+)
+def test_christoffel_and_frame_connection_agree(key):
+    # geodesics use coordinate Christoffel symbols and nabla uses the frame
+    # coefficients gamma: nabla_{e_a} e_b built from Gamma plus exact frame
+    # derivatives must equal sum_c gamma[a][b][c] e_c
+    base = manifold_from_key(key)
+    n = base.dim
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        x = base.sample_point(rng)
+        F = frame_at(base, x)  # F[k, a] = component k of e_a
+        _, jac = jacobian(lambda y: [c for col in base.frame(y) for c in col], list(x))
+        dF = np.array([[value_of(g) for g in row] for row in jac]).reshape(n, n, n)
+        gam = np.array(
+            [[[value_of(g) for g in gb] for gb in ga] for ga in gamma_frame(base, list(x))]
+        )
+        coord = np.einsum("ia,bki->abk", F, dF) + np.einsum(
+            "kij,ia,jb->abk", christoffel(base, x), F, F
+        )
+        frame = np.einsum("abc,kc->abk", gam, F)
+        assert np.abs(coord - frame).max() <= 1e-12
 
 
 def test_sphere_sampler_on_sphere():
@@ -142,6 +162,14 @@ def test_product_structure():
     assert abs(np.linalg.norm(x[3:]) - 1.0) <= 1e-14
 
 
+def test_nested_product_key_round_trips():
+    key = "product:(product:sphere:2,sphere:2),euclidean:2"
+    pr = manifold_from_key(key)
+    assert pr.key == key
+    assert pr.dim == 6 and pr.coord_dim == 8
+    assert pr.first.key == "product:sphere:2,sphere:2"
+
+
 def test_torus_sampler_in_box():
     to = flat_torus_chart(2)
     rng = np.random.default_rng(19)
@@ -151,7 +179,17 @@ def test_torus_sampler_in_box():
 
 
 def test_unknown_keys_rejected():
-    for bad in ("noexist:3", "sphere:x", "sphere:1", "sphere", "euclidean:1"):
+    for bad in (
+        "noexist:3",
+        "sphere:x",
+        "sphere:1",
+        "sphere",
+        "euclidean:1",
+        "product:(product:sphere:2,sphere:2,euclidean:2",
+        "product:product:sphere:2,sphere:2),euclidean:2",
+        "product:sphere:2),(sphere:2",
+        "product:product:sphere:2,sphere:2,euclidean:2",
+    ):
         with pytest.raises(ConfigError):
             manifold_from_key(bad)
 
