@@ -148,7 +148,9 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
             (norm(trace_Lambda(K)) if p >= 2 else 0.0) / scale
         )
         res["divfree"].append(norm(deltaK) / scale)
-        res["special_conformal"].append(special_conformal_residual(field, x, T=T))
+        res["special_conformal"].append(
+            special_conformal_residual(field, x, T=T, deltaK=deltaK)
+        )
         res["codazzi"].append(_codazzi_residual(T) / scale)
         if use_parts:
             T0 = FrameTensor([tracefree_part(s) for s in T.slots]) if p >= 2 else T

@@ -447,12 +447,18 @@ def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
     return TensorField(field.base, p, comps, name=name or f"hat({field.name})")
 
 
-def special_conformal_residual(field, x, T=None):
-    """|nabla K - X . k| with k = -delta K / (n + p - 1), relative."""
+def special_conformal_residual(field, x, T=None, deltaK=None):
+    """|nabla K - X . k| with k = -delta K / (n + p - 1), relative.
+
+    ``T = nabla K`` and ``deltaK`` at x may be passed in when the caller
+    already has them.
+    """
     n, p = field.base.dim, field.degree
     if T is None:
         T = nabla(field, x)
-    k = delta_op(field, x, T=T).scale(-1.0 / (n + p - 1))
+    if deltaK is None:
+        deltaK = delta_op(field, x, T=T)
+    k = deltaK.scale(-1.0 / (n + p - 1))
     model = FrameTensor(
         [sym_product(SymTensor.basis_vector(n, a), k) for a in range(n)]
     )

@@ -14,7 +14,7 @@ import numpy as np
 from .cartan import frame_norm
 from .dual import jacobian, value_of
 from .fields import TensorField, d_delta, delta_d, nabla, nabla2, rough_laplacian
-from .manifolds import frame_at, gamma_frame
+from .manifolds import gamma_frame
 from .multiindex import multi_indices
 from .symtensor import (
     SymTensor,
@@ -23,6 +23,7 @@ from .symtensor import (
     norm,
     poly_eval,
     sym_product,
+    trace_Lambda,
 )
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "lichnerowicz_defect",
     "ricci_killing_residual",
     "ricci_field",
-    "scalar_curvature_fn",
 ]
 
 
@@ -180,17 +180,13 @@ def ricci_field(base, name="ricci"):
     return TensorField(base, 2, comps, name=name)
 
 
-def scalar_curvature_fn(base):
-    """Scalar curvature as a generic function of the point."""
-    return lambda x: np.einsum("aiia->", _curvature(base, x))
-
-
 def ricci_killing_residual(base, x, X):
     """Modified-Ricci Killing residual at x for frame vector X.
 
     Measures |(nabla_X Ric)(X, X) - 2/(n+2) X(scal) g(X,X)|, normalized by
     max(1, |nabla Ric|): zero iff the modified Ricci tensor satisfies the
-    Killing condition in direction X.
+    Killing condition in direction X.  g is parallel, so X(scal) is the
+    trace of nabla_X Ric, read off the same jet.
     """
     n = base.dim
     ric = ricci_field(base)
@@ -200,11 +196,7 @@ def ricci_killing_residual(base, x, X):
     for a in range(1, n):
         nab_X = nab_X + T.slots[a].scale(Xc[a])
     lhs = poly_eval(nab_X, Xc)
-    scal = scalar_curvature_fn(base)
-    _, jac = jacobian(lambda y: [scal(y)], list(x))
-    F = frame_at(base, x)
-    grad_frame = F.T @ np.array([value_of(g) for g in jac[0]])
-    x_scal = float(np.dot(grad_frame, Xc))
+    x_scal = value_of(trace_Lambda(nab_X).comps[0])
     g_xx = float(np.dot(Xc, Xc))
     denom = max(1.0, frame_norm(T))
     return abs(value_of(lhs) - 2.0 / (n + 2) * x_scal * g_xx) / denom

@@ -245,7 +245,13 @@ class EmbeddedSphere:
 
 
 class ProductManifold:
-    """Riemannian product of two backends (coordinates concatenated)."""
+    """Riemannian product of two backends (coordinates concatenated).
+
+    Not a chart, even of two charts: it has no metric jet, so no coordinate
+    Christoffel symbols.
+    """
+
+    is_chart = False
 
     def __init__(self, first, second):
         self.first = first
@@ -254,9 +260,6 @@ class ProductManifold:
         self.coord_dim = first.coord_dim + second.coord_dim
         self.key = "product:" + ",".join(
             f"({k})" if "," in k else k for k in (first.key, second.key)
-        )
-        self.is_chart = getattr(first, "is_chart", False) and getattr(
-            second, "is_chart", False
         )
 
     def _split(self, x):

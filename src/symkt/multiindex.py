@@ -7,7 +7,10 @@ the common entry of the fully symmetric dense array, so looking up an
 arbitrary index tuple means looking up its sorted permutation.
 
 All tables are cached per shape; they are tiny at the sizes this package
-targets (n <= 8, p <= 6 or so).
+targets (n <= 8, p <= 6 or so).  The product, contraction and trace tables
+are also compiled to read-only integer index arrays (``product_arrays``,
+``contract_array``, ``trace_array``) that the kernels in ``symtensor``
+gather with, in table order.
 """
 
 from functools import lru_cache
@@ -22,6 +25,9 @@ __all__ = [
     "index_position",
     "multiplicities",
     "sorted_insert",
+    "product_arrays",
+    "contract_array",
+    "trace_array",
 ]
 
 
@@ -132,3 +138,36 @@ def replace_table(n, p):
             rows.append(tuple(pos[sorted_insert(rest, d)] for d in range(n)))
         table.append(tuple(rows))
     return tuple(table)
+
+
+def _frozen(values, dtype):
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def product_arrays(n, p, q):
+    """``product_table(n, p, q)`` flattened in table order.
+
+    Returns ``(out_pos, pos_a, pos_b, count)``: entry t contributes
+    ``count[t] * A[pos_a[t]] * B[pos_b[t]]`` to output ``out_pos[t]``;
+    ``out_pos`` is non-decreasing.
+    """
+    rows = [(k, ka, kb, c) for k, row in enumerate(product_table(n, p, q))
+            for ka, kb, c in row]
+    out_pos, pos_a, pos_b, count = zip(*rows)
+    return (_frozen(out_pos, np.intp), _frozen(pos_a, np.intp),
+            _frozen(pos_b, np.intp), _frozen(count, float))
+
+
+@lru_cache(maxsize=None)
+def contract_array(n, p):
+    """``contract_table(n, p)`` as a (size_out, n) position matrix."""
+    return _frozen(contract_table(n, p), np.intp)
+
+
+@lru_cache(maxsize=None)
+def trace_array(n, p):
+    """``trace_table(n, p)`` as a (size_out, n) position matrix."""
+    return _frozen(trace_table(n, p), np.intp)

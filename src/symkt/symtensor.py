@@ -24,13 +24,14 @@ import numpy as np
 from .dual import Dual
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from .multiindex import (
+    contract_array,
     contract_table,
     index_position,
     multi_indices,
     multiplicities,
-    product_table,
+    product_arrays,
     sym_size,
-    trace_table,
+    trace_array,
 )
 
 __all__ = [
@@ -59,8 +60,8 @@ DEFAULT_TRACE_TOL = 1e-9
 
 
 def _as_comps(values, size):
-    if isinstance(values, np.ndarray) and values.dtype == object:
-        arr = values.copy()
+    if isinstance(values, np.ndarray):
+        arr = values.copy() if values.dtype == object else values.astype(float)
     else:
         vals = list(values)
         if any(isinstance(v, Dual) for v in vals):
@@ -184,7 +185,9 @@ def sym_product(A, B):
     """Commutative product of the graded algebra of symmetric tensors.
 
     ``(A*B)_I`` sums A- and B-entries over the C(p+q, p) position shuffles
-    of the output index I.  Degree-0 factors act by scaling.
+    of the output index I.  Degree-0 factors act by scaling.  The terms are
+    gathered with the compiled ``product_arrays`` and accumulated from zero
+    in table order, for float and Dual components alike.
     """
     if A.dim != B.dim:
         raise ShapeMismatchError("dimension mismatch in sym_product")
@@ -192,9 +195,10 @@ def sym_product(A, B):
         return B.scale(A.comps[0])
     if B.degree == 0:
         return A.scale(B.comps[0])
-    table = product_table(A.dim, A.degree, B.degree)
-    a, b = A.comps, B.comps
-    out = [sum(c * a[ka] * b[kb] for ka, kb, c in row) for row in table]
+    out_pos, pos_a, pos_b, count = product_arrays(A.dim, A.degree, B.degree)
+    w = count * A.comps[pos_a] * B.comps[pos_b]
+    out = np.zeros(sym_size(A.dim, A.degree + B.degree), dtype=w.dtype)
+    np.add.at(out, out_pos, w)
     return SymTensor(A.dim, A.degree + B.degree, out)
 
 
@@ -214,9 +218,11 @@ def contract(v, K):
     if K.degree < 1:
         raise DegreeError("cannot contract a degree-0 tensor")
     vc = v.comps if isinstance(v, SymTensor) else v
-    table = contract_table(K.dim, K.degree)
+    table = contract_array(K.dim, K.degree)
     k = K.comps
-    out = [sum(vc[j] * k[row[j]] for j in range(K.dim)) for row in table]
+    out = 0
+    for j in range(K.dim):
+        out = out + vc[j] * k[table[:, j]]
     return SymTensor(K.dim, K.degree - 1, out)
 
 
@@ -252,9 +258,11 @@ def trace_Lambda(K):
     """Metric trace: Lambda(K) = sum_i e_i -| e_i -| K (needs p >= 2)."""
     if K.degree < 2:
         raise DegreeError("Lambda needs degree >= 2")
-    table = trace_table(K.dim, K.degree)
+    table = trace_array(K.dim, K.degree)
     k = K.comps
-    out = [sum(k[row[j]] for j in range(K.dim)) for row in table]
+    out = 0
+    for j in range(K.dim):
+        out = out + k[table[:, j]]
     return SymTensor(K.dim, K.degree - 2, out)
 
 

@@ -96,6 +96,13 @@ def test_christoffel_rejects_non_charts():
         christoffel(EmbeddedSphere(2), np.array([0.0, 0.0, 1.0]))
 
 
+def test_product_of_charts_is_not_a_chart():
+    pr = manifold_from_key("product:euclidean:2,hyperbolic:2")
+    assert not pr.is_chart
+    with pytest.raises(ConfigError):
+        christoffel(pr, pr.sample_point(np.random.default_rng(3)))
+
+
 def test_dmetric_matches_finite_differences():
     st = stereographic_sphere_chart(3)
     rng = np.random.default_rng(11)

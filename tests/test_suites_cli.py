@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import symkt.suites as suites
@@ -22,6 +23,26 @@ def test_identity_suite_deterministic():
     a = identity_suite(dims="2..3", degrees="0..2", trials=5, seed=7)
     b = identity_suite(dims="2..3", degrees="0..2", trials=5, seed=7)
     assert dumps_report(a.to_dict()) == dumps_report(b.to_dict())
+
+
+def test_identity_suite_fails_closed_on_nan(monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN residual must fail its case, not vanish
+    original = suites.random_sym_tensor
+
+    def nan_tensor(n, p, rng):
+        K = original(n, p, rng)
+        comps = np.array(K.comps)
+        comps[0] = np.nan
+        return SymTensor(n, p, comps)
+
+    monkeypatch.setattr(suites, "random_sym_tensor", nan_tensor)
+    rep = identity_suite(dims=(3, 3), degrees=(2, 2), trials=2, seed=1)
+    assert not rep.passed
+    fed_by_K = ("commutator-L-Lambda", "commutators-vector", "adjointness",
+                "euler-identity", "standard-decomposition")
+    hit = [c for c in rep.cases if c.name.split(":")[0] in fed_by_K]
+    assert len(hit) == len(fed_by_K)
+    assert all(np.isnan(c.max_residual) and not c.passed for c in hit)
 
 
 def test_identity_suite_rejects_bad_ranges():
@@ -140,6 +161,18 @@ def test_geometry_suite_byte_deterministic():
     a = geometry_suite(keys=keys, samples=4, seed=9, drift_steps=100)
     b = geometry_suite(keys=keys, samples=4, seed=9, drift_steps=100)
     assert dumps_report(a.to_dict()) == dumps_report(b.to_dict())
+
+
+def test_geometry_suite_runs_on_a_product_of_charts():
+    from symkt.suites import geometry_suite
+
+    key = "product:euclidean:2,hyperbolic:2"
+    rep = geometry_suite(keys=(key,), samples=10, seed=5, drift_steps=100)
+    mine = [c for c in rep.cases if c.name.endswith(":" + key)]
+    assert {c.name.split(":")[0] for c in mine} == {
+        "frame-gram", "riemann-symmetries", "riemann-bianchi", "qR-self-adjoint"
+    }
+    assert all(c.passed for c in mine)
 
 
 def test_nabla_rejects_points_outside_domain():
