@@ -155,7 +155,7 @@ def run_geodesic(args):
         except DomainError:
             rows.append({"trajectory": t, "drift": None, "status": "left-domain"})
             continue
-        if args.max_drift is not None and drift > args.max_drift:
+        if args.max_drift is not None and not drift <= args.max_drift:
             ok = False
     doc = {
         "suite": "geodesic",

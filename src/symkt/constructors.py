@@ -27,7 +27,13 @@ from .fields import (
     product_field,
     tracefree_part_field,
 )
-from .manifolds import EmbeddedSphere, euclidean_chart, frame_at, manifold_from_key
+from .manifolds import (
+    EmbeddedSphere,
+    euclidean_chart,
+    frame_at,
+    frame_components,
+    manifold_from_key,
+)
 from .multiindex import multi_indices
 from .symtensor import (
     SymTensor,
@@ -211,6 +217,11 @@ def _worst(vals, empty=None):
     return max(vals) if all(map(math.isfinite, vals)) else math.nan
 
 
+def _least(vals):
+    """Smallest value, for floor checks; NaN if any is not finite."""
+    return min(vals) if all(map(math.isfinite, vals)) else math.nan
+
+
 def verify_killing(field, rng, samples=KILLING_CHECK_SAMPLES, tol=KILLING_CHECK_TOL):
     """Raise unless the d-residual of the field is below tol at samples.
 
@@ -332,10 +343,10 @@ def killing_form_residual(u, x):
     vals = np.array([value_of(v) for v in vals]).reshape(shape)
     jacm = np.array([[value_of(g) for g in row] for row in jac]).reshape(shape + (N,))
     P = np.eye(N) - np.outer(xf, xf) / np.dot(xf, xf)
-    F = frame_at(sphere, xf).T  # (n, N)
+    F = frame_at(sphere, xf)
     hooks = []
     for a in range(sphere.dim):
-        X = F[a]
+        X = F[:, a]
         D = np.tensordot(jacm, X, axes=([q], [0]))  # ambient derivative along X
         for axis in range(q):
             D = np.tensordot(P, D, axes=([1], [axis]))
@@ -517,17 +528,16 @@ class DistributionSplit:
 
 
 def _projector_frame_matrix(split, x):
-    """Frame-basis matrix of the projector at a float point."""
-    base = split.base
-    F = frame_at(base, x)  # (m, n) columns
-    P = np.array(
-        [[value_of(v) for v in row] for row in split.projector_fn(list(x))]
-    )
-    G = np.array(
-        [[value_of(v) for v in row] for row in base.metric_matrix(list(x))]
-    )
-    # g(P e_a, e_b)
-    return F.T @ G @ P @ F
+    """Frame-basis matrix g(P e_a, e_b) of the projector, generic over scalars.
+
+    Only P is cast to object dtype: the products with it sum left to right
+    in Python, in the order of the loops they replaced, also at float
+    points.  G @ F is an ordinary float64 matmul there.
+    """
+    x = list(x)
+    F = split.base.frame(x)
+    P = np.array(split.projector_fn(x), dtype=object)
+    return (P @ F).T @ (split.base.metric_matrix(x) @ F)
 
 
 def condition_d1_residual(split, x, rng):
@@ -539,15 +549,15 @@ def condition_d1_residual(split, x, rng):
     """
     base = split.base
     n = base.dim
-    Pf = _projector_frame_matrix(split, x)
+    Pf = np.asarray(_projector_frame_matrix(split, x), dtype=float)
     w, V = np.linalg.eigh(0.5 * (Pf + Pf.T))
     # columns of V: eigenvectors; eigenvalues ~0 or ~1
     ones = [V[:, i] for i in range(n) if w[i] > 0.5]
     zeros = [V[:, i] for i in range(n) if w[i] <= 0.5]
     if len(ones) != split.n1:
         raise VerificationError("projector rank differs from declared n1")
-    F = frame_at(base, x)  # (m, n)
-    worst = 0.0
+    F = frame_at(base, x)
+    res = []
     for group, proj_first in ((ones, True), (zeros, False)):
         for v in group:
             for u in group:
@@ -568,11 +578,11 @@ def condition_d1_residual(split, x, rng):
 
                 # frame components of nabla_v U + nabla_u V at x
                 fv = field_from_components(
-                    base, 1, lambda y: _pack_vector(base, y, ext(y, coord_vec=vc)),
+                    base, 1, lambda y: frame_components(base, y, ext(y, coord_vec=vc)),
                     rep="frame",
                 )
                 fu = field_from_components(
-                    base, 1, lambda y: _pack_vector(base, y, ext(y, coord_vec=uc)),
+                    base, 1, lambda y: frame_components(base, y, ext(y, coord_vec=uc)),
                     rep="frame",
                 )
                 Tv = nabla(fv, x)
@@ -586,25 +596,8 @@ def condition_d1_residual(split, x, rng):
                 total = (dvu + duv).values()
                 # complementary projection in the frame
                 comp = np.eye(n) - Pf if proj_first else Pf
-                worst = max(worst, float(np.abs(comp @ total).max()))
-    return worst
-
-
-def _pack_vector(base, y, coord_vec):
-    """Frame components of a coordinate vector field value, generically."""
-    F = base.frame(y)
-    G = base.metric_matrix(y)
-    m = base.coord_dim
-    out = []
-    for a in range(base.dim):
-        s = 0.0
-        for k in range(m):
-            t = 0.0
-            for l in range(m):
-                t = t + G[k][l] * coord_vec[l]
-            s = s + F[a][k] * t
-        out.append(s)
-    return out
+                res.append(float(np.abs(comp @ total).max()))
+    return _worst(res, 0.0)
 
 
 def distribution_stackel(split, name=None):
@@ -619,30 +612,11 @@ def distribution_stackel(split, name=None):
     n1, n2 = split.n1, split.n2
 
     def comps(x):
-        P = split.projector_fn(x)
-        F = base.frame(x)
-        G = base.metric_matrix(x)
-        m = base.coord_dim
-        Pe = []  # projector applied to frame vectors, in coordinates
-        for a in range(n):
-            col = []
-            for i in range(m):
-                s = 0.0
-                for j in range(m):
-                    s = s + P[i][j] * F[a][j]
-                col.append(s)
-            Pe.append(col)
+        Pf = _projector_frame_matrix(split, x)
         out = []
         for a, b in multi_indices(n, 2):
-            # g(P e_a, e_b)
-            s = 0.0
-            for k in range(m):
-                t = 0.0
-                for l in range(m):
-                    t = t + G[k][l] * F[b][l]
-                s = s + Pe[a][k] * t
             delta = 1.0 if a == b else 0.0
-            out.append(n2 * s - n1 * (delta - s))
+            out.append(n2 * Pf[a, b] - n1 * (delta - Pf[a, b]))
         return out
 
     return TensorField(base, 2, comps, name=name or f"stackel({split.name})")
@@ -810,7 +784,8 @@ class CatalogEntry:
 
     ``expected`` maps classifier verdict names to booleans; for negative
     controls ``negative_check`` names the residual that must exceed
-    ``min_residual``.
+    ``min_residual``.  ``params`` names the parameter keys the builder
+    reads; any other key is a configuration error.
     """
 
     key: str
@@ -820,6 +795,7 @@ class CatalogEntry:
     negative_check: str = ""
     min_residual: float = 0.0
     geodesic_killing: bool = False
+    params: tuple = ()
 
 
 def _rotation_generator(N, i, j):
@@ -1015,7 +991,7 @@ def constructor_catalog():
         CatalogEntry(
             "sym-product", "sphere:2", _build_sym_product,
             expected={"killing": True, "conformal": True},
-            geodesic_killing=True,
+            geodesic_killing=True, params=("generators",),
         ),
         CatalogEntry(
             "sym-product-hopf", "sphere:3", _build_sym_product_hopf,
@@ -1045,12 +1021,13 @@ def constructor_catalog():
             "special-flat", "euclidean:3", _build_special_flat,
             expected={"killing": False, "conformal": True,
                       "special_conformal": True},
+            params=("k0",),
         ),
         CatalogEntry(
             "special-flat-hat", "euclidean:3", _build_special_flat_hat,
             expected={"killing": True, "conformal": True, "tracefree": False,
                       "divfree": False},
-            geodesic_killing=True,
+            geodesic_killing=True, params=("k0",),
         ),
         CatalogEntry(
             "hopf-stackel", "sphere:3", _build_hopf_stackel,
@@ -1082,7 +1059,7 @@ def constructor_catalog():
         CatalogEntry(
             "broken-special-hat", "euclidean:3", _build_broken_special_hat,
             expected={"killing": False},
-            negative_check="killing", min_residual=1e-3,
+            negative_check="killing", min_residual=1e-3, params=("k0",),
         ),
         CatalogEntry(
             "broken-hopf-stackel", "sphere:3", _build_broken_hopf,
@@ -1109,12 +1086,18 @@ def build_constructor(key, base=None, seed=42, params=None):
 
     ``params`` is an optional JSON-style dict of constructor parameters
     (e.g. {"k0": [...]} for the flat special tensor, {"generators":
-    [[0,1],[1,2]]} for rotation products).
+    [[0,1],[1,2]]} for rotation products); a key the entry does not name
+    in ``CatalogEntry.params`` raises ConfigError.
     """
     catalog = constructor_catalog()
     if key not in catalog:
         raise ConfigError(f"unknown constructor key {key!r}")
     entry = catalog[key]
+    unknown = sorted(set(params or ()) - set(entry.params))
+    if unknown:
+        raise ConfigError(
+            f"constructor {key!r} takes parameters {list(entry.params)}, not {unknown}"
+        )
     if base is None:
         base = manifold_from_key(entry.manifold_key)
     field = entry.build(base, stable_stream(seed, key), params=params)

@@ -75,11 +75,9 @@ def _curvature(base, x):
     differentiated in turn).
     """
     n = base.dim
-    vals, jac = jacobian(
-        lambda y: [g for ga in gamma_frame(base, y) for gb in ga for g in gb], list(x)
-    )
+    vals, jac = jacobian(lambda y: gamma_frame(base, y).ravel(), list(x))
     gam = np.array(vals).reshape(n, n, n)
-    F = np.array(base.frame(list(x))).T  # (m, n) columns e_a
+    F = base.frame(list(x))
     # egam[a,b,c,d] = e_a(gamma[b][c][d])
     egam = np.einsum("bcdi,ia->abcd", np.array(jac).reshape(n, n, n, -1), F)
     return (

@@ -119,10 +119,7 @@ def field_from_components(base, degree, fn, rep="frame", order=2, name="field"):
     m = base.coord_dim
 
     def comps(x):
-        K = SymTensor(m, degree, fn(x))
-        F = base.frame(x)  # n columns of length m
-        M = [[F[a][i] for a in range(base.dim)] for i in range(m)]
-        return list(change_basis(K, M).comps)
+        return list(change_basis(SymTensor(m, degree, fn(x)), base.frame(x)).comps)
 
     return TensorField(base, degree, comps, order=order, name=name)
 
@@ -247,10 +244,7 @@ def random_tangential_field(sphere, degree, rng, name="tangential-poly"):
             for i in range(N)
         ]
         K = SymTensor(N, degree, amb(x))
-        Kt = change_basis(K, proj)
-        F = sphere.frame(x)
-        M = [[F[a][i] for a in range(sphere.dim)] for i in range(N)]
-        return list(change_basis(Kt, M).comps)
+        return list(change_basis(change_basis(K, proj), sphere.frame(x)).comps)
 
     return TensorField(sphere, degree, comps, name=name)
 
@@ -263,10 +257,11 @@ def _assemble_first(n, p, vals, jac, F, gam):
     """Frame components of nabla K from component jets.
 
     ``vals``/``jac``: packed components and coordinate partials;
-    ``F``: frame columns F[a][i]; ``gam``: connection coefficients.
-    Returns [a][k] nested lists.
+    ``F``: the (m, n) frame and ``gam``: the (n, n, n) connection
+    coefficients, both as nested lists (the scalar loops run on Python
+    objects).  Returns [a][k] nested lists.
     """
-    m = len(F[0])
+    m = len(F)
     reps = replace_table(n, p) if p else None
     idxs = multi_indices(n, p)
     out = []
@@ -275,7 +270,7 @@ def _assemble_first(n, p, vals, jac, F, gam):
         for k in range(len(vals)):
             s = 0.0
             for i in range(m):
-                s = s + F[a][i] * jac[k][i]
+                s = s + F[i][a] * jac[k][i]
             if p:
                 I = idxs[k]
                 rows = reps[k]
@@ -294,8 +289,8 @@ def _nabla_comps(field, x):
     base = field.base
     n, p = base.dim, field.degree
     vals, jac = jacobian(field.comps_fn, x)
-    F = base.frame(list(x))
-    gam = gamma_frame(base, x)
+    F = base.frame(list(x)).tolist()
+    gam = gamma_frame(base, x).tolist()
     return _assemble_first(n, p, vals, jac, F, gam)
 
 
@@ -326,8 +321,8 @@ def nabla2(field, x):
         return [v for slot in slots for v in slot]
 
     vals, jac = jacobian(flat_nabla, list(x))
-    F = base.frame(list(x))
-    gam = gamma_frame(base, list(x))
+    F = base.frame(list(x)).tolist()
+    gam = gamma_frame(base, list(x)).tolist()
     S = [vals[a * size:(a + 1) * size] for a in range(n)]
     # first[a][b] = e_b(S_a) minus the connection terms on the packed index;
     # the slot index a takes the remaining term below

@@ -43,18 +43,20 @@ def _integral_value(field, x, v):
 def geodesic_drift(field, x0, v0, steps, dt, check_domain=True):
     """Max relative drift of K(gamma', ..., gamma') along one trajectory.
 
-    Returns max_t |F(t) - F(0)| / max(1, |F(0)|).  Raises DomainError if
-    the trajectory leaves the sampling domain of a chart backend.
+    Returns max_t |F(t) - F(0)| / max(1, |F(0)|), NaN if any value along
+    the trajectory is not finite.  Raises DomainError if the trajectory
+    leaves the sampling domain of a chart backend.
     """
     base = field.base
     F0 = _integral_value(field, np.asarray(x0, dtype=float), np.asarray(v0, dtype=float))
-    worst = 0.0
+    drifts = []
     for x, v in rk4_geodesic(base, x0, v0, steps, dt):
         if check_domain and hasattr(base, "contains") and not base.contains(x):
             raise DomainError("geodesic left the sampling domain")
-        F = _integral_value(field, x, v)
-        worst = max(worst, abs(F - F0))
-    return worst / max(1.0, abs(F0))
+        drifts.append(abs(_integral_value(field, x, v) - F0))
+    if not np.isfinite(drifts + [F0]).all():
+        return float("nan")  # max() would drop a NaN and pass the trajectory
+    return max(drifts, default=0.0) / max(1.0, abs(F0))
 
 
 def drift_series(field, x0, v0, steps, dt, halvings=1):

@@ -5,6 +5,9 @@ hash), so the set of sampled points is independent of case ordering and
 two runs with the same seed produce byte-identical JSON reports.  Cases
 come in two kinds: ``residual`` (pass iff max residual <= tol) and
 ``floor`` (negative controls and order checks: pass iff value >= tol).
+Every case value is accumulated with ``constructors._worst`` (residuals)
+or ``constructors._least`` (floors), which return NaN when any sample is
+not finite, so a NaN or inf sample fails its case either way.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -26,17 +29,23 @@ from .cartan import (
 )
 from .classify import classify, divfree_killing_parts
 from .constructors import (
+    _least,
+    _rotation_generator,
     _worst,
     build_constructor,
     condition_d1_residual,
     constructor_catalog,
     hopf_split,
+    killing_vector,
     nijenhuis,
     special_ckt_flat,
+    special_to_killing,
     stable_stream,
+    sym_product_field,
     tilted_split,
 )
 from .curvature import lichnerowicz_defect, qR_act, qrh_check, ricci_killing_residual, riemann
+from .dual import d_exp
 from .errors import ConfigError
 from .fields import (
     TensorField,
@@ -55,6 +64,7 @@ from .fields import (
 )
 from .geodesic import drift_series, geodesic_drift
 from .manifolds import (
+    Chart,
     EmbeddedSphere,
     conformal_rescale,
     euclidean_chart,
@@ -122,8 +132,7 @@ class SuiteReport:
 
     @property
     def max_residual(self):
-        vals = [c.max_residual for c in self.cases if c.kind == "residual"]
-        return max(vals) if vals else 0.0
+        return _worst([c.max_residual for c in self.cases if c.kind == "residual"], 0.0)
 
     def add(self, name, value, tol, kind="residual"):
         self.cases.append(SuiteCase(name, float(value), float(tol), kind))
@@ -303,18 +312,14 @@ def _tangent_ic(base, rng):
 def _per_manifold_cases(key, samples, seed, report):
     base = manifold_from_key(key)
     rng = stable_stream(seed, f"geom:{key}")
-    r_gram = 0.0
-    r_dmetric = 0.0
-    r_sym = r_bianchi = r_selfadj = 0.0
+    r = {k: [] for k in ("gram", "dmetric", "sym", "bianchi", "selfadj")}
     is_chart = getattr(base, "is_chart", False)
     geom_tol = 1e-8 if is_chart else 1e-12
     pts = [base.sample_point(rng) for _ in range(max(3, samples // 10))]
     for x in pts:
         F = frame_at(base, x)
-        G = np.array(
-            [[float(v) for v in row] for row in base.metric_matrix(list(x))]
-        )
-        r_gram = max(r_gram, float(np.abs(F.T @ G @ F - np.eye(base.dim)).max()))
+        G = base.metric_matrix(list(x))
+        r["gram"].append(float(np.abs(F.T @ G @ F - np.eye(base.dim)).max()))
         if is_chart:
             _, dG = base.metric_jet(x)
             h = 1e-5
@@ -324,29 +329,27 @@ def _per_manifold_cases(key, samples, seed, report):
                 xp[k_dir] += h
                 xm[k_dir] -= h
                 fd = (base.metric(xp) - base.metric(xm)) / (2 * h)
-                r_dmetric = max(r_dmetric, float(np.abs(fd - dG[k_dir]).max()))
+                r["dmetric"].append(float(np.abs(fd - dG[k_dir]).max()))
         rm = riemann(base, x)
-        r_sym = max(r_sym, rm.symmetry_residual() / max(1.0, np.abs(rm.R4).max()))
-        r_bianchi = max(r_bianchi, rm.bianchi_residual() / max(1.0, np.abs(rm.R4).max()))
+        r["sym"].append(rm.symmetry_residual() / max(1.0, np.abs(rm.R4).max()))
+        r["bianchi"].append(rm.bianchi_residual() / max(1.0, np.abs(rm.R4).max()))
         for p_deg in (1, 2):
             A = random_tracefree_tensor(base.dim, p_deg, rng)
             B = random_tracefree_tensor(base.dim, p_deg, rng)
             lhs = inner(qR_act(base, x, A, rm=rm), B)
             rhs = inner(A, qR_act(base, x, B, rm=rm))
-            r_selfadj = max(
-                r_selfadj, abs(lhs - rhs) / max(1.0, norm(A) * norm(B))
-            )
-    report.add(f"frame-gram:{key}", r_gram, 1e-13)
+            r["selfadj"].append(abs(lhs - rhs) / max(1.0, norm(A) * norm(B)))
+    report.add(f"frame-gram:{key}", _worst(r["gram"], 0.0), 1e-13)
     if is_chart:
-        report.add(f"metric-derivative-selftest:{key}", r_dmetric, 1e-6)
-    report.add(f"riemann-symmetries:{key}", r_sym, geom_tol)
-    report.add(f"riemann-bianchi:{key}", r_bianchi, geom_tol)
-    report.add(f"qR-self-adjoint:{key}", r_selfadj, 1e-10)
+        report.add(f"metric-derivative-selftest:{key}", _worst(r["dmetric"], 0.0), 1e-6)
+    report.add(f"riemann-symmetries:{key}", _worst(r["sym"], 0.0), geom_tol)
+    report.add(f"riemann-bianchi:{key}", _worst(r["bianchi"], 0.0), geom_tol)
+    report.add(f"qR-self-adjoint:{key}", _worst(r["selfadj"], 0.0), 1e-10)
     return base, rng
 
 
 def _sphere_eigenvalue_case(report, seed):
-    worst = 0.0
+    res = []
     for n in (2, 3, 4):
         base = EmbeddedSphere(n)
         rng = stable_stream(seed, f"qr-eig:{n}")
@@ -356,15 +359,12 @@ def _sphere_eigenvalue_case(report, seed):
             for _ in range(5):
                 K = random_tracefree_tensor(n, p, rng)
                 got = qR_act(base, x, K, rm=rm)
-                worst = max(
-                    worst,
-                    norm(got - K.scale(float(p * (n + p - 2)))) / max(1.0, norm(K)),
-                )
-    report.add("sphere-qR-eigenvalue", worst, 1e-8)
+                res.append(norm(got - K.scale(float(p * (n + p - 2)))) / max(1.0, norm(K)))
+    report.add("sphere-qR-eigenvalue", _worst(res, 0.0), 1e-8)
 
 
 def _nonpositive_case(report, seed, trials=100):
-    worst = -np.inf
+    res = [0.0]
     for n in (2, 3, 4):
         base = poincare_ball_chart(n)
         rng = stable_stream(seed, f"nonpos:{n}")
@@ -374,44 +374,40 @@ def _nonpositive_case(report, seed, trials=100):
             x, rm = pts[t % len(pts)], rms[t % len(pts)]
             p = (1, 2, 3)[t % 3]
             K = random_tracefree_tensor(n, p, rng)
-            worst = max(worst, float(inner(qR_act(base, x, K, rm=rm), K)))
-    report.add("nonpositive-curvature-qR", max(worst, 0.0), 1e-10)
+            res.append(float(inner(qR_act(base, x, K, rm=rm), K)))
+    report.add("nonpositive-curvature-qR", _worst(res), 1e-10)
 
 
 def _lichnerowicz_cases(report, seed, samples):
     eu = euclidean_chart(3)
     rng = stable_stream(seed, "lichnerowicz:flat")
-    worst = 0.0
     fld = random_polynomial_field(eu, 2, rng)
-    for _ in range(samples):
-        worst = max(worst, lichnerowicz_defect(fld, eu.sample_point(rng)))
-    report.add("lichnerowicz:euclidean:3", worst, 1e-9)
+    res = [lichnerowicz_defect(fld, eu.sample_point(rng)) for _ in range(samples)]
+    report.add("lichnerowicz:euclidean:3", _worst(res, 0.0), 1e-9)
 
     sp = EmbeddedSphere(2)
     rng = stable_stream(seed, "lichnerowicz:sphere")
-    worst = 0.0
     fld = random_tangential_field(sp, 2, rng)
-    for _ in range(samples):
-        worst = max(worst, lichnerowicz_defect(fld, sp.sample_point(rng)))
-    report.add("lichnerowicz:sphere:2", worst, SECOND_ORDER_TOL)
+    res = [lichnerowicz_defect(fld, sp.sample_point(rng)) for _ in range(samples)]
+    report.add("lichnerowicz:sphere:2", _worst(res, 0.0), SECOND_ORDER_TOL)
 
     mfield = metric_field(sp)
     x = sp.sample_point(rng)
     W = nabla2(mfield, x)
-    both = max(norm(delta_d(mfield, x, W=W)), norm(d_delta(mfield, x, W=W)))
+    both = _worst([norm(delta_d(mfield, x, W=W)), norm(d_delta(mfield, x, W=W))])
     report.add("lichnerowicz:metric-field", both, 1e-12)
 
 
 def _qrh_cases(report, seed):
-    worst = 0.0
+    res = []
     for key in ("euclidean:3", "sphere:3"):
         base = manifold_from_key(key)
         rng = stable_stream(seed, f"qrh:{key}")
         for _ in range(10):
             x = base.sample_point(rng)
             h = random_sym_tensor(base.dim, 2, rng)
-            worst = max(worst, qrh_check(base, x, h))
-    report.add("qR-two-tensor-identity", worst, 1e-8)
+            res.append(qrh_check(base, x, h))
+    report.add("qR-two-tensor-identity", _worst(res, 0.0), 1e-8)
 
 
 def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
@@ -424,15 +420,15 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
             val = rep.max_residuals[entry.negative_check]
             report.add(f"negative-control:{key}", val, entry.min_residual, kind="floor")
             continue
-        worst = 0.0
+        res = []
         ok = True
         for verdict, expected in entry.expected.items():
             if rep.verdicts[verdict] != expected:
                 ok = False
             if expected and verdict in rep.max_residuals and rep.max_residuals[verdict] is not None:
                 if verdict not in ("stackel",):
-                    worst = max(worst, rep.max_residuals[verdict])
-        report.add(f"classify:{key}", worst if ok else 1.0, tol)
+                    res.append(rep.max_residuals[verdict])
+        report.add(f"classify:{key}", _worst(res, 0.0) if ok else 1.0, tol)
 
         # conformal invariance of the conformal-Killing verdict
         wrapped_base = conformal_rescale(field.base)
@@ -456,9 +452,7 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
 
 def _identity_cases(report, seed, samples):
     # delta(xi . zeta) = d g(xi, zeta) for Killing pairs
-    from .constructors import _rotation_generator, killing_vector, sym_product_field
-
-    worst = 0.0
+    res = []
     for key, gen_pairs in (
         ("sphere:2", ((0, 1), (1, 2))),
         ("sphere:3", ((0, 1), (2, 3))),
@@ -484,13 +478,13 @@ def _identity_cases(report, seed, samples):
             T = nabla(h, x)
             lhs = delta_op(h, x, T=T)
             rhs = d_op(fdot, x)
-            worst = max(worst, norm(lhs - rhs) / max(1.0, frame_norm(T)))
-    report.add("killing-pair-divergence-identity", worst, SPHERE_TOL)
+            res.append(norm(lhs - rhs) / max(1.0, frame_norm(T)))
+    report.add("killing-pair-divergence-identity", _worst(res, 0.0), SPHERE_TOL)
 
     # d as a derivation on random polynomial fields over a flat chart
     eu = euclidean_chart(3)
     rng = stable_stream(seed, "derivation-rule")
-    worst = 0.0
+    res = []
     for _ in range(5):
         A = random_polynomial_field(eu, 2, rng)
         B = random_polynomial_field(eu, 1, rng)
@@ -499,8 +493,8 @@ def _identity_cases(report, seed, samples):
             x = eu.sample_point(rng)
             lhs = d_op(AB, x)
             rhs = sym_product(d_op(A, x), B(x)) + sym_product(A(x), d_op(B, x))
-            worst = max(worst, norm(lhs - rhs) / max(1.0, norm(lhs)))
-    report.add("derivation-product-rule", worst, 1e-10)
+            res.append(norm(lhs - rhs) / max(1.0, norm(lhs)))
+    report.add("derivation-product-rule", _worst(res, 0.0), 1e-10)
 
     # L preserves divergence-free Killing tensors
     hopf, _ = build_constructor("hopf-stackel", seed=seed)
@@ -513,71 +507,67 @@ def _identity_cases(report, seed, samples):
 
     Lfield = TensorField(base, 4, L_comps, name="L(hopf-stackel)")
     rng = stable_stream(seed, "L-preserves")
-    worst = 0.0
+    res = []
     for _ in range(max(5, samples // 10)):
         x = base.sample_point(rng)
         T = nabla(Lfield, x)
         s = max(1.0, frame_norm(T))
-        worst = max(worst, norm(d_op(Lfield, x, T=T)) / s)
-        worst = max(worst, norm(delta_op(Lfield, x, T=T)) / s)
-    report.add("L-preserves-divfree-killing", worst, SPHERE_TOL)
+        res.append(norm(d_op(Lfield, x, T=T)) / s)
+        res.append(norm(delta_op(Lfield, x, T=T)) / s)
+    report.add("L-preserves-divfree-killing", _worst(res, 0.0), SPHERE_TOL)
     parts = divfree_killing_parts(Lfield, samples=max(5, samples // 10),
                                   tol=SPHERE_TOL, seed=seed)
-    worst = max(max(d["d"], d["delta"]) for d in parts.values())
-    report.add("divfree-killing-parts", worst, SPHERE_TOL)
+    res = [v for d in parts.values() for v in (d["d"], d["delta"])]
+    report.add("divfree-killing-parts", _worst(res), SPHERE_TOL)
 
     # Nijenhuis: zero for the special CKT, nonzero for its Killing hat
     eu = euclidean_chart(3)
     special = special_ckt_flat(np.array([0.4, -0.3, 0.5]), chart=eu)
-    from .constructors import special_to_killing
-
     hat = special_to_killing(special, rng=stable_stream(seed, "nij"))
     rng = stable_stream(seed, "nijenhuis")
-    worst_special = 0.0
-    worst_hat = np.inf
+    res_special, res_hat = [], []
     for _ in range(max(5, samples // 10)):
         x = eu.sample_point(rng)
-        worst_special = max(worst_special, float(np.abs(nijenhuis(special, x)).max()))
-        worst_hat = min(worst_hat, float(np.abs(nijenhuis(hat, x)).max()))
-    report.add("nijenhuis-special-ckt", worst_special, FLAT_TOL)
-    report.add("nijenhuis-special-killing-nonzero", worst_hat, 1e-3, kind="floor")
+        res_special.append(float(np.abs(nijenhuis(special, x)).max()))
+        res_hat.append(float(np.abs(nijenhuis(hat, x)).max()))
+    report.add("nijenhuis-special-ckt", _worst(res_special, 0.0), FLAT_TOL)
+    report.add("nijenhuis-special-killing-nonzero", _least(res_hat), 1e-3, kind="floor")
 
     # condition (d1) for the circle-fibration split, violated by the tilt
     rng = stable_stream(seed, "d1")
     sp3 = EmbeddedSphere(3)
-    worst = 0.0
-    bad = np.inf
+    res, res_tilted = [], []
     hs = hopf_split(sp3)
     ts = tilted_split(sp3)
     for _ in range(5):
         x = sp3.sample_point(rng)
-        worst = max(worst, condition_d1_residual(hs, x, rng))
-        bad = min(bad, condition_d1_residual(ts, x, rng))
-    report.add("condition-d1-hopf", worst, SPHERE_TOL)
-    report.add("condition-d1-tilted-nonzero", bad, 1e-3, kind="floor")
+        res.append(condition_d1_residual(hs, x, rng))
+        res_tilted.append(condition_d1_residual(ts, x, rng))
+    report.add("condition-d1-hopf", _worst(res), SPHERE_TOL)
+    report.add("condition-d1-tilted-nonzero", _least(res_tilted), 1e-3, kind="floor")
 
     # d tr K = 2 delta K for the trace-carrying Killing 2-tensors
-    worst = 0.0
+    res = []
     for key in ("sphere-curvature", "special-flat-hat"):
         field, _ = build_constructor(key, seed=seed)
         rep = classify(field, samples=max(5, samples // 10),
                        tol=SPHERE_TOL, seed=seed)
-        worst = max(worst, rep.max_residuals["two_tensor"])
-    report.add("two-tensor-trace-identity", worst, SPHERE_TOL)
+        res.append(rep.max_residuals["two_tensor"])
+    report.add("two-tensor-trace-identity", _worst(res), SPHERE_TOL)
+    _modified_ricci_cases(report, seed)
 
+
+def _modified_ricci_cases(report, seed):
     # modified-Ricci Killing residual: spheres and flat space satisfy it
     rng = stable_stream(seed, "ricci")
-    worst = 0.0
+    res = []
     for key in ("sphere:2", "euclidean:3"):
         base = manifold_from_key(key)
         for _ in range(3):
             x = base.sample_point(rng)
             X = rng.standard_normal(base.dim)
-            worst = max(worst, ricci_killing_residual(base, x, X))
-    report.add("modified-ricci-killing", worst, 1e-8)
-
-    from .manifolds import Chart
-    from .dual import d_exp
+            res.append(ricci_killing_residual(base, x, X))
+    report.add("modified-ricci-killing", _worst(res), 1e-8)
 
     def bump_metric(x):
         b = 0.25 * (x[0] * x[0] * x[1] + 0.5 * x[1] * x[2] * x[2] + x[0])
@@ -586,13 +576,13 @@ def _identity_cases(report, seed, samples):
 
     pert = Chart(3, bump_metric, radius=0.8, key="bumped-flat")
     rng = stable_stream(seed, "ricci-neg")
-    bad = np.inf
+    res = []
     # fixed direction mix to avoid unlucky zero directions
     for _ in range(5):
         x = pert.sample_point(rng)
         X = rng.standard_normal(3)
-        bad = min(bad, ricci_killing_residual(pert, x, X))
-    report.add("modified-ricci-negative-control", bad, 1e-6, kind="floor")
+        res.append(ricci_killing_residual(pert, x, X))
+    report.add("modified-ricci-negative-control", _least(res), 1e-6, kind="floor")
 
 
 def _geodesic_order_case(report, seed):

@@ -405,7 +405,7 @@ def change_basis(K, M):
     sum K_{A_1...A_p} M[A_1,a_1] ... M[A_p,a_p].  Applied one slot at a
     time; the result is symmetric because the input is.
     """
-    M = [list(row) for row in M]
+    M = np.asarray(M).tolist()
     m = len(M)
     n_new = len(M[0])
     p = K.degree

@@ -110,12 +110,7 @@ class _RemixedBackend:
         self.is_chart = getattr(base, "is_chart", False)
 
     def frame(self, x):
-        cols = self.base.frame(x)
-        n, m = self.dim, self.coord_dim
-        return [
-            [sum(self.Q[b, a] * cols[b][i] for b in range(n)) for i in range(m)]
-            for a in range(n)
-        ]
+        return self.base.frame(x) @ self.Q
 
     def metric_matrix(self, x):
         return self.base.metric_matrix(x)

@@ -5,7 +5,7 @@ import pytest
 
 from symkt.constructors import build_constructor
 from symkt.errors import DomainError
-from symkt.fields import metric_field
+from symkt.fields import TensorField, metric_field
 from symkt.geodesic import drift_series, geodesic_drift, rk4_geodesic
 from symkt.manifolds import EmbeddedSphere, euclidean_chart, poincare_ball_chart
 
@@ -83,3 +83,16 @@ def test_domain_exit_raises():
     f = metric_field(eu)
     with pytest.raises(DomainError):
         geodesic_drift(f, np.array([0.4, 0.0]), np.array([1.0, 0.0]), 1000, 1e-2)
+
+
+def test_drift_fails_closed_when_the_first_integral_turns_nan():
+    # the integral is finite at the start and NaN once x[0] > 0.2005;
+    # max(0.0, nan) is 0.0, so a dropped NaN would read as zero drift
+    eu = euclidean_chart(3)
+
+    def comps(x):
+        return [float("nan") if x[0] > 0.2005 else 1.0] * 6
+
+    field = TensorField(eu, 2, comps, name="nan-beyond-0.2005")
+    d = geodesic_drift(field, [0.2, 0.0, 0.0], [1.0, 0.0, 0.0], 20, 1e-3)
+    assert np.isnan(d)

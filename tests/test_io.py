@@ -51,6 +51,18 @@ def test_one_based_sorted_indices_enforced():
         tensor_from_dict({"dim": 2, "degree": -1, "entries": []})
 
 
+def test_non_finite_values_decode_but_files_reject_them(tmp_path):
+    doc = {"dim": 3, "degree": 2, "entries": [{"index": [1, 1], "value": "nan"}]}
+    assert np.isnan(tensor_from_dict(doc)[0, 0])
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=r"index \[1, 1\] is not finite"):
+        load_tensor(path)
+    with pytest.raises(ConfigError, match="must be a number"):
+        tensor_from_dict({"dim": 3, "degree": 2,
+                          "entries": [{"index": [1, 1], "value": "abc"}]})
+
+
 def test_zero_entries_omitted_on_write():
     K = SymTensor(3, 2, [1.0, 0.0, 0.0, 2.0, 0.0, 0.0])
     doc = tensor_to_dict(K)

@@ -3,20 +3,24 @@
 import numpy as np
 import pytest
 
-from symkt.dual import jacobian, value_of
+from symkt.dual import jacobian, seed, value_of
 from symkt.errors import ConfigError
 from symkt.manifolds import (
+    Chart,
+    ConformalRescale,
     EmbeddedSphere,
     ProductManifold,
     christoffel,
     euclidean_chart,
     flat_torus_chart,
     frame_at,
+    frame_components,
     gamma_frame,
     manifold_from_key,
     poincare_ball_chart,
     stereographic_sphere_chart,
 )
+from symkt.suites import DEFAULT_GEOMETRY_KEYS
 
 ALL_KEYS = [
     "euclidean:3",
@@ -139,12 +143,12 @@ def test_christoffel_and_frame_connection_agree(key):
     for _ in range(3):
         x = base.sample_point(rng)
         F = frame_at(base, x)  # F[k, a] = component k of e_a
-        _, jac = jacobian(lambda y: [c for col in base.frame(y) for c in col], list(x))
+        _, jac = jacobian(lambda y: base.frame(y).ravel(), list(x))
         dF = np.array([[value_of(g) for g in row] for row in jac]).reshape(n, n, n)
         gam = np.array(
             [[[value_of(g) for g in gb] for gb in ga] for ga in gamma_frame(base, list(x))]
         )
-        coord = np.einsum("ia,bki->abk", F, dF) + np.einsum(
+        coord = np.einsum("ia,kbi->abk", F, dF) + np.einsum(
             "kij,ia,jb->abk", christoffel(base, x), F, F
         )
         frame = np.einsum("abc,kc->abk", gam, F)
@@ -209,3 +213,63 @@ def test_conformal_wrapper_delegates_sampling():
     assert np.allclose(cw.sample_point(rng1), base.sample_point(rng2))
     with pytest.raises(ConfigError):
         cw.geodesic_rhs(np.zeros(3), np.ones(3))
+
+
+FRAME_CONTRACT_KEYS = list(DEFAULT_GEOMETRY_KEYS) + ["stereographic:3"]
+
+
+@pytest.mark.parametrize("key", FRAME_CONTRACT_KEYS)
+def test_frame_is_one_m_by_n_array(key):
+    # one frame format: (m, n), column a is e_a; float64 at a float point,
+    # object (dual numbers) at a seeded point, frame_at its float view
+    base = manifold_from_key(key)
+    shape = (base.coord_dim, base.dim)
+    rng = np.random.default_rng(29)
+    for _ in range(3):
+        x = base.sample_point(rng)
+        F = base.frame(list(x))
+        assert isinstance(F, np.ndarray) and F.shape == shape and F.dtype == np.float64
+        Fd = base.frame(seed(list(x)))
+        assert isinstance(Fd, np.ndarray) and Fd.shape == shape and Fd.dtype == object
+        assert np.array_equal(frame_at(base, x), F)
+        assert np.array_equal(frame_at(base, x), np.vectorize(value_of, otypes=[float])(Fd))
+
+
+def _reference_frame_components(base, x, vec):
+    # reference: each backend's own pullback, per factor for products and
+    # exp(f) times the base's for conformal rescalings
+    if isinstance(base, ProductManifold):
+        m1 = base.first.coord_dim
+        return np.concatenate([
+            _reference_frame_components(base.first, x[:m1], vec[:m1]),
+            _reference_frame_components(base.second, x[m1:], vec[m1:]),
+        ])
+    if isinstance(base, ConformalRescale):
+        f = value_of(base.f_fn(list(x)))
+        return np.exp(f) * _reference_frame_components(base.base, x, vec)
+    if isinstance(base, EmbeddedSphere):
+        return frame_at(base, x).T @ np.asarray(vec, dtype=float)
+    G = base.metric(np.asarray(x, dtype=float))
+    return frame_at(base, x).T @ (G @ np.asarray(vec, dtype=float))
+
+
+@pytest.mark.parametrize("key", FRAME_CONTRACT_KEYS)
+def test_shared_frame_components_matches_backend_formulas(key):
+    base = manifold_from_key(key)
+    assert all(
+        cls.__dict__["frame_components"] is frame_components
+        for cls in (Chart, EmbeddedSphere, ProductManifold, ConformalRescale)
+    )
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        x = base.sample_point(rng)
+        vec = rng.standard_normal(base.coord_dim)
+        got = base.frame_components(x, vec)
+        want = _reference_frame_components(base, x, vec)
+        if isinstance(base, (Chart, EmbeddedSphere)):
+            assert np.array_equal(got, want)
+        else:
+            # one BLAS sum over the zero-padded block frame (or the rescaled
+            # metric) rounds differently from the per-factor sums
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * max(
+                1.0, np.abs(want).max())

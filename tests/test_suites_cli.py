@@ -231,3 +231,79 @@ def test_cli_field_file(tmp_path):
     dump_tensor(SymTensor.metric(2), path)
     assert main(["verify", "--manifold", "euclidean:3", "--field-file",
                  str(path), "--samples", "5"]) == 2
+
+
+def test_geometry_residual_case_fails_closed_on_nan(monkeypatch):
+    # one NaN sample among finite ones: the case must read NaN and fail
+    original = suites.qrh_check
+    calls = []
+
+    def qrh_check(base, x, h):
+        calls.append(1)
+        return float("nan") if len(calls) == 3 else original(base, x, h)
+
+    monkeypatch.setattr(suites, "qrh_check", qrh_check)
+    report = suites.SuiteReport("geometry", 42, 1e-9)
+    suites._qrh_cases(report, 42)
+    (case,) = report.cases
+    assert np.isnan(case.max_residual) and not case.passed
+    assert not report.passed and np.isnan(report.max_residual)
+
+
+def test_geometry_floor_case_fails_closed_on_nan(monkeypatch):
+    # min(inf, nan) is inf: a NaN negative control must not clear its floor
+    original = suites.ricci_killing_residual
+
+    def ricci_killing_residual(base, x, X):
+        if base.key == "bumped-flat":
+            return float("nan")
+        return original(base, x, X)
+
+    monkeypatch.setattr(suites, "ricci_killing_residual", ricci_killing_residual)
+    report = suites.SuiteReport("geometry", 42, 1e-9)
+    suites._modified_ricci_cases(report, 42)
+    cases = {c.name: c for c in report.cases}
+    assert cases["modified-ricci-killing"].passed
+    floor = cases["modified-ricci-negative-control"]
+    assert floor.kind == "floor"
+    assert np.isnan(floor.max_residual) and not floor.passed
+
+
+@pytest.mark.parametrize("entries", [
+    '5',
+    '[5]',
+    '[{"value": 1.0}]',
+    '[{"index": [1, 1]}]',
+    '[{"index": [1, 1], "value": "abc"}]',
+    '[{"index": [1, 1], "value": "nan"}]',
+    '[{"index": [1, 1], "value": NaN}]',
+    '[{"index": [1, 1], "value": Infinity}]',
+    '[{"index": [1, "a"], "value": 1.0}]',
+], ids=["entries-not-a-list", "entry-not-an-object", "missing-index",
+        "missing-value", "non-numeric-value", "nan-string-value",
+        "nan-value", "inf-value", "non-integer-index"])
+def test_cli_rejects_malformed_tensor_literals(tmp_path, capsys, entries):
+    path = tmp_path / "K.json"
+    path.write_text('{"dim": 3, "degree": 2, "entries": %s}' % entries)
+    code = main(["verify", "--manifold", "euclidean:3", "--field-file",
+                 str(path), "--samples", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_rejects_unknown_params(capsys):
+    assert main(["verify", "--manifold", "euclidean:3", "--construct",
+                 "special-flat", "--params", '{"k0": [1, 2, 3], "bogus": 1}',
+                 "--samples", "3"]) == 2
+    assert main(["verify", "--manifold", "sphere:3", "--construct",
+                 "hopf-stackel", "--params", '{"anything": 1}',
+                 "--samples", "3"]) == 2
+    assert "bogus" in capsys.readouterr().err
+    # the keys each builder reads still pass
+    assert main(["verify", "--manifold", "euclidean:3", "--construct",
+                 "special-flat", "--params", '{"k0": [1, 2, 3]}',
+                 "--samples", "3", "--tol", "1e-11"]) == 0
+    assert main(["verify", "--manifold", "sphere:2", "--construct",
+                 "sym-product", "--params", '{"generators": [[0, 1], [0, 2]]}',
+                 "--samples", "3"]) == 0
