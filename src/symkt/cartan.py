@@ -13,15 +13,15 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
+from .multiindex import contract_array, product_arrays, sym_size
 from .symtensor import (
     DEFAULT_TRACE_TOL,
     SymTensor,
-    contract,
+    derivation,
     inner,
-    lambda2_act,
+    mult_L,
     random_tracefree_tensor,
     trace_residual,
-    tracefree_sym_product,
 )
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
     "pi1_star",
     "pi2",
     "pi2_star",
+    "slot_products",
+    "slot_hooks",
     "cartan_decompose",
     "conformal_weight",
     "pi2_constant",
@@ -82,6 +84,10 @@ class FrameTensor:
     def __repr__(self):
         return f"FrameTensor(dim={self.dim}, degree={self.degree})"
 
+    def stacked(self):
+        """Slot components as one (n, size) array, row a = slot a."""
+        return np.stack([s.comps for s in self.slots])
+
 
 def frame_inner(A, B):
     """Slot-wise sum of scalar products (the induced metric on T (x) Sym^p)."""
@@ -114,37 +120,67 @@ def pi2_constant(n, p):
     return (n + 2 * p - 2) * (n + p - 3) / (n + 2 * p - 4)
 
 
+def _require_tracefree(tensors, what, tol=DEFAULT_TRACE_TOL):
+    if any(trace_residual(K) > tol for K in tensors):
+        raise TraceError(f"{what} needs trace-free input")
+
+
+def slot_products(S, p):
+    """Rows e_a . S_a of packed degree-p slots S (..., n, size), bit for bit
+    ``sym_product(e_a, S_a)``: one table entry per (a, I) pair."""
+    n = S.shape[-2]
+    out_pos, pos_a, pos_b, count = product_arrays(n, 1, p)
+    w = count * S[..., pos_a, pos_b]
+    out = np.zeros(S.shape[:-1] + (sym_size(n, p + 1),), dtype=w.dtype)
+    out[..., pos_a, out_pos] = w
+    return out
+
+
+def slot_hooks(S, p):
+    """Rows e_a -| S_a of packed degree-p slots S (..., n, size), bit for bit
+    ``contract(e_a, S_a)``."""
+    if p < 1:
+        raise DegreeError("cannot contract a degree-0 tensor")
+    n = S.shape[-2]
+    return S[..., np.arange(n)[:, None], contract_array(n, p).T]
+
+
+def _tracefree_products(S, p):
+    """Rows (e_a . S_a)_0 = e_a . S_a - L(e_a -| S_a) / (n + 2p - 2) for
+    trace-free S_a, as ``tracefree_sym_product`` computes them."""
+    n = S.shape[-2]
+    rows = slot_products(S, p)
+    if p == 0:
+        return rows
+    c = 1.0 / (n + 2 * (p - 1))
+    return rows - np.stack([mult_L(SymTensor(n, p - 1, h)).scale(c).comps
+                            for h in slot_hooks(S, p)])
+
+
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
-    out = SymTensor.zero(T.dim, T.degree + 1)
-    for i, s in enumerate(T.slots):
-        out = out + tracefree_sym_product(SymTensor.basis_vector(T.dim, i), s)
-    return out
+    _require_tracefree(T.slots, "pi1")
+    return SymTensor(T.dim, T.degree + 1, _tracefree_products(T.stacked(), T.degree).sum(0))
 
 
 def pi1_star(S):
     """Adjoint embedding: slot i = e_i -| S."""
-    return FrameTensor(
-        [contract(SymTensor.basis_vector(S.dim, i), S) for i in range(S.dim)]
-    )
+    n, p = S.dim, S.degree
+    rows = slot_hooks(np.broadcast_to(S.comps, (n, S.comps.size)), p)
+    return FrameTensor([SymTensor(n, p - 1, r) for r in rows])
 
 
 def pi2(T):
     """Sum of contractions e_i -| slot_i, degree p-1."""
-    out = SymTensor.zero(T.dim, T.degree - 1)
-    for i, s in enumerate(T.slots):
-        out = out + contract(SymTensor.basis_vector(T.dim, i), s)
-    return out
+    return SymTensor(T.dim, T.degree - 1, slot_hooks(T.stacked(), T.degree).sum(0))
 
 
 def pi2_star(S):
     """Adjoint embedding: slot i = (e_i . S)_0."""
-    return FrameTensor(
-        [
-            tracefree_sym_product(SymTensor.basis_vector(S.dim, i), S)
-            for i in range(S.dim)
-        ]
-    )
+    _require_tracefree([S], "pi2_star")
+    n, p = S.dim, S.degree
+    rows = _tracefree_products(np.broadcast_to(S.comps, (n, S.comps.size)), p)
+    return FrameTensor([SymTensor(n, p + 1, r) for r in rows])
 
 
 CartanParts = namedtuple("CartanParts", ["P1", "P2", "P3", "pi1", "pi2"])
@@ -166,9 +202,7 @@ def cartan_decompose(T, tol=DEFAULT_TRACE_TOL):
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
-    for s in T.slots:
-        if trace_residual(s) > tol:
-            raise TraceError("cartan_decompose needs trace-free slots")
+    _require_tracefree(T.slots, "cartan_decompose", tol)
     s1 = pi1(T)
     s2 = pi2(T)
     P1 = pi1_star(s1).scale(1.0 / (p + 1))
@@ -182,18 +216,14 @@ def conformal_weight(T, tol=DEFAULT_TRACE_TOL):
 
     Agrees with p*P1 - (n+p-2)*P2 - P3 on trace-free-slotted tensors.
     """
-    n = T.dim
-    _check_supported(n, T.degree)
-    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
-    slots = []
-    for i in range(n):
-        acc = SymTensor.zero(n, T.degree)
-        for j in range(n):
-            if i == j:
-                continue
-            acc = acc + lambda2_act(basis[i], basis[j], T.slots[j])
-        slots.append(acc)
-    return FrameTensor(slots)
+    n, p = T.dim, T.degree
+    _check_supported(n, p)
+    E = np.eye(n)
+    # wedge[i, j] = e_j e_i^T - e_i e_j^T, the matrix of (e_i ^ e_j)*
+    wedge = E[None, :, :, None] * E[:, None, None, :]
+    wedge = wedge - wedge.transpose(1, 0, 2, 3)
+    slots = derivation(wedge, T.stacked(), p).sum(1)
+    return FrameTensor([SymTensor(n, p, s) for s in slots])
 
 
 def random_frame_tensor(n, p, rng):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cartan import FrameTensor, cartan_decompose, frame_norm, supported_pair
+from .cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, supported_pair
 from .constructors import _worst, special_conformal_residual
 from .dual import value_of
 from .errors import DegreeError, VerificationError
@@ -24,7 +24,6 @@ from .symtensor import (
     standard_decomposition,
     trace_Lambda,
     tracefree_part,
-    tracefree_sym_product,
 )
 
 __all__ = ["ClassReport", "classify", "divfree_killing_parts"]
@@ -162,13 +161,7 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
                 # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z)
                 c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
                 k_vec = delta_op(field, x, T=T0).scale(-c2)
-                model = [
-                    tracefree_sym_product(SymTensor.basis_vector(n, a), k_vec)
-                    for a in range(n)
-                ]
-                res["special1"].append(
-                    frame_norm(T0 - FrameTensor(model)) / scale
-                )
+                res["special1"].append(frame_norm(T0 - pi2_star(k_vec)) / scale)
         if p == 2:
             # d tr K = 2 delta K for Killing 2-tensors
             dtr = SymTensor(n, 1, [trace_Lambda(s).comps[0] for s in T.slots])

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartan import FrameTensor, frame_norm
+from .cartan import FrameTensor, frame_norm, slot_products
 from .dual import jacobian, value_of
 from .errors import ConfigError, VerificationError
 from .fields import (
@@ -470,9 +470,8 @@ def special_conformal_residual(field, x, T=None, deltaK=None):
     if deltaK is None:
         deltaK = delta_op(field, x, T=T)
     k = deltaK.scale(-1.0 / (n + p - 1))
-    model = FrameTensor(
-        [sym_product(SymTensor.basis_vector(n, a), k) for a in range(n)]
-    )
+    rows = slot_products(np.broadcast_to(k.comps, (n, k.comps.size)), p - 1)
+    model = FrameTensor([SymTensor(n, p, r) for r in rows])
     return frame_norm(T - model) / max(1.0, frame_norm(T))
 
 

@@ -15,16 +15,8 @@ from .cartan import frame_norm
 from .dual import jacobian, value_of
 from .fields import TensorField, d_delta, delta_d, nabla, nabla2, rough_laplacian
 from .manifolds import gamma_frame
-from .multiindex import multi_indices
-from .symtensor import (
-    SymTensor,
-    contract,
-    lambda2_act,
-    norm,
-    poly_eval,
-    sym_product,
-    trace_Lambda,
-)
+from .multiindex import index_array, multi_indices, replace_array
+from .symtensor import SymTensor, derivation, norm, poly_eval, trace_Lambda
 
 __all__ = [
     "RiemannAtPoint",
@@ -103,27 +95,15 @@ def qR_act(base, x, K, rm=None):
     of the corresponding skew endomorphism.  Pass a precomputed
     :class:`RiemannAtPoint` in ``rm`` to amortize the curvature.
     """
-    n = base.dim
     if rm is None:
         rm = riemann(base, x)
-    R = rm.R4
-    if K.degree == 0:
-        return SymTensor.zero(n, 0)
-    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
-    hooked = [contract(basis[k], K) for k in range(n)]
-    out = SymTensor.zero(n, K.degree)
-    for i in range(n):
-        for j in range(i + 1, n):
-            # A = R_{e_i, e_j} K as a derivation
-            A = SymTensor.zero(n, K.degree)
-            for l in range(n):
-                M = SymTensor.zero(n, K.degree - 1)
-                for k in range(n):
-                    if R[i, j, k, l]:
-                        M = M + hooked[k].scale(R[i, j, k, l])
-                A = A + sym_product(basis[l], M)
-            out = out + lambda2_act(basis[i], basis[j], A)
-    return out
+    n, p = K.dim, K.degree
+    # Y[i, j] = R_{e_i e_j} K; q(R) = sum_{i<j} (e_i ^ e_j)* Y[i, j], which by
+    # the skew symmetry of Y in (i, j) gathers to sum_m sum_d Y[d, I_m, I<-d]
+    Y = derivation(rm.R4.transpose(0, 1, 3, 2), K.comps, p)
+    idx, rep = index_array(n, p), replace_array(n, p)
+    out = Y[np.arange(n), idx[:, :, None], rep].sum(axis=(1, 2))
+    return SymTensor(n, p, out)
 
 
 def qrh_check(base, x, h, rm=None):

@@ -17,15 +17,15 @@ Weitzenboeck-type checks.
 
 import numpy as np
 
-from .cartan import FrameTensor
+from .cartan import FrameTensor, slot_hooks, slot_products
 from .dual import d_exp, jacobian
 from .errors import DegreeError, DomainError
 from .manifolds import gamma_frame
-from .multiindex import multi_indices, replace_table, sym_size
+from .multiindex import multi_indices, sym_size
 from .symtensor import (
     SymTensor,
     change_basis,
-    contract,
+    derivation,
     mult_L,
     sym_product,
     tracefree_part,
@@ -253,45 +253,25 @@ def random_tangential_field(sphere, degree, rng, name="tangential-poly"):
 # covariant derivatives
 
 
-def _assemble_first(n, p, vals, jac, F, gam):
+def _assemble_first(p, vals, jac, F, gam):
     """Frame components of nabla K from component jets.
 
-    ``vals``/``jac``: packed components and coordinate partials;
-    ``F``: the (m, n) frame and ``gam``: the (n, n, n) connection
-    coefficients, both as nested lists (the scalar loops run on Python
-    objects).  Returns [a][k] nested lists.
+    ``vals``/``jac``: packed components ``(..., size)`` and their
+    coordinate partials ``(..., size, m)``; ``F``: the (m, n) frame and
+    ``gam``: the (n, n, n) connection coefficients.  Returns the
+    ``(..., n, size)`` array whose row a is F^T J^T minus the derivation
+    action of gamma[a] on the packed index.
     """
-    m = len(F)
-    reps = replace_table(n, p) if p else None
-    idxs = multi_indices(n, p)
-    out = []
-    for a in range(n):
-        slot = []
-        for k in range(len(vals)):
-            s = 0.0
-            for i in range(m):
-                s = s + F[i][a] * jac[k][i]
-            if p:
-                I = idxs[k]
-                rows = reps[k]
-                for mpos in range(p):
-                    gi = gam[a][I[mpos]]
-                    row = rows[mpos]
-                    for d in range(n):
-                        s = s - gi[d] * vals[row[d]]
-            slot.append(s)
-        out.append(slot)
-    return out
+    return (np.einsum("ia,...ki->...ak", F, jac)
+            - derivation(gam, vals[..., None, :], p))
 
 
 def _nabla_comps(field, x):
-    """Generic [a][k] components of nabla(field) at x (any dual level)."""
-    base = field.base
-    n, p = base.dim, field.degree
+    """(n, size) frame components of nabla(field) at x (any dual level)."""
     vals, jac = jacobian(field.comps_fn, x)
-    F = base.frame(list(x)).tolist()
-    gam = gamma_frame(base, x).tolist()
-    return _assemble_first(n, p, vals, jac, F, gam)
+    base = field.base
+    return _assemble_first(field.degree, np.array(vals), np.array(jac),
+                           base.frame(x), gamma_frame(base, x))
 
 
 def _check_domain(base, x):
@@ -302,9 +282,8 @@ def _check_domain(base, x):
 def nabla(field, x):
     """Covariant derivative at x as a FrameTensor (slot a = nabla_{e_a})."""
     _check_domain(field.base, x)
-    slots = _nabla_comps(field, list(x))
     n, p = field.base.dim, field.degree
-    return FrameTensor([SymTensor(n, p, s) for s in slots])
+    return FrameTensor([SymTensor(n, p, s) for s in _nabla_comps(field, list(x))])
 
 
 def nabla2(field, x):
@@ -314,32 +293,16 @@ def nabla2(field, x):
     _check_domain(field.base, x)
     base = field.base
     n, p = base.dim, field.degree
-    size = sym_size(n, p)
-
-    def flat_nabla(y):
-        slots = _nabla_comps(field, y)
-        return [v for slot in slots for v in slot]
-
-    vals, jac = jacobian(flat_nabla, list(x))
-    F = base.frame(list(x)).tolist()
-    gam = gamma_frame(base, list(x)).tolist()
-    S = [vals[a * size:(a + 1) * size] for a in range(n)]
-    # first[a][b] = e_b(S_a) minus the connection terms on the packed index;
-    # the slot index a takes the remaining term below
-    first = [
-        _assemble_first(n, p, S[a], jac[a * size:(a + 1) * size], F, gam)
-        for a in range(n)
-    ]
-    grid = []
-    for b in range(n):
-        row_out = []
-        for a in range(n):
-            comps = first[a][b]
-            for d in range(n):
-                comps = [c - gam[b][a][d] * v for c, v in zip(comps, S[d])]
-            row_out.append(SymTensor(n, p, comps))
-        grid.append(row_out)
-    return grid
+    x = list(x)
+    vals, jac = jacobian(lambda y: _nabla_comps(field, y).ravel(), x)
+    S = np.array(vals).reshape(n, -1)
+    J = np.array(jac).reshape(n, S.shape[1], -1)
+    gam = gamma_frame(base, x)
+    # first[a, b] = e_b(S_a) minus the connection terms on the packed index;
+    # the slot index a takes the remaining term
+    first = _assemble_first(p, S, J, base.frame(x), gam)
+    W = first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
+    return [[SymTensor(n, p, W[b, a]) for a in range(n)] for b in range(n)]
 
 
 def d_op(field, x, T=None):
@@ -349,11 +312,7 @@ def d_op(field, x, T=None):
     """
     if T is None:
         T = nabla(field, x)
-    n = field.base.dim
-    out = SymTensor.zero(n, field.degree + 1)
-    for a in range(n):
-        out = out + sym_product(SymTensor.basis_vector(n, a), T.slots[a])
-    return out
+    return SymTensor(T.dim, T.degree + 1, slot_products(T.stacked(), T.degree).sum(0))
 
 
 def delta_op(field, x, T=None):
@@ -362,11 +321,7 @@ def delta_op(field, x, T=None):
         raise DegreeError("divergence needs degree >= 1")
     if T is None:
         T = nabla(field, x)
-    n = field.base.dim
-    out = SymTensor.zero(n, field.degree - 1)
-    for a in range(n):
-        out = out - contract(SymTensor.basis_vector(n, a), T.slots[a])
-    return out
+    return SymTensor(T.dim, T.degree - 1, -slot_hooks(T.stacked(), T.degree).sum(0))
 
 
 def d0_op(field, x, T=None):
@@ -384,28 +339,23 @@ def d0_op(field, x, T=None):
     return dK + mult_L(delta_op(field, x, T=T)).scale(1.0 / (n + 2 * p - 2))
 
 
+def _grid(W):
+    return np.stack([np.stack([s.comps for s in row]) for row in W])
+
+
 def rough_laplacian(field, x, W=None):
     """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K from ``W = nabla2``."""
     W = nabla2(field, x) if W is None else W
     n = field.base.dim
-    out = SymTensor.zero(n, field.degree)
-    for a in range(n):
-        out = out - W[a][a]
-    return out
+    return SymTensor(n, field.degree, -_grid(W)[np.arange(n), np.arange(n)].sum(0))
 
 
 def delta_d(field, x, W=None):
     """delta d K assembled from the second covariant derivative ``W``."""
     W = nabla2(field, x) if W is None else W
-    n = field.base.dim
-    out = SymTensor.zero(n, field.degree)
-    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
-    for b in range(n):
-        acc = SymTensor.zero(n, field.degree + 1)
-        for a in range(n):
-            acc = acc + sym_product(basis[a], W[b][a])
-        out = out - contract(basis[b], acc)
-    return out
+    p = field.degree
+    dW = slot_products(_grid(W), p).sum(1)  # row b: sum_a e_a . W[b][a]
+    return SymTensor(field.base.dim, p, -slot_hooks(dW, p + 1).sum(0))
 
 
 def d_delta(field, x, W=None):
@@ -413,12 +363,6 @@ def d_delta(field, x, W=None):
     if field.degree < 1:
         raise DegreeError("d delta needs degree >= 1")
     W = nabla2(field, x) if W is None else W
-    n = field.base.dim
-    out = SymTensor.zero(n, field.degree)
-    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
-    for b in range(n):
-        acc = SymTensor.zero(n, field.degree - 1)
-        for a in range(n):
-            acc = acc + contract(basis[a], W[b][a])
-        out = out - sym_product(basis[b], acc)
-    return out
+    p = field.degree
+    hW = slot_hooks(_grid(W), p).sum(1)  # row b: sum_a e_a -| W[b][a]
+    return SymTensor(field.base.dim, p, -slot_products(hW, p - 1).sum(0))

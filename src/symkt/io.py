@@ -30,7 +30,7 @@ def tensor_to_dict(K):
     vals = K.comps
     for k, I in enumerate(multi_indices(K.dim, K.degree)):
         v = float(vals[k])
-        if v != 0.0:
+        if v != 0.0 or math.copysign(1.0, v) < 0.0:  # -0.0 is kept, bit-exact
             entries.append({"index": [i + 1 for i in I], "value": v})
     return {"dim": K.dim, "degree": K.degree, "entries": entries}
 
@@ -96,6 +96,19 @@ def load_tensor(path):
     return K
 
 
+def _strict(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def dumps_report(doc):
-    """Canonical JSON bytes for a report: sorted keys, fixed separators."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical strict-JSON bytes for a report: sorted keys, fixed
+    separators, and NaN/inf (fail-closed cases) as "NaN", "Infinity" and
+    "-Infinity" strings."""
+    return json.dumps(_strict(doc), sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"

@@ -44,6 +44,7 @@ __all__ = [
     "flat_torus_chart",
     "conformal_rescale",
     "manifold_from_key",
+    "MAX_KEY_DIM",
     "frame_at",
     "frame_components",
     "gamma_frame",
@@ -478,12 +479,18 @@ def _split_product_arg(body):
     )
 
 
+# Largest n accepted in a ``name:n`` key: the size the multi-index tables
+# are built for (see ``multiindex``); a larger key is a configuration error.
+MAX_KEY_DIM = 8
+
+
 def manifold_from_key(key):
     """Build a catalog manifold from its string key.
 
     Keys: ``euclidean:n``, ``sphere:n`` (embedded), ``stereographic:n``,
     ``hyperbolic:n``, ``torus:n``, ``product:KEY1,KEY2`` and
-    ``conformal:bump:KEY``.  A product factor that contains a comma is
+    ``conformal:bump:KEY``, with 2 <= n <= ``MAX_KEY_DIM`` in every
+    ``name:n`` part.  A product factor that contains a comma is
     parenthesised: ``product:(product:sphere:2,sphere:2),euclidean:2``.
     """
     key = key.strip()
@@ -503,6 +510,8 @@ def manifold_from_key(key):
         raise ConfigError(f"bad dimension in manifold key {key!r}") from exc
     if n < 2:
         raise ConfigError(f"manifolds need dimension >= 2, got {key!r}")
+    if n > MAX_KEY_DIM:
+        raise ConfigError(f"manifold dimension above the cap {MAX_KEY_DIM}: {key!r}")
     if name == "euclidean":
         return euclidean_chart(n)
     if name == "sphere":

@@ -10,7 +10,8 @@ All tables are cached per shape; they are tiny at the sizes this package
 targets (n <= 8, p <= 6 or so).  The product, contraction and trace tables
 are also compiled to read-only integer index arrays (``product_arrays``,
 ``contract_array``, ``trace_array``) that the kernels in ``symtensor``
-gather with, in table order.
+gather with, in table order; ``index_array`` and ``replace_array`` serve
+the derivation action of matrices.
 """
 
 from functools import lru_cache
@@ -28,6 +29,8 @@ __all__ = [
     "product_arrays",
     "contract_array",
     "trace_array",
+    "index_array",
+    "replace_array",
 ]
 
 
@@ -120,26 +123,6 @@ def trace_table(n, p):
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
-def replace_table(n, p):
-    """Positions of K with one occurrence of an index replaced.
-
-    For each stored index I (position k), slot m in range(p) and new index
-    d in range(n), entry [k][m][d] is the storage position of the sorted
-    tuple obtained from I by replacing I[m] with d.  Used for connection
-    correction terms.
-    """
-    pos = index_position(n, p)
-    table = []
-    for I in multi_indices(n, p):
-        rows = []
-        for m in range(p):
-            rest = I[:m] + I[m + 1:]
-            rows.append(tuple(pos[sorted_insert(rest, d)] for d in range(n)))
-        table.append(tuple(rows))
-    return tuple(table)
-
-
 def _frozen(values, dtype):
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
@@ -171,3 +154,24 @@ def contract_array(n, p):
 def trace_array(n, p):
     """``trace_table(n, p)`` as a (size_out, n) position matrix."""
     return _frozen(trace_table(n, p), np.intp)
+
+
+@lru_cache(maxsize=None)
+def index_array(n, p):
+    """``multi_indices(n, p)`` as a (size, p) matrix: entry [k, m] is I_m."""
+    return _frozen(np.reshape(multi_indices(n, p), (sym_size(n, p), p)), np.intp)
+
+
+@lru_cache(maxsize=None)
+def replace_array(n, p):
+    """(size, p, n) positions of stored indices with one slot replaced.
+
+    Entry [k, m, d] is the storage position of the sorted tuple obtained
+    from the k-th multi-index I by replacing I_m with d: the contraction
+    row of I with slot m dropped.
+    """
+    if p == 0:
+        return _frozen(np.empty((1, 0, n)), np.intp)
+    pos = index_position(n, p - 1)
+    drop = [[pos[I[:m] + I[m + 1:]] for m in range(p)] for I in multi_indices(n, p)]
+    return _frozen(contract_array(n, p)[drop], np.intp)

@@ -26,10 +26,12 @@ from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceE
 from .multiindex import (
     contract_array,
     contract_table,
+    index_array,
     index_position,
     multi_indices,
     multiplicities,
     product_arrays,
+    replace_array,
     sym_size,
     trace_array,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "mult_L",
     "trace_Lambda",
     "poly_eval",
+    "derivation",
     "lambda2_act",
     "tracefree_sym_product",
     "standard_decomposition",
@@ -281,19 +284,33 @@ def poly_eval(K, X):
     return total
 
 
+def derivation(A, comps, p):
+    """Derivation action of n x n matrices on packed degree-p components.
+
+    ``(A_* K)_I = sum_m sum_d A[..., I_m, d] K_{I with I_m -> d}``: the
+    extension to Sym^p of the endomorphism with matrix ``A`` (row: image
+    index, column: argument index, transposed).  ``A`` has shape
+    ``(..., n, n)`` and ``comps`` shape ``(..., size)``; leading axes
+    broadcast and the result has shape ``(..., size)``.  One gather over
+    ``index_array`` and ``replace_array`` serves float and Dual components.
+    """
+    A = np.asarray(A)
+    n = A.shape[-1]
+    return np.einsum("...kmd,...kmd->...k", A[..., index_array(n, p), :],
+                     np.asarray(comps)[..., replace_array(n, p)])
+
+
 def lambda2_act(X, Y, K):
     """Action of the 2-form X ^ Y on K: Y.(X -| K) - X.(Y -| K).
 
-    This is the derivation extension of (X ^ Y)* Z = g(X,Z)Y - g(Y,Z)X;
-    degree-0 tensors are annihilated.
+    This is the derivation extension of (X ^ Y)* Z = g(X,Z)Y - g(Y,Z)X,
+    i.e. ``derivation`` of the matrix Y X^T - X Y^T; degree-0 tensors are
+    annihilated.
     """
-    if K.degree == 0:
-        return SymTensor.zero(K.dim, 0)
-    if not isinstance(X, SymTensor):
-        X = SymTensor.from_vector(X)
-    if not isinstance(Y, SymTensor):
-        Y = SymTensor.from_vector(Y)
-    return sym_product(Y, contract(X, K)) - sym_product(X, contract(Y, K))
+    X = np.asarray(X.comps if isinstance(X, SymTensor) else X)
+    Y = np.asarray(Y.comps if isinstance(Y, SymTensor) else Y)
+    A = np.outer(Y, X) - np.outer(X, Y)
+    return SymTensor(K.dim, K.degree, derivation(A, K.comps, K.degree))
 
 
 def trace_residual(K):

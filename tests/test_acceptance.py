@@ -15,7 +15,7 @@ from symkt.cartan import (
     supported_pair,
 )
 from symkt.classify import classify
-from symkt.constructors import build_constructor, stable_stream
+from symkt.constructors import _least, _worst, build_constructor, stable_stream
 from symkt.curvature import lichnerowicz_defect, qR_act, riemann
 from symkt.fields import (
     delta_op,
@@ -59,7 +59,7 @@ def test_criterion_1_algebraic_suite():
 
 
 def test_criterion_2_weitzenboeck_endomorphism():
-    worst = 0.0
+    residuals = []
     pairs = 0
     for n in range(2, 6):
         for p in range(1, 5):
@@ -72,7 +72,8 @@ def test_criterion_2_weitzenboeck_endomorphism():
                 B = conformal_weight(T)
                 P1, P2, P3, _, _ = cartan_decompose(T)
                 want = P1.scale(float(p)) - P2.scale(float(n + p - 2)) - P3
-                worst = max(worst, frame_norm(B - want) / max(1.0, frame_norm(T)))
+                residuals.append(frame_norm(B - want) / max(1.0, frame_norm(T)))
+    worst = _worst(residuals)
     _report(2, worst <= 1e-10,
             f"weight-operator identity residual {worst:.2e} <= 1e-10 on "
             f"100 random frame tensors x {pairs} (n,p) pairs")
@@ -81,16 +82,14 @@ def test_criterion_2_weitzenboeck_endomorphism():
 def test_criterion_3_lichnerowicz_identity():
     eu = euclidean_chart(3)
     rng = stable_stream(SEED, "acc3:flat")
-    worst_flat = 0.0
     fld = random_polynomial_field(eu, 2, rng)
-    for _ in range(50):
-        worst_flat = max(worst_flat, lichnerowicz_defect(fld, eu.sample_point(rng)))
+    worst_flat = _worst([lichnerowicz_defect(fld, eu.sample_point(rng))
+                         for _ in range(50)])
     sp = EmbeddedSphere(2)
     rng = stable_stream(SEED, "acc3:sphere")
-    worst_sph = 0.0
     fld = random_tangential_field(sp, 2, rng)
-    for _ in range(50):
-        worst_sph = max(worst_sph, lichnerowicz_defect(fld, sp.sample_point(rng)))
+    worst_sph = _worst([lichnerowicz_defect(fld, sp.sample_point(rng))
+                        for _ in range(50)])
     ok = worst_flat <= 1e-6 and worst_sph <= 1e-6
     _report(3, ok,
             f"(delta d - d delta) - (rough Laplacian - q(R)) residual: "
@@ -118,7 +117,7 @@ def _dense_qR_sphere(K_dense, n, p):
 
 
 def test_criterion_4_sphere_qR_eigenvalue():
-    worst = 0.0
+    residuals = []
     for n in (2, 3, 4):
         sp = EmbeddedSphere(n)
         rng = stable_stream(SEED, f"acc4:{n}")
@@ -129,12 +128,11 @@ def test_criterion_4_sphere_qR_eigenvalue():
                 K = random_tracefree_tensor(n, p, rng)
                 got = qR_act(sp, x, K, rm=rm)
                 lam = float(p * (n + p - 2))
-                worst = max(worst, norm(got - K.scale(lam)) / max(1.0, norm(K)))
+                residuals.append(norm(got - K.scale(lam)) / max(1.0, norm(K)))
                 oracle = _dense_qR_sphere(K.to_dense(), n, p)
-                worst = max(
-                    worst,
-                    np.abs(got.to_dense() - oracle).max() / max(1.0, norm(K)),
-                )
+                residuals.append(
+                    np.abs(got.to_dense() - oracle).max() / max(1.0, norm(K)))
+    worst = _worst(residuals)
     _report(4, worst <= 1e-8,
             f"q(R) = p(n+p-2) id on trace-free tensors over round spheres, "
             f"residual {worst:.2e} <= 1e-8 (vs brute-force oracle)")
@@ -177,7 +175,7 @@ def test_criterion_5_constructor_classification(classified_controls):
     for key in NEGATIVE_KEYS:
         field, entry, rep, tol = classified_controls[key]
         observed = rep.max_residuals[entry.negative_check]
-        if observed < 1e3 * tol:
+        if not observed >= 1e3 * tol:
             failures.append(f"{key} residual {observed:.1e} < 1e3*tol")
     _report(5, not failures,
             f"{len(POSITIVE_KEYS)} positive controls match declared verdicts "
@@ -210,24 +208,25 @@ def test_criterion_6_identity_checks(classified_controls):
         return sum(u * v for u, v in zip(a, b))
 
     fdot = scalar_field(sp, dot_fn)
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         x = sp.sample_point(rng)
-        worst = max(worst, norm(delta_op(h, x) - d_op(fdot, x)))
-    if worst > 1e-9:
+        residuals.append(norm(delta_op(h, x) - d_op(fdot, x)))
+    worst = _worst(residuals)
+    if not worst <= 1e-9:
         problems.append(f"killing-pair divergence {worst:.1e}")
 
     # d tr K = 2 delta K for trace-carrying Killing 2-tensors
     for key in ("sphere-curvature", "special-flat-hat"):
         _, _, rep, tol = classified_controls[key]
-        if rep.max_residuals["two_tensor"] > tol:
+        if not rep.max_residuals["two_tensor"] <= tol:
             problems.append(f"two-tensor {key} {rep.max_residuals['two_tensor']:.1e}")
 
     # trace-free Killing tensors are divergence free
     for key in ("sphere-curvature-weyl", "sym-product-hopf", "hopf-stackel",
                 "sasakian-stackel"):
         _, _, rep, tol = classified_controls[key]
-        if rep.max_residuals["divfree"] > 1e-9:
+        if not rep.max_residuals["divfree"] <= 1e-9:
             problems.append(f"stackel divergence {key}")
 
     # L preserves divergence-free Killing tensors
@@ -239,28 +238,29 @@ def test_criterion_6_identity_checks(classified_controls):
 
     Lf = TensorField(hopf.base, 4, L_comps, name="L(hopf)")
     rng = stable_stream(SEED, "acc6:L")
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         x = hopf.base.sample_point(rng)
         T = nabla(Lf, x)
         s = max(1.0, frame_norm(T))
-        worst = max(worst, norm(d_op(Lf, x, T=T)) / s,
-                    norm(delta_op(Lf, x, T=T)) / s)
-    if worst > 1e-9:
+        residuals += [norm(d_op(Lf, x, T=T)) / s, norm(delta_op(Lf, x, T=T)) / s]
+    worst = _worst(residuals)
+    if not worst <= 1e-9:
         problems.append(f"L-preservation {worst:.1e}")
 
     # Nijenhuis: zero for the special CKT, nonzero for its hat
     K = special_ckt_flat(np.array([0.4, -0.3, 0.5]))
     hat = special_to_killing(K, rng=stable_stream(SEED, "acc6:nij"))
     rng = stable_stream(SEED, "acc6:nij2")
-    nij_special, nij_hat = 0.0, np.inf
+    specials, hats = [], []
     for _ in range(10):
         x = K.base.sample_point(rng)
-        nij_special = max(nij_special, float(np.abs(nijenhuis(K, x)).max()))
-        nij_hat = min(nij_hat, float(np.abs(nijenhuis(hat, x)).max()))
-    if nij_special > 1e-11:
+        specials.append(float(np.abs(nijenhuis(K, x)).max()))
+        hats.append(float(np.abs(nijenhuis(hat, x)).max()))
+    nij_special, nij_hat = _worst(specials), _least(hats)
+    if not nij_special <= 1e-11:
         problems.append(f"nijenhuis special {nij_special:.1e}")
-    if nij_hat < 1e-3:
+    if not nij_hat >= 1e-3:
         problems.append(f"nijenhuis hat too small {nij_hat:.1e}")
 
     _report(6, not problems,
@@ -284,8 +284,7 @@ def test_criterion_7_conformal_invariance(classified_controls):
 
 
 def test_criterion_8_nonpositive_curvature():
-    worst = -np.inf
-    count = 0
+    values = []
     for n in (2, 3, 4):
         hy = poincare_ball_chart(n)
         rng = stable_stream(SEED, f"acc8:{n}")
@@ -295,8 +294,8 @@ def test_criterion_8_nonpositive_curvature():
             x, rm = pts[t % 5], rms[t % 5]
             p = (1, 2, 3)[t % 3]
             K = random_tracefree_tensor(n, p, rng)
-            worst = max(worst, float(inner(qR_act(hy, x, K, rm=rm), K)))
-            count += 1
+            values.append(float(inner(qR_act(hy, x, K, rm=rm), K)))
+    worst, count = _worst(values), len(values)
     _report(8, worst <= 1e-10,
             f"g(q(R)K, K) <= 1e-10 on the curvature -1 ball for {count} "
             f"random trace-free tensors (max {worst:.2e})")
@@ -318,7 +317,7 @@ def test_criterion_9_geodesic_first_integrals():
         if base.key.startswith("euclidean"):
             x0, v0 = 0.2 * x0, 0.05 * v0
         drift = geodesic_drift(field, x0, v0, 10000, 1e-3, check_domain=False)
-        if drift > 1e-7:
+        if not drift <= 1e-7:
             problems.append(f"{key} drift {drift:.1e}")
 
     hopf, _ = build_constructor("hopf-stackel", seed=SEED)
@@ -328,12 +327,12 @@ def test_criterion_9_geodesic_first_integrals():
     v0 /= np.linalg.norm(v0)
     series = drift_series(hopf, x0, v0, 200, 0.05, halvings=1)
     ratio = series[0] / series[1]
-    if ratio < 16.0:
+    if not ratio >= 16.0:
         problems.append(f"order ratio {ratio:.1f} < 16")
 
     broken, _ = build_constructor("broken-hopf-stackel", seed=SEED)
     bad = geodesic_drift(broken, x0, v0, 2000, 1e-3, check_domain=False)
-    if bad < 1e-3:
+    if not bad >= 1e-3:
         problems.append(f"negative control drift {bad:.1e}")
 
     _report(9, not problems,

@@ -5,22 +5,57 @@ arrays of ``multiindex`` and accumulate from zero in table order.  The
 reference functions below are the former per-output-component ``sum``
 loops over the tuple tables; the kernels must match them bit for bit, on
 floats (signed zeros included) and on nested dual numbers.
+
+The derivation kernel (``symtensor.derivation``) and the slot gathers
+(``cartan.slot_products``/``slot_hooks``) are pinned the same way against
+the former scalar and basis-vector loops, kept verbatim below: equal
+within 4 eps times max(1, |reference|), as they sum in another order.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from symkt.dual import Dual, seed
+from symkt.cartan import (
+    FrameTensor,
+    _check_supported,
+    conformal_weight,
+    pi1,
+    pi1_star,
+    pi2,
+    pi2_star,
+    slot_hooks,
+    slot_products,
+    supported_pair,
+)
+from symkt.curvature import RiemannAtPoint, qR_act
+from symkt.dual import Dual, seed, value_of
+from symkt.fields import _assemble_first, d_delta, delta_d
 from symkt.multiindex import (
     contract_array,
     contract_table,
+    index_array,
+    index_position,
+    multi_indices,
     product_arrays,
     product_table,
+    replace_array,
+    sorted_insert,
     sym_size,
     trace_array,
     trace_table,
 )
-from symkt.symtensor import SymTensor, contract, sym_product, trace_Lambda
+from symkt.symtensor import (
+    SymTensor,
+    contract,
+    derivation,
+    lambda2_act,
+    sym_product,
+    trace_Lambda,
+    tracefree_part,
+    tracefree_sym_product,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -152,3 +187,346 @@ def test_nested_duals_match_loop():
         same_duals(contract(w, K), ref_contract(w, K))
     for K in (K2, K3):
         same_duals(trace_Lambda(K), ref_trace_Lambda(K))
+
+
+# ---------------------------------------------------------------------------
+# derivation kernel and slot gathers against the loops they replaced
+
+EPS = np.finfo(float).eps
+
+
+def ref_replace_table(n, p):
+    pos = index_position(n, p)
+    table = []
+    for I in multi_indices(n, p):
+        rows = []
+        for m in range(p):
+            rest = I[:m] + I[m + 1:]
+            rows.append(tuple(pos[sorted_insert(rest, d)] for d in range(n)))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def ref_assemble_first(n, p, vals, jac, F, gam):
+    m = len(F)
+    reps = ref_replace_table(n, p) if p else None
+    idxs = multi_indices(n, p)
+    out = []
+    for a in range(n):
+        slot = []
+        for k in range(len(vals)):
+            s = 0.0
+            for i in range(m):
+                s = s + F[i][a] * jac[k][i]
+            if p:
+                I = idxs[k]
+                rows = reps[k]
+                for mpos in range(p):
+                    gi = gam[a][I[mpos]]
+                    row = rows[mpos]
+                    for d in range(n):
+                        s = s - gi[d] * vals[row[d]]
+            slot.append(s)
+        out.append(slot)
+    return out
+
+
+def ref_lambda2_act(X, Y, K):
+    if K.degree == 0:
+        return SymTensor.zero(K.dim, 0)
+    if not isinstance(X, SymTensor):
+        X = SymTensor.from_vector(X)
+    if not isinstance(Y, SymTensor):
+        Y = SymTensor.from_vector(Y)
+    return sym_product(Y, contract(X, K)) - sym_product(X, contract(Y, K))
+
+
+def ref_qR_act(R, K):
+    n = K.dim
+    if K.degree == 0:
+        return SymTensor.zero(n, 0)
+    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
+    hooked = [contract(basis[k], K) for k in range(n)]
+    out = SymTensor.zero(n, K.degree)
+    for i in range(n):
+        for j in range(i + 1, n):
+            # A = R_{e_i, e_j} K as a derivation
+            A = SymTensor.zero(n, K.degree)
+            for l in range(n):
+                M = SymTensor.zero(n, K.degree - 1)
+                for k in range(n):
+                    if R[i, j, k, l]:
+                        M = M + hooked[k].scale(R[i, j, k, l])
+                A = A + sym_product(basis[l], M)
+            out = out + ref_lambda2_act(basis[i], basis[j], A)
+    return out
+
+
+def ref_d(T):
+    n = T.dim
+    out = SymTensor.zero(n, T.degree + 1)
+    for a in range(n):
+        out = out + sym_product(SymTensor.basis_vector(n, a), T.slots[a])
+    return out
+
+
+def ref_delta(T):
+    n = T.dim
+    out = SymTensor.zero(n, T.degree - 1)
+    for a in range(n):
+        out = out - contract(SymTensor.basis_vector(n, a), T.slots[a])
+    return out
+
+
+def ref_pi1(T):
+    out = SymTensor.zero(T.dim, T.degree + 1)
+    for i, s in enumerate(T.slots):
+        out = out + tracefree_sym_product(SymTensor.basis_vector(T.dim, i), s)
+    return out
+
+
+def ref_pi1_star(S):
+    return FrameTensor(
+        [contract(SymTensor.basis_vector(S.dim, i), S) for i in range(S.dim)]
+    )
+
+
+def ref_pi2(T):
+    out = SymTensor.zero(T.dim, T.degree - 1)
+    for i, s in enumerate(T.slots):
+        out = out + contract(SymTensor.basis_vector(T.dim, i), s)
+    return out
+
+
+def ref_pi2_star(S):
+    return FrameTensor(
+        [
+            tracefree_sym_product(SymTensor.basis_vector(S.dim, i), S)
+            for i in range(S.dim)
+        ]
+    )
+
+
+def ref_conformal_weight(T):
+    n = T.dim
+    _check_supported(n, T.degree)
+    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
+    slots = []
+    for i in range(n):
+        acc = SymTensor.zero(n, T.degree)
+        for j in range(n):
+            if i == j:
+                continue
+            acc = acc + ref_lambda2_act(basis[i], basis[j], T.slots[j])
+        slots.append(acc)
+    return FrameTensor(slots)
+
+
+def ref_delta_d(n, p, W):
+    out = SymTensor.zero(n, p)
+    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
+    for b in range(n):
+        acc = SymTensor.zero(n, p + 1)
+        for a in range(n):
+            acc = acc + sym_product(basis[a], W[b][a])
+        out = out - contract(basis[b], acc)
+    return out
+
+
+def ref_d_delta(n, p, W):
+    out = SymTensor.zero(n, p)
+    basis = [SymTensor.basis_vector(n, i) for i in range(n)]
+    for b in range(n):
+        acc = SymTensor.zero(n, p - 1)
+        for a in range(n):
+            acc = acc + contract(basis[a], W[b][a])
+        out = out - sym_product(basis[b], acc)
+    return out
+
+
+def _leaves(x):
+    """Every float of a (nested) Dual, depth-first."""
+    if isinstance(x, Dual):
+        out = _leaves(x.val)
+        for g in x.grad:
+            out += _leaves(g)
+        return out
+    return [float(x)]
+
+
+def _floats(x):
+    if isinstance(x, SymTensor):
+        x = x.comps
+    elif isinstance(x, FrameTensor):
+        x = [s.comps for s in x.slots]
+    return np.array([v for c in np.asarray(x, dtype=object).ravel() for v in _leaves(c)])
+
+
+def close(got, want):
+    """|got - want| <= 4 eps max(1, |want|), leaf by leaf through Duals."""
+    g, w = _floats(got), _floats(want)
+    assert g.shape == w.shape
+    assert np.abs(g - w).max(initial=0.0) <= 4 * EPS * max(1.0, np.abs(w).max(initial=0.0))
+
+
+def _array(seed_, shape):
+    """Random floats over several magnitudes, with some +-0 entries."""
+    rng = np.random.default_rng(seed_)
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    out[rng.random(shape) < 0.1] = 0.0
+    out[rng.random(shape) < 0.05] = -0.0
+    return out
+
+
+SHAPES = st.tuples(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(SHAPES, st.integers(0, 2))
+def test_derivation_matches_slot_loop(shape, lead):
+    n, p, s = shape
+    size = sym_size(n, p)
+    A = _array([s, 0], (2,) * lead + (n, n))
+    comps = _array([s, 1], size)
+    got = derivation(A, comps, p)
+    assert got.shape == A.shape[:-2] + (size,)
+    for idx in np.ndindex(A.shape[:-2]):
+        # the connection part of the former loop is minus the derivation
+        gam = np.broadcast_to(A[idx], (n, n, n)).tolist()
+        want = ref_assemble_first(n, p, list(comps), np.zeros((size, 1)).tolist(),
+                                  np.zeros((1, n)).tolist(), gam)[0]
+        close(-got[idx], want)
+    # leading axes of the components broadcast against those of A
+    rows = _array([s, 2], (3, size))
+    batched = derivation(A[..., None, :, :], rows, p)
+    for r in range(3):
+        close(batched[..., r, :], derivation(A, rows[r], p))
+
+
+@PROPERTY
+@given(SHAPES, st.integers(0, 2))
+def test_assemble_first_matches_loop(shape, extra):
+    n, p, s = shape
+    m, size = n + extra, sym_size(n, p)
+    vals, jac = _array([s, 0], size), _array([s, 1], (size, m))
+    F, gam = _array([s, 2], (m, n)), _array([s, 3], (n, n, n))
+    want = ref_assemble_first(n, p, vals.tolist(), jac.tolist(), F.tolist(), gam.tolist())
+    close(_assemble_first(p, vals, jac, F, gam), want)
+
+
+def test_replace_array_matches_tuple_table():
+    for n in range(1, 7):
+        for p in range(5):
+            rep = replace_array(n, p)
+            assert rep.shape == (sym_size(n, p), p, n)
+            assert np.array_equal(rep.reshape(-1), np.ravel(ref_replace_table(n, p)))
+            assert np.array_equal(index_array(n, p).reshape(-1),
+                                  np.ravel(multi_indices(n, p)))
+            assert not rep.flags.writeable and not index_array(n, p).flags.writeable
+
+
+def _exact(seed_, shape):
+    """Multiples of 1/16 below 256 in magnitude: every product of three and
+    every sum of them below is exact, whatever the order."""
+    return np.random.default_rng(seed_).integers(-4096, 4096, shape) / 16.0
+
+
+@PROPERTY
+@given(SHAPES)
+def test_lambda2_act_matches_two_products(shape):
+    # Y.(X -| K) - X.(Y -| K) cancels the y_r x_r terms only up to its own
+    # rounding, where Y X^T - X Y^T has an exact zero diagonal (for n = 1
+    # the action is exactly zero); on exact data the two agree to the bit
+    n, p, s = shape
+    X, Y = _exact([s, 0], n), _exact([s, 1], n)
+    K = SymTensor(n, p, _exact([s, 2], sym_size(n, p)))
+    want = ref_lambda2_act(X, Y, K)
+    assert np.array_equal(lambda2_act(X, Y, K).comps, want.comps)
+    assert np.array_equal(lambda2_act(SymTensor(n, 1, X), list(Y), K).comps, want.comps)
+
+
+@PROPERTY
+@given(SHAPES)
+def test_qR_act_matches_nested_loop(shape):
+    n, p, s = shape
+    R = _array([s, 0], (n,) * 4)
+    R = R - R.transpose(1, 0, 2, 3)  # skew in (i, j), as every curvature tensor
+    K = SymTensor(n, p, _array([s, 1], sym_size(n, p)))
+    close(qR_act(None, None, K, rm=RiemannAtPoint(R, None, None)), ref_qR_act(R, K))
+
+
+def _frame(n, p, s, tracefree=False):
+    slots = [SymTensor(n, p, _array([s, a], sym_size(n, p))) for a in range(n)]
+    return FrameTensor([tracefree_part(t) for t in slots] if tracefree else slots)
+
+
+@PROPERTY
+@given(SHAPES)
+def test_slot_gathers_match_basis_vector_loops(shape):
+    n, p, s = shape
+    T = _frame(n, p, s)
+    S = T.stacked()
+    close(slot_products(S, p).sum(0), ref_d(T))
+    assert slot_products(S, p).shape == (n, sym_size(n, p + 1))
+    if p >= 1:
+        close(-slot_hooks(S, p).sum(0), ref_delta(T))
+        close(pi2(T), ref_pi2(T))
+        close(pi1_star(T.slots[0]), ref_pi1_star(T.slots[0]))
+    T0 = _frame(n, p, s, tracefree=True)
+    close(pi1(T0), ref_pi1(T0))
+    close(pi2_star(T0.slots[0]), ref_pi2_star(T0.slots[0]))
+
+
+@PROPERTY
+@given(SHAPES)
+def test_second_order_gathers_match_loops(shape):
+    n, p, s = shape
+    W = [_frame(n, p, s + b).slots for b in range(n)]
+    field = SimpleNamespace(degree=p, base=SimpleNamespace(dim=n))
+    close(delta_d(field, None, W=W), ref_delta_d(n, p, W))
+    if p >= 1:
+        close(d_delta(field, None, W=W), ref_d_delta(n, p, W))
+
+
+@PROPERTY
+@given(SHAPES)
+def test_conformal_weight_matches_pair_loop(shape):
+    n, p, s = shape
+    hypothesis.assume(supported_pair(n, p))
+    T = _frame(n, p, s)
+    close(conformal_weight(T), ref_conformal_weight(T))
+
+
+def test_kernel_and_gathers_on_nested_duals():
+    n = 3
+    rng = np.random.default_rng(12)
+    inner = seed([0.3, -0.7])
+    outer = seed([inner[0] * 1.5, inner[1] - inner[0]])
+
+    def duals(shape):
+        c = rng.standard_normal(shape + (3,))
+        out = np.empty(shape, dtype=object)
+        for idx in np.ndindex(shape):
+            a, b, e = c[idx]
+            out[idx] = a * outer[0] + b * outer[1] * outer[0] + e
+        return out
+
+    for p in range(4):
+        size = sym_size(n, p)
+        vals, jac = duals((size,)), duals((size, n))
+        F, gam = duals((n, n)), duals((n, n, n))
+        want = ref_assemble_first(n, p, vals.tolist(), jac.tolist(), F.tolist(),
+                                  gam.tolist())
+        close(_assemble_first(p, vals, jac, F, gam), want)
+        K = SymTensor(n, p, duals((size,)))
+        X, Y = duals((n,)), rng.standard_normal(n)
+        close(lambda2_act(X, Y, K), ref_lambda2_act(list(X), Y, K))
+        R = rng.standard_normal((n,) * 4)
+        R = R - R.transpose(1, 0, 2, 3)
+        close(qR_act(None, None, K, rm=RiemannAtPoint(R, None, None)), ref_qR_act(R, K))
+        T = FrameTensor([SymTensor(n, p, duals((size,))) for _ in range(n)])
+        close(slot_products(T.stacked(), p).sum(0), ref_d(T))
+        if p:
+            close(-slot_hooks(T.stacked(), p).sum(0), ref_delta(T))
+            close(conformal_weight(T), ref_conformal_weight(T))
+    assert value_of(derivation(np.eye(n), duals((1,)), 0)[0]) == 0.0

@@ -88,6 +88,20 @@ def test_trace_free_slot_guard():
         cartan_decompose(FrameTensor(slots))
 
 
+def test_pi1_and_pi2_star_trace_guards():
+    # one traceful slot (|Lambda| > 1e-9) among trace-free ones still raises
+    rng = np.random.default_rng(8)
+    slots = [random_tracefree_tensor(3, 2, rng) for _ in range(3)]
+    slots[1] = slots[1] + SymTensor.metric(3).scale(1e-6)
+    with pytest.raises(TraceError):
+        pi1(FrameTensor(slots))
+    with pytest.raises(TraceError):
+        pi2_star(SymTensor.metric(3).scale(1e-6) + random_tracefree_tensor(3, 2, rng))
+    # below the threshold both accept their input
+    pi1(FrameTensor([random_tracefree_tensor(3, 2, rng) for _ in range(3)]))
+    pi2_star(random_tracefree_tensor(3, 2, rng))
+
+
 @pytest.mark.parametrize("n,p", [(4, 2), (3, 2), (5, 4)])
 def test_conformal_weight_projection_identity(n, p):
     # B = p P1 - (n+p-2) P2 - P3 and the pi-star form on random inputs

@@ -1,12 +1,14 @@
 """Tensor literal format: round-trips and validation."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from symkt.errors import ConfigError
 from symkt.io import dump_tensor, dumps_report, load_tensor, tensor_from_dict, tensor_to_dict
+from symkt.suites import SuiteReport
 from symkt.symtensor import SymTensor, random_sym_tensor
 
 
@@ -76,3 +78,25 @@ def test_canonical_report_bytes():
     s2 = dumps_report(json.loads(s1))
     assert s1 == s2
     assert s1.startswith('{"a":[1,2]')
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_report_with_nan_case_is_strict_json():
+    report = SuiteReport("demo", 42, 1e-10)
+    report.add("finite", 1e-12, 1e-10)
+    report.add("fail-closed", math.nan, 1e-10)
+    report.add("blown-up", math.inf, 1e-10)
+    report.add("floor", -math.inf, 1e-3, kind="floor")
+    text = dumps_report(report.to_dict())
+    doc = json.loads(text, parse_constant=_reject_constant)
+    values = [case["max_residual"] for case in doc["cases"]]
+    assert values == [1e-12, "NaN", "Infinity", "-Infinity"]
+    assert doc["pass"] is False
+    # finite reports keep their bytes
+    finite = SuiteReport("demo", 42, 1e-10)
+    finite.add("finite", 1e-12, 1e-10)
+    assert dumps_report(finite.to_dict()) == json.dumps(
+        finite.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"

@@ -9,6 +9,7 @@ from symkt.manifolds import (
     Chart,
     ConformalRescale,
     EmbeddedSphere,
+    MAX_KEY_DIM,
     ProductManifold,
     christoffel,
     euclidean_chart,
@@ -203,6 +204,25 @@ def test_unknown_keys_rejected():
     ):
         with pytest.raises(ConfigError):
             manifold_from_key(bad)
+
+
+@pytest.mark.parametrize("key", [
+    "sphere:1000000",
+    "euclidean:9",
+    "torus:99999999999999999999",
+    "product:sphere:2,hyperbolic:9",
+    "product:(product:sphere:2,stereographic:100),euclidean:2",
+    "conformal:bump:euclidean:9",
+])
+def test_dimension_cap_rejects_at_parse_time(key):
+    # raised while parsing, before any backend of that size is built
+    with pytest.raises(ConfigError, match="cap"):
+        manifold_from_key(key)
+
+
+def test_dimension_cap_is_inclusive():
+    assert MAX_KEY_DIM == 8
+    assert manifold_from_key(f"euclidean:{MAX_KEY_DIM}").dim == MAX_KEY_DIM
 
 
 def test_conformal_wrapper_delegates_sampling():

@@ -138,6 +138,16 @@ def test_cli_unknown_keys_exit_2():
     assert main(["verify", "--manifold", "sphere:3"]) == 2  # nothing to build
 
 
+def test_cli_oversized_manifold_exit_2(capsys):
+    for key in ("sphere:1000000", "product:sphere:2,euclidean:9"):
+        assert main(["verify", "--manifold", key, "--construct",
+                     "hopf-stackel"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["geodesic", "--manifold", "conformal:bump:sphere:50",
+                 "--construct", "hopf-stackel"]) == 2
+
+
 def test_cli_geodesic(tmp_path):
     out = tmp_path / "g.json"
     code = main(["geodesic", "--manifold", "sphere:3", "--construct",
