@@ -211,7 +211,7 @@ def cartan_decompose(T, tol=DEFAULT_TRACE_TOL):
     return CartanParts(P1, P2, P3, s1, s2)
 
 
-def conformal_weight(T, tol=DEFAULT_TRACE_TOL):
+def conformal_weight(T):
     """Conformal weight operator B: slot i of B(T) = sum_j (e_i ^ e_j)* T_j.
 
     Agrees with p*P1 - (n+p-2)*P2 - P3 on trace-free-slotted tensors.

@@ -33,8 +33,9 @@ from .manifolds import (
     frame_at,
     frame_components,
     manifold_from_key,
+    point_array,
 )
-from .multiindex import multi_indices
+from .multiindex import index_array, multi_indices
 from .symtensor import (
     SymTensor,
     mult_L,
@@ -168,19 +169,15 @@ def curvature_to_killing(R, sphere, name="curvature-killing"):
     """Killing 2-tensor on the sphere: K(X, Y) = R(X, x, x, Y) at x."""
     if not isinstance(sphere, EmbeddedSphere) or sphere.coord_dim != R.dim:
         raise ConfigError("curvature tensor dimension must match the ambient space")
-    Rc = R.comps
     N = R.dim
+    I, J = index_array(N, 2).T
+    # packed quadratic form: K_AB = sum_{C <= D} Q[AB, CD] x_C x_D
+    Rs = R.comps[I, :, :, J]
+    Q = (Rs + Rs.transpose(0, 2, 1))[:, I, J] * np.where(I == J, 0.5, 1.0)
 
     def amb(x):
-        out = []
-        for A, B in multi_indices(N, 2):
-            s = 0.0
-            for C in range(N):
-                for D in range(N):
-                    if Rc[A, C, D, B]:
-                        s = s + Rc[A, C, D, B] * x[C] * x[D]
-            out.append(s)
-        return out
+        X = np.stack(x, axis=-1)  # (..., N): floats, Duals or batch columns
+        return SymTensor(N, 2, (X[..., I] * X[..., J]) @ Q.T).entries()
 
     return field_from_components(sphere, 2, amb, rep="coordinate", name=name)
 
@@ -255,8 +252,9 @@ def sym_product_field(xi, zeta, rng=None, check=True, name=None):
 class FormField:
     """Antisymmetric q-form field on an embedded sphere, ambient storage.
 
-    ``amb_fn(x)`` returns the dense rank-q nested list of ambient
-    components (tangential on the sphere), generic over scalars.
+    ``amb_fn(x)`` returns the dense ambient components (tangential on the
+    sphere) as an array of shape batch + (N,) * q, generic over scalars:
+    object dtype at a dual point, batch axes first at a batch point.
     """
 
     def __init__(self, sphere, degree, amb_fn, name="form"):
@@ -266,12 +264,7 @@ class FormField:
         self.name = name
 
     def __call__(self, x):
-        def strip(node):
-            if isinstance(node, list):
-                return [strip(v) for v in node]
-            return value_of(node)
-
-        return np.asarray(strip(self.amb_fn(list(x))))
+        return np.asarray(self.amb_fn(list(x)), dtype=float)
 
     def frame_components(self, x):
         """Dense frame components at a float point (projection implicit)."""
@@ -298,27 +291,10 @@ def killing_form_sphere(omega, sphere, name=None):
         raise ConfigError("constant form must be antisymmetric")
 
     def amb(x):
-        # (x -| omega)_{B...} = sum_A x_A omega_{A B ...}, computed
-        # generically; returns a nested-list dense array of rank q
-        def rec(idx):
-            if len(idx) == q:
-                s = 0.0
-                for A in range(N):
-                    w = omega[(A,) + idx]
-                    if w:
-                        s = s + w * x[A]
-                return s
-            return [rec(idx + (B,)) for B in range(N)]
-
-        return rec(())
+        # (x -| omega)_{B...} = sum_A x_A omega_{A B ...}
+        return np.tensordot(np.stack(x, axis=-1), omega, axes=(-1, 0))
 
     return FormField(sphere, q, amb, name=name or f"killing-form:q={q}")
-
-
-def _dense_value(node, idx):
-    for i in idx:
-        node = node[i]
-    return node
 
 
 def killing_form_residual(u, x):
@@ -331,15 +307,7 @@ def killing_form_residual(u, x):
     q = u.degree
     xf = [float(v) for v in x]
     shape = (N,) * q
-
-    def flat(y):
-        dense = u.amb_fn(y)
-        out = []
-        for idx in np.ndindex(*shape):
-            out.append(_dense_value(dense, idx))
-        return out
-
-    vals, jac = jacobian(flat, xf)
+    vals, jac = jacobian(lambda y: np.asarray(u.amb_fn(y)).ravel(), xf)
     vals = np.array([value_of(v) for v in vals]).reshape(shape)
     jacm = np.array([[value_of(g) for g in row] for row in jac]).reshape(shape + (N,))
     P = np.eye(N) - np.outer(xf, xf) / np.dot(xf, xf)
@@ -369,23 +337,14 @@ def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
             if not r <= tol:
                 raise VerificationError(f"form is not Killing (residual {r:.2e})")
 
-    shape = (N,) * (q - 1)
+    I, J = index_array(N, 2).T
 
     def amb(x):
-        dense = u.amb_fn(x)
-
-        def hook(A, idx):
-            return _dense_value(dense, (A,) + idx)
-
-        out = []
-        for A, B in multi_indices(N, 2):
-            s = 0.0
-            for idx in np.ndindex(*shape) if q > 1 else [()]:
-                s = s + hook(A, idx) * hook(B, idx)
-            if q > 1:
-                s = s / float(math.factorial(q - 1))
-            out.append(s)
-        return out
+        # K_AB = sum over the other slots of u_A... u_B... / (q - 1)!
+        U = np.asarray(u.amb_fn(x))
+        U = U.reshape(U.shape[:U.ndim - q] + (N, -1))
+        K = (U[..., I, :] * U[..., J, :]).sum(-1) / float(math.factorial(q - 1))
+        return SymTensor(N, 2, K).entries()
 
     return field_from_components(
         sphere, 2, amb, rep="coordinate", name=name or f"K^{u.name}"
@@ -453,7 +412,7 @@ def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
             for _ in range(j):
                 term = mult_L(term)
             out = out + term
-        return list(out.comps)
+        return out.entries()
 
     return TensorField(field.base, p, comps, name=name or f"hat({field.name})")
 
@@ -529,14 +488,17 @@ class DistributionSplit:
 def _projector_frame_matrix(split, x):
     """Frame-basis matrix g(P e_a, e_b) of the projector, generic over scalars.
 
-    Only P is cast to object dtype: the products with it sum left to right
-    in Python, in the order of the loops they replaced, also at float
-    points.  G @ F is an ordinary float64 matmul there.
+    At a single point P is cast to object dtype: the products with it sum
+    left to right in Python, in the order of the loops they replaced, also
+    at float points.  G @ F is an ordinary float64 matmul there.  A batch
+    point keeps float64 throughout.
     """
     x = list(x)
     F = split.base.frame(x)
-    P = np.array(split.projector_fn(x), dtype=object)
-    return (P @ F).T @ (split.base.metric_matrix(x) @ F)
+    P = point_array(split.projector_fn(x), x)
+    if P.ndim == 2:
+        P = P.astype(object)
+    return np.swapaxes(P @ F, -1, -2) @ (split.base.metric_matrix(x) @ F)
 
 
 def condition_d1_residual(split, x, rng):
@@ -609,14 +571,12 @@ def distribution_stackel(split, name=None):
     base = split.base
     n = base.dim
     n1, n2 = split.n1, split.n2
+    I, J = index_array(n, 2).T
+    delta = np.where(I == J, 1.0, 0.0)
 
     def comps(x):
-        Pf = _projector_frame_matrix(split, x)
-        out = []
-        for a, b in multi_indices(n, 2):
-            delta = 1.0 if a == b else 0.0
-            out.append(n2 * Pf[a, b] - n1 * (delta - Pf[a, b]))
-        return out
+        P = _projector_frame_matrix(split, x)[..., I, J]
+        return SymTensor(n, 2, n2 * P - n1 * (delta - P)).entries()
 
     return TensorField(base, 2, comps, name=name or f"stackel({split.name})")
 
@@ -760,14 +720,14 @@ def traceless_killing_product(xi, zeta, rng=None, check=True, name=None):
     def comps(x):
         a = xi.comps_fn(x)
         b = zeta.comps_fn(x)
-        prod = sym_product(SymTensor(n, 1, a), SymTensor(n, 1, b))
+        prod = sym_product(SymTensor(n, 1, a), SymTensor(n, 1, b)).entries()
         dot = a[0] * b[0]
         for i in range(1, n):
             dot = dot + a[i] * b[i]
         out = []
         for k, (i, j) in enumerate(gidx):
             corr = dot * (2.0 / n) if i == j else 0.0
-            out.append(prod.comps[k] - corr)
+            out.append(prod[k] - corr)
         return out
 
     return TensorField(base, 2, comps, name=name or f"({xi.name}.{zeta.name})_0")
@@ -893,15 +853,8 @@ def _build_broken_killing_form(base, rng, params=None):
     sphere = base
 
     def amb(x):
-        scale = 1.0 + 0.7 * x[0]
-        out = []
-        for B in range(base.coord_dim):
-            s = 0.0
-            for A in range(base.coord_dim):
-                if omega[A, B]:
-                    s = s + omega[A, B] * x[A]
-            out.append(scale * s)
-        return out
+        scale = np.asarray(1.0 + 0.7 * x[0])[..., None]
+        return scale * np.tensordot(np.stack(x, axis=-1), omega, axes=(-1, 0))
 
     u = FormField(sphere, 1, amb, name="non-killing-form")
     return killing_form_to_tensor(u, check=False, name="broken-killing-form")
@@ -924,9 +877,9 @@ def _build_broken_special_hat(base, rng, params=None):
 
     def comps(x):
         S = SymTensor(n, 2, K.comps_fn(x))
-        tr = trace_Lambda(S).comps[0]
+        tr = trace_Lambda(S).comps
         wrong = S - SymTensor.metric(n).scale(0.5 * tr)
-        return list(wrong.comps)
+        return wrong.entries()
 
     return TensorField(base, 2, comps, name="broken-special-hat")
 

@@ -99,10 +99,16 @@ class Dual:
 
 
 def value_of(x):
-    """Strip all dual layers, returning the underlying float."""
+    """Strip all dual layers: the underlying float, or array of a batch."""
     while isinstance(x, Dual):
         x = x.val
+    if isinstance(x, np.ndarray) and x.ndim:
+        return x
     return float(x)
+
+
+# The d_* functions take a float, a Dual or a batch array of floats; math
+# on scalars keeps single-point values bit-identical to the scalar code.
 
 
 def d_sqrt(x):
@@ -110,21 +116,21 @@ def d_sqrt(x):
         s = d_sqrt(x.val)
         half_inv = 0.5 / s
         return Dual(s, tuple(half_inv * a for a in x.grad), x.tag)
-    return math.sqrt(x)
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def d_exp(x):
     if isinstance(x, Dual):
         e = d_exp(x.val)
         return Dual(e, tuple(e * a for a in x.grad), x.tag)
-    return math.exp(x)
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
 def d_log(x):
     if isinstance(x, Dual):
         v = d_log(x.val)
         return Dual(v, tuple(a / x.val for a in x.grad), x.tag)
-    return math.log(x)
+    return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def seed(x):

@@ -4,6 +4,9 @@ A :class:`TensorField` evaluates to packed orthonormal-frame components at
 a point; the evaluation function must be generic over scalars so that
 forward-mode duals can differentiate through it (including through the
 frame itself, whose variation is then cancelled by the connection terms).
+A scalar is a float, a :class:`~symkt.dual.Dual`, or a ``(B,)`` float
+array holding one coordinate of B points, so :meth:`TensorField.batch`
+evaluates a field at B points in one call.
 
 The covariant derivative of the frame-component functions K_I(x) is
 
@@ -20,7 +23,7 @@ import numpy as np
 from .cartan import FrameTensor, slot_hooks, slot_products
 from .dual import d_exp, jacobian
 from .errors import DegreeError, DomainError
-from .manifolds import gamma_frame
+from .manifolds import gamma_frame, point_array
 from .multiindex import multi_indices, sym_size
 from .symtensor import (
     SymTensor,
@@ -64,7 +67,10 @@ class TensorField:
     degree : int
     comps_fn : callable
         x (length coord_dim list of generic scalars) -> sequence of
-        packed components (length C(n+p-1, p)), generic over scalars.
+        packed components (length C(n+p-1, p)), generic over scalars:
+        with ``(B,)`` coordinates each component is a ``(B,)`` array or a
+        constant.  It must not branch on a coordinate's value; use
+        ``np.where`` or the ``d_*`` helpers of :mod:`symkt.dual`.
     order : int
         Differentiability promised by the evaluation function (1 or 2).
     name : str
@@ -84,6 +90,16 @@ class TensorField:
 
     def __call__(self, x):
         return SymTensor(self.base.dim, self.degree, self.comps_fn(list(x)))
+
+    def batch(self, X):
+        """Packed components at the B rows of X, a (B, coord_dim) array.
+
+        One call of ``comps_fn`` on the coordinate columns; returns the
+        (B, C) float array, with constant components broadcast.
+        """
+        X = np.asarray(X, dtype=float)
+        K = SymTensor(self.dim, self.degree, list(self.comps_fn(list(X.T.copy()))))
+        return np.broadcast_to(K.comps, (len(X),) + K.comps.shape[-1:])
 
     def __repr__(self):
         return f"TensorField({self.name!r}, degree={self.degree}, base={self.base.key})"
@@ -119,7 +135,7 @@ def field_from_components(base, degree, fn, rep="frame", order=2, name="field"):
     m = base.coord_dim
 
     def comps(x):
-        return list(change_basis(SymTensor(m, degree, fn(x)), base.frame(x)).comps)
+        return change_basis(SymTensor(m, degree, fn(x)), base.frame(x)).entries()
 
     return TensorField(base, degree, comps, order=order, name=name)
 
@@ -129,7 +145,7 @@ def tracefree_part_field(field, name=None):
 
     def comps(x):
         K = SymTensor(field.base.dim, field.degree, field.comps_fn(x))
-        return list(tracefree_part(K).comps)
+        return tracefree_part(K).entries()
 
     return TensorField(
         field.base,
@@ -167,7 +183,7 @@ def product_field(a, b, name=None):
     def comps(x):
         A = SymTensor(n, a.degree, a.comps_fn(x))
         B = SymTensor(n, b.degree, b.comps_fn(x))
-        return list(sym_product(A, B).comps)
+        return sym_product(A, B).entries()
 
     return TensorField(a.base, a.degree + b.degree, comps,
                        order=min(a.order, b.order),
@@ -239,12 +255,13 @@ def random_tangential_field(sphere, degree, rng, name="tangential-poly"):
         r2 = x[0] * x[0]
         for xi in x[1:]:
             r2 = r2 + xi * xi
-        proj = [
-            [(1.0 if i == j else 0.0) - x[i] * x[j] / r2 for j in range(N)]
-            for i in range(N)
-        ]
+        proj = point_array(
+            [[(1.0 if i == j else 0.0) - x[i] * x[j] / r2 for j in range(N)]
+             for i in range(N)],
+            x,
+        )
         K = SymTensor(N, degree, amb(x))
-        return list(change_basis(change_basis(K, proj), sphere.frame(x)).comps)
+        return change_basis(change_basis(K, proj), sphere.frame(x)).entries()
 
     return TensorField(sphere, degree, comps, name=name)
 
@@ -269,9 +286,8 @@ def _assemble_first(p, vals, jac, F, gam):
 def _nabla_comps(field, x):
     """(n, size) frame components of nabla(field) at x (any dual level)."""
     vals, jac = jacobian(field.comps_fn, x)
-    base = field.base
-    return _assemble_first(field.degree, np.array(vals), np.array(jac),
-                           base.frame(x), gamma_frame(base, x))
+    F, gam = gamma_frame(field.base, x, with_frame=True)
+    return _assemble_first(field.degree, np.array(vals), np.array(jac), F, gam)
 
 
 def _check_domain(base, x):
@@ -297,10 +313,10 @@ def nabla2(field, x):
     vals, jac = jacobian(lambda y: _nabla_comps(field, y).ravel(), x)
     S = np.array(vals).reshape(n, -1)
     J = np.array(jac).reshape(n, S.shape[1], -1)
-    gam = gamma_frame(base, x)
+    F, gam = gamma_frame(base, x, with_frame=True)
     # first[a, b] = e_b(S_a) minus the connection terms on the packed index;
     # the slot index a takes the remaining term
-    first = _assemble_first(p, S, J, base.frame(x), gam)
+    first = _assemble_first(p, S, J, F, gam)
     W = first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
     return [[SymTensor(n, p, W[b, a]) for a in range(n)] for b in range(n)]
 

@@ -15,7 +15,9 @@ Every backend exposes the same small surface:
 * ``geodesic_rhs(x, v)`` - right-hand side of the geodesic equation.
 
 ``frame`` and ``metric_matrix`` are generic over scalars: float64 arrays
-at a float point, object arrays of dual numbers at a dual point.
+at a float point, object arrays of dual numbers at a dual point, and
+``(B, m, n)`` float arrays at a batch point, whose coordinates are ``(B,)``
+arrays (see :func:`point_array`).
 
 The frame connection coefficients g(nabla_{e_a} e_b, e_c) are computed
 once for all backends from the Koszul formula with orthonormal arguments,
@@ -27,6 +29,8 @@ Sign conventions are pinned by the unit sphere: the curvature operator on
 2-forms is minus the identity there, i.e. R(X,Y,Z,V) = g(X,V)g(Y,Z) -
 g(X,Z)g(Y,V).
 """
+
+import re
 
 import numpy as np
 
@@ -45,6 +49,7 @@ __all__ = [
     "conformal_rescale",
     "manifold_from_key",
     "MAX_KEY_DIM",
+    "point_array",
     "frame_at",
     "frame_components",
     "gamma_frame",
@@ -57,23 +62,41 @@ __all__ = [
 # generic linear algebra (floats or Duals)
 
 
-def _scalar_array(data, x):
-    """``data`` as an ndarray: object dtype at a dual point x, else float64.
+def point_array(data, x):
+    """Matrix ``data`` (nested sequences of scalars) as an ndarray at point x.
 
-    Column-major, so each frame vector e_a is contiguous.  BLAS sums
-    depend on the layout in the last bit, and the reports are pinned to
-    this one.
+    Object dtype at a dual point x, else float64, column-major so each
+    frame vector e_a is contiguous: BLAS sums depend on the layout in the
+    last bit, and the reports are pinned to this one.  At a batch point
+    (coordinates of shape (B,)) the result is (B, rows, cols), each entry
+    broadcast over the batch.
     """
-    return np.array(data, dtype=object if isinstance(x[0], Dual) else float, order="F")
+    if isinstance(x[0], Dual):
+        return np.array(data, dtype=object, order="F")
+    batch = np.shape(x[0])
+    if not batch:
+        return np.array(data, dtype=float, order="F")
+    out = np.empty(batch + (len(data), len(data[0])))
+    for i, row in enumerate(data):
+        for j, v in enumerate(row):
+            out[..., i, j] = v
+    return out
+
+
+def _scale_points(c, M):
+    """c * M for a scalar c, or per point for a batch c of shape (B,)."""
+    return c[..., None, None] * M if isinstance(c, np.ndarray) else c * M
 
 
 def frame_components(base, x, vec):
     """Frame coefficients F^T (G v) of a coordinate/ambient vector at x.
 
-    Generic over scalars, like ``frame`` and ``metric_matrix``.
+    Generic over scalars, like ``frame`` and ``metric_matrix``; at a batch
+    point ``vec`` is (B, m) and the result (B, n).
     """
     x = list(x)
-    return base.frame(x).T @ (base.metric_matrix(x) @ vec)
+    Gv = base.metric_matrix(x) @ np.asarray(vec)[..., None]
+    return (np.swapaxes(base.frame(x), -1, -2) @ Gv)[..., 0]
 
 
 def _cholesky(G):
@@ -106,13 +129,15 @@ def _frame_from_metric(G, x):
             for k in range(i + 1, n):
                 s = s - L[k][i] * E[k][a]
             E[i][a] = s / L[i][i]
-    return _scalar_array(E, x)
+    return point_array(E, x)
 
 
 def _block_diag(A, B):
-    out = np.full(np.add(A.shape, B.shape), 0.0, dtype=np.result_type(A, B), order="F")
-    out[:A.shape[0], :A.shape[1]] = A
-    out[A.shape[0]:, A.shape[1]:] = B
+    (r, c), lead = A.shape[-2:], np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    shape = lead + (r + B.shape[-2], c + B.shape[-1])
+    out = np.full(shape, 0.0, dtype=np.result_type(A, B), order="F")
+    out[..., :r, :c] = A
+    out[..., r:, c:] = B
     return out
 
 
@@ -150,7 +175,7 @@ class Chart:
         self.box = box
 
     def metric_matrix(self, x):
-        return _scalar_array(self._metric_fn(x), x)
+        return point_array(self._metric_fn(x), x)
 
     def frame(self, x):
         return _frame_from_metric(self._metric_fn(x), x)
@@ -211,7 +236,8 @@ class EmbeddedSphere:
     Points are ambient vectors of length ``radius``; the orthonormal
     tangent frame comes from the Householder reflection taking the last
     ambient basis vector to the unit normal, which is deterministic and
-    smooth away from a single antipodal point.
+    smooth away from a single antipodal point.  The reflection's sign is
+    chosen per point from the value of the last unit-normal coordinate.
     """
 
     is_chart = False
@@ -223,7 +249,7 @@ class EmbeddedSphere:
         self.key = f"sphere:{dim}"
 
     def metric_matrix(self, x):
-        return _scalar_array(np.eye(self.coord_dim), x)
+        return point_array(np.eye(self.coord_dim), x)
 
     def frame(self, x):
         N = self.coord_dim
@@ -232,13 +258,13 @@ class EmbeddedSphere:
             r2 = r2 + xi * xi
         inv_r = 1.0 / d_sqrt(r2)
         u = [xi * inv_r for xi in x]
-        s = 1.0 if value_of(u[-1]) >= 0.0 else -1.0
+        s = np.where(value_of(u[-1]) >= 0.0, 1.0, -1.0)[()]
         w = list(u)
         w[-1] = w[-1] + s
         wsq = w[0] * w[0]
         for wi in w[1:]:
             wsq = wsq + wi * wi
-        return _scalar_array(
+        return point_array(
             [
                 [(1.0 if i == a else 0.0) - 2.0 * w[a] * w[i] / wsq for a in range(N - 1)]
                 for i in range(N)
@@ -341,10 +367,10 @@ class ConformalRescale:
         self.is_chart = False
 
     def metric_matrix(self, x):
-        return d_exp(2.0 * self.f_fn(x)) * self.base.metric_matrix(x)
+        return _scale_points(d_exp(2.0 * self.f_fn(x)), self.base.metric_matrix(x))
 
     def frame(self, x):
-        return d_exp(-1.0 * self.f_fn(x)) * self.base.frame(x)
+        return _scale_points(d_exp(-1.0 * self.f_fn(x)), self.base.frame(x))
 
     def sample_point(self, rng):
         return self.base.sample_point(rng)
@@ -368,7 +394,7 @@ def frame_at(base, x):
     return np.asarray(base.frame(list(x)), dtype=float)
 
 
-def gamma_frame(base, x):
+def gamma_frame(base, x, with_frame=False):
     """Connection coefficients gamma[a, b, c] = g(nabla_{e_a} e_b, e_c).
 
     Computed from the Koszul formula with orthonormal arguments, where
@@ -379,17 +405,22 @@ def gamma_frame(base, x):
 
     Brackets use the flat coordinate/ambient bracket of the frame fields,
     with frame derivatives taken by forward-mode duals; works at any dual
-    level of ``x`` and returns an (n, n, n) array of its scalars.
+    level of ``x`` and returns an (n, n, n) array of its scalars.  With
+    ``with_frame`` it returns ``(F, gamma)``, where F is the frame at x
+    taken from the same jet: the values of ``base.frame(x)``, bit for bit,
+    without evaluating the frame again.
     """
     m, n = base.coord_dim, base.dim
     vals, jac = jacobian(lambda y: base.frame(y).ravel(), list(x))
-    F = _scalar_array(vals, x).reshape(m, n)
-    dF = _scalar_array(jac, x).reshape(m, n, m).transpose(1, 0, 2)  # [b, k, i] = d_i e_b^k
+    F = point_array(vals, x).reshape(m, n)
+    dF = point_array(jac, x).reshape(m, n, m).transpose(1, 0, 2)  # [b, k, i] = d_i e_b^k
     # [e_a, e_b]^k = sum_i (e_a^i d_i e_b^k - e_b^i d_i e_a^k)
     t = F.T[:, None, None, :] * dF  # t[a, b, k, i] = e_a^i d_i e_b^k
     bracket = (t - t.transpose(1, 0, 2, 3)).sum(axis=-1)
     gb = bracket @ (base.metric_matrix(list(x)) @ F)  # gb[a, b, c] = g([e_a, e_b], e_c)
-    return 0.5 * (gb - gb.transpose(0, 2, 1) - gb.transpose(2, 0, 1))
+    gamma = 0.5 * (gb - gb.transpose(0, 2, 1) - gb.transpose(2, 0, 1))
+    # column-major like the backends' frames: einsum sums depend on the layout
+    return (np.asfortranarray(F), gamma) if with_frame else gamma
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +521,11 @@ def manifold_from_key(key):
     Keys: ``euclidean:n``, ``sphere:n`` (embedded), ``stereographic:n``,
     ``hyperbolic:n``, ``torus:n``, ``product:KEY1,KEY2`` and
     ``conformal:bump:KEY``, with 2 <= n <= ``MAX_KEY_DIM`` in every
-    ``name:n`` part.  A product factor that contains a comma is
-    parenthesised: ``product:(product:sphere:2,sphere:2),euclidean:2``.
+    ``name:n`` part, n written in ASCII digits without a leading zero.  A
+    product factor that contains a comma is parenthesised:
+    ``product:(product:sphere:2,sphere:2),euclidean:2``.  The built
+    manifold's ``key`` is canonical: ``manifold_from_key(b.key).key ==
+    b.key``.
     """
     key = key.strip()
     if key.startswith("product:"):
@@ -499,15 +533,15 @@ def manifold_from_key(key):
         return ProductManifold(manifold_from_key(first), manifold_from_key(second))
     if key.startswith("conformal:bump:"):
         base = manifold_from_key(key[len("conformal:bump:"):])
-        return conformal_rescale(base, key=key)
+        return conformal_rescale(base, key="conformal:bump:" + base.key)
     parts = key.split(":")
     if len(parts) != 2:
         raise ConfigError(f"unknown manifold key {key!r}")
     name, dim_s = parts
-    try:
-        n = int(dim_s)
-    except ValueError as exc:
-        raise ConfigError(f"bad dimension in manifold key {key!r}") from exc
+    # int() would also take "+3", "0_3", " 3", "03" and non-ASCII digits
+    if not re.fullmatch(r"[1-9][0-9]*", dim_s, flags=re.ASCII):
+        raise ConfigError(f"bad dimension in manifold key {key!r}")
+    n = int(dim_s)
     if n < 2:
         raise ConfigError(f"manifolds need dimension >= 2, got {key!r}")
     if n > MAX_KEY_DIM:

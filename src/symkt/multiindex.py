@@ -11,7 +11,8 @@ targets (n <= 8, p <= 6 or so).  The product, contraction and trace tables
 are also compiled to read-only integer index arrays (``product_arrays``,
 ``contract_array``, ``trace_array``) that the kernels in ``symtensor``
 gather with, in table order; ``index_array`` and ``replace_array`` serve
-the derivation action of matrices.
+the derivation action of matrices, and ``prefix_arrays`` the slot-by-slot
+change of basis.
 """
 
 from functools import lru_cache
@@ -30,6 +31,7 @@ __all__ = [
     "contract_array",
     "trace_array",
     "index_array",
+    "prefix_arrays",
     "replace_array",
 ]
 
@@ -160,6 +162,19 @@ def trace_array(n, p):
 def index_array(n, p):
     """``multi_indices(n, p)`` as a (size, p) matrix: entry [k, m] is I_m."""
     return _frozen(np.reshape(multi_indices(n, p), (sym_size(n, p), p)), np.intp)
+
+
+@lru_cache(maxsize=None)
+def prefix_arrays(n, p):
+    """Prefix position and last index of each stored multi-index (p >= 1).
+
+    Returns ``(prefix, last)``: for the k-th multi-index I, ``prefix[k]``
+    is the storage position of I[:-1] among the degree p-1 indices and
+    ``last[k]`` is I[-1].
+    """
+    pos = index_position(n, p - 1)
+    return (_frozen([pos[I[:-1]] for I in multi_indices(n, p)], np.intp),
+            index_array(n, p)[:, -1])
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,11 @@ Conventions (see docs/conventions.md):
   contraction.
 
 Components may be plain floats or :class:`~symkt.dual.Dual` scalars; every
-operation is written so either works.
+operation is written so either works.  Float components may also carry
+leading batch axes, ``(..., size)``: one tensor per point of a batch.
+``sym_product``, ``contract``, ``trace_Lambda``, ``mult_L``,
+``standard_decomposition``, ``change_basis`` and ``poly_eval`` act on each
+point alike, broadcasting the batch axes of their arguments.
 """
 
 from dataclasses import dataclass
@@ -25,11 +29,11 @@ from .dual import Dual
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from .multiindex import (
     contract_array,
-    contract_table,
     index_array,
     index_position,
     multi_indices,
     multiplicities,
+    prefix_arrays,
     product_arrays,
     replace_array,
     sym_size,
@@ -63,18 +67,49 @@ DEFAULT_TRACE_TOL = 1e-9
 
 
 def _as_comps(values, size):
+    """A fresh ``(..., size)`` component array.
+
+    An ndarray is read as ``(..., size)``.  Any other sequence holds the
+    ``size`` entries a field's ``comps_fn`` returns: scalars, Duals, or
+    arrays over batch axes, broadcast together and stacked on the last axis.
+    """
     if isinstance(values, np.ndarray):
         arr = values.copy() if values.dtype == object else values.astype(float)
     else:
         vals = list(values)
-        if any(isinstance(v, Dual) for v in vals):
+        kinds = set(map(type, vals))
+        if Dual in kinds:
             arr = np.empty(len(vals), dtype=object)
             arr[:] = vals
+        elif np.ndarray in kinds:
+            arr = np.stack(np.broadcast_arrays(*vals), axis=-1, dtype=float)
         else:
             arr = np.asarray(vals, dtype=float)
-    if arr.shape != (size,):
+    if arr.shape[-1:] != (size,):
         raise ShapeMismatchError(f"expected {size} components, got {arr.shape}")
     return arr
+
+
+def _take(comps, idx):
+    """``comps[..., idx]``, a gather on the component axis.
+
+    Without batch axes this is plain indexing, which numpy runs several
+    times faster than the same index after an Ellipsis.
+    """
+    return comps[idx] if comps.ndim == 1 else comps[..., idx]
+
+
+def _tensor(dim, degree, comps):
+    """SymTensor around a kernel's freshly computed ``(..., size)`` output.
+
+    Skips the defensive copy of the constructor: nothing else holds
+    ``comps``.
+    """
+    out = SymTensor.__new__(SymTensor)
+    out.dim, out.degree, out.comps = dim, degree, comps
+    if comps.dtype != object:
+        comps.flags.writeable = False
+    return out
 
 
 class SymTensor:
@@ -86,9 +121,11 @@ class SymTensor:
         Dimension n >= 1 of the underlying space.
     degree : int
         Tensor degree p >= 0.
-    comps : sequence
+    comps : sequence or ndarray
         One value per non-decreasing multi-index, in lexicographic order
-        (length C(n+p-1, p)).  Degree 0 stores a single scalar.
+        (length C(n+p-1, p)).  Degree 0 stores a single scalar.  A
+        ``(..., size)`` array or a sequence of batch arrays gives a tensor
+        per point of a batch.
     """
 
     __slots__ = ("dim", "degree", "comps")
@@ -139,7 +176,7 @@ class SymTensor:
         if isinstance(idx, int):
             idx = (idx,)
         key = tuple(sorted(idx))
-        return self.comps[index_position(self.dim, self.degree)[key]]
+        return self.comps[..., index_position(self.dim, self.degree)[key]]
 
     def _check_same_shape(self, other):
         if self.dim != other.dim or self.degree != other.degree:
@@ -149,17 +186,18 @@ class SymTensor:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return SymTensor(self.dim, self.degree, self.comps + other.comps)
+        return _tensor(self.dim, self.degree, self.comps + other.comps)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return SymTensor(self.dim, self.degree, self.comps - other.comps)
+        return _tensor(self.dim, self.degree, self.comps - other.comps)
 
     def __neg__(self):
-        return SymTensor(self.dim, self.degree, -self.comps)
+        return _tensor(self.dim, self.degree, -self.comps)
 
     def scale(self, c):
-        return SymTensor(self.dim, self.degree, self.comps * c)
+        """Multiply by a scalar; a ``(..., 1)`` array scales per batch point."""
+        return _tensor(self.dim, self.degree, self.comps * c)
 
     __mul__ = scale
     __rmul__ = scale
@@ -168,7 +206,15 @@ class SymTensor:
         """Components with dual layers stripped (floats)."""
         from .dual import value_of
 
-        return np.array([value_of(v) for v in self.comps])
+        if self.comps.dtype != object:
+            return np.array(self.comps)
+        return np.array([value_of(v) for v in self.comps.ravel()]).reshape(self.comps.shape)
+
+    def entries(self):
+        """The components as a list of ``size`` entries, each a scalar or
+        an array over the batch axes: the form a field's ``comps_fn``
+        returns."""
+        return list(self.comps.transpose(-1, *range(self.comps.ndim - 1)))
 
     def to_dense(self):
         """Full dense numpy array (debugging / oracle aid)."""
@@ -195,14 +241,14 @@ def sym_product(A, B):
     if A.dim != B.dim:
         raise ShapeMismatchError("dimension mismatch in sym_product")
     if A.degree == 0:
-        return B.scale(A.comps[0])
+        return B.scale(A.comps[..., :1])
     if B.degree == 0:
-        return A.scale(B.comps[0])
+        return A.scale(B.comps[..., :1])
     out_pos, pos_a, pos_b, count = product_arrays(A.dim, A.degree, B.degree)
-    w = count * A.comps[pos_a] * B.comps[pos_b]
-    out = np.zeros(sym_size(A.dim, A.degree + B.degree), dtype=w.dtype)
-    np.add.at(out, out_pos, w)
-    return SymTensor(A.dim, A.degree + B.degree, out)
+    w = count * _take(A.comps, pos_a) * _take(B.comps, pos_b)
+    out = np.zeros(w.shape[:-1] + (sym_size(A.dim, A.degree + B.degree),), dtype=w.dtype)
+    np.add.at(out, (..., out_pos), w)
+    return _tensor(A.dim, A.degree + B.degree, out)
 
 
 def sym_power(v, p):
@@ -220,13 +266,13 @@ def contract(v, K):
     """
     if K.degree < 1:
         raise DegreeError("cannot contract a degree-0 tensor")
-    vc = v.comps if isinstance(v, SymTensor) else v
+    vc = np.asarray(v.comps if isinstance(v, SymTensor) else v)
     table = contract_array(K.dim, K.degree)
     k = K.comps
     out = 0
     for j in range(K.dim):
-        out = out + vc[j] * k[table[:, j]]
-    return SymTensor(K.dim, K.degree - 1, out)
+        out = out + vc[..., j, None] * _take(k, table[:, j])
+    return _tensor(K.dim, K.degree - 1, out)
 
 
 def inner(A, B):
@@ -265,22 +311,25 @@ def trace_Lambda(K):
     k = K.comps
     out = 0
     for j in range(K.dim):
-        out = out + k[table[:, j]]
-    return SymTensor(K.dim, K.degree - 2, out)
+        out = out + _take(k, table[:, j])
+    return _tensor(K.dim, K.degree - 2, out)
 
 
 def poly_eval(K, X):
-    """Value of K as the degree-p polynomial K(X) = inner(K, X^p)."""
+    """Value of K as the degree-p polynomial K(X) = inner(K, X^p).
+
+    Per batch point for ``(..., size)`` components and ``(..., n)`` X; the
+    terms K_I mult_I X_{i_1} ... X_{i_p} are summed in storage order.
+    """
     if K.degree == 0:
-        return K.comps[0] * 1.0
-    xc = X.comps if isinstance(X, SymTensor) else X
-    mult = multiplicities(K.dim, K.degree)
+        return K.comps[..., 0] * 1.0
+    xc = np.asarray(X.comps if isinstance(X, SymTensor) else X)
+    terms = K.comps * multiplicities(K.dim, K.degree)
+    for i in index_array(K.dim, K.degree).T:
+        terms = terms * _take(xc, i)
     total = 0.0
-    for k, I in enumerate(multi_indices(K.dim, K.degree)):
-        term = K.comps[k] * mult[k]
-        for i in I:
-            term = term * xc[i]
-        total = total + term
+    for k in range(terms.shape[-1]):
+        total = total + terms[..., k]
     return total
 
 
@@ -417,35 +466,33 @@ def constant_a(n, p, i):
 def change_basis(K, M):
     """Pull packed components through a linear map of the index space.
 
-    ``M`` is an m x n matrix (rows: old index range, columns: new);
-    returns the degree-p tensor with K'(f_{a_1},...,f_{a_p}) =
+    ``M`` is an ``(..., m, n)`` array (rows: old index range, columns:
+    new); returns the degree-p tensor with K'(f_{a_1},...,f_{a_p}) =
     sum K_{A_1...A_p} M[A_1,a_1] ... M[A_p,a_p].  Applied one slot at a
-    time; the result is symmetric because the input is.
+    time; the result is symmetric because the input is.  After q slots the
+    state has one row per new degree-q multi-index and one column per old
+    degree-(p - q) position; row I takes the row of its prefix I[:-1] and
+    contracts one old slot against column I[-1] of M, summing over the old
+    index A in order.
     """
-    M = np.asarray(M).tolist()
-    m = len(M)
-    n_new = len(M[0])
+    M = np.asarray(M)
+    m, n_new = M.shape[-2:]
     p = K.degree
-    if sym_size(m, p) != len(K.comps):
+    if sym_size(m, p) != K.comps.shape[-1]:
         raise ShapeMismatchError("matrix rows do not match tensor dimension")
     if p == 0:
-        return SymTensor(n_new, 0, [K.comps[0]])
-    state = {(): list(K.comps)}
-    for step in range(p):
-        rem = p - step - 1  # remaining old-index slots
-        table = contract_table(m, rem + 1)
-        new_state = {}
-        for I in multi_indices(n_new, step + 1):
-            a = I[-1]
-            prefix = I[:-1]
-            src = state[prefix]
-            out = []
-            for row in table:
-                out.append(sum(M[A][a] * src[row[A]] for A in range(m)))
-            new_state[I] = out
-        state = new_state
-    comps = [state[I][0] for I in multi_indices(n_new, p)]
-    return SymTensor(n_new, p, comps)
+        lead = np.broadcast_shapes(K.comps.shape[:-1], M.shape[:-2])
+        return SymTensor(n_new, 0, np.broadcast_to(K.comps, lead + (1,)))
+    state = K.comps[..., None, :]
+    for q in range(1, p + 1):
+        prefix, last = prefix_arrays(n_new, q)
+        table = contract_array(m, p - q + 1)
+        src = state.take(prefix, axis=-2)
+        cols = M.take(last, axis=-1)
+        state = 0
+        for A in range(m):
+            state = state + cols[..., A, :, None] * src.take(table[:, A], axis=-1)
+    return _tensor(n_new, p, state[..., 0])
 
 
 def random_sym_tensor(n, p, rng):

@@ -91,7 +91,7 @@ def test_drift_fails_closed_when_the_first_integral_turns_nan():
     eu = euclidean_chart(3)
 
     def comps(x):
-        return [float("nan") if x[0] > 0.2005 else 1.0] * 6
+        return [np.where(x[0] > 0.2005, float("nan"), 1.0)] * 6
 
     field = TensorField(eu, 2, comps, name="nan-beyond-0.2005")
     d = geodesic_drift(field, [0.2, 0.0, 0.0], [1.0, 0.0, 0.0], 20, 1e-3)

@@ -27,7 +27,7 @@ from symkt.fields import (
     tracefree_part_field,
     wrap_conformal_field,
 )
-from symkt.manifolds import EmbeddedSphere, euclidean_chart, manifold_from_key
+from symkt.manifolds import EmbeddedSphere, euclidean_chart, gamma_frame, manifold_from_key
 from symkt.symtensor import SymTensor, mult_L, norm, trace_Lambda, tracefree_part
 
 REL = 1e-12
@@ -162,6 +162,34 @@ def test_lichnerowicz_defect_takes_one_nabla2(monkeypatch):
     calls = _count(monkeypatch, symkt.fields, "nabla2")
     assert curvature.lichnerowicz_defect(field, x) <= 1e-6
     assert len(calls) == 1
+
+
+def test_nabla_evaluates_the_frame_twice(monkeypatch):
+    # once at the dual point inside the field, once for the connection jet,
+    # whose values also serve as the frame at x
+    field = build_constructor("hopf-stackel")[0]
+    frame = EmbeddedSphere.frame
+    calls = []
+
+    def counted(self, x):
+        calls.append(1)
+        return frame(self, x)
+
+    monkeypatch.setattr(EmbeddedSphere, "frame", counted)
+    nabla(field, field.base.sample_point(np.random.default_rng(6)))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("key", ["sphere:3", "hyperbolic:3", "product:sphere:2,sphere:2",
+                                 "conformal:bump:sphere:3"])
+def test_connection_jet_frame_is_the_frame(key):
+    base = manifold_from_key(key)
+    x = list(base.sample_point(np.random.default_rng(8)))
+    F, gam = gamma_frame(base, x, with_frame=True)
+    want = base.frame(x)
+    assert F.tobytes(order="A") == want.tobytes(order="A")
+    assert F.flags.f_contiguous == want.flags.f_contiguous
+    assert np.array_equal(gam, gamma_frame(base, x))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -7,7 +7,7 @@ import pytest
 
 from symkt.errors import ConfigError
 from symkt.io import tensor_from_dict, tensor_to_dict
-from symkt.manifolds import manifold_from_key
+from symkt.manifolds import ConformalRescale, manifold_from_key
 from symkt.multiindex import sym_size
 from symkt.symtensor import SymTensor
 
@@ -102,3 +102,25 @@ def test_malformed_keys_raise_config_error_only(key):
     # a mutation that still parses is a well-formed key
     assert manifold_from_key(base.key).dim == base.dim
     assert np.isfinite(base.dim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mutated_keys(), st.text(max_size=40)))
+def test_every_parsed_key_is_canonical(key):
+    # one manifold, one key: a conformal wrapper names its base by the
+    # base's own key, whatever spelling the input used
+    try:
+        base = manifold_from_key(key)
+    except ConfigError:
+        return
+    assert manifold_from_key(base.key).key == base.key
+    if isinstance(base, ConformalRescale):
+        assert base.key == "conformal:bump:" + base.base.key
+
+
+@pytest.mark.parametrize("dim", ["+3", "0_3", " 3", "03", "\uff13"])
+def test_dimension_spellings_other_than_plain_digits_raise(dim):
+    for key in (f"sphere:{dim}", f"conformal:bump:sphere:{dim}",
+                f"product:sphere:{dim},sphere:2"):
+        with pytest.raises(ConfigError):
+            manifold_from_key(key)

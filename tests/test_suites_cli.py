@@ -1,6 +1,10 @@
 """Suite aggregation and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +321,22 @@ def test_cli_rejects_unknown_params(capsys):
     assert main(["verify", "--manifold", "sphere:2", "--construct",
                  "sym-product", "--params", '{"generators": [[0, 1], [0, 2]]}',
                  "--samples", "3"]) == 0
+
+
+def test_python_m_symkt_runs_from_a_checkout(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(manifold):
+        return subprocess.run(
+            [sys.executable, "-m", "symkt", "geodesic", "--manifold", manifold,
+             "--construct", "hopf-stackel", "--steps", "20", "--trajectories", "1"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+    ok = run("sphere:3")
+    assert ok.returncode == 0, ok.stderr
+    assert "pass=True" in ok.stdout
+    bad = run("sphere:+3")
+    assert bad.returncode == 2
+    assert bad.stderr.count("\n") == 1 and "Traceback" not in bad.stderr
