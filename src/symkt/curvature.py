@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cartan import frame_norm
-from .dual import jacobian, value_of
+from .dual import value_of
 from .fields import TensorField, d_delta, delta_d, nabla, nabla2, rough_laplacian
-from .manifolds import gamma_frame
+from .manifolds import connection_jet
 from .multiindex import index_array, multi_indices, replace_array
 from .symtensor import SymTensor, derivation, norm, poly_eval, trace_Lambda
 
@@ -41,6 +41,11 @@ class RiemannAtPoint:
     ricci: np.ndarray
     scal: float
 
+    @classmethod
+    def from_R4(cls, R):
+        ricci = np.einsum("aiib->ab", R)
+        return cls(R4=R, ricci=ricci, scal=float(np.trace(ricci)))
+
     def symmetry_residual(self):
         R = self.R4
         r = max(
@@ -59,19 +64,16 @@ class RiemannAtPoint:
         return float(self.R4[a, b, b, a])
 
 
-def _curvature(base, x):
-    """R4[a,b,c,d] = g(R(e_a,e_b) e_c, e_d) from one jacobian of gamma_frame.
+def _curvature(jet):
+    """R4[a,b,c,d] = g(R(e_a,e_b) e_c, e_d) from a :class:`ConnectionJet`.
 
-    Generic over scalars: a float array at a float point, an object array
-    of Duals at a dual point (so Ricci and scalar curvature can be
-    differentiated in turn).
+    Generic over scalars: a float array from a jet at a float point, an
+    object array of Duals from one at a dual point (so Ricci and scalar
+    curvature can be differentiated in turn).
     """
-    n = base.dim
-    vals, jac = jacobian(lambda y: gamma_frame(base, y).ravel(), list(x))
-    gam = np.array(vals).reshape(n, n, n)
-    F = base.frame(list(x))
+    gam = jet.gamma
     # egam[a,b,c,d] = e_a(gamma[b][c][d])
-    egam = np.einsum("bcdi,ia->abcd", np.array(jac).reshape(n, n, n, -1), F)
+    egam = np.einsum("ibcd,ia->abcd", jet.dgamma, jet.F)
     return (
         egam
         - egam.transpose(1, 0, 2, 3)
@@ -83,9 +85,7 @@ def _curvature(base, x):
 
 def riemann(base, x):
     """Frame curvature at x, with Ricci and scalar curvature."""
-    R = _curvature(base, x)
-    ricci = np.einsum("aiib->ab", R)
-    return RiemannAtPoint(R4=R, ricci=ricci, scal=float(np.trace(ricci)))
+    return RiemannAtPoint.from_R4(_curvature(connection_jet(base, x)))
 
 
 def qR_act(base, x, K, rm=None):
@@ -135,14 +135,18 @@ def qrh_check(base, x, h, rm=None):
 
 
 def lichnerowicz_defect(field, x):
-    """|(delta d - d delta)K - (nabla*nabla - q(R))K| at x, relative."""
+    """|(delta d - d delta)K - (nabla*nabla - q(R))K| at x, relative.
+
+    One connection jet at x serves both ``nabla2`` and the curvature.
+    """
     if field.degree < 1:
         raise ValueError("defect check needs degree >= 1")
-    W = nabla2(field, x)
+    jet = connection_jet(field.base, list(x))
+    W = nabla2(field, x, jet=jet)
     lhs = delta_d(field, x, W=W) - d_delta(field, x, W=W)
     rl = rough_laplacian(field, x, W=W)
-    K = field(x)
-    rhs = rl - qR_act(field.base, x, K)
+    rm = RiemannAtPoint.from_R4(_curvature(jet))
+    rhs = rl - qR_act(field.base, x, field(x), rm=rm)
     scale = max(1.0, norm(rl))
     return norm(lhs - rhs) / scale
 
@@ -152,7 +156,7 @@ def ricci_field(base, name="ricci"):
     idx = multi_indices(base.dim, 2)
 
     def comps(x):
-        ric = np.einsum("aiib->ab", _curvature(base, x))
+        ric = np.einsum("aiib->ab", _curvature(connection_jet(base, x)))
         return [ric[a, b] for a, b in idx]
 
     return TensorField(base, 2, comps, name=name)

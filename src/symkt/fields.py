@@ -4,9 +4,10 @@ A :class:`TensorField` evaluates to packed orthonormal-frame components at
 a point; the evaluation function must be generic over scalars so that
 forward-mode duals can differentiate through it (including through the
 frame itself, whose variation is then cancelled by the connection terms).
-A scalar is a float, a :class:`~symkt.dual.Dual`, or a ``(B,)`` float
-array holding one coordinate of B points, so :meth:`TensorField.batch`
-evaluates a field at B points in one call.
+A scalar is a float, a :class:`~symkt.dual.Dual`, a second-order
+:class:`~symkt.dual.Jet`, or a ``(B,)`` float array holding one coordinate
+of B points, so :meth:`TensorField.batch` evaluates a field at B points in
+one call.
 
 The covariant derivative of the frame-component functions K_I(x) is
 
@@ -15,15 +16,16 @@ The covariant derivative of the frame-component functions K_I(x) is
 with gamma the frame connection coefficients; iterating the same rule on
 the T (x) Sym^p frame components gives the full second covariant
 derivative nabla^2_{e_b, e_a} K used by the rough Laplacian and the
-Weitzenboeck-type checks.
+Weitzenboeck-type checks, assembled from one hessian of the components and
+the connection jet of :func:`~symkt.manifolds.connection_jet`.
 """
 
 import numpy as np
 
 from .cartan import FrameTensor, slot_hooks, slot_products
-from .dual import d_exp, jacobian
+from .dual import d_exp, hessian, jacobian
 from .errors import DegreeError, DomainError
-from .manifolds import gamma_frame, point_array
+from .manifolds import connection_jet, gamma_frame, point_array
 from .multiindex import multi_indices, sym_size
 from .symtensor import (
     SymTensor,
@@ -277,9 +279,10 @@ def _assemble_first(p, vals, jac, F, gam):
     coordinate partials ``(..., size, m)``; ``F``: the (m, n) frame and
     ``gam``: the (n, n, n) connection coefficients.  Returns the
     ``(..., n, size)`` array whose row a is F^T J^T minus the derivation
-    action of gamma[a] on the packed index.
+    action of gamma[a] on the packed index.  ``F`` and ``gam`` may carry
+    leading axes too, which broadcast against those of ``vals``/``jac``.
     """
-    return (np.einsum("ia,...ki->...ak", F, jac)
+    return (np.einsum("...ia,...ki->...ak", F, jac)
             - derivation(gam, vals[..., None, :], p))
 
 
@@ -302,21 +305,28 @@ def nabla(field, x):
     return FrameTensor([SymTensor(n, p, s) for s in _nabla_comps(field, list(x))])
 
 
-def nabla2(field, x):
-    """Second covariant derivative: grid W[b][a] = nabla^2_{e_b, e_a} K."""
+def nabla2(field, x, jet=None):
+    """Second covariant derivative: grid W[b][a] = nabla^2_{e_b, e_a} K.
+
+    From one hessian of the components and the connection jet at x; pass
+    ``jet = connection_jet(field.base, x)`` to share it with the caller.
+    """
     if field.order < 2:
         raise DegreeError("field does not promise second derivatives")
     _check_domain(field.base, x)
     base = field.base
     n, p = base.dim, field.degree
     x = list(x)
-    vals, jac = jacobian(lambda y: _nabla_comps(field, y).ravel(), x)
-    S = np.array(vals).reshape(n, -1)
-    J = np.array(jac).reshape(n, S.shape[1], -1)
-    F, gam = gamma_frame(base, x, with_frame=True)
+    F, dF, gam, dgam = connection_jet(base, x) if jet is None else jet
+    vals, grads, hess = hessian(field.comps_fn, x)
+    S = _assemble_first(p, vals, grads, F, gam)  # S[a] = nabla_{e_a} K
+    # d_i S: _assemble_first is bilinear in (vals, jac) and (F, gam), so
+    # two calls with the direction i as a leading axis
+    dS = (_assemble_first(p, grads.T, hess.transpose(2, 0, 1), F, gam)
+          + _assemble_first(p, vals, grads, dF, dgam))
     # first[a, b] = e_b(S_a) minus the connection terms on the packed index;
     # the slot index a takes the remaining term
-    first = _assemble_first(p, S, J, F, gam)
+    first = _assemble_first(p, S, dS.transpose(1, 2, 0), F, gam)
     W = first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
     return [[SymTensor(n, p, W[b, a]) for a in range(n)] for b in range(n)]
 

@@ -22,8 +22,10 @@ arrays (see :func:`point_array`).
 The frame connection coefficients g(nabla_{e_a} e_b, e_c) are computed
 once for all backends from the Koszul formula with orthonormal arguments,
 as contractions of the frame, its exact first derivatives (forward-mode
-duals) and the metric.  Curvature is then assembled from those
-coefficients and their first derivatives in :mod:`symkt.curvature`.
+duals) and the metric.  ``connection_jet`` adds their first derivatives,
+by the product rule on the same contraction, from one second-order jet of
+the frame and metric; curvature and nabla^2 are assembled from it in
+:mod:`symkt.curvature` and :mod:`symkt.fields`.
 
 Sign conventions are pinned by the unit sphere: the curvature operator on
 2-forms is minus the identity there, i.e. R(X,Y,Z,V) = g(X,V)g(Y,Z) -
@@ -31,10 +33,11 @@ g(X,Z)g(Y,V).
 """
 
 import re
+from typing import NamedTuple
 
 import numpy as np
 
-from .dual import Dual, d_exp, d_sqrt, jacobian, value_of
+from .dual import Dual, Jet, d_exp, d_sqrt, hessian, jacobian, value_of
 from .errors import ConfigError
 
 __all__ = [
@@ -53,25 +56,27 @@ __all__ = [
     "frame_at",
     "frame_components",
     "gamma_frame",
+    "ConnectionJet",
+    "connection_jet",
     "christoffel",
     "bump_function",
 ]
 
 
 # ---------------------------------------------------------------------------
-# generic linear algebra (floats or Duals)
+# generic linear algebra (floats, Duals or Jets)
 
 
 def point_array(data, x):
     """Matrix ``data`` (nested sequences of scalars) as an ndarray at point x.
 
-    Object dtype at a dual point x, else float64, column-major so each
+    Object dtype at a dual or jet point x, else float64, column-major so each
     frame vector e_a is contiguous: BLAS sums depend on the layout in the
     last bit, and the reports are pinned to this one.  At a batch point
     (coordinates of shape (B,)) the result is (B, rows, cols), each entry
     broadcast over the batch.
     """
-    if isinstance(x[0], Dual):
+    if isinstance(x[0], (Dual, Jet)):
         return np.array(data, dtype=object, order="F")
     batch = np.shape(x[0])
     if not batch:
@@ -394,17 +399,33 @@ def frame_at(base, x):
     return np.asarray(base.frame(list(x)), dtype=float)
 
 
+def _koszul(F, dF, GF):
+    """Connection coefficients gamma[..., a, b, c] from the Koszul formula.
+
+    With orthonormal arguments only the Lie bracket terms survive:
+
+        2 g(nabla_{e_a} e_b, e_c) =
+            g([e_a,e_b], e_c) - g([e_a,e_c], e_b) - g([e_b,e_c], e_a),
+
+    with the flat coordinate/ambient bracket of the frame fields,
+    [e_a, e_b]^k = sum_i (e_a^i d_i e_b^k - e_b^i d_i e_a^k).  Takes the
+    frame F (..., m, n), its partials dF (..., n, m, m) with
+    dF[b, k, i] = d_i e_b^k and G F (..., m, n).  The result is linear in
+    each of the three, so its derivative is three calls by the product
+    rule; leading axes broadcast.
+    """
+    # t[a, b, k, i] = e_a^i d_i e_b^k
+    t = np.swapaxes(F, -1, -2)[..., :, None, None, :] * dF[..., None, :, :, :]
+    bracket = (t - np.swapaxes(t, -4, -3)).sum(axis=-1)
+    gb = bracket @ GF[..., None, :, :]  # gb[a, b, c] = g([e_a, e_b], e_c)
+    return 0.5 * (gb - np.swapaxes(gb, -1, -2) - np.moveaxis(gb, -1, -3))
+
+
 def gamma_frame(base, x, with_frame=False):
     """Connection coefficients gamma[a, b, c] = g(nabla_{e_a} e_b, e_c).
 
-    Computed from the Koszul formula with orthonormal arguments, where
-    only the Lie bracket terms survive:
-
-        2 g(nabla_{e_a} e_b, e_c) =
-            g([e_a,e_b], e_c) - g([e_a,e_c], e_b) - g([e_b,e_c], e_a).
-
-    Brackets use the flat coordinate/ambient bracket of the frame fields,
-    with frame derivatives taken by forward-mode duals; works at any dual
+    The Koszul contraction (``_koszul``) of the frame, its exact first
+    derivatives (forward-mode duals) and the metric; works at any dual
     level of ``x`` and returns an (n, n, n) array of its scalars.  With
     ``with_frame`` it returns ``(F, gamma)``, where F is the frame at x
     taken from the same jet: the values of ``base.frame(x)``, bit for bit,
@@ -414,13 +435,50 @@ def gamma_frame(base, x, with_frame=False):
     vals, jac = jacobian(lambda y: base.frame(y).ravel(), list(x))
     F = point_array(vals, x).reshape(m, n)
     dF = point_array(jac, x).reshape(m, n, m).transpose(1, 0, 2)  # [b, k, i] = d_i e_b^k
-    # [e_a, e_b]^k = sum_i (e_a^i d_i e_b^k - e_b^i d_i e_a^k)
-    t = F.T[:, None, None, :] * dF  # t[a, b, k, i] = e_a^i d_i e_b^k
-    bracket = (t - t.transpose(1, 0, 2, 3)).sum(axis=-1)
-    gb = bracket @ (base.metric_matrix(list(x)) @ F)  # gb[a, b, c] = g([e_a, e_b], e_c)
-    gamma = 0.5 * (gb - gb.transpose(0, 2, 1) - gb.transpose(2, 0, 1))
+    gamma = _koszul(F, dF, base.metric_matrix(list(x)) @ F)
     # column-major like the backends' frames: einsum sums depend on the layout
     return (np.asfortranarray(F), gamma) if with_frame else gamma
+
+
+class ConnectionJet(NamedTuple):
+    """Frame and connection at a point with their first partials.
+
+    ``F`` (m, n) is the frame, ``dF`` (m, m, n) its partials with
+    ``dF[i] = d_i F``, ``gamma`` (n, n, n) the coefficients of
+    :func:`gamma_frame` and ``dgamma`` (m, n, n, n) their partials with
+    ``dgamma[i] = d_i gamma``.
+    """
+
+    F: np.ndarray
+    dF: np.ndarray
+    gamma: np.ndarray
+    dgamma: np.ndarray
+
+
+def connection_jet(base, x):
+    """The :class:`ConnectionJet` at x from one hessian of frame and metric.
+
+    ``gamma`` is the Koszul contraction of the frame jet and ``dgamma`` its
+    product-rule derivative.  Float arrays at a float point; object arrays
+    of Duals at a dual point, so curvature built from the jet can be
+    differentiated once more.
+    """
+    m, n = base.coord_dim, base.dim
+    mn = m * n
+    vals, grads, hess = hessian(
+        lambda y: np.concatenate([base.frame(y).ravel(), base.metric_matrix(y).ravel()]),
+        list(x),
+    )
+    F, G = vals[:mn].reshape(m, n), vals[mn:].reshape(m, m)
+    dF = grads[:mn].reshape(m, n, m).transpose(2, 0, 1)  # [i, k, b] = d_i F[k, b]
+    dG = grads[mn:].reshape(m, m, m).transpose(2, 0, 1)  # [i, k, l] = d_i G[k, l]
+    jF = grads[:mn].reshape(m, n, m).transpose(1, 0, 2)  # [b, k, i] = d_i e_b^k
+    djF = hess[:mn].reshape(m, n, m, m).transpose(3, 1, 0, 2)  # [j, b, k, i] = d_j d_i e_b^k
+    GF = G @ F
+    gamma = _koszul(F, jF, GF)
+    dgamma = (_koszul(dF, jF, GF) + _koszul(F, djF, GF)
+              + _koszul(F, jF, dG @ F + G @ dF))
+    return ConnectionJet(F, dF, gamma, dgamma)
 
 
 # ---------------------------------------------------------------------------

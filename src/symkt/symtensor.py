@@ -12,12 +12,13 @@ Conventions (see docs/conventions.md):
   the Gram matrix and makes multiplication by a vector adjoint to
   contraction.
 
-Components may be plain floats or :class:`~symkt.dual.Dual` scalars; every
-operation is written so either works.  Float components may also carry
-leading batch axes, ``(..., size)``: one tensor per point of a batch.
-``sym_product``, ``contract``, ``trace_Lambda``, ``mult_L``,
-``standard_decomposition``, ``change_basis`` and ``poly_eval`` act on each
-point alike, broadcasting the batch axes of their arguments.
+Components may be plain floats, :class:`~symkt.dual.Dual` or
+:class:`~symkt.dual.Jet` scalars; every operation is written so any works.
+Float components may also carry leading batch axes, ``(..., size)``: one
+tensor per point of a batch.  ``sym_product``, ``contract``,
+``trace_Lambda``, ``mult_L``, ``standard_decomposition``, ``change_basis``
+and ``poly_eval`` act on each point alike, broadcasting the batch axes of
+their arguments.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from math import factorial
 
 import numpy as np
 
-from .dual import Dual
+from .dual import Dual, Jet
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from .multiindex import (
     contract_array,
@@ -70,15 +71,16 @@ def _as_comps(values, size):
     """A fresh ``(..., size)`` component array.
 
     An ndarray is read as ``(..., size)``.  Any other sequence holds the
-    ``size`` entries a field's ``comps_fn`` returns: scalars, Duals, or
-    arrays over batch axes, broadcast together and stacked on the last axis.
+    ``size`` entries a field's ``comps_fn`` returns: scalars, Duals, Jets,
+    or arrays over batch axes, broadcast together and stacked on the last
+    axis.
     """
     if isinstance(values, np.ndarray):
         arr = values.copy() if values.dtype == object else values.astype(float)
     else:
         vals = list(values)
         kinds = set(map(type, vals))
-        if Dual in kinds:
+        if Dual in kinds or Jet in kinds:
             arr = np.empty(len(vals), dtype=object)
             arr[:] = vals
         elif np.ndarray in kinds:

@@ -381,8 +381,22 @@ def _array(seed_, shape):
 SHAPES = st.tuples(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
 
 
+def close_sums(got, want, abs_sum, terms):
+    """Entry by entry, |got - want| <= terms * eps * sum |terms|.
+
+    Two summation orders of the same ``terms`` products differ by at most
+    that much (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    ed., eq. 3.5); when the terms cancel it is far above eps |sum|, so a
+    bound scaled by |want| fails on correct kernels.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= terms * EPS * np.asarray(abs_sum))
+
+
 @PROPERTY
 @given(SHAPES, st.integers(0, 2))
+@hypothesis.example((4, 2, 301), 0)  # batched and single calls sum in other orders
 def test_derivation_matches_slot_loop(shape, lead):
     n, p, s = shape
     size = sym_size(n, p)
@@ -390,28 +404,38 @@ def test_derivation_matches_slot_loop(shape, lead):
     comps = _array([s, 1], size)
     got = derivation(A, comps, p)
     assert got.shape == A.shape[:-2] + (size,)
+    # every entry sums p n products; on |A| and |comps| none cancels
+    abs_sum = derivation(np.abs(A), np.abs(comps), p)
     for idx in np.ndindex(A.shape[:-2]):
         # the connection part of the former loop is minus the derivation
         gam = np.broadcast_to(A[idx], (n, n, n)).tolist()
         want = ref_assemble_first(n, p, list(comps), np.zeros((size, 1)).tolist(),
                                   np.zeros((1, n)).tolist(), gam)[0]
-        close(-got[idx], want)
+        close_sums(-got[idx], want, abs_sum[idx], p * n)
     # leading axes of the components broadcast against those of A
     rows = _array([s, 2], (3, size))
     batched = derivation(A[..., None, :, :], rows, p)
     for r in range(3):
-        close(batched[..., r, :], derivation(A, rows[r], p))
+        close_sums(batched[..., r, :], derivation(A, rows[r], p),
+                   derivation(np.abs(A), np.abs(rows[r]), p), p * n)
 
 
 @PROPERTY
 @given(SHAPES, st.integers(0, 2))
+@hypothesis.example((1, 0, 536870913), 2)  # cancels 3 terms of 1e6 down to 1822
 def test_assemble_first_matches_loop(shape, extra):
+    # each entry sums m + p n products, in another order than the loop
     n, p, s = shape
     m, size = n + extra, sym_size(n, p)
     vals, jac = _array([s, 0], size), _array([s, 1], (size, m))
     F, gam = _array([s, 2], (m, n)), _array([s, 3], (n, n, n))
-    want = ref_assemble_first(n, p, vals.tolist(), jac.tolist(), F.tolist(), gam.tolist())
-    close(_assemble_first(p, vals, jac, F, gam), want)
+    args = (vals, jac, F, gam)
+    want = ref_assemble_first(n, p, *(a.tolist() for a in args))
+    # the loop subtracts the connection terms: -|gam| makes each term count positive
+    absv, absj, absF, absg = (np.abs(a) for a in args)
+    abs_sum = ref_assemble_first(n, p, absv.tolist(), absj.tolist(),
+                                 absF.tolist(), (-absg).tolist())
+    close_sums(_assemble_first(p, vals, jac, F, gam), want, abs_sum, m + p * n)
 
 
 def test_replace_array_matches_tuple_table():

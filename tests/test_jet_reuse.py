@@ -3,8 +3,9 @@
 The metric is parallel, so nabla commutes with the trace Lambda: the
 classifier reads nabla K_0 = (nabla K)_0 and d tr K = tr nabla K off a
 single nabla K, and the Lichnerowicz defect reads all three second-order
-operators off a single nabla^2 K.  These tests pin the identities on every
-catalog backend and count the derivative calls.
+operators off a single nabla^2 K, and q(R) off the same connection jet.
+These tests pin the identities on every catalog backend and count the
+derivative calls.
 """
 
 import math
@@ -161,6 +162,36 @@ def test_lichnerowicz_defect_takes_one_nabla2(monkeypatch):
     x = sp.sample_point(rng)
     calls = _count(monkeypatch, symkt.fields, "nabla2")
     assert curvature.lichnerowicz_defect(field, x) <= 1e-6
+    assert len(calls) == 1
+
+
+def test_lichnerowicz_defect_takes_one_connection_jet(monkeypatch):
+    # the jet of nabla2 also gives the curvature for q(R): no riemann call
+    import symkt.manifolds
+
+    sp = EmbeddedSphere(2)
+    rng = np.random.default_rng(4)
+    field = random_tangential_field(sp, 2, rng)
+    x = sp.sample_point(rng)
+    jets = _count(monkeypatch, symkt.manifolds, "connection_jet")
+    rms = _count(monkeypatch, curvature, "riemann")
+    assert curvature.lichnerowicz_defect(field, x) <= 1e-6
+    assert len(jets) == 1
+    assert len(rms) == 0
+
+
+def test_riemann_evaluates_the_frame_once(monkeypatch):
+    # at the jet point only: the jet's values are the frame at x
+    sp = EmbeddedSphere(3)
+    frame = EmbeddedSphere.frame
+    calls = []
+
+    def counted(self, x):
+        calls.append(1)
+        return frame(self, x)
+
+    monkeypatch.setattr(EmbeddedSphere, "frame", counted)
+    curvature.riemann(sp, sp.sample_point(np.random.default_rng(6)))
     assert len(calls) == 1
 
 
