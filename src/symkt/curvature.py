@@ -152,14 +152,18 @@ def lichnerowicz_defect(field, x):
 
 
 def ricci_field(base, name="ricci"):
-    """The Ricci curvature as a degree-2 tensor field."""
+    """The Ricci curvature as a degree-2 tensor field.
+
+    Its components take a hessian of the frame, which does not nest, so the
+    field promises first derivatives only (``nabla``, not ``nabla2``).
+    """
     idx = multi_indices(base.dim, 2)
 
     def comps(x):
         ric = np.einsum("aiib->ab", _curvature(connection_jet(base, x)))
         return [ric[a, b] for a, b in idx]
 
-    return TensorField(base, 2, comps, name=name)
+    return TensorField(base, 2, comps, order=1, name=name)
 
 
 def ricci_killing_residual(base, x, X):

@@ -409,13 +409,14 @@ def _koszul(F, dF, GF):
 
     with the flat coordinate/ambient bracket of the frame fields,
     [e_a, e_b]^k = sum_i (e_a^i d_i e_b^k - e_b^i d_i e_a^k).  Takes the
-    frame F (..., m, n), its partials dF (..., n, m, m) with
-    dF[b, k, i] = d_i e_b^k and G F (..., m, n).  The result is linear in
-    each of the three, so its derivative is three calls by the product
-    rule; leading axes broadcast.
+    frame F (..., m, n), its partials dF (..., m, m, n) with
+    dF[i, k, b] = d_i F[k, b] (the layout of :class:`ConnectionJet`) and
+    G F (..., m, n).  The result is linear in each of the three, so its
+    derivative is three calls by the product rule; leading axes broadcast.
     """
     # t[a, b, k, i] = e_a^i d_i e_b^k
-    t = np.swapaxes(F, -1, -2)[..., :, None, None, :] * dF[..., None, :, :, :]
+    t = (np.swapaxes(F, -1, -2)[..., :, None, None, :]
+         * np.swapaxes(dF, -1, -3)[..., None, :, :, :])
     bracket = (t - np.swapaxes(t, -4, -3)).sum(axis=-1)
     gb = bracket @ GF[..., None, :, :]  # gb[a, b, c] = g([e_a, e_b], e_c)
     return 0.5 * (gb - np.swapaxes(gb, -1, -2) - np.moveaxis(gb, -1, -3))
@@ -434,7 +435,7 @@ def gamma_frame(base, x, with_frame=False):
     m, n = base.coord_dim, base.dim
     vals, jac = jacobian(lambda y: base.frame(y).ravel(), list(x))
     F = point_array(vals, x).reshape(m, n)
-    dF = point_array(jac, x).reshape(m, n, m).transpose(1, 0, 2)  # [b, k, i] = d_i e_b^k
+    dF = point_array(jac, x).reshape(m, n, m).transpose(2, 0, 1)  # [i, k, b] = d_i F[k, b]
     gamma = _koszul(F, dF, base.metric_matrix(list(x)) @ F)
     # column-major like the backends' frames: einsum sums depend on the layout
     return (np.asfortranarray(F), gamma) if with_frame else gamma
@@ -472,12 +473,11 @@ def connection_jet(base, x):
     F, G = vals[:mn].reshape(m, n), vals[mn:].reshape(m, m)
     dF = grads[:mn].reshape(m, n, m).transpose(2, 0, 1)  # [i, k, b] = d_i F[k, b]
     dG = grads[mn:].reshape(m, m, m).transpose(2, 0, 1)  # [i, k, l] = d_i G[k, l]
-    jF = grads[:mn].reshape(m, n, m).transpose(1, 0, 2)  # [b, k, i] = d_i e_b^k
-    djF = hess[:mn].reshape(m, n, m, m).transpose(3, 1, 0, 2)  # [j, b, k, i] = d_j d_i e_b^k
+    ddF = hess[:mn].reshape(m, n, m, m).transpose(3, 2, 0, 1)  # [j, i, k, b] = d_j d_i F[k, b]
     GF = G @ F
-    gamma = _koszul(F, jF, GF)
-    dgamma = (_koszul(dF, jF, GF) + _koszul(F, djF, GF)
-              + _koszul(F, jF, dG @ F + G @ dF))
+    gamma = _koszul(F, dF, GF)
+    dgamma = (_koszul(dF, dF, GF) + _koszul(F, ddF, GF)
+              + _koszul(F, dF, dG @ F + G @ dF))
     return ConnectionJet(F, dF, gamma, dgamma)
 
 

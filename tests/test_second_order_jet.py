@@ -24,6 +24,7 @@ from symkt.curvature import (
     riemann,
 )
 from symkt.dual import Jet, d_exp, d_log, d_sqrt, hessian, jacobian, value_of
+from symkt.errors import DegreeError
 from symkt.fields import (
     TensorField,
     _assemble_first,
@@ -285,6 +286,17 @@ def test_nabla_ricci_matches_nested_duals(key):
     got = nabla(ricci_field(base), x)
     want = nabla(TensorField(base, 2, ref_comps), x)
     close(got.stacked(), want.stacked())
+
+
+def test_ricci_field_refuses_second_order_operators():
+    # its components run a hessian, which cannot itself sit inside one
+    base = manifold_from_key("sphere:3")
+    ric = ricci_field(base)
+    x = base.sample_point(np.random.default_rng(23))
+    assert len(nabla(ric, x).slots) == base.dim
+    for op in (nabla2, rough_laplacian, delta_d, d_delta, lichnerowicz_defect):
+        with pytest.raises(DegreeError):
+            op(ric, x)
 
 
 # ---------------------------------------------------------------------------
