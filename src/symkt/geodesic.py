@@ -21,11 +21,7 @@ def rk4_geodesic(base, x0, v0, steps, dt):
     """Integrate the geodesic equation; yields (x, v) after every step."""
     x = np.asarray(x0, dtype=float).copy()
     v = np.asarray(v0, dtype=float).copy()
-
-    def rhs(x, v):
-        dx, dv = base.geodesic_rhs(x, v)
-        return np.asarray(dx, dtype=float), np.asarray(dv, dtype=float)
-
+    rhs = base.geodesic_rhs
     for _ in range(steps):
         k1x, k1v = rhs(x, v)
         k2x, k2v = rhs(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)

@@ -19,6 +19,13 @@ at a float point, object arrays of dual numbers at a dual point, and
 ``(B, m, n)`` float arrays at a batch point, whose coordinates are ``(B,)``
 arrays (see :func:`point_array`).
 
+Every chart is a conformally flat space form, g = c(x) delta of curvature
+sign kappa (:class:`Chart`): its frame is c^(-1/2) times the identity, and
+its metric jet, Christoffel symbols and geodesic right-hand side are float
+closed forms in the log-gradient of c, so chart geodesics build no dual
+numbers.  Other conformally flat metrics exp(2 f) delta are
+:func:`conformal_rescale` of a flat chart.
+
 The frame connection coefficients g(nabla_{e_a} e_b, e_c) are computed
 once for all backends from the Koszul formula with orthonormal arguments,
 as contractions of the frame, its exact first derivatives (forward-mode
@@ -104,39 +111,6 @@ def frame_components(base, x, vec):
     return (np.swapaxes(base.frame(x), -1, -2) @ Gv)[..., 0]
 
 
-def _cholesky(G):
-    n = len(G)
-    L = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = G[i][j]
-            for k in range(j):
-                s = s - L[i][k] * L[j][k]
-            if i == j:
-                L[i][j] = d_sqrt(s)
-            else:
-                L[i][j] = s / L[j][j]
-    return L
-
-
-def _frame_from_metric(G, x):
-    """Inverse transpose of the Cholesky factor of the nested-list metric G.
-
-    Solves L^T E = I column by column; column a of E is frame vector e_a,
-    and E^T G E = I by construction.
-    """
-    n = len(G)
-    L = _cholesky(G)
-    E = [[0.0] * n for _ in range(n)]
-    for a in range(n):
-        for i in range(n - 1, -1, -1):
-            s = 1.0 if i == a else 0.0
-            for k in range(i + 1, n):
-                s = s - L[k][i] * E[k][a]
-            E[i][a] = s / L[i][i]
-    return point_array(E, x)
-
-
 def _block_diag(A, B):
     (r, c), lead = A.shape[-2:], np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     shape = lead + (r + B.shape[-2], c + B.shape[-1])
@@ -151,15 +125,24 @@ def _block_diag(A, B):
 
 
 class Chart:
-    """Coordinate patch with a smooth metric.
+    """Conformally flat space-form chart, g = c(x) delta of curvature sign kappa.
+
+    The factor is c = 1 for kappa = 0 (``euclidean``, ``torus``) and
+    c = 4/(1 + kappa |x|^2)^2 otherwise: kappa = 1 is the unit sphere in
+    stereographic coordinates, kappa = -1 the Poincare ball.  With
+    phi = 1/2 log c, whose gradient is grad phi = -2 kappa x / (1 + kappa
+    |x|^2), the metric jet, the Christoffel symbols and the geodesic
+    right-hand side are the closed forms of a conformal change of the flat
+    metric (Besse, *Einstein Manifolds*, 1987, 1.J), on floats.  Custom
+    conformal metrics exp(2 f) delta are ``conformal_rescale`` of a flat
+    chart.
 
     Parameters
     ----------
     dim : int
         Dimension n >= 2.
-    metric_fn : callable
-        x (length-n sequence of generic scalars) -> n x n nested list,
-        symmetric positive definite on the domain.
+    kappa : float
+        Curvature sign: 0 (flat), 1 or -1.
     radius : float
         Sampling ball radius around the origin.
     key : str
@@ -171,34 +154,48 @@ class Chart:
 
     is_chart = True
 
-    def __init__(self, dim, metric_fn, radius=1.0, key="chart", box=None):
+    def __init__(self, dim, kappa=0.0, radius=1.0, key="chart", box=None):
         self.dim = dim
         self.coord_dim = dim
-        self._metric_fn = metric_fn
+        self.kappa = kappa
         self.radius = radius
         self.key = key
         self.box = box
 
+    def factor(self, x):
+        """The conformal factor c at x, generic over scalars; 1.0 when flat."""
+        if self.kappa == 0:
+            return 1.0
+        r2 = x[0] * x[0]
+        for xi in x[1:]:
+            r2 = r2 + xi * xi
+        s = 1.0 + self.kappa * r2
+        return 4.0 / (s * s)
+
+    def log_gradient(self, x):
+        """grad phi = -2 kappa x / (1 + kappa |x|^2) at a float point, phi = log(c) / 2."""
+        x = np.asarray(x, dtype=float)
+        return (-2.0 * self.kappa / (1.0 + self.kappa * np.dot(x, x))) * x
+
+    def _diagonal(self, d, x):
+        return point_array([[d if i == j else 0.0 for j in range(self.dim)]
+                            for i in range(self.dim)], x)
+
     def metric_matrix(self, x):
-        return point_array(self._metric_fn(x), x)
+        return self._diagonal(self.factor(x), x)
 
     def frame(self, x):
-        return _frame_from_metric(self._metric_fn(x), x)
+        return self._diagonal(1.0 / d_sqrt(self.factor(x)), x)
 
     def metric(self, x):
         """Metric matrix at a float point as a float array."""
         return np.asarray(self.metric_matrix(list(x)), dtype=float)
 
     def metric_jet(self, x):
-        """Metric G[i,j] and its partials dG[k,i,j] = d g_ij / d x_k.
-
-        Both come from one forward-mode jacobian at a float point.
-        """
-        n = self.dim
-        vals, jac = jacobian(lambda X: self.metric_matrix(X).ravel(), list(x))
-        G = np.asarray(vals, dtype=float).reshape(n, n)
-        dG = np.asarray(jac, dtype=float).reshape(n, n, n)
-        return G, dG.transpose(2, 0, 1)
+        """Metric G = c I and its partials dG[k] = d_k G = 2 c phi_k I at a float point."""
+        c = self.factor(x)
+        eye = np.eye(self.dim)
+        return c * eye, (2.0 * c) * self.log_gradient(x)[:, None, None] * eye
 
     def sample_point(self, rng):
         if self.box is not None:
@@ -213,22 +210,25 @@ class Chart:
         return float(np.linalg.norm(x)) <= self.radius * 1.05
 
     def geodesic_rhs(self, x, v):
-        G = christoffel(self, x)
-        acc = -np.einsum("kij,i,j->k", G, v, v)
-        return v, acc
+        """(v, -Gamma(v, v)) = (v, |v|^2 grad phi - 2 (grad phi . v) v)."""
+        p = self.log_gradient(x)
+        return v, np.dot(v, v) * p - (2.0 * np.dot(p, v)) * v
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components
 
 
 def christoffel(chart, x):
-    """Coordinate Christoffel symbols Gamma^k_ij of a chart, shape (k,i,j)."""
+    """Coordinate Christoffel symbols Gamma^k_ij of a chart, shape (k,i,j).
+
+    Gamma^k_ij = delta^k_i phi_j + delta^k_j phi_i - delta_ij phi_k, with
+    phi_k the chart's ``log_gradient``.
+    """
     if not getattr(chart, "is_chart", False):
         raise ConfigError("christoffel symbols are only defined for chart backends")
-    G, dG = chart.metric_jet(x)
-    # first[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij
-    first = dG.transpose(2, 0, 1) + dG.transpose(2, 1, 0) - dG
-    return 0.5 * np.einsum("kl,lij->kij", np.linalg.inv(G), first)
+    p = chart.log_gradient(x)
+    eye = np.eye(chart.dim)
+    return eye[:, :, None] * p + eye[:, None, :] * p[:, None] - eye * p[:, None, None]
 
 
 # ---------------------------------------------------------------------------
@@ -485,40 +485,22 @@ def connection_jet(base, x):
 # catalog
 
 
-def _flat_metric(n):
-    return lambda x: np.eye(n).tolist()
-
-
-def _conformally_flat_chart(n, sign, radius, key):
-    """Chart with g = 4/(1 + sign |x|^2)^2 delta, of constant curvature sign."""
-
-    def metric(x):
-        r2 = x[0] * x[0]
-        for xi in x[1:]:
-            r2 = r2 + xi * xi
-        s = 1.0 + sign * r2
-        c = 4.0 / (s * s)
-        return [[c if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    return Chart(n, metric, radius=radius, key=key)
-
-
 def euclidean_chart(n, radius=2.0):
-    return Chart(n, _flat_metric(n), radius=radius, key=f"euclidean:{n}")
+    return Chart(n, radius=radius, key=f"euclidean:{n}")
 
 
 def stereographic_sphere_chart(n, radius=0.8):
     """Unit sphere in stereographic coordinates, g = 4/(1+|x|^2)^2 delta."""
-    return _conformally_flat_chart(n, 1.0, radius, f"stereographic:{n}")
+    return Chart(n, kappa=1.0, radius=radius, key=f"stereographic:{n}")
 
 
 def poincare_ball_chart(n, radius=0.7):
     """Hyperbolic space of curvature -1, g = 4/(1-|x|^2)^2 delta."""
-    return _conformally_flat_chart(n, -1.0, radius, f"hyperbolic:{n}")
+    return Chart(n, kappa=-1.0, radius=radius, key=f"hyperbolic:{n}")
 
 
 def flat_torus_chart(n):
-    return Chart(n, _flat_metric(n), key=f"torus:{n}", box=(2 * np.pi,) * n)
+    return Chart(n, key=f"torus:{n}", box=(2 * np.pi,) * n)
 
 
 def bump_function(m, scale=0.1):

@@ -45,7 +45,6 @@ from .constructors import (
     tilted_split,
 )
 from .curvature import lichnerowicz_defect, qR_act, qrh_check, ricci_killing_residual, riemann
-from .dual import d_exp
 from .errors import ConfigError
 from .fields import (
     TensorField,
@@ -64,7 +63,6 @@ from .fields import (
 )
 from .geodesic import drift_series, geodesic_drift
 from .manifolds import (
-    Chart,
     EmbeddedSphere,
     conformal_rescale,
     euclidean_chart,
@@ -569,12 +567,11 @@ def _modified_ricci_cases(report, seed):
             res.append(ricci_killing_residual(base, x, X))
     report.add("modified-ricci-killing", _worst(res), 1e-8)
 
-    def bump_metric(x):
-        b = 0.25 * (x[0] * x[0] * x[1] + 0.5 * x[1] * x[2] * x[2] + x[0])
-        c = d_exp(2.0 * b)
-        return [[c if i == j else 0.0 for j in range(3)] for i in range(3)]
+    def bump(x):
+        return 0.25 * (x[0] * x[0] * x[1] + 0.5 * x[1] * x[2] * x[2] + x[0])
 
-    pert = Chart(3, bump_metric, radius=0.8, key="bumped-flat")
+    # the metric exp(2 bump) delta
+    pert = conformal_rescale(euclidean_chart(3, radius=0.8), bump, key="bumped-flat")
     rng = stable_stream(seed, "ricci-neg")
     res = []
     # fixed direction mix to avoid unlucky zero directions

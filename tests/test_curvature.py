@@ -16,8 +16,8 @@ from symkt.curvature import (
 )
 from symkt.fields import random_polynomial_field, random_tangential_field
 from symkt.manifolds import (
-    Chart,
     EmbeddedSphere,
+    conformal_rescale,
     euclidean_chart,
     manifold_from_key,
     poincare_ball_chart,
@@ -244,14 +244,11 @@ def test_ricci_killing_residual_cases():
     assert ricci_killing_residual(eu, eu.sample_point(rng),
                                   rng.standard_normal(3)) <= 1e-12
 
-    def bump_metric(x):
-        from symkt.dual import d_exp
+    def bump(x):
+        return 0.25 * (x[0] * x[0] * x[1] + 0.5 * x[1] * x[2] * x[2] + x[0])
 
-        b = 0.25 * (x[0] * x[0] * x[1] + 0.5 * x[1] * x[2] * x[2] + x[0])
-        c = d_exp(2.0 * b)
-        return [[c if i == j else 0.0 for j in range(3)] for i in range(3)]
-
-    pert = Chart(3, bump_metric, radius=0.8, key="bumped-flat")
+    # the metric exp(2 bump) delta
+    pert = conformal_rescale(euclidean_chart(3, radius=0.8), bump, key="bumped-flat")
     vals = [
         ricci_killing_residual(pert, pert.sample_point(rng), rng.standard_normal(3))
         for _ in range(5)

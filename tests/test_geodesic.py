@@ -7,7 +7,12 @@ from symkt.constructors import build_constructor
 from symkt.errors import DomainError
 from symkt.fields import TensorField, metric_field
 from symkt.geodesic import drift_series, geodesic_drift, rk4_geodesic
-from symkt.manifolds import EmbeddedSphere, euclidean_chart, poincare_ball_chart
+from symkt.manifolds import (
+    EmbeddedSphere,
+    euclidean_chart,
+    manifold_from_key,
+    poincare_ball_chart,
+)
 
 
 def tangent_ic(sphere, rng):
@@ -31,15 +36,19 @@ def test_sphere_geodesics_are_great_circles():
 
 def test_metric_energy_conservation():
     rng = np.random.default_rng(5)
-    for base, ic in (
-        (EmbeddedSphere(2), None),
-        (poincare_ball_chart(2), None),
+    for base in (
+        EmbeddedSphere(2),
+        poincare_ball_chart(2),
+        manifold_from_key("torus:2"),
+        manifold_from_key("stereographic:3"),
+        # delegates to the curved chart factor's right-hand side
+        manifold_from_key("product:euclidean:2,hyperbolic:2"),
     ):
         if isinstance(base, EmbeddedSphere):
             x0, v0 = tangent_ic(base, rng)
         else:
             x0 = 0.1 * base.sample_point(rng)
-            v0 = rng.standard_normal(2)
+            v0 = rng.standard_normal(base.coord_dim)
             v0 = 0.05 * v0 / np.linalg.norm(v0)
         f = metric_field(base)
         assert geodesic_drift(f, x0, v0, 2000, 1e-3, check_domain=False) <= 1e-9

@@ -22,12 +22,14 @@ from symkt.dual import value_of
 from symkt.fields import (
     TensorField,
     d_op,
+    metric_field,
     nabla,
     random_polynomial_field,
     random_tangential_field,
     tracefree_part_field,
     wrap_conformal_field,
 )
+from symkt.geodesic import geodesic_drift
 from symkt.manifolds import EmbeddedSphere, euclidean_chart, gamma_frame, manifold_from_key
 from symkt.symtensor import SymTensor, mult_L, norm, trace_Lambda, tracefree_part
 
@@ -209,6 +211,22 @@ def test_nabla_evaluates_the_frame_twice(monkeypatch):
     monkeypatch.setattr(EmbeddedSphere, "frame", counted)
     nabla(field, field.base.sample_point(np.random.default_rng(6)))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("key", ["hyperbolic:3", "stereographic:2", "euclidean:3", "torus:2",
+                                 "product:euclidean:2,hyperbolic:2"])
+def test_chart_geodesics_build_no_dual_numbers(monkeypatch, key):
+    # the chart right-hand side and the batched first integral are float closed forms
+    import symkt.dual
+
+    base = manifold_from_key(key)
+    rng = np.random.default_rng(21)
+    x0 = 0.5 * base.sample_point(rng)
+    v0 = rng.standard_normal(base.coord_dim)
+    seeds = _count(monkeypatch, symkt.dual, "seed")
+    d = geodesic_drift(metric_field(base), x0, 0.1 * v0 / np.linalg.norm(v0), 20, 1e-3)
+    assert d <= 1e-9
+    assert len(seeds) == 0
 
 
 @pytest.mark.parametrize("key", ["sphere:3", "hyperbolic:3", "product:sphere:2,sphere:2",

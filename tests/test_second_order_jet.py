@@ -313,12 +313,7 @@ def _nan_field(field):
 
 
 def _nan_chart():
-    def metric(x):
-        g = np.eye(3).tolist()
-        g[2][2] = 1.0 + math.nan * x[0]
-        return g
-
-    return Chart(3, metric, key="nan-metric")
+    return Chart(3, kappa=math.nan, key="nan-metric")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
