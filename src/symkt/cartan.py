@@ -5,7 +5,9 @@ being the part paired with frame vector e_i (the shape of a covariant
 derivative of a symmetric tensor field).  For trace-free slots it splits
 orthogonally into a degree-(p+1) trace-free piece, a degree-(p-1) piece
 and a remainder; the projections P1, P2, P3 and the conformal weight
-operator B live here.
+operator B live here.  Like a SymTensor's components, its float slots may
+carry leading batch axes, one frame tensor per point of a batch; the
+norms, the slot gathers and the projections act per point.
 """
 
 from collections import namedtuple
@@ -17,6 +19,7 @@ from .multiindex import contract_array, product_arrays, sym_size
 from .symtensor import (
     DEFAULT_TRACE_TOL,
     SymTensor,
+    _root_of_square,
     derivation,
     inner,
     mult_L,
@@ -84,9 +87,14 @@ class FrameTensor:
     def __repr__(self):
         return f"FrameTensor(dim={self.dim}, degree={self.degree})"
 
+    @classmethod
+    def from_stacked(cls, dim, degree, S):
+        """Frame tensor of the rows of S (..., n, size): slot a = S[..., a, :]."""
+        return cls([SymTensor(dim, degree, S[..., a, :]) for a in range(S.shape[-2])])
+
     def stacked(self):
-        """Slot components as one (n, size) array, row a = slot a."""
-        return np.stack([s.comps for s in self.slots])
+        """Slot components as one (..., n, size) array, row a = slot a."""
+        return np.stack([s.comps for s in self.slots], axis=-2)
 
 
 def frame_inner(A, B):
@@ -95,9 +103,8 @@ def frame_inner(A, B):
 
 
 def frame_norm(A):
-    from .dual import value_of
-
-    return float(np.sqrt(max(value_of(frame_inner(A, A)), 0.0)))
+    """|A|, a float; per point, an array, for slots with batch axes."""
+    return _root_of_square(frame_inner(A, A))
 
 
 def _check_supported(n, p):
@@ -121,8 +128,10 @@ def pi2_constant(n, p):
 
 
 def _require_tracefree(tensors, what, tol=DEFAULT_TRACE_TOL):
-    if any(trace_residual(K) > tol for K in tensors):
-        raise TraceError(f"{what} needs trace-free input")
+    for K in tensors:
+        r = trace_residual(K)  # per point for a batch
+        if (r > tol).any() if np.ndim(r) else r > tol:
+            raise TraceError(f"{what} needs trace-free input")
 
 
 def slot_products(S, p):
@@ -153,34 +162,36 @@ def _tracefree_products(S, p):
     if p == 0:
         return rows
     c = 1.0 / (n + 2 * (p - 1))
-    return rows - np.stack([mult_L(SymTensor(n, p - 1, h)).scale(c).comps
-                            for h in slot_hooks(S, p)])
+    return rows - mult_L(SymTensor(n, p - 1, slot_hooks(S, p))).scale(c).comps
+
+
+def _rows(S, n):
+    """The (..., size) components S repeated on n rows, (..., n, size)."""
+    return np.broadcast_to(S[..., None, :], S.shape[:-1] + (n, S.shape[-1]))
 
 
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
     _require_tracefree(T.slots, "pi1")
-    return SymTensor(T.dim, T.degree + 1, _tracefree_products(T.stacked(), T.degree).sum(0))
+    return SymTensor(T.dim, T.degree + 1, _tracefree_products(T.stacked(), T.degree).sum(-2))
 
 
 def pi1_star(S):
     """Adjoint embedding: slot i = e_i -| S."""
     n, p = S.dim, S.degree
-    rows = slot_hooks(np.broadcast_to(S.comps, (n, S.comps.size)), p)
-    return FrameTensor([SymTensor(n, p - 1, r) for r in rows])
+    return FrameTensor.from_stacked(n, p - 1, slot_hooks(_rows(S.comps, n), p))
 
 
 def pi2(T):
     """Sum of contractions e_i -| slot_i, degree p-1."""
-    return SymTensor(T.dim, T.degree - 1, slot_hooks(T.stacked(), T.degree).sum(0))
+    return SymTensor(T.dim, T.degree - 1, slot_hooks(T.stacked(), T.degree).sum(-2))
 
 
 def pi2_star(S):
     """Adjoint embedding: slot i = (e_i . S)_0."""
     _require_tracefree([S], "pi2_star")
     n, p = S.dim, S.degree
-    rows = _tracefree_products(np.broadcast_to(S.comps, (n, S.comps.size)), p)
-    return FrameTensor([SymTensor(n, p + 1, r) for r in rows])
+    return FrameTensor.from_stacked(n, p + 1, _tracefree_products(_rows(S.comps, n), p))
 
 
 CartanParts = namedtuple("CartanParts", ["P1", "P2", "P3", "pi1", "pi2"])

@@ -7,17 +7,15 @@ trace-free projection of d applied to the trace-free part of the field,
 which coincides by uniqueness of the standard decomposition).
 """
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, supported_pair
 from .constructors import _worst, special_conformal_residual
-from .dual import value_of
-from .errors import DegreeError, VerificationError
-from .fields import TensorField, d_op, delta_op, nabla
-from .multiindex import multi_indices
+from .errors import ConfigError, DegreeError, VerificationError
+from .fields import TensorField, _nabla_jet, d_op, delta_op, nabla
+from .multiindex import index_position, multi_indices
 from .symtensor import (
     SymTensor,
     norm,
@@ -89,30 +87,37 @@ class ClassReport:
 
 
 def _scale(T):
-    """Residual normalizer max(1, |nabla K|); NaN if |nabla K| is not finite."""
+    """Residual normalizer max(1, |nabla K|) per point; NaN where |nabla K|
+    is not finite."""
     s = frame_norm(T)
-    return max(1.0, s) if math.isfinite(s) else math.nan
+    return np.where(np.isfinite(s), np.maximum(s, 1.0), np.nan)
 
 
-def _codazzi_residual(T):
-    """Exchange symmetry of slot index against first tensor argument."""
-    n, p = T.dim, T.degree
-    if p < 1:
-        return 0.0
-    diffs = [
-        value_of(T.slots[a][(b,) + I]) - value_of(T.slots[b][(a,) + I])
+def _codazzi_residual(S, n, p):
+    """Exchange symmetry of the slot index against the first tensor
+    argument, max |S[a][(b,) + I] - S[b][(a,) + I]| per point of the
+    stacked slots S (..., n, size); NaN where an entry is not finite."""
+    pos = index_position(n, p)
+    pairs = np.array([
+        (a, pos[tuple(sorted((b,) + I))], b, pos[tuple(sorted((a,) + I))])
         for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)
-    ]
-    return _worst([abs(d) for d in diffs], empty=0.0)
+    ])
+    a, ia, b, ib = pairs.T
+    d = np.abs(S[..., a, ia] - S[..., b, ib])
+    return np.where(np.isfinite(d).all(-1), d.max(-1), np.nan)
 
 
 def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     """Evaluate classification residuals of a field at random domain points.
 
+    The points are drawn first and the field is differentiated once for
+    all of them (one batched jacobian of the components and one of the
+    frame); every residual is then an array operation over the samples.
+
     Parameters
     ----------
     field : TensorField, degree >= 1
-    samples : number of sample points
+    samples : number of sample points, >= 1
     tol : verdict tolerance on relative residuals
     seed : RNG seed for the sampler
     p_parts : also record Cartan projection norms of nabla of the
@@ -124,48 +129,46 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     """
     if field.degree < 1:
         raise DegreeError("classification needs degree >= 1")
+    if samples < 1:
+        raise ConfigError(f"classify needs samples >= 1, got {samples}")
     base = field.base
     n, p = base.dim, field.degree
     rng = np.random.default_rng(seed)
-    res = {k: [] for k in RESIDUAL_KEYS}
     use_parts = p_parts and supported_pair(n, p)
 
-    points = []
-    for _ in range(samples):
-        x = base.sample_point(rng)
-        points.append(list(x))
-        # g is parallel, so nabla K_0 = (nabla K)_0 and d tr K = tr nabla K
-        # are read off this one jet instead of re-differentiated
-        T = nabla(field, x)
-        scale = _scale(T)
-        K = field(x)
-        dK = d_op(field, x, T=T)
-        deltaK = delta_op(field, x, T=T)
-        res["killing"].append(norm(dK) / scale)
-        res["conformal"].append(norm(tracefree_part(dK)) / scale)
-        res["tracefree"].append(
-            (norm(trace_Lambda(K)) if p >= 2 else 0.0) / scale
-        )
-        res["divfree"].append(norm(deltaK) / scale)
-        res["special_conformal"].append(
-            special_conformal_residual(field, x, T=T, deltaK=deltaK)
-        )
-        res["codazzi"].append(_codazzi_residual(T) / scale)
-        if use_parts:
-            T0 = FrameTensor([tracefree_part(s) for s in T.slots]) if p >= 2 else T
-            parts = cartan_decompose(T0)
-            res["p1"].append(frame_norm(parts.P1) / scale)
-            res["p2"].append(frame_norm(parts.P2) / scale)
-            res["p3"].append(frame_norm(parts.P3) / scale)
-            if p == 2:
-                # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z)
-                c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
-                k_vec = delta_op(field, x, T=T0).scale(-c2)
-                res["special1"].append(frame_norm(T0 - pi2_star(k_vec)) / scale)
+    points = [list(base.sample_point(rng)) for _ in range(samples)]
+    # g is parallel, so nabla K_0 = (nabla K)_0 and d tr K = tr nabla K
+    # are read off this one jet instead of re-differentiated; K is the
+    # jet's value part
+    vals, S = _nabla_jet(field, points)
+    K = SymTensor(n, p, vals)
+    T = FrameTensor.from_stacked(n, p, S)
+    scale = _scale(T)
+    dK = d_op(field, points, T=T)
+    deltaK = delta_op(field, points, T=T)
+    res = {k: [] for k in RESIDUAL_KEYS}
+    res["killing"] = norm(dK) / scale
+    res["conformal"] = norm(tracefree_part(dK)) / scale
+    res["tracefree"] = (norm(trace_Lambda(K)) if p >= 2 else 0.0) / scale
+    res["divfree"] = norm(deltaK) / scale
+    res["special_conformal"] = special_conformal_residual(field, points, T=T, deltaK=deltaK)
+    res["codazzi"] = _codazzi_residual(S, n, p) / scale
+    if use_parts:
+        T0 = FrameTensor([tracefree_part(s) for s in T.slots]) if p >= 2 else T
+        parts = cartan_decompose(T0)
+        res["p1"] = frame_norm(parts.P1) / scale
+        res["p2"] = frame_norm(parts.P2) / scale
+        res["p3"] = frame_norm(parts.P3) / scale
         if p == 2:
-            # d tr K = 2 delta K for Killing 2-tensors
-            dtr = SymTensor(n, 1, [trace_Lambda(s).comps[0] for s in T.slots])
-            res["two_tensor"].append(norm(dtr - deltaK.scale(2.0)) / scale)
+            # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z)
+            c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
+            k_vec = delta_op(field, points, T=T0).scale(-c2)
+            res["special1"] = frame_norm(T0 - pi2_star(k_vec)) / scale
+    if p == 2:
+        # d tr K = 2 delta K for Killing 2-tensors
+        dtr = SymTensor(n, 1, [trace_Lambda(s).comps[..., 0] for s in T.slots])
+        res["two_tensor"] = norm(dtr - deltaK.scale(2.0)) / scale
+    res = {k: np.asarray(v, dtype=float).tolist() for k, v in res.items()}
 
     maxes = {k: _worst(v) for k, v in res.items()}
     verdicts = {}
@@ -202,6 +205,8 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
     (the gate); each part field then gets d- and delta-residuals.  Returns
     a dict part index -> {"d": ..., "delta": ..., "stackel": bool}.
     """
+    if samples < 1:
+        raise ConfigError(f"part analysis needs samples >= 1, got {samples}")
     gate_tol = tol if gate_tol is None else gate_tol
     report = classify(field, samples=max(10, samples // 3), tol=gate_tol,
                       seed=seed, p_parts=False)
@@ -222,14 +227,13 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
 
         part_field = TensorField(base, deg_i, comps,
                                  name=f"{field.name}[part {i}]")
-        ds, deltas = [], []
-        for _ in range(samples):
-            x = base.sample_point(rng)
-            T = nabla(part_field, x)
-            scale = _scale(T)
-            ds.append(norm(d_op(part_field, x, T=T)) / scale)
-            if deg_i >= 1:
-                deltas.append(norm(delta_op(part_field, x, T=T)) / scale)
+        points = [list(base.sample_point(rng)) for _ in range(samples)]
+        T = nabla(part_field, points)
+        scale = _scale(T)
+        ds = (norm(d_op(part_field, points, T=T)) / scale).tolist()
+        deltas = []
+        if deg_i >= 1:
+            deltas = (norm(delta_op(part_field, points, T=T)) / scale).tolist()
         worst_d, worst_delta = _worst(ds, 0.0), _worst(deltas, 0.0)
         out[i] = {
             "degree": deg_i,

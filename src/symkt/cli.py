@@ -6,6 +6,7 @@ All configuration is by flags; no environment variables.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -177,6 +178,32 @@ def run_geodesic(args):
     return 0 if ok else 1
 
 
+# flags by the range they must lie in (when the subcommand has them)
+_COUNT_FLAGS = ("samples", "trials", "steps", "trajectories", "drift_steps")
+_POSITIVE_FLAGS = ("dt", "drift_dt", "tol")
+
+
+def _check_numbers(args):
+    """Raise ConfigError unless every count is >= 1, every step size and
+    tolerance finite and > 0, and ``--max-drift``, when given, finite and
+    >= 0: a run of zero samples or steps, or a NaN step, would pass
+    every check vacuously."""
+    def flag(name):
+        return "--" + name.replace("_", "-")
+
+    for name in _COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag(name)} must be >= 1, got {value}")
+    for name in _POSITIVE_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag(name)} must be finite and > 0, got {value}")
+    value = getattr(args, "max_drift", None)
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"--max-drift must be finite and >= 0, got {value}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="symkt",
@@ -242,6 +269,7 @@ def main(argv=None):
         # argparse exits with 2 on usage errors already
         return int(exc.code) if exc.code else 0
     try:
+        _check_numbers(args)
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartan import FrameTensor, frame_norm, slot_products
+from .cartan import FrameTensor, _rows, frame_norm, slot_products
 from .dual import jacobian, value_of
 from .errors import ConfigError, VerificationError
 from .fields import (
@@ -222,15 +222,15 @@ def _least(vals):
 def verify_killing(field, rng, samples=KILLING_CHECK_SAMPLES, tol=KILLING_CHECK_TOL):
     """Raise unless the d-residual of the field is below tol at samples.
 
-    A non-finite residual raises too.
+    The points are drawn first and differentiated as one batch.  A
+    non-finite residual raises too.
     """
-    res = []
-    for _ in range(samples):
-        x = field.base.sample_point(rng)
-        T = nabla(field, x)
-        scale = max(1.0, frame_norm(T))
-        res.append(norm(d_op(field, x, T=T)) / scale)
-    worst = _worst(res, 0.0)
+    if samples < 1:
+        raise ConfigError(f"the Killing check needs samples >= 1, got {samples}")
+    points = [list(field.base.sample_point(rng)) for _ in range(samples)]
+    T = nabla(field, points)
+    res = norm(d_op(field, points, T=T)) / np.maximum(1.0, frame_norm(T))
+    worst = _worst(res.tolist())
     if not worst <= tol:
         raise VerificationError(f"field is not Killing (residual {worst:.2e})")
     return worst
@@ -391,12 +391,8 @@ def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
     n, p = field.base.dim, field.degree
     if check:
         rng = np.random.default_rng(2) if rng is None else rng
-        worst = _worst(
-            [
-                special_conformal_residual(field, field.base.sample_point(rng))
-                for _ in range(KILLING_CHECK_SAMPLES)
-            ]
-        )
+        points = [list(field.base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
+        worst = _worst(special_conformal_residual(field, points).tolist())
         if not worst <= tol:
             raise VerificationError(
                 f"input is not special conformal Killing (residual {worst:.2e})"
@@ -420,8 +416,9 @@ def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
 def special_conformal_residual(field, x, T=None, deltaK=None):
     """|nabla K - X . k| with k = -delta K / (n + p - 1), relative.
 
-    ``T = nabla K`` and ``deltaK`` at x may be passed in when the caller
-    already has them.
+    A float at a point; a (B,) array at a batch of B points.  ``T = nabla
+    K`` and ``deltaK`` at x may be passed in when the caller already has
+    them.
     """
     n, p = field.base.dim, field.degree
     if T is None:
@@ -429,9 +426,10 @@ def special_conformal_residual(field, x, T=None, deltaK=None):
     if deltaK is None:
         deltaK = delta_op(field, x, T=T)
     k = deltaK.scale(-1.0 / (n + p - 1))
-    rows = slot_products(np.broadcast_to(k.comps, (n, k.comps.size)), p - 1)
-    model = FrameTensor([SymTensor(n, p, r) for r in rows])
-    return frame_norm(T - model) / max(1.0, frame_norm(T))
+    rows = slot_products(_rows(k.comps, n), p - 1)
+    s = frame_norm(T)
+    return frame_norm(T - FrameTensor.from_stacked(n, p, rows)) / (
+        np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 
 def nijenhuis(field, x):

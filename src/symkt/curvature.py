@@ -13,7 +13,7 @@ import numpy as np
 
 from .cartan import frame_norm
 from .dual import value_of
-from .fields import TensorField, d_delta, delta_d, nabla, nabla2, rough_laplacian
+from .fields import TensorField, _nabla2_jet, d_delta, delta_d, nabla, rough_laplacian
 from .manifolds import connection_jet
 from .multiindex import index_array, multi_indices, replace_array
 from .symtensor import SymTensor, derivation, norm, poly_eval, trace_Lambda
@@ -137,16 +137,18 @@ def qrh_check(base, x, h, rm=None):
 def lichnerowicz_defect(field, x):
     """|(delta d - d delta)K - (nabla*nabla - q(R))K| at x, relative.
 
-    One connection jet at x serves both ``nabla2`` and the curvature.
+    One connection jet at x serves both ``nabla^2 K`` and the curvature,
+    and one hessian of the components both ``nabla^2 K`` and the values of
+    K that q(R) acts on.
     """
     if field.degree < 1:
         raise ValueError("defect check needs degree >= 1")
     jet = connection_jet(field.base, list(x))
-    W = nabla2(field, x, jet=jet)
+    vals, W = _nabla2_jet(field, x, jet)
     lhs = delta_d(field, x, W=W) - d_delta(field, x, W=W)
     rl = rough_laplacian(field, x, W=W)
     rm = RiemannAtPoint.from_R4(_curvature(jet))
-    rhs = rl - qR_act(field.base, x, field(x), rm=rm)
+    rhs = rl - qR_act(field.base, x, SymTensor(field.base.dim, field.degree, vals), rm=rm)
     scale = max(1.0, norm(rl))
     return norm(lhs - rhs) / scale
 

@@ -1,9 +1,16 @@
 """Forward-mode dual numbers and second-order jets.
 
 A :class:`Dual` carries a value and a gradient with respect to one seeding
-of input directions.  Values and gradient entries may themselves be Duals
-from an enclosing seeding, so ``jacobian`` nests: applied to a function
-that internally calls ``jacobian`` it yields exact mixed partials.
+of m input directions.  The gradient is an ndarray with the direction
+axis first (vector-mode forward differentiation: Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 3): ``(m,)`` at a point,
+and ``(m, B)`` at a batch of B points, whose value is a ``(B,)`` array, so
+one evaluation carries every direction at every point of the batch and
+``jacobian`` returns ``(B, ...)`` float arrays.  A float ndarray meeting a
+Dual is a batch constant, one entry per point.  Values and gradient
+entries may themselves be Duals from an enclosing seeding (object
+arrays), so ``jacobian`` nests: applied to a function that internally
+calls ``jacobian`` it yields exact mixed partials.
 
 Every seeding gets a fresh tag; combining Duals from different seedings is
 a bug in the caller and raises immediately.  Plain numbers mix freely.
@@ -29,7 +36,24 @@ _tag_counter = itertools.count(1)
 
 
 class Dual:
+    """Value and gradient with respect to one seeding of m directions.
+
+    The gradient is an ndarray with the direction axis first: ``(m,)`` at
+    a point, ``(m, B)`` at a batch of B points, where the value is a
+    ``(B,)`` array.  At a point whose coordinates are themselves Duals
+    (nesting) the value is a Dual and the gradient an object array.
+
+    A float ndarray meeting a Dual is a batch constant: it broadcasts
+    against the value, one entry per point.  At a point (scalar value)
+    only 0-d arrays are constants; any other ndarray, and every object
+    array, is applied entry by entry as numpy does, giving an array of
+    Duals.  ``__array_ufunc__ = None`` makes numpy hand binary operators
+    with an ndarray on the left to the Dual instead of broadcasting it as
+    an object scalar.
+    """
+
     __slots__ = ("val", "grad", "tag")
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, tag):
         self.val = val
@@ -40,60 +64,73 @@ class Dual:
         return f"Dual({self.val!r}, grad={self.grad!r}, tag={self.tag})"
 
     def _match(self, other):
+        """(value, gradient) of ``other``: gradient None for a constant,
+        value NotImplemented for an operand to apply entry by entry or to
+        leave to the other type."""
         if isinstance(other, Dual):
             if other.tag != self.tag:
                 raise ValueError("mixing Duals from different seedings")
             return other.val, other.grad
         if isinstance(other, _NUMBER_TYPES):
             return other, None
+        if (isinstance(other, np.ndarray) and other.dtype != object
+                and (other.ndim == 0 or np.ndim(self.val))):
+            return other, None
         return NotImplemented, None
 
     def __add__(self, other):
         v, g = self._match(other)
         if v is NotImplemented:
-            return NotImplemented
+            return _entrywise(np.add, self, other)
         if g is None:
             return Dual(self.val + v, self.grad, self.tag)
-        return Dual(self.val + v, tuple(a + b for a, b in zip(self.grad, g)), self.tag)
+        return Dual(self.val + v, self.grad + g, self.tag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Dual(-self.val, tuple(-a for a in self.grad), self.tag)
+        return Dual(-self.val, -self.grad, self.tag)
 
     def __sub__(self, other):
-        return self.__add__(-other if isinstance(other, Dual) else -1.0 * other)
+        v, g = self._match(other)
+        if v is NotImplemented:
+            return _entrywise(np.subtract, self, other)
+        if g is None:
+            return Dual(self.val - v, self.grad, self.tag)
+        return Dual(self.val - v, self.grad - g, self.tag)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        v, _ = self._match(other)
+        if v is NotImplemented:
+            return _entrywise(np.subtract, other, self)
+        return Dual(v - self.val, -self.grad, self.tag)
 
     def __mul__(self, other):
         v, g = self._match(other)
         if v is NotImplemented:
-            return NotImplemented
+            return _entrywise(np.multiply, self, other)
         if g is None:
-            return Dual(self.val * v, tuple(a * v for a in self.grad), self.tag)
-        return Dual(
-            self.val * v,
-            tuple(a * v + self.val * b for a, b in zip(self.grad, g)),
-            self.tag,
-        )
+            return Dual(self.val * v, self.grad * v, self.tag)
+        return Dual(self.val * v, self.grad * v + self.val * g, self.tag)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         v, g = self._match(other)
         if v is NotImplemented:
-            return NotImplemented
+            return _entrywise(np.true_divide, self, other)
         if g is None:
             inv = 1.0 / v
-            return Dual(self.val * inv, tuple(a * inv for a in self.grad), self.tag)
+            return Dual(self.val * inv, self.grad * inv, self.tag)
         q = self.val / v
-        return Dual(q, tuple((a - q * b) / v for a, b in zip(self.grad, g)), self.tag)
+        return Dual(q, (self.grad - q * g) / v, self.tag)
 
     def __rtruediv__(self, other):
-        q = other / self.val
-        return Dual(q, tuple(-q / self.val * a for a in self.grad), self.tag)
+        v, _ = self._match(other)
+        if v is NotImplemented:
+            return _entrywise(np.true_divide, other, self)
+        q = v / self.val
+        return Dual(q, -q / self.val * self.grad, self.tag)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -102,6 +139,22 @@ class Dual:
         for _ in range(k):
             out = out * self
         return out
+
+
+def _entrywise(op, a, b):
+    """``op`` of a Dual and an array (or a foreign type) entry by entry.
+
+    The Dual goes into a 0-d object array, so numpy applies the Python
+    operator per entry; any other operand type gets NotImplemented back.
+    """
+    if not isinstance(a if isinstance(b, Dual) else b, np.ndarray):
+        return NotImplemented
+    box = np.empty((), dtype=object)
+    if isinstance(a, Dual):
+        box[()] = a
+        return op(box, np.asarray(b, dtype=object))
+    box[()] = b
+    return op(np.asarray(a, dtype=object), box)
 
 
 class Jet:
@@ -198,7 +251,12 @@ def _chain(x, f0, f1, f2):
 
 
 def value_of(x):
-    """Strip all dual and jet layers: the underlying float, or array of a batch."""
+    """Strip all dual and jet layers: the underlying float, or array of a
+    batch; a list or tuple of scalars (a point) gives the tuple of their
+    values, and a list of points a tuple of such tuples, so a point or
+    batch given as nested sequences has a hashable value."""
+    if isinstance(x, (list, tuple)):
+        return tuple(value_of(v) for v in x)
     while isinstance(x, (Dual, Jet)):
         x = x.val
     if isinstance(x, np.ndarray) and x.ndim:
@@ -217,8 +275,7 @@ def d_sqrt(x):
         return _chain(x, s, f1, -0.5 * f1 / x.val)
     if isinstance(x, Dual):
         s = d_sqrt(x.val)
-        half_inv = 0.5 / s
-        return Dual(s, tuple(half_inv * a for a in x.grad), x.tag)
+        return Dual(s, (0.5 / s) * x.grad, x.tag)
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
@@ -228,7 +285,7 @@ def d_exp(x):
         return _chain(x, e, e, e)
     if isinstance(x, Dual):
         e = d_exp(x.val)
-        return Dual(e, tuple(e * a for a in x.grad), x.tag)
+        return Dual(e, e * x.grad, x.tag)
     return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
 
 
@@ -237,45 +294,57 @@ def d_log(x):
         inv = 1.0 / x.val
         return _chain(x, d_log(x.val), inv, -inv * inv)
     if isinstance(x, Dual):
-        v = d_log(x.val)
-        return Dual(v, tuple(a / x.val for a in x.grad), x.tag)
+        return Dual(d_log(x.val), x.grad / x.val, x.tag)
     return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
 def seed(x):
-    """Lift a point (sequence of scalars) to Duals with unit directions."""
+    """Lift a point to Duals with unit directions.
+
+    ``x`` is a point (m scalars, floats or Duals) or a batch of B points
+    (a ``(B, m)`` array or nested sequence).  Coordinate i gets gradient
+    row i of the identity: ``(m,)`` at a point, broadcast to ``(m, B)``
+    over a batch, and an object array at a point of Duals, so that the
+    enclosing seeding's Duals multiply it entry by entry.
+    """
     tag = next(_tag_counter)
-    m = len(x)
-    out = []
-    for i, xi in enumerate(x):
-        g = tuple(1.0 if k == i else 0.0 for k in range(m))
-        out.append(Dual(xi, g, tag))
-    return out
-
-
-def _split(y, tag, m):
-    if isinstance(y, Dual) and y.tag == tag:
-        return y.val, y.grad
-    return y, (0.0,) * m
+    if np.ndim(x[0]):  # a batch of points
+        X = np.asarray(x, dtype=float)
+        B, m = X.shape
+        eye = np.eye(m)
+        return [Dual(col, np.broadcast_to(eye[i][:, None], (m, B)), tag)
+                for i, col in enumerate(X.T.copy())]
+    eye = np.eye(len(x))
+    if isinstance(x[0], (Dual, Jet)):
+        eye = eye.astype(object)
+    return [Dual(xi, eye[i], tag) for i, xi in enumerate(x)]
 
 
 def jacobian(fn, x):
-    """Values and first partials of ``fn`` at ``x``.
+    """Values and first partials of ``fn`` at a point or a batch of points.
 
-    ``fn`` maps a sequence of m scalars to a flat sequence of scalars.
-    Returns ``(vals, jac)`` where ``jac[k][i]`` is the partial of output k
-    in input direction i.  Entries keep whatever dual level ``x`` itself
-    has, so nesting works.
+    ``fn`` maps a sequence of m scalars to a flat sequence of K scalars and
+    is evaluated once, on the Duals of :func:`seed`.  Returns ``(vals,
+    jac)``: at a point, arrays of shapes ``(K,)`` and ``(K, m)`` with
+    ``jac[k, i]`` the partial of output k in direction i; at a batch of B
+    points, ``(B, K)`` and ``(B, K, m)``.  They are float arrays at float
+    points and object arrays at a point of Duals, whose entries keep the
+    enclosing seeding's derivatives, so nesting works.
     """
     X = seed(x)
-    tag = X[0].tag
-    m = len(x)
-    ys = fn(X)
-    vals, jac = [], []
-    for y in ys:
-        v, g = _split(y, tag, m)
-        vals.append(v)
-        jac.append(g)
+    tag, grad0 = X[0].tag, X[0].grad
+    ys = list(fn(X))
+    lead = grad0.shape[1:]  # (B,) at a batch
+    vals = np.empty((len(ys),) + lead, dtype=grad0.dtype)
+    jac = np.full((len(ys), len(X)) + lead, 0.0, dtype=grad0.dtype)
+    for k, y in enumerate(ys):
+        if isinstance(y, Dual) and y.tag == tag:
+            vals[k], jac[k] = y.val, y.grad
+        else:
+            vals[k] = y
+    if lead:  # points on the leading axis
+        return (np.ascontiguousarray(vals.T),
+                np.ascontiguousarray(np.moveaxis(jac, (0, 1), (1, 2))))
     return vals, jac
 
 
@@ -287,13 +356,16 @@ def hessian(fn, x):
     hess)`` of shapes ``(K,)``, ``(K, m)`` and ``(K, m, m)``, with
     ``hess[k, i, j]`` the second partial of output k in directions i and
     j.  They are float arrays at a float point and object arrays at a dual
-    point, whose Duals carry the derivatives of an enclosing ``jacobian``.
-    Jets do not nest: ``x`` may not hold Jets.
+    point, whose Duals carry the derivatives of an enclosing ``jacobian``;
+    the seeds' gradients and Hessians are then object arrays too, so that
+    a Dual coefficient multiplies them entry by entry rather than as a
+    batch constant.  Jets do not nest: ``x`` may not hold Jets.
     """
     if any(isinstance(xi, Jet) for xi in x):
         raise ValueError("hessian does not nest")
     m = len(x)
-    eye, zero = np.eye(m), np.zeros((m, m))
+    dtype = object if isinstance(x[0], Dual) else float
+    eye, zero = np.eye(m).astype(dtype), np.zeros((m, m)).astype(dtype)
     ys = fn([Jet(xi, eye[i], zero) for i, xi in enumerate(x)])
     vals, grads, hess = [], [], []
     for y in ys:
@@ -305,5 +377,4 @@ def hessian(fn, x):
             vals.append(y)
             grads.append(zero[0])
             hess.append(zero)
-    dtype = object if isinstance(x[0], Dual) else float
     return tuple(np.array(a, dtype=dtype) for a in (vals, grads, hess))

@@ -13,17 +13,20 @@ The covariant derivative of the frame-component functions K_I(x) is
 
     (nabla_{e_a} K)_I = e_a(K_I) - sum_m sum_d gamma[a][I_m][d] K_{I<-d},
 
-with gamma the frame connection coefficients; iterating the same rule on
-the T (x) Sym^p frame components gives the full second covariant
-derivative nabla^2_{e_b, e_a} K used by the rough Laplacian and the
-Weitzenboeck-type checks, assembled from one hessian of the components and
-the connection jet of :func:`~symkt.manifolds.connection_jet`.
+with gamma the frame connection coefficients.  ``nabla`` takes a point or a
+batch of B points: one seeding of Duals with ``(m, B)`` gradients, one
+evaluation of the components and one frame jet serve the whole batch.
+Iterating the same rule on the T (x) Sym^p frame components gives the full
+second covariant derivative nabla^2_{e_b, e_a} K used by the rough
+Laplacian and the Weitzenboeck-type checks, assembled from one hessian of
+the components and the connection jet of
+:func:`~symkt.manifolds.connection_jet`.
 """
 
 import numpy as np
 
 from .cartan import FrameTensor, slot_hooks, slot_products
-from .dual import d_exp, hessian, jacobian
+from .dual import d_exp, hessian, jacobian, value_of
 from .errors import DegreeError, DomainError
 from .manifolds import connection_jet, gamma_frame, point_array
 from .multiindex import multi_indices, sym_size
@@ -286,36 +289,48 @@ def _assemble_first(p, vals, jac, F, gam):
             - derivation(gam, vals[..., None, :], p))
 
 
-def _nabla_comps(field, x):
-    """(n, size) frame components of nabla(field) at x (any dual level)."""
-    vals, jac = jacobian(field.comps_fn, x)
-    F, gam = gamma_frame(field.base, x, with_frame=True)
-    return _assemble_first(field.degree, np.array(vals), np.array(jac), F, gam)
-
-
 def _check_domain(base, x):
-    if hasattr(base, "contains") and not base.contains(np.asarray(x, dtype=float)):
+    if not hasattr(base, "contains"):
+        return
+    X = np.asarray(value_of(list(x)), dtype=float)
+    if not all(base.contains(p) for p in X.reshape(-1, X.shape[-1])):
         raise DomainError(f"point outside the domain of {base.key}")
 
 
-def nabla(field, x):
-    """Covariant derivative at x as a FrameTensor (slot a = nabla_{e_a})."""
-    _check_domain(field.base, x)
-    n, p = field.base.dim, field.degree
-    return FrameTensor([SymTensor(n, p, s) for s in _nabla_comps(field, list(x))])
+def _nabla_jet(field, x):
+    """Components K and frame components of nabla K from one jacobian.
 
-
-def nabla2(field, x, jet=None):
-    """Second covariant derivative: grid W[b][a] = nabla^2_{e_b, e_a} K.
-
-    From one hessian of the components and the connection jet at x; pass
-    ``jet = connection_jet(field.base, x)`` to share it with the caller.
+    At a point (any dual level) ``(size,)`` and ``(n, size)`` arrays; at a
+    batch of B points ``(B, size)`` and ``(B, n, size)`` float arrays, from
+    one seeding, one field evaluation, one frame jet and one Koszul
+    contraction.  Callers that also need K (``classify``) take it from here
+    instead of evaluating the field again.
     """
+    _check_domain(field.base, x)
+    vals, jac = jacobian(field.comps_fn, x)
+    F, gam = gamma_frame(field.base, x, with_frame=True)
+    return vals, _assemble_first(field.degree, vals, jac, F, gam)
+
+
+def nabla(field, x):
+    """Covariant derivative as a FrameTensor (slot a = nabla_{e_a}).
+
+    ``x`` is a point, or a batch of B points as a ``(B, m)`` array or a
+    list of B points; at a batch each slot carries the batch axis, so
+    ``stacked()`` is the ``(B, n, size)`` float array.
+    """
+    n, p = field.base.dim, field.degree
+    return FrameTensor.from_stacked(n, p, _nabla_jet(field, x)[1])
+
+
+def _nabla2_jet(field, x, jet=None):
+    """Components K (size,) and the nabla^2 grid (n, n, size) at x, from one
+    hessian of the components (``nabla2`` and the Lichnerowicz defect)."""
     if field.order < 2:
         raise DegreeError("field does not promise second derivatives")
     _check_domain(field.base, x)
     base = field.base
-    n, p = base.dim, field.degree
+    p = field.degree
     x = list(x)
     F, dF, gam, dgam = connection_jet(base, x) if jet is None else jet
     vals, grads, hess = hessian(field.comps_fn, x)
@@ -327,7 +342,17 @@ def nabla2(field, x, jet=None):
     # first[a, b] = e_b(S_a) minus the connection terms on the packed index;
     # the slot index a takes the remaining term
     first = _assemble_first(p, S, dS.transpose(1, 2, 0), F, gam)
-    W = first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
+    return vals, first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
+
+
+def nabla2(field, x, jet=None):
+    """Second covariant derivative: grid W[b][a] = nabla^2_{e_b, e_a} K.
+
+    From one hessian of the components and the connection jet at x; pass
+    ``jet = connection_jet(field.base, x)`` to share it with the caller.
+    """
+    n, p = field.base.dim, field.degree
+    W = _nabla2_jet(field, x, jet)[1]
     return [[SymTensor(n, p, W[b, a]) for a in range(n)] for b in range(n)]
 
 
@@ -338,7 +363,7 @@ def d_op(field, x, T=None):
     """
     if T is None:
         T = nabla(field, x)
-    return SymTensor(T.dim, T.degree + 1, slot_products(T.stacked(), T.degree).sum(0))
+    return SymTensor(T.dim, T.degree + 1, slot_products(T.stacked(), T.degree).sum(-2))
 
 
 def delta_op(field, x, T=None):
@@ -347,7 +372,7 @@ def delta_op(field, x, T=None):
         raise DegreeError("divergence needs degree >= 1")
     if T is None:
         T = nabla(field, x)
-    return SymTensor(T.dim, T.degree - 1, -slot_hooks(T.stacked(), T.degree).sum(0))
+    return SymTensor(T.dim, T.degree - 1, -slot_hooks(T.stacked(), T.degree).sum(-2))
 
 
 def d0_op(field, x, T=None):
@@ -366,6 +391,9 @@ def d0_op(field, x, T=None):
 
 
 def _grid(W):
+    """The (n, n, size) array of a ``nabla2`` grid (an array passes as is)."""
+    if isinstance(W, np.ndarray):
+        return W
     return np.stack([np.stack([s.comps for s in row]) for row in W])
 
 

@@ -29,7 +29,9 @@ numbers.  Other conformally flat metrics exp(2 f) delta are
 The frame connection coefficients g(nabla_{e_a} e_b, e_c) are computed
 once for all backends from the Koszul formula with orthonormal arguments,
 as contractions of the frame, its exact first derivatives (forward-mode
-duals) and the metric.  ``connection_jet`` adds their first derivatives,
+duals) and the metric; ``gamma_frame`` takes a point or a ``(B, m)`` batch
+of points, whose frame jet is one seeding of Duals with ``(m, B)``
+gradients.  ``connection_jet`` adds their first derivatives,
 by the product rule on the same contraction, from one second-order jet of
 the frame and metric; curvature and nabla^2 are assembled from it in
 :mod:`symkt.curvature` and :mod:`symkt.fields`.
@@ -426,19 +428,30 @@ def gamma_frame(base, x, with_frame=False):
     """Connection coefficients gamma[a, b, c] = g(nabla_{e_a} e_b, e_c).
 
     The Koszul contraction (``_koszul``) of the frame, its exact first
-    derivatives (forward-mode duals) and the metric; works at any dual
-    level of ``x`` and returns an (n, n, n) array of its scalars.  With
-    ``with_frame`` it returns ``(F, gamma)``, where F is the frame at x
-    taken from the same jet: the values of ``base.frame(x)``, bit for bit,
+    derivatives (forward-mode duals) and the metric.  At a point (any dual
+    level) it returns an (n, n, n) array of its scalars; at a batch of B
+    points (a ``(B, m)`` array or nested sequence) a ``(B, n, n, n)`` float
+    array, from one seeding and one frame evaluation for the whole batch.
+    With ``with_frame`` it returns ``(F, gamma)``, where F is the frame at
+    x taken from the same jet: the values of ``base.frame(x)``, bit for bit,
     without evaluating the frame again.
     """
     m, n = base.coord_dim, base.dim
-    vals, jac = jacobian(lambda y: base.frame(y).ravel(), list(x))
-    F = point_array(vals, x).reshape(m, n)
-    dF = point_array(jac, x).reshape(m, n, m).transpose(2, 0, 1)  # [i, k, b] = d_i F[k, b]
-    gamma = _koszul(F, dF, base.metric_matrix(list(x)) @ F)
+    vals, jac = jacobian(lambda y: base.frame(y).ravel(), x)
+    lead = vals.shape[:-1]  # (B,) at a batch, () at a point
+    F = vals.reshape(lead + (m, n))
+    dF = np.moveaxis(jac.reshape(lead + (m, n, m)), -1, -3)  # [..., i, k, b] = d_i F[k, b]
+    coords = list(np.asarray(x, dtype=float).T) if lead else list(x)
+    gamma = _koszul(F, dF, base.metric_matrix(coords) @ F)
     # column-major like the backends' frames: einsum sums depend on the layout
-    return (np.asfortranarray(F), gamma) if with_frame else gamma
+    return (_column_major(F), gamma) if with_frame else gamma
+
+
+def _column_major(F):
+    """Each (m, n) frame of F stored column-major, as the backends build it."""
+    if F.ndim == 2:
+        return np.asfortranarray(F)
+    return np.swapaxes(np.swapaxes(F, -1, -2).copy(), -1, -2)
 
 
 class ConnectionJet(NamedTuple):

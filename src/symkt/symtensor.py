@@ -278,16 +278,32 @@ def contract(v, K):
 
 
 def inner(A, B):
-    """Scalar product: (1/p!) times the dot product over all p-tuples."""
+    """Scalar product: (1/p!) times the dot product over all p-tuples.
+
+    Per point for float components with batch axes: a stack of the same
+    dot products, bit for bit.
+    """
     A._check_same_shape(B)
     mult = multiplicities(A.dim, A.degree)
-    return np.dot(A.comps * mult, B.comps) / factorial(A.degree)
+    if A.comps.ndim == 1 and B.comps.ndim == 1:
+        return np.dot(A.comps * mult, B.comps) / factorial(A.degree)
+    # contiguous rows: numpy's matmul then takes the dot kernel of np.dot
+    a, b = (np.ascontiguousarray(X.comps) for X in (A, B))
+    return ((a * mult)[..., None, :] @ b[..., :, None])[..., 0, 0] / factorial(A.degree)
 
 
 def norm(A):
+    """|A|, a float; per point, an array, for components with batch axes."""
+    return _root_of_square(inner(A, A))
+
+
+def _root_of_square(v):
+    """sqrt(max(v, 0)) of a squared norm v (NaN stays NaN): a float, with
+    dual layers stripped, or per point for an array of them."""
     from .dual import value_of
 
-    v = inner(A, A)
+    if isinstance(v, np.ndarray) and v.ndim:
+        return np.sqrt(np.maximum(v, 0.0))
     return float(np.sqrt(max(value_of(v), 0.0)))
 
 
@@ -368,7 +384,8 @@ def trace_residual(K):
     """Relative trace residual |Lambda(K)| / max(1, |K|); 0 for p < 2."""
     if K.degree < 2:
         return 0.0
-    return norm(trace_Lambda(K)) / max(1.0, norm(K))
+    s = norm(K)
+    return norm(trace_Lambda(K)) / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 
 def tracefree_sym_product(v, K, tol=DEFAULT_TRACE_TOL):

@@ -388,7 +388,7 @@ def test_killing_gates_fail_closed_on_nan():
 
     def comps(x):
         out = [0.0 * x[0]] * 6
-        out[1] = out[1] + (math.nan if value_of(x[0]) > 0 else 0.0)
+        out[1] = out[1] + np.where(value_of(x[0]) > 0, math.nan, 0.0)
         return out
 
     field = TensorField(eu, 2, comps, name="half-nan")

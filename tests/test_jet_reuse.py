@@ -141,30 +141,58 @@ def _count(monkeypatch, module, name):
     return calls
 
 
+def _count_method(monkeypatch, cls, name):
+    orig = getattr(cls, name)
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return orig(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("key", ["hopf-stackel", "special-flat", "L(hopf-stackel)"])
-def test_classify_takes_one_nabla_per_sample(monkeypatch, key):
-    import symkt.fields
+def test_classify_takes_one_batched_jet(monkeypatch, key):
+    # one seeding and one evaluation of the components for all samples; K
+    # is the jet's value part, so the field is never evaluated on floats
+    import symkt.dual
 
     if key.startswith("L("):
         field = _L_field(build_constructor("hopf-stackel", seed=3)[0])
     else:
         field = build_constructor(key, seed=3)[0]
-    calls = _count(monkeypatch, symkt.fields, "nabla")
-    rep = classify(field, samples=5, seed=2)
-    assert len(calls) == 5
+    comps_fn, grads = field.comps_fn, []
+
+    def counted(x):
+        grads.append(x[0].grad.shape)
+        return comps_fn(x)
+
+    field.comps_fn = counted
+    jacobians = _count(monkeypatch, symkt.dual, "jacobian")
+    field_calls = _count_method(monkeypatch, TensorField, "__call__")
+    rep = classify(field, samples=10, seed=2)
+    assert grads == [(field.base.coord_dim, 10)]
+    assert len(jacobians) == 2  # the components and the frame
+    assert len(field_calls) == 0
     assert rep.max_residuals["p1"] is not None
 
 
-def test_lichnerowicz_defect_takes_one_nabla2(monkeypatch):
-    import symkt.fields
+def test_lichnerowicz_defect_takes_one_component_hessian(monkeypatch):
+    # one hessian of the frame and metric, one of the components: it gives
+    # nabla^2 K and the values of K that q(R) acts on
+    import symkt.dual
 
     sp = EmbeddedSphere(2)
     rng = np.random.default_rng(4)
     field = random_tangential_field(sp, 2, rng)
     x = sp.sample_point(rng)
-    calls = _count(monkeypatch, symkt.fields, "nabla2")
+    hessians = _count(monkeypatch, symkt.dual, "hessian")
+    field_calls = _count_method(monkeypatch, TensorField, "__call__")
     assert curvature.lichnerowicz_defect(field, x) <= 1e-6
-    assert len(calls) == 1
+    assert len(hessians) == 2
+    assert len(field_calls) == 0
 
 
 def test_lichnerowicz_defect_takes_one_connection_jet(monkeypatch):
@@ -250,7 +278,7 @@ def test_classify_fails_closed_on_nonfinite_samples(bad):
 
     def comps(x):
         out = [0.0 * x[0]] * 6
-        out[1] = out[1] + (bad if value_of(x[0]) > 0 else 0.0)
+        out[1] = out[1] + np.where(value_of(x[0]) > 0, bad, 0.0)
         return out
 
     rep = classify(TensorField(eu, 2, comps, name="half-bad"), samples=20, seed=4)

@@ -28,7 +28,7 @@ from symkt.errors import DegreeError
 from symkt.fields import (
     TensorField,
     _assemble_first,
-    _nabla_comps,
+    _nabla_jet,
     d_delta,
     delta_d,
     nabla,
@@ -82,7 +82,7 @@ def ref_nabla2(field, x):
     base = field.base
     n, p = base.dim, field.degree
     x = list(x)
-    vals, jac = jacobian(lambda y: _nabla_comps(field, y).ravel(), x)
+    vals, jac = jacobian(lambda y: _nabla_jet(field, y)[1].ravel(), x)
     S = np.array(vals).reshape(n, -1)
     J = np.array(jac).reshape(n, S.shape[1], -1)
     F, gam = gamma_frame(base, x, with_frame=True)

@@ -152,6 +152,37 @@ def test_cli_oversized_manifold_exit_2(capsys):
                  "--construct", "hopf-stackel"]) == 2
 
 
+_VERIFY = ["verify", "--manifold", "sphere:3", "--construct", "hopf-stackel"]
+_GEODESIC = ["geodesic", "--manifold", "sphere:3", "--construct", "hopf-stackel"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_VERIFY + ["--samples", "0"], "--samples"),
+    (_VERIFY + ["--samples", "-2"], "--samples"),
+    (_VERIFY + ["--tol", "0"], "--tol"),
+    (_VERIFY + ["--tol", "nan"], "--tol"),
+    (["geometry", "--samples", "0"], "--samples"),
+    (["geometry", "--tol=-1e-9"], "--tol"),
+    (["geometry", "--drift-steps", "0"], "--drift-steps"),
+    (["geometry", "--drift-dt", "inf"], "--drift-dt"),
+    (["geometry", "--drift-dt", "0"], "--drift-dt"),
+    (["identities", "--trials", "0"], "--trials"),
+    (["identities", "--trials", "-1"], "--trials"),
+    (_GEODESIC + ["--steps", "0"], "--steps"),
+    (_GEODESIC + ["--steps", "-5"], "--steps"),
+    (_GEODESIC + ["--dt", "0"], "--dt"),
+    (_GEODESIC + ["--dt", "nan"], "--dt"),
+    (_GEODESIC + ["--trajectories", "0"], "--trajectories"),
+    (_GEODESIC + ["--max-drift", "-1"], "--max-drift"),
+    (_GEODESIC + ["--max-drift", "nan"], "--max-drift"),
+])
+def test_cli_rejects_counts_and_steps_out_of_range(capsys, argv, flag):
+    # each of these used to pass vacuously or crash with a traceback
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
+
+
 def test_cli_geodesic(tmp_path):
     out = tmp_path / "g.json"
     code = main(["geodesic", "--manifold", "sphere:3", "--construct",
