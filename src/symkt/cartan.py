@@ -5,26 +5,33 @@ being the part paired with frame vector e_i (the shape of a covariant
 derivative of a symmetric tensor field).  For trace-free slots it splits
 orthogonally into a degree-(p+1) trace-free piece, a degree-(p-1) piece
 and a remainder; the projections P1, P2, P3 and the conformal weight
-operator B live here.  Like a SymTensor's components, its float slots may
-carry leading batch axes, one frame tensor per point of a batch; the
-norms, the slot gathers and the projections act per point.
+operator B live here.
+
+The slots are stored as one ``(..., n, size)`` array, row a = slot a, so
+arithmetic, the trace-free guards and the slot kernels run once per frame
+tensor, not once per slot.  Like a SymTensor's components, float slots
+may carry leading batch axes, one frame tensor per point of a batch; the
+norms, the slot gathers and the projections act per point.  Sums over the
+slot axis run along axis -2; ``slot_sum`` adds the rows in slot order, bit
+for bit a slot-by-slot loop, where ``.sum`` may sum pairwise.
 """
 
 from collections import namedtuple
+from math import factorial
 
 import numpy as np
 
-from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
-from .multiindex import contract_array, product_arrays, sym_size
+from .errors import DegenerateRankError, DegreeError, ShapeMismatchError
+from .multiindex import contract_array, multiplicities, product_arrays, sym_size
 from .symtensor import (
     DEFAULT_TRACE_TOL,
     SymTensor,
+    _require_tracefree,
     _root_of_square,
+    _tensor,
     derivation,
-    inner,
     mult_L,
-    random_tracefree_tensor,
-    trace_residual,
+    tracefree_part,
 )
 
 __all__ = [
@@ -38,6 +45,7 @@ __all__ = [
     "pi2_star",
     "slot_products",
     "slot_hooks",
+    "slot_sum",
     "cartan_decompose",
     "conformal_weight",
     "pi2_constant",
@@ -47,9 +55,17 @@ __all__ = [
 
 
 class FrameTensor:
-    """n slots of SymTensor, all sharing (dim, degree)."""
+    """n slots of degree-p symmetric tensors over R^n, stored as one array.
 
-    __slots__ = ("dim", "degree", "slots")
+    ``comps`` is a read-only ``(..., n, size)`` array: row a holds the
+    packed components of slot a and leading axes are batch axes.  The
+    constructor stacks a sequence of n SymTensors; ``from_stacked`` wraps
+    such an array without copying.  ``slots`` gives read-only SymTensor
+    views of the rows.  Sums, differences and scaling act on the whole
+    array at once; a raised shape mismatch is ``ShapeMismatchError``.
+    """
+
+    __slots__ = ("dim", "degree", "comps")
 
     def __init__(self, slots):
         slots = tuple(slots)
@@ -63,23 +79,55 @@ class FrameTensor:
                 raise ShapeMismatchError("slots disagree in (dim, degree)")
         self.dim = n
         self.degree = p
-        self.slots = slots
+        self.comps = _readonly(np.stack([s.comps for s in slots], axis=-2))
 
     @classmethod
-    def zero(cls, dim, degree):
-        return cls([SymTensor.zero(dim, degree) for _ in range(dim)])
+    def from_stacked(cls, dim, degree, S):
+        """Frame tensor of the rows of S (..., n, size): slot a = S[..., a, :].
+
+        A float or object S is wrapped, not copied, so the caller must not
+        write to it afterwards.
+        """
+        S = np.asarray(S)
+        if S.dtype != object and S.dtype != float:
+            S = S.astype(float)
+        if S.shape[-2:] != (dim, sym_size(dim, degree)):
+            raise ShapeMismatchError(
+                f"expected (..., {dim}, {sym_size(dim, degree)}) slots, got {S.shape}")
+        return _frame(dim, degree, S.view())  # read-only view; S keeps its flags
+
+    @property
+    def slots(self):
+        """The n slots as read-only SymTensor views of the rows of ``comps``."""
+        return tuple(_tensor(self.dim, self.degree, self.comps[..., a, :])
+                     for a in range(self.dim))
+
+    def stacked(self):
+        """Slot components as one (..., n, size) array, row a = slot a."""
+        return self.comps
+
+    def _check_same_shape(self, other):
+        if self.dim != other.dim or self.degree != other.degree:
+            raise ShapeMismatchError(
+                f"shape ({self.dim},{self.degree}) vs ({other.dim},{other.degree})"
+            )
 
     def __add__(self, other):
-        return FrameTensor([a + b for a, b in zip(self.slots, other.slots)])
+        self._check_same_shape(other)
+        return _frame(self.dim, self.degree, self.comps + other.comps)
 
     def __sub__(self, other):
-        return FrameTensor([a - b for a, b in zip(self.slots, other.slots)])
+        self._check_same_shape(other)
+        return _frame(self.dim, self.degree, self.comps - other.comps)
 
     def __neg__(self):
-        return FrameTensor([-a for a in self.slots])
+        return _frame(self.dim, self.degree, -self.comps)
 
     def scale(self, c):
-        return FrameTensor([s.scale(c) for s in self.slots])
+        """Multiply by a scalar; a ``(..., 1)`` array scales per batch point."""
+        if np.ndim(c):
+            c = np.asarray(c)[..., None, :]  # the same factor on every slot
+        return _frame(self.dim, self.degree, self.comps * c)
 
     __mul__ = scale
     __rmul__ = scale
@@ -87,19 +135,49 @@ class FrameTensor:
     def __repr__(self):
         return f"FrameTensor(dim={self.dim}, degree={self.degree})"
 
-    @classmethod
-    def from_stacked(cls, dim, degree, S):
-        """Frame tensor of the rows of S (..., n, size): slot a = S[..., a, :]."""
-        return cls([SymTensor(dim, degree, S[..., a, :]) for a in range(S.shape[-2])])
 
-    def stacked(self):
-        """Slot components as one (..., n, size) array, row a = slot a."""
-        return np.stack([s.comps for s in self.slots], axis=-2)
+def _readonly(comps):
+    if comps.dtype != object:
+        comps.flags.writeable = False
+    return comps
+
+
+def _frame(dim, degree, comps):
+    """FrameTensor around a kernel's ``(..., n, size)`` output, unchecked."""
+    out = FrameTensor.__new__(FrameTensor)
+    out.dim, out.degree, out.comps = dim, degree, _readonly(comps)
+    return out
+
+
+def slot_sum(rows):
+    """Sum of slot rows (..., n, k) over the slot axis -2, in slot order.
+
+    Bit for bit a slot-by-slot loop: ``add.accumulate`` adds strictly in
+    order, where ``sum`` may switch to pairwise summation (it does for 8
+    or more slots when a row holds one entry), which rounds differently.
+    """
+    return np.add.accumulate(rows, axis=-2)[..., -1, :]
+
+
+def _slotwise(T):
+    """The slots of T as one SymTensor whose last batch axis is the slot
+    axis, so a per-point kernel acts on every slot in one call."""
+    return _tensor(T.dim, T.degree, T.comps)
 
 
 def frame_inner(A, B):
-    """Slot-wise sum of scalar products (the induced metric on T (x) Sym^p)."""
-    return sum(inner(a, b) for a, b in zip(A.slots, B.slots))
+    """Slot-wise sum of scalar products (the induced metric on T (x) Sym^p).
+
+    Per point for slots with batch axes.  One stacked matmul over
+    contiguous rows gives each slot's product ``inner``'s (``np.dot``'s)
+    bits, and ``slot_sum`` adds the n products in slot order, so the
+    result equals the slot-by-slot sum of ``inner`` bit for bit.
+    """
+    A._check_same_shape(B)
+    mult = multiplicities(A.dim, A.degree)
+    a, b = (np.ascontiguousarray(X.comps) for X in (A, B))
+    dots = ((a * mult)[..., None, :] @ b[..., :, None])[..., 0] / factorial(A.degree)
+    return slot_sum(dots)[..., 0][()]  # [()]: a scalar, not a 0-d array, at a point
 
 
 def frame_norm(A):
@@ -125,13 +203,6 @@ def pi2_constant(n, p):
     """Value of pi2 pi2* on degree-(p-1) trace-free tensors."""
     _check_supported(n, p)
     return (n + 2 * p - 2) * (n + p - 3) / (n + 2 * p - 4)
-
-
-def _require_tracefree(tensors, what, tol=DEFAULT_TRACE_TOL):
-    for K in tensors:
-        r = trace_residual(K)  # per point for a batch
-        if (r > tol).any() if np.ndim(r) else r > tol:
-            raise TraceError(f"{what} needs trace-free input")
 
 
 def slot_products(S, p):
@@ -162,36 +233,36 @@ def _tracefree_products(S, p):
     if p == 0:
         return rows
     c = 1.0 / (n + 2 * (p - 1))
-    return rows - mult_L(SymTensor(n, p - 1, slot_hooks(S, p))).scale(c).comps
+    return rows - mult_L(_tensor(n, p - 1, slot_hooks(S, p))).scale(c).comps
 
 
 def _rows(S, n):
     """The (..., size) components S repeated on n rows, (..., n, size)."""
-    return np.broadcast_to(S[..., None, :], S.shape[:-1] + (n, S.shape[-1]))
+    return S[..., None, :].repeat(n, axis=-2)
 
 
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
-    _require_tracefree(T.slots, "pi1")
-    return SymTensor(T.dim, T.degree + 1, _tracefree_products(T.stacked(), T.degree).sum(-2))
+    _require_tracefree(_slotwise(T), "pi1")
+    return SymTensor(T.dim, T.degree + 1, _tracefree_products(T.comps, T.degree).sum(-2))
 
 
 def pi1_star(S):
     """Adjoint embedding: slot i = e_i -| S."""
     n, p = S.dim, S.degree
-    return FrameTensor.from_stacked(n, p - 1, slot_hooks(_rows(S.comps, n), p))
+    return _frame(n, p - 1, slot_hooks(_rows(S.comps, n), p))
 
 
 def pi2(T):
     """Sum of contractions e_i -| slot_i, degree p-1."""
-    return SymTensor(T.dim, T.degree - 1, slot_hooks(T.stacked(), T.degree).sum(-2))
+    return SymTensor(T.dim, T.degree - 1, slot_hooks(T.comps, T.degree).sum(-2))
 
 
 def pi2_star(S):
     """Adjoint embedding: slot i = (e_i . S)_0."""
-    _require_tracefree([S], "pi2_star")
+    _require_tracefree(S, "pi2_star")
     n, p = S.dim, S.degree
-    return FrameTensor.from_stacked(n, p + 1, _tracefree_products(_rows(S.comps, n), p))
+    return _frame(n, p + 1, _tracefree_products(_rows(S.comps, n), p))
 
 
 CartanParts = namedtuple("CartanParts", ["P1", "P2", "P3", "pi1", "pi2"])
@@ -213,7 +284,7 @@ def cartan_decompose(T, tol=DEFAULT_TRACE_TOL):
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
-    _require_tracefree(T.slots, "cartan_decompose", tol)
+    _require_tracefree(_slotwise(T), "cartan_decompose", tol)
     s1 = pi1(T)
     s2 = pi2(T)
     P1 = pi1_star(s1).scale(1.0 / (p + 1))
@@ -226,6 +297,8 @@ def conformal_weight(T):
     """Conformal weight operator B: slot i of B(T) = sum_j (e_i ^ e_j)* T_j.
 
     Agrees with p*P1 - (n+p-2)*P2 - P3 on trace-free-slotted tensors.
+    Per point for slots with batch axes: the wedge's (i, j) axes sit
+    after the batch axes and the sum over j is taken along axis -2.
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
@@ -233,10 +306,14 @@ def conformal_weight(T):
     # wedge[i, j] = e_j e_i^T - e_i e_j^T, the matrix of (e_i ^ e_j)*
     wedge = E[None, :, :, None] * E[:, None, None, :]
     wedge = wedge - wedge.transpose(1, 0, 2, 3)
-    slots = derivation(wedge, T.stacked(), p).sum(1)
-    return FrameTensor([SymTensor(n, p, s) for s in slots])
+    return _frame(n, p, derivation(wedge, T.comps[..., None, :, :], p).sum(-2))
 
 
 def random_frame_tensor(n, p, rng):
-    """Random frame tensor with trace-free slots."""
-    return FrameTensor([random_tracefree_tensor(n, p, rng) for _ in range(n)])
+    """Random frame tensor with trace-free slots.
+
+    One ``(n, size)`` normal draw, which consumes the rng stream as n
+    single-slot draws do, and one batched trace-free projection.
+    """
+    K = SymTensor(n, p, rng.standard_normal((n, sym_size(n, p))))
+    return _frame(n, p, tracefree_part(K).comps)

@@ -154,7 +154,9 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     res["special_conformal"] = special_conformal_residual(field, points, T=T, deltaK=deltaK)
     res["codazzi"] = _codazzi_residual(S, n, p) / scale
     if use_parts:
-        T0 = FrameTensor([tracefree_part(s) for s in T.slots]) if p >= 2 else T
+        T0 = T
+        if p >= 2:
+            T0 = FrameTensor.from_stacked(n, p, tracefree_part(SymTensor(n, p, S)).comps)
         parts = cartan_decompose(T0)
         res["p1"] = frame_norm(parts.P1) / scale
         res["p2"] = frame_norm(parts.P2) / scale
@@ -166,7 +168,7 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
             res["special1"] = frame_norm(T0 - pi2_star(k_vec)) / scale
     if p == 2:
         # d tr K = 2 delta K for Killing 2-tensors
-        dtr = SymTensor(n, 1, [trace_Lambda(s).comps[..., 0] for s in T.slots])
+        dtr = SymTensor(n, 1, trace_Lambda(SymTensor(n, p, S)).comps[..., 0])
         res["two_tensor"] = norm(dtr - deltaK.scale(2.0)) / scale
     res = {k: np.asarray(v, dtype=float).tolist() for k, v in res.items()}
 

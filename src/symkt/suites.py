@@ -15,6 +15,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cartan import (
+    _rows,
     cartan_decompose,
     conformal_weight,
     frame_inner,
@@ -25,6 +26,9 @@ from .cartan import (
     pi2_star,
     pi2_constant,
     random_frame_tensor,
+    slot_hooks,
+    slot_products,
+    slot_sum,
     supported_pair,
 )
 from .classify import classify, divfree_killing_parts
@@ -198,10 +202,9 @@ def _algebra_cases(n, p, trials, seed, report):
         rhs2 = inner(K, trace_Lambda(B2))
         r["adj"].append(abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))
         if p >= 1:
-            acc = SymTensor.zero(n, p)
-            for i in range(n):
-                ei = SymTensor.basis_vector(n, i)
-                acc = acc + sym_product(ei, contract(ei, K))
+            # sum_i e_i . (e_i -| K), one slot kernel row per basis vector
+            hooks = slot_hooks(_rows(K.comps, n), p)
+            acc = SymTensor(n, p, slot_sum(slot_products(hooks, p - 1)))
             r["euler"].append(norm(acc - K.scale(float(p))) / sK)
 
         # standard decomposition round-trip, trace-free parts
@@ -255,12 +258,8 @@ def _cartan_cases(n, p, trials, seed, report):
         ]
 
         # trace-free part of the symmetrized derivative via the L-shift
-        dK = SymTensor.zero(n, p + 1)
-        deltaK = SymTensor.zero(n, p - 1)
-        for i in range(n):
-            ei = SymTensor.basis_vector(n, i)
-            dK = dK + sym_product(ei, T.slots[i])
-            deltaK = deltaK - contract(ei, T.slots[i])
+        dK = SymTensor(n, p + 1, slot_sum(slot_products(T.comps, p)))
+        deltaK = SymTensor(n, p - 1, -slot_sum(slot_hooks(T.comps, p)))
         shifted = dK + mult_L(deltaK).scale(1.0 / (n + 2 * p - 2))
         r["dproj"].append(norm(shifted - tracefree_part(dK)) / sT)
 

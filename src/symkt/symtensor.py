@@ -303,6 +303,8 @@ def _root_of_square(v):
     from .dual import value_of
 
     if isinstance(v, np.ndarray) and v.ndim:
+        if v.dtype == object:  # duals at a point, one per slot of a stack
+            v = np.array([value_of(e) for e in v.ravel()]).reshape(v.shape)
         return np.sqrt(np.maximum(v, 0.0))
     return float(np.sqrt(max(value_of(v), 0.0)))
 
@@ -388,16 +390,23 @@ def trace_residual(K):
     return norm(trace_Lambda(K)) / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 
+def _require_tracefree(K, what, tol=DEFAULT_TRACE_TOL):
+    """Raise TraceError unless K is trace-free within ``tol`` at every point
+    of its batch axes (a NaN residual does not raise)."""
+    if (np.asarray(trace_residual(K)) > tol).any():
+        raise TraceError(f"{what} needs trace-free input")
+
+
 def tracefree_sym_product(v, K, tol=DEFAULT_TRACE_TOL):
     """Trace-free part of v . K for trace-free K.
 
     Implements the projection v.K - L(v -| K)/(n + 2(p-1)); the input must
-    be trace-free for the formula to be the actual projection.
+    be trace-free for the formula to be the actual projection.  Per point
+    for components with batch axes.
     """
     if not isinstance(v, SymTensor):
         v = SymTensor.from_vector(v)
-    if trace_residual(K) > tol:
-        raise TraceError("input of tracefree_sym_product is not trace-free")
+    _require_tracefree(K, "tracefree_sym_product", tol)
     p = K.degree
     if p == 0:
         return sym_product(v, K)
