@@ -102,10 +102,6 @@ class FrameTensor:
         return tuple(_tensor(self.dim, self.degree, self.comps[..., a, :])
                      for a in range(self.dim))
 
-    def stacked(self):
-        """Slot components as one (..., n, size) array, row a = slot a."""
-        return self.comps
-
     def _check_same_shape(self, other):
         if self.dim != other.dim or self.degree != other.degree:
             raise ShapeMismatchError(
@@ -244,7 +240,7 @@ def _rows(S, n):
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
     _require_tracefree(_slotwise(T), "pi1")
-    return SymTensor(T.dim, T.degree + 1, _tracefree_products(T.comps, T.degree).sum(-2))
+    return SymTensor(T.dim, T.degree + 1, slot_sum(_tracefree_products(T.comps, T.degree)))
 
 
 def pi1_star(S):
@@ -255,7 +251,7 @@ def pi1_star(S):
 
 def pi2(T):
     """Sum of contractions e_i -| slot_i, degree p-1."""
-    return SymTensor(T.dim, T.degree - 1, slot_hooks(T.comps, T.degree).sum(-2))
+    return SymTensor(T.dim, T.degree - 1, slot_sum(slot_hooks(T.comps, T.degree)))
 
 
 def pi2_star(S):
@@ -298,7 +294,7 @@ def conformal_weight(T):
 
     Agrees with p*P1 - (n+p-2)*P2 - P3 on trace-free-slotted tensors.
     Per point for slots with batch axes: the wedge's (i, j) axes sit
-    after the batch axes and the sum over j is taken along axis -2.
+    after the batch axes and ``slot_sum`` adds over j along axis -2.
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
@@ -306,7 +302,7 @@ def conformal_weight(T):
     # wedge[i, j] = e_j e_i^T - e_i e_j^T, the matrix of (e_i ^ e_j)*
     wedge = E[None, :, :, None] * E[:, None, None, :]
     wedge = wedge - wedge.transpose(1, 0, 2, 3)
-    return _frame(n, p, derivation(wedge, T.comps[..., None, :, :], p).sum(-2))
+    return _frame(n, p, slot_sum(derivation(wedge, T.comps[..., None, :, :], p)))
 
 
 def random_frame_tensor(n, p, rng):

@@ -6,6 +6,7 @@ All configuration is by flags; no environment variables.
 """
 
 import argparse
+import json
 import math
 import sys
 
@@ -54,8 +55,6 @@ def _parse_params(args):
     raw = getattr(args, "params", None)
     if not raw:
         return None
-    import json
-
     try:
         if raw.startswith("@"):
             with open(raw[1:]) as fh:

@@ -14,10 +14,11 @@ from itertools import permutations
 import numpy as np
 
 from .cartan import FrameTensor, _rows, frame_norm, slot_products
-from .dual import jacobian, value_of
+from .dual import jacobian
 from .errors import ConfigError, VerificationError
 from .fields import (
     TensorField,
+    _nabla_jet,
     add_fields,
     d_op,
     delta_op,
@@ -31,11 +32,10 @@ from .manifolds import (
     EmbeddedSphere,
     euclidean_chart,
     frame_at,
-    frame_components,
     manifold_from_key,
     point_array,
 )
-from .multiindex import index_array, multi_indices
+from .multiindex import dense_array, index_array, multi_indices
 from .symtensor import (
     SymTensor,
     mult_L,
@@ -306,22 +306,16 @@ def killing_form_residual(u, x):
     N = sphere.coord_dim
     q = u.degree
     xf = [float(v) for v in x]
-    shape = (N,) * q
     vals, jac = jacobian(lambda y: np.asarray(u.amb_fn(y)).ravel(), xf)
-    vals = np.array([value_of(v) for v in vals]).reshape(shape)
-    jacm = np.array([[value_of(g) for g in row] for row in jac]).reshape(shape + (N,))
     P = np.eye(N) - np.outer(xf, xf) / np.dot(xf, xf)
     F = frame_at(sphere, xf)
-    hooks = []
-    for a in range(sphere.dim):
-        X = F[:, a]
-        D = np.tensordot(jacm, X, axes=([q], [0]))  # ambient derivative along X
-        for axis in range(q):
-            D = np.tensordot(P, D, axes=([1], [axis]))
-            D = np.moveaxis(D, 0, axis)
-        hooked = np.tensordot(X, D, axes=([0], [0]))
-        hooks.append(float(np.abs(hooked).max()))
-    return _worst(hooks) / _worst([1.0, float(np.abs(vals).max())])
+    # D[..., a]: the tangential ambient derivative along e_a
+    D = np.tensordot(jac.reshape((N,) * (q + 1)), F, axes=([q], [0]))
+    for axis in range(q):
+        D = np.moveaxis(np.tensordot(P, D, axes=([1], [axis])), 0, axis)
+    hooked = np.einsum("A...a,Aa->a...", D, F)  # e_a -| D[..., a]
+    hooks = np.abs(hooked).reshape(sphere.dim, -1).max(1)
+    return _worst(hooks.tolist()) / _worst([1.0, float(np.abs(vals).max())])
 
 
 def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
@@ -436,28 +430,19 @@ def nijenhuis(field, x):
     """Nijenhuis tensor of a degree-2 field viewed as an endomorphism.
 
     Returns the array N[a, b, c] = g(N_A(e_a, e_b), e_c) built from
-    A (nabla_X A) Y - A (nabla_Y A) X - (nabla_{AX} A) Y + (nabla_{AY} A) X.
+    A (nabla_X A) Y - A (nabla_Y A) X - (nabla_{AX} A) Y + (nabla_{AY} A) X,
+    with A and nabla A from one jet: ``(n, n, n)`` at a point and
+    ``(B, n, n, n)`` at a batch of B points.
     """
     if field.degree != 2:
         raise ConfigError("nijenhuis needs a degree-2 field")
-    n = field.base.dim
-    T = nabla(field, x)
-    K = field(x)
-    A = np.array([[value_of(K[a, b]) for b in range(n)] for a in range(n)])
-    DA = np.array(
-        [
-            [[value_of(T.slots[c][a, b]) for b in range(n)] for a in range(n)]
-            for c in range(n)
-        ]
-    )  # DA[c] = nabla_{e_c} A as a matrix
-    out = np.zeros((n, n, n))
-    for a in range(n):
-        for b in range(n):
-            v = A @ (DA[a] @ np.eye(n)[b]) - A @ (DA[b] @ np.eye(n)[a])
-            v -= np.einsum("c,cij,j->i", A[:, a], DA, np.eye(n)[b])
-            v += np.einsum("c,cij,j->i", A[:, b], DA, np.eye(n)[a])
-            out[a, b] = v
-    return out
+    dense = dense_array(field.base.dim, 2)
+    vals, S = _nabla_jet(field, x)
+    A, DA = vals[..., dense], S[..., dense]  # DA[c] = nabla_{e_c} A
+    # M[a, b] = A (nabla_a A) e_b and Q[a, b] = (nabla_{A e_a} A) e_b
+    M = np.einsum("...ij,...ajb->...abi", A, DA)
+    Q = np.einsum("...ca,...cib->...abi", A, DA)
+    return M - np.swapaxes(M, -3, -2) - Q + np.swapaxes(Q, -3, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -499,64 +484,36 @@ def _projector_frame_matrix(split, x):
     return np.swapaxes(P @ F, -1, -2) @ (split.base.metric_matrix(x) @ F)
 
 
-def condition_d1_residual(split, x, rng):
-    """Residual of the geodesic-invariance condition of the split at x.
+def condition_d1_residual(split, x):
+    """Residual of the geodesic-invariance condition (d1) of the split at x.
 
-    For an orthonormal eigenbasis of the projector, extends each eigenvector
-    v in E_i to the field y -> P_i(y) v and measures the component of
-    nabla_v v + symmetrized cross terms in the complementary distribution.
+    (d1) says the symmetrized second fundamental form of each distribution
+    vanishes: for u, v in E1, (I - P1)[(nabla_u P1) v + (nabla_v P1) u] = 0,
+    and for u, v in E2, P1[...] = 0.  The residual is the largest entry over
+    orthonormal eigenvectors u, v of the projector P1.  As K = n P1 - n1 g
+    is the split's Staeckel tensor and g is parallel, nabla P1 is nabla K / n,
+    read off one ``nabla``.  A float at a point; a (B,) array at a batch of
+    B points.
     """
-    base = split.base
-    n = base.dim
-    Pf = np.asarray(_projector_frame_matrix(split, x), dtype=float)
-    w, V = np.linalg.eigh(0.5 * (Pf + Pf.T))
-    # columns of V: eigenvectors; eigenvalues ~0 or ~1
-    ones = [V[:, i] for i in range(n) if w[i] > 0.5]
-    zeros = [V[:, i] for i in range(n) if w[i] <= 0.5]
-    if len(ones) != split.n1:
+    single = not np.ndim(x[0])
+    points = [list(x)] if single else [list(p) for p in x]
+    n, n1 = split.base.dim, split.n1
+    P = _projector_frame_matrix(split, np.transpose(points))
+    w, V = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
+    if np.any((w > 0.5).sum(-1) != n1):
         raise VerificationError("projector rank differs from declared n1")
-    F = frame_at(base, x)
-    res = []
-    for group, proj_first in ((ones, True), (zeros, False)):
-        for v in group:
-            for u in group:
-                vc = F @ v  # coordinate vector
-                uc = F @ u
-
-                def ext(y, coord_vec=None, first=proj_first):
-                    P = split.projector_fn(y)
-                    m = base.coord_dim
-                    out = []
-                    for i in range(m):
-                        s = 0.0
-                        for j in range(m):
-                            pij = P[i][j] if first else (1.0 if i == j else 0.0) - P[i][j]
-                            s = s + pij * coord_vec[j]
-                        out.append(s)
-                    return out
-
-                # frame components of nabla_v U + nabla_u V at x
-                fv = field_from_components(
-                    base, 1, lambda y: frame_components(base, y, ext(y, coord_vec=vc)),
-                    rep="frame",
-                )
-                fu = field_from_components(
-                    base, 1, lambda y: frame_components(base, y, ext(y, coord_vec=uc)),
-                    rep="frame",
-                )
-                Tv = nabla(fv, x)
-                Tu = nabla(fu, x)
-                ucf = base.frame_components(x, uc)
-                vcf = base.frame_components(x, vc)
-                dvu = sum((Tu.slots[a].scale(vcf[a]) for a in range(n)),
-                          SymTensor.zero(n, 1))
-                duv = sum((Tv.slots[a].scale(ucf[a]) for a in range(n)),
-                          SymTensor.zero(n, 1))
-                total = (dvu + duv).values()
-                # complementary projection in the frame
-                comp = np.eye(n) - Pf if proj_first else Pf
-                res.append(float(np.abs(comp @ total).max()))
-    return _worst(res, 0.0)
+    dP = nabla(distribution_stackel(split), points).comps[..., dense_array(n, 2)] / n
+    # H[i, j] = (nabla_{v_i} P1) v_j + (nabla_{v_j} P1) v_i; eigh sorts the
+    # eigenvalues, so the last n1 eigenvectors span E1 and the rest E2
+    H = np.einsum("...ci,...cae,...ej->...ija", V, dP, V)
+    H = H + np.swapaxes(H, -3, -2)
+    n2 = n - n1
+    r1 = (np.eye(n) - P)[..., None, None, :, :] @ H[..., n2:, n2:, :, None]
+    r2 = P[..., None, None, :, :] @ H[..., :n2, :n2, :, None]
+    res = np.abs(np.concatenate([r1.reshape(len(points), -1),
+                                 r2.reshape(len(points), -1)], -1)).max(-1)
+    res = np.where(np.isfinite(res), res, np.nan)
+    return float(res[0]) if single else res
 
 
 def distribution_stackel(split, name=None):

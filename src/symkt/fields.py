@@ -25,7 +25,7 @@ the components and the connection jet of
 
 import numpy as np
 
-from .cartan import FrameTensor, slot_hooks, slot_products
+from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
 from .dual import d_exp, hessian, jacobian, value_of
 from .errors import DegreeError, DomainError
 from .manifolds import connection_jet, gamma_frame, point_array
@@ -47,7 +47,6 @@ __all__ = [
     "field_from_components",
     "tracefree_part_field",
     "add_fields",
-    "scale_field",
     "product_field",
     "wrap_conformal_field",
     "random_polynomial_field",
@@ -171,14 +170,6 @@ def add_fields(a, b, name=None):
 
     return TensorField(a.base, a.degree, comps, order=min(a.order, b.order),
                        name=name or f"{a.name}+{b.name}")
-
-
-def scale_field(a, c, name=None):
-    def comps(x):
-        return [c * v for v in a.comps_fn(x)]
-
-    return TensorField(a.base, a.degree, comps, order=a.order,
-                       name=name or f"{c}*{a.name}")
 
 
 def product_field(a, b, name=None):
@@ -317,7 +308,7 @@ def nabla(field, x):
 
     ``x`` is a point, or a batch of B points as a ``(B, m)`` array or a
     list of B points; at a batch each slot carries the batch axis, so
-    ``stacked()`` is the ``(B, n, size)`` float array.
+    ``comps`` is the ``(B, n, size)`` float array.
     """
     n, p = field.base.dim, field.degree
     return FrameTensor.from_stacked(n, p, _nabla_jet(field, x)[1])
@@ -363,7 +354,7 @@ def d_op(field, x, T=None):
     """
     if T is None:
         T = nabla(field, x)
-    return SymTensor(T.dim, T.degree + 1, slot_products(T.stacked(), T.degree).sum(-2))
+    return SymTensor(T.dim, T.degree + 1, slot_sum(slot_products(T.comps, T.degree)))
 
 
 def delta_op(field, x, T=None):
@@ -372,7 +363,7 @@ def delta_op(field, x, T=None):
         raise DegreeError("divergence needs degree >= 1")
     if T is None:
         T = nabla(field, x)
-    return SymTensor(T.dim, T.degree - 1, -slot_hooks(T.stacked(), T.degree).sum(-2))
+    return SymTensor(T.dim, T.degree - 1, -slot_sum(slot_hooks(T.comps, T.degree)))
 
 
 def d0_op(field, x, T=None):

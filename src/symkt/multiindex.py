@@ -11,12 +11,12 @@ targets (n <= 8, p <= 6 or so).  The product, contraction and trace tables
 are also compiled to read-only integer index arrays (``product_arrays``,
 ``contract_array``, ``trace_array``) that the kernels in ``symtensor``
 gather with, in table order; ``index_array`` and ``replace_array`` serve
-the derivation action of matrices, and ``prefix_arrays`` the slot-by-slot
-change of basis.
+the derivation action of matrices, ``prefix_arrays`` the slot-by-slot
+change of basis, and ``dense_array`` the gather of the full dense array.
 """
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "index_array",
     "prefix_arrays",
     "replace_array",
+    "dense_array",
 ]
 
 
@@ -190,3 +191,16 @@ def replace_array(n, p):
     pos = index_position(n, p - 1)
     drop = [[pos[I[:m] + I[m + 1:]] for m in range(p)] for I in multi_indices(n, p)]
     return _frozen(contract_array(n, p)[drop], np.intp)
+
+
+@lru_cache(maxsize=None)
+def dense_array(n, p):
+    """(n,) * p storage positions of every full index tuple.
+
+    Entry [i_1, ..., i_p] is the position of sorted((i_1, ..., i_p)), so
+    ``comps[..., dense_array(n, p)]`` is the fully symmetric dense array
+    of packed components, batch axes first.  Degree 0 gives a 0-d array.
+    """
+    pos = index_position(n, p)
+    return _frozen([pos[tuple(sorted(J))] for J in product(range(n), repeat=p)],
+                   np.intp).reshape((n,) * p)

@@ -522,24 +522,18 @@ def _identity_cases(report, seed, samples):
     special = special_ckt_flat(np.array([0.4, -0.3, 0.5]), chart=eu)
     hat = special_to_killing(special, rng=stable_stream(seed, "nij"))
     rng = stable_stream(seed, "nijenhuis")
-    res_special, res_hat = [], []
-    for _ in range(max(5, samples // 10)):
-        x = eu.sample_point(rng)
-        res_special.append(float(np.abs(nijenhuis(special, x)).max()))
-        res_hat.append(float(np.abs(nijenhuis(hat, x)).max()))
+    points = [list(eu.sample_point(rng)) for _ in range(max(5, samples // 10))]
+    res_special, res_hat = (np.abs(nijenhuis(f, points)).max(axis=(1, 2, 3)).tolist()
+                            for f in (special, hat))
     report.add("nijenhuis-special-ckt", _worst(res_special, 0.0), FLAT_TOL)
     report.add("nijenhuis-special-killing-nonzero", _least(res_hat), 1e-3, kind="floor")
 
     # condition (d1) for the circle-fibration split, violated by the tilt
     rng = stable_stream(seed, "d1")
     sp3 = EmbeddedSphere(3)
-    res, res_tilted = [], []
-    hs = hopf_split(sp3)
-    ts = tilted_split(sp3)
-    for _ in range(5):
-        x = sp3.sample_point(rng)
-        res.append(condition_d1_residual(hs, x, rng))
-        res_tilted.append(condition_d1_residual(ts, x, rng))
+    points = [list(sp3.sample_point(rng)) for _ in range(5)]
+    res = condition_d1_residual(hopf_split(sp3), points).tolist()
+    res_tilted = condition_d1_residual(tilted_split(sp3), points).tolist()
     report.add("condition-d1-hopf", _worst(res), SPHERE_TOL)
     report.add("condition-d1-tilted-nonzero", _least(res_tilted), 1e-3, kind="floor")
 

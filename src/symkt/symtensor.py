@@ -22,14 +22,15 @@ their arguments.
 """
 
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, sqrt
 
 import numpy as np
 
-from .dual import Dual, Jet
+from .dual import Dual, Jet, value_of
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from .multiindex import (
     contract_array,
+    dense_array,
     index_array,
     index_position,
     multi_indices,
@@ -206,8 +207,6 @@ class SymTensor:
 
     def values(self):
         """Components with dual layers stripped (floats)."""
-        from .dual import value_of
-
         if self.comps.dtype != object:
             return np.array(self.comps)
         return np.array([value_of(v) for v in self.comps.ravel()]).reshape(self.comps.shape)
@@ -219,17 +218,9 @@ class SymTensor:
         return list(self.comps.transpose(-1, *range(self.comps.ndim - 1)))
 
     def to_dense(self):
-        """Full dense numpy array (debugging / oracle aid)."""
-        out = np.zeros((self.dim,) * self.degree) if self.degree else np.zeros(())
-        vals = self.values()
-        if self.degree == 0:
-            return vals[0]
-        from itertools import permutations
-
-        for k, I in enumerate(multi_indices(self.dim, self.degree)):
-            for J in set(permutations(I)):
-                out[J] = vals[k]
-        return out
+        """Full dense array, batch axes first: one gather over
+        ``dense_array``.  Degree 0 gives the scalar (per point, an array)."""
+        return _take(self.values(), dense_array(self.dim, self.degree))
 
 
 def sym_product(A, B):
@@ -300,13 +291,11 @@ def norm(A):
 def _root_of_square(v):
     """sqrt(max(v, 0)) of a squared norm v (NaN stays NaN): a float, with
     dual layers stripped, or per point for an array of them."""
-    from .dual import value_of
-
     if isinstance(v, np.ndarray) and v.ndim:
         if v.dtype == object:  # duals at a point, one per slot of a stack
             v = np.array([value_of(e) for e in v.ravel()]).reshape(v.shape)
         return np.sqrt(np.maximum(v, 0.0))
-    return float(np.sqrt(max(value_of(v), 0.0)))
+    return sqrt(max(value_of(v), 0.0))
 
 
 def mult_L(K):

@@ -488,7 +488,7 @@ def _frame(n, p, s, tracefree=False):
 def test_slot_gathers_match_basis_vector_loops(shape):
     n, p, s = shape
     T = _frame(n, p, s)
-    S = T.stacked()
+    S = T.comps
     close(slot_products(S, p).sum(0), ref_d(T))
     assert slot_products(S, p).shape == (n, sym_size(n, p + 1))
     if p >= 1:
@@ -548,8 +548,8 @@ def test_kernel_and_gathers_on_nested_duals():
         R = R - R.transpose(1, 0, 2, 3)
         close(qR_act(None, None, K, rm=RiemannAtPoint(R, None, None)), ref_qR_act(R, K))
         T = FrameTensor([SymTensor(n, p, duals((size,))) for _ in range(n)])
-        close(slot_products(T.stacked(), p).sum(0), ref_d(T))
+        close(slot_products(T.comps, p).sum(0), ref_d(T))
         if p:
-            close(-slot_hooks(T.stacked(), p).sum(0), ref_delta(T))
+            close(-slot_hooks(T.comps, p).sum(0), ref_delta(T))
             close(conformal_weight(T), ref_conformal_weight(T))
     assert value_of(derivation(np.eye(n), duals((1,)), 0)[0]) == 0.0

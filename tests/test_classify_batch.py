@@ -157,10 +157,10 @@ def test_batched_nabla_equals_per_point(index, count, seed):
     rng = np.random.default_rng(seed)
     points = np.array([field.base.sample_point(rng) for _ in range(count)])
     n, p = field.base.dim, field.degree
-    got = nabla(field, points).stacked()
+    got = nabla(field, points).comps
     assert got.shape == (count, n, sym_size(n, p))
     for b in range(count):
-        want = nabla(field, points[b]).stacked()
+        want = nabla(field, points[b]).comps
         assert np.all(np.abs(got[b] - want) <= 8 * EPS * max(1.0, np.abs(want).max()))
 
 

@@ -292,7 +292,7 @@ def test_hopf_split_satisfies_d1_and_gives_stackel():
     rng = np.random.default_rng(67)
     for _ in range(3):
         x = sp.sample_point(rng)
-        assert condition_d1_residual(split, x, rng) <= 1e-9
+        assert condition_d1_residual(split, x) <= 1e-9
     K = distribution_stackel(split)
     assert killing_residual(K) <= 1e-9
     x = sp.sample_point(rng)
@@ -310,7 +310,7 @@ def test_tilted_split_negative_control():
     sp = EmbeddedSphere(3)
     split = tilted_split(sp)
     rng = np.random.default_rng(73)
-    vals = [condition_d1_residual(split, sp.sample_point(rng), rng) for _ in range(3)]
+    vals = [condition_d1_residual(split, sp.sample_point(rng)) for _ in range(3)]
     assert max(vals) >= 1e-3
     K = distribution_stackel(split)
     assert killing_residual(K) >= 1e-3

@@ -19,6 +19,7 @@ from symkt.cartan import (
     conformal_weight,
     frame_inner,
     frame_norm,
+    pi2,
     random_frame_tensor,
     slot_hooks,
     slot_products,
@@ -27,6 +28,8 @@ from symkt.cartan import (
 )
 from symkt.dual import jacobian
 from symkt.errors import ShapeMismatchError, TraceError
+from symkt.fields import delta_op, nabla, random_polynomial_field
+from symkt.manifolds import euclidean_chart
 from symkt.multiindex import sym_size
 from symkt.symtensor import (
     SymTensor,
@@ -128,7 +131,7 @@ def test_slots_round_trip_and_read_only(n, p, batch, seed):
         assert not s.comps.flags.writeable
     assert not T.comps.flags.writeable
     _same_frame(FrameTensor(T.slots), T)
-    _same_frame(FrameTensor.from_stacked(n, p, T.stacked()), T)
+    _same_frame(FrameTensor.from_stacked(n, p, T.comps), T)
 
 
 @PROPERTY
@@ -289,3 +292,25 @@ def test_slot_kernel_sign_flip_fails_suite(monkeypatch, kernel):
     rep = suites.identity_suite(dims="3..3", degrees="2..2", trials=3, seed=42)
     failed = {c.name for c in rep.cases if not c.passed}
     assert "dprojection-consistency:n=3,p=2" in failed
+
+
+def test_slot_sums_at_eight_slots_match_slot_loop():
+    # at p = 1 each contraction row holds one entry; from 8 slots a plain
+    # .sum over the rows would turn pairwise and round differently
+    n, p = 8, 1
+    rng = np.random.default_rng(2718)
+    for _ in range(50):
+        T = random_frame_tensor(n, p, rng)
+        want = contract(SymTensor.basis_vector(n, 0), T.slots[0])
+        for i in range(1, n):
+            want = want + contract(SymTensor.basis_vector(n, i), T.slots[i])
+        _same(pi2(T).comps, want.comps)
+    eu = euclidean_chart(n)
+    field = random_polynomial_field(eu, p, rng)
+    for _ in range(20):
+        x = eu.sample_point(rng)
+        T = nabla(field, x)
+        want = -contract(SymTensor.basis_vector(n, 0), T.slots[0])
+        for i in range(1, n):
+            want = want - contract(SymTensor.basis_vector(n, i), T.slots[i])
+        _same(delta_op(field, x, T=T).comps, want.comps)

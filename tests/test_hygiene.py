@@ -1,9 +1,11 @@
-"""Source hygiene: no ``symkt`` module imports a name it never uses.
+"""Source hygiene: no ``symkt`` module imports a name it never uses, and
+no function body imports anything.
 
 A stdlib ``ast`` pass stands in for a linter's unused-import rule.  A name
 counts as used when the module loads it anywhere (an attribute chain
 counts through its root) or lists it in ``__all__``.  ``__init__.py``
-files are exempt: their imports are the package's re-exports.
+files are exempt: their imports are the package's re-exports.  Imports
+belong at the top of a module, where they run once, not on every call.
 """
 
 import ast
@@ -44,9 +46,25 @@ def unused_imports(source):
     return sorted({(name, line) for name, line in _imported(tree) if name not in used})
 
 
+def function_imports(source):
+    """Sorted (function, line) of every import inside a function body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= {(node.name, inner.lineno)
+                      for inner in ast.walk(node)
+                      if isinstance(inner, (ast.Import, ast.ImportFrom))}
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert function_imports(path.read_text()) == []
 
 
 def test_checker_flags_unused_names():
@@ -61,3 +79,20 @@ def test_checker_flags_unused_names():
         "    return np.sqrt(sqrt(2.0))\n"
     )
     assert unused_imports(source) == [("factorial", 3), ("late", 7), ("os", 1)]
+
+
+def test_checker_flags_function_imports():
+    source = (
+        "import numpy as np\n"
+        "def f():\n"
+        "    import json\n"
+        "    return json\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            from .y import late\n"
+        "            return late\n"
+        "        return inner\n"
+    )
+    # a nested function is inside both bodies
+    assert function_imports(source) == [("f", 3), ("inner", 8), ("m", 8)]
