@@ -16,14 +16,20 @@ Every seeding gets a fresh tag; combining Duals from different seedings is
 a bug in the caller and raises immediately.  Plain numbers mix freely.
 
 A :class:`Jet` is a second-order truncated Taylor scalar (hyper-dual
-style): a value, an ``(m,)`` gradient and an ``(m, m)`` Hessian, so
-``hessian`` takes exact second partials from one evaluation.  Its
-coefficients are floats, or Duals when ``hessian`` runs inside
-``jacobian``.
+style; Griewank & Walther, ch. 13), so ``hessian`` takes exact second
+partials from one evaluation.  It is a value and one flat tuple of m +
+m(m+1)/2 coefficients: the gradient, then the Hessian's upper triangle
+row by row.  Jet arithmetic is plain Python on that tuple, with no numpy
+call: the product, quotient and chain rules are straight-line code
+generated once per gradient length m and cached.  The coefficients are
+floats, or Duals when ``hessian`` runs inside ``jacobian``.
 """
 
+import functools
 import itertools
 import math
+import operator
+from collections import namedtuple
 
 import numpy as np
 
@@ -142,15 +148,17 @@ class Dual:
 
 
 def _entrywise(op, a, b):
-    """``op`` of a Dual and an array (or a foreign type) entry by entry.
+    """``op`` of a Dual or Jet and an array (or a foreign type) entry by entry.
 
-    The Dual goes into a 0-d object array, so numpy applies the Python
-    operator per entry; any other operand type gets NotImplemented back.
+    The Dual or Jet goes into a 0-d object array, so numpy applies the
+    Python operator per entry; any other operand type gets NotImplemented
+    back.
     """
-    if not isinstance(a if isinstance(b, Dual) else b, np.ndarray):
+    scalar_first = isinstance(a, (Dual, Jet))
+    if not isinstance(b if scalar_first else a, np.ndarray):
         return NotImplemented
     box = np.empty((), dtype=object)
-    if isinstance(a, Dual):
+    if scalar_first:
         box[()] = a
         return op(box, np.asarray(b, dtype=object))
     box[()] = b
@@ -158,72 +166,85 @@ def _entrywise(op, a, b):
 
 
 class Jet:
-    """Second-order jet: value, gradient (m,) and Hessian (m, m).
+    """Second-order jet: a value and one flat tuple ``d`` of coefficients.
 
-    The coefficients are floats, or Duals of an enclosing ``jacobian``
-    (object arrays), so arithmetic is written on them generically.  Plain
-    numbers and Duals mix in as constants; ndarrays are left to numpy,
-    which applies the operation entry by entry.
+    ``d`` holds the gradient (m entries), then the Hessian's upper triangle
+    row by row (m(m+1)/2 entries).  Every jet rule adds a symmetric term,
+    so the triangle carries every bit of the Hessian; ``grad`` and
+    ``hess`` rebuild the ``(m,)`` and ``(m, m)`` arrays.  Sums,
+    differences and scaling map over ``d``; products, quotients and the
+    chain rule run the code ``_rules`` generates.  The coefficients are
+    floats, or Duals of an enclosing ``jacobian``.  Plain numbers and
+    Duals mix in as constants, a numpy float as the Python float of the
+    same value (several times cheaper to multiply, and it keeps ``d``
+    Python floats); an ndarray operand is applied entry by entry
+    (``__array_ufunc__ = None`` hands numpy's binary operators to the
+    Jet, as for :class:`Dual`).
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "d")
+    __array_ufunc__ = None
 
     def __init__(self, val, grad, hess):
         self.val = val
-        self.grad = grad
-        self.hess = hess
+        self.d = (*grad, *(hess[i][j] for i, j in _triangle(len(grad))))
+
+    @property
+    def grad(self):
+        return np.array(self.d[:_rules(len(self.d)).m])
+
+    @property
+    def hess(self):
+        rules = _rules(len(self.d))
+        return np.array(self.d[rules.m:])[rules.square]
 
     def __repr__(self):
         return f"Jet({self.val!r}, grad={self.grad!r}, hess={self.hess!r})"
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val + other.val, self.grad + other.grad, self.hess + other.hess)
+            return _jet(self.val + other.val, tuple(map(operator.add, self.d, other.d)))
         if isinstance(other, _CONSTANT_TYPES):
-            return Jet(self.val + other, self.grad, self.hess)
-        return NotImplemented
+            return _jet(self.val + _plain(other), self.d)
+        return _entrywise(np.add, self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.val, -self.grad, -self.hess)
+        return _jet(-self.val, tuple(map(operator.neg, self.d)))
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.val - other.val, self.grad - other.grad, self.hess - other.hess)
+            return _jet(self.val - other.val, tuple(map(operator.sub, self.d, other.d)))
         if isinstance(other, _CONSTANT_TYPES):
-            return Jet(self.val - other, self.grad, self.hess)
-        return NotImplemented
+            return _jet(self.val - _plain(other), self.d)
+        return _entrywise(np.subtract, self, other)
 
     def __rsub__(self, other):
         if isinstance(other, _CONSTANT_TYPES):
-            return Jet(other - self.val, -self.grad, -self.hess)
-        return NotImplemented
+            return _jet(_plain(other) - self.val, tuple(map(operator.neg, self.d)))
+        return _entrywise(np.subtract, other, self)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            a, b = self.val, other.val
-            o = np.multiply.outer(self.grad, other.grad)
-            return Jet(a * b, a * other.grad + b * self.grad,
-                       a * other.hess + b * self.hess + (o + o.T))
+            return _rules(len(self.d)).mul(self, other)
         if isinstance(other, _CONSTANT_TYPES):
-            return Jet(self.val * other, self.grad * other, self.hess * other)
-        return NotImplemented
+            return _scaled(self, _plain(other))
+        return _entrywise(np.multiply, self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            return _quotient(self.val, self.grad, self.hess, other)
+            return _rules(len(other.d)).quotient(self.val, self.d, other)
         if isinstance(other, _CONSTANT_TYPES):
-            inv = 1.0 / other
-            return Jet(self.val * inv, self.grad * inv, self.hess * inv)
-        return NotImplemented
+            return _scaled(self, 1.0 / _plain(other))
+        return _entrywise(np.true_divide, self, other)
 
     def __rtruediv__(self, other):
         if isinstance(other, _CONSTANT_TYPES):
-            return _quotient(other, 0.0, 0.0, self)
-        return NotImplemented
+            return _rules(len(self.d)).quotient(_plain(other), (0.0,) * len(self.d), self)
+        return _entrywise(np.true_divide, other, self)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -235,19 +256,97 @@ class Jet:
 
 
 _CONSTANT_TYPES = _NUMBER_TYPES + (Dual,)
+_new = object.__new__
 
 
-def _quotient(a, ga, Ha, b):
-    """The jet q = a / b, from a = q b differentiated twice."""
-    q = a / b.val
-    gq = (ga - q * b.grad) / b.val
-    o = np.multiply.outer(gq, b.grad)
-    return Jet(q, gq, (Ha - q * b.hess - (o + o.T)) / b.val)
+def _jet(val, d):
+    """A Jet from its value and coefficient tuple, without the public
+    constructor's unpacking."""
+    j = _new(Jet)
+    j.val = val
+    j.d = d
+    return j
 
 
-def _chain(x, f0, f1, f2):
-    """f(x) for a jet x, from f and its first two derivatives at x.val."""
-    return Jet(f0, f1 * x.grad, f1 * x.hess + f2 * np.multiply.outer(x.grad, x.grad))
+def _plain(c):
+    """A numpy float constant as the Python float of the same value."""
+    return float(c) if isinstance(c, np.floating) else c
+
+
+def _scaled(x, c):
+    return _jet(x.val * c, tuple(map(operator.mul, x.d, itertools.repeat(c))))
+
+
+def _triangle(m):
+    """(i, j) of the Hessian's upper triangle, row by row: the order of a
+    Jet's Hessian coefficients."""
+    return [(i, j) for i in range(m) for j in range(i, m)]
+
+
+_Rules = namedtuple("_Rules", "m square mul quotient chain")
+
+
+@functools.cache
+def _rules(size):
+    """The product, quotient and chain rules for jets of ``size`` coefficients.
+
+    Generated once per gradient length m as straight-line code over the
+    unpacked coefficients (as ``dataclasses`` generates ``__init__``), so
+    a jet operation makes no numpy call and no loop.  Each line is the
+    numpy rule it replaces at one (i, j), in the same order of operations:
+
+        x y:      a d_ij(y) + b d_ij(x) + (d_i(x) d_j(y) + d_j(x) d_i(y))
+        a / y:    q = a / b, g_i = (d_i(a) - q d_i(y)) / b,
+                  (d_ij(a) - q d_ij(y) - (g_i d_j(y) + g_j d_i(y))) / b
+        f(x):     f' d_i(x), f' d_ij(x) + f'' (d_i(x) d_j(x))
+
+    with a, b the values of x, y.  ``square`` is the ``(m, m)`` table of
+    each Hessian entry's position in the triangle.
+    """
+    m = (math.isqrt(8 * size + 9) - 3) // 2
+    if m < 1 or m * (m + 3) // 2 != size:
+        raise ValueError(f"no gradient length has {size} jet coefficients")
+    tri = list(enumerate(_triangle(m), m))
+    unpack = ", ".join(f"{{0}}{k}" for k in range(size)) + ","
+    mul = ([f"av * b{i} + bv * a{i}" for i in range(m)]
+           + [f"av * b{k} + bv * a{k} + (a{i} * b{j} + a{j} * b{i})" for k, (i, j) in tri])
+    quotient = ([f"g{i}" for i in range(m)]
+                + [f"(a{k} - q * b{k} - (g{i} * b{j} + g{j} * b{i})) / bv" for k, (i, j) in tri])
+    chain = ([f"f1 * a{i}" for i in range(m)]
+             + [f"f1 * a{k} + f2 * (a{i} * a{j})" for k, (i, j) in tri])
+    source = "\n".join([
+        "def mul(x, y):",
+        f"    {unpack.format('a')} = x.d",
+        f"    {unpack.format('b')} = y.d",
+        "    av = x.val",
+        "    bv = y.val",
+        "    j = _new(Jet)",
+        "    j.val = av * bv",
+        f"    j.d = ({', '.join(mul)},)",
+        "    return j",
+        "def quotient(a, ad, y):",
+        f"    {unpack.format('a')} = ad",
+        f"    {unpack.format('b')} = y.d",
+        "    bv = y.val",
+        "    q = a / bv",
+        *(f"    g{i} = (a{i} - q * b{i}) / bv" for i in range(m)),
+        "    j = _new(Jet)",
+        "    j.val = q",
+        f"    j.d = ({', '.join(quotient)},)",
+        "    return j",
+        "def chain(x, f0, f1, f2):",
+        f"    {unpack.format('a')} = x.d",
+        "    j = _new(Jet)",
+        "    j.val = f0",
+        f"    j.d = ({', '.join(chain)},)",
+        "    return j",
+    ])
+    namespace = {"_new": _new, "Jet": Jet}
+    exec(source, namespace)
+    square = np.empty((m, m), dtype=np.intp)
+    for k, (i, j) in tri:
+        square[i, j] = square[j, i] = k - m
+    return _Rules(m, square, namespace["mul"], namespace["quotient"], namespace["chain"])
 
 
 def value_of(x):
@@ -272,7 +371,7 @@ def d_sqrt(x):
     if isinstance(x, Jet):
         s = d_sqrt(x.val)
         f1 = 0.5 / s
-        return _chain(x, s, f1, -0.5 * f1 / x.val)
+        return _rules(len(x.d)).chain(x, s, f1, -0.5 * f1 / x.val)
     if isinstance(x, Dual):
         s = d_sqrt(x.val)
         return Dual(s, (0.5 / s) * x.grad, x.tag)
@@ -282,7 +381,7 @@ def d_sqrt(x):
 def d_exp(x):
     if isinstance(x, Jet):
         e = d_exp(x.val)
-        return _chain(x, e, e, e)
+        return _rules(len(x.d)).chain(x, e, e, e)
     if isinstance(x, Dual):
         e = d_exp(x.val)
         return Dual(e, e * x.grad, x.tag)
@@ -292,7 +391,7 @@ def d_exp(x):
 def d_log(x):
     if isinstance(x, Jet):
         inv = 1.0 / x.val
-        return _chain(x, d_log(x.val), inv, -inv * inv)
+        return _rules(len(x.d)).chain(x, d_log(x.val), inv, -inv * inv)
     if isinstance(x, Dual):
         return Dual(d_log(x.val), x.grad / x.val, x.tag)
     return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
@@ -355,26 +454,22 @@ def hessian(fn, x):
     is evaluated once on :class:`Jet` seeds.  Returns ``(vals, grads,
     hess)`` of shapes ``(K,)``, ``(K, m)`` and ``(K, m, m)``, with
     ``hess[k, i, j]`` the second partial of output k in directions i and
-    j.  They are float arrays at a float point and object arrays at a dual
-    point, whose Duals carry the derivatives of an enclosing ``jacobian``;
-    the seeds' gradients and Hessians are then object arrays too, so that
-    a Dual coefficient multiplies them entry by entry rather than as a
-    batch constant.  Jets do not nest: ``x`` may not hold Jets.
+    j, unpacked from the outputs' coefficient tuples in one step.  They
+    are float arrays at a float point, whose coordinates enter as Python
+    floats of the same value, and object arrays at a dual point, whose
+    Duals carry the derivatives of an enclosing ``jacobian``.  Jets do not
+    nest: ``x`` may not hold Jets.
     """
     if any(isinstance(xi, Jet) for xi in x):
         raise ValueError("hessian does not nest")
     m = len(x)
+    size = m * (m + 3) // 2
+    zero = (0.0,) * size
     dtype = object if isinstance(x[0], Dual) else float
-    eye, zero = np.eye(m).astype(dtype), np.zeros((m, m)).astype(dtype)
-    ys = fn([Jet(xi, eye[i], zero) for i, xi in enumerate(x)])
-    vals, grads, hess = [], [], []
-    for y in ys:
-        if isinstance(y, Jet):
-            vals.append(y.val)
-            grads.append(y.grad)
-            hess.append(y.hess)
-        else:
-            vals.append(y)
-            grads.append(zero[0])
-            hess.append(zero)
-    return tuple(np.array(a, dtype=dtype) for a in (vals, grads, hess))
+    if dtype is float:
+        x = [float(xi) for xi in x]
+    ys = fn([_jet(xi, zero[:i] + (1.0,) + zero[i + 1:]) for i, xi in enumerate(x)])
+    rows = [(y.val, *y.d) if isinstance(y, Jet) else (y, *zero) for y in ys]
+    table = np.array(rows, dtype=dtype).reshape(len(rows), size + 1)
+    return (table[:, 0].copy(), table[:, 1:m + 1].copy(),
+            table[:, m + 1 + _rules(size).square])

@@ -392,15 +392,15 @@ def rough_laplacian(field, x, W=None):
     """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K from ``W = nabla2``."""
     W = nabla2(field, x) if W is None else W
     n = field.base.dim
-    return SymTensor(n, field.degree, -_grid(W)[np.arange(n), np.arange(n)].sum(0))
+    return SymTensor(n, field.degree, -slot_sum(_grid(W)[np.arange(n), np.arange(n)]))
 
 
 def delta_d(field, x, W=None):
     """delta d K assembled from the second covariant derivative ``W``."""
     W = nabla2(field, x) if W is None else W
     p = field.degree
-    dW = slot_products(_grid(W), p).sum(1)  # row b: sum_a e_a . W[b][a]
-    return SymTensor(field.base.dim, p, -slot_hooks(dW, p + 1).sum(0))
+    dW = slot_sum(slot_products(_grid(W), p))  # row b: sum_a e_a . W[b][a]
+    return SymTensor(field.base.dim, p, -slot_sum(slot_hooks(dW, p + 1)))
 
 
 def d_delta(field, x, W=None):
@@ -409,5 +409,5 @@ def d_delta(field, x, W=None):
         raise DegreeError("d delta needs degree >= 1")
     W = nabla2(field, x) if W is None else W
     p = field.degree
-    hW = slot_hooks(_grid(W), p).sum(1)  # row b: sum_a e_a -| W[b][a]
-    return SymTensor(field.base.dim, p, -slot_products(hW, p - 1).sum(0))
+    hW = slot_sum(slot_hooks(_grid(W), p))  # row b: sum_a e_a -| W[b][a]
+    return SymTensor(field.base.dim, p, -slot_sum(slot_products(hW, p - 1)))

@@ -271,11 +271,10 @@ class EmbeddedSphere:
         wsq = w[0] * w[0]
         for wi in w[1:]:
             wsq = wsq + wi * wi
+        w2 = [2.0 * wa for wa in w[:-1]]
         return point_array(
-            [
-                [(1.0 if i == a else 0.0) - 2.0 * w[a] * w[i] / wsq for a in range(N - 1)]
-                for i in range(N)
-            ],
+            [[(1.0 if i == a else 0.0) - w2[a] * w[i] / wsq for a in range(N - 1)]
+             for i in range(N)],
             x,
         )
 
@@ -401,7 +400,22 @@ def frame_at(base, x):
     return np.asarray(base.frame(list(x)), dtype=float)
 
 
-def _koszul(F, dF, GF):
+def _bracket(F, dF):
+    """Flat coordinate/ambient Lie brackets of the frame fields.
+
+    bracket[..., a, b, k] = [e_a, e_b]^k = sum_i (e_a^i d_i e_b^k -
+    e_b^i d_i e_a^k), from the frame F (..., m, n) and its partials dF
+    (..., m, m, n) with dF[i, k, b] = d_i F[k, b] (the layout of
+    :class:`ConnectionJet`).  It is bilinear in (F, dF), so its derivative
+    is two calls by the product rule; leading axes broadcast.
+    """
+    # t[a, b, k, i] = e_a^i d_i e_b^k
+    t = (np.swapaxes(F, -1, -2)[..., :, None, None, :]
+         * np.swapaxes(dF, -1, -3)[..., None, :, :, :])
+    return (t - np.swapaxes(t, -4, -3)).sum(axis=-1)
+
+
+def _koszul(bracket, GF):
     """Connection coefficients gamma[..., a, b, c] from the Koszul formula.
 
     With orthonormal arguments only the Lie bracket terms survive:
@@ -409,17 +423,11 @@ def _koszul(F, dF, GF):
         2 g(nabla_{e_a} e_b, e_c) =
             g([e_a,e_b], e_c) - g([e_a,e_c], e_b) - g([e_b,e_c], e_a),
 
-    with the flat coordinate/ambient bracket of the frame fields,
-    [e_a, e_b]^k = sum_i (e_a^i d_i e_b^k - e_b^i d_i e_a^k).  Takes the
-    frame F (..., m, n), its partials dF (..., m, m, n) with
-    dF[i, k, b] = d_i F[k, b] (the layout of :class:`ConnectionJet`) and
-    G F (..., m, n).  The result is linear in each of the three, so its
-    derivative is three calls by the product rule; leading axes broadcast.
+    from the frame's ``_bracket`` and G F (..., m, n).  It is linear in
+    each, so its derivative is the contraction of the bracket's
+    derivative with G F plus that of the bracket with d(G F); leading
+    axes broadcast.
     """
-    # t[a, b, k, i] = e_a^i d_i e_b^k
-    t = (np.swapaxes(F, -1, -2)[..., :, None, None, :]
-         * np.swapaxes(dF, -1, -3)[..., None, :, :, :])
-    bracket = (t - np.swapaxes(t, -4, -3)).sum(axis=-1)
     gb = bracket @ GF[..., None, :, :]  # gb[a, b, c] = g([e_a, e_b], e_c)
     return 0.5 * (gb - np.swapaxes(gb, -1, -2) - np.moveaxis(gb, -1, -3))
 
@@ -442,7 +450,7 @@ def gamma_frame(base, x, with_frame=False):
     F = vals.reshape(lead + (m, n))
     dF = np.moveaxis(jac.reshape(lead + (m, n, m)), -1, -3)  # [..., i, k, b] = d_i F[k, b]
     coords = list(np.asarray(x, dtype=float).T) if lead else list(x)
-    gamma = _koszul(F, dF, base.metric_matrix(coords) @ F)
+    gamma = _koszul(_bracket(F, dF), base.metric_matrix(coords) @ F)
     # column-major like the backends' frames: einsum sums depend on the layout
     return (_column_major(F), gamma) if with_frame else gamma
 
@@ -473,7 +481,8 @@ def connection_jet(base, x):
     """The :class:`ConnectionJet` at x from one hessian of frame and metric.
 
     ``gamma`` is the Koszul contraction of the frame jet and ``dgamma`` its
-    product-rule derivative.  Float arrays at a float point; object arrays
+    product-rule derivative; the frame's bracket serves both, so the jet
+    takes three brackets.  Float arrays at a float point; object arrays
     of Duals at a dual point, so curvature built from the jet can be
     differentiated once more.
     """
@@ -487,10 +496,10 @@ def connection_jet(base, x):
     dF = grads[:mn].reshape(m, n, m).transpose(2, 0, 1)  # [i, k, b] = d_i F[k, b]
     dG = grads[mn:].reshape(m, m, m).transpose(2, 0, 1)  # [i, k, l] = d_i G[k, l]
     ddF = hess[:mn].reshape(m, n, m, m).transpose(3, 2, 0, 1)  # [j, i, k, b] = d_j d_i F[k, b]
-    GF = G @ F
-    gamma = _koszul(F, dF, GF)
-    dgamma = (_koszul(dF, dF, GF) + _koszul(F, ddF, GF)
-              + _koszul(F, dF, dG @ F + G @ dF))
+    GF, bracket = G @ F, _bracket(F, dF)
+    gamma = _koszul(bracket, GF)
+    dgamma = (_koszul(_bracket(dF, dF), GF) + _koszul(_bracket(F, ddF), GF)
+              + _koszul(bracket, dG @ F + G @ dF))
     return ConnectionJet(F, dF, gamma, dgamma)
 
 

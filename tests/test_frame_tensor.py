@@ -28,7 +28,15 @@ from symkt.cartan import (
 )
 from symkt.dual import jacobian
 from symkt.errors import ShapeMismatchError, TraceError
-from symkt.fields import delta_op, nabla, random_polynomial_field
+from symkt.fields import (
+    d_delta,
+    delta_d,
+    delta_op,
+    nabla,
+    nabla2,
+    random_polynomial_field,
+    rough_laplacian,
+)
 from symkt.manifolds import euclidean_chart
 from symkt.multiindex import sym_size
 from symkt.symtensor import (
@@ -314,3 +322,43 @@ def test_slot_sums_at_eight_slots_match_slot_loop():
         for i in range(1, n):
             want = want - contract(SymTensor.basis_vector(n, i), T.slots[i])
         _same(delta_op(field, x, T=T).comps, want.comps)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_second_order_grid_sums_at_eight_slots_match_slot_loop(p):
+    # the nabla^2 grid's diagonal and rows hold few entries at p <= 1, so
+    # from 8 slots a plain .sum over them would turn pairwise
+    n = 8
+    eu = euclidean_chart(n)
+    rng = np.random.default_rng(1409 + p)
+    e = [SymTensor.basis_vector(n, a) for a in range(n)]
+    for _ in range(10):  # the grid is constant on the flat chart: vary the field
+        field = random_polynomial_field(eu, p, rng)
+        x = eu.sample_point(rng)
+        W = nabla2(field, x)
+        lap = W[0][0]
+        for a in range(1, n):
+            lap = lap + W[a][a]
+        _same(rough_laplacian(field, x, W=W).comps, (-lap).comps)
+        dW = []
+        for b in range(n):
+            row = sym_product(e[0], W[b][0])
+            for a in range(1, n):
+                row = row + sym_product(e[a], W[b][a])
+            dW.append(row)
+        want = contract(e[0], dW[0])
+        for b in range(1, n):
+            want = want + contract(e[b], dW[b])
+        _same(delta_d(field, x, W=W).comps, (-want).comps)
+        if p == 0:
+            continue
+        hW = []
+        for b in range(n):
+            row = contract(e[0], W[b][0])
+            for a in range(1, n):
+                row = row + contract(e[a], W[b][a])
+            hW.append(row)
+        want = sym_product(e[0], hW[0])
+        for b in range(1, n):
+            want = want + sym_product(e[b], hW[b])
+        _same(d_delta(field, x, W=W).comps, (-want).comps)
