@@ -15,7 +15,7 @@ from .cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, support
 from .constructors import _worst, special_conformal_residual
 from .errors import ConfigError, DegreeError, VerificationError
 from .fields import TensorField, _nabla_jet, d_op, delta_op, nabla
-from .multiindex import index_position, multi_indices
+from .multiindex import exchange_array
 from .symtensor import (
     SymTensor,
     norm,
@@ -97,12 +97,7 @@ def _codazzi_residual(S, n, p):
     """Exchange symmetry of the slot index against the first tensor
     argument, max |S[a][(b,) + I] - S[b][(a,) + I]| per point of the
     stacked slots S (..., n, size); NaN where an entry is not finite."""
-    pos = index_position(n, p)
-    pairs = np.array([
-        (a, pos[tuple(sorted((b,) + I))], b, pos[tuple(sorted((a,) + I))])
-        for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)
-    ])
-    a, ia, b, ib = pairs.T
+    a, ia, b, ib = exchange_array(n, p)
     d = np.abs(S[..., a, ia] - S[..., b, ib])
     return np.where(np.isfinite(d).all(-1), d.max(-1), np.nan)
 

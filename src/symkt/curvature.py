@@ -130,9 +130,10 @@ def qrh_check(base, x, h, rm=None):
 def lichnerowicz_defect(field, x):
     """|(delta d - d delta)K - (nabla*nabla - q(R))K| at x, relative.
 
-    One connection jet at x serves both ``nabla^2 K`` and the curvature,
-    and one hessian of the components both ``nabla^2 K`` and the values of
-    K that q(R) acts on.
+    One connection jet at x serves both ``nabla^2 K`` and the curvature
+    (the jet ``riemann`` took at x, if it was the last point), and one
+    hessian of the components both ``nabla^2 K`` and the values of K that
+    q(R) acts on.
     """
     if field.degree < 1:
         raise ValueError("defect check needs degree >= 1")

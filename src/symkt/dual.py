@@ -20,15 +20,15 @@ style; Griewank & Walther, ch. 13), so ``hessian`` takes exact second
 partials from one evaluation.  It is a value and one flat tuple of m +
 m(m+1)/2 coefficients: the gradient, then the Hessian's upper triangle
 row by row.  Jet arithmetic is plain Python on that tuple, with no numpy
-call: the product, quotient and chain rules are straight-line code
-generated once per gradient length m and cached.  The coefficients are
-floats, or Duals when ``hessian`` runs inside ``jacobian``.
+call: sums, differences, scaling, products, quotients and the chain rule
+are straight-line code generated once per gradient length m and cached.
+The coefficients are floats, or Duals when ``hessian`` runs inside
+``jacobian``.
 """
 
 import functools
 import itertools
 import math
-import operator
 from collections import namedtuple
 
 import numpy as np
@@ -171,10 +171,10 @@ class Jet:
     ``d`` holds the gradient (m entries), then the Hessian's upper triangle
     row by row (m(m+1)/2 entries).  Every jet rule adds a symmetric term,
     so the triangle carries every bit of the Hessian; ``grad`` and
-    ``hess`` rebuild the ``(m,)`` and ``(m, m)`` arrays.  Sums,
-    differences and scaling map over ``d``; products, quotients and the
-    chain rule run the code ``_rules`` generates.  The coefficients are
-    floats, or Duals of an enclosing ``jacobian``.  Plain numbers and
+    ``hess`` rebuild the ``(m,)`` and ``(m, m)`` arrays.  Every rule runs
+    the code ``_rules`` generates, except adding or subtracting a
+    constant, which keeps ``d``.  The coefficients are floats, or Duals
+    of an enclosing ``jacobian``.  Plain numbers and
     Duals mix in as constants, a numpy float as the Python float of the
     same value (several times cheaper to multiply, and it keeps ``d``
     Python floats); an ndarray operand is applied entry by entry
@@ -203,7 +203,7 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return _jet(self.val + other.val, tuple(map(operator.add, self.d, other.d)))
+            return _rules(len(self.d)).add(self, other)
         if isinstance(other, _CONSTANT_TYPES):
             return _jet(self.val + _plain(other), self.d)
         return _entrywise(np.add, self, other)
@@ -211,25 +211,25 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return _jet(-self.val, tuple(map(operator.neg, self.d)))
+        return _rules(len(self.d)).negated(-self.val, self)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            return _jet(self.val - other.val, tuple(map(operator.sub, self.d, other.d)))
+            return _rules(len(self.d)).sub(self, other)
         if isinstance(other, _CONSTANT_TYPES):
             return _jet(self.val - _plain(other), self.d)
         return _entrywise(np.subtract, self, other)
 
     def __rsub__(self, other):
         if isinstance(other, _CONSTANT_TYPES):
-            return _jet(_plain(other) - self.val, tuple(map(operator.neg, self.d)))
+            return _rules(len(self.d)).negated(_plain(other) - self.val, self)
         return _entrywise(np.subtract, other, self)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
             return _rules(len(self.d)).mul(self, other)
         if isinstance(other, _CONSTANT_TYPES):
-            return _scaled(self, _plain(other))
+            return _rules(len(self.d)).scaled(self, _plain(other))
         return _entrywise(np.multiply, self, other)
 
     __rmul__ = __mul__
@@ -238,7 +238,7 @@ class Jet:
         if isinstance(other, Jet):
             return _rules(len(other.d)).quotient(self.val, self.d, other)
         if isinstance(other, _CONSTANT_TYPES):
-            return _scaled(self, 1.0 / _plain(other))
+            return _rules(len(self.d)).scaled(self, 1.0 / _plain(other))
         return _entrywise(np.true_divide, self, other)
 
     def __rtruediv__(self, other):
@@ -273,27 +273,28 @@ def _plain(c):
     return float(c) if isinstance(c, np.floating) else c
 
 
-def _scaled(x, c):
-    return _jet(x.val * c, tuple(map(operator.mul, x.d, itertools.repeat(c))))
-
-
 def _triangle(m):
     """(i, j) of the Hessian's upper triangle, row by row: the order of a
     Jet's Hessian coefficients."""
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-_Rules = namedtuple("_Rules", "m square mul quotient chain")
+_Rules = namedtuple("_Rules", "m square add sub negated scaled mul quotient chain")
 
 
 @functools.cache
 def _rules(size):
-    """The product, quotient and chain rules for jets of ``size`` coefficients.
+    """The jet rules for jets of ``size`` coefficients.
 
     Generated once per gradient length m as straight-line code over the
     unpacked coefficients (as ``dataclasses`` generates ``__init__``), so
-    a jet operation makes no numpy call and no loop.  Each line is the
-    numpy rule it replaces at one (i, j), in the same order of operations:
+    a jet operation makes no numpy call and no loop.  The linear rules
+    act coefficient by coefficient: ``add`` and ``sub`` of two jets,
+    ``scaled(x, c)`` (each coefficient times c) and ``negated(v, x)``,
+    the jet of value v and coefficients minus those of x (``-x`` and
+    ``c - x``, whose value is ``c - x.val``, so a zero keeps its sign).
+    Each line of the others is the numpy rule it replaces at one (i, j),
+    in the same order of operations:
 
         x y:      a d_ij(y) + b d_ij(x) + (d_i(x) d_j(y) + d_j(x) d_i(y))
         a / y:    q = a / b, g_i = (d_i(a) - q d_i(y)) / b,
@@ -307,46 +308,43 @@ def _rules(size):
     if m < 1 or m * (m + 3) // 2 != size:
         raise ValueError(f"no gradient length has {size} jet coefficients")
     tri = list(enumerate(_triangle(m), m))
-    unpack = ", ".join(f"{{0}}{k}" for k in range(size)) + ","
     mul = ([f"av * b{i} + bv * a{i}" for i in range(m)]
            + [f"av * b{k} + bv * a{k} + (a{i} * b{j} + a{j} * b{i})" for k, (i, j) in tri])
     quotient = ([f"g{i}" for i in range(m)]
                 + [f"(a{k} - q * b{k} - (g{i} * b{j} + g{j} * b{i})) / bv" for k, (i, j) in tri])
     chain = ([f"f1 * a{i}" for i in range(m)]
              + [f"f1 * a{k} + f2 * (a{i} * a{j})" for k, (i, j) in tri])
+
+    ua, ub = (", ".join(f"{prefix}{k}" for k in range(size)) + "," for prefix in "ab")
+
+    def rule(head, val, coeffs, *body):
+        return [f"def {head}:", *(f"    {line}" for line in body),
+                "    j = _new(Jet)",
+                f"    j.val = {val}",
+                f"    j.d = ({', '.join(coeffs)},)",
+                "    return j"]
+
+    ks = range(size)
     source = "\n".join([
-        "def mul(x, y):",
-        f"    {unpack.format('a')} = x.d",
-        f"    {unpack.format('b')} = y.d",
-        "    av = x.val",
-        "    bv = y.val",
-        "    j = _new(Jet)",
-        "    j.val = av * bv",
-        f"    j.d = ({', '.join(mul)},)",
-        "    return j",
-        "def quotient(a, ad, y):",
-        f"    {unpack.format('a')} = ad",
-        f"    {unpack.format('b')} = y.d",
-        "    bv = y.val",
-        "    q = a / bv",
-        *(f"    g{i} = (a{i} - q * b{i}) / bv" for i in range(m)),
-        "    j = _new(Jet)",
-        "    j.val = q",
-        f"    j.d = ({', '.join(quotient)},)",
-        "    return j",
-        "def chain(x, f0, f1, f2):",
-        f"    {unpack.format('a')} = x.d",
-        "    j = _new(Jet)",
-        "    j.val = f0",
-        f"    j.d = ({', '.join(chain)},)",
-        "    return j",
+        *rule("add(x, y)", "x.val + y.val", [f"a{k} + b{k}" for k in ks],
+              f"{ua} = x.d", f"{ub} = y.d"),
+        *rule("sub(x, y)", "x.val - y.val", [f"a{k} - b{k}" for k in ks],
+              f"{ua} = x.d", f"{ub} = y.d"),
+        *rule("negated(v, x)", "v", [f"-a{k}" for k in ks], f"{ua} = x.d"),
+        *rule("scaled(x, c)", "x.val * c", [f"a{k} * c" for k in ks], f"{ua} = x.d"),
+        *rule("mul(x, y)", "av * bv", mul,
+              f"{ua} = x.d", f"{ub} = y.d", "av = x.val", "bv = y.val"),
+        *rule("quotient(a, ad, y)", "q", quotient,
+              f"{ua} = ad", f"{ub} = y.d", "bv = y.val", "q = a / bv",
+              *(f"g{i} = (a{i} - q * b{i}) / bv" for i in range(m))),
+        *rule("chain(x, f0, f1, f2)", "f0", chain, f"{ua} = x.d"),
     ])
     namespace = {"_new": _new, "Jet": Jet}
     exec(source, namespace)
     square = np.empty((m, m), dtype=np.intp)
     for k, (i, j) in tri:
         square[i, j] = square[j, i] = k - m
-    return _Rules(m, square, namespace["mul"], namespace["quotient"], namespace["chain"])
+    return _Rules(m, square, *(namespace[name] for name in _Rules._fields[2:]))
 
 
 def value_of(x):

@@ -28,7 +28,7 @@ import numpy as np
 from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
 from .dual import d_exp, hessian, jacobian, value_of
 from .errors import DegreeError, DomainError
-from .manifolds import connection_jet, gamma_frame, point_array
+from .manifolds import _frame_connection, _seeded_frame, connection_jet, point_array
 from .multiindex import multi_indices, sym_size
 from .symtensor import (
     SymTensor,
@@ -293,13 +293,27 @@ def _nabla_jet(field, x):
 
     At a point (any dual level) ``(size,)`` and ``(n, size)`` arrays; at a
     batch of B points ``(B, size)`` and ``(B, n, size)`` float arrays, from
-    one seeding, one field evaluation, one frame jet and one Koszul
-    contraction.  Callers that also need K (``classify``) take it from here
-    instead of evaluating the field again.
+    one seeding that evaluates the field and the frame, and one Koszul
+    contraction.  The frame is evaluated once at the seeding: when the
+    components evaluate it, the connection reuses that value.  Callers
+    that also need K (``classify``) take it from here instead of
+    evaluating the field again.
     """
-    _check_domain(field.base, x)
-    vals, jac = jacobian(field.comps_fn, x)
-    F, gam = gamma_frame(field.base, x, with_frame=True)
+    base = field.base
+    _check_domain(base, x)
+    mn = base.coord_dim * base.dim
+
+    def comps_and_frame(y):
+        # the components first: if they evaluate the frame, it is remembered
+        return [*field.comps_fn(y), *_seeded_frame(base, y).ravel()]
+
+    vals, jac = jacobian(comps_and_frame, x)
+    # contiguous parts, laid out as two jacobians would give them, so the
+    # einsum and bracket sums see the layout they were pinned on
+    F, gam = _frame_connection(base, x, np.ascontiguousarray(vals[..., -mn:]),
+                               np.ascontiguousarray(jac[..., -mn:, :]))
+    vals = np.ascontiguousarray(vals[..., :-mn])
+    jac = np.ascontiguousarray(jac[..., :-mn, :])
     return vals, _assemble_first(field.degree, vals, jac, F, gam)
 
 
@@ -336,14 +350,15 @@ def _nabla2_jet(field, x, jet=None):
     return vals, first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
 
 
-def nabla2(field, x, jet=None):
+def nabla2(field, x):
     """Second covariant derivative: grid W[b][a] = nabla^2_{e_b, e_a} K.
 
-    From one hessian of the components and the connection jet at x; pass
-    ``jet = connection_jet(field.base, x)`` to share it with the caller.
+    From one hessian of the components and the connection jet at x, which
+    ``connection_jet`` keeps for the next call at the same float point
+    (``riemann`` there reuses it).
     """
     n, p = field.base.dim, field.degree
-    W = _nabla2_jet(field, x, jet)[1]
+    W = _nabla2_jet(field, x)[1]
     return [[SymTensor(n, p, W[b, a]) for a in range(n)] for b in range(n)]
 
 

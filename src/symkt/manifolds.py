@@ -36,11 +36,21 @@ by the product rule on the same contraction, from one second-order jet of
 the frame and metric; curvature and nabla^2 are assembled from it in
 :mod:`symkt.curvature` and :mod:`symkt.fields`.
 
+Each frame jet is taken once per point, through two one-entry caches.
+``connection_jet`` keeps its last jet at a float point, keyed by the base
+object and the float64 bytes of the point, as read-only arrays: the
+curvature, q(R) and nabla^2 at one point share one hessian.  Each
+backend's ``frame`` keeps its last value at a seeding's Duals, keyed by
+the seeding's tag and the base and hit only by those same Duals: a field
+whose components evaluate the frame and the connection taken in the same
+jacobian (``fields._nabla_jet``) share one frame evaluation.
+
 Sign conventions are pinned by the unit sphere: the curvature operator on
 2-forms is minus the identity there, i.e. R(X,Y,Z,V) = g(X,V)g(Y,Z) -
 g(X,Z)g(Y,V).
 """
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -122,6 +132,52 @@ def _block_diag(A, B):
     return out
 
 
+# One entry: (seeding tag, base, seeded coordinates, frame) of the last
+# frame evaluated at a seeding's Duals.
+_last_frame = (None, None, (), None)
+
+
+def _remembered_frame(base, x):
+    """The memo's frame if x holds that entry's seeded Duals, by identity."""
+    tag, cached, coords, F = _last_frame
+    if (cached is base and x[0].tag == tag and len(x) == len(coords)
+            and all(u is v for u, v in zip(x, coords))):
+        return F
+    return None
+
+
+def _frame_memo(frame):
+    """A backend's ``frame`` method, remembering its last value at Duals.
+
+    At a point of Duals the frame is computed once per seeding, base and
+    coordinates: a field's components and the connection of the same
+    jacobian share it (:func:`_seeded_frame`).  A product factor's slice
+    or any other point of the seeding holds other Duals and is computed
+    afresh.  The remembered frame is read-only.  Float and batch points
+    pass through.
+    """
+
+    @functools.wraps(frame)
+    def memo_frame(self, x):
+        global _last_frame
+        if not isinstance(x[0], Dual):
+            return frame(self, x)
+        F = _remembered_frame(self, x)
+        if F is None:
+            F = frame(self, x)
+            F.flags.writeable = False
+            _last_frame = (x[0].tag, self, tuple(x), F)
+        return F
+
+    return memo_frame
+
+
+def _seeded_frame(base, x):
+    """``base.frame(x)`` at seeded Duals, without a call when it is remembered."""
+    F = _remembered_frame(base, x)
+    return base.frame(x) if F is None else F
+
+
 # ---------------------------------------------------------------------------
 # chart backend
 
@@ -186,6 +242,7 @@ class Chart:
     def metric_matrix(self, x):
         return self._diagonal(self.factor(x), x)
 
+    @_frame_memo
     def frame(self, x):
         return self._diagonal(1.0 / d_sqrt(self.factor(x)), x)
 
@@ -258,6 +315,7 @@ class EmbeddedSphere:
     def metric_matrix(self, x):
         return point_array(np.eye(self.coord_dim), x)
 
+    @_frame_memo
     def frame(self, x):
         N = self.coord_dim
         r2 = x[0] * x[0]
@@ -327,6 +385,7 @@ class ProductManifold:
         x1, x2 = self._split(x)
         return _block_diag(self.first.metric_matrix(x1), self.second.metric_matrix(x2))
 
+    @_frame_memo
     def frame(self, x):
         x1, x2 = self._split(x)
         return _block_diag(self.first.frame(x1), self.second.frame(x2))
@@ -375,6 +434,7 @@ class ConformalRescale:
     def metric_matrix(self, x):
         return _scale_points(d_exp(2.0 * self.f_fn(x)), self.base.metric_matrix(x))
 
+    @_frame_memo
     def frame(self, x):
         return _scale_points(d_exp(-1.0 * self.f_fn(x)), self.base.frame(x))
 
@@ -444,15 +504,27 @@ def gamma_frame(base, x, with_frame=False):
     x taken from the same jet: the values of ``base.frame(x)``, bit for bit,
     without evaluating the frame again.
     """
+    F, gamma = _frame_connection(base, x, *jacobian(lambda y: base.frame(y).ravel(), x))
+    return (F, gamma) if with_frame else gamma
+
+
+def _frame_connection(base, x, vals, jac):
+    """The frame F and ``gamma`` at x from the frame's first-order jet.
+
+    ``vals`` (..., m n) is the raveled frame at x and ``jac`` (..., m n, m)
+    its partials, as ``jacobian`` returns them; ``gamma`` is their Koszul
+    contraction and F is stored column-major, as the backends build it.
+    ``gamma_frame`` takes the jet from a jacobian of the frame alone,
+    ``fields._nabla_jet`` from the jacobian of a field's components.
+    """
     m, n = base.coord_dim, base.dim
-    vals, jac = jacobian(lambda y: base.frame(y).ravel(), x)
     lead = vals.shape[:-1]  # (B,) at a batch, () at a point
     F = vals.reshape(lead + (m, n))
     dF = np.moveaxis(jac.reshape(lead + (m, n, m)), -1, -3)  # [..., i, k, b] = d_i F[k, b]
     coords = list(np.asarray(x, dtype=float).T) if lead else list(x)
     gamma = _koszul(_bracket(F, dF), base.metric_matrix(coords) @ F)
     # column-major like the backends' frames: einsum sums depend on the layout
-    return (_column_major(F), gamma) if with_frame else gamma
+    return _column_major(F), gamma
 
 
 def _column_major(F):
@@ -477,6 +549,10 @@ class ConnectionJet(NamedTuple):
     dgamma: np.ndarray
 
 
+# One entry: (base, float64 bytes of x, ConnectionJet) of the last float point.
+_last_jet = (None, None, None)
+
+
 def connection_jet(base, x):
     """The :class:`ConnectionJet` at x from one hessian of frame and metric.
 
@@ -485,12 +561,33 @@ def connection_jet(base, x):
     takes three brackets.  Float arrays at a float point; object arrays
     of Duals at a dual point, so curvature built from the jet can be
     differentiated once more.
+
+    At a float point the last jet is kept, keyed by the base object and
+    the float64 bytes of x (which tell -0.0 from 0.0), so ``riemann``,
+    ``qR_act`` without ``rm``, ``nabla2`` and ``lichnerowicz_defect`` at
+    one point share one hessian; its arrays are read-only.  Dual points
+    are computed afresh.
     """
+    global _last_jet
+    x = list(x)
+    if isinstance(x[0], (Dual, Jet)):
+        return _connection_jet(base, x)
+    key = np.asarray(x, dtype=float).tobytes()
+    cached, cached_key, jet = _last_jet
+    if cached is not base or cached_key != key:
+        jet = _connection_jet(base, x)
+        for a in jet:
+            a.flags.writeable = False
+        _last_jet = (base, key, jet)
+    return jet
+
+
+def _connection_jet(base, x):
     m, n = base.coord_dim, base.dim
     mn = m * n
     vals, grads, hess = hessian(
         lambda y: np.concatenate([base.frame(y).ravel(), base.metric_matrix(y).ravel()]),
-        list(x),
+        x,
     )
     F, G = vals[:mn].reshape(m, n), vals[mn:].reshape(m, m)
     dF = grads[:mn].reshape(m, n, m).transpose(2, 0, 1)  # [i, k, b] = d_i F[k, b]

@@ -12,7 +12,8 @@ are also compiled to read-only integer index arrays (``product_arrays``,
 ``contract_array``, ``trace_array``) that the kernels in ``symtensor``
 gather with, in table order; ``index_array`` and ``replace_array`` serve
 the derivation action of matrices, ``prefix_arrays`` the slot-by-slot
-change of basis, and ``dense_array`` the gather of the full dense array.
+change of basis, ``dense_array`` the gather of the full dense array and
+``exchange_array`` the Codazzi exchange of a slot with a tensor index.
 """
 
 from functools import lru_cache
@@ -34,6 +35,7 @@ __all__ = [
     "prefix_arrays",
     "replace_array",
     "dense_array",
+    "exchange_array",
 ]
 
 
@@ -204,3 +206,18 @@ def dense_array(n, p):
     pos = index_position(n, p)
     return _frozen([pos[tuple(sorted(J))] for J in product(range(n), repeat=p)],
                    np.intp).reshape((n,) * p)
+
+
+@lru_cache(maxsize=None)
+def exchange_array(n, p):
+    """(4, pairs) table ``(a, ia, b, ib)`` of the Codazzi exchange (p >= 1).
+
+    One column per slot pair a < b and degree p-1 index I: ``ia`` is the
+    position of sorted((b,) + I) and ``ib`` that of sorted((a,) + I), so
+    ``S[..., a, ia] - S[..., b, ib]`` compares S[a][(b,) + I] with
+    S[b][(a,) + I] for stacked slots S (..., n, size).
+    """
+    pos = index_position(n, p)
+    columns = [(a, pos[sorted_insert(I, b)], b, pos[sorted_insert(I, a)])
+               for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)]
+    return _frozen(list(zip(*columns)), np.intp)

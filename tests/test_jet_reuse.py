@@ -4,21 +4,24 @@ The metric is parallel, so nabla commutes with the trace Lambda: the
 classifier reads nabla K_0 = (nabla K)_0 and d tr K = tr nabla K off a
 single nabla K, and the Lichnerowicz defect reads all three second-order
 operators off a single nabla^2 K, and q(R) off the same connection jet.
-These tests pin the identities on every catalog backend and count the
-derivative calls.
+The connection jet at a float point is kept for the next call at the
+same point, and the frame at a seeding's Duals for the next call at the
+same Duals.  These tests pin the identities on every catalog backend and
+count the derivative calls.
 """
 
+import hashlib
 import math
 import sys
 
 import numpy as np
 import pytest
 
-from symkt import curvature
+from symkt import curvature, dual, manifolds
 from symkt.cartan import frame_norm
 from symkt.classify import classify
 from symkt.constructors import build_constructor, constructor_catalog
-from symkt.dual import value_of
+from symkt.dual import seed, value_of
 from symkt.fields import (
     TensorField,
     d_op,
@@ -30,10 +33,23 @@ from symkt.fields import (
     wrap_conformal_field,
 )
 from symkt.geodesic import geodesic_drift
-from symkt.manifolds import EmbeddedSphere, euclidean_chart, gamma_frame, manifold_from_key
+from symkt.manifolds import (
+    EmbeddedSphere,
+    connection_jet,
+    euclidean_chart,
+    gamma_frame,
+    manifold_from_key,
+)
 from symkt.symtensor import SymTensor, mult_L, norm, trace_Lambda, tracefree_part
 
 REL = 1e-12
+
+
+@pytest.fixture(autouse=True)
+def empty_caches(monkeypatch):
+    # call counts must not depend on what earlier tests left in the caches
+    monkeypatch.setattr(manifolds, "_last_jet", (None, None, None))
+    monkeypatch.setattr(manifolds, "_last_frame", (None, None, (), None))
 
 
 def _L_field(field):
@@ -125,13 +141,15 @@ def test_generic_fields_have_nonparallel_trace(field):
     assert max(norm(trace_Lambda(s)) for s in T.slots) > 1e-3
 
 
-def _count(monkeypatch, module, name):
-    """Count calls of ``module.name`` through every symkt module binding it."""
+def _count(monkeypatch, module, name, counts=None):
+    """Count calls of ``module.name`` through every symkt module binding it,
+    only those whose arguments ``counts`` accepts if it is given."""
     orig = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        if counts is None or counts(*args):
+            calls.append(1)
         return orig(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
@@ -174,7 +192,7 @@ def test_classify_takes_one_batched_jet(monkeypatch, key):
     field_calls = _count_method(monkeypatch, TensorField, "__call__")
     rep = classify(field, samples=10, seed=2)
     assert grads == [(field.base.coord_dim, 10)]
-    assert len(jacobians) == 2  # the components and the frame
+    assert len(jacobians) == 1  # the components and the frame, one seeding
     assert len(field_calls) == 0
     assert rep.max_residuals["p1"] is not None
 
@@ -225,8 +243,8 @@ def test_riemann_evaluates_the_frame_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_nabla_evaluates_the_frame_twice(monkeypatch):
-    # once at the dual point inside the field, once for the connection jet,
+def test_nabla_evaluates_the_frame_once(monkeypatch):
+    # at the dual point inside the field; the connection reuses that frame,
     # whose values also serve as the frame at x
     field = build_constructor("hopf-stackel")[0]
     frame = EmbeddedSphere.frame
@@ -238,7 +256,76 @@ def test_nabla_evaluates_the_frame_twice(monkeypatch):
 
     monkeypatch.setattr(EmbeddedSphere, "frame", counted)
     nabla(field, field.base.sample_point(np.random.default_rng(6)))
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key", ["sphere:3", "hyperbolic:3", "product:sphere:2,sphere:2"])
+def test_one_point_takes_one_frame_hessian(monkeypatch, key):
+    # riemann, q(R) without rm and the Lichnerowicz defect share the jet
+    base = manifold_from_key(key)
+    rng = np.random.default_rng(12)
+    field = (random_tangential_field(base, 2, rng) if isinstance(base, EmbeddedSphere)
+             else random_polynomial_field(base, 2, rng))
+    x = base.sample_point(rng)
+    hessians = _count(monkeypatch, dual, "hessian", lambda fn, y: fn is not field.comps_fn)
+    rm = curvature.riemann(base, x)
+    K = SymTensor(base.dim, 1, rng.standard_normal(base.dim))
+    assert norm(curvature.qR_act(base, x, K) - curvature.qR_act(base, x, K, rm=rm)) == 0.0
+    assert curvature.lichnerowicz_defect(field, x) <= 1e-6
+    assert len(hessians) == 1
+
+
+def test_connection_jet_is_kept_per_base_and_point_bytes(monkeypatch):
+    base = manifold_from_key("stereographic:2")
+    hessians = _count(monkeypatch, dual, "hessian")
+    x = [0.25, 0.0]
+    jet = connection_jet(base, x)
+    assert connection_jet(base, np.array(x)) is jet  # the same float64 bytes
+    assert len(hessians) == 1
+    # a different point, a fresh base of the same key, the other signed zero
+    for b, y in [(base, [0.25, 0.125]), (manifold_from_key("stereographic:2"), x),
+                 (base, [0.25, -0.0])]:
+        other = connection_jet(b, y)
+        assert other is not jet
+        jet = other
+    assert len(hessians) == 4
+
+
+def test_connection_jet_arrays_are_read_only():
+    base = manifold_from_key("sphere:3")
+    jet = connection_jet(base, base.sample_point(np.random.default_rng(13)))
+    for a in jet:
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+def test_nabla_of_ricci_field_bypasses_the_cache():
+    # its connection jets are at dual points; the digest is the one pinned
+    # in test_golden_jets.py
+    base = manifold_from_key("sphere:2")
+    x = list(base.sample_point(np.random.default_rng([1913, 99])))
+    comps = np.ascontiguousarray(nabla(curvature.ricci_field(base), x).comps, dtype=float)
+    digest = hashlib.sha256(repr(comps.shape).encode() + comps.tobytes()).hexdigest()
+    assert digest[:16] == "756af045756b2425"
+    assert manifolds._last_jet == (None, None, None)
+
+
+def test_frame_is_remembered_only_at_the_seeded_duals(monkeypatch):
+    product = manifold_from_key("product:sphere:2,sphere:2")
+    calls = _count_method(monkeypatch, EmbeddedSphere, "frame")
+    X = seed(list(product.sample_point(np.random.default_rng(14))))
+    F = product.frame(X)
+    assert len(calls) == 2  # one per factor
+    assert product.frame(list(X)) is F and not F.flags.writeable
+    product.first.frame(X[:3])  # a factor's slice: another base
+    assert len(calls) == 3
+    shifted = [xi + 0.0 for xi in X]  # other Duals of the same seeding
+    G = product.frame(shifted)
+    assert G is not F and len(calls) == 5
+    assert value_of(list(G.ravel())) == value_of(list(F.ravel()))
+    x = [0.6, 0.0, 0.8]
+    assert product.first.frame(x) is not product.first.frame(x)  # floats pass through
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("key", ["hyperbolic:3", "stereographic:2", "euclidean:3", "torus:2",

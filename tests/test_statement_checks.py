@@ -4,7 +4,8 @@
 Staeckel tensor (nabla K = n nabla P1) instead of differentiating two
 extension fields per eigenvector pair; ``nijenhuis`` contracts K and
 nabla K from one jet; ``SymTensor.to_dense`` and ``qrh_check`` gather
-through ``multiindex.dense_array``; ``killing_form_residual`` contracts
+through ``multiindex.dense_array`` and the Codazzi residual through
+``multiindex.exchange_array``; ``killing_form_residual`` contracts
 all frame directions at once and ``ricci_killing_residual`` sums its
 slots with ``slot_sum``.  The reference functions below are the former
 implementations, kept verbatim.
@@ -44,7 +45,13 @@ from symkt.manifolds import (
     frame_components,
     manifold_from_key,
 )
-from symkt.multiindex import dense_array, multi_indices, sym_size
+from symkt.multiindex import (
+    dense_array,
+    exchange_array,
+    index_position,
+    multi_indices,
+    sym_size,
+)
 from symkt.symtensor import SymTensor, norm, poly_eval, random_sym_tensor, trace_Lambda
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -198,7 +205,7 @@ def ref_qrh_check(base, x, h, rm=None):
     return norm(SymTensor(n, 2, diff)) / max(1.0, norm(target))
 
 
-# -- dense_array and to_dense ------------------------------------------------
+# -- dense_array, exchange_array and to_dense --------------------------------
 
 
 @settings(max_examples=60, deadline=None)
@@ -221,6 +228,24 @@ def test_dense_array_is_cached_and_read_only():
     assert table.shape == (3, 3) and table.dtype == np.intp
     assert not table.flags.writeable
     assert dense_array(4, 0).shape == ()
+
+
+def ref_exchange_pairs(n, p):
+    """The Codazzi pair table as ``classify`` built it on every call."""
+    pos = index_position(n, p)
+    return np.array([
+        (a, pos[tuple(sorted((b,) + I))], b, pos[tuple(sorted((a,) + I))])
+        for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)
+    ]).T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_exchange_array_matches_pair_loop(n, p):
+    table = exchange_array(n, p)
+    assert table is exchange_array(n, p)
+    assert table.dtype == np.intp and not table.flags.writeable
+    assert np.array_equal(table, ref_exchange_pairs(n, p))
 
 
 # -- condition (d1) ----------------------------------------------------------
