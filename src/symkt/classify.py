@@ -12,10 +12,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, supported_pair
-from .constructors import _worst, special_conformal_residual
+from .constructors import special_conformal_residual
 from .errors import ConfigError, DegreeError, VerificationError
 from .fields import TensorField, _nabla_jet, d_op, delta_op, nabla
 from .multiindex import exchange_array
+from .obs import finite_or_nan, worst
 from .symtensor import (
     SymTensor,
     norm,
@@ -90,7 +91,7 @@ def _scale(T):
     """Residual normalizer max(1, |nabla K|) per point; NaN where |nabla K|
     is not finite."""
     s = frame_norm(T)
-    return np.where(np.isfinite(s), np.maximum(s, 1.0), np.nan)
+    return finite_or_nan(np.maximum(s, 1.0))
 
 
 def _codazzi_residual(S, n, p):
@@ -98,8 +99,7 @@ def _codazzi_residual(S, n, p):
     argument, max |S[a][(b,) + I] - S[b][(a,) + I]| per point of the
     stacked slots S (..., n, size); NaN where an entry is not finite."""
     a, ia, b, ib = exchange_array(n, p)
-    d = np.abs(S[..., a, ia] - S[..., b, ib])
-    return np.where(np.isfinite(d).all(-1), d.max(-1), np.nan)
+    return finite_or_nan(np.abs(S[..., a, ia] - S[..., b, ib]).max(-1))
 
 
 def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
@@ -167,7 +167,7 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
         res["two_tensor"] = norm(dtr - deltaK.scale(2.0)) / scale
     res = {k: np.asarray(v, dtype=float).tolist() for k, v in res.items()}
 
-    maxes = {k: _worst(v) for k, v in res.items()}
+    maxes = {k: worst(v) for k, v in res.items()}
     verdicts = {}
     verdicts["killing"] = maxes["killing"] <= tol
     verdicts["tracefree"] = maxes["tracefree"] <= tol
@@ -194,7 +194,7 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     )
 
 
-def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
+def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42):
     """Check the standard-decomposition parts of a divergence-free Killing
     tensor for the trace-free-Killing property.
 
@@ -204,8 +204,7 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
     """
     if samples < 1:
         raise ConfigError(f"part analysis needs samples >= 1, got {samples}")
-    gate_tol = tol if gate_tol is None else gate_tol
-    report = classify(field, samples=max(10, samples // 3), tol=gate_tol,
+    report = classify(field, samples=max(10, samples // 3), tol=tol,
                       seed=seed, p_parts=False)
     if not (report.verdicts["killing"] and report.verdicts["divfree"]):
         raise VerificationError(
@@ -227,11 +226,10 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42, gate_tol=None):
         points = [list(base.sample_point(rng)) for _ in range(samples)]
         T = nabla(part_field, points)
         scale = _scale(T)
-        ds = (norm(d_op(part_field, points, T=T)) / scale).tolist()
-        deltas = []
+        worst_d = worst(norm(d_op(part_field, points, T=T)) / scale)
+        worst_delta = 0.0
         if deg_i >= 1:
-            deltas = (norm(delta_op(part_field, points, T=T)) / scale).tolist()
-        worst_d, worst_delta = _worst(ds, 0.0), _worst(deltas, 0.0)
+            worst_delta = worst(norm(delta_op(part_field, points, T=T)) / scale)
         out[i] = {
             "degree": deg_i,
             "d": worst_d,

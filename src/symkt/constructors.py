@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .cartan import FrameTensor, _rows, frame_norm, slot_products
-from .dual import jacobian
+from .dual import d_dot, jacobian
 from .errors import ConfigError, VerificationError
 from .fields import (
     TensorField,
@@ -36,6 +36,7 @@ from .manifolds import (
     point_array,
 )
 from .multiindex import dense_array, index_array, multi_indices
+from .obs import finite_or_nan, worst
 from .symtensor import (
     SymTensor,
     mult_L,
@@ -207,18 +208,6 @@ def killing_vector(base, generator, translation=None, name="killing-vector"):
     return field_from_components(base, 1, amb, rep="coordinate", name=name)
 
 
-def _worst(vals, empty=None):
-    """Largest value; NaN if any is not finite, so a NaN sample cannot pass."""
-    if not vals:
-        return empty
-    return max(vals) if all(map(math.isfinite, vals)) else math.nan
-
-
-def _least(vals):
-    """Smallest value, for floor checks; NaN if any is not finite."""
-    return min(vals) if all(map(math.isfinite, vals)) else math.nan
-
-
 def verify_killing(field, rng, samples=KILLING_CHECK_SAMPLES, tol=KILLING_CHECK_TOL):
     """Raise unless the d-residual of the field is below tol at samples.
 
@@ -230,10 +219,10 @@ def verify_killing(field, rng, samples=KILLING_CHECK_SAMPLES, tol=KILLING_CHECK_
     points = [list(field.base.sample_point(rng)) for _ in range(samples)]
     T = nabla(field, points)
     res = norm(d_op(field, points, T=T)) / np.maximum(1.0, frame_norm(T))
-    worst = _worst(res.tolist())
-    if not worst <= tol:
-        raise VerificationError(f"field is not Killing (residual {worst:.2e})")
-    return worst
+    residual = worst(res)
+    if not residual <= tol:
+        raise VerificationError(f"field is not Killing (residual {residual:.2e})")
+    return residual
 
 
 def sym_product_field(xi, zeta, rng=None, check=True, name=None):
@@ -315,7 +304,7 @@ def killing_form_residual(u, x):
         D = np.moveaxis(np.tensordot(P, D, axes=([1], [axis])), 0, axis)
     hooked = np.einsum("A...a,Aa->a...", D, F)  # e_a -| D[..., a]
     hooks = np.abs(hooked).reshape(sphere.dim, -1).max(1)
-    return _worst(hooks.tolist()) / _worst([1.0, float(np.abs(vals).max())])
+    return worst(hooks) / worst([1.0, float(np.abs(vals).max())])
 
 
 def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
@@ -386,10 +375,10 @@ def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
     if check:
         rng = np.random.default_rng(2) if rng is None else rng
         points = [list(field.base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
-        worst = _worst(special_conformal_residual(field, points).tolist())
-        if not worst <= tol:
+        residual = worst(special_conformal_residual(field, points))
+        if not residual <= tol:
             raise VerificationError(
-                f"input is not special conformal Killing (residual {worst:.2e})"
+                f"input is not special conformal Killing (residual {residual:.2e})"
             )
     coeffs = special_killing_coefficients(n, p)
 
@@ -512,7 +501,7 @@ def condition_d1_residual(split, x):
     r2 = P[..., None, None, :, :] @ H[..., :n2, :n2, :, None]
     res = np.abs(np.concatenate([r1.reshape(len(points), -1),
                                  r2.reshape(len(points), -1)], -1)).max(-1)
-    res = np.where(np.isfinite(res), res, np.nan)
+    res = finite_or_nan(res)
     return float(res[0]) if single else res
 
 
@@ -552,9 +541,7 @@ def hopf_split(sphere=None):
     def projector(x):
         # xi = J x; projector onto span(xi): xi xi^T / |xi|^2 with |xi| = |x|
         xi = [sum(J[i, j] * x[j] for j in range(4) if J[i, j]) for i in range(4)]
-        r2 = x[0] * x[0]
-        for v in x[1:]:
-            r2 = r2 + v * v
+        r2 = d_dot(x, x)
         return [[xi[i] * xi[j] / r2 for j in range(4)] for i in range(4)]
 
     return DistributionSplit(sphere, 1, projector, name="hopf")
@@ -566,16 +553,10 @@ def tilted_split(sphere=None, c=(0.9, 0.1, -0.3, 0.5)):
     c = np.asarray(c, dtype=float)
 
     def projector(x):
-        r2 = x[0] * x[0]
-        for v in x[1:]:
-            r2 = r2 + v * v
-        dot = c[0] * x[0]
-        for i in range(1, 4):
-            dot = dot + c[i] * x[i]
+        r2 = d_dot(x, x)
+        dot = d_dot(c, x)
         eta = [c[i] - dot * x[i] / r2 for i in range(4)]
-        nrm = eta[0] * eta[0]
-        for v in eta[1:]:
-            nrm = nrm + v * v
+        nrm = d_dot(eta, eta)
         return [[eta[i] * eta[j] / nrm for j in range(4)] for i in range(4)]
 
     return DistributionSplit(sphere, 1, projector, name="tilted")
@@ -676,9 +657,7 @@ def traceless_killing_product(xi, zeta, rng=None, check=True, name=None):
         a = xi.comps_fn(x)
         b = zeta.comps_fn(x)
         prod = sym_product(SymTensor(n, 1, a), SymTensor(n, 1, b)).entries()
-        dot = a[0] * b[0]
-        for i in range(1, n):
-            dot = dot + a[i] * b[i]
+        dot = d_dot(a, b)
         out = []
         for k, (i, j) in enumerate(gidx):
             corr = dot * (2.0 / n) if i == j else 0.0
@@ -776,12 +755,8 @@ def _build_broken_sym_product(base, rng, params=None):
     c = np.linspace(0.5, 1.0, N)
 
     def amb(x):
-        dot = c[0] * x[0]
-        for i in range(1, N):
-            dot = dot + c[i] * x[i]
-        r2 = x[0] * x[0]
-        for v in x[1:]:
-            r2 = r2 + v * v
+        dot = d_dot(c, x)
+        r2 = d_dot(x, x)
         return [c[i] - dot * x[i] / r2 for i in range(N)]
 
     eta = field_from_components(base, 1, amb, rep="coordinate", name="concircular")

@@ -33,8 +33,8 @@ from collections import namedtuple
 
 import numpy as np
 
-__all__ = ["Dual", "Jet", "seed", "jacobian", "hessian", "value_of", "d_sqrt", "d_exp",
-           "d_log"]
+__all__ = ["Dual", "Jet", "seed", "jacobian", "hessian", "value_of", "d_sqrt", "d_dot",
+           "d_exp", "d_log"]
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
@@ -374,6 +374,15 @@ def d_sqrt(x):
         s = d_sqrt(x.val)
         return Dual(s, (0.5 / s) * x.grad, x.tag)
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def d_dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ..., summed left to right at any scalar type
+    (``sum`` would start from 0)."""
+    s = a[0] * b[0]
+    for i in range(1, len(a)):
+        s = s + a[i] * b[i]
+    return s
 
 
 def d_exp(x):

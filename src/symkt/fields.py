@@ -26,7 +26,7 @@ the components and the connection jet of
 import numpy as np
 
 from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
-from .dual import d_exp, hessian, jacobian, value_of
+from .dual import d_dot, d_exp, hessian, jacobian, value_of
 from .errors import DegreeError, DomainError
 from .manifolds import _frame_connection, _seeded_frame, connection_jet, point_array
 from .multiindex import multi_indices, sym_size
@@ -203,13 +203,13 @@ def wrap_conformal_field(wrapped_base, field, name=None):
                        name=name or field.name)
 
 
-def random_polynomial_field(chart, degree, rng, quadratic=True, name="poly"):
+def random_polynomial_field(chart, degree, rng, name="poly"):
     """Random field with polynomial frame components (chart backends)."""
     n = chart.dim
     size = sym_size(n, degree)
     c0 = rng.standard_normal(size)
     c1 = rng.standard_normal((size, n))
-    c2 = rng.standard_normal((size, n, n)) if quadratic else None
+    c2 = rng.standard_normal((size, n, n))
 
     def comps(x):
         out = []
@@ -217,9 +217,8 @@ def random_polynomial_field(chart, degree, rng, quadratic=True, name="poly"):
             v = c0[k]
             for i in range(n):
                 v = v + c1[k, i] * x[i]
-                if quadratic:
-                    for j in range(n):
-                        v = v + c2[k, i, j] * x[i] * x[j]
+                for j in range(n):
+                    v = v + c2[k, i, j] * x[i] * x[j]
             out.append(v)
         return out
 
@@ -248,9 +247,7 @@ def random_tangential_field(sphere, degree, rng, name="tangential-poly"):
         return out
 
     def comps(x):
-        r2 = x[0] * x[0]
-        for xi in x[1:]:
-            r2 = r2 + xi * xi
+        r2 = d_dot(x, x)
         proj = point_array(
             [[(1.0 if i == j else 0.0) - x[i] * x[j] / r2 for j in range(N)]
              for i in range(N)],

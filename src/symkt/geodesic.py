@@ -12,6 +12,7 @@ one batched call of the field.
 import numpy as np
 
 from .errors import DomainError
+from .obs import worst
 from .symtensor import SymTensor, poly_eval
 
 __all__ = ["rk4_geodesic", "geodesic_drift", "drift_series"]
@@ -49,9 +50,8 @@ def geodesic_drift(field, x0, v0, steps, dt, check_domain=True):
     X, V = np.array(xs), np.array(vs)
     K = SymTensor(base.dim, field.degree, field.batch(X))
     F = poly_eval(K, base.frame_components(list(X.T), V))
-    if not np.isfinite(F).all():
-        return float("nan")  # max() would drop a NaN and pass the trajectory
-    return float(np.abs(F[1:] - F[0]).max(initial=0.0) / max(1.0, abs(F[0])))
+    # |F - F(0)|, not |F[1:] - F(0)|, which is empty with no step and misses a NaN F(0)
+    return float(worst(np.abs(F - F[0])) / max(1.0, abs(F[0])))
 
 
 def drift_series(field, x0, v0, steps, dt, halvings=1):

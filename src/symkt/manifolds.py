@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dual import Dual, Jet, d_exp, d_sqrt, hessian, jacobian, value_of
+from .dual import Dual, Jet, d_dot, d_exp, d_sqrt, hessian, jacobian, value_of
 from .errors import ConfigError
 
 __all__ = [
@@ -224,9 +224,7 @@ class Chart:
         """The conformal factor c at x, generic over scalars; 1.0 when flat."""
         if self.kappa == 0:
             return 1.0
-        r2 = x[0] * x[0]
-        for xi in x[1:]:
-            r2 = r2 + xi * xi
+        r2 = d_dot(x, x)
         s = 1.0 + self.kappa * r2
         return 4.0 / (s * s)
 
@@ -318,17 +316,13 @@ class EmbeddedSphere:
     @_frame_memo
     def frame(self, x):
         N = self.coord_dim
-        r2 = x[0] * x[0]
-        for xi in x[1:]:
-            r2 = r2 + xi * xi
+        r2 = d_dot(x, x)
         inv_r = 1.0 / d_sqrt(r2)
         u = [xi * inv_r for xi in x]
         s = np.where(value_of(u[-1]) >= 0.0, 1.0, -1.0)[()]
         w = list(u)
         w[-1] = w[-1] + s
-        wsq = w[0] * w[0]
-        for wi in w[1:]:
-            wsq = wsq + wi * wi
+        wsq = d_dot(w, w)
         w2 = [2.0 * wa for wa in w[:-1]]
         return point_array(
             [[(1.0 if i == a else 0.0) - w2[a] * w[i] / wsq for a in range(N - 1)]
@@ -492,7 +486,7 @@ def _koszul(bracket, GF):
     return 0.5 * (gb - np.swapaxes(gb, -1, -2) - np.moveaxis(gb, -1, -3))
 
 
-def gamma_frame(base, x, with_frame=False):
+def gamma_frame(base, x):
     """Connection coefficients gamma[a, b, c] = g(nabla_{e_a} e_b, e_c).
 
     The Koszul contraction (``_koszul``) of the frame, its exact first
@@ -500,12 +494,8 @@ def gamma_frame(base, x, with_frame=False):
     level) it returns an (n, n, n) array of its scalars; at a batch of B
     points (a ``(B, m)`` array or nested sequence) a ``(B, n, n, n)`` float
     array, from one seeding and one frame evaluation for the whole batch.
-    With ``with_frame`` it returns ``(F, gamma)``, where F is the frame at
-    x taken from the same jet: the values of ``base.frame(x)``, bit for bit,
-    without evaluating the frame again.
     """
-    F, gamma = _frame_connection(base, x, *jacobian(lambda y: base.frame(y).ravel(), x))
-    return (F, gamma) if with_frame else gamma
+    return _frame_connection(base, x, *jacobian(lambda y: base.frame(y).ravel(), x))[1]
 
 
 def _frame_connection(base, x, vals, jac):

@@ -5,9 +5,9 @@ hash), so the set of sampled points is independent of case ordering and
 two runs with the same seed produce byte-identical JSON reports.  Cases
 come in two kinds: ``residual`` (pass iff max residual <= tol) and
 ``floor`` (negative controls and order checks: pass iff value >= tol).
-Every case value is accumulated with ``constructors._worst`` (residuals)
-or ``constructors._least`` (floors), which return NaN when any sample is
-not finite, so a NaN or inf sample fails its case either way.
+Every case value is accumulated with ``obs.worst`` (residuals) or
+``obs.least`` (floors), which return NaN when any sample is not finite,
+so a NaN or inf sample fails its case either way.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -33,9 +33,7 @@ from .cartan import (
 )
 from .classify import classify, divfree_killing_parts
 from .constructors import (
-    _least,
     _rotation_generator,
-    _worst,
     build_constructor,
     condition_d1_residual,
     constructor_catalog,
@@ -49,6 +47,7 @@ from .constructors import (
     tilted_split,
 )
 from .curvature import lichnerowicz_defect, qR_act, qrh_check, ricci_killing_residual, riemann
+from .dual import d_dot
 from .errors import ConfigError
 from .fields import (
     TensorField,
@@ -74,6 +73,7 @@ from .manifolds import (
     manifold_from_key,
     poincare_ball_chart,
 )
+from .obs import least, worst
 from .symtensor import (
     SymTensor,
     contract,
@@ -96,6 +96,7 @@ SUITE_TOL = 1e-10
 SPHERE_TOL = 1e-9
 FLAT_TOL = 1e-11
 SECOND_ORDER_TOL = 1e-6
+NONPOSITIVE_TRIALS = 100
 
 
 @dataclass
@@ -134,7 +135,7 @@ class SuiteReport:
 
     @property
     def max_residual(self):
-        return _worst([c.max_residual for c in self.cases if c.kind == "residual"], 0.0)
+        return worst([c.max_residual for c in self.cases if c.kind == "residual"], 0.0)
 
     def add(self, name, value, tol, kind="residual"):
         self.cases.append(SuiteCase(name, float(value), float(tol), kind))
@@ -223,14 +224,13 @@ def _algebra_cases(n, p, trials, seed, report):
             norm(out - tracefree_part(sym_product(v, S))) / max(1.0, norm(S))
         )
 
-    # _worst: a non-finite residual makes the case fail instead of vanishing
-    report.add(f"commutator-L-Lambda:n={n},p={p}", _worst(r["comm"], 0.0), ALGEBRAIC_TOL)
-    report.add(f"commutators-vector:n={n},p={p}", _worst(r["comm2"], 0.0), ALGEBRAIC_TOL)
-    report.add(f"adjointness:n={n},p={p}", _worst(r["adj"], 0.0), ALGEBRAIC_TOL)
+    report.add(f"commutator-L-Lambda:n={n},p={p}", worst(r["comm"], 0.0), ALGEBRAIC_TOL)
+    report.add(f"commutators-vector:n={n},p={p}", worst(r["comm2"], 0.0), ALGEBRAIC_TOL)
+    report.add(f"adjointness:n={n},p={p}", worst(r["adj"], 0.0), ALGEBRAIC_TOL)
     if p >= 1:
-        report.add(f"euler-identity:n={n},p={p}", _worst(r["euler"], 0.0), ALGEBRAIC_TOL)
-    report.add(f"standard-decomposition:n={n},p={p}", _worst(r["decomp"], 0.0), SUITE_TOL)
-    report.add(f"projection-formula:n={n},p={p}", _worst(r["proj"], 0.0), SUITE_TOL)
+        report.add(f"euler-identity:n={n},p={p}", worst(r["euler"], 0.0), ALGEBRAIC_TOL)
+    report.add(f"standard-decomposition:n={n},p={p}", worst(r["decomp"], 0.0), SUITE_TOL)
+    report.add(f"projection-formula:n={n},p={p}", worst(r["proj"], 0.0), SUITE_TOL)
 
 
 def _cartan_cases(n, p, trials, seed, report):
@@ -269,12 +269,12 @@ def _cartan_cases(n, p, trials, seed, report):
         alt = pi1_star(s1) - pi2_star(s2).scale((n + 2 * p - 4) / (n + 2 * p - 2)) - T
         r["weight"].append(frame_norm(B - alt) / sT)
 
-    report.add(f"pi1-constant:n={n},p={p}", _worst(r["c1"], 0.0), SUITE_TOL)
-    report.add(f"pi2-constant:n={n},p={p}", _worst(r["c2"], 0.0), SUITE_TOL)
-    report.add(f"cartan-partition:n={n},p={p}", _worst(r["part"], 0.0), SUITE_TOL)
-    report.add(f"cartan-orthogonality:n={n},p={p}", _worst(r["orth"], 0.0), SUITE_TOL)
-    report.add(f"dprojection-consistency:n={n},p={p}", _worst(r["dproj"], 0.0), SUITE_TOL)
-    report.add(f"conformal-weight:n={n},p={p}", _worst(r["weight"], 0.0), SUITE_TOL)
+    report.add(f"pi1-constant:n={n},p={p}", worst(r["c1"], 0.0), SUITE_TOL)
+    report.add(f"pi2-constant:n={n},p={p}", worst(r["c2"], 0.0), SUITE_TOL)
+    report.add(f"cartan-partition:n={n},p={p}", worst(r["part"], 0.0), SUITE_TOL)
+    report.add(f"cartan-orthogonality:n={n},p={p}", worst(r["orth"], 0.0), SUITE_TOL)
+    report.add(f"dprojection-consistency:n={n},p={p}", worst(r["dproj"], 0.0), SUITE_TOL)
+    report.add(f"conformal-weight:n={n},p={p}", worst(r["weight"], 0.0), SUITE_TOL)
 
 
 def identity_suite(dims="2..5", degrees="0..4", trials=50, seed=42):
@@ -336,12 +336,12 @@ def _per_manifold_cases(key, samples, seed, report):
             lhs = inner(qR_act(base, x, A, rm=rm), B)
             rhs = inner(A, qR_act(base, x, B, rm=rm))
             r["selfadj"].append(abs(lhs - rhs) / max(1.0, norm(A) * norm(B)))
-    report.add(f"frame-gram:{key}", _worst(r["gram"], 0.0), 1e-13)
+    report.add(f"frame-gram:{key}", worst(r["gram"], 0.0), 1e-13)
     if is_chart:
-        report.add(f"metric-derivative-selftest:{key}", _worst(r["dmetric"], 0.0), 1e-6)
-    report.add(f"riemann-symmetries:{key}", _worst(r["sym"], 0.0), geom_tol)
-    report.add(f"riemann-bianchi:{key}", _worst(r["bianchi"], 0.0), geom_tol)
-    report.add(f"qR-self-adjoint:{key}", _worst(r["selfadj"], 0.0), 1e-10)
+        report.add(f"metric-derivative-selftest:{key}", worst(r["dmetric"], 0.0), 1e-6)
+    report.add(f"riemann-symmetries:{key}", worst(r["sym"], 0.0), geom_tol)
+    report.add(f"riemann-bianchi:{key}", worst(r["bianchi"], 0.0), geom_tol)
+    report.add(f"qR-self-adjoint:{key}", worst(r["selfadj"], 0.0), 1e-10)
     return base, rng
 
 
@@ -357,22 +357,22 @@ def _sphere_eigenvalue_case(report, seed):
                 K = random_tracefree_tensor(n, p, rng)
                 got = qR_act(base, x, K, rm=rm)
                 res.append(norm(got - K.scale(float(p * (n + p - 2)))) / max(1.0, norm(K)))
-    report.add("sphere-qR-eigenvalue", _worst(res, 0.0), 1e-8)
+    report.add("sphere-qR-eigenvalue", worst(res, 0.0), 1e-8)
 
 
-def _nonpositive_case(report, seed, trials=100):
+def _nonpositive_case(report, seed):
     res = [0.0]
     for n in (2, 3, 4):
         base = poincare_ball_chart(n)
         rng = stable_stream(seed, f"nonpos:{n}")
         pts = [base.sample_point(rng) for _ in range(5)]
         rms = [riemann(base, x) for x in pts]
-        for t in range(trials):
+        for t in range(NONPOSITIVE_TRIALS):
             x, rm = pts[t % len(pts)], rms[t % len(pts)]
             p = (1, 2, 3)[t % 3]
             K = random_tracefree_tensor(n, p, rng)
             res.append(float(inner(qR_act(base, x, K, rm=rm), K)))
-    report.add("nonpositive-curvature-qR", _worst(res), 1e-10)
+    report.add("nonpositive-curvature-qR", worst(res), 1e-10)
 
 
 def _lichnerowicz_cases(report, seed, samples):
@@ -380,18 +380,18 @@ def _lichnerowicz_cases(report, seed, samples):
     rng = stable_stream(seed, "lichnerowicz:flat")
     fld = random_polynomial_field(eu, 2, rng)
     res = [lichnerowicz_defect(fld, eu.sample_point(rng)) for _ in range(samples)]
-    report.add("lichnerowicz:euclidean:3", _worst(res, 0.0), 1e-9)
+    report.add("lichnerowicz:euclidean:3", worst(res, 0.0), 1e-9)
 
     sp = EmbeddedSphere(2)
     rng = stable_stream(seed, "lichnerowicz:sphere")
     fld = random_tangential_field(sp, 2, rng)
     res = [lichnerowicz_defect(fld, sp.sample_point(rng)) for _ in range(samples)]
-    report.add("lichnerowicz:sphere:2", _worst(res, 0.0), SECOND_ORDER_TOL)
+    report.add("lichnerowicz:sphere:2", worst(res, 0.0), SECOND_ORDER_TOL)
 
     mfield = metric_field(sp)
     x = sp.sample_point(rng)
     W = nabla2(mfield, x)
-    both = _worst([norm(delta_d(mfield, x, W=W)), norm(d_delta(mfield, x, W=W))])
+    both = worst([norm(delta_d(mfield, x, W=W)), norm(d_delta(mfield, x, W=W))])
     report.add("lichnerowicz:metric-field", both, 1e-12)
 
 
@@ -404,7 +404,7 @@ def _qrh_cases(report, seed):
             x = base.sample_point(rng)
             h = random_sym_tensor(base.dim, 2, rng)
             res.append(qrh_check(base, x, h))
-    report.add("qR-two-tensor-identity", _worst(res, 0.0), 1e-8)
+    report.add("qR-two-tensor-identity", worst(res, 0.0), 1e-8)
 
 
 def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
@@ -422,10 +422,9 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
         for verdict, expected in entry.expected.items():
             if rep.verdicts[verdict] != expected:
                 ok = False
-            if expected and verdict in rep.max_residuals and rep.max_residuals[verdict] is not None:
-                if verdict not in ("stackel",):
-                    res.append(rep.max_residuals[verdict])
-        report.add(f"classify:{key}", _worst(res, 0.0) if ok else 1.0, tol)
+            if expected and verdict in rep.max_residuals:
+                res.append(rep.max_residuals[verdict])
+        report.add(f"classify:{key}", worst(res, 0.0) if ok else 1.0, tol)
 
         # conformal invariance of the conformal-Killing verdict
         wrapped_base = conformal_rescale(field.base)
@@ -462,12 +461,7 @@ def _identity_cases(report, seed, samples):
         h = sym_product_field(xi, zeta, rng=rng)
 
         def dot_fn(x, xi=xi, zeta=zeta):
-            a = xi.comps_fn(x)
-            b = zeta.comps_fn(x)
-            s = a[0] * b[0]
-            for i in range(1, len(a)):
-                s = s + a[i] * b[i]
-            return s
+            return d_dot(xi.comps_fn(x), zeta.comps_fn(x))
 
         fdot = scalar_field(base, dot_fn, name="g(xi,zeta)")
         for _ in range(max(5, samples // 10)):
@@ -476,7 +470,7 @@ def _identity_cases(report, seed, samples):
             lhs = delta_op(h, x, T=T)
             rhs = d_op(fdot, x)
             res.append(norm(lhs - rhs) / max(1.0, frame_norm(T)))
-    report.add("killing-pair-divergence-identity", _worst(res, 0.0), SPHERE_TOL)
+    report.add("killing-pair-divergence-identity", worst(res, 0.0), SPHERE_TOL)
 
     # d as a derivation on random polynomial fields over a flat chart
     eu = euclidean_chart(3)
@@ -491,7 +485,7 @@ def _identity_cases(report, seed, samples):
             lhs = d_op(AB, x)
             rhs = sym_product(d_op(A, x), B(x)) + sym_product(A(x), d_op(B, x))
             res.append(norm(lhs - rhs) / max(1.0, norm(lhs)))
-    report.add("derivation-product-rule", _worst(res, 0.0), 1e-10)
+    report.add("derivation-product-rule", worst(res, 0.0), 1e-10)
 
     # L preserves divergence-free Killing tensors
     hopf, _ = build_constructor("hopf-stackel", seed=seed)
@@ -511,11 +505,11 @@ def _identity_cases(report, seed, samples):
         s = max(1.0, frame_norm(T))
         res.append(norm(d_op(Lfield, x, T=T)) / s)
         res.append(norm(delta_op(Lfield, x, T=T)) / s)
-    report.add("L-preserves-divfree-killing", _worst(res, 0.0), SPHERE_TOL)
+    report.add("L-preserves-divfree-killing", worst(res, 0.0), SPHERE_TOL)
     parts = divfree_killing_parts(Lfield, samples=max(5, samples // 10),
                                   tol=SPHERE_TOL, seed=seed)
     res = [v for d in parts.values() for v in (d["d"], d["delta"])]
-    report.add("divfree-killing-parts", _worst(res), SPHERE_TOL)
+    report.add("divfree-killing-parts", worst(res), SPHERE_TOL)
 
     # Nijenhuis: zero for the special CKT, nonzero for its Killing hat
     eu = euclidean_chart(3)
@@ -525,8 +519,8 @@ def _identity_cases(report, seed, samples):
     points = [list(eu.sample_point(rng)) for _ in range(max(5, samples // 10))]
     res_special, res_hat = (np.abs(nijenhuis(f, points)).max(axis=(1, 2, 3)).tolist()
                             for f in (special, hat))
-    report.add("nijenhuis-special-ckt", _worst(res_special, 0.0), FLAT_TOL)
-    report.add("nijenhuis-special-killing-nonzero", _least(res_hat), 1e-3, kind="floor")
+    report.add("nijenhuis-special-ckt", worst(res_special, 0.0), FLAT_TOL)
+    report.add("nijenhuis-special-killing-nonzero", least(res_hat), 1e-3, kind="floor")
 
     # condition (d1) for the circle-fibration split, violated by the tilt
     rng = stable_stream(seed, "d1")
@@ -534,8 +528,8 @@ def _identity_cases(report, seed, samples):
     points = [list(sp3.sample_point(rng)) for _ in range(5)]
     res = condition_d1_residual(hopf_split(sp3), points).tolist()
     res_tilted = condition_d1_residual(tilted_split(sp3), points).tolist()
-    report.add("condition-d1-hopf", _worst(res), SPHERE_TOL)
-    report.add("condition-d1-tilted-nonzero", _least(res_tilted), 1e-3, kind="floor")
+    report.add("condition-d1-hopf", worst(res), SPHERE_TOL)
+    report.add("condition-d1-tilted-nonzero", least(res_tilted), 1e-3, kind="floor")
 
     # d tr K = 2 delta K for the trace-carrying Killing 2-tensors
     res = []
@@ -544,7 +538,7 @@ def _identity_cases(report, seed, samples):
         rep = classify(field, samples=max(5, samples // 10),
                        tol=SPHERE_TOL, seed=seed)
         res.append(rep.max_residuals["two_tensor"])
-    report.add("two-tensor-trace-identity", _worst(res), SPHERE_TOL)
+    report.add("two-tensor-trace-identity", worst(res), SPHERE_TOL)
     _modified_ricci_cases(report, seed)
 
 
@@ -558,7 +552,7 @@ def _modified_ricci_cases(report, seed):
             x = base.sample_point(rng)
             X = rng.standard_normal(base.dim)
             res.append(ricci_killing_residual(base, x, X))
-    report.add("modified-ricci-killing", _worst(res), 1e-8)
+    report.add("modified-ricci-killing", worst(res), 1e-8)
 
     def bump(x):
         return 0.25 * (x[0] * x[0] * x[1] + 0.5 * x[1] * x[2] * x[2] + x[0])
@@ -572,7 +566,7 @@ def _modified_ricci_cases(report, seed):
         x = pert.sample_point(rng)
         X = rng.standard_normal(3)
         res.append(ricci_killing_residual(pert, x, X))
-    report.add("modified-ricci-negative-control", _least(res), 1e-6, kind="floor")
+    report.add("modified-ricci-negative-control", least(res), 1e-6, kind="floor")
 
 
 def _geodesic_order_case(report, seed):

@@ -7,6 +7,7 @@ line per criterion.
 import numpy as np
 import pytest
 
+from symkt import obs
 from symkt.cartan import (
     cartan_decompose,
     conformal_weight,
@@ -15,7 +16,7 @@ from symkt.cartan import (
     supported_pair,
 )
 from symkt.classify import classify
-from symkt.constructors import _least, _worst, build_constructor, stable_stream
+from symkt.constructors import build_constructor, stable_stream
 from symkt.curvature import lichnerowicz_defect, qR_act, riemann
 from symkt.fields import (
     delta_op,
@@ -73,7 +74,7 @@ def test_criterion_2_weitzenboeck_endomorphism():
                 P1, P2, P3, _, _ = cartan_decompose(T)
                 want = P1.scale(float(p)) - P2.scale(float(n + p - 2)) - P3
                 residuals.append(frame_norm(B - want) / max(1.0, frame_norm(T)))
-    worst = _worst(residuals)
+    worst = obs.worst(residuals)
     _report(2, worst <= 1e-10,
             f"weight-operator identity residual {worst:.2e} <= 1e-10 on "
             f"100 random frame tensors x {pairs} (n,p) pairs")
@@ -83,13 +84,13 @@ def test_criterion_3_lichnerowicz_identity():
     eu = euclidean_chart(3)
     rng = stable_stream(SEED, "acc3:flat")
     fld = random_polynomial_field(eu, 2, rng)
-    worst_flat = _worst([lichnerowicz_defect(fld, eu.sample_point(rng))
-                         for _ in range(50)])
+    worst_flat = obs.worst([lichnerowicz_defect(fld, eu.sample_point(rng))
+                             for _ in range(50)])
     sp = EmbeddedSphere(2)
     rng = stable_stream(SEED, "acc3:sphere")
     fld = random_tangential_field(sp, 2, rng)
-    worst_sph = _worst([lichnerowicz_defect(fld, sp.sample_point(rng))
-                        for _ in range(50)])
+    worst_sph = obs.worst([lichnerowicz_defect(fld, sp.sample_point(rng))
+                            for _ in range(50)])
     ok = worst_flat <= 1e-6 and worst_sph <= 1e-6
     _report(3, ok,
             f"(delta d - d delta) - (rough Laplacian - q(R)) residual: "
@@ -132,7 +133,7 @@ def test_criterion_4_sphere_qR_eigenvalue():
                 oracle = _dense_qR_sphere(K.to_dense(), n, p)
                 residuals.append(
                     np.abs(got.to_dense() - oracle).max() / max(1.0, norm(K)))
-    worst = _worst(residuals)
+    worst = obs.worst(residuals)
     _report(4, worst <= 1e-8,
             f"q(R) = p(n+p-2) id on trace-free tensors over round spheres, "
             f"residual {worst:.2e} <= 1e-8 (vs brute-force oracle)")
@@ -212,7 +213,7 @@ def test_criterion_6_identity_checks(classified_controls):
     for _ in range(20):
         x = sp.sample_point(rng)
         residuals.append(norm(delta_op(h, x) - d_op(fdot, x)))
-    worst = _worst(residuals)
+    worst = obs.worst(residuals)
     if not worst <= 1e-9:
         problems.append(f"killing-pair divergence {worst:.1e}")
 
@@ -244,7 +245,7 @@ def test_criterion_6_identity_checks(classified_controls):
         T = nabla(Lf, x)
         s = max(1.0, frame_norm(T))
         residuals += [norm(d_op(Lf, x, T=T)) / s, norm(delta_op(Lf, x, T=T)) / s]
-    worst = _worst(residuals)
+    worst = obs.worst(residuals)
     if not worst <= 1e-9:
         problems.append(f"L-preservation {worst:.1e}")
 
@@ -257,7 +258,7 @@ def test_criterion_6_identity_checks(classified_controls):
         x = K.base.sample_point(rng)
         specials.append(float(np.abs(nijenhuis(K, x)).max()))
         hats.append(float(np.abs(nijenhuis(hat, x)).max()))
-    nij_special, nij_hat = _worst(specials), _least(hats)
+    nij_special, nij_hat = obs.worst(specials), obs.least(hats)
     if not nij_special <= 1e-11:
         problems.append(f"nijenhuis special {nij_special:.1e}")
     if not nij_hat >= 1e-3:
@@ -295,7 +296,7 @@ def test_criterion_8_nonpositive_curvature():
             p = (1, 2, 3)[t % 3]
             K = random_tracefree_tensor(n, p, rng)
             values.append(float(inner(qR_act(hy, x, K, rm=rm), K)))
-    worst, count = _worst(values), len(values)
+    worst, count = obs.worst(values), len(values)
     _report(8, worst <= 1e-10,
             f"g(q(R)K, K) <= 1e-10 on the curvature -1 ball for {count} "
             f"random trace-free tensors (max {worst:.2e})")

@@ -15,7 +15,6 @@ import pytest
 from symkt.cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, supported_pair
 from symkt.classify import RESIDUAL_KEYS, classify
 from symkt.constructors import (
-    _worst,
     build_constructor,
     constructor_catalog,
     special_conformal_residual,
@@ -33,6 +32,7 @@ from symkt.fields import (
 )
 from symkt.manifolds import EmbeddedSphere, manifold_from_key
 from symkt.multiindex import multi_indices, sym_size
+from symkt.obs import worst
 from symkt.symtensor import SymTensor, mult_L, norm, trace_Lambda, tracefree_part
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -75,7 +75,7 @@ def _reference(field, samples, tol, seed):
         diffs = [value_of(T.slots[a][(b,) + I]) - value_of(T.slots[b][(a,) + I])
                  for a in range(n) for b in range(a + 1, n)
                  for I in multi_indices(n, p - 1)]
-        res["codazzi"].append(_worst([abs(d) for d in diffs], empty=0.0) / scale)
+        res["codazzi"].append(worst([abs(d) for d in diffs], empty=0.0) / scale)
         if use_parts:
             T0 = FrameTensor([tracefree_part(s) for s in T.slots]) if p >= 2 else T
             parts = cartan_decompose(T0)
@@ -89,7 +89,7 @@ def _reference(field, samples, tol, seed):
         if p == 2:
             dtr = SymTensor(n, 1, [trace_Lambda(s).comps[0] for s in T.slots])
             res["two_tensor"].append(norm(dtr - deltaK.scale(2.0)) / scale)
-    maxes = {k: _worst(v) for k, v in res.items()}
+    maxes = {k: worst(v) for k, v in res.items()}
     killing = maxes["killing"] <= tol
     tracefree = maxes["tracefree"] <= tol
     special = maxes["special_conformal"] <= tol

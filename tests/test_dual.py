@@ -1,9 +1,12 @@
 """Forward-mode dual numbers, including nesting for second derivatives."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 
-from symkt.dual import d_exp, d_log, d_sqrt, jacobian, seed, value_of
+from symkt.dual import d_dot, d_exp, d_log, d_sqrt, hessian, jacobian, seed, value_of
 
 
 def test_first_derivatives_polynomial():
@@ -81,3 +84,37 @@ def test_integer_power():
     assert y.grad.tolist() == [32.0]
     with pytest.raises(TypeError):
         x ** 0.5
+
+
+def _fold_dot(a, b):
+    """a[0] b[0] + a[1] b[1] + ... as a left fold of ``+`` over the products."""
+    return functools.reduce(operator.add, map(operator.mul, a, b))
+
+
+def _dots(y, c):
+    return [d_dot(c, y), d_dot(y, y), _fold_dot(c, y), _fold_dot(y, y)]
+
+
+@pytest.mark.parametrize("scalars", ["float", "dual", "jet", "batch", "dual-batch"])
+def test_d_dot_is_the_left_to_right_sum(scalars):
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(5)
+    X = rng.standard_normal((7, 5))
+    # the data tells summation orders apart: reversed, the sum moves bits
+    moved = _fold_dot(c[::-1], X.T[::-1]) != _fold_dot(c, X.T)
+    assert moved.any()
+    x = X[np.argmax(moved)]
+    if scalars == "float":
+        outs = [np.array(_dots(list(x), c))]
+    elif scalars == "dual":
+        outs = jacobian(lambda y: _dots(y, c), list(x))
+    elif scalars == "jet":
+        outs = hessian(lambda y: _dots(y, c), list(x))
+    elif scalars == "batch":
+        outs = [np.array(_dots(list(X.T), c))]
+    else:
+        outs = jacobian(lambda y: _dots(y, c), X)
+    axis = 1 if scalars == "dual-batch" else 0  # jacobian puts a batch first
+    for out in outs:
+        got, want = np.split(out, 2, axis=axis)
+        assert got.tobytes() == want.tobytes()

@@ -105,3 +105,17 @@ def test_drift_fails_closed_when_the_first_integral_turns_nan():
     field = TensorField(eu, 2, comps, name="nan-beyond-0.2005")
     d = geodesic_drift(field, [0.2, 0.0, 0.0], [1.0, 0.0, 0.0], 20, 1e-3)
     assert np.isnan(d)
+
+
+@pytest.mark.parametrize("steps", [0, 20])
+def test_drift_is_nan_when_the_first_integral_is_nan_at_the_start(steps):
+    # only F(0) is NaN; with no step |F[1:] - F(0)| is empty and would
+    # read as zero drift, so the drift reduces |F - F(0)|
+    eu = euclidean_chart(3)
+
+    def comps(x):
+        return [np.where(x[0] < 0.2005, float("nan"), 1.0)] * 6
+
+    field = TensorField(eu, 2, comps, name="nan-before-0.2005")
+    d = geodesic_drift(field, [0.2, 0.0, 0.0], [1.0, 0.0, 0.0], steps, 1e-3)
+    assert np.isnan(d)

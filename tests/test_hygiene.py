@@ -1,11 +1,15 @@
-"""Source hygiene: no ``symkt`` module imports a name it never uses, and
-no function body imports anything.
+"""Source hygiene: no ``symkt`` module imports a name it never uses, no
+function body imports anything, and only ``obs`` and the input validators
+test finiteness.
 
 A stdlib ``ast`` pass stands in for a linter's unused-import rule.  A name
 counts as used when the module loads it anywhere (an attribute chain
 counts through its root) or lists it in ``__all__``.  ``__init__.py``
 files are exempt: their imports are the package's re-exports.  Imports
 belong at the top of a module, where they run once, not on every call.
+The fail-closed rule (a NaN or inf sample never passes) has one owner,
+``symkt.obs``; ``io`` and ``cli`` reject non-finite input before any check
+runs.  A check that tests finiteness itself forks that rule.
 """
 
 import ast
@@ -15,6 +19,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "symkt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+FINITENESS_OWNERS = {"obs.py", "io.py", "cli.py"}
 
 
 def _imported(tree):
@@ -65,6 +70,11 @@ def test_module_uses_every_import(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_import_inside_a_function(path):
     assert function_imports(path.read_text()) == []
+
+
+def test_only_obs_and_the_input_validators_test_finiteness():
+    testers = {p.name for p in SRC.glob("*.py") if "isfinite" in p.read_text()}
+    assert testers <= FINITENESS_OWNERS
 
 
 def test_checker_flags_unused_names():

@@ -85,7 +85,7 @@ def ref_nabla2(field, x):
     vals, jac = jacobian(lambda y: _nabla_jet(field, y)[1].ravel(), x)
     S = np.array(vals).reshape(n, -1)
     J = np.array(jac).reshape(n, S.shape[1], -1)
-    F, gam = gamma_frame(base, x, with_frame=True)
+    F, gam = base.frame(x), gamma_frame(base, x)
     first = _assemble_first(p, S, J, F, gam)
     return first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
 
@@ -247,7 +247,7 @@ def test_connection_jet_matches_gamma_frame(key):
     base = manifold_from_key(key)
     x = list(base.sample_point(np.random.default_rng(5)))
     jet = connection_jet(base, x)
-    F, gam = gamma_frame(base, x, with_frame=True)
+    F, gam = base.frame(x), gamma_frame(base, x)
     assert np.array_equal(jet.F, F)  # same values: frame arithmetic is shared
     close(jet.gamma, gam, eps=4)
     _, dgam = jacobian(lambda y: gamma_frame(base, y).ravel(), x)

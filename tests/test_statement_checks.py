@@ -23,7 +23,6 @@ from symkt.cartan import frame_norm
 from symkt.constructors import (
     _killing_form_omega,
     _projector_frame_matrix,
-    _worst,
     condition_d1_residual,
     coordinate_split,
     hopf_split,
@@ -52,6 +51,7 @@ from symkt.multiindex import (
     multi_indices,
     sym_size,
 )
+from symkt.obs import worst
 from symkt.symtensor import SymTensor, norm, poly_eval, random_sym_tensor, trace_Lambda
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -123,7 +123,7 @@ def ref_condition_d1_residual(split, x):
                 total = (dvu + duv).values()
                 comp = np.eye(n) - Pf if proj_first else Pf
                 res.append(float(np.abs(comp @ total).max()))
-    return _worst(res, 0.0)
+    return worst(res, 0.0)
 
 
 def ref_nijenhuis(field, x):
@@ -167,7 +167,7 @@ def ref_killing_form_residual(u, x):
             D = np.moveaxis(D, 0, axis)
         hooked = np.tensordot(X, D, axes=([0], [0]))
         hooks.append(float(np.abs(hooked).max()))
-    return _worst(hooks) / _worst([1.0, float(np.abs(vals).max())])
+    return worst(hooks) / worst([1.0, float(np.abs(vals).max())])
 
 
 def ref_ricci_killing_residual(base, x, X):
