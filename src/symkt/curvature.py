@@ -82,9 +82,38 @@ def _curvature(jet):
     )
 
 
+# One entry: (connection jet, its RiemannAtPoint) of the last float point.
+_last_riemann = (None, None)
+
+
+def _riemann_of(jet):
+    """The :class:`RiemannAtPoint` of a :class:`ConnectionJet`.
+
+    At a float point the last one is kept, keyed by the identity of the
+    jet ``connection_jet`` keeps there (a new point, base or signed zero
+    gives a new jet), with read-only arrays, so ``riemann`` and
+    ``lichnerowicz_defect`` at one point assemble the curvature once.
+    The entry holds the jet, so its identity is never reused.  Jets at
+    dual points are assembled afresh.
+    """
+    global _last_riemann
+    if jet.gamma.dtype == object:
+        return RiemannAtPoint.from_R4(_curvature(jet))
+    cached, rm = _last_riemann
+    if cached is not jet:
+        rm = RiemannAtPoint.from_R4(_curvature(jet))
+        rm.R4.flags.writeable = rm.ricci.flags.writeable = False
+        _last_riemann = (jet, rm)
+    return rm
+
+
 def riemann(base, x):
-    """Frame curvature at x, with Ricci and scalar curvature."""
-    return RiemannAtPoint.from_R4(_curvature(connection_jet(base, x)))
+    """Frame curvature at x, with Ricci and scalar curvature.
+
+    At a float point the result is shared with the next call at the same
+    point and base, and its arrays are read-only.
+    """
+    return _riemann_of(connection_jet(base, x))
 
 
 def qR_act(base, x, K, rm=None):
@@ -131,9 +160,9 @@ def lichnerowicz_defect(field, x):
     """|(delta d - d delta)K - (nabla*nabla - q(R))K| at x, relative.
 
     One connection jet at x serves both ``nabla^2 K`` and the curvature
-    (the jet ``riemann`` took at x, if it was the last point), and one
-    hessian of the components both ``nabla^2 K`` and the values of K that
-    q(R) acts on.
+    (the jet and curvature ``riemann`` took at x, if it was the last
+    point), and one hessian of the components both ``nabla^2 K`` and the
+    values of K that q(R) acts on.
     """
     if field.degree < 1:
         raise ValueError("defect check needs degree >= 1")
@@ -141,7 +170,7 @@ def lichnerowicz_defect(field, x):
     vals, W = _nabla2_jet(field, x, jet)
     lhs = delta_d(field, x, W=W) - d_delta(field, x, W=W)
     rl = rough_laplacian(field, x, W=W)
-    rm = RiemannAtPoint.from_R4(_curvature(jet))
+    rm = _riemann_of(jet)
     rhs = rl - qR_act(field.base, x, SymTensor(field.base.dim, field.degree, vals), rm=rm)
     scale = max(1.0, norm(rl))
     return norm(lhs - rhs) / scale

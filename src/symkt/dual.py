@@ -19,17 +19,22 @@ A :class:`Jet` is a second-order truncated Taylor scalar (hyper-dual
 style; Griewank & Walther, ch. 13), so ``hessian`` takes exact second
 partials from one evaluation.  It is a value and one flat tuple of m +
 m(m+1)/2 coefficients: the gradient, then the Hessian's upper triangle
-row by row.  Jet arithmetic is plain Python on that tuple, with no numpy
-call: sums, differences, scaling, products, quotients and the chain rule
-are straight-line code generated once per gradient length m and cached.
-The coefficients are floats, or Duals when ``hessian`` runs inside
-``jacobian``.
+row by row.  Each gradient length m has its own subclass of ``Jet``,
+built once, and every jet is an instance of its length's class.  The
+class's operators are straight-line code generated for that m (sums,
+differences, negation, scaling, products and quotients, and the chain
+rule behind ``d_sqrt``, ``d_exp`` and ``d_log``), plain Python on the
+tuple with no numpy call; each tests its other operand's type inline,
+so an operation costs one Python call.  The generated code of each m is
+compiled under its own file name, ``<symkt.dual jets m=...>``, which is
+how profilers label it.  The coefficients are floats, or Duals when
+``hessian`` runs inside ``jacobian``.  Outside this module a jet's type
+is tested with ``isinstance(x, Jet)``, never by exact type.
 """
 
 import functools
 import itertools
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -152,10 +157,14 @@ def _entrywise(op, a, b):
 
     The Dual or Jet goes into a 0-d object array, so numpy applies the
     Python operator per entry; any other operand type gets NotImplemented
-    back.
+    back.  Two jets meet here only when their lengths differ, which is a
+    bug in the caller.
     """
     scalar_first = isinstance(a, (Dual, Jet))
-    if not isinstance(b if scalar_first else a, np.ndarray):
+    other = b if scalar_first else a
+    if isinstance(other, Jet):
+        raise ValueError("mixing jets of different lengths")
+    if not isinstance(other, np.ndarray):
         return NotImplemented
     box = np.empty((), dtype=object)
     if scalar_first:
@@ -171,80 +180,38 @@ class Jet:
     ``d`` holds the gradient (m entries), then the Hessian's upper triangle
     row by row (m(m+1)/2 entries).  Every jet rule adds a symmetric term,
     so the triangle carries every bit of the Hessian; ``grad`` and
-    ``hess`` rebuild the ``(m,)`` and ``(m, m)`` arrays.  Every rule runs
-    the code ``_rules`` generates, except adding or subtracting a
-    constant, which keeps ``d``.  The coefficients are floats, or Duals
-    of an enclosing ``jacobian``.  Plain numbers and
-    Duals mix in as constants, a numpy float as the Python float of the
-    same value (several times cheaper to multiply, and it keeps ``d``
-    Python floats); an ndarray operand is applied entry by entry
+    ``hess`` rebuild the ``(m,)`` and ``(m, m)`` arrays.  Every jet is an
+    instance of the subclass ``_rules`` builds for its number of
+    coefficients, whose operators are the jet rules for that number; this
+    class holds what all sizes share.  The coefficients are floats, or
+    Duals of an enclosing ``jacobian``.  Plain numbers and Duals mix in as
+    constants, a numpy float as the Python float of the same value
+    (several times cheaper to multiply, and it keeps ``d`` Python
+    floats); an ndarray operand is applied entry by entry
     (``__array_ufunc__ = None`` hands numpy's binary operators to the
-    Jet, as for :class:`Dual`).
+    Jet, as for :class:`Dual`).  Jets of different lengths do not mix.
     """
 
     __slots__ = ("val", "d")
     __array_ufunc__ = None
 
-    def __init__(self, val, grad, hess):
-        self.val = val
-        self.d = (*grad, *(hess[i][j] for i, j in _triangle(len(grad))))
+    def __new__(cls, val, grad, hess):
+        return _jet(val, (*grad, *(hess[i][j] for i, j in _triangle(len(grad)))))
 
     @property
     def grad(self):
-        return np.array(self.d[:_rules(len(self.d)).m])
+        return np.array(self.d[:self.m])
 
     @property
     def hess(self):
-        rules = _rules(len(self.d))
-        return np.array(self.d[rules.m:])[rules.square]
+        return np.array(self.d[self.m:])[self.square]
 
     def __repr__(self):
         return f"Jet({self.val!r}, grad={self.grad!r}, hess={self.hess!r})"
 
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            return _rules(len(self.d)).add(self, other)
-        if isinstance(other, _CONSTANT_TYPES):
-            return _jet(self.val + _plain(other), self.d)
-        return _entrywise(np.add, self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _rules(len(self.d)).negated(-self.val, self)
-
-    def __sub__(self, other):
-        if isinstance(other, Jet):
-            return _rules(len(self.d)).sub(self, other)
-        if isinstance(other, _CONSTANT_TYPES):
-            return _jet(self.val - _plain(other), self.d)
-        return _entrywise(np.subtract, self, other)
-
-    def __rsub__(self, other):
-        if isinstance(other, _CONSTANT_TYPES):
-            return _rules(len(self.d)).negated(_plain(other) - self.val, self)
-        return _entrywise(np.subtract, other, self)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return _rules(len(self.d)).mul(self, other)
-        if isinstance(other, _CONSTANT_TYPES):
-            return _rules(len(self.d)).scaled(self, _plain(other))
-        return _entrywise(np.multiply, self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return _rules(len(other.d)).quotient(self.val, self.d, other)
-        if isinstance(other, _CONSTANT_TYPES):
-            return _rules(len(self.d)).scaled(self, 1.0 / _plain(other))
-        return _entrywise(np.true_divide, self, other)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, _CONSTANT_TYPES):
-            return _rules(len(self.d)).quotient(_plain(other), (0.0,) * len(self.d), self)
-        return _entrywise(np.true_divide, other, self)
+    def __reduce__(self):
+        # copy and pickle rebuild the jet through its length's class
+        return _jet, (self.val, self.d)
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -258,11 +225,15 @@ class Jet:
 _CONSTANT_TYPES = _NUMBER_TYPES + (Dual,)
 _new = object.__new__
 
+# Dual and the Jet subclass of every size built so far: the scalar types
+# whose values a component array holds as objects.
+DERIVATIVE_TYPES = {Dual}
+
 
 def _jet(val, d):
     """A Jet from its value and coefficient tuple, without the public
     constructor's unpacking."""
-    j = _new(Jet)
+    j = _new(_rules(len(d)))
     j.val = val
     j.d = d
     return j
@@ -279,30 +250,35 @@ def _triangle(m):
     return [(i, j) for i in range(m) for j in range(i, m)]
 
 
-_Rules = namedtuple("_Rules", "m square add sub negated scaled mul quotient chain")
-
-
 @functools.cache
 def _rules(size):
-    """The jet rules for jets of ``size`` coefficients.
+    """The :class:`Jet` subclass of jets with ``size`` coefficients.
 
-    Generated once per gradient length m as straight-line code over the
-    unpacked coefficients (as ``dataclasses`` generates ``__init__``), so
-    a jet operation makes no numpy call and no loop.  The linear rules
-    act coefficient by coefficient: ``add`` and ``sub`` of two jets,
-    ``scaled(x, c)`` (each coefficient times c) and ``negated(v, x)``,
-    the jet of value v and coefficients minus those of x (``-x`` and
-    ``c - x``, whose value is ``c - x.val``, so a zero keeps its sign).
-    Each line of the others is the numpy rule it replaces at one (i, j),
-    in the same order of operations:
+    Its operators are the jet rules, generated once per gradient length m
+    as straight-line code over the unpacked coefficients (as
+    ``dataclasses`` generates ``__init__``) and compiled under the
+    filename ``<symkt.dual jets m=...>``, so a jet operation makes no
+    numpy call, no loop and no lookup of its rules.  A binary operator
+    tests its other operand in turn: a jet of this class, a Python float,
+    another constant (a numpy float becomes the Python float of the same
+    value), then anything else, entry by entry.  The linear rules act
+    coefficient by coefficient: sums and differences of two jets, scaling
+    by a constant c (``x / c`` scales by ``1.0 / c``), and negation
+    (``-x``, and ``c - x`` with the value ``c - x.val``, so a zero keeps
+    its sign); adding or subtracting a constant keeps ``d``.  Each line
+    of the others is the numpy rule it replaces at one (i, j), in the
+    same order of operations:
 
         x y:      a d_ij(y) + b d_ij(x) + (d_i(x) d_j(y) + d_j(x) d_i(y))
         a / y:    q = a / b, g_i = (d_i(a) - q d_i(y)) / b,
                   (d_ij(a) - q d_ij(y) - (g_i d_j(y) + g_j d_i(y))) / b
         f(x):     f' d_i(x), f' d_ij(x) + f'' (d_i(x) d_j(x))
 
-    with a, b the values of x, y.  ``square`` is the ``(m, m)`` table of
-    each Hessian entry's position in the triangle.
+    with a, b the values of x, y (a constant a has zero coefficients);
+    ``x._chain(f0, f1, f2)`` is f(x) from f and its first two derivatives
+    at ``x.val``.  The class holds the gradient length ``m`` and
+    ``square``, the ``(m, m)`` table of each Hessian entry's position in
+    the triangle.
     """
     m = (math.isqrt(8 * size + 9) - 3) // 2
     if m < 1 or m * (m + 3) // 2 != size:
@@ -315,36 +291,69 @@ def _rules(size):
     chain = ([f"f1 * a{i}" for i in range(m)]
              + [f"f1 * a{k} + f2 * (a{i} * a{j})" for k, (i, j) in tri])
 
-    ua, ub = (", ".join(f"{prefix}{k}" for k in range(size)) + "," for prefix in "ab")
-
-    def rule(head, val, coeffs, *body):
-        return [f"def {head}:", *(f"    {line}" for line in body),
-                "    j = _new(Jet)",
-                f"    j.val = {val}",
-                f"    j.d = ({', '.join(coeffs)},)",
-                "    return j"]
-
     ks = range(size)
+    ua, ub = (", ".join(f"{prefix}{k}" for k in ks) + "," for prefix in "ab")
+
+    def tup(terms):
+        return f"({', '.join(terms)},)"
+
+    def jet(val, d):
+        return ["j = _new(cls)", f"j.val = {val}", f"j.d = {d}", "return j"]
+
+    def define(head, body):
+        return [f"def {head}:", *(f"    {line}" for line in body)]
+
+    def operator(name, const, fallback, same=()):
+        """``name(x, y)``: ``same`` for a jet y of this class, ``const``
+        for a constant y, else ``_entrywise(fallback)``."""
+        test = ["if type(y) is cls:", *(f"    {line}" for line in same)] if same else []
+        return define(f"{name}(x, y)", [
+            *test,
+            "if type(y) is not float:",
+            "    if not isinstance(y, _CONSTANT_TYPES):",
+            f"        return _entrywise({fallback})",
+            "    y = _plain(y)",
+            *const])
+
     source = "\n".join([
-        *rule("add(x, y)", "x.val + y.val", [f"a{k} + b{k}" for k in ks],
-              f"{ua} = x.d", f"{ub} = y.d"),
-        *rule("sub(x, y)", "x.val - y.val", [f"a{k} - b{k}" for k in ks],
-              f"{ua} = x.d", f"{ub} = y.d"),
-        *rule("negated(v, x)", "v", [f"-a{k}" for k in ks], f"{ua} = x.d"),
-        *rule("scaled(x, c)", "x.val * c", [f"a{k} * c" for k in ks], f"{ua} = x.d"),
-        *rule("mul(x, y)", "av * bv", mul,
-              f"{ua} = x.d", f"{ub} = y.d", "av = x.val", "bv = y.val"),
-        *rule("quotient(a, ad, y)", "q", quotient,
-              f"{ua} = ad", f"{ub} = y.d", "bv = y.val", "q = a / bv",
-              *(f"g{i} = (a{i} - q * b{i}) / bv" for i in range(m))),
-        *rule("chain(x, f0, f1, f2)", "f0", chain, f"{ua} = x.d"),
+        *operator("__add__", jet("x.val + y", "x.d"), "np.add, x, y",
+                  [f"{ua} = x.d", f"{ub} = y.d",
+                   *jet("x.val + y.val", tup(f"a{k} + b{k}" for k in ks))]),
+        *operator("__sub__", jet("x.val - y", "x.d"), "np.subtract, x, y",
+                  [f"{ua} = x.d", f"{ub} = y.d",
+                   *jet("x.val - y.val", tup(f"a{k} - b{k}" for k in ks))]),
+        *operator("__rsub__", [f"{ua} = x.d", *jet("y - x.val", tup(f"-a{k}" for k in ks))],
+                  "np.subtract, y, x"),
+        *operator("__mul__", [f"{ua} = x.d", *jet("x.val * y", tup(f"a{k} * y" for k in ks))],
+                  "np.multiply, x, y",
+                  [f"{ua} = x.d", f"{ub} = y.d", "av = x.val", "bv = y.val",
+                   *jet("av * bv", tup(mul))]),
+        *operator("__truediv__",
+                  ["c = 1.0 / y", f"{ua} = x.d", *jet("x.val * c", tup(f"a{k} * c" for k in ks))],
+                  "np.true_divide, x, y",
+                  [f"{ua} = x.d", f"{ub} = y.d", "bv = y.val", "q = x.val / bv",
+                   *(f"g{i} = (a{i} - q * b{i}) / bv" for i in range(m)),
+                   *jet("q", tup(quotient))]),
+        # c / x is the quotient of the constant jet c by x
+        *operator("__rtruediv__", ["c = _new(cls)", "c.val = y", "c.d = zeros",
+                                   "return __truediv__(c, x)"], "np.true_divide, y, x"),
+        *define("__neg__(x)", [f"{ua} = x.d", *jet("-x.val", tup(f"-a{k}" for k in ks))]),
+        *define("_chain(x, f0, f1, f2)", [f"{ua} = x.d", *jet("f0", tup(chain))]),
     ])
-    namespace = {"_new": _new, "Jet": Jet}
-    exec(source, namespace)
+    namespace = {"_new": _new, "np": np, "_entrywise": _entrywise, "_plain": _plain,
+                 "_CONSTANT_TYPES": _CONSTANT_TYPES, "zeros": (0.0,) * size}
+    exec(compile(source, f"<symkt.dual jets m={m}>", "exec"), namespace)
     square = np.empty((m, m), dtype=np.intp)
     for k, (i, j) in tri:
         square[i, j] = square[j, i] = k - m
-    return _Rules(m, square, *(namespace[name] for name in _Rules._fields[2:]))
+    ops = {name: namespace[name] for name in
+           ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__",
+            "__neg__", "_chain")}
+    cls = namespace["cls"] = type(f"Jet{m}", (Jet,), {
+        "__slots__": (), "__module__": __name__, "m": m, "square": square,
+        "__radd__": ops["__add__"], "__rmul__": ops["__mul__"], **ops})
+    DERIVATIVE_TYPES.add(cls)
+    return cls
 
 
 def value_of(x):
@@ -369,7 +378,7 @@ def d_sqrt(x):
     if isinstance(x, Jet):
         s = d_sqrt(x.val)
         f1 = 0.5 / s
-        return _rules(len(x.d)).chain(x, s, f1, -0.5 * f1 / x.val)
+        return x._chain(s, f1, -0.5 * f1 / x.val)
     if isinstance(x, Dual):
         s = d_sqrt(x.val)
         return Dual(s, (0.5 / s) * x.grad, x.tag)
@@ -388,7 +397,7 @@ def d_dot(a, b):
 def d_exp(x):
     if isinstance(x, Jet):
         e = d_exp(x.val)
-        return _rules(len(x.d)).chain(x, e, e, e)
+        return x._chain(e, e, e)
     if isinstance(x, Dual):
         e = d_exp(x.val)
         return Dual(e, e * x.grad, x.tag)
@@ -398,7 +407,7 @@ def d_exp(x):
 def d_log(x):
     if isinstance(x, Jet):
         inv = 1.0 / x.val
-        return _rules(len(x.d)).chain(x, d_log(x.val), inv, -inv * inv)
+        return x._chain(d_log(x.val), inv, -inv * inv)
     if isinstance(x, Dual):
         return Dual(d_log(x.val), x.grad / x.val, x.tag)
     return np.log(x) if isinstance(x, np.ndarray) else math.log(x)

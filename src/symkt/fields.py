@@ -204,21 +204,26 @@ def wrap_conformal_field(wrapped_base, field, name=None):
 
 
 def random_polynomial_field(chart, degree, rng, name="poly"):
-    """Random field with polynomial frame components (chart backends)."""
+    """Random field with polynomial frame components (chart backends).
+
+    The coefficients are held as nested lists of Python floats: a jet or
+    dual times a Python float skips numpy's scalar dispatch, with the
+    same bits.
+    """
     n = chart.dim
     size = sym_size(n, degree)
-    c0 = rng.standard_normal(size)
-    c1 = rng.standard_normal((size, n))
-    c2 = rng.standard_normal((size, n, n))
+    c0 = rng.standard_normal(size).tolist()
+    c1 = rng.standard_normal((size, n)).tolist()
+    c2 = rng.standard_normal((size, n, n)).tolist()
 
     def comps(x):
         out = []
         for k in range(size):
             v = c0[k]
             for i in range(n):
-                v = v + c1[k, i] * x[i]
+                v = v + c1[k][i] * x[i]
                 for j in range(n):
-                    v = v + c2[k, i, j] * x[i] * x[j]
+                    v = v + c2[k][i][j] * x[i] * x[j]
             out.append(v)
         return out
 
@@ -230,19 +235,20 @@ def random_tangential_field(sphere, degree, rng, name="tangential-poly"):
 
     Ambient packed components are affine in the ambient coordinates and get
     projected tangentially slot by slot, so the restriction is smooth and
-    exactly tangential.
+    exactly tangential.  The coefficients are nested lists of Python
+    floats, as in :func:`random_polynomial_field`.
     """
     N = sphere.coord_dim
     size = sym_size(N, degree)
-    c0 = rng.standard_normal(size)
-    c1 = rng.standard_normal((size, N))
+    c0 = rng.standard_normal(size).tolist()
+    c1 = rng.standard_normal((size, N)).tolist()
 
     def amb(x):
         out = []
         for k in range(size):
             v = c0[k]
             for i in range(N):
-                v = v + c1[k, i] * x[i]
+                v = v + c1[k][i] * x[i]
             out.append(v)
         return out
 

@@ -26,7 +26,7 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .dual import Dual, Jet, value_of
+from .dual import DERIVATIVE_TYPES, value_of
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from .multiindex import (
     contract_array,
@@ -67,6 +67,10 @@ __all__ = [
 
 DEFAULT_TRACE_TOL = 1e-9
 
+# True when a set of component types holds no Dual or Jet type (each jet
+# length has its own Jet subclass).
+_plain_kinds = DERIVATIVE_TYPES.isdisjoint
+
 
 def _as_comps(values, size):
     """A fresh ``(..., size)`` component array.
@@ -81,7 +85,7 @@ def _as_comps(values, size):
     else:
         vals = list(values)
         kinds = set(map(type, vals))
-        if Dual in kinds or Jet in kinds:
+        if not _plain_kinds(kinds):
             arr = np.empty(len(vals), dtype=object)
             arr[:] = vals
         elif np.ndarray in kinds:

@@ -54,6 +54,14 @@ def test_metric_energy_conservation():
         assert geodesic_drift(f, x0, v0, 2000, 1e-3, check_domain=False) <= 1e-9
 
 
+def test_radius_two_sphere_keeps_the_sphere_and_the_energy():
+    # every sphere:n key has radius 1, where the curvature term's 1/radius**2
+    # is also 1/radius; the domain check raises if x leaves the sphere
+    sp = EmbeddedSphere(3, radius=2.0)
+    x0, v0 = tangent_ic(sp, np.random.default_rng(19))
+    assert geodesic_drift(metric_field(sp), x0, v0, 2000, 1e-3, check_domain=True) <= 1e-9
+
+
 def test_hopf_stackel_drift_small():
     field, _ = build_constructor("hopf-stackel")
     rng = np.random.default_rng(7)

@@ -9,7 +9,11 @@ files are exempt: their imports are the package's re-exports.  Imports
 belong at the top of a module, where they run once, not on every call.
 The fail-closed rule (a NaN or inf sample never passes) has one owner,
 ``symkt.obs``; ``io`` and ``cli`` reject non-finite input before any check
-runs.  A check that tests finiteness itself forks that rule.
+runs.  A check that tests finiteness itself forks that rule.  Each
+size of jet is its own subclass of ``dual.Jet``, so outside ``dual`` a
+scalar's type is never compared with ``Jet`` or ``Dual`` exactly
+(``Jet in kinds``, ``type(x) is Jet``): such a test is silently false for
+every jet.
 """
 
 import ast
@@ -20,6 +24,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "symkt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FINITENESS_OWNERS = {"obs.py", "io.py", "cli.py"}
+DERIVATIVE_TYPE_NAMES = {"Jet", "Dual"}
 
 
 def _imported(tree):
@@ -62,6 +67,38 @@ def function_imports(source):
     return sorted(found)
 
 
+def _is_derivative_type(node):
+    """``Jet`` or ``Dual`` (or a module's attribute of that name), or a
+    tuple, list or set literal holding one."""
+    if isinstance(node, ast.Name):
+        return node.id in DERIVATIVE_TYPE_NAMES
+    if isinstance(node, ast.Attribute):
+        return node.attr in DERIVATIVE_TYPE_NAMES
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(_is_derivative_type, node.elts))
+    return False
+
+
+def _is_type_call(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "type"
+
+
+def exact_type_checks(source):
+    """Sorted lines that compare a type with ``Jet`` or ``Dual`` exactly:
+    ``Jet in kinds``, or ``type(x)`` by ``is``, ``==`` or ``in``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                if isinstance(op, (ast.In, ast.NotIn)) and _is_derivative_type(a) \
+                        or _is_type_call(a) and _is_derivative_type(b) \
+                        or _is_type_call(b) and _is_derivative_type(a):
+                    found.add(node.lineno)
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -75,6 +112,12 @@ def test_no_import_inside_a_function(path):
 def test_only_obs_and_the_input_validators_test_finiteness():
     testers = {p.name for p in SRC.glob("*.py") if "isfinite" in p.read_text()}
     assert testers <= FINITENESS_OWNERS
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dual.py"],
+                         ids=lambda p: p.name)
+def test_no_exact_type_check_against_jet_or_dual(path):
+    assert exact_type_checks(path.read_text()) == []
 
 
 def test_checker_flags_unused_names():
@@ -106,3 +149,18 @@ def test_checker_flags_function_imports():
     )
     # a nested function is inside both bodies
     assert function_imports(source) == [("f", 3), ("inner", 8), ("m", 8)]
+
+
+def test_checker_flags_exact_jet_and_dual_types():
+    source = (
+        "kinds = set(map(type, vals))\n"
+        "a = Jet in kinds\n"
+        "b = type(x) is Jet\n"
+        "c = type(x) == dual.Dual\n"
+        "d = type(x) in (float, Jet)\n"
+        "e = Dual not in kinds\n"
+        "f = isinstance(x, (Dual, Jet))\n"
+        "g = type(x) is float\n"
+        "h = x in kinds\n"
+    )
+    assert exact_type_checks(source) == [2, 3, 4, 5, 6]

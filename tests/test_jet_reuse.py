@@ -4,9 +4,9 @@ The metric is parallel, so nabla commutes with the trace Lambda: the
 classifier reads nabla K_0 = (nabla K)_0 and d tr K = tr nabla K off a
 single nabla K, and the Lichnerowicz defect reads all three second-order
 operators off a single nabla^2 K, and q(R) off the same connection jet.
-The connection jet at a float point is kept for the next call at the
-same point, and the frame at a seeding's Duals for the next call at the
-same Duals.  These tests pin the identities on every catalog backend and
+The connection jet at a float point, and the curvature assembled from
+it, are kept for the next call at the same point, and the frame at a
+seeding's Duals for the next call at the same Duals.  These tests pin the identities on every catalog backend and
 count the derivative calls.
 """
 
@@ -50,6 +50,7 @@ def empty_caches(monkeypatch):
     # call counts must not depend on what earlier tests left in the caches
     monkeypatch.setattr(manifolds, "_last_jet", (None, None, None))
     monkeypatch.setattr(manifolds, "_last_frame", (None, None, (), None))
+    monkeypatch.setattr(curvature, "_last_riemann", (None, None))
 
 
 def _L_field(field):
@@ -308,6 +309,55 @@ def test_nabla_of_ricci_field_bypasses_the_cache():
     digest = hashlib.sha256(repr(comps.shape).encode() + comps.tobytes()).hexdigest()
     assert digest[:16] == "756af045756b2425"
     assert manifolds._last_jet == (None, None, None)
+    assert curvature._last_riemann == (None, None)
+
+
+def test_riemann_and_the_defect_assemble_the_curvature_once(monkeypatch):
+    base = manifold_from_key("sphere:3")
+    rng = np.random.default_rng(21)
+    field = random_tangential_field(base, 2, rng)
+    x = base.sample_point(rng)
+    calls = _count(monkeypatch, curvature, "_curvature")
+    rm = curvature.riemann(base, x)
+    assert curvature.lichnerowicz_defect(field, x) <= 1e-6
+    assert curvature.riemann(base, list(x)) is rm  # the same float64 bytes
+    assert len(calls) == 1
+
+
+def test_riemann_is_kept_per_base_and_point_bytes(monkeypatch):
+    base = manifold_from_key("stereographic:2")
+    calls = _count(monkeypatch, curvature, "_curvature")
+    x = [0.25, 0.0]
+    rm = curvature.riemann(base, x)
+    # a different point, a fresh base of the same key, the other signed zero
+    for b, y in [(base, [0.25, 0.125]), (manifold_from_key("stereographic:2"), x),
+                 (base, [0.25, -0.0])]:
+        other = curvature.riemann(b, y)
+        assert other is not rm
+        rm = other
+    assert len(calls) == 4
+
+
+def test_kept_riemann_arrays_are_read_only():
+    base = manifold_from_key("sphere:3")
+    rm = curvature.riemann(base, base.sample_point(np.random.default_rng(13)))
+    for a in (rm.R4, rm.ricci):
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+def test_nabla_of_ricci_field_leaves_the_kept_riemann(monkeypatch):
+    # at the point riemann kept, nabla still assembles the curvature at its
+    # own dual points, to the same bits as with nothing kept
+    base = manifold_from_key("sphere:2")
+    x = list(base.sample_point(np.random.default_rng([1913, 99])))
+    rm = curvature.riemann(base, x)
+    calls = _count(monkeypatch, curvature, "_curvature")
+    comps = np.ascontiguousarray(nabla(curvature.ricci_field(base), x).comps, dtype=float)
+    digest = hashlib.sha256(repr(comps.shape).encode() + comps.tobytes()).hexdigest()
+    assert digest[:16] == "756af045756b2425"
+    assert len(calls) == 1
+    assert curvature._last_riemann[1] is rm
 
 
 def test_frame_is_remembered_only_at_the_seeded_duals(monkeypatch):

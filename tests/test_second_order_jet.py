@@ -9,7 +9,9 @@ of ``nabla``'s components), kept here only to pin the jet path: equal
 within 8 eps times max(1, |reference|), as the two sum in another order.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -236,6 +238,24 @@ def test_jet_is_a_scalar_to_the_generic_helpers():
     assert value_of(d_exp(x[0]) * x[1]) == math.exp(0.5) * 0.5
     assert point_array([[x[0], 1.0]], x).dtype == object
     assert _as_comps([x[0], 2.0], 2).dtype == object
+
+
+def test_each_jet_length_has_one_class_with_its_own_code():
+    from symkt.dual import _rules
+
+    seeds = []
+    hessian(lambda X: seeds.extend(map(type, X)) or [X[0] * X[1]], [1.0, 2.0, 3.0])
+    cls = _rules(9)
+    assert seeds == [cls] * 3
+    x = Jet(0.5, [1.0, 2.0, 3.0], np.eye(3))
+    for y in (x, x * x, x + x, x - 1.0, 2.0 - x, x * np.float64(2.0), x / x, 1.0 / x,
+              -x, d_exp(x), d_sqrt(x), d_log(x)):
+        assert type(y) is cls
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is cls and (y.val, y.d) == (x.val, x.d)
+    # profilers label generated code by file name, line and function
+    files = {m: _rules(m * (m + 3) // 2).__mul__.__code__.co_filename for m in (1, 2, 3)}
+    assert files == {m: f"<symkt.dual jets m={m}>" for m in (1, 2, 3)}
 
 
 # ---------------------------------------------------------------------------
