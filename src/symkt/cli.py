@@ -10,15 +10,13 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import io as tio
 from .classify import classify
 from .constructors import build_constructor, constructor_catalog, stable_stream
 from .errors import ConfigError, DomainError, SymktError
 from .fields import constant_field
-from .geodesic import geodesic_drift
-from .manifolds import EmbeddedSphere, manifold_from_key
+from .geodesic import geodesic_drift, initial_condition
+from .manifolds import manifold_from_key
 from .suites import geometry_suite, identity_suite
 
 __all__ = ["main", "run_identities", "run_verify", "run_geodesic"]
@@ -141,14 +139,7 @@ def run_geodesic(args):
     rows = []
     ok = True
     for t in range(args.trajectories):
-        x0 = base.sample_point(rng)
-        v0 = rng.standard_normal(base.coord_dim)
-        if isinstance(base, EmbeddedSphere):
-            v0 = base.tangent_projection(x0, v0)
-        v0 = v0 / np.linalg.norm(v0)
-        if base.key.startswith("euclidean"):
-            x0 = 0.2 * x0
-            v0 = 0.05 * v0
+        x0, v0 = initial_condition(base, rng)
         try:
             drift = geodesic_drift(field, x0, v0, args.steps, args.dt)
             rows.append({"trajectory": t, "drift": drift, "status": "ok"})

@@ -30,7 +30,6 @@ from .fields import (
 )
 from .manifolds import (
     EmbeddedSphere,
-    euclidean_chart,
     frame_at,
     manifold_from_key,
     point_array,
@@ -107,9 +106,6 @@ class AlgCurvature:
     def ricci_contraction(self):
         return np.einsum("abca->bc", self.comps)
 
-    def scalar(self):
-        return float(np.trace(self.ricci_contraction()))
-
 
 def _pair_symmetrize(T):
     R = 0.25 * (
@@ -180,7 +176,7 @@ def curvature_to_killing(R, sphere, name="curvature-killing"):
         X = np.stack(x, axis=-1)  # (..., N): floats, Duals or batch columns
         return SymTensor(N, 2, (X[..., I] * X[..., J]) @ Q.T).entries()
 
-    return field_from_components(sphere, 2, amb, rep="coordinate", name=name)
+    return field_from_components(sphere, 2, amb, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -205,33 +201,30 @@ def killing_vector(base, generator, translation=None, name="killing-vector"):
             sum(A[i, j] * x[j] for j in range(m) if A[i, j]) + b[i] for i in range(m)
         ]
 
-    return field_from_components(base, 1, amb, rep="coordinate", name=name)
+    return field_from_components(base, 1, amb, name=name)
 
 
-def verify_killing(field, rng, samples=KILLING_CHECK_SAMPLES, tol=KILLING_CHECK_TOL):
-    """Raise unless the d-residual of the field is below tol at samples.
+def verify_killing(field, rng):
+    """Raise unless the d-residual of the field is at most
+    ``KILLING_CHECK_TOL`` at ``KILLING_CHECK_SAMPLES`` points.
 
     The points are drawn first and differentiated as one batch.  A
     non-finite residual raises too.
     """
-    if samples < 1:
-        raise ConfigError(f"the Killing check needs samples >= 1, got {samples}")
-    points = [list(field.base.sample_point(rng)) for _ in range(samples)]
+    points = [list(field.base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
     T = nabla(field, points)
     res = norm(d_op(field, points, T=T)) / np.maximum(1.0, frame_norm(T))
     residual = worst(res)
-    if not residual <= tol:
+    if not residual <= KILLING_CHECK_TOL:
         raise VerificationError(f"field is not Killing (residual {residual:.2e})")
     return residual
 
 
-def sym_product_field(xi, zeta, rng=None, check=True, name=None):
+def sym_product_field(xi, zeta, rng):
     """Symmetric product of two verified Killing vector fields."""
-    if check:
-        rng = np.random.default_rng(0) if rng is None else rng
-        verify_killing(xi, rng)
-        verify_killing(zeta, rng)
-    return product_field(xi, zeta, name=name or f"{xi.name}.{zeta.name}")
+    verify_killing(xi, rng)
+    verify_killing(zeta, rng)
+    return product_field(xi, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -307,17 +300,20 @@ def killing_form_residual(u, x):
     return worst(hooks) / worst([1.0, float(np.abs(vals).max())])
 
 
-def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
-    """Killing 2-tensor K(X, Y) = g(X -| u, Y -| u) from a Killing form."""
+def killing_form_to_tensor(u, rng, check=True, name=None):
+    """Killing 2-tensor K(X, Y) = g(X -| u, Y -| u) from a Killing form.
+
+    With ``check`` the form is first verified Killing at points drawn
+    from ``rng``.
+    """
     sphere = u.base
     N = sphere.coord_dim
     q = u.degree
     if check:
-        rng = np.random.default_rng(1) if rng is None else rng
         for _ in range(KILLING_CHECK_SAMPLES):
             x = sphere.sample_point(rng)
             r = killing_form_residual(u, x)
-            if not r <= tol:
+            if not r <= KILLING_CHECK_TOL:
                 raise VerificationError(f"form is not Killing (residual {r:.2e})")
 
     I, J = index_array(N, 2).T
@@ -329,20 +325,17 @@ def killing_form_to_tensor(u, rng=None, check=True, tol=1e-8, name=None):
         K = (U[..., I, :] * U[..., J, :]).sum(-1) / float(math.factorial(q - 1))
         return SymTensor(N, 2, K).entries()
 
-    return field_from_components(
-        sphere, 2, amb, rep="coordinate", name=name or f"K^{u.name}"
-    )
+    return field_from_components(sphere, 2, amb, name=name or f"K^{u.name}")
 
 
 # ---------------------------------------------------------------------------
 # special conformal Killing tensors (flat model) and the hat map
 
 
-def special_ckt_flat(k0, chart=None, name="special-flat"):
-    """The flat-space tensor x . k0 with nabla_X K = X . k0."""
+def special_ckt_flat(k0, chart):
+    """The flat-space tensor x . k0 with nabla_X K = X . k0 on a flat chart."""
     k0 = np.asarray(k0, dtype=float)
     n = len(k0)
-    chart = chart or euclidean_chart(n)
 
     def comps(x):
         out = []
@@ -350,7 +343,7 @@ def special_ckt_flat(k0, chart=None, name="special-flat"):
             out.append(x[i] * k0[j] + x[j] * k0[i])
         return out
 
-    return TensorField(chart, 2, comps, name=name)
+    return TensorField(chart, 2, comps, name="special-flat")
 
 
 def special_killing_coefficients(n, p):
@@ -369,17 +362,19 @@ def special_killing_coefficients(n, p):
     return coeffs
 
 
-def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
-    """Rescale standard-decomposition parts of a special CKT to a Killing one."""
+def special_to_killing(field, rng):
+    """Rescale standard-decomposition parts of a special CKT to a Killing one.
+
+    The input is first verified special conformal Killing at points drawn
+    from ``rng``.
+    """
     n, p = field.base.dim, field.degree
-    if check:
-        rng = np.random.default_rng(2) if rng is None else rng
-        points = [list(field.base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
-        residual = worst(special_conformal_residual(field, points))
-        if not residual <= tol:
-            raise VerificationError(
-                f"input is not special conformal Killing (residual {residual:.2e})"
-            )
+    points = [list(field.base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
+    residual = worst(special_conformal_residual(field, points))
+    if not residual <= KILLING_CHECK_TOL:
+        raise VerificationError(
+            f"input is not special conformal Killing (residual {residual:.2e})"
+        )
     coeffs = special_killing_coefficients(n, p)
 
     def comps(x):
@@ -393,7 +388,7 @@ def special_to_killing(field, rng=None, check=True, tol=1e-8, name=None):
             out = out + term
         return out.entries()
 
-    return TensorField(field.base, p, comps, name=name or f"hat({field.name})")
+    return TensorField(field.base, p, comps, name=f"hat({field.name})")
 
 
 def special_conformal_residual(field, x, T=None, deltaK=None):
@@ -533,9 +528,8 @@ def hopf_generator():
     return J
 
 
-def hopf_split(sphere=None):
+def hopf_split(sphere):
     """Vertical/horizontal splitting of the circle fibration on S^3."""
-    sphere = sphere or EmbeddedSphere(3)
     J = hopf_generator()
 
     def projector(x):
@@ -547,10 +541,9 @@ def hopf_split(sphere=None):
     return DistributionSplit(sphere, 1, projector, name="hopf")
 
 
-def tilted_split(sphere=None, c=(0.9, 0.1, -0.3, 0.5)):
+def tilted_split(sphere):
     """Generic line field on S^3 violating the geodesic-invariance condition."""
-    sphere = sphere or EmbeddedSphere(3)
-    c = np.asarray(c, dtype=float)
+    c = np.array([0.9, 0.1, -0.3, 0.5])
 
     def projector(x):
         r2 = d_dot(x, x)
@@ -578,77 +571,64 @@ def coordinate_split(chart, n1):
 # conformal Killing tensors on Riemannian products
 
 
-def _lift_field(product, which, factor_field, name=None):
-    """Lift a field from one factor to the product (zero on the other slots)."""
-    n = product.dim
-    n1 = product.first.dim
-    m1 = product.first.coord_dim
+def _lift_field(product, which, factor_field):
+    """Lift a field from one factor to the product (zero on the other slots).
+
+    ``table[k]`` is the position in the factor's packed components of the
+    product's k-th multi-index, or None where it leaves the factor's slots.
+    """
     p = factor_field.degree
+    factor = product.second if which else product.first
+    off = product.first.dim if which else 0
+    m1 = product.first.coord_dim
+    coords = slice(m1, None) if which else slice(0, m1)
+    sub_idx = {I: k for k, I in enumerate(multi_indices(factor.dim, p))}
+    table = [sub_idx.get(tuple(i - off for i in I))
+             for I in multi_indices(product.dim, p)]
 
     def comps(x):
-        xs = list(x[:m1]) if which == 0 else list(x[m1:])
-        sub = factor_field.comps_fn(xs)
-        nf = product.first.dim if which == 0 else product.second.dim
-        sub_idx = {I: k for k, I in enumerate(multi_indices(nf, p))}
-        off = 0 if which == 0 else n1
-        out = []
-        for I in multi_indices(n, p):
-            if all(off <= i < off + nf for i in I):
-                out.append(sub[sub_idx[tuple(i - off for i in I)]])
-            else:
-                out.append(0.0)
-        return out
+        sub = factor_field.comps_fn(list(x[coords]))
+        return [0.0 if k is None else sub[k] for k in table]
 
-    return TensorField(product, p, comps,
-                       name=name or f"lift{which + 1}({factor_field.name})")
+    return TensorField(product, p, comps, name=f"lift{which + 1}({factor_field.name})")
 
 
-def product_ckt(product, K1=None, K2=None, pairs=(), rng=None, check=True,
-                name="product-ckt"):
+def product_ckt(product, rng, K1=None, K2=None, pairs=()):
     """Trace-free conformal Killing tensor on a product manifold.
 
     Assembles the trace-free part of the lifted Killing tensors plus the
     symmetric products of the Killing-field pairs (xi_i on the first
     factor, zeta_i on the second).  Inputs are verified Killing on their
-    factors unless ``check`` is disabled.
+    factors at points drawn from ``rng``.
     """
-    rng = np.random.default_rng(3) if rng is None else rng
-    terms = []
-    if K1 is not None:
-        if check:
-            verify_killing(K1, rng)
-        terms.append(_lift_field(product, 0, K1))
-    if K2 is not None:
-        if check:
-            verify_killing(K2, rng)
-        terms.append(_lift_field(product, 1, K2))
     core = None
-    for t in terms:
-        core = t if core is None else add_fields(core, t)
+    for which, K in enumerate((K1, K2)):
+        if K is not None:
+            verify_killing(K, rng)
+            lifted = _lift_field(product, which, K)
+            core = lifted if core is None else add_fields(core, lifted)
     if core is not None:
         core = tracefree_part_field(core)
     for xi, zeta in pairs:
-        if check:
-            verify_killing(xi, rng)
-            verify_killing(zeta, rng)
+        verify_killing(xi, rng)
+        verify_killing(zeta, rng)
         cross = product_field(_lift_field(product, 0, xi), _lift_field(product, 1, zeta))
         core = cross if core is None else add_fields(core, cross)
     if core is None:
         raise ConfigError("product_ckt needs at least one ingredient")
-    return TensorField(product, 2, core.comps_fn, name=name)
+    return TensorField(product, 2, core.comps_fn, name="product-ckt")
 
 
-def traceless_killing_product(xi, zeta, rng=None, check=True, name=None):
+def traceless_killing_product(xi, zeta, rng, name=None):
     """The combination xi . zeta - (2/n) g(xi, zeta) g of two Killing fields.
 
     Trace-free by construction; Killing exactly when g(xi, zeta) is
     constant (e.g. anti-commuting rotation generators, or a unit Killing
-    field paired with itself).
+    field paired with itself).  Both fields are first verified Killing at
+    points drawn from ``rng``.
     """
-    if check:
-        rng = np.random.default_rng(4) if rng is None else rng
-        verify_killing(xi, rng)
-        verify_killing(zeta, rng)
+    verify_killing(xi, rng)
+    verify_killing(zeta, rng)
     base = xi.base
     n = base.dim
     gidx = multi_indices(n, 2)
@@ -734,19 +714,19 @@ def _build_sym_product(base, rng, params=None):
     gens = (params or {}).get("generators", [[0, 1], [1, 2]])
     xi = killing_vector(base, _rotation_generator(N, *gens[0]), name="rot-a")
     zeta = killing_vector(base, _rotation_generator(N, *gens[1]), name="rot-b")
-    return sym_product_field(xi, zeta, rng=rng)
+    return sym_product_field(xi, zeta, rng)
 
 
 def _build_sym_product_hopf(base, rng, params=None):
     Ji, Jj = _anticommuting_pair()
     xi = killing_vector(base, Ji, name="hopf-i")
     zeta = killing_vector(base, Jj, name="hopf-j")
-    return traceless_killing_product(xi, zeta, rng=rng, name="sym-product-hopf")
+    return traceless_killing_product(xi, zeta, rng, name="sym-product-hopf")
 
 
 def _build_sasakian(base, rng, params=None):
     xi = killing_vector(base, hopf_generator(), name="hopf")
-    return traceless_killing_product(xi, xi, rng=rng, name="sasakian-stackel")
+    return traceless_killing_product(xi, xi, rng, name="sasakian-stackel")
 
 
 def _build_broken_sym_product(base, rng, params=None):
@@ -759,7 +739,7 @@ def _build_broken_sym_product(base, rng, params=None):
         r2 = d_dot(x, x)
         return [c[i] - dot * x[i] / r2 for i in range(N)]
 
-    eta = field_from_components(base, 1, amb, rep="coordinate", name="concircular")
+    eta = field_from_components(base, 1, amb, name="concircular")
     return product_field(xi, eta, name="broken-sym-product")
 
 
@@ -775,7 +755,7 @@ def _killing_form_omega(N, q, rng):
 def _build_killing_form(base, rng, q, params=None):
     omega = _killing_form_omega(base.coord_dim, q, rng)
     u = killing_form_sphere(omega, base)
-    return killing_form_to_tensor(u, rng=rng)
+    return killing_form_to_tensor(u, rng)
 
 
 def _build_broken_killing_form(base, rng, params=None):
@@ -787,18 +767,18 @@ def _build_broken_killing_form(base, rng, params=None):
         return scale * np.tensordot(np.stack(x, axis=-1), omega, axes=(-1, 0))
 
     u = FormField(sphere, 1, amb, name="non-killing-form")
-    return killing_form_to_tensor(u, check=False, name="broken-killing-form")
+    return killing_form_to_tensor(u, rng, check=False, name="broken-killing-form")
 
 
 def _build_special_flat(base, rng, params=None):
     k0 = np.asarray((params or {}).get("k0", [0.4, -0.3, 0.5]), dtype=float)
     if len(k0) != base.dim:
         raise ConfigError(f"k0 must have length {base.dim}")
-    return special_ckt_flat(k0, chart=base)
+    return special_ckt_flat(k0, base)
 
 
 def _build_special_flat_hat(base, rng, params=None):
-    return special_to_killing(_build_special_flat(base, rng, params), rng=rng)
+    return special_to_killing(_build_special_flat(base, rng, params), rng)
 
 
 def _build_broken_special_hat(base, rng, params=None):
@@ -828,7 +808,7 @@ def _build_product_ckt(base, rng, params=None):
     K1 = curvature_to_killing(R, f1, name="factor-curvature")
     xi = killing_vector(f1, _rotation_generator(f1.coord_dim, 0, 1), name="xi")
     zeta = killing_vector(f2, _rotation_generator(f2.coord_dim, 0, 2), name="zeta")
-    return product_ckt(base, K1=K1, pairs=[(xi, zeta)], rng=rng)
+    return product_ckt(base, rng, K1=K1, pairs=[(xi, zeta)])
 
 
 def _build_broken_product(base, rng, params=None):
@@ -841,7 +821,7 @@ def _build_broken_product(base, rng, params=None):
         r2 = sum(v * v for v in x)
         return [c[i] - dot * x[i] / r2 for i in range(f2.coord_dim)]
 
-    eta = field_from_components(f2, 1, amb, rep="coordinate", name="concircular")
+    eta = field_from_components(f2, 1, amb, name="concircular")
     cross = product_field(_lift_field(base, 0, xi), _lift_field(base, 1, eta))
     return TensorField(base, 2, cross.comps_fn, name="broken-product-ckt")
 

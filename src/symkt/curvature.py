@@ -33,17 +33,20 @@ class RiemannAtPoint:
     """Frame curvature data at one point.
 
     ``R4[a,b,c,d] = g(R(e_a,e_b) e_c, e_d)``; ``ricci[a,b] = sum_i
-    R4[a,i,i,b]``; ``scal`` its trace.
+    R4[a,i,i,b]``; ``scal`` its trace, a Python float at a float point and
+    the trace's own scalar (a ``Dual``) at a dual point.
     """
 
     R4: np.ndarray
     ricci: np.ndarray
-    scal: float
+    scal: object
 
     @classmethod
     def from_R4(cls, R):
         ricci = np.einsum("aiib->ab", R)
-        return cls(R4=R, ricci=ricci, scal=float(np.trace(ricci)))
+        scal = np.trace(ricci)
+        return cls(R4=R, ricci=ricci,
+                   scal=scal if ricci.dtype == object else float(scal))
 
     def symmetry_residual(self):
         R = self.R4
@@ -176,8 +179,8 @@ def lichnerowicz_defect(field, x):
     return norm(lhs - rhs) / scale
 
 
-def ricci_field(base, name="ricci"):
-    """The Ricci curvature as a degree-2 tensor field.
+def ricci_field(base):
+    """The Ricci curvature as a degree-2 tensor field, read off ``riemann``.
 
     Its components take a hessian of the frame, which does not nest, so the
     field promises first derivatives only (``nabla``, not ``nabla2``).
@@ -185,10 +188,10 @@ def ricci_field(base, name="ricci"):
     idx = multi_indices(base.dim, 2)
 
     def comps(x):
-        ric = np.einsum("aiib->ab", _curvature(connection_jet(base, x)))
+        ric = riemann(base, x).ricci
         return [ric[a, b] for a, b in idx]
 
-    return TensorField(base, 2, comps, order=1, name=name)
+    return TensorField(base, 2, comps, order=1, name="ricci")
 
 
 def ricci_killing_residual(base, x, X):

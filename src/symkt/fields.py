@@ -124,24 +124,20 @@ def scalar_field(base, fn, name="scalar"):
     return TensorField(base, 0, lambda x: [fn(x)], name=name)
 
 
-def field_from_components(base, degree, fn, rep="frame", order=2, name="field"):
-    """Build a field from frame components or coordinate/ambient ones.
+def field_from_components(base, degree, fn, name="field"):
+    """Build a field from coordinate/ambient components.
 
-    With ``rep="coordinate"`` the function returns packed covariant
-    components over the coord_dim index range (ambient components for
-    embedded spheres); they are pulled onto the orthonormal frame through
-    the frame matrix at each point.
+    The function returns packed covariant components over the coord_dim
+    index range (ambient components for embedded spheres); they are
+    pulled onto the orthonormal frame through the frame matrix at each
+    point.  A field given by frame components is a :class:`TensorField`.
     """
-    if rep == "frame":
-        return TensorField(base, degree, fn, order=order, name=name)
-    if rep != "coordinate":
-        raise ValueError(f"unknown representation {rep!r}")
     m = base.coord_dim
 
     def comps(x):
         return change_basis(SymTensor(m, degree, fn(x)), base.frame(x)).entries()
 
-    return TensorField(base, degree, comps, order=order, name=name)
+    return TensorField(base, degree, comps, name=name)
 
 
 def tracefree_part_field(field, name=None):
@@ -284,8 +280,6 @@ def _assemble_first(p, vals, jac, F, gam):
 
 
 def _check_domain(base, x):
-    if not hasattr(base, "contains"):
-        return
     X = np.asarray(value_of(list(x)), dtype=float)
     if not all(base.contains(p) for p in X.reshape(-1, X.shape[-1])):
         raise DomainError(f"point outside the domain of {base.key}")

@@ -12,10 +12,37 @@ one batched call of the field.
 import numpy as np
 
 from .errors import DomainError
+from .manifolds import EmbeddedSphere, ProductManifold
 from .obs import worst
 from .symtensor import SymTensor, poly_eval
 
-__all__ = ["rk4_geodesic", "geodesic_drift", "drift_series"]
+__all__ = ["initial_condition", "rk4_geodesic", "geodesic_drift", "drift_series"]
+
+
+def _tangent(base, x, v):
+    """v with its part on each embedded-sphere factor made tangent at x."""
+    if isinstance(base, EmbeddedSphere):
+        return base.tangent_projection(x, v)
+    if isinstance(base, ProductManifold):
+        m1 = base.first.coord_dim
+        return np.concatenate([_tangent(base.first, x[:m1], v[:m1]),
+                               _tangent(base.second, x[m1:], v[m1:])])
+    return v
+
+
+def initial_condition(base, rng):
+    """A geodesic start (x0, v0) drawn from rng: the point, then a Gaussian
+    velocity made tangent to every sphere factor and normalized.
+
+    On a euclidean chart x0 is scaled by 0.2 and v0 by 0.05, so that the
+    trajectory stays in the sampling domain.
+    """
+    x0 = base.sample_point(rng)
+    v0 = _tangent(base, x0, rng.standard_normal(base.coord_dim))
+    v0 = v0 / np.linalg.norm(v0)
+    if base.key.startswith("euclidean"):
+        return 0.2 * x0, 0.05 * v0
+    return x0, v0
 
 
 def rk4_geodesic(base, x0, v0, steps, dt):
@@ -43,7 +70,7 @@ def geodesic_drift(field, x0, v0, steps, dt, check_domain=True):
     base = field.base
     xs, vs = [np.asarray(x0, dtype=float)], [np.asarray(v0, dtype=float)]
     for x, v in rk4_geodesic(base, x0, v0, steps, dt):
-        if check_domain and hasattr(base, "contains") and not base.contains(x):
+        if check_domain and not base.contains(x):
             raise DomainError("geodesic left the sampling domain")
         xs.append(x)
         vs.append(v)

@@ -12,6 +12,9 @@ Every backend exposes the same small surface:
 * ``frame_components(x, vec)`` - frame coefficients F^T G v of a
   coordinate/ambient vector (one shared function);
 * ``sample_point(rng)`` - seedable domain sampler;
+* ``contains(x)`` - whether a float point lies in the sampling domain
+  (``nabla`` refuses a point outside it, and ``geodesic_drift`` a
+  trajectory that leaves it);
 * ``geodesic_rhs(x, v)`` - right-hand side of the geodesic equation.
 
 ``frame`` and ``metric_matrix`` are generic over scalars: float64 arrays
@@ -612,7 +615,7 @@ def flat_torus_chart(n):
     return Chart(n, key=f"torus:{n}", box=(2 * np.pi,) * n)
 
 
-def bump_function(m, scale=0.1):
+def bump_function(m):
     """Fixed low-degree polynomial used as the conformal factor exponent."""
 
     def f(x):
@@ -620,7 +623,7 @@ def bump_function(m, scale=0.1):
         if m > 1:
             s = s + 0.2 * x[0] * x[1]
         s = s - 0.15 * x[-1] * x[-1]
-        return scale * s
+        return 0.1 * s
 
     return f
 

@@ -64,7 +64,7 @@ from .fields import (
     scalar_field,
     wrap_conformal_field,
 )
-from .geodesic import drift_series, geodesic_drift
+from .geodesic import drift_series, geodesic_drift, initial_condition
 from .manifolds import (
     EmbeddedSphere,
     conformal_rescale,
@@ -298,14 +298,6 @@ def identity_suite(dims="2..5", degrees="0..4", trials=50, seed=42):
 # geometric suite
 
 
-def _tangent_ic(base, rng):
-    x = base.sample_point(rng)
-    v = rng.standard_normal(base.coord_dim)
-    if isinstance(base, EmbeddedSphere):
-        v = base.tangent_projection(x, v)
-    return x, v / np.linalg.norm(v)
-
-
 def _per_manifold_cases(key, samples, seed, report):
     base = manifold_from_key(key)
     rng = stable_stream(seed, f"geom:{key}")
@@ -437,10 +429,7 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
 
         if entry.geodesic_killing:
             rng = stable_stream(seed, f"drift:{key}")
-            x0, v0 = _tangent_ic(field.base, rng)
-            if field.base.key.startswith("euclidean"):
-                x0 = x0 * 0.2
-                v0 = v0 * 0.05
+            x0, v0 = initial_condition(field.base, rng)
             d = geodesic_drift(field, x0, v0, drift_steps, drift_dt,
                                check_domain=False)
             report.add(f"geodesic-drift:{key}", d, 1e-7)
@@ -572,7 +561,7 @@ def _modified_ricci_cases(report, seed):
 def _geodesic_order_case(report, seed):
     field, _ = build_constructor("hopf-stackel", seed=seed)
     rng = stable_stream(seed, "order")
-    x0, v0 = _tangent_ic(field.base, rng)
+    x0, v0 = initial_condition(field.base, rng)
     series = drift_series(field, x0, v0, 200, 0.05, halvings=1)
     ratio = series[0] / max(series[1], 1e-300)
     report.add("geodesic-order-ratio", ratio, 16.0, kind="floor")

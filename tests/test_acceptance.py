@@ -250,7 +250,7 @@ def test_criterion_6_identity_checks(classified_controls):
         problems.append(f"L-preservation {worst:.1e}")
 
     # Nijenhuis: zero for the special CKT, nonzero for its hat
-    K = special_ckt_flat(np.array([0.4, -0.3, 0.5]))
+    K = special_ckt_flat(np.array([0.4, -0.3, 0.5]), euclidean_chart(3))
     hat = special_to_killing(K, rng=stable_stream(SEED, "acc6:nij"))
     rng = stable_stream(SEED, "acc6:nij2")
     specials, hats = [], []

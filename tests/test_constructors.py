@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symkt.cartan import frame_norm
+from symkt import constructors
 from symkt.constructors import (
     FormField,
     _anticommuting_pair,
@@ -34,9 +35,10 @@ from symkt.constructors import (
     weyl_part,
 )
 from symkt.errors import ConfigError, VerificationError
-from symkt.dual import value_of
+from symkt.dual import hessian, jacobian, value_of
 from symkt.fields import TensorField, d_op, delta_op, metric_field, nabla, scalar_field
 from symkt.manifolds import EmbeddedSphere, euclidean_chart
+from symkt.multiindex import multi_indices
 from symkt.symtensor import SymTensor, norm, sym_product, trace_Lambda
 
 rng0 = np.random.default_rng(2025)
@@ -165,7 +167,7 @@ def test_sym_product_rejects_non_killing():
 
     from symkt.fields import field_from_components
 
-    eta = field_from_components(sp, 1, amb, rep="coordinate")
+    eta = field_from_components(sp, 1, amb)
     with pytest.raises(VerificationError):
         sym_product_field(xi, eta, rng=np.random.default_rng(19))
 
@@ -231,8 +233,9 @@ def test_killing_form_q2():
 def test_zero_form_gives_zero_tensor():
     sp = EmbeddedSphere(3)
     u = killing_form_sphere(np.zeros((4, 4)), sp)
-    K = killing_form_to_tensor(u, check=False)
-    x = sp.sample_point(np.random.default_rng(41))
+    rng = np.random.default_rng(41)
+    K = killing_form_to_tensor(u, rng, check=False)
+    x = sp.sample_point(rng)
     assert norm(K(x)) == 0.0
 
 
@@ -246,7 +249,7 @@ def test_broken_form_detected():
 
 
 def test_special_flat_hat_is_killing():
-    K = special_ckt_flat(np.array([0.4, -0.3, 0.5]))
+    K = special_ckt_flat(np.array([0.4, -0.3, 0.5]), euclidean_chart(3))
     hat = special_to_killing(K, rng=np.random.default_rng(43))
     assert killing_residual(hat) <= 1e-11
     # p = 2: hat(K) = K - tr(K) g, checked pointwise
@@ -271,7 +274,7 @@ def test_special_to_killing_rejects_non_special():
 
 
 def test_nijenhuis_special_vanishes_hat_does_not():
-    K = special_ckt_flat(np.array([0.4, -0.3, 0.5]))
+    K = special_ckt_flat(np.array([0.4, -0.3, 0.5]), euclidean_chart(3))
     hat = special_to_killing(K, rng=np.random.default_rng(59))
     mfield = metric_field(K.base)
     rng = np.random.default_rng(61)
@@ -357,6 +360,72 @@ def test_product_ckt_without_pairs():
     assert worst <= 1e-9
 
 
+def _ref_lift_field(product, which, factor_field, name=None):
+    """The former ``_lift_field``, which walked every multi-index at each
+    evaluation, kept verbatim as the reference for the table."""
+    n = product.dim
+    n1 = product.first.dim
+    m1 = product.first.coord_dim
+    p = factor_field.degree
+
+    def comps(x):
+        xs = list(x[:m1]) if which == 0 else list(x[m1:])
+        sub = factor_field.comps_fn(xs)
+        nf = product.first.dim if which == 0 else product.second.dim
+        sub_idx = {I: k for k, I in enumerate(multi_indices(nf, p))}
+        off = 0 if which == 0 else n1
+        out = []
+        for I in multi_indices(n, p):
+            if all(off <= i < off + nf for i in I):
+                out.append(sub[sub_idx[tuple(i - off for i in I)]])
+            else:
+                out.append(0.0)
+        return out
+
+    return TensorField(product, p, comps,
+                       name=name or f"lift{which + 1}({factor_field.name})")
+
+
+def _bits(values):
+    """Shape and float64 bytes of each value (a constant 0.0 beside (B,)
+    arrays in a plain batch)."""
+    return [(np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in values]
+
+
+def _same_components(comps, ref, base):
+    """Bit-for-bit equal components at a float point, a Dual point, a jet
+    point and a (B, m) batch, plain and seeded."""
+    X = np.array([base.sample_point(np.random.default_rng([101, b])) for b in range(3)])
+    x = list(X[0])
+    assert _bits(comps(x)) == _bits(ref(x))
+    assert _bits(comps(list(X.T.copy()))) == _bits(ref(list(X.T.copy())))
+    for got, want in [(jacobian(comps, x), jacobian(ref, x)),
+                      (jacobian(comps, X), jacobian(ref, X)),
+                      (hessian(comps, x), hessian(ref, x))]:
+        assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("key", ["product-ckt", "broken-product-ckt"])
+def test_lift_table_matches_the_former_loop(monkeypatch, key):
+    lifts = []
+
+    def record(product, which, factor_field):
+        lifted = lift(product, which, factor_field)
+        lifts.append((lifted, _ref_lift_field(product, which, factor_field)))
+        return lifted
+
+    lift = constructors._lift_field
+    monkeypatch.setattr(constructors, "_lift_field", record)
+    field, _ = build_constructor(key)
+    monkeypatch.setattr(constructors, "_lift_field", _ref_lift_field)
+    ref, _ = build_constructor(key)
+    assert len(lifts) == (3 if key == "product-ckt" else 2)
+    for lifted, want in lifts:
+        assert lifted.name == want.name
+        _same_components(lifted.comps_fn, want.comps_fn, field.base)
+    _same_components(field.comps_fn, ref.comps_fn, field.base)
+
+
 def test_registry_coverage():
     catalog = constructor_catalog()
     for key in ("sphere-curvature", "sym-product", "killing-form:q=2",
@@ -374,7 +443,7 @@ def test_verify_killing_gate():
 
     from symkt.fields import field_from_components
 
-    eta = field_from_components(sp, 1, amb, rep="coordinate")
+    eta = field_from_components(sp, 1, amb)
     with pytest.raises(VerificationError):
         verify_killing(eta, np.random.default_rng(83))
 
@@ -393,7 +462,7 @@ def test_killing_gates_fail_closed_on_nan():
 
     field = TensorField(eu, 2, comps, name="half-nan")
     with pytest.raises(VerificationError):
-        verify_killing(field, np.random.default_rng(4), samples=10)
+        verify_killing(field, np.random.default_rng(4))
     with pytest.raises(VerificationError):
         special_to_killing(field, rng=np.random.default_rng(4))
 

@@ -29,6 +29,7 @@ from symkt.symtensor import (
     norm,
     random_sym_tensor,
     random_tracefree_tensor,
+    trace_Lambda,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,25 @@ def test_ricci_field_matches_riemann_contraction():
         got = ricci_field(base)(list(x))
         want = [rm.ricci[a, b] for a, b in multi_indices(base.dim, 2)]
         assert np.allclose(got.values(), want, atol=1e-11)
+
+
+def test_scalar_curvature_is_differentiable_at_a_dual_point():
+    # riemann at the Duals of a jacobian keeps scal a Dual; g is parallel,
+    # so e_a(scal) is the trace of slot a of nabla Ric
+    from symkt.curvature import ricci_field
+    from symkt.dual import jacobian
+    from symkt.fields import nabla
+    from symkt.manifolds import frame_at
+
+    base = manifold_from_key("conformal:bump:euclidean:3")
+    x = list(base.sample_point(np.random.default_rng(131)))
+    _, J = jacobian(lambda X: [riemann(base, X).scal], x)
+    got = J[0] @ frame_at(base, x)
+    T = nabla(ricci_field(base), x)
+    want = np.array([trace_Lambda(s).comps[0] for s in T.slots])
+    assert np.abs(want).max() >= 1e-4
+    assert np.abs(got - want).max() <= 1e-10
+    assert type(riemann(base, x).scal) is float
 
 
 def test_conformal_connection_closed_form():

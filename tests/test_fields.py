@@ -184,7 +184,7 @@ def test_field_from_coordinate_components_roundtrip():
     def cov(x):
         return [x[1], -x[0]]
 
-    f = field_from_components(st, 1, cov, rep="coordinate")
+    f = field_from_components(st, 1, cov)
     rng = np.random.default_rng(59)
     x = rng.uniform(-0.4, 0.4, 2)
     from symkt.manifolds import frame_at

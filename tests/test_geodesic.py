@@ -6,7 +6,8 @@ import pytest
 from symkt.constructors import build_constructor
 from symkt.errors import DomainError
 from symkt.fields import TensorField, metric_field
-from symkt.geodesic import drift_series, geodesic_drift, rk4_geodesic
+from symkt.constructors import stable_stream
+from symkt.geodesic import drift_series, geodesic_drift, initial_condition, rk4_geodesic
 from symkt.manifolds import (
     EmbeddedSphere,
     euclidean_chart,
@@ -19,6 +20,37 @@ def tangent_ic(sphere, rng):
     x = sphere.sample_point(rng)
     v = sphere.tangent_projection(x, rng.standard_normal(sphere.coord_dim))
     return x, v / np.linalg.norm(v)
+
+
+def _former_initial_condition(base, rng):
+    """The draws of the CLI before it shared ``initial_condition``."""
+    x0 = base.sample_point(rng)
+    v0 = rng.standard_normal(base.coord_dim)
+    if isinstance(base, EmbeddedSphere):
+        v0 = base.tangent_projection(x0, v0)
+    v0 = v0 / np.linalg.norm(v0)
+    if base.key.startswith("euclidean"):
+        x0 = 0.2 * x0
+        v0 = 0.05 * v0
+    return x0, v0
+
+
+@pytest.mark.parametrize("key", ["sphere:3", "euclidean:3", "hyperbolic:3"])
+def test_initial_condition_keeps_the_former_draws(key):
+    base = manifold_from_key(key)
+    a, b = stable_stream(42, "cli-geodesic"), stable_stream(42, "cli-geodesic")
+    for _ in range(3):
+        got, want = initial_condition(base, a), _former_initial_condition(base, b)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_initial_condition_is_tangent_to_each_sphere_factor():
+    base = manifold_from_key("product:(product:sphere:2,euclidean:2),sphere:3")
+    x0, v0 = initial_condition(base, np.random.default_rng(7))
+    assert np.isclose(np.linalg.norm(v0), 1.0, rtol=1e-15)
+    assert abs(np.dot(x0[:3], v0[:3])) <= 1e-15
+    assert abs(np.dot(x0[5:], v0[5:])) <= 1e-15
+    assert np.abs(v0[3:5]).min() > 0.0
 
 
 def test_sphere_geodesics_are_great_circles():

@@ -13,7 +13,9 @@ runs.  A check that tests finiteness itself forks that rule.  Each
 size of jet is its own subclass of ``dual.Jet``, so outside ``dual`` a
 scalar's type is never compared with ``Jet`` or ``Dual`` exactly
 (``Jet in kinds``, ``type(x) is Jet``): such a test is silently false for
-every jet.
+every jet.  Every random stream comes from ``stable_stream`` or a
+caller's seed, never from ``default_rng`` with a literal seed or none: a
+hidden fixed stream is an option no caller can set.
 """
 
 import ast
@@ -99,6 +101,28 @@ def exact_type_checks(source):
     return sorted(found)
 
 
+def _is_literal(node):
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def literal_rng_seeds(source):
+    """Sorted lines that call ``default_rng`` with only literal arguments
+    (``default_rng(0)``, ``default_rng([1, 2])``) or with none."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if name == "default_rng" and all(map(_is_literal, args)):
+                found.add(node.lineno)
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -118,6 +142,11 @@ def test_only_obs_and_the_input_validators_test_finiteness():
                          ids=lambda p: p.name)
 def test_no_exact_type_check_against_jet_or_dual(path):
     assert exact_type_checks(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_default_rng_with_a_literal_seed(path):
+    assert literal_rng_seeds(path.read_text()) == []
 
 
 def test_checker_flags_unused_names():
@@ -164,3 +193,18 @@ def test_checker_flags_exact_jet_and_dual_types():
         "h = x in kinds\n"
     )
     assert exact_type_checks(source) == [2, 3, 4, 5, 6]
+
+
+def test_checker_flags_literal_rng_seeds():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "a = np.random.default_rng(0)\n"
+        "b = default_rng([1, 2])\n"
+        "c = np.random.default_rng(seed=-3)\n"
+        "d = np.random.default_rng()\n"
+        "e = np.random.default_rng(seed)\n"
+        "f = np.random.default_rng([seed, zlib.crc32(label)])\n"
+        "g = rng if rng is not None else np.random.default_rng(4)\n"
+    )
+    assert literal_rng_seeds(source) == [3, 4, 5, 6, 9]

@@ -36,7 +36,7 @@ from symkt.constructors import (
 from symkt.curvature import qR_act, qrh_check, ricci_field, ricci_killing_residual, riemann
 from symkt.dual import jacobian, value_of
 from symkt.errors import VerificationError
-from symkt.fields import field_from_components, metric_field, nabla
+from symkt.fields import TensorField, metric_field, nabla
 from symkt.manifolds import (
     EmbeddedSphere,
     euclidean_chart,
@@ -104,13 +104,11 @@ def ref_condition_d1_residual(split, x):
                         out.append(s)
                     return out
 
-                fv = field_from_components(
+                fv = TensorField(
                     base, 1, lambda y: frame_components(base, y, ext(y, coord_vec=vc)),
-                    rep="frame",
                 )
-                fu = field_from_components(
+                fu = TensorField(
                     base, 1, lambda y: frame_components(base, y, ext(y, coord_vec=uc)),
-                    rep="frame",
                 )
                 Tv = nabla(fv, x)
                 Tu = nabla(fu, x)

@@ -199,6 +199,19 @@ def test_cli_geodesic(tmp_path):
     assert code == 1
 
 
+def test_cli_geodesic_on_a_product_of_spheres(tmp_path):
+    # the velocity is tangent to both sphere factors, so no trajectory
+    # leaves the product's domain
+    out = tmp_path / "g.json"
+    code = main(["geodesic", "--manifold", "product:sphere:2,sphere:2",
+                 "--construct", "product-ckt", "--steps", "200",
+                 "--trajectories", "3", "--json", str(out)])
+    assert code == 0
+    rows = json.loads(out.read_text())["trajectories"]
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    assert all(np.isfinite(r["drift"]) for r in rows)
+
+
 def test_geometry_suite_byte_deterministic():
     from symkt.suites import geometry_suite
 
