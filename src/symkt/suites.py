@@ -5,11 +5,13 @@ hash), so the set of sampled points is independent of case ordering and
 two runs with the same seed produce byte-identical JSON reports.  Cases
 come in two kinds: ``residual`` (pass iff max residual <= tol) and
 ``floor`` (negative controls and order checks: pass iff value >= tol).
-Every case value is accumulated with ``obs.worst`` (residuals) or
-``obs.least`` (floors), which return NaN when any sample is not finite,
-so a NaN or inf sample fails its case either way.
+A case hands its samples to ``SuiteReport.samples``, the one place that
+reduces them: ``obs.worst`` for a residual, ``obs.least`` for a floor.
+A case with no samples, or with a NaN or inf sample, reads NaN and fails
+either way.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -140,6 +142,12 @@ class SuiteReport:
     def add(self, name, value, tol, kind="residual"):
         self.cases.append(SuiteCase(name, float(value), float(tol), kind))
 
+    def samples(self, name, values, tol, kind="residual"):
+        """Add a case from its samples (a list or a 1-D array): the worst
+        for a residual, the least for a floor, NaN when there is none."""
+        reduce = {"residual": worst, "floor": least}[kind]
+        self.add(name, reduce(values) if len(values) else math.nan, tol, kind)
+
     def to_dict(self):
         return {
             "suite": self.suite,
@@ -224,13 +232,13 @@ def _algebra_cases(n, p, trials, seed, report):
             norm(out - tracefree_part(sym_product(v, S))) / max(1.0, norm(S))
         )
 
-    report.add(f"commutator-L-Lambda:n={n},p={p}", worst(r["comm"], 0.0), ALGEBRAIC_TOL)
-    report.add(f"commutators-vector:n={n},p={p}", worst(r["comm2"], 0.0), ALGEBRAIC_TOL)
-    report.add(f"adjointness:n={n},p={p}", worst(r["adj"], 0.0), ALGEBRAIC_TOL)
+    report.samples(f"commutator-L-Lambda:n={n},p={p}", r["comm"], ALGEBRAIC_TOL)
+    report.samples(f"commutators-vector:n={n},p={p}", r["comm2"], ALGEBRAIC_TOL)
+    report.samples(f"adjointness:n={n},p={p}", r["adj"], ALGEBRAIC_TOL)
     if p >= 1:
-        report.add(f"euler-identity:n={n},p={p}", worst(r["euler"], 0.0), ALGEBRAIC_TOL)
-    report.add(f"standard-decomposition:n={n},p={p}", worst(r["decomp"], 0.0), SUITE_TOL)
-    report.add(f"projection-formula:n={n},p={p}", worst(r["proj"], 0.0), SUITE_TOL)
+        report.samples(f"euler-identity:n={n},p={p}", r["euler"], ALGEBRAIC_TOL)
+    report.samples(f"standard-decomposition:n={n},p={p}", r["decomp"], SUITE_TOL)
+    report.samples(f"projection-formula:n={n},p={p}", r["proj"], SUITE_TOL)
 
 
 def _cartan_cases(n, p, trials, seed, report):
@@ -269,12 +277,12 @@ def _cartan_cases(n, p, trials, seed, report):
         alt = pi1_star(s1) - pi2_star(s2).scale((n + 2 * p - 4) / (n + 2 * p - 2)) - T
         r["weight"].append(frame_norm(B - alt) / sT)
 
-    report.add(f"pi1-constant:n={n},p={p}", worst(r["c1"], 0.0), SUITE_TOL)
-    report.add(f"pi2-constant:n={n},p={p}", worst(r["c2"], 0.0), SUITE_TOL)
-    report.add(f"cartan-partition:n={n},p={p}", worst(r["part"], 0.0), SUITE_TOL)
-    report.add(f"cartan-orthogonality:n={n},p={p}", worst(r["orth"], 0.0), SUITE_TOL)
-    report.add(f"dprojection-consistency:n={n},p={p}", worst(r["dproj"], 0.0), SUITE_TOL)
-    report.add(f"conformal-weight:n={n},p={p}", worst(r["weight"], 0.0), SUITE_TOL)
+    report.samples(f"pi1-constant:n={n},p={p}", r["c1"], SUITE_TOL)
+    report.samples(f"pi2-constant:n={n},p={p}", r["c2"], SUITE_TOL)
+    report.samples(f"cartan-partition:n={n},p={p}", r["part"], SUITE_TOL)
+    report.samples(f"cartan-orthogonality:n={n},p={p}", r["orth"], SUITE_TOL)
+    report.samples(f"dprojection-consistency:n={n},p={p}", r["dproj"], SUITE_TOL)
+    report.samples(f"conformal-weight:n={n},p={p}", r["weight"], SUITE_TOL)
 
 
 def identity_suite(dims="2..5", degrees="0..4", trials=50, seed=42):
@@ -328,13 +336,12 @@ def _per_manifold_cases(key, samples, seed, report):
             lhs = inner(qR_act(base, x, A, rm=rm), B)
             rhs = inner(A, qR_act(base, x, B, rm=rm))
             r["selfadj"].append(abs(lhs - rhs) / max(1.0, norm(A) * norm(B)))
-    report.add(f"frame-gram:{key}", worst(r["gram"], 0.0), 1e-13)
+    report.samples(f"frame-gram:{key}", r["gram"], 1e-13)
     if is_chart:
-        report.add(f"metric-derivative-selftest:{key}", worst(r["dmetric"], 0.0), 1e-6)
-    report.add(f"riemann-symmetries:{key}", worst(r["sym"], 0.0), geom_tol)
-    report.add(f"riemann-bianchi:{key}", worst(r["bianchi"], 0.0), geom_tol)
-    report.add(f"qR-self-adjoint:{key}", worst(r["selfadj"], 0.0), 1e-10)
-    return base, rng
+        report.samples(f"metric-derivative-selftest:{key}", r["dmetric"], 1e-6)
+    report.samples(f"riemann-symmetries:{key}", r["sym"], geom_tol)
+    report.samples(f"riemann-bianchi:{key}", r["bianchi"], geom_tol)
+    report.samples(f"qR-self-adjoint:{key}", r["selfadj"], 1e-10)
 
 
 def _sphere_eigenvalue_case(report, seed):
@@ -349,7 +356,7 @@ def _sphere_eigenvalue_case(report, seed):
                 K = random_tracefree_tensor(n, p, rng)
                 got = qR_act(base, x, K, rm=rm)
                 res.append(norm(got - K.scale(float(p * (n + p - 2)))) / max(1.0, norm(K)))
-    report.add("sphere-qR-eigenvalue", worst(res, 0.0), 1e-8)
+    report.samples("sphere-qR-eigenvalue", res, 1e-8)
 
 
 def _nonpositive_case(report, seed):
@@ -364,7 +371,7 @@ def _nonpositive_case(report, seed):
             p = (1, 2, 3)[t % 3]
             K = random_tracefree_tensor(n, p, rng)
             res.append(float(inner(qR_act(base, x, K, rm=rm), K)))
-    report.add("nonpositive-curvature-qR", worst(res), 1e-10)
+    report.samples("nonpositive-curvature-qR", res, 1e-10)
 
 
 def _lichnerowicz_cases(report, seed, samples):
@@ -372,19 +379,19 @@ def _lichnerowicz_cases(report, seed, samples):
     rng = stable_stream(seed, "lichnerowicz:flat")
     fld = random_polynomial_field(eu, 2, rng)
     res = [lichnerowicz_defect(fld, eu.sample_point(rng)) for _ in range(samples)]
-    report.add("lichnerowicz:euclidean:3", worst(res, 0.0), 1e-9)
+    report.samples("lichnerowicz:euclidean:3", res, 1e-9)
 
     sp = EmbeddedSphere(2)
     rng = stable_stream(seed, "lichnerowicz:sphere")
     fld = random_tangential_field(sp, 2, rng)
     res = [lichnerowicz_defect(fld, sp.sample_point(rng)) for _ in range(samples)]
-    report.add("lichnerowicz:sphere:2", worst(res, 0.0), SECOND_ORDER_TOL)
+    report.samples("lichnerowicz:sphere:2", res, SECOND_ORDER_TOL)
 
     mfield = metric_field(sp)
     x = sp.sample_point(rng)
     W = nabla2(mfield, x)
-    both = worst([norm(delta_d(mfield, x, W=W)), norm(d_delta(mfield, x, W=W))])
-    report.add("lichnerowicz:metric-field", both, 1e-12)
+    report.samples("lichnerowicz:metric-field",
+                   [norm(delta_d(mfield, x, W=W)), norm(d_delta(mfield, x, W=W))], 1e-12)
 
 
 def _qrh_cases(report, seed):
@@ -396,7 +403,7 @@ def _qrh_cases(report, seed):
             x = base.sample_point(rng)
             h = random_sym_tensor(base.dim, 2, rng)
             res.append(qrh_check(base, x, h))
-    report.add("qR-two-tensor-identity", worst(res, 0.0), 1e-8)
+    report.samples("qR-two-tensor-identity", res, 1e-8)
 
 
 def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
@@ -416,7 +423,7 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
                 ok = False
             if expected and verdict in rep.max_residuals:
                 res.append(rep.max_residuals[verdict])
-        report.add(f"classify:{key}", worst(res, 0.0) if ok else 1.0, tol)
+        report.samples(f"classify:{key}", res if ok else [1.0], tol)
 
         # conformal invariance of the conformal-Killing verdict
         wrapped_base = conformal_rescale(field.base)
@@ -459,7 +466,7 @@ def _identity_cases(report, seed, samples):
             lhs = delta_op(h, x, T=T)
             rhs = d_op(fdot, x)
             res.append(norm(lhs - rhs) / max(1.0, frame_norm(T)))
-    report.add("killing-pair-divergence-identity", worst(res, 0.0), SPHERE_TOL)
+    report.samples("killing-pair-divergence-identity", res, SPHERE_TOL)
 
     # d as a derivation on random polynomial fields over a flat chart
     eu = euclidean_chart(3)
@@ -474,7 +481,7 @@ def _identity_cases(report, seed, samples):
             lhs = d_op(AB, x)
             rhs = sym_product(d_op(A, x), B(x)) + sym_product(A(x), d_op(B, x))
             res.append(norm(lhs - rhs) / max(1.0, norm(lhs)))
-    report.add("derivation-product-rule", worst(res, 0.0), 1e-10)
+    report.samples("derivation-product-rule", res, 1e-10)
 
     # L preserves divergence-free Killing tensors
     hopf, _ = build_constructor("hopf-stackel", seed=seed)
@@ -494,11 +501,11 @@ def _identity_cases(report, seed, samples):
         s = max(1.0, frame_norm(T))
         res.append(norm(d_op(Lfield, x, T=T)) / s)
         res.append(norm(delta_op(Lfield, x, T=T)) / s)
-    report.add("L-preserves-divfree-killing", worst(res, 0.0), SPHERE_TOL)
+    report.samples("L-preserves-divfree-killing", res, SPHERE_TOL)
     parts = divfree_killing_parts(Lfield, samples=max(5, samples // 10),
                                   tol=SPHERE_TOL, seed=seed)
     res = [v for d in parts.values() for v in (d["d"], d["delta"])]
-    report.add("divfree-killing-parts", worst(res), SPHERE_TOL)
+    report.samples("divfree-killing-parts", res, SPHERE_TOL)
 
     # Nijenhuis: zero for the special CKT, nonzero for its Killing hat
     eu = euclidean_chart(3)
@@ -506,19 +513,19 @@ def _identity_cases(report, seed, samples):
     hat = special_to_killing(special, rng=stable_stream(seed, "nij"))
     rng = stable_stream(seed, "nijenhuis")
     points = [list(eu.sample_point(rng)) for _ in range(max(5, samples // 10))]
-    res_special, res_hat = (np.abs(nijenhuis(f, points)).max(axis=(1, 2, 3)).tolist()
+    res_special, res_hat = (np.abs(nijenhuis(f, points)).max(axis=(1, 2, 3))
                             for f in (special, hat))
-    report.add("nijenhuis-special-ckt", worst(res_special, 0.0), FLAT_TOL)
-    report.add("nijenhuis-special-killing-nonzero", least(res_hat), 1e-3, kind="floor")
+    report.samples("nijenhuis-special-ckt", res_special, FLAT_TOL)
+    report.samples("nijenhuis-special-killing-nonzero", res_hat, 1e-3, kind="floor")
 
     # condition (d1) for the circle-fibration split, violated by the tilt
     rng = stable_stream(seed, "d1")
     sp3 = EmbeddedSphere(3)
     points = [list(sp3.sample_point(rng)) for _ in range(5)]
-    res = condition_d1_residual(hopf_split(sp3), points).tolist()
-    res_tilted = condition_d1_residual(tilted_split(sp3), points).tolist()
-    report.add("condition-d1-hopf", worst(res), SPHERE_TOL)
-    report.add("condition-d1-tilted-nonzero", least(res_tilted), 1e-3, kind="floor")
+    res = condition_d1_residual(hopf_split(sp3), points)
+    res_tilted = condition_d1_residual(tilted_split(sp3), points)
+    report.samples("condition-d1-hopf", res, SPHERE_TOL)
+    report.samples("condition-d1-tilted-nonzero", res_tilted, 1e-3, kind="floor")
 
     # d tr K = 2 delta K for the trace-carrying Killing 2-tensors
     res = []
@@ -527,7 +534,7 @@ def _identity_cases(report, seed, samples):
         rep = classify(field, samples=max(5, samples // 10),
                        tol=SPHERE_TOL, seed=seed)
         res.append(rep.max_residuals["two_tensor"])
-    report.add("two-tensor-trace-identity", worst(res), SPHERE_TOL)
+    report.samples("two-tensor-trace-identity", res, SPHERE_TOL)
     _modified_ricci_cases(report, seed)
 
 
@@ -541,7 +548,7 @@ def _modified_ricci_cases(report, seed):
             x = base.sample_point(rng)
             X = rng.standard_normal(base.dim)
             res.append(ricci_killing_residual(base, x, X))
-    report.add("modified-ricci-killing", worst(res), 1e-8)
+    report.samples("modified-ricci-killing", res, 1e-8)
 
     def bump(x):
         return 0.25 * (x[0] * x[0] * x[1] + 0.5 * x[1] * x[2] * x[2] + x[0])
@@ -555,7 +562,7 @@ def _modified_ricci_cases(report, seed):
         x = pert.sample_point(rng)
         X = rng.standard_normal(3)
         res.append(ricci_killing_residual(pert, x, X))
-    report.add("modified-ricci-negative-control", least(res), 1e-6, kind="floor")
+    report.samples("modified-ricci-negative-control", res, 1e-6, kind="floor")
 
 
 def _geodesic_order_case(report, seed):
@@ -584,8 +591,8 @@ DEFAULT_GEOMETRY_KEYS = (
 )
 
 
-def geometry_suite(keys=DEFAULT_GEOMETRY_KEYS, samples=60, tol=SPHERE_TOL,
-                   seed=42, drift_steps=10000, drift_dt=1e-3):
+def geometry_suite(keys=DEFAULT_GEOMETRY_KEYS, samples=60, seed=42,
+                   drift_steps=10000, drift_dt=1e-3):
     """Geometric and constructor suite over catalog manifolds.
 
     Runs per-manifold frame/curvature checks for each key, then the fixed
@@ -593,7 +600,7 @@ def geometry_suite(keys=DEFAULT_GEOMETRY_KEYS, samples=60, tol=SPHERE_TOL,
     conformal invariance, negative controls, geodesic drift) and the
     statement-level identity checks.
     """
-    report = SuiteReport("geometry", seed, tol)
+    report = SuiteReport("geometry", seed, SPHERE_TOL)
     for key in keys:
         _per_manifold_cases(key, samples, seed, report)
     _sphere_eigenvalue_case(report, seed)

@@ -15,7 +15,10 @@ scalar's type is never compared with ``Jet`` or ``Dual`` exactly
 (``Jet in kinds``, ``type(x) is Jet``): such a test is silently false for
 every jet.  Every random stream comes from ``stable_stream`` or a
 caller's seed, never from ``default_rng`` with a literal seed or none: a
-hidden fixed stream is an option no caller can set.
+hidden fixed stream is an option no caller can set.  A suite case hands
+its samples to ``SuiteReport.samples``, so ``suites`` calls ``worst`` and
+``least`` only inside ``class SuiteReport``: a case that reduces its own
+samples picks its own empty default.
 """
 
 import ast
@@ -26,6 +29,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "symkt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FINITENESS_OWNERS = {"obs.py", "io.py", "cli.py"}
+REDUCTIONS = {"worst", "least"}
 DERIVATIVE_TYPE_NAMES = {"Jet", "Dual"}
 
 
@@ -109,18 +113,37 @@ def _is_literal(node):
     return True
 
 
+def _called_name(node):
+    """The name a call calls (``f`` of ``f(x)`` and of ``m.f(x)``)."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 def literal_rng_seeds(source):
     """Sorted lines that call ``default_rng`` with only literal arguments
     (``default_rng(0)``, ``default_rng([1, 2])``) or with none."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
             args = [*node.args, *(k.value for k in node.keywords)]
-            if name == "default_rng" and all(map(_is_literal, args)):
+            if _called_name(node) == "default_rng" and all(map(_is_literal, args)):
                 found.add(node.lineno)
     return sorted(found)
+
+
+def _reduction_calls(tree):
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) in REDUCTIONS}
+
+
+def reductions_outside_the_report(source):
+    """Sorted lines that call ``worst`` or ``least`` outside ``class SuiteReport``."""
+    tree = ast.parse(source)
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "SuiteReport":
+            owned |= _reduction_calls(node)
+    return sorted(_reduction_calls(tree) - owned)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -147,6 +170,10 @@ def test_no_exact_type_check_against_jet_or_dual(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_default_rng_with_a_literal_seed(path):
     assert literal_rng_seeds(path.read_text()) == []
+
+
+def test_suite_cases_reduce_only_through_the_report():
+    assert reductions_outside_the_report((SRC / "suites.py").read_text()) == []
 
 
 def test_checker_flags_unused_names():
@@ -208,3 +235,19 @@ def test_checker_flags_literal_rng_seeds():
         "g = rng if rng is not None else np.random.default_rng(4)\n"
     )
     assert literal_rng_seeds(source) == [3, 4, 5, 6, 9]
+
+
+def test_checker_flags_reductions_outside_the_report():
+    source = (
+        "from .obs import least, worst\n"
+        "class SuiteReport:\n"
+        "    def samples(self, values):\n"
+        "        return worst(values), obs.least(values)\n"
+        "report.add(x, worst(r), t)\n"
+        "def case(report):\n"
+        "    report.add(x, obs.least(r), t, kind='floor')\n"
+        "class Other:\n"
+        "    m = worst([0.0])\n"
+        "reduce = worst\n"
+    )
+    assert reductions_outside_the_report(source) == [5, 7, 9]

@@ -1,6 +1,7 @@
 """Suite aggregation and the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -79,6 +80,54 @@ def test_case_pass_rule():
     assert not SuiteCase("a", 1e-8, 1e-10).passed
     assert SuiteCase("a", 5.0, 1.0, kind="floor").passed
     assert not SuiteCase("a", 0.1, 1.0, kind="floor").passed
+
+
+def _one_case(values, kind="residual"):
+    report = suites.SuiteReport("t", 0, 1.0)
+    report.samples("a", values, 1.0, kind=kind)
+    (case,) = report.cases
+    return case
+
+
+@pytest.mark.parametrize("kind", ["residual", "floor"])
+@pytest.mark.parametrize("empty", [[], np.array([])], ids=["list", "array"])
+def test_samples_of_an_empty_case_read_nan_and_fail(empty, kind):
+    case = _one_case(empty, kind)
+    assert math.isnan(case.max_residual) and not case.passed
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+@pytest.mark.parametrize("kind", ["residual", "floor"])
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_samples_with_a_non_finite_sample_read_nan(bad, at, kind, as_array):
+    values = [2.0, 0.5, 1.0]
+    values[at] = bad
+    case = _one_case(np.array(values) if as_array else values, kind)
+    assert math.isnan(case.max_residual) and not case.passed
+
+
+def test_samples_reduce_a_list_and_an_array_alike():
+    values = [0.25, 1e-3, 0.75]
+    for kind, want in (("residual", 0.75), ("floor", 1e-3)):
+        from_list = _one_case(values, kind).max_residual
+        from_array = _one_case(np.array(values), kind).max_residual
+        assert from_list == from_array == want
+        assert type(from_list) is type(from_array) is float
+
+
+def test_samples_reject_an_unknown_kind():
+    with pytest.raises(KeyError):
+        _one_case([0.0], kind="ceiling")
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_identity_suite_without_trials_fails(trials):
+    # no sample is no evidence: every case reads NaN
+    rep = identity_suite(dims=(3, 3), degrees=(2, 2), trials=trials, seed=1)
+    assert len(rep.cases) == 12
+    assert all(math.isnan(c.max_residual) and not c.passed for c in rep.cases)
+    assert not rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +211,7 @@ _GEODESIC = ["geodesic", "--manifold", "sphere:3", "--construct", "hopf-stackel"
     (_VERIFY + ["--tol", "0"], "--tol"),
     (_VERIFY + ["--tol", "nan"], "--tol"),
     (["geometry", "--samples", "0"], "--samples"),
-    (["geometry", "--tol=-1e-9"], "--tol"),
+    (_VERIFY + ["--tol=-1e-9"], "--tol"),
     (["geometry", "--drift-steps", "0"], "--drift-steps"),
     (["geometry", "--drift-dt", "inf"], "--drift-dt"),
     (["geometry", "--drift-dt", "0"], "--drift-dt"),
@@ -197,6 +246,24 @@ def test_cli_geodesic(tmp_path):
                  "broken-hopf-stackel", "--steps", "400", "--dt", "1e-3",
                  "--trajectories", "1", "--max-drift", "1e-7"])
     assert code == 1
+
+
+def test_cli_geometry_has_no_tol_flag(capsys):
+    # no geometry case reads a suite-wide tolerance
+    assert main(["geometry", "--tol", "1e-9"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_cli_geodesic_fails_when_no_trajectory_was_measured(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    code = main(["geodesic", "--manifold", "euclidean:3", "--construct",
+                 "special-flat-hat", "--steps", "500", "--dt", "0.1",
+                 "--trajectories", "3", "--max-drift", "1e-7", "--json", str(out)])
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert [r["status"] for r in doc["trajectories"]] == ["left-domain"] * 3
+    assert doc["pass"] is False
+    assert capsys.readouterr().out.endswith("pass=False\n")
 
 
 def test_cli_geodesic_on_a_product_of_spheres(tmp_path):
