@@ -219,7 +219,7 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42):
 
         def comps(x, i=i):
             K = SymTensor(n, p, field.comps_fn(x))
-            return list(standard_decomposition(K).parts[i].comps)
+            return standard_decomposition(K).parts[i].entries()
 
         part_field = TensorField(base, deg_i, comps,
                                  name=f"{field.name}[part {i}]")

@@ -86,9 +86,7 @@ def _load_field(args):
             f"constructor {args.construct!r} lives on {entry.manifold_key!r}, "
             f"not {args.manifold!r}"
         )
-    field, entry = build_constructor(args.construct, base=base, seed=args.seed,
-                                     params=_parse_params(args))
-    return field, entry
+    return build_constructor(args.construct, seed=args.seed, params=_parse_params(args))
 
 
 def run_verify(args):

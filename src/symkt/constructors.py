@@ -37,8 +37,8 @@ from .manifolds import (
 from .multiindex import dense_array, index_array, multi_indices
 from .obs import finite_or_nan, worst
 from .symtensor import (
+    Decomposition,
     SymTensor,
-    mult_L,
     norm,
     standard_decomposition,
     sym_product,
@@ -46,7 +46,6 @@ from .symtensor import (
 )
 
 __all__ = [
-    "AlgCurvature",
     "curvature_project",
     "sphere_curvature_generator",
     "curvature_to_killing",
@@ -77,34 +76,24 @@ KILLING_CHECK_SAMPLES = 8
 KILLING_CHECK_TOL = 1e-8
 
 
+def _check_points(base, rng):
+    """The ``KILLING_CHECK_SAMPLES`` points of a construction check."""
+    return [list(base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
+
+
+def _require(residuals, what):
+    """The worst residual; raise unless it is at most ``KILLING_CHECK_TOL``.
+
+    A non-finite residual raises too.
+    """
+    residual = worst(residuals)
+    if not residual <= KILLING_CHECK_TOL:
+        raise VerificationError(f"{what} (residual {residual:.2e})")
+    return residual
+
+
 # ---------------------------------------------------------------------------
-# algebraic curvature tensors
-
-
-@dataclass(frozen=True)
-class AlgCurvature:
-    """Algebraic curvature tensor on R^N (pair symmetries + first Bianchi)."""
-
-    comps: np.ndarray
-
-    @property
-    def dim(self):
-        return self.comps.shape[0]
-
-    def symmetry_residual(self):
-        R = self.comps
-        return float(
-            max(
-                np.abs(R + R.transpose(1, 0, 2, 3)).max(),
-                np.abs(R + R.transpose(0, 1, 3, 2)).max(),
-                np.abs(R - R.transpose(2, 3, 0, 1)).max(),
-                np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)).max()
-                / 3.0,
-            )
-        )
-
-    def ricci_contraction(self):
-        return np.einsum("abca->bc", self.comps)
+# algebraic curvature tensors: (N, N, N, N) float arrays
 
 
 def _pair_symmetrize(T):
@@ -127,13 +116,13 @@ def curvature_project(T):
     T = np.asarray(T, dtype=float)
     R = _pair_symmetrize(T)
     b = (R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)) / 3.0
-    return AlgCurvature(R - b)
+    return R - b
 
 
 def sphere_curvature_generator(N):
     """Constant-curvature tensor: R[a,b,c,d] = d_ad d_bc - d_ac d_bd."""
     I = np.eye(N)
-    return AlgCurvature(np.einsum("ad,bc->abcd", I, I) - np.einsum("ac,bd->abcd", I, I))
+    return np.einsum("ad,bc->abcd", I, I) - np.einsum("ac,bd->abcd", I, I)
 
 
 def kulkarni_nomizu(h, k):
@@ -147,29 +136,32 @@ def kulkarni_nomizu(h, k):
 
 def weyl_part(R):
     """Totally trace-free part of an algebraic curvature tensor."""
-    N = R.dim
+    N = R.shape[0]
     if N < 4:
         raise ConfigError("Weyl part vanishes identically below dimension 4")
-    ric = R.ricci_contraction()
+    ric = np.einsum("abca->bc", R)
     scal = float(np.trace(ric))
     ric0 = ric - scal / N * np.eye(N)
     g = np.eye(N)
-    W = (
-        R.comps
+    return (
+        R
         - kulkarni_nomizu(ric0, g) / (N - 2)
         - scal / (2.0 * N * (N - 1)) * kulkarni_nomizu(g, g)
     )
-    return AlgCurvature(W)
 
 
 def curvature_to_killing(R, sphere, name="curvature-killing"):
-    """Killing 2-tensor on the sphere: K(X, Y) = R(X, x, x, Y) at x."""
-    if not isinstance(sphere, EmbeddedSphere) or sphere.coord_dim != R.dim:
+    """Killing 2-tensor on the sphere: K(X, Y) = R(X, x, x, Y) at x.
+
+    ``R`` is an algebraic curvature tensor on the ambient R^N, an
+    ``(N, N, N, N)`` array.
+    """
+    if not isinstance(sphere, EmbeddedSphere) or R.shape != (sphere.coord_dim,) * 4:
         raise ConfigError("curvature tensor dimension must match the ambient space")
-    N = R.dim
+    N = sphere.coord_dim
     I, J = index_array(N, 2).T
     # packed quadratic form: K_AB = sum_{C <= D} Q[AB, CD] x_C x_D
-    Rs = R.comps[I, :, :, J]
+    Rs = R[I, :, :, J]
     Q = (Rs + Rs.transpose(0, 2, 1))[:, I, J] * np.where(I == J, 0.5, 1.0)
 
     def amb(x):
@@ -211,13 +203,10 @@ def verify_killing(field, rng):
     The points are drawn first and differentiated as one batch.  A
     non-finite residual raises too.
     """
-    points = [list(field.base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
+    points = _check_points(field.base, rng)
     T = nabla(field, points)
-    res = norm(d_op(field, points, T=T)) / np.maximum(1.0, frame_norm(T))
-    residual = worst(res)
-    if not residual <= KILLING_CHECK_TOL:
-        raise VerificationError(f"field is not Killing (residual {residual:.2e})")
-    return residual
+    return _require(norm(d_op(field, points, T=T)) / np.maximum(1.0, frame_norm(T)),
+                    "field is not Killing")
 
 
 def sym_product_field(xi, zeta, rng):
@@ -244,18 +233,6 @@ class FormField:
         self.degree = degree
         self.amb_fn = amb_fn
         self.name = name
-
-    def __call__(self, x):
-        return np.asarray(self.amb_fn(list(x)), dtype=float)
-
-    def frame_components(self, x):
-        """Dense frame components at a float point (projection implicit)."""
-        F = frame_at(self.base, x)  # (N, n)
-        out = self(x)
-        for axis in range(self.degree):
-            out = np.tensordot(out, F, axes=([axis], [0]))
-            out = np.moveaxis(out, -1, axis)
-        return out
 
 
 def killing_form_sphere(omega, sphere, name=None):
@@ -310,11 +287,8 @@ def killing_form_to_tensor(u, rng, check=True, name=None):
     N = sphere.coord_dim
     q = u.degree
     if check:
-        for _ in range(KILLING_CHECK_SAMPLES):
-            x = sphere.sample_point(rng)
-            r = killing_form_residual(u, x)
-            if not r <= KILLING_CHECK_TOL:
-                raise VerificationError(f"form is not Killing (residual {r:.2e})")
+        _require([killing_form_residual(u, x) for x in _check_points(sphere, rng)],
+                 "form is not Killing")
 
     I, J = index_array(N, 2).T
 
@@ -369,24 +343,14 @@ def special_to_killing(field, rng):
     from ``rng``.
     """
     n, p = field.base.dim, field.degree
-    points = [list(field.base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
-    residual = worst(special_conformal_residual(field, points))
-    if not residual <= KILLING_CHECK_TOL:
-        raise VerificationError(
-            f"input is not special conformal Killing (residual {residual:.2e})"
-        )
+    _require(special_conformal_residual(field, _check_points(field.base, rng)),
+             "input is not special conformal Killing")
     coeffs = special_killing_coefficients(n, p)
 
     def comps(x):
-        K = SymTensor(n, p, field.comps_fn(x))
-        parts = standard_decomposition(K).parts
-        out = SymTensor.zero(n, p)
-        for j, part in enumerate(parts):
-            term = part.scale(coeffs[j])
-            for _ in range(j):
-                term = mult_L(term)
-            out = out + term
-        return out.entries()
+        parts = standard_decomposition(SymTensor(n, p, field.comps_fn(x))).parts
+        scaled = tuple(part.scale(c) for part, c in zip(parts, coeffs))
+        return Decomposition(n, p, scaled).reconstruct().entries()
 
     return TensorField(field.base, p, comps, name=f"hat({field.name})")
 
@@ -541,14 +505,20 @@ def hopf_split(sphere):
     return DistributionSplit(sphere, 1, projector, name="hopf")
 
 
+def _tangential(c, x):
+    """c - (c . x) x / |x|^2: the constant vector c projected tangent to the
+    sphere through x, generic over scalars."""
+    dot = d_dot(c, x)
+    r2 = d_dot(x, x)
+    return [c[i] - dot * x[i] / r2 for i in range(len(c))]
+
+
 def tilted_split(sphere):
     """Generic line field on S^3 violating the geodesic-invariance condition."""
     c = np.array([0.9, 0.1, -0.3, 0.5])
 
     def projector(x):
-        r2 = d_dot(x, x)
-        dot = d_dot(c, x)
-        eta = [c[i] - dot * x[i] / r2 for i in range(4)]
+        eta = _tangential(c, x)
         nrm = d_dot(eta, eta)
         return [[eta[i] * eta[j] / nrm for j in range(4)] for i in range(4)]
 
@@ -706,7 +676,7 @@ def _build_sphere_curvature_weyl(base, rng, params=None):
 
 def _build_broken_curvature(base, rng, params=None):
     Rc = rng.standard_normal((base.coord_dim,) * 4)
-    return curvature_to_killing(AlgCurvature(Rc), base, name="broken-sphere-curvature")
+    return curvature_to_killing(Rc, base, name="broken-sphere-curvature")
 
 
 def _build_sym_product(base, rng, params=None):
@@ -733,13 +703,8 @@ def _build_broken_sym_product(base, rng, params=None):
     N = base.coord_dim
     xi = killing_vector(base, _rotation_generator(N, 0, 1), name="rot01")
     c = np.linspace(0.5, 1.0, N)
-
-    def amb(x):
-        dot = d_dot(c, x)
-        r2 = d_dot(x, x)
-        return [c[i] - dot * x[i] / r2 for i in range(N)]
-
-    eta = field_from_components(base, 1, amb, name="concircular")
+    eta = field_from_components(base, 1, lambda x: _tangential(c, x),
+                                name="concircular")
     return product_field(xi, eta, name="broken-sym-product")
 
 
@@ -815,13 +780,7 @@ def _build_broken_product(base, rng, params=None):
     f1, f2 = base.first, base.second
     xi = killing_vector(f1, _rotation_generator(f1.coord_dim, 0, 1), name="xi")
     c = np.linspace(0.4, 1.0, f2.coord_dim)
-
-    def amb(x):
-        dot = sum(c[i] * x[i] for i in range(f2.coord_dim))
-        r2 = sum(v * v for v in x)
-        return [c[i] - dot * x[i] / r2 for i in range(f2.coord_dim)]
-
-    eta = field_from_components(f2, 1, amb, name="concircular")
+    eta = field_from_components(f2, 1, lambda x: _tangential(c, x), name="concircular")
     cross = product_field(_lift_field(base, 0, xi), _lift_field(base, 1, eta))
     return TensorField(base, 2, cross.comps_fn, name="broken-product-ckt")
 
@@ -943,8 +902,8 @@ def stable_stream(seed, label):
     return np.random.default_rng([seed, zlib.crc32(str(label).encode())])
 
 
-def build_constructor(key, base=None, seed=42, params=None):
-    """Instantiate a catalog constructor on its (or a compatible) manifold.
+def build_constructor(key, seed=42, params=None):
+    """Instantiate a catalog constructor on its manifold.
 
     ``params`` is an optional JSON-style dict of constructor parameters
     (e.g. {"k0": [...]} for the flat special tensor, {"generators":
@@ -960,7 +919,6 @@ def build_constructor(key, base=None, seed=42, params=None):
         raise ConfigError(
             f"constructor {key!r} takes parameters {list(entry.params)}, not {unknown}"
         )
-    if base is None:
-        base = manifold_from_key(entry.manifold_key)
-    field = entry.build(base, stable_stream(seed, key), params=params)
+    field = entry.build(manifold_from_key(entry.manifold_key), stable_stream(seed, key),
+                        params=params)
     return field, entry

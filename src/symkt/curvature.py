@@ -182,8 +182,8 @@ def lichnerowicz_defect(field, x):
 def ricci_field(base):
     """The Ricci curvature as a degree-2 tensor field, read off ``riemann``.
 
-    Its components take a hessian of the frame, which does not nest, so the
-    field promises first derivatives only (``nabla``, not ``nabla2``).
+    Its components take a hessian of the frame, which does not nest, so
+    ``nabla`` applies to it but ``nabla2`` raises.
     """
     idx = multi_indices(base.dim, 2)
 
@@ -191,7 +191,7 @@ def ricci_field(base):
         ric = riemann(base, x).ricci
         return [ric[a, b] for a, b in idx]
 
-    return TensorField(base, 2, comps, order=1, name="ricci")
+    return TensorField(base, 2, comps, name="ricci")
 
 
 def ricci_killing_residual(base, x, X):

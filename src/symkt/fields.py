@@ -75,17 +75,14 @@ class TensorField:
         with ``(B,)`` coordinates each component is a ``(B,)`` array or a
         constant.  It must not branch on a coordinate's value; use
         ``np.where`` or the ``d_*`` helpers of :mod:`symkt.dual`.
-    order : int
-        Differentiability promised by the evaluation function (1 or 2).
     name : str
         Identifier used in reports.
     """
 
-    def __init__(self, base, degree, comps_fn, order=2, name="field"):
+    def __init__(self, base, degree, comps_fn, name="field"):
         self.base = base
         self.degree = degree
         self.comps_fn = comps_fn
-        self.order = order
         self.name = name
 
     @property
@@ -147,13 +144,7 @@ def tracefree_part_field(field, name=None):
         K = SymTensor(field.base.dim, field.degree, field.comps_fn(x))
         return tracefree_part(K).entries()
 
-    return TensorField(
-        field.base,
-        field.degree,
-        comps,
-        order=field.order,
-        name=name or f"{field.name}_0",
-    )
+    return TensorField(field.base, field.degree, comps, name=name or f"{field.name}_0")
 
 
 def add_fields(a, b, name=None):
@@ -164,8 +155,7 @@ def add_fields(a, b, name=None):
         ca, cb = a.comps_fn(x), b.comps_fn(x)
         return [u + v for u, v in zip(ca, cb)]
 
-    return TensorField(a.base, a.degree, comps, order=min(a.order, b.order),
-                       name=name or f"{a.name}+{b.name}")
+    return TensorField(a.base, a.degree, comps, name=name or f"{a.name}+{b.name}")
 
 
 def product_field(a, b, name=None):
@@ -178,7 +168,6 @@ def product_field(a, b, name=None):
         return sym_product(A, B).entries()
 
     return TensorField(a.base, a.degree + b.degree, comps,
-                       order=min(a.order, b.order),
                        name=name or f"{a.name}.{b.name}")
 
 
@@ -195,8 +184,7 @@ def wrap_conformal_field(wrapped_base, field, name=None):
         factor = d_exp(float(p) * f_fn(x))
         return [factor * v for v in field.comps_fn(x)]
 
-    return TensorField(wrapped_base, p, comps, order=field.order,
-                       name=name or field.name)
+    return TensorField(wrapped_base, p, comps, name=name or field.name)
 
 
 def random_polynomial_field(chart, degree, rng, name="poly"):
@@ -328,8 +316,6 @@ def nabla(field, x):
 def _nabla2_jet(field, x, jet=None):
     """Components K (size,) and the nabla^2 grid (n, n, size) at x, from one
     hessian of the components (``nabla2`` and the Lichnerowicz defect)."""
-    if field.order < 2:
-        raise DegreeError("field does not promise second derivatives")
     _check_domain(field.base, x)
     base = field.base
     p = field.degree

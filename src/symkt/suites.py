@@ -460,13 +460,11 @@ def _identity_cases(report, seed, samples):
             return d_dot(xi.comps_fn(x), zeta.comps_fn(x))
 
         fdot = scalar_field(base, dot_fn, name="g(xi,zeta)")
-        for _ in range(max(5, samples // 10)):
-            x = base.sample_point(rng)
-            T = nabla(h, x)
-            lhs = delta_op(h, x, T=T)
-            rhs = d_op(fdot, x)
-            res.append(norm(lhs - rhs) / max(1.0, frame_norm(T)))
-    report.samples("killing-pair-divergence-identity", res, SPHERE_TOL)
+        points = [list(base.sample_point(rng)) for _ in range(max(5, samples // 10))]
+        T = nabla(h, points)
+        lhs = delta_op(h, points, T=T)
+        res.append(norm(lhs - d_op(fdot, points)) / np.maximum(1.0, frame_norm(T)))
+    report.samples("killing-pair-divergence-identity", np.concatenate(res), SPHERE_TOL)
 
     # d as a derivation on random polynomial fields over a flat chart
     eu = euclidean_chart(3)
@@ -476,12 +474,12 @@ def _identity_cases(report, seed, samples):
         A = random_polynomial_field(eu, 2, rng)
         B = random_polynomial_field(eu, 1, rng)
         AB = product_field(A, B)
-        for _ in range(4):
-            x = eu.sample_point(rng)
-            lhs = d_op(AB, x)
-            rhs = sym_product(d_op(A, x), B(x)) + sym_product(A(x), d_op(B, x))
-            res.append(norm(lhs - rhs) / max(1.0, norm(lhs)))
-    report.samples("derivation-product-rule", res, 1e-10)
+        points = [list(eu.sample_point(rng)) for _ in range(4)]
+        Ax, Bx = SymTensor(3, 2, A.batch(points)), SymTensor(3, 1, B.batch(points))
+        lhs = d_op(AB, points)
+        rhs = sym_product(d_op(A, points), Bx) + sym_product(Ax, d_op(B, points))
+        res.append(norm(lhs - rhs) / np.maximum(1.0, norm(lhs)))
+    report.samples("derivation-product-rule", np.concatenate(res), 1e-10)
 
     # L preserves divergence-free Killing tensors
     hopf, _ = build_constructor("hopf-stackel", seed=seed)
@@ -490,17 +488,15 @@ def _identity_cases(report, seed, samples):
 
     def L_comps(x):
         K = SymTensor(n, 2, hopf.comps_fn(x))
-        return list(mult_L(K).comps)
+        return mult_L(K).entries()
 
     Lfield = TensorField(base, 4, L_comps, name="L(hopf-stackel)")
     rng = stable_stream(seed, "L-preserves")
-    res = []
-    for _ in range(max(5, samples // 10)):
-        x = base.sample_point(rng)
-        T = nabla(Lfield, x)
-        s = max(1.0, frame_norm(T))
-        res.append(norm(d_op(Lfield, x, T=T)) / s)
-        res.append(norm(delta_op(Lfield, x, T=T)) / s)
+    points = [list(base.sample_point(rng)) for _ in range(max(5, samples // 10))]
+    T = nabla(Lfield, points)
+    s = np.maximum(1.0, frame_norm(T))
+    res = np.concatenate([norm(d_op(Lfield, points, T=T)) / s,
+                          norm(delta_op(Lfield, points, T=T)) / s])
     report.samples("L-preserves-divfree-killing", res, SPHERE_TOL)
     parts = divfree_killing_parts(Lfield, samples=max(5, samples // 10),
                                   tol=SPHERE_TOL, seed=seed)

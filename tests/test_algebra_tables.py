@@ -470,12 +470,17 @@ def test_lambda2_act_matches_two_products(shape):
 
 @PROPERTY
 @given(SHAPES)
+@hypothesis.example((5, 1, 109))  # the sums cancel to 1.8x of 4 eps max(1, |want|)
 def test_qR_act_matches_nested_loop(shape):
+    # each entry sums (p n)^2 products, in another order than the loop
     n, p, s = shape
     R = _array([s, 0], (n,) * 4)
     R = R - R.transpose(1, 0, 2, 3)  # skew in (i, j), as every curvature tensor
     K = SymTensor(n, p, _array([s, 1], sym_size(n, p)))
-    close(qR_act(None, None, K, rm=RiemannAtPoint(R, None, None)), ref_qR_act(R, K))
+    got = qR_act(None, None, K, rm=RiemannAtPoint(R, None, None))
+    abs_sum = qR_act(None, None, SymTensor(n, p, np.abs(K.comps)),
+                     rm=RiemannAtPoint(np.abs(R), None, None))
+    close_sums(got.comps, ref_qR_act(R, K).comps, abs_sum.comps, (p * n) ** 2)
 
 
 def _frame(n, p, s, tracefree=False):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from symkt.cartan import frame_norm
+from symkt.curvature import RiemannAtPoint
 from symkt import constructors
 from symkt.constructors import (
     FormField,
@@ -58,31 +59,45 @@ def killing_residual(field, samples=5, seed=0):
 # algebraic curvature tensors
 
 
+def _curvature_residual(R):
+    # pair symmetries and first Bianchi identity (its sum has three terms)
+    rm = RiemannAtPoint.from_R4(R)
+    return max(rm.symmetry_residual(), rm.bianchi_residual() / 3.0)
+
+
 def test_curvature_project_fixed_point_and_idempotence():
     gen = sphere_curvature_generator(4)
-    again = curvature_project(gen.comps)
-    assert np.abs(again.comps - gen.comps).max() <= 1e-13
+    again = curvature_project(gen)
+    assert np.abs(again - gen).max() <= 1e-13
     T = rng0.standard_normal((4,) * 4)
     R = curvature_project(T)
-    assert R.symmetry_residual() <= 1e-13
-    R2 = curvature_project(R.comps)
-    assert np.abs(R2.comps - R.comps).max() <= 1e-13
+    assert _curvature_residual(R) <= 1e-13
+    R2 = curvature_project(R)
+    assert np.abs(R2 - R).max() <= 1e-13
 
 
 def test_curvature_project_is_orthogonal_projection():
     # <T - P(T), P(S)> = 0 for random S, T
     T = rng0.standard_normal((4,) * 4)
     S = rng0.standard_normal((4,) * 4)
-    PT = curvature_project(T).comps
-    PS = curvature_project(S).comps
+    PT = curvature_project(T)
+    PS = curvature_project(S)
     assert abs(np.tensordot(T - PT, PS, axes=4)) <= 1e-10
 
 
 def test_weyl_part_traceless():
     R = curvature_project(rng0.standard_normal((4,) * 4))
     W = weyl_part(R)
-    assert np.abs(W.ricci_contraction()).max() <= 1e-12
-    assert W.symmetry_residual() <= 1e-12
+    assert np.abs(RiemannAtPoint.from_R4(W).ricci).max() <= 1e-12
+    assert _curvature_residual(W) <= 1e-12
+
+
+def test_curvature_to_killing_rejects_a_wrong_shape():
+    sp = EmbeddedSphere(3)
+    with pytest.raises(ConfigError):
+        curvature_to_killing(sphere_curvature_generator(3), sp)
+    with pytest.raises(ConfigError):
+        curvature_to_killing(np.zeros((4, 4, 4)), sp)
 
 
 def test_constant_curvature_gives_metric_field():

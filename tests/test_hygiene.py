@@ -18,7 +18,10 @@ caller's seed, never from ``default_rng`` with a literal seed or none: a
 hidden fixed stream is an option no caller can set.  A suite case hands
 its samples to ``SuiteReport.samples``, so ``suites`` calls ``worst`` and
 ``least`` only inside ``class SuiteReport``: a case that reduces its own
-samples picks its own empty default.
+samples picks its own empty default.  The catalog's construction checks
+go through one gate: in ``constructors`` only ``_require`` reads
+``KILLING_CHECK_TOL`` and only ``_check_points`` reads
+``KILLING_CHECK_SAMPLES``, so no check compares with its own copy.
 """
 
 import ast
@@ -31,6 +34,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 FINITENESS_OWNERS = {"obs.py", "io.py", "cli.py"}
 REDUCTIONS = {"worst", "least"}
 DERIVATIVE_TYPE_NAMES = {"Jet", "Dual"}
+GATE_OWNERS = {"KILLING_CHECK_TOL": "_require", "KILLING_CHECK_SAMPLES": "_check_points"}
 
 
 def _imported(tree):
@@ -146,6 +150,22 @@ def reductions_outside_the_report(source):
     return sorted(_reduction_calls(tree) - owned)
 
 
+def gate_reads_outside_their_owner(source):
+    """Sorted (name, line) of every read of a construction-check constant
+    outside the module-level function that owns it."""
+    tree = ast.parse(source)
+    owned = set()
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            owned |= {(inner.id, inner.lineno) for inner in ast.walk(node)
+                      if isinstance(inner, ast.Name)
+                      and GATE_OWNERS.get(inner.id) == node.name}
+    reads = {(node.id, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id in GATE_OWNERS}
+    return sorted(reads - owned)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -174,6 +194,10 @@ def test_no_default_rng_with_a_literal_seed(path):
 
 def test_suite_cases_reduce_only_through_the_report():
     assert reductions_outside_the_report((SRC / "suites.py").read_text()) == []
+
+
+def test_construction_checks_share_one_gate():
+    assert gate_reads_outside_their_owner((SRC / "constructors.py").read_text()) == []
 
 
 def test_checker_flags_unused_names():
@@ -251,3 +275,24 @@ def test_checker_flags_reductions_outside_the_report():
         "reduce = worst\n"
     )
     assert reductions_outside_the_report(source) == [5, 7, 9]
+
+
+def test_checker_flags_gate_reads_outside_their_owner():
+    source = (
+        "KILLING_CHECK_SAMPLES = 8\n"
+        "KILLING_CHECK_TOL = 1e-8\n"
+        "def _require(residuals, what):\n"
+        "    return worst(residuals) <= KILLING_CHECK_TOL\n"
+        "def _check_points(base, rng):\n"
+        "    return [base.sample_point(rng) for _ in range(KILLING_CHECK_SAMPLES)]\n"
+        "def check_form(u, x):\n"
+        "    if not killing_form_residual(u, x) <= KILLING_CHECK_TOL:\n"
+        "        raise VerificationError('form is not Killing')\n"
+        "class Gate:\n"
+        "    def _require(self, r):\n"
+        "        return r <= KILLING_CHECK_TOL\n"
+        "def _require_points(rng):\n"
+        "    return KILLING_CHECK_SAMPLES\n"
+    )
+    assert gate_reads_outside_their_owner(source) == [
+        ("KILLING_CHECK_SAMPLES", 14), ("KILLING_CHECK_TOL", 8), ("KILLING_CHECK_TOL", 12)]
