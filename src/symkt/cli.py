@@ -15,7 +15,7 @@ from .classify import classify
 from .constructors import build_constructor, constructor_catalog, stable_stream
 from .errors import ConfigError, DomainError, SymktError
 from .fields import constant_field
-from .geodesic import geodesic_drift, initial_condition
+from .geodesic import DRIFT_TOL, geodesic_drift, initial_condition
 from .manifolds import manifold_from_key
 from .suites import geometry_suite, identity_suite
 
@@ -144,8 +144,13 @@ def run_geodesic(args):
             rows.append({"trajectory": t, "drift": None, "status": "left-domain"})
     # a run that measured no trajectory has shown nothing
     drifts = [row["drift"] for row in rows if row["status"] == "ok"]
-    ok = bool(drifts) and (args.max_drift is None
-                           or all(d <= args.max_drift for d in drifts))
+    if args.max_drift is not None:
+        ok = bool(drifts) and all(d <= args.max_drift for d in drifts)
+    elif entry is not None and (entry.negative_check or not entry.expected.get("killing")):
+        # a control passes when its drift was caught (a NaN drift is not)
+        ok = any(d > DRIFT_TOL for d in drifts)
+    else:
+        ok = bool(drifts) and all(d <= DRIFT_TOL for d in drifts)
     doc = {
         "suite": "geodesic",
         "seed": args.seed,
@@ -229,7 +234,10 @@ def build_parser():
     p_geo.add_argument("--steps", type=int, default=10000)
     p_geo.add_argument("--dt", type=float, default=1e-3)
     p_geo.add_argument("--trajectories", type=int, default=5)
-    p_geo.add_argument("--max-drift", dest="max_drift", type=float, default=None)
+    p_geo.add_argument("--max-drift", dest="max_drift", type=float, default=None,
+                       help="pass when every drift is at most this (default: a "
+                            "field expected Killing needs every drift <= 1e-7, "
+                            "one expected non-Killing some drift > 1e-7)")
     p_geo.add_argument("--seed", type=int, default=42)
     p_geo.add_argument("--json", metavar="PATH", default=None)
     p_geo.set_defaults(func=run_geodesic)

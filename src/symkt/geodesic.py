@@ -16,7 +16,11 @@ from .manifolds import EmbeddedSphere, ProductManifold
 from .obs import worst
 from .symtensor import SymTensor, poly_eval
 
-__all__ = ["initial_condition", "rk4_geodesic", "geodesic_drift", "drift_series"]
+__all__ = ["DRIFT_TOL", "initial_condition", "rk4_geodesic", "geodesic_drift",
+           "drift_series"]
+
+# largest drift of a first integral that counts as conserved
+DRIFT_TOL = 1e-7
 
 
 def _tangent(base, x, v):
@@ -46,18 +50,22 @@ def initial_condition(base, rng):
 
 
 def rk4_geodesic(base, x0, v0, steps, dt):
-    """Integrate the geodesic equation; yields (x, v) after every step."""
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.asarray(v0, dtype=float).copy()
+    """Integrate the geodesic equation; yields (x, v) after every step.
+
+    The state is one packed array y = (x, v) and each step allocates a new
+    one, so the yielded views ``y[:m]``, ``y[m:]`` stay valid.
+    """
+    m = len(x0)
+    y = np.concatenate((np.asarray(x0, dtype=float), np.asarray(v0, dtype=float)))
     rhs = base.geodesic_rhs
+    half, sixth = 0.5 * dt, dt / 6.0
     for _ in range(steps):
-        k1x, k1v = rhs(x, v)
-        k2x, k2v = rhs(x + 0.5 * dt * k1x, v + 0.5 * dt * k1v)
-        k3x, k3v = rhs(x + 0.5 * dt * k2x, v + 0.5 * dt * k2v)
-        k4x, k4v = rhs(x + dt * k3x, v + dt * k3v)
-        x = x + dt / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + dt / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        yield x, v
+        k1 = rhs(y)
+        k2 = rhs(y + half * k1)
+        k3 = rhs(y + half * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield y[:m], y[m:]
 
 
 def geodesic_drift(field, x0, v0, steps, dt, check_domain=True):

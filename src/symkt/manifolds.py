@@ -15,7 +15,8 @@ Every backend exposes the same small surface:
 * ``contains(x)`` - whether a float point lies in the sampling domain
   (``nabla`` refuses a point outside it, and ``geodesic_drift`` a
   trajectory that leaves it);
-* ``geodesic_rhs(x, v)`` - right-hand side of the geodesic equation.
+* ``geodesic_rhs(y)`` - right-hand side of the geodesic equation on the
+  packed state ``y = (x, v)`` of length 2m: the packed ``(x', v')``.
 
 ``frame`` and ``metric_matrix`` are generic over scalars: float64 arrays
 at a float point, object arrays of dual numbers at a dual point, and
@@ -54,6 +55,7 @@ g(X,Z)g(Y,V).
 """
 
 import functools
+import math
 import re
 from typing import NamedTuple
 
@@ -234,7 +236,7 @@ class Chart:
     def log_gradient(self, x):
         """grad phi = -2 kappa x / (1 + kappa |x|^2) at a float point, phi = log(c) / 2."""
         x = np.asarray(x, dtype=float)
-        return (-2.0 * self.kappa / (1.0 + self.kappa * np.dot(x, x))) * x
+        return (-2.0 * self.kappa / (1.0 + self.kappa * float(x.dot(x)))) * x
 
     def _diagonal(self, d, x):
         return point_array([[d if i == j else 0.0 for j in range(self.dim)]
@@ -267,12 +269,15 @@ class Chart:
     def contains(self, x):
         if self.box is not None:
             return True
-        return float(np.linalg.norm(x)) <= self.radius * 1.05
+        x = np.asarray(x, dtype=float)
+        return math.sqrt(x.dot(x)) <= self.radius * 1.05
 
-    def geodesic_rhs(self, x, v):
+    def geodesic_rhs(self, y):
         """(v, -Gamma(v, v)) = (v, |v|^2 grad phi - 2 (grad phi . v) v)."""
+        m = self.coord_dim
+        x, v = y[:m], y[m:]
         p = self.log_gradient(x)
-        return v, np.dot(v, v) * p - (2.0 * np.dot(p, v)) * v
+        return np.concatenate((v, float(v.dot(v)) * p - (2.0 * float(p.dot(v))) * v))
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components
@@ -338,11 +343,15 @@ class EmbeddedSphere:
         return v / np.linalg.norm(v) * self.radius
 
     def contains(self, x):
-        return abs(float(np.linalg.norm(x)) - self.radius) <= 1e-9 * self.radius
+        x = np.asarray(x, dtype=float)
+        return abs(math.sqrt(x.dot(x)) - self.radius) <= 1e-9 * self.radius
 
-    def geodesic_rhs(self, x, v):
-        speed2 = float(np.dot(v, v)) / self.radius**2
-        return v, -speed2 * np.asarray(x, dtype=float)
+    def geodesic_rhs(self, y):
+        """(v, -|v|^2 / r^2 x)."""
+        m = self.coord_dim
+        x, v = y[:m], y[m:]
+        speed2 = float(v.dot(v)) / self.radius**2
+        return np.concatenate((v, -speed2 * x))
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components
@@ -393,16 +402,18 @@ class ProductManifold:
         )
 
     def contains(self, x):
-        x1, x2 = self._split(x)
-        return self.first.contains(np.asarray(x1)) and self.second.contains(
-            np.asarray(x2)
-        )
-
-    def geodesic_rhs(self, x, v):
+        x = np.asarray(x, dtype=float)
         m1 = self.first.coord_dim
-        dx1, dv1 = self.first.geodesic_rhs(x[:m1], v[:m1])
-        dx2, dv2 = self.second.geodesic_rhs(x[m1:], v[m1:])
-        return np.concatenate([dx1, dx2]), np.concatenate([dv1, dv2])
+        return self.first.contains(x[:m1]) and self.second.contains(x[m1:])
+
+    def geodesic_rhs(self, y):
+        """The factors' right-hand sides on their packed states (x1, v1) and
+        (x2, v2), interleaved back as (x1', x2', v1', v2')."""
+        m1, m = self.first.coord_dim, self.coord_dim
+        m2 = m - m1
+        d1 = self.first.geodesic_rhs(np.concatenate((y[:m1], y[m:m + m1])))
+        d2 = self.second.geodesic_rhs(np.concatenate((y[m1:m], y[m + m1:])))
+        return np.concatenate((d1[:m1], d2[:m2], d1[m1:], d2[m2:]))
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components
@@ -441,7 +452,7 @@ class ConformalRescale:
     def contains(self, x):
         return self.base.contains(x)
 
-    def geodesic_rhs(self, x, v):
+    def geodesic_rhs(self, y):
         raise ConfigError("geodesic flow not provided for conformal wrappers")
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]

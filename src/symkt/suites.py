@@ -66,7 +66,7 @@ from .fields import (
     scalar_field,
     wrap_conformal_field,
 )
-from .geodesic import drift_series, geodesic_drift, initial_condition
+from .geodesic import DRIFT_TOL, drift_series, geodesic_drift, initial_condition
 from .manifolds import (
     EmbeddedSphere,
     conformal_rescale,
@@ -439,7 +439,7 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
             x0, v0 = initial_condition(field.base, rng)
             d = geodesic_drift(field, x0, v0, drift_steps, drift_dt,
                                check_domain=False)
-            report.add(f"geodesic-drift:{key}", d, 1e-7)
+            report.add(f"geodesic-drift:{key}", d, DRIFT_TOL)
 
 
 def _identity_cases(report, seed, samples):

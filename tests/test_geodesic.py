@@ -94,6 +94,23 @@ def test_radius_two_sphere_keeps_the_sphere_and_the_energy():
     assert geodesic_drift(metric_field(sp), x0, v0, 2000, 1e-3, check_domain=True) <= 1e-9
 
 
+@pytest.mark.parametrize("key", ["product:sphere:2,hyperbolic:3",
+                                 "product:(product:sphere:2,euclidean:2),sphere:3"])
+def test_product_trajectory_is_its_factors_trajectories(key):
+    # the product right-hand side splits y = (x1, x2, v1, v2) into the
+    # factors' states and interleaves their derivatives back: run apart,
+    # the factors give the same bits
+    base = manifold_from_key(key)
+    x0, v0 = initial_condition(base, np.random.default_rng(23))
+    m1 = base.first.coord_dim
+    joint = rk4_geodesic(base, x0, v0, 300, 1e-2)
+    first = rk4_geodesic(base.first, x0[:m1], v0[:m1], 300, 1e-2)
+    second = rk4_geodesic(base.second, x0[m1:], v0[m1:], 300, 1e-2)
+    for (x, v), (x1, v1), (x2, v2) in zip(joint, first, second, strict=True):
+        assert x.tobytes() == x1.tobytes() + x2.tobytes()
+        assert v.tobytes() == v1.tobytes() + v2.tobytes()
+
+
 def test_hopf_stackel_drift_small():
     field, _ = build_constructor("hopf-stackel")
     rng = np.random.default_rng(7)

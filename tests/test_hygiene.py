@@ -22,6 +22,9 @@ samples picks its own empty default.  The catalog's construction checks
 go through one gate: in ``constructors`` only ``_require`` reads
 ``KILLING_CHECK_TOL`` and only ``_check_points`` reads
 ``KILLING_CHECK_SAMPLES``, so no check compares with its own copy.
+Every backend's ``geodesic_rhs`` takes exactly one argument after
+``self``, the packed state y = (x, v), so ``rk4_geodesic`` has one call
+shape for every backend.
 """
 
 import ast
@@ -166,6 +169,22 @@ def gate_reads_outside_their_owner(source):
     return sorted(reads - owned)
 
 
+def rhs_off_the_packed_state(source):
+    """Sorted lines of every ``geodesic_rhs`` method that takes anything but
+    one state argument after ``self``."""
+    bad = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "geodesic_rhs":
+                a = node.args
+                if (len(a.posonlyargs) + len(a.args) != 2 or a.vararg or a.kwarg
+                        or a.kwonlyargs or a.defaults):
+                    bad.add(node.lineno)
+    return sorted(bad)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -198,6 +217,11 @@ def test_suite_cases_reduce_only_through_the_report():
 
 def test_construction_checks_share_one_gate():
     assert gate_reads_outside_their_owner((SRC / "constructors.py").read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_geodesic_rhs_takes_one_packed_state(path):
+    assert rhs_off_the_packed_state(path.read_text()) == []
 
 
 def test_checker_flags_unused_names():
@@ -296,3 +320,26 @@ def test_checker_flags_gate_reads_outside_their_owner():
     )
     assert gate_reads_outside_their_owner(source) == [
         ("KILLING_CHECK_SAMPLES", 14), ("KILLING_CHECK_TOL", 8), ("KILLING_CHECK_TOL", 12)]
+
+
+def test_checker_flags_geodesic_rhs_off_the_packed_state():
+    source = (
+        "class Packed:\n"
+        "    def geodesic_rhs(self, y):\n"
+        "        return y\n"
+        "class Split:\n"
+        "    def geodesic_rhs(self, x, v):\n"
+        "        return v, x\n"
+        "class Optional:\n"
+        "    def geodesic_rhs(self, y, dt=None):\n"
+        "        return y\n"
+        "class Star:\n"
+        "    def geodesic_rhs(self, *state):\n"
+        "        return state\n"
+        "class Keyword:\n"
+        "    def geodesic_rhs(self, y, *, scale):\n"
+        "        return y\n"
+        "def geodesic_rhs(x, v):\n"
+        "    return v, x\n"
+    )
+    assert rhs_off_the_packed_state(source) == [5, 8, 11, 14]

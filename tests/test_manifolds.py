@@ -232,7 +232,7 @@ def test_conformal_wrapper_delegates_sampling():
     base = euclidean_chart(3)
     assert np.allclose(cw.sample_point(rng1), base.sample_point(rng2))
     with pytest.raises(ConfigError):
-        cw.geodesic_rhs(np.zeros(3), np.ones(3))
+        cw.geodesic_rhs(np.zeros(6))
 
 
 FRAME_CONTRACT_KEYS = list(DEFAULT_GEOMETRY_KEYS) + ["stereographic:3"]

@@ -248,6 +248,27 @@ def test_cli_geodesic(tmp_path):
     assert code == 1
 
 
+def test_cli_geodesic_without_max_drift_fails_a_non_killing_field_file(tmp_path):
+    # e1 e1 in the sphere's frame is not Killing: its drift fails the
+    # default bound, while the metric's drift passes it
+    path = tmp_path / "K.json"
+    dump_tensor(SymTensor(3, 2, np.array([1.0, 0, 0, 0, 0, 0])), path)
+    argv = ["geodesic", "--manifold", "sphere:3", "--field-file", str(path),
+            "--steps", "20", "--trajectories", "2"]
+    assert main(argv) == 1
+    dump_tensor(SymTensor.metric(3), path)
+    assert main(argv) == 0
+
+
+def test_cli_geodesic_without_max_drift_passes_a_control_only_when_caught(capsys):
+    argv = ["geodesic", "--manifold", "sphere:3", "--construct",
+            "broken-hopf-stackel", "--trajectories", "2"]
+    assert main(argv + ["--steps", "400"]) == 0
+    # one step of 1e-9 is too short for the broken field to drift
+    assert main(argv + ["--steps", "1", "--dt", "1e-9"]) == 1
+    assert capsys.readouterr().out.endswith("pass=False\n")
+
+
 def test_cli_geometry_has_no_tol_flag(capsys):
     # no geometry case reads a suite-wide tolerance
     assert main(["geometry", "--tol", "1e-9"]) == 2
