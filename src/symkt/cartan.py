@@ -22,7 +22,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError
-from .multiindex import contract_array, multiplicities, product_arrays, sym_size
+from .multiindex import multiplicities, slot_contract_array, slot_product_arrays, sym_size
 from .symtensor import (
     DEFAULT_TRACE_TOL,
     SymTensor,
@@ -134,7 +134,7 @@ class FrameTensor:
 
 def _readonly(comps):
     if comps.dtype != object:
-        comps.flags.writeable = False
+        comps.setflags(write=False)
     return comps
 
 
@@ -201,24 +201,29 @@ def pi2_constant(n, p):
     return (n + 2 * p - 2) * (n + p - 3) / (n + 2 * p - 4)
 
 
+def _flat_slots(S):
+    """Stacked slots (..., n, size) as one flat axis, (..., n * size)."""
+    return S.reshape(S.shape[:-2] + (-1,))
+
+
 def slot_products(S, p):
     """Rows e_a . S_a of packed degree-p slots S (..., n, size), bit for bit
-    ``sym_product(e_a, S_a)``: one table entry per (a, I) pair."""
+    ``sym_product(e_a, S_a)``: one table entry per (a, I) pair, so one
+    gather and one scatter on the flat slot axis."""
     n = S.shape[-2]
-    out_pos, pos_a, pos_b, count = product_arrays(n, 1, p)
-    w = count * S[..., pos_a, pos_b]
-    out = np.zeros(S.shape[:-1] + (sym_size(n, p + 1),), dtype=w.dtype)
-    out[..., pos_a, out_pos] = w
-    return out
+    take, put, count = slot_product_arrays(n, p)
+    w = count * _flat_slots(S).take(take, axis=-1)
+    out = np.zeros(w.shape[:-1] + (n * sym_size(n, p + 1),), dtype=w.dtype)
+    out.T[put] = w.T  # the flat axis first: numpy scatters faster there
+    return out.reshape(S.shape[:-1] + (-1,))
 
 
 def slot_hooks(S, p):
     """Rows e_a -| S_a of packed degree-p slots S (..., n, size), bit for bit
-    ``contract(e_a, S_a)``."""
+    ``contract(e_a, S_a)``: one gather on the flat slot axis."""
     if p < 1:
         raise DegreeError("cannot contract a degree-0 tensor")
-    n = S.shape[-2]
-    return S[..., np.arange(n)[:, None], contract_array(n, p).T]
+    return _flat_slots(S).take(slot_contract_array(S.shape[-2], p), axis=-1)
 
 
 def _tracefree_products(S, p):
@@ -240,7 +245,12 @@ def _rows(S, n):
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
     _require_tracefree(_slotwise(T), "pi1")
-    return SymTensor(T.dim, T.degree + 1, slot_sum(_tracefree_products(T.comps, T.degree)))
+    return _pi1(T)
+
+
+def _pi1(T):
+    """``pi1`` of a T whose slots the caller has found trace-free."""
+    return _tensor(T.dim, T.degree + 1, slot_sum(_tracefree_products(T.comps, T.degree)))
 
 
 def pi1_star(S):
@@ -251,12 +261,17 @@ def pi1_star(S):
 
 def pi2(T):
     """Sum of contractions e_i -| slot_i, degree p-1."""
-    return SymTensor(T.dim, T.degree - 1, slot_sum(slot_hooks(T.comps, T.degree)))
+    return _tensor(T.dim, T.degree - 1, slot_sum(slot_hooks(T.comps, T.degree)))
 
 
 def pi2_star(S):
     """Adjoint embedding: slot i = (e_i . S)_0."""
     _require_tracefree(S, "pi2_star")
+    return _pi2_star(S)
+
+
+def _pi2_star(S):
+    """``pi2_star`` of an S the caller has found trace-free."""
     n, p = S.dim, S.degree
     return _frame(n, p + 1, _tracefree_products(_rows(S.comps, n), p))
 
@@ -276,15 +291,18 @@ def cartan_decompose(T, tol=DEFAULT_TRACE_TOL):
     DegenerateRankError
         For (n, p) pairs where the second constant is singular.
     TraceError
-        If some slot is not trace-free within ``tol``.
+        If some slot of T, or pi2(T), is not trace-free within ``tol``
+        (the relative ``trace_residual``).  T is checked once: pi1 and
+        pi2* run unguarded on what the two checks passed.
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
     _require_tracefree(_slotwise(T), "cartan_decompose", tol)
-    s1 = pi1(T)
+    s1 = _pi1(T)
     s2 = pi2(T)
+    _require_tracefree(s2, "pi2_star", tol)
     P1 = pi1_star(s1).scale(1.0 / (p + 1))
-    P2 = pi2_star(s2).scale(1.0 / pi2_constant(n, p))
+    P2 = _pi2_star(s2).scale(1.0 / pi2_constant(n, p))
     P3 = T - P1 - P2
     return CartanParts(P1, P2, P3, s1, s2)
 

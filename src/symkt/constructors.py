@@ -870,7 +870,6 @@ def constructor_catalog():
             "broken-sym-product", "sphere:2", _build_broken_sym_product,
             expected={"killing": False},
             negative_check="killing", min_residual=1e-3,
-            geodesic_killing=False,
         ),
         CatalogEntry(
             "broken-killing-form", "sphere:3", _build_broken_killing_form,

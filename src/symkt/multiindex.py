@@ -13,7 +13,9 @@ are also compiled to read-only integer index arrays (``product_arrays``,
 gather with, in table order; ``index_array`` and ``replace_array`` serve
 the derivation action of matrices, ``prefix_arrays`` the slot-by-slot
 change of basis, ``dense_array`` the gather of the full dense array and
-``exchange_array`` the Codazzi exchange of a slot with a tensor index.
+``exchange_array`` the Codazzi exchange of a slot with a tensor index,
+and ``slot_product_arrays``/``slot_contract_array`` the slot kernels of
+``cartan`` on n stacked slots read as one flat axis.
 """
 
 from functools import lru_cache
@@ -36,6 +38,8 @@ __all__ = [
     "replace_array",
     "dense_array",
     "exchange_array",
+    "slot_product_arrays",
+    "slot_contract_array",
 ]
 
 
@@ -221,3 +225,28 @@ def exchange_array(n, p):
     columns = [(a, pos[sorted_insert(I, b)], b, pos[sorted_insert(I, a)])
                for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)]
     return _frozen(list(zip(*columns)), np.intp)
+
+
+@lru_cache(maxsize=None)
+def slot_product_arrays(n, p):
+    """``product_arrays(n, 1, p)`` on n stacked degree-p slots, flattened.
+
+    Stacked slots (..., n, size) read as (..., n * size) hold entry k of
+    slot a at ``a * size + k``.  Returns ``(take, put, count)``: entry t
+    takes ``count[t]`` times flat entry ``take[t]`` of the slots and puts
+    it at flat entry ``put[t]`` of the stacked degree-(p+1) products
+    e_a . S_a; each (a, I) pair occurs once.
+    """
+    out_pos, pos_a, pos_b, count = product_arrays(n, 1, p)
+    return (_frozen(pos_a * sym_size(n, p) + pos_b, np.intp),
+            _frozen(pos_a * sym_size(n, p + 1) + out_pos, np.intp), count)
+
+
+@lru_cache(maxsize=None)
+def slot_contract_array(n, p):
+    """(n, size_out) flat positions of the contractions e_a -| S_a (p >= 1).
+
+    Row a is column a of ``contract_array(n, p)`` shifted to slot a of n
+    stacked slots read as (..., n * size).
+    """
+    return _frozen(np.arange(n)[:, None] * sym_size(n, p) + contract_array(n, p).T, np.intp)

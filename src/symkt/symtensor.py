@@ -19,10 +19,22 @@ tensor per point of a batch.  ``sym_product``, ``contract``,
 ``trace_Lambda``, ``mult_L``, ``standard_decomposition``, ``change_basis``
 and ``poly_eval`` act on each point alike, broadcasting the batch axes of
 their arguments.
+
+Kernel rule: each kernel is one gather over a compiled ``multiindex``
+table (``ndarray.take`` on the component axis, several times faster than
+indexing after an Ellipsis) and one ordered sum or scatter, with no
+Python loop of gathers.
+Sums run in table order from +0.0 (``_ordered_sum``), so every result,
+signed zeros included, has the bits of the per-component loop over the
+tuple tables.  The product's scatter is ``bincount`` on floats and
+``np.add.at`` on Dual and Jet components, which ``bincount`` cannot sum;
+both add each output's terms in table order from zero.  A batch row gets
+the bits of the same kernel on that row alone.
 """
 
 from dataclasses import dataclass
-from math import factorial, sqrt
+from functools import lru_cache
+from math import factorial, prod, sqrt
 
 import numpy as np
 
@@ -97,13 +109,39 @@ def _as_comps(values, size):
     return arr
 
 
-def _take(comps, idx):
-    """``comps[..., idx]``, a gather on the component axis.
+def _ordered_sum(terms):
+    """Sum over the last axis in table order from +0.0: bit for bit the
+    loop ``out = 0.0; for t in terms: out = out + t``, on floats, Duals
+    and Jets alike.
 
-    Without batch axes this is plain indexing, which numpy runs several
-    times faster than the same index after an Ellipsis.
+    ``add.accumulate`` adds strictly in order, from the first term.  That
+    start changes one result only, an all -0.0 sum, which the closing
+    ``+ 0.0`` turns into the +0.0 the loop gives.  (Where two NaNs of
+    opposite sign meet, either sign may come out, as from numpy's own
+    elementwise add, which picks by position in its vector loop.)
     """
-    return comps[idx] if comps.ndim == 1 else comps[..., idx]
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+
+
+def _scatter_add(w, pos, size):
+    """``out[..., pos[i]] += w[..., i]`` from zeros, in the order of i.
+
+    Floats take one ``bincount``, which adds each bin's weights in input
+    order from 0.0, as ``np.add.at`` on zeros does; over batch axes it
+    scatters the flattened rows to the bins ``pos + size * row``.  Dual and
+    Jet components, which ``bincount`` cannot sum, take ``np.add.at``, as
+    does an empty batch, whose ``bincount`` would come back as ints.
+    """
+    lead = w.shape[:-1]
+    if w.dtype == object or not w.size:
+        out = np.zeros(lead + (size,), dtype=w.dtype)
+        np.add.at(out, (..., pos), w)
+        return out
+    if not lead:
+        return np.bincount(pos, w, minlength=size)
+    rows = prod(lead)
+    bins = (pos + size * np.arange(rows)[:, None]).ravel()
+    return np.bincount(bins, w.ravel(), minlength=size * rows).reshape(lead + (size,))
 
 
 def _tensor(dim, degree, comps):
@@ -115,7 +153,7 @@ def _tensor(dim, degree, comps):
     out = SymTensor.__new__(SymTensor)
     out.dim, out.degree, out.comps = dim, degree, comps
     if comps.dtype != object:
-        comps.flags.writeable = False
+        comps.setflags(write=False)
     return out
 
 
@@ -144,7 +182,7 @@ class SymTensor:
         self.degree = int(degree)
         self.comps = _as_comps(comps, sym_size(dim, degree))
         if self.comps.dtype != object:
-            self.comps.flags.writeable = False
+            self.comps.setflags(write=False)
 
     # -- constructors ----------------------------------------------------
 
@@ -224,7 +262,7 @@ class SymTensor:
     def to_dense(self):
         """Full dense array, batch axes first: one gather over
         ``dense_array``.  Degree 0 gives the scalar (per point, an array)."""
-        return _take(self.values(), dense_array(self.dim, self.degree))
+        return self.values().take(dense_array(self.dim, self.degree), axis=-1)
 
 
 def sym_product(A, B):
@@ -232,8 +270,9 @@ def sym_product(A, B):
 
     ``(A*B)_I`` sums A- and B-entries over the C(p+q, p) position shuffles
     of the output index I.  Degree-0 factors act by scaling.  The terms are
-    gathered with the compiled ``product_arrays`` and accumulated from zero
-    in table order, for float and Dual components alike.
+    one gather with the compiled ``product_arrays``, and ``_scatter_add``
+    accumulates them from zero in table order: ``bincount`` on floats,
+    ``np.add.at`` on Dual and Jet components.
     """
     if A.dim != B.dim:
         raise ShapeMismatchError("dimension mismatch in sym_product")
@@ -241,11 +280,10 @@ def sym_product(A, B):
         return B.scale(A.comps[..., :1])
     if B.degree == 0:
         return A.scale(B.comps[..., :1])
+    p = A.degree + B.degree
     out_pos, pos_a, pos_b, count = product_arrays(A.dim, A.degree, B.degree)
-    w = count * _take(A.comps, pos_a) * _take(B.comps, pos_b)
-    out = np.zeros(w.shape[:-1] + (sym_size(A.dim, A.degree + B.degree),), dtype=w.dtype)
-    np.add.at(out, (..., out_pos), w)
-    return _tensor(A.dim, A.degree + B.degree, out)
+    w = count * A.comps.take(pos_a, axis=-1) * B.comps.take(pos_b, axis=-1)
+    return _tensor(A.dim, p, _scatter_add(w, out_pos, sym_size(A.dim, p)))
 
 
 def sym_power(v, p):
@@ -264,12 +302,8 @@ def contract(v, K):
     if K.degree < 1:
         raise DegreeError("cannot contract a degree-0 tensor")
     vc = np.asarray(v.comps if isinstance(v, SymTensor) else v)
-    table = contract_array(K.dim, K.degree)
-    k = K.comps
-    out = 0
-    for j in range(K.dim):
-        out = out + vc[..., j, None] * _take(k, table[:, j])
-    return _tensor(K.dim, K.degree - 1, out)
+    terms = vc[..., None, :] * K.comps.take(contract_array(K.dim, K.degree), axis=-1)
+    return _tensor(K.dim, K.degree - 1, _ordered_sum(terms))
 
 
 def inner(A, B):
@@ -281,7 +315,7 @@ def inner(A, B):
     A._check_same_shape(B)
     mult = multiplicities(A.dim, A.degree)
     if A.comps.ndim == 1 and B.comps.ndim == 1:
-        return np.dot(A.comps * mult, B.comps) / factorial(A.degree)
+        return (A.comps * mult).dot(B.comps) / factorial(A.degree)
     # contiguous rows: numpy's matmul then takes the dot kernel of np.dot
     a, b = (np.ascontiguousarray(X.comps) for X in (A, B))
     return ((a * mult)[..., None, :] @ b[..., :, None])[..., 0, 0] / factorial(A.degree)
@@ -295,6 +329,8 @@ def norm(A):
 def _root_of_square(v):
     """sqrt(max(v, 0)) of a squared norm v (NaN stays NaN): a float, with
     dual layers stripped, or per point for an array of them."""
+    if isinstance(v, float):  # a Python or numpy float: no layers to strip
+        return sqrt(max(v, 0.0))
     if isinstance(v, np.ndarray) and v.ndim:
         if v.dtype == object:  # duals at a point, one per slot of a stack
             v = np.array([value_of(e) for e in v.ravel()]).reshape(v.shape)
@@ -320,30 +356,25 @@ def trace_Lambda(K):
     """Metric trace: Lambda(K) = sum_i e_i -| e_i -| K (needs p >= 2)."""
     if K.degree < 2:
         raise DegreeError("Lambda needs degree >= 2")
-    table = trace_array(K.dim, K.degree)
-    k = K.comps
-    out = 0
-    for j in range(K.dim):
-        out = out + _take(k, table[:, j])
-    return _tensor(K.dim, K.degree - 2, out)
+    terms = K.comps.take(trace_array(K.dim, K.degree), axis=-1)
+    return _tensor(K.dim, K.degree - 2, _ordered_sum(terms))
 
 
 def poly_eval(K, X):
     """Value of K as the degree-p polynomial K(X) = inner(K, X^p).
 
     Per batch point for ``(..., size)`` components and ``(..., n)`` X; the
-    terms K_I mult_I X_{i_1} ... X_{i_p} are summed in storage order.
+    factors X_{i_m} are one gather, and the terms K_I mult_I X_{i_1} ...
+    X_{i_p} are summed in storage order from +0.0.
     """
     if K.degree == 0:
         return K.comps[..., 0] * 1.0
     xc = np.asarray(X.comps if isinstance(X, SymTensor) else X)
     terms = K.comps * multiplicities(K.dim, K.degree)
-    for i in index_array(K.dim, K.degree).T:
-        terms = terms * _take(xc, i)
-    total = 0.0
-    for k in range(terms.shape[-1]):
-        total = total + terms[..., k]
-    return total
+    factors = xc.take(index_array(K.dim, K.degree), axis=-1)
+    for i in range(K.degree):
+        terms = terms * factors[..., i]
+    return _ordered_sum(terms)
 
 
 def derivation(A, comps, p):
@@ -433,36 +464,51 @@ def _lambda_L_coeff(i, q, n):
     return 2.0 * i * (n + 2 * q + 2 * i - 2)
 
 
+@lru_cache(maxsize=None)
+def _deflation(n, p):
+    """The steps of ``standard_decomposition`` for degree p over R^n.
+
+    Step j (from p // 2 down to 0) has ``coeffs[i]``, the factor of
+    L^(i-j) K_i in Lambda^j K for i > j, and ``inv``, the reciprocal of
+    the factor of K_j: products of ``_lambda_L_coeff`` in ascending m.
+    """
+    r = p // 2
+    steps = []
+    for j in range(r, -1, -1):
+        coeffs = {}
+        for i in range(j + 1, r + 1):
+            coeff = 1.0
+            for m in range(i - j + 1, i + 1):
+                coeff *= _lambda_L_coeff(m, p - 2 * i, n)
+            coeffs[i] = coeff
+        denom = 1.0
+        for m in range(1, j + 1):
+            denom *= _lambda_L_coeff(m, p - 2 * j, n)
+        steps.append((j, coeffs, 1.0 / denom))
+    return tuple(steps)
+
+
 def standard_decomposition(K):
     """Split K into trace-free parts embedded by powers of L.
 
     Deflation: repeated traces Lambda^j K give a triangular system in the
     parts, solved top-down with the closed-form coefficients of
-    Lambda(L^i S); exact up to rounding, O(total size).
+    Lambda(L^i S); exact up to rounding, O(total size).  ``lifted[i]``
+    holds L^(i-j) K_i at step j, one ``mult_L`` further each step.
     """
     n, p = K.dim, K.degree
-    r = p // 2
     traces = [K]
-    for _ in range(r):
+    for _ in range(p // 2):
         traces.append(trace_Lambda(traces[-1]))
-    parts = [None] * (r + 1)
-    for j in range(r, -1, -1):
+    parts, lifted = [], {}
+    for j, coeffs, inv in _deflation(n, p):
         residue = traces[j]
-        for i in range(j + 1, r + 1):
-            qi = p - 2 * i
-            coeff = 1.0
-            for m in range(i - j + 1, i + 1):
-                coeff *= _lambda_L_coeff(m, qi, n)
-            term = parts[i]
-            for _ in range(i - j):
-                term = mult_L(term)
-            residue = residue - term.scale(coeff)
-        qj = p - 2 * j
-        denom = 1.0
-        for m in range(1, j + 1):
-            denom *= _lambda_L_coeff(m, qj, n)
-        parts[j] = residue.scale(1.0 / denom)
-    return Decomposition(n, p, tuple(parts))
+        for i, coeff in coeffs.items():
+            lifted[i] = mult_L(lifted[i])
+            residue = residue - lifted[i].scale(coeff)
+        parts.append(residue.scale(inv))
+        lifted[j] = parts[-1]
+    return Decomposition(n, p, tuple(reversed(parts)))
 
 
 def tracefree_part(K):
@@ -494,7 +540,7 @@ def change_basis(K, M):
     state has one row per new degree-q multi-index and one column per old
     degree-(p - q) position; row I takes the row of its prefix I[:-1] and
     contracts one old slot against column I[-1] of M, summing over the old
-    index A in order.
+    index A in order from +0.0: one gather and one ordered sum per slot.
     """
     M = np.asarray(M)
     m, n_new = M.shape[-2:]
@@ -508,11 +554,10 @@ def change_basis(K, M):
     for q in range(1, p + 1):
         prefix, last = prefix_arrays(n_new, q)
         table = contract_array(m, p - q + 1)
-        src = state.take(prefix, axis=-2)
-        cols = M.take(last, axis=-1)
-        state = 0
-        for A in range(m):
-            state = state + cols[..., A, :, None] * src.take(table[:, A], axis=-1)
+        # terms[..., I, J, A] = M[..., A, I[-1]] * state[..., I[:-1], table[J, A]]
+        cols = np.swapaxes(M.take(last, axis=-1), -1, -2)[..., :, None, :]
+        terms = cols * state.take(prefix, axis=-2).take(table, axis=-1)
+        state = _ordered_sum(terms)
     return _tensor(n_new, p, state[..., 0])
 
 

@@ -27,7 +27,7 @@ from symkt.fields import (
     scalar_field,
     wrap_conformal_field,
 )
-from symkt.geodesic import drift_series, geodesic_drift
+from symkt.geodesic import drift_series, geodesic_drift, initial_condition
 from symkt.io import dumps_report
 from symkt.manifolds import (
     EmbeddedSphere,
@@ -308,15 +308,7 @@ def test_criterion_9_geodesic_first_integrals():
         field, entry = build_constructor(key, seed=SEED)
         if not entry.geodesic_killing:
             continue
-        base = field.base
-        rng = stable_stream(SEED, f"acc9:{key}")
-        x0 = base.sample_point(rng)
-        v0 = rng.standard_normal(base.coord_dim)
-        if isinstance(base, EmbeddedSphere):
-            v0 = base.tangent_projection(x0, v0)
-        v0 = v0 / np.linalg.norm(v0)
-        if base.key.startswith("euclidean"):
-            x0, v0 = 0.2 * x0, 0.05 * v0
+        x0, v0 = initial_condition(field.base, stable_stream(SEED, f"acc9:{key}"))
         drift = geodesic_drift(field, x0, v0, 10000, 1e-3, check_domain=False)
         if not drift <= 1e-7:
             problems.append(f"{key} drift {drift:.1e}")

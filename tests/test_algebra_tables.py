@@ -1,10 +1,13 @@
 """The compiled algebra kernels against the per-row loops they replaced.
 
-``sym_product``, ``contract`` and ``trace_Lambda`` gather with the index
-arrays of ``multiindex`` and accumulate from zero in table order.  The
-reference functions below are the former per-output-component ``sum``
-loops over the tuple tables; the kernels must match them bit for bit, on
-floats (signed zeros included) and on nested dual numbers.
+``sym_product``, ``contract`` and ``trace_Lambda`` are one gather with
+the index arrays of ``multiindex`` and one ordered sum or scatter: in
+table order from +0.0, with ``bincount`` scattering float products and
+``np.add.at`` Dual and Jet ones.  The reference functions below are the
+former per-output-component ``sum`` loops over the tuple tables; the
+kernels must match them bit for bit, on floats (signed zeros included)
+and on nested dual numbers.  On a ``(B, size)`` batch, with one factor
+batched or both, each row must give the bytes of the kernel on that row.
 
 The derivation kernel (``symtensor.derivation``) and the slot gathers
 (``cartan.slot_products``/``slot_hooks``) are pinned the same way against
@@ -51,6 +54,7 @@ from symkt.symtensor import (
     contract,
     derivation,
     lambda2_act,
+    mult_L,
     sym_product,
     trace_Lambda,
     tracefree_part,
@@ -139,6 +143,80 @@ def test_negative_zeros_sum_like_the_loop():
         same_bits(sym_product(v, K), ref_sym_product(v, K))
         same_bits(contract(v, K), ref_contract(v, K))
         same_bits(trace_Lambda(K), ref_trace_Lambda(K))
+
+
+# ---------------------------------------------------------------------------
+# batched kernels: each row of a (B, size) input gives the 1-D kernel's bytes
+
+
+@st.composite
+def stacks(draw, n, p, rows):
+    """A SymTensor with a (rows, size) batch of components."""
+    size = sym_size(n, p)
+    comps = draw(st.lists(SCALARS, min_size=rows * size, max_size=rows * size))
+    return SymTensor(n, p, np.reshape(comps, (rows, size)))
+
+
+def row_of(T, b):
+    """Row b of a batched SymTensor, as a 1-D SymTensor."""
+    return SymTensor(T.dim, T.degree, T.comps[b])
+
+
+def same_rows(got, one_row):
+    """Row b of the batched result has the bytes of ``one_row(b)``."""
+    assert got.comps.ndim == 2
+    for b in range(got.comps.shape[0]):
+        same_bits(row_of(got, b), one_row(b))
+
+
+def batch_rows(data, n):
+    return data.draw(st.sampled_from([1, 2, n]))
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.integers(0, 4), st.integers(0, 4))
+def test_batched_sym_product_matches_rows(data, n, p, q):
+    rows = batch_rows(data, n)
+    A, B = data.draw(stacks(n, p, rows)), data.draw(stacks(n, q, rows))
+    a, b1 = data.draw(tensors(n, p)), data.draw(tensors(n, q))
+    same_rows(sym_product(A, b1), lambda b: sym_product(row_of(A, b), b1))
+    same_rows(sym_product(a, B), lambda b: sym_product(a, row_of(B, b)))
+    same_rows(sym_product(A, B), lambda b: sym_product(row_of(A, b), row_of(B, b)))
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.integers(0, 4))
+def test_batched_mult_L_matches_rows(data, n, p):
+    K = data.draw(stacks(n, p, batch_rows(data, n)))
+    same_rows(mult_L(K), lambda b: mult_L(row_of(K, b)))
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.integers(1, 4))
+def test_batched_contract_matches_rows(data, n, p):
+    rows = batch_rows(data, n)
+    V, K = data.draw(stacks(n, 1, rows)), data.draw(stacks(n, p, rows))
+    v, k = data.draw(tensors(n, 1)), data.draw(tensors(n, p))
+    same_rows(contract(V, k), lambda b: contract(row_of(V, b), k))
+    same_rows(contract(v, K), lambda b: contract(v, row_of(K, b)))
+    same_rows(contract(V, K), lambda b: contract(row_of(V, b), row_of(K, b)))
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.integers(2, 4))
+def test_batched_trace_Lambda_matches_rows(data, n, p):
+    K = data.draw(stacks(n, p, batch_rows(data, n)))
+    same_rows(trace_Lambda(K), lambda b: trace_Lambda(row_of(K, b)))
+
+
+def test_batched_negative_zeros_sum_like_one_row():
+    for n, p in ((1, 2), (3, 2), (4, 3)):
+        K = SymTensor(n, p, np.full((2, sym_size(n, p)), -0.0))
+        v = SymTensor(n, 1, np.full((2, n), -0.0))
+        same_rows(sym_product(v, K), lambda b: sym_product(row_of(v, b), row_of(K, b)))
+        same_rows(mult_L(K), lambda b: mult_L(row_of(K, b)))
+        same_rows(contract(v, K), lambda b: contract(row_of(v, b), row_of(K, b)))
+        same_rows(trace_Lambda(K), lambda b: trace_Lambda(row_of(K, b)))
 
 
 def test_compiled_arrays_are_read_only_and_in_table_order():

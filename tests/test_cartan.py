@@ -18,7 +18,7 @@ from symkt.cartan import (
     supported_pair,
 )
 from symkt.errors import DegenerateRankError, TraceError
-from symkt.symtensor import SymTensor, random_tracefree_tensor
+from symkt.symtensor import SymTensor, mult_L, random_tracefree_tensor
 
 SUPPORTED = [(n, p) for n in (2, 3, 4, 5) for p in (1, 2, 3, 4) if supported_pair(n, p)]
 
@@ -100,6 +100,24 @@ def test_pi1_and_pi2_star_trace_guards():
     # below the threshold both accept their input
     pi1(FrameTensor([random_tracefree_tensor(3, 2, rng) for _ in range(3)]))
     pi2_star(random_tracefree_tensor(3, 2, rng))
+
+
+def test_cartan_decompose_guards_at_its_own_tol():
+    # slot traces of 3e-7..1.3e-6, and 2e-7 in pi2(T): inside tol=1e-5,
+    # outside the default 1e-9, so neither pi1 nor pi2* may re-check at
+    # the default inside cartan_decompose
+    rng = np.random.default_rng(9)
+    n, p = 3, 3
+    T = FrameTensor([s + mult_L(SymTensor(n, 1, rng.standard_normal(n))).scale(1e-7)
+                     for s in random_frame_tensor(n, p, rng).slots])
+    P1, P2, P3, _, _ = cartan_decompose(T, tol=1e-5)
+    assert frame_norm(P1 + P2 + P3 - T) <= 1e-12 * frame_norm(T)
+    with pytest.raises(TraceError):
+        cartan_decompose(T)
+    with pytest.raises(TraceError):
+        pi1(T)  # called directly, pi1 keeps its own guard
+    with pytest.raises(TraceError):
+        pi2_star(pi2(T))
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (3, 2), (5, 4)])

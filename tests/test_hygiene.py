@@ -24,7 +24,11 @@ go through one gate: in ``constructors`` only ``_require`` reads
 ``KILLING_CHECK_SAMPLES``, so no check compares with its own copy.
 Every backend's ``geodesic_rhs`` takes exactly one argument after
 ``self``, the packed state y = (x, v), so ``rk4_geodesic`` has one call
-shape for every backend.
+shape for every backend.  The packed-algebra kernels (``symtensor``,
+``cartan``) sum in table order from +0.0: no accumulator there starts
+from the int literal ``0`` (``out = 0`` grown by ``out = out + ...`` or
+``+=``, or a ``sum`` without a start), which costs a Python-int
+conversion on every call and hides the start the bits depend on.
 """
 
 import ast
@@ -38,6 +42,7 @@ FINITENESS_OWNERS = {"obs.py", "io.py", "cli.py"}
 REDUCTIONS = {"worst", "least"}
 DERIVATIVE_TYPE_NAMES = {"Jet", "Dual"}
 GATE_OWNERS = {"KILLING_CHECK_TOL": "_require", "KILLING_CHECK_SAMPLES": "_check_points"}
+ALGEBRA_KERNELS = ("symtensor.py", "cartan.py")
 
 
 def _imported(tree):
@@ -185,6 +190,43 @@ def rhs_off_the_packed_state(source):
     return sorted(bad)
 
 
+def _is_int_zero(node):
+    return isinstance(node, ast.Constant) and type(node.value) is int and node.value == 0
+
+
+def _grown_names(scope):
+    """Names a scope updates from themselves: ``x += ...``, ``x = x + ...``."""
+    grown = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            grown.add(node.target.id)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name)
+              and isinstance(node.value, ast.BinOp)
+              and isinstance(node.value.left, ast.Name)
+              and node.value.left.id == node.targets[0].id):
+            grown.add(node.targets[0].id)
+    return grown
+
+
+def int_zero_accumulators(source):
+    """Sorted lines that start an accumulator from the int literal 0: an
+    ``x = 0`` whose function (or module) also grows x, or a builtin
+    ``sum`` called without a start."""
+    tree = ast.parse(source)
+    found = set()
+    for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))]:
+        grown = _grown_names(scope)
+        found |= {node.lineno for node in ast.walk(scope)
+                  if isinstance(node, ast.Assign) and _is_int_zero(node.value)
+                  and any(isinstance(t, ast.Name) and t.id in grown for t in node.targets)}
+    found |= {node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "sum" and len(node.args) < 2
+              and not any(k.arg == "start" for k in node.keywords)}
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -222,6 +264,11 @@ def test_construction_checks_share_one_gate():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_geodesic_rhs_takes_one_packed_state(path):
     assert rhs_off_the_packed_state(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", ALGEBRA_KERNELS)
+def test_algebra_sums_start_from_float_zero(name):
+    assert int_zero_accumulators((SRC / name).read_text()) == []
 
 
 def test_checker_flags_unused_names():
@@ -343,3 +390,28 @@ def test_checker_flags_geodesic_rhs_off_the_packed_state():
         "    return v, x\n"
     )
     assert rhs_off_the_packed_state(source) == [5, 8, 11, 14]
+
+
+def test_checker_flags_int_zero_accumulators():
+    source = (
+        "def contract(v, k):\n"
+        "    out = 0\n"
+        "    for j in range(3):\n"
+        "        out = out + v[j] * k[j]\n"
+        "    return out\n"
+        "def trace(k):\n"
+        "    total = 0\n"
+        "    for t in k:\n"
+        "        total += t\n"
+        "    return total\n"
+        "def ordered(k):\n"
+        "    out, depth = 0.0, 0\n"
+        "    for t in k:\n"
+        "        out = out + t\n"
+        "    flag = False\n"
+        "    return out, depth, flag, sum(k), sum(k, 0.0), sum(k, start=0.0)\n"
+        "acc = 0\n"
+        "acc = acc * 2\n"
+        "count = 0\n"
+    )
+    assert int_zero_accumulators(source) == [2, 7, 16, 17]
