@@ -5,8 +5,10 @@ Tensor literals are JSON documents::
     {"dim": n, "degree": p,
      "entries": [{"index": [i1, ..., ip], "value": v}, ...]}
 
-with 1-based, non-decreasing index tuples of integers and numbers (or
-strings that ``float`` reads) as values; omitted indices are zero.
+with an integer ``dim`` and ``degree`` (a JSON integer, not a float, a
+string or a boolean), 1-based, non-decreasing index tuples of integers and
+numbers (or strings that ``float`` reads) as values; omitted indices are
+zero.
 Anything else raises ConfigError.  ``tensor_from_dict`` decodes NaN and
 infinite values, so a caller can build a non-finite field on purpose (the
 benchmark's fail-closed check does); ``load_tensor``, which reads the
@@ -44,13 +46,19 @@ def _number(value, what):
     raise ConfigError(f"{what} must be a number, got {value!r}")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tensor_from_dict(doc):
     try:
-        n = int(doc["dim"])
-        p = int(doc["degree"])
+        n, p = doc["dim"], doc["degree"]
         entries = doc.get("entries", [])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigError(f"malformed tensor literal: {exc}") from exc
+    if not (_is_int(n) and _is_int(p)):
+        raise ConfigError(f"tensor literal dim and degree must be integers, "
+                          f"got {n!r} and {p!r}")
     if n < 1 or p < 0:
         raise ConfigError("tensor literal needs dim >= 1 and degree >= 0")
     if not isinstance(entries, list):
@@ -61,9 +69,7 @@ def tensor_from_dict(doc):
         if not isinstance(e, dict) or "index" not in e or "value" not in e:
             raise ConfigError(f"tensor literal entry {e!r} needs an index and a value")
         index = e["index"]
-        if not isinstance(index, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in index
-        ):
+        if not isinstance(index, list) or not all(_is_int(i) for i in index):
             raise ConfigError(f"index {index!r} must be a list of integers")
         value = _number(e["value"], f"value at index {index}")
         idx = tuple(i - 1 for i in index)

@@ -12,11 +12,14 @@ either way.
 """
 
 import math
+import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .cartan import (
+    FrameTensor,
+    _pi2_star,
     _rows,
     cartan_decompose,
     conformal_weight,
@@ -158,14 +161,19 @@ class SuiteReport:
         }
 
 
+_RANGE = re.compile(r"([0-9]+)\.\.([0-9]+)")
+
+
 def _parse_range(spec):
+    """A ``(lo, hi)`` tuple or list, or a string of ASCII digits ``LO..HI``
+    (no sign, space, underscore or other digit), as an inclusive range."""
     if isinstance(spec, (tuple, list)):
         lo, hi = int(spec[0]), int(spec[-1])
     else:
-        try:
-            lo, hi = (int(v) for v in str(spec).split(".."))
-        except ValueError as exc:
-            raise ConfigError(f"bad range {spec!r}, expected LO..HI") from exc
+        match = _RANGE.fullmatch(str(spec))
+        if match is None:
+            raise ConfigError(f"bad range {spec!r}, expected LO..HI")
+        lo, hi = int(match[1]), int(match[2])
     if hi < lo:
         raise ConfigError(f"empty range {spec!r}")
     return range(lo, hi + 1)
@@ -182,32 +190,37 @@ def _algebra_cases(n, p, trials, seed, report):
         K = random_sym_tensor(n, p, rng)
         sK = max(1.0, norm(K))
         v = SymTensor(n, 1, rng.standard_normal(n))
+        # L K, v . K, Lambda K and v -| K: each computed once, read by the
+        # commutators and the adjointness checks below
+        LK = mult_L(K)
+        vK = sym_product(v, K)
+        trK = trace_Lambda(K) if p >= 2 else None
+        vhK = contract(v, K) if p >= 1 else None
 
         # [Lambda, L] = 2n id + 4 deg
-        t1 = trace_Lambda(mult_L(K))
-        t2 = mult_L(trace_Lambda(K)) if p >= 2 else SymTensor.zero(n, p)
-        r["comm"].append(norm(t1 - t2 - K.scale(2.0 * n + 4.0 * p)) / sK)
+        t2 = mult_L(trK) if p >= 2 else SymTensor.zero(n, p)
+        r["comm"].append(norm(trace_Lambda(LK) - t2 - K.scale(2.0 * n + 4.0 * p)) / sK)
 
         # [Lambda, v.] = 2 v-| ; [v-|, L] = 2 v. ; [Lambda, v-|] = 0 = [L, v.]
         if p >= 1:
-            c1 = trace_Lambda(sym_product(v, K)) - (
-                sym_product(v, trace_Lambda(K)) if p >= 2 else SymTensor.zero(n, p - 1)
+            c1 = trace_Lambda(vK) - (
+                sym_product(v, trK) if p >= 2 else SymTensor.zero(n, p - 1)
             )
-            r["comm2"].append(norm(c1 - contract(v, K).scale(2.0)) / sK)
-            c2 = contract(v, mult_L(K)) - mult_L(contract(v, K))
-            r["comm2"].append(norm(c2 - sym_product(v, K).scale(2.0)) / sK)
+            r["comm2"].append(norm(c1 - vhK.scale(2.0)) / sK)
+            c2 = contract(v, LK) - mult_L(vhK)
+            r["comm2"].append(norm(c2 - vK.scale(2.0)) / sK)
             if p >= 3:
-                c3 = trace_Lambda(contract(v, K)) - contract(v, trace_Lambda(K))
+                c3 = trace_Lambda(vhK) - contract(v, trK)
                 r["comm2"].append(norm(c3) / sK)
-        c4 = mult_L(sym_product(v, K)) - sym_product(v, mult_L(K))
+        c4 = mult_L(vK) - sym_product(v, LK)
         r["comm2"].append(norm(c4) / sK)
 
         # adjointness and Euler identity
         B = random_sym_tensor(n, p + 1, rng)
-        lhs = inner(sym_product(v, K), B)
+        lhs = inner(vK, B)
         rhs = inner(K, contract(v, B))
         r["adj"].append(abs(lhs - rhs) / max(1.0, abs(lhs)))
-        lhs2 = inner(mult_L(K), B2 := random_sym_tensor(n, p + 2, rng))
+        lhs2 = inner(LK, B2 := random_sym_tensor(n, p + 2, rng))
         rhs2 = inner(K, trace_Lambda(B2))
         r["adj"].append(abs(lhs2 - rhs2) / max(1.0, abs(lhs2)))
         if p >= 1:
@@ -225,12 +238,11 @@ def _algebra_cases(n, p, trials, seed, report):
 
         # projection formula against the standard-decomposition oracle
         S = random_tracefree_tensor(n, p, rng)
+        sS = max(1.0, norm(S))  # the scale of both projection residuals
         out = tracefree_sym_product(v, S)
         if out.degree >= 2:
-            r["proj"].append(norm(trace_Lambda(out)) / max(1.0, norm(S)))
-        r["proj"].append(
-            norm(out - tracefree_part(sym_product(v, S))) / max(1.0, norm(S))
-        )
+            r["proj"].append(norm(trace_Lambda(out)) / sS)
+        r["proj"].append(norm(out - tracefree_part(sym_product(v, S))) / sS)
 
     report.samples(f"commutator-L-Lambda:n={n},p={p}", r["comm"], ALGEBRAIC_TOL)
     report.samples(f"commutators-vector:n={n},p={p}", r["comm2"], ALGEBRAIC_TOL)
@@ -260,10 +272,14 @@ def _cartan_cases(n, p, trials, seed, report):
             abs(frame_inner(P1, P2)) / sT**2,
             abs(frame_inner(P1, P3)) / sT**2,
             abs(frame_inner(P2, P3)) / sT**2,
-            frame_norm(cartan_decompose(P1).P1 - P1) / sT,
-            frame_norm(cartan_decompose(P2).P2 - P2) / sT,
-            frame_norm(cartan_decompose(P3).P3 - P3) / sT,
         ]
+        # P1, P2 and P3 re-split by one decomposition of their stack: row i
+        # keeps part i, each row bit for bit its own 1-D decomposition
+        again = cartan_decompose(FrameTensor.from_stacked(
+            n, p, np.stack([P1.comps, P2.comps, P3.comps])))
+        for i, P in enumerate((P1, P2, P3)):
+            row = FrameTensor.from_stacked(n, p, again[i].comps[i])
+            r["orth"].append(frame_norm(row - P) / sT)
 
         # trace-free part of the symmetrized derivative via the L-shift
         dK = SymTensor(n, p + 1, slot_sum(slot_products(T.comps, p)))
@@ -274,7 +290,8 @@ def _cartan_cases(n, p, trials, seed, report):
         B = conformal_weight(T)
         want = P1.scale(float(p)) - P2.scale(float(n + p - 2)) - P3
         r["weight"].append(frame_norm(B - want) / sT)
-        alt = pi1_star(s1) - pi2_star(s2).scale((n + 2 * p - 4) / (n + 2 * p - 2)) - T
+        # pi2*(s2) unguarded: cartan_decompose has checked s2 at the same tol
+        alt = pi1_star(s1) - _pi2_star(s2).scale((n + 2 * p - 4) / (n + 2 * p - 2)) - T
         r["weight"].append(frame_norm(B - alt) / sT)
 
     report.samples(f"pi1-constant:n={n},p={p}", r["c1"], SUITE_TOL)

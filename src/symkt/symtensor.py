@@ -410,14 +410,31 @@ def trace_residual(K):
     """Relative trace residual |Lambda(K)| / max(1, |K|); 0 for p < 2."""
     if K.degree < 2:
         return 0.0
+    return _relative(norm(trace_Lambda(K)), K)
+
+
+def _relative(t, K):
+    """t / max(1, |K|), per point for components with batch axes."""
     s = norm(K)
-    return norm(trace_Lambda(K)) / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
+    return t / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 
 def _require_tracefree(K, what, tol=DEFAULT_TRACE_TOL):
     """Raise TraceError unless K is trace-free within ``tol`` at every point
-    of its batch axes (a NaN residual does not raise)."""
-    if (np.asarray(trace_residual(K)) > tol).any():
+    of its batch axes, that is unless every ``trace_residual`` is <= tol
+    (a NaN residual does not raise).
+
+    The trace comes first: when every t = |Lambda(K)| is <= tol, so is
+    t / max(1, |K|), as a rounded division by a number >= 1 never rises
+    above t.  Only when some t is above tol, NaN or inf is |K| computed,
+    and the full relative test gives the verdict.
+    """
+    if K.degree < 2:
+        return
+    t = norm(trace_Lambda(K))
+    if (t <= tol) if isinstance(t, float) else (t <= tol).all():
+        return
+    if (np.asarray(_relative(t, K)) > tol).any():
         raise TraceError(f"{what} needs trace-free input")
 
 

@@ -53,6 +53,15 @@ def test_one_based_sorted_indices_enforced():
         tensor_from_dict({"dim": 2, "degree": -1, "entries": []})
 
 
+@pytest.mark.parametrize("field", ["dim", "degree"])
+@pytest.mark.parametrize("value", [2.9, 2.0, "3", True, False, None, [2]])
+def test_dim_and_degree_must_be_integers(field, value):
+    doc = {"dim": 3, "degree": 2, "entries": []}
+    doc[field] = value
+    with pytest.raises(ConfigError, match="must be integers"):
+        tensor_from_dict(doc)
+
+
 def test_non_finite_values_decode_but_files_reject_them(tmp_path):
     doc = {"dim": 3, "degree": 2, "entries": [{"index": [1, 1], "value": "nan"}]}
     assert np.isnan(tensor_from_dict(doc)[0, 0])

@@ -9,6 +9,7 @@ from symkt.errors import ConfigError
 from symkt.io import tensor_from_dict, tensor_to_dict
 from symkt.manifolds import ConformalRescale, manifold_from_key
 from symkt.multiindex import sym_size
+from symkt.suites import _parse_range
 from symkt.symtensor import SymTensor
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -124,3 +125,16 @@ def test_dimension_spellings_other_than_plain_digits_raise(dim):
                 f"product:sphere:{dim},sphere:2"):
         with pytest.raises(ConfigError):
             manifold_from_key(key)
+
+
+@pytest.mark.parametrize("spec", ["2..+3", "+2..3", "0_2..3", " 2..3", "2..3 ", "2..3\n",
+                                  "\uff12..3", "2..\u0663", "2.. 3", "2...3", "2..", "..3"])
+def test_range_spellings_other_than_plain_digits_raise(spec):
+    with pytest.raises(ConfigError, match="expected LO..HI"):
+        _parse_range(spec)
+
+
+def test_plain_digit_ranges_and_tuples_parse():
+    assert _parse_range("2..5") == range(2, 6)
+    assert _parse_range("0..0") == range(0, 1)
+    assert _parse_range((3, 3)) == range(3, 4)

@@ -149,6 +149,12 @@ def test_cli_identities_bad_range_exit_2():
     assert main(["identities", "--dims", "5..2"]) == 2
 
 
+def test_cli_identities_range_with_a_sign_exits_2(capsys):
+    assert main(["identities", "--dims", "2..+3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad range") and err.count("\n") == 1
+
+
 def test_cli_seed_reproducibility(tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     args = ["identities", "--dims", "2..3", "--degrees", "0..2",
@@ -413,6 +419,17 @@ def test_geometry_floor_case_fails_closed_on_nan(monkeypatch):
     floor = cases["modified-ricci-negative-control"]
     assert floor.kind == "floor"
     assert np.isnan(floor.max_residual) and not floor.passed
+
+
+@pytest.mark.parametrize("head", ['"dim": 2.9, "degree": 2', '"dim": 3, "degree": true'])
+def test_cli_rejects_tensor_literals_with_a_non_integer_shape(tmp_path, capsys, head):
+    path = tmp_path / "K.json"
+    path.write_text('{%s, "entries": []}' % head)
+    code = main(["verify", "--manifold", "euclidean:3", "--field-file",
+                 str(path), "--samples", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("entries", [

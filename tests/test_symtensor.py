@@ -4,10 +4,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symkt.errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from symkt.symtensor import (
     SymTensor,
+    _require_tracefree,
     change_basis,
     constant_a,
     contract,
@@ -22,6 +24,7 @@ from symkt.symtensor import (
     sym_power,
     sym_product,
     trace_Lambda,
+    trace_residual,
     tracefree_part,
     tracefree_sym_product,
 )
@@ -402,6 +405,39 @@ def test_tracefree_product_kills_trace():
 def test_tracefree_product_rejects_trace():
     with pytest.raises(TraceError):
         tracefree_sym_product(SymTensor.basis_vector(3, 0), SymTensor.metric(3))
+
+
+@st.composite
+def near_tracefree(draw, n, p, tol):
+    """S + c L(w): a trace-free S with |S| in [0.01, 100] and a unit w with
+    c in [tol/10, 10 tol], so |Lambda K| lies on both sides of tol and of
+    tol max(1, |K|)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S = random_tracefree_tensor(n, p, rng)
+    w = random_sym_tensor(n, p - 2, rng)
+    size = 10.0 ** draw(st.floats(-2.0, 2.0))
+    c = tol * 10.0 ** draw(st.floats(-1.0, 1.0))
+    return (S.scale(size / norm(S)) + mult_L(w.scale(c / norm(w)))).comps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(2, 5), st.integers(2, 4),
+       st.sampled_from([(), (1,), (3,)]), st.sampled_from([1e-9, 1e-6]),
+       st.sampled_from([None, np.nan, np.inf, -np.inf]))
+def test_trace_guard_raises_exactly_when_a_residual_exceeds_tol(data, n, p, batch, tol, bad):
+    rows = [data.draw(near_tracefree(n, p, tol)) for _ in range(int(np.prod(batch)))]
+    comps = np.array(rows).reshape(batch + (-1,))
+    if bad is not None:  # one non-finite entry, in the first row
+        comps[(0,) * len(batch) + (data.draw(st.integers(0, comps.shape[-1] - 1)),)] = bad
+    K = SymTensor(n, p, comps)
+    with np.errstate(invalid="ignore"):  # inf / inf in the batched residual
+        want = bool((np.asarray(trace_residual(K)) > tol).any())
+        try:
+            _require_tracefree(K, "test", tol)
+            raised = False
+        except TraceError:
+            raised = True
+    assert raised == want
 
 
 # ---------------------------------------------------------------------------
