@@ -69,11 +69,7 @@ def _parse_params(args):
 def _load_field(args):
     base = manifold_from_key(args.manifold)
     if args.field_file:
-        K = tio.load_tensor(args.field_file)
-        if K.dim != base.dim:
-            raise ConfigError(
-                f"field file dimension {K.dim} != manifold dimension {base.dim}"
-            )
+        K = tio.load_tensor(args.field_file, dim=base.dim)
         return constant_field(base, K, name=f"file:{args.field_file}"), None
     if not args.construct:
         raise ConfigError("need --construct KEY or --field-file PATH")

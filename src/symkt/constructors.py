@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .cartan import FrameTensor, _rows, frame_norm, slot_products
-from .dual import d_dot, jacobian
+from .dual import DualArray, concatenate, d_dot, jacobian, stack
 from .errors import ConfigError, VerificationError
 from .fields import (
     TensorField,
@@ -165,7 +165,7 @@ def curvature_to_killing(R, sphere, name="curvature-killing"):
     Q = (Rs + Rs.transpose(0, 2, 1))[:, I, J] * np.where(I == J, 0.5, 1.0)
 
     def amb(x):
-        X = np.stack(x, axis=-1)  # (..., N): floats, Duals or batch columns
+        X = stack(x)  # (..., N): floats or batch columns, or the Duals' array
         return SymTensor(N, 2, (X[..., I] * X[..., J]) @ Q.T).entries()
 
     return field_from_components(sphere, 2, amb, name=name)
@@ -225,7 +225,7 @@ class FormField:
 
     ``amb_fn(x)`` returns the dense ambient components (tangential on the
     sphere) as an array of shape batch + (N,) * q, generic over scalars:
-    object dtype at a dual point, batch axes first at a batch point.
+    a DualArray at a point of Duals, batch axes first at a batch point.
     """
 
     def __init__(self, sphere, degree, amb_fn, name="form"):
@@ -251,7 +251,7 @@ def killing_form_sphere(omega, sphere, name=None):
 
     def amb(x):
         # (x -| omega)_{B...} = sum_A x_A omega_{A B ...}
-        return np.tensordot(np.stack(x, axis=-1), omega, axes=(-1, 0))
+        return np.tensordot(stack(x), omega, axes=(-1, 0))
 
     return FormField(sphere, q, amb, name=name or f"killing-form:q={q}")
 
@@ -265,7 +265,7 @@ def killing_form_residual(u, x):
     N = sphere.coord_dim
     q = u.degree
     xf = [float(v) for v in x]
-    vals, jac = jacobian(lambda y: np.asarray(u.amb_fn(y)).ravel(), xf)
+    vals, jac = jacobian(lambda y: u.amb_fn(y).ravel(), xf)
     P = np.eye(N) - np.outer(xf, xf) / np.dot(xf, xf)
     F = frame_at(sphere, xf)
     # D[..., a]: the tangential ambient derivative along e_a
@@ -294,7 +294,7 @@ def killing_form_to_tensor(u, rng, check=True, name=None):
 
     def amb(x):
         # K_AB = sum over the other slots of u_A... u_B... / (q - 1)!
-        U = np.asarray(u.amb_fn(x))
+        U = u.amb_fn(x)
         U = U.reshape(U.shape[:U.ndim - q] + (N, -1))
         K = (U[..., I, :] * U[..., J, :]).sum(-1) / float(math.factorial(q - 1))
         return SymTensor(N, 2, K).entries()
@@ -419,15 +419,16 @@ class DistributionSplit:
 def _projector_frame_matrix(split, x):
     """Frame-basis matrix g(P e_a, e_b) of the projector, generic over scalars.
 
-    At a single point P is cast to object dtype: the products with it sum
-    left to right in Python, in the order of the loops they replaced, also
-    at float points.  G @ F is an ordinary float64 matmul there.  A batch
-    point keeps float64 throughout.
+    At a single float point P is cast to object dtype: the products with
+    it sum left to right in Python, in the order of the loops they
+    replaced.  G @ F is an ordinary float64 matmul there.  At Duals of a
+    float seeding every matmul is a DualArray's, with the same sums; a
+    batch point keeps float64 throughout.
     """
     x = list(x)
     F = split.base.frame(x)
     P = point_array(split.projector_fn(x), x)
-    if P.ndim == 2:
+    if isinstance(P, np.ndarray) and P.ndim == 2:
         P = P.astype(object)
     return np.swapaxes(P @ F, -1, -2) @ (split.base.metric_matrix(x) @ F)
 
@@ -544,8 +545,10 @@ def coordinate_split(chart, n1):
 def _lift_field(product, which, factor_field):
     """Lift a field from one factor to the product (zero on the other slots).
 
-    ``table[k]`` is the position in the factor's packed components of the
-    product's k-th multi-index, or None where it leaves the factor's slots.
+    ``gather[k]`` is the position in the factor's packed components of the
+    product's k-th multi-index, or one past the last where it leaves the
+    factor's slots, which reads an appended 0.0: one ``take`` when the
+    components are a DualArray.
     """
     p = factor_field.degree
     factor = product.second if which else product.first
@@ -553,12 +556,12 @@ def _lift_field(product, which, factor_field):
     m1 = product.first.coord_dim
     coords = slice(m1, None) if which else slice(0, m1)
     sub_idx = {I: k for k, I in enumerate(multi_indices(factor.dim, p))}
-    table = [sub_idx.get(tuple(i - off for i in I))
-             for I in multi_indices(product.dim, p)]
+    gather = np.array([sub_idx.get(tuple(i - off for i in I), len(sub_idx))
+                       for I in multi_indices(product.dim, p)])
 
     def comps(x):
-        sub = factor_field.comps_fn(list(x[coords]))
-        return [0.0 if k is None else sub[k] for k in table]
+        sub = concatenate([factor_field.comps_fn(list(x[coords])), [0.0]])
+        return sub.take(gather) if isinstance(sub, DualArray) else [sub[k] for k in gather]
 
     return TensorField(product, p, comps, name=f"lift{which + 1}({factor_field.name})")
 
@@ -606,13 +609,9 @@ def traceless_killing_product(xi, zeta, rng, name=None):
     def comps(x):
         a = xi.comps_fn(x)
         b = zeta.comps_fn(x)
-        prod = sym_product(SymTensor(n, 1, a), SymTensor(n, 1, b)).entries()
-        dot = d_dot(a, b)
-        out = []
-        for k, (i, j) in enumerate(gidx):
-            corr = dot * (2.0 / n) if i == j else 0.0
-            out.append(prod[k] - corr)
-        return out
+        corr = d_dot(a, b) * (2.0 / n)
+        prod = sym_product(SymTensor(n, 1, a), SymTensor(n, 1, b))
+        return (prod - SymTensor(n, 2, [corr if i == j else 0.0 for i, j in gidx])).entries()
 
     return TensorField(base, 2, comps, name=name or f"({xi.name}.{zeta.name})_0")
 
@@ -728,8 +727,8 @@ def _build_broken_killing_form(base, rng, params=None):
     sphere = base
 
     def amb(x):
-        scale = np.asarray(1.0 + 0.7 * x[0])[..., None]
-        return scale * np.tensordot(np.stack(x, axis=-1), omega, axes=(-1, 0))
+        scale = stack([1.0 + 0.7 * x[0]])  # (..., 1)
+        return scale * np.tensordot(stack(x), omega, axes=(-1, 0))
 
     u = FormField(sphere, 1, amb, name="non-killing-form")
     return killing_form_to_tensor(u, rng, check=False, name="broken-killing-form")

@@ -15,6 +15,18 @@ calls ``jacobian`` it yields exact mixed partials.
 Every seeding gets a fresh tag; combining Duals from different seedings is
 a bug in the caller and raises immediately.  Plain numbers mix freely.
 
+An array of Duals of one float seeding is a :class:`DualArray`: a value
+array and a gradient array, the entry axes first, then the direction axis
+(gradient only) and the batch axes, so a whole array's derivative is
+carried in one array and an operation costs a few numpy calls instead of
+one Python call per entry.  Its bit rule: per entry, the operations the
+object array of Duals would do, in the same operand order and summation
+order, with the object path's two signed-zero starts (a float constant
+has no gradient term, and a scatter onto int 0 touches the value only).
+``stack`` of coordinates, ``dual_array`` of a list of components and
+``jacobian``'s output build and read it whole.  Jets and nested Duals
+(whose value is a Dual) keep object arrays.
+
 A :class:`Jet` is a second-order truncated Taylor scalar (hyper-dual
 style; Griewank & Walther, ch. 13), so ``hessian`` takes exact second
 partials from one evaluation.  It is a value and one flat tuple of m +
@@ -38,8 +50,9 @@ import math
 
 import numpy as np
 
-__all__ = ["Dual", "Jet", "seed", "jacobian", "hessian", "value_of", "d_sqrt", "d_dot",
-           "d_exp", "d_log"]
+__all__ = ["Dual", "DualArray", "Jet", "seed", "jacobian", "hessian", "value_of", "d_sqrt",
+           "d_dot", "d_exp", "d_log", "asarray", "dual_array", "concatenate", "first_order",
+           "stack"]
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
@@ -172,6 +185,548 @@ def _entrywise(op, a, b):
         return op(box, np.asarray(b, dtype=object))
     box[()] = b
     return op(np.asarray(a, dtype=object), box)
+
+
+# A constant entry of a DualArray has gradient -0.0, the identity of +:
+# sums over entries then need no mask, as a constant term adds nothing.
+_NO_GRAD = -0.0
+_NONE_CONST = np.zeros((), dtype=bool)
+_OBJECT = np.dtype(object)
+# index tuples adding axes after the entries: _BATCH[k] appends k unit
+# axes to a mask; _DIRECTION[nb] inserts the direction axis of a gradient
+# before nb batch axes
+_BATCH = [(Ellipsis,) + (None,) * k for k in range(4)]
+_DIRECTION = [(Ellipsis, None) + (slice(None),) * nb for nb in range(3)]
+
+
+class DualArray:
+    """An array of first-order Duals of one float seeding, as two float arrays.
+
+    It stands for the object array of Duals (and plain float constants)
+    that numpy would build, entry by entry, at a point or a batch of one
+    seeding whose coordinates are floats.  ``val`` holds the entry axes E
+    first, then the seeding's batch axes L (``()`` at a point, ``(B,)`` at
+    a batch); ``grad`` holds E, then the direction axis m, then L, so
+    ``grad[idx]`` of one entry is that Dual's ``(m,) + L`` gradient.
+    ``const`` is None, or a bool array of shape E marking the entries that
+    are constants, floats in the object array; their gradient is -0.0.
+    ``shape``, indexing, ``take``, transposes, ``reshape``, ``ravel``,
+    ``len`` and iteration act on E as on the object array, and a single
+    entry comes out as its Dual (or its constant).
+
+    Bit rule: every operation repeats, per entry, the operations the
+    object array's Duals would do: sums and differences, products,
+    quotients and negation follow :class:`Dual`'s rules (a constant
+    operand has no gradient term, and Dual + constant keeps the
+    gradient).  ``sum``, ``@`` and ``tensordot`` add the terms of each
+    output left to right from the first, as numpy's object loops do;
+    ``scatter`` adds them in input order onto int 0, which touches the
+    value only.  A sum or product may take its two operands in the other
+    order (a constant's value first, or a running sum that is still a
+    constant before a Dual term); that changes at most which NaN comes
+    out where two NaNs meet, which numpy's own float loops leave to the
+    position of the entry.
+
+    ``__array_ufunc__ = None`` hands numpy's binary operators to the
+    DualArray; ``np.asarray`` gives the object array of Duals; the numpy
+    functions in ``_ARRAY_FUNCTIONS`` act on it, any other raises.
+    """
+
+    __slots__ = ("val", "grad", "tag", "const", "nb")
+    __array_ufunc__ = None
+
+    def __init__(self, val, grad, tag, const=None, nb=0):
+        self.val = val
+        self.grad = grad
+        self.tag = tag
+        self.const = const
+        self.nb = nb  # number of batch axes L
+
+    @classmethod
+    def constant(cls, values, like):
+        """The float array ``values`` as constant entries of the seeding of
+        ``like``, a Dual or DualArray."""
+        tag, gshape = _seeding(like)
+        lead = gshape[1:]
+        values = np.asarray(values, dtype=float)
+        val = np.array(np.broadcast_to(values[_BATCH[len(lead)]], values.shape + lead))
+        return cls(val, np.full(values.shape + gshape, _NO_GRAD), tag,
+                   np.ones(values.shape, dtype=bool), len(lead))
+
+    # -- shape -------------------------------------------------------------
+
+    @property
+    def shape(self):
+        return self.val.shape[:self.val.ndim - self.nb]
+
+    @property
+    def ndim(self):
+        return self.val.ndim - self.nb
+
+    @property
+    def dtype(self):
+        """Object, as the array of Duals it stands for."""
+        return _OBJECT
+
+    @property
+    def size(self):
+        return math.prod(self.shape)
+
+    def __len__(self):
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+    def __repr__(self):
+        return f"DualArray(shape={self.shape}, tag={self.tag})"
+
+    def _new(self, val, grad, const):
+        """The array of these parts, or its one entry when E is ()."""
+        if const is not None and not const.any():
+            const = None
+        if val.ndim == self.nb:
+            if const is not None:
+                return val[()] if self.nb == 0 else val
+            return Dual(val[()] if self.nb == 0 else val, grad, self.tag)
+        return DualArray(val, grad, self.tag, const, self.nb)
+
+    def __getitem__(self, idx):
+        if not isinstance(idx, tuple):
+            idx = (idx,)
+        rest = (slice(None),) * self.nb
+        const = None if self.const is None else self.const[idx]
+        return self._new(self.val[idx + rest], self.grad[idx + (slice(None),) + rest],
+                         None if const is None else np.asarray(const))
+
+    def __setitem__(self, idx, value):
+        if not isinstance(idx, tuple):
+            idx = (idx,)
+        rest = (slice(None),) * self.nb
+        val, grad, const = self._parts(value)
+        if grad is None:
+            const = True
+            grad = _NO_GRAD
+        self.val[idx + rest] = val
+        self.grad[idx + (slice(None),) + rest] = grad
+        if self.const is None:
+            self.const = np.zeros(self.shape, dtype=bool)
+        self.const[idx] = False if const is None else const
+
+    @property
+    def flags(self):
+        return self.val.flags
+
+    def setflags(self, write):
+        self.val.setflags(write=write)
+        self.grad.setflags(write=write)
+        if self.const is not None:
+            self.const.setflags(write=write)
+
+    def copy(self):
+        return DualArray(self.val.copy(), self.grad.copy(), self.tag,
+                         None if self.const is None else self.const.copy(), self.nb)
+
+    def _axis(self, axis):
+        return axis % self.ndim
+
+    def take(self, indices, axis=None):
+        if axis is None:
+            return self.ravel().take(indices, axis=0)
+        a = self._axis(axis)
+        const = None if self.const is None else self.const.take(indices, axis=a)
+        return self._new(self.val.take(indices, axis=a), self.grad.take(indices, axis=a), const)
+
+    def transpose(self, *axes):
+        e = self.ndim
+        if len(axes) == 1 and not isinstance(axes[0], int):
+            axes = tuple(axes[0])
+        axes = tuple(a % e for a in axes) if axes else tuple(range(e))[::-1]
+        const = None if self.const is None else self.const.transpose(axes)
+        return DualArray(self.val.transpose(axes + tuple(range(e, e + self.nb))),
+                         self.grad.transpose(axes + tuple(range(e, e + self.nb + 1))),
+                         self.tag, const, self.nb)
+
+    def swapaxes(self, axis1, axis2):
+        a, b = self._axis(axis1), self._axis(axis2)
+        const = None if self.const is None else self.const.swapaxes(a, b)
+        return DualArray(self.val.swapaxes(a, b), self.grad.swapaxes(a, b), self.tag,
+                         const, self.nb)
+
+    def reshape(self, *shape):
+        if len(shape) == 1 and not isinstance(shape[0], int):
+            shape = tuple(shape[0])
+        if -1 in shape:
+            known = math.prod(k for k in shape if k != -1)
+            shape = tuple(self.size // known if k == -1 else k for k in shape)
+        lead = self.val.shape[self.ndim:]
+        const = None if self.const is None else self.const.reshape(shape)
+        return DualArray(self.val.reshape(shape + lead),
+                         self.grad.reshape(shape + self.grad.shape[self.ndim:]),
+                         self.tag, const, self.nb)
+
+    def ravel(self):
+        return self.reshape(-1)
+
+    def broadcast_to(self, shape):
+        shape = tuple(shape)
+        lead = self.val.shape[self.ndim:]
+        const = None if self.const is None else np.broadcast_to(self.const, shape)
+        return DualArray(np.broadcast_to(self.val, shape + lead),
+                         np.broadcast_to(self.grad, shape + self.grad.shape[self.ndim:]),
+                         self.tag, const, self.nb)
+
+    def __array__(self, dtype=None, copy=None):
+        if dtype is not None and np.dtype(dtype) != object:
+            raise TypeError("a DualArray has no float view; take value_of")
+        out = np.empty(self.shape, dtype=object)
+        for k, entry in enumerate(self.ravel()):
+            out.flat[k] = entry
+        return out
+
+    def __array_function__(self, func, types, args, kwargs):
+        impl = _ARRAY_FUNCTIONS.get(func)
+        if impl is None:
+            return NotImplemented
+        return impl(*args, **kwargs)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _parts(self, other):
+        """(value, gradient, constant mask) of an operand, laid out to
+        broadcast against this array: the gradient is None for a constant
+        operand, the mask None when no entry is constant."""
+        if isinstance(other, DualArray):
+            if other.tag != self.tag:
+                raise ValueError("mixing Duals from different seedings")
+            if other.const is not None and other.const.all():
+                return other.val, None, None
+            return other.val, other.grad, other.const
+        if isinstance(other, Dual):
+            if other.tag != self.tag:
+                raise ValueError("mixing Duals from different seedings")
+            return np.asarray(other.val), other.grad, None
+        if isinstance(other, _NUMBER_TYPES):
+            return np.asarray(other, dtype=float), None, None
+        if isinstance(other, np.ndarray):
+            if other.dtype == object:  # Duals and constants, or constants only
+                lifted = dual_array(other.ravel(), other.shape)
+                if lifted is not None:
+                    return self._parts(lifted)
+                if any(isinstance(e, (Dual, Jet)) for e in other.flat):
+                    return NotImplemented, None, None
+                other = other.astype(float)
+            return other.reshape(other.shape + (1,) * self.nb), None, None
+        return NotImplemented, None, None
+
+    def _g(self, v):
+        """A value laid out to meet gradients: a direction axis inserted
+        before the batch axes (a 0-d constant as it is)."""
+        return v[_DIRECTION[self.nb]] if v.ndim >= self.nb else v
+
+    def _masks(self, ca, cb):
+        """The constant masks of two operands, False for one without."""
+        return (_NONE_CONST if ca is None else ca), (_NONE_CONST if cb is None else cb)
+
+    def _v(self, mask):
+        """A mask laid out to meet values."""
+        return mask[_BATCH[self.nb]]
+
+    def _gm(self, mask):
+        """A mask laid out to meet gradients."""
+        return mask[_BATCH[self.nb + 1]]
+
+    def _out(self, val, grad, const):
+        """The result of an operation: the gradient broadcast up to the
+        value's entries, -0.0 at the constant ones."""
+        e = val.ndim - self.nb
+        if const is not None:
+            if const.shape != val.shape[:e]:
+                const = np.broadcast_to(const, val.shape[:e])
+            grad = np.where(self._gm(const), _NO_GRAD, grad)
+        if grad.ndim != val.ndim + 1 or grad.shape[:e] != val.shape[:e]:
+            grad = np.broadcast_to(grad, val.shape[:e] + grad.shape[grad.ndim - self.nb - 1:])
+        return self._new(val, grad, const)
+
+    def _binary(self, rule, a, b):
+        pa, pb = self._parts(a), self._parts(b)
+        if pa[0] is NotImplemented or pb[0] is NotImplemented:
+            return NotImplemented
+        if pa[1] is None and pb[1] is None:  # constants only: float arithmetic
+            val = _FLOAT_RULES[rule](pa[0], pb[0])
+            lead = self.val.shape[self.ndim:]
+            val = np.broadcast_to(val, val.shape[:val.ndim - self.nb] + lead)
+            grad = np.full(val.shape[:val.ndim - self.nb] + self.grad.shape[self.ndim:],
+                           _NO_GRAD)
+            return self._new(np.array(val), grad, np.ones(grad.shape[:val.ndim - self.nb], bool))
+        return rule(self, *pa, *pb)
+
+    def __add__(self, other):
+        return self._binary(_add, self, other)
+
+    def __radd__(self, other):
+        return self._binary(_add, other, self)
+
+    def __sub__(self, other):
+        return self._binary(_sub, self, other)
+
+    def __rsub__(self, other):
+        return self._binary(_sub, other, self)
+
+    def __mul__(self, other):
+        return self._binary(_mul, self, other)
+
+    def __rmul__(self, other):
+        return self._binary(_mul, other, self)
+
+    def __truediv__(self, other):
+        return self._binary(_div, self, other)
+
+    def __rtruediv__(self, other):
+        return self._binary(_div, other, self)
+
+    def __neg__(self):
+        grad = -self.grad
+        if self.const is not None:
+            grad = np.where(self._gm(self.const), _NO_GRAD, grad)
+        return DualArray(-self.val, grad, self.tag, self.const, self.nb)
+
+    def __matmul__(self, other):
+        return _matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return _matmul(other, self)
+
+    # -- sums ----------------------------------------------------------------
+
+    def sum(self, axis):
+        """The sum over one entry axis, left to right from the first term."""
+        a = self._axis(axis)
+        at = (slice(None),) * a + (-1,)
+        const = None if self.const is None else self.const.all(axis=a)
+        return self._new(np.add.accumulate(self.val, axis=a)[at],
+                         np.add.accumulate(self.grad, axis=a)[at], const)
+
+    def scatter(self, pos, size):
+        """``out[..., pos[i]] += self[..., i]`` onto int 0, in the order of i.
+
+        As ``np.add.at`` on an object array of zeros: a bin's value sums
+        its terms from +0.0, its gradient those of its Dual terms from the
+        first; a bin without a Dual term is a constant.
+        """
+        lead = self.shape[:-1]
+        rest = (slice(None),) * self.nb
+        val = np.zeros(lead + (size,) + self.val.shape[self.ndim:])
+        grad = np.full(lead + (size,) + self.grad.shape[self.ndim:], _NO_GRAD)
+        np.add.at(val, (Ellipsis, pos) + rest, self.val)
+        np.add.at(grad, (Ellipsis, pos, slice(None)) + rest, self.grad)
+        duals = np.zeros(lead + (size,), dtype=np.intp)
+        live = (np.ones(self.shape, dtype=bool) if self.const is None else ~self.const)
+        np.add.at(duals, (Ellipsis, pos), live)
+        return self._new(val, grad, duals == 0)
+
+
+def _add(self, va, ga, ca, vb, gb, cb):
+    # a constant's gradient is -0.0, which adds nothing: one sum serves
+    # every pair of Dual and constant, and Dual + constant keeps the gradient
+    if ga is None or gb is None:
+        return self._out(va + vb, gb if ga is None else ga, cb if ga is None else ca)
+    return self._out(va + vb, ga + gb, _both(ca, cb))
+
+
+def _sub(self, va, ga, ca, vb, gb, cb):
+    if ga is None:
+        return self._out(va - vb, -gb, cb)
+    if gb is None:
+        return self._out(va - vb, ga, ca)
+    grad = ga - gb
+    if ca is not None or cb is not None:  # Dual - constant keeps the gradient
+        ca, cb = self._masks(ca, cb)
+        grad = np.where(self._gm(ca), -gb, np.where(self._gm(cb), ga, grad))
+    return self._out(va - vb, grad, _both(ca, cb))
+
+
+def _mul(self, va, ga, ca, vb, gb, cb):
+    # a constant factor has no gradient term: Dual * constant is grad * c
+    if ga is None:
+        return self._out(va * vb, self._g(va) * gb, cb)
+    if gb is None:
+        return self._out(va * vb, ga * self._g(vb), ca)
+    ta, tb = ga * self._g(vb), self._g(va) * gb
+    grad = ta + tb
+    if ca is not None or cb is not None:
+        ca, cb = self._masks(ca, cb)
+        grad = np.where(self._gm(ca), tb, np.where(self._gm(cb), ta, grad))
+    return self._out(va * vb, grad, _both(ca, cb))
+
+
+def _div(self, va, ga, ca, vb, gb, cb):
+    # Dual / constant is a product with the reciprocal, value included
+    if gb is None:
+        inv = 1.0 / vb
+        val = va * inv if ca is None else np.where(self._v(ca), va / vb, va * inv)
+        return self._out(val, ga * self._g(inv), ca)
+    q = va / vb
+    if ga is None:  # constant / Dual
+        return self._out(q, -self._g(q) / self._g(vb) * gb, cb)
+    grad = (ga - self._g(q) * gb) / self._g(vb)
+    if ca is None and cb is None:
+        return self._out(q, grad, None)
+    ca, cb = self._masks(ca, cb)
+    inv = 1.0 / vb
+    val = np.where(self._v(cb & ~ca), va * inv, q)
+    grad = np.where(self._gm(ca), -self._g(q) / self._g(vb) * gb,
+                    np.where(self._gm(cb), ga * self._g(inv), grad))
+    return self._out(val, grad, _both(ca, cb))
+
+
+_FLOAT_RULES = {_add: np.add, _sub: np.subtract, _mul: np.multiply, _div: np.true_divide}
+
+
+def _both(ca, cb):
+    """The mask of the entries constant in both operands."""
+    if ca is None or cb is None or ca is _NONE_CONST or cb is _NONE_CONST:
+        return None
+    return ca & cb
+
+
+def asarray(x):
+    """``np.asarray(x)``, a DualArray as it is."""
+    return x if isinstance(x, DualArray) else np.asarray(x)
+
+
+def _matmul(a, b):
+    """``a @ b`` with numpy's object-array sums: each output adds its
+    products left to right from the first."""
+    a, b = asarray(a), asarray(b)
+    if a.ndim == 1:
+        return _matmul(a[None, :], b)[..., 0, :]
+    if b.ndim == 1:
+        return _matmul(a, b[:, None])[..., 0]
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def _tensordot(a, b, axes=2):
+    """``np.tensordot`` with numpy's object-array sums (``np.dot`` adds each
+    output's products left to right from the first)."""
+    a, b = asarray(a), asarray(b)
+    if isinstance(axes, int):
+        axes_a, axes_b = list(range(a.ndim - axes, a.ndim)), list(range(axes))
+    else:
+        axes_a, axes_b = ([ax] if isinstance(ax, int) else list(ax) for ax in axes)
+    axes_a = [ax % a.ndim for ax in axes_a]
+    axes_b = [ax % b.ndim for ax in axes_b]
+    free_a = [k for k in range(a.ndim) if k not in axes_a]
+    free_b = [k for k in range(b.ndim) if k not in axes_b]
+    n = math.prod(a.shape[k] for k in axes_a)
+    at = a.transpose(free_a + axes_a).reshape(-1, n)
+    bt = b.transpose(axes_b + free_b).reshape(n, -1)
+    out = _matmul(at, bt)
+    return out.reshape([a.shape[k] for k in free_a] + [b.shape[k] for k in free_b])
+
+
+def _object_einsum(*operands, **kwargs):
+    """``np.einsum`` on the object arrays of Duals: its order of summation
+    is numpy's own, which only the object arrays reproduce."""
+    return np.einsum(*(np.asarray(x) if isinstance(x, DualArray) else x for x in operands),
+                     **kwargs)
+
+
+def _method(name):
+    return lambda a, *args, **kwargs: getattr(a, name)(*args, **kwargs)
+
+
+_ARRAY_FUNCTIONS = {
+    np.shape: lambda a: a.shape,
+    np.ndim: lambda a: a.ndim,
+    np.swapaxes: _method("swapaxes"),
+    np.moveaxis: np.moveaxis._implementation,
+    np.broadcast_to: _method("broadcast_to"),
+    np.tensordot: _tensordot,
+    np.einsum: _object_einsum,
+}
+
+
+def first_order(x):
+    """Whether x is a Dual of a float seeding: its gradient is a float array."""
+    return isinstance(x, Dual) and x.grad.dtype != object
+
+
+def _seeding(x):
+    """(tag, gradient shape (m,) + L of one entry) of a Dual or DualArray."""
+    if isinstance(x, DualArray):
+        return x.tag, x.grad.shape[x.ndim:]
+    return x.tag, x.grad.shape
+
+
+def dual_array(entries, shape=None, like=None):
+    """The DualArray of a flat sequence of Duals and constants.
+
+    ``entries`` holds Duals of one float seeding (first-order: a float
+    gradient) and constants (numbers, or float arrays over the batch
+    axes), in C order of ``shape`` (default: one axis).  Returns None when
+    no entry is such a Dual, or when an entry is a Jet, a nested Dual or
+    a Dual of another seeding: those stay object arrays.  With ``like``, a
+    Dual or DualArray of the seeding, constants alone make a DualArray
+    too.
+    """
+    entries = list(entries)
+    first = next((e for e in entries if type(e) is Dual), like)
+    if first is None or first.grad.dtype == object:
+        return None
+    tag, gshape = _seeding(first)
+    lead = gshape[1:]
+    shape = (len(entries),) if shape is None else tuple(shape)
+    duals = [type(e) is Dual and e.tag == tag for e in entries]
+    consts = [e for e, is_dual in zip(entries, duals) if not is_dual]
+    if any(e.grad.dtype == object for e, is_dual in zip(entries, duals) if is_dual) or any(
+            isinstance(e, (Dual, Jet)) or getattr(e, "dtype", None) == object for e in consts):
+        return None  # a nested Dual, a Jet, or a Dual of another seeding
+    if not consts:
+        return DualArray(np.array([e.val for e in entries], dtype=float).reshape(shape + lead),
+                         np.array([e.grad for e in entries], dtype=float).reshape(
+                             shape + gshape), tag, None, len(lead))
+    # constants: a placeholder value and the -0.0 gradient, then their values
+    zero, no_grad = np.zeros(lead), np.full(gshape, _NO_GRAD)
+    val = np.array([e.val if is_dual else zero for e, is_dual in zip(entries, duals)])
+    grad = np.array([e.grad if is_dual else no_grad for e, is_dual in zip(entries, duals)])
+    for k, is_dual in enumerate(duals):
+        if not is_dual:
+            val[k] = entries[k]
+    const = ~np.array(duals)
+    return DualArray(val.reshape(shape + lead), grad.reshape(shape + gshape), tag,
+                     const.reshape(shape), len(lead))
+
+
+def concatenate(parts):
+    """The entries of flat sequences one after another: one DualArray when
+    a part is a DualArray and the others hold its seeding's Duals and
+    constants, else a list."""
+    like = next((p for p in parts if isinstance(p, DualArray)), None)
+    if like is not None:
+        arrays = [p.ravel() if isinstance(p, DualArray) else dual_array(p, like=like)
+                  for p in parts]
+        if all(a is not None and a.tag == like.tag for a in arrays):
+            consts = [np.zeros(a.shape, bool) if a.const is None else a.const for a in arrays]
+            const = None if all(a.const is None for a in arrays) else np.concatenate(consts)
+            return DualArray(np.concatenate([a.val for a in arrays]),
+                             np.concatenate([a.grad for a in arrays]), like.tag, const,
+                             like.nb)
+    return [e for p in parts for e in p]
+
+
+def stack(xs):
+    """Scalars stacked on a new last axis: a float ``(..., N)`` array of
+    floats or batch columns, the DualArray of Duals of a float seeding, or
+    an object array of Jets or nested Duals."""
+    xs = list(xs)
+    if not any(isinstance(x, (Dual, Jet)) for x in xs):
+        return np.stack(xs, axis=-1)
+    arr = dual_array(xs)
+    if arr is None:
+        arr = np.empty(len(xs), dtype=object)
+        arr[:] = xs
+    return arr
 
 
 class Jet:
@@ -363,6 +918,8 @@ def value_of(x):
     batch given as nested sequences has a hashable value."""
     if isinstance(x, (list, tuple)):
         return tuple(value_of(v) for v in x)
+    if isinstance(x, DualArray):
+        return x.val
     while isinstance(x, (Dual, Jet)):
         x = x.val
     if isinstance(x, np.ndarray) and x.ndim:
@@ -387,7 +944,9 @@ def d_sqrt(x):
 
 def d_dot(a, b):
     """a[0] b[0] + a[1] b[1] + ..., summed left to right at any scalar type
-    (``sum`` would start from 0)."""
+    (``sum`` would start from 0); two DualArrays in one product and sum."""
+    if isinstance(a, DualArray) and isinstance(b, DualArray):
+        return (a * b).sum(axis=-1)
     s = a[0] * b[0]
     for i in range(1, len(a)):
         s = s + a[i] * b[i]
@@ -448,15 +1007,25 @@ def jacobian(fn, x):
     """
     X = seed(x)
     tag, grad0 = X[0].tag, X[0].grad
-    ys = list(fn(X))
+    ys = fn(X)
+    if not isinstance(ys, DualArray):
+        ys = list(ys)
+        arr = dual_array(ys)
+        ys = ys if arr is None else arr
     lead = grad0.shape[1:]  # (B,) at a batch
-    vals = np.empty((len(ys),) + lead, dtype=grad0.dtype)
-    jac = np.full((len(ys), len(X)) + lead, 0.0, dtype=grad0.dtype)
-    for k, y in enumerate(ys):
-        if isinstance(y, Dual) and y.tag == tag:
-            vals[k], jac[k] = y.val, y.grad
-        else:
-            vals[k] = y
+    if isinstance(ys, DualArray) and ys.tag == tag:
+        # read whole; a constant's row is +0.0
+        vals = np.array(ys.val)
+        jac = ys.grad if ys.const is None else np.where(ys._gm(ys.const), 0.0, ys.grad)
+        jac = np.array(jac)
+    else:
+        vals = np.empty((len(ys),) + lead, dtype=grad0.dtype)
+        jac = np.full((len(ys), len(X)) + lead, 0.0, dtype=grad0.dtype)
+        for k, y in enumerate(ys):
+            if isinstance(y, Dual) and y.tag == tag:
+                vals[k], jac[k] = y.val, y.grad
+            else:
+                vals[k] = y
     if lead:  # points on the leading axis
         return (np.ascontiguousarray(vals.T),
                 np.ascontiguousarray(np.moveaxis(jac, (0, 1), (1, 2))))

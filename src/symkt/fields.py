@@ -26,7 +26,7 @@ the components and the connection jet of
 import numpy as np
 
 from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
-from .dual import d_dot, d_exp, hessian, jacobian, value_of
+from .dual import concatenate, d_dot, d_exp, hessian, jacobian, value_of
 from .errors import DegreeError, DomainError
 from .manifolds import _frame_connection, _seeded_frame, connection_jet, point_array
 from .multiindex import multi_indices, sym_size
@@ -151,9 +151,11 @@ def add_fields(a, b, name=None):
     if a.degree != b.degree or a.base is not b.base:
         raise DegreeError("can only add fields of equal degree on the same base")
 
+    n = a.base.dim
+
     def comps(x):
-        ca, cb = a.comps_fn(x), b.comps_fn(x)
-        return [u + v for u, v in zip(ca, cb)]
+        return (SymTensor(n, a.degree, a.comps_fn(x))
+                + SymTensor(n, b.degree, b.comps_fn(x))).entries()
 
     return TensorField(a.base, a.degree, comps, name=name or f"{a.name}+{b.name}")
 
@@ -290,7 +292,8 @@ def _nabla_jet(field, x):
 
     def comps_and_frame(y):
         # the components first: if they evaluate the frame, it is remembered
-        return [*field.comps_fn(y), *_seeded_frame(base, y).ravel()]
+        comps = field.comps_fn(y)
+        return concatenate([comps, _seeded_frame(base, y).ravel()])
 
     vals, jac = jacobian(comps_and_frame, x)
     # contiguous parts, laid out as two jacobians would give them, so the

@@ -6,7 +6,9 @@ Tensor literals are JSON documents::
      "entries": [{"index": [i1, ..., ip], "value": v}, ...]}
 
 with an integer ``dim`` and ``degree`` (a JSON integer, not a float, a
-string or a boolean), 1-based, non-decreasing index tuples of integers and
+string or a boolean; the degree at most ``multiindex.MAX_DEGREE``, and the
+dimension the caller's manifold has, checked before any index table is
+built), 1-based, non-decreasing index tuples of integers and
 numbers (or strings that ``float`` reads) as values; omitted indices are
 zero.
 Anything else raises ConfigError.  ``tensor_from_dict`` decodes NaN and
@@ -20,7 +22,7 @@ import json
 import math
 
 from .errors import ConfigError
-from .multiindex import index_position, multi_indices
+from .multiindex import MAX_DEGREE, index_position, multi_indices
 from .symtensor import SymTensor
 
 __all__ = ["tensor_to_dict", "tensor_from_dict", "dump_tensor", "load_tensor",
@@ -50,7 +52,9 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def tensor_from_dict(doc):
+def tensor_from_dict(doc, dim=None):
+    """The SymTensor of a tensor literal; with ``dim``, the literal must
+    have that dimension."""
     try:
         n, p = doc["dim"], doc["degree"]
         entries = doc.get("entries", [])
@@ -61,6 +65,10 @@ def tensor_from_dict(doc):
                           f"got {n!r} and {p!r}")
     if n < 1 or p < 0:
         raise ConfigError("tensor literal needs dim >= 1 and degree >= 0")
+    if p > MAX_DEGREE:
+        raise ConfigError(f"tensor literal degree {p} is above the cap {MAX_DEGREE}")
+    if dim is not None and n != dim:
+        raise ConfigError(f"field file dimension {n} != manifold dimension {dim}")
     if not isinstance(entries, list):
         raise ConfigError(f"tensor literal entries must be a list, got {entries!r}")
     pos = index_position(n, p)
@@ -89,13 +97,15 @@ def dump_tensor(K, path):
         fh.write("\n")
 
 
-def load_tensor(path):
+def load_tensor(path, dim=None):
+    """The tensor literal file at ``path``, finite, of dimension ``dim``
+    when given."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"tensor literal {path} is not JSON: {exc}") from exc
-    K = tensor_from_dict(doc)
+    K = tensor_from_dict(doc, dim)
     for I, v in zip(multi_indices(K.dim, K.degree), K.comps):
         if not math.isfinite(v):
             raise ConfigError(f"{path}: value at index {[i + 1 for i in I]} is not finite")

@@ -19,9 +19,10 @@ Every backend exposes the same small surface:
   packed state ``y = (x, v)`` of length 2m: the packed ``(x', v')``.
 
 ``frame`` and ``metric_matrix`` are generic over scalars: float64 arrays
-at a float point, object arrays of dual numbers at a dual point, and
-``(B, m, n)`` float arrays at a batch point, whose coordinates are ``(B,)``
-arrays (see :func:`point_array`).
+at a float point, a :class:`~symkt.dual.DualArray` at a point or batch
+of Duals of a float seeding, object arrays at a point of Jets or nested
+Duals, and ``(B, m, n)`` float arrays at a batch point, whose coordinates
+are ``(B,)`` arrays (see :func:`point_array`).
 
 Every chart is a conformally flat space form, g = c(x) delta of curvature
 sign kappa (:class:`Chart`): its frame is c^(-1/2) times the identity, and
@@ -61,7 +62,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dual import Dual, Jet, d_dot, d_exp, d_sqrt, hessian, jacobian, value_of
+from .dual import (
+    Dual,
+    DualArray,
+    Jet,
+    d_dot,
+    d_exp,
+    d_sqrt,
+    dual_array,
+    first_order,
+    hessian,
+    jacobian,
+    stack,
+    value_of,
+)
 from .errors import ConfigError
 
 __all__ = [
@@ -92,19 +106,32 @@ __all__ = [
 
 
 def point_array(data, x):
-    """Matrix ``data`` (nested sequences of scalars) as an ndarray at point x.
+    """Matrix ``data`` as an array at point x.
 
-    Object dtype at a dual or jet point x, else float64, column-major so each
-    frame vector e_a is contiguous: BLAS sums depend on the layout in the
-    last bit, and the reports are pinned to this one.  At a batch point
-    (coordinates of shape (B,)) the result is (B, rows, cols), each entry
-    broadcast over the batch.
+    ``data`` is nested sequences of scalars, or an array already computed
+    at x.  At a point of Duals of a float seeding the result is a
+    :class:`~symkt.dual.DualArray` (float entries are its constants); at a
+    point of Jets or nested Duals an object array; else float64,
+    column-major so each frame vector e_a is contiguous: BLAS sums depend
+    on the layout in the last bit, and the reports are pinned to this one.
+    At a batch point (coordinates of shape (B,)) the result is (B, rows,
+    cols), each entry broadcast over the batch.
     """
+    if isinstance(data, DualArray):
+        return data
+    if first_order(x[0]):
+        if isinstance(data, np.ndarray):
+            return DualArray.constant(data, x[0])
+        rows = [list(row) for row in data]
+        return dual_array([v for row in rows for v in row], (len(rows), len(rows[0])),
+                          like=x[0])
     if isinstance(x[0], (Dual, Jet)):
         return np.array(data, dtype=object, order="F")
     batch = np.shape(x[0])
     if not batch:
         return np.array(data, dtype=float, order="F")
+    if isinstance(data, np.ndarray):
+        return np.ascontiguousarray(np.broadcast_to(data, batch + data.shape[-2:]))
     out = np.empty(batch + (len(data), len(data[0])))
     for i, row in enumerate(data):
         for j, v in enumerate(row):
@@ -112,9 +139,15 @@ def point_array(data, x):
     return out
 
 
+def _points(c):
+    """A scalar c as it meets (..., rows, cols) matrices: a batch c of shape
+    (B,) gets two trailing axes, so each point's matrix meets its own c."""
+    return c[..., None, None] if isinstance(c, np.ndarray) else c
+
+
 def _scale_points(c, M):
     """c * M for a scalar c, or per point for a batch c of shape (B,)."""
-    return c[..., None, None] * M if isinstance(c, np.ndarray) else c * M
+    return _points(c) * M
 
 
 def frame_components(base, x, vec):
@@ -124,14 +157,18 @@ def frame_components(base, x, vec):
     point ``vec`` is (B, m) and the result (B, n).
     """
     x = list(x)
-    Gv = base.metric_matrix(x) @ np.asarray(vec)[..., None]
+    vec = vec if isinstance(vec, np.ndarray) else stack(vec)
+    Gv = base.metric_matrix(x) @ vec[..., None]
     return (np.swapaxes(base.frame(x), -1, -2) @ Gv)[..., 0]
 
 
 def _block_diag(A, B):
     (r, c), lead = A.shape[-2:], np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     shape = lead + (r + B.shape[-2], c + B.shape[-1])
-    out = np.full(shape, 0.0, dtype=np.result_type(A, B), order="F")
+    if isinstance(A, DualArray):
+        out = DualArray.constant(np.zeros(shape), A)
+    else:
+        out = np.full(shape, 0.0, dtype=np.result_type(A, B), order="F")
     out[..., :r, :c] = A
     out[..., r:, c:] = B
     return out
@@ -170,7 +207,7 @@ def _frame_memo(frame):
         F = _remembered_frame(self, x)
         if F is None:
             F = frame(self, x)
-            F.flags.writeable = False
+            F.setflags(write=False)
             _last_frame = (x[0].tag, self, tuple(x), F)
         return F
 
@@ -317,13 +354,17 @@ class EmbeddedSphere:
         self.coord_dim = dim + 1
         self.radius = radius
         self.key = f"sphere:{dim}"
+        self._eye = np.eye(dim + 1, dim)  # the Householder frame's identity part
+        self._eye.setflags(write=False)
 
     def metric_matrix(self, x):
         return point_array(np.eye(self.coord_dim), x)
 
     @_frame_memo
     def frame(self, x):
-        N = self.coord_dim
+        """F[i, a] = delta_ia - 2 w_a w_i / |w|^2, the Householder matrix of
+        w = x / |x| + s e_N without its last column: one outer product of
+        the stacked w (a DualArray at a seeded point)."""
         r2 = d_dot(x, x)
         inv_r = 1.0 / d_sqrt(r2)
         u = [xi * inv_r for xi in x]
@@ -331,12 +372,9 @@ class EmbeddedSphere:
         w = list(u)
         w[-1] = w[-1] + s
         wsq = d_dot(w, w)
-        w2 = [2.0 * wa for wa in w[:-1]]
-        return point_array(
-            [[(1.0 if i == a else 0.0) - w2[a] * w[i] / wsq for a in range(N - 1)]
-             for i in range(N)],
-            x,
-        )
+        W = stack(w)
+        outer = (2.0 * W[..., :-1])[..., None, :] * W[..., :, None]
+        return point_array(self._eye - outer / _points(wsq), x)
 
     def sample_point(self, rng):
         v = rng.standard_normal(self.coord_dim)

@@ -24,7 +24,13 @@ from math import comb, factorial
 
 import numpy as np
 
+# Largest degree a tensor literal or an identity range may ask for: the
+# tables grow like C(n + p - 1, p), and ``index_position`` holds one entry
+# per multi-index, so a larger degree is refused before any table is built.
+MAX_DEGREE = 6
+
 __all__ = [
+    "MAX_DEGREE",
     "sym_size",
     "multi_indices",
     "index_position",

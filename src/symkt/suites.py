@@ -71,6 +71,7 @@ from .fields import (
 )
 from .geodesic import DRIFT_TOL, drift_series, geodesic_drift, initial_condition
 from .manifolds import (
+    MAX_KEY_DIM,
     EmbeddedSphere,
     conformal_rescale,
     euclidean_chart,
@@ -78,6 +79,7 @@ from .manifolds import (
     manifold_from_key,
     poincare_ball_chart,
 )
+from .multiindex import MAX_DEGREE
 from .obs import least, worst
 from .symtensor import (
     SymTensor,
@@ -310,6 +312,11 @@ def identity_suite(dims="2..5", degrees="0..4", trials=50, seed=42):
         raise ConfigError("identity suite needs dims >= 2")
     if degrees.start < 0:
         raise ConfigError("degrees must be non-negative")
+    # checked before any table is built: they grow like C(n + p - 1, p)
+    if dims[-1] > MAX_KEY_DIM:
+        raise ConfigError(f"identity suite dims above the cap {MAX_KEY_DIM}")
+    if degrees[-1] > MAX_DEGREE:
+        raise ConfigError(f"identity suite degrees above the cap {MAX_DEGREE}")
     report = SuiteReport("identities", seed, SUITE_TOL)
     for n in dims:
         for p in degrees:

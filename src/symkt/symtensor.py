@@ -14,6 +14,8 @@ Conventions (see docs/conventions.md):
 
 Components may be plain floats, :class:`~symkt.dual.Dual` or
 :class:`~symkt.dual.Jet` scalars; every operation is written so any works.
+Duals of one float seeding are held as one :class:`~symkt.dual.DualArray`,
+Jets and nested Duals as an object array.
 Float components may also carry leading batch axes, ``(..., size)``: one
 tensor per point of a batch.  ``sym_product``, ``contract``,
 ``trace_Lambda``, ``mult_L``, ``standard_decomposition``, ``change_basis``
@@ -38,7 +40,7 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from .dual import DERIVATIVE_TYPES, value_of
+from .dual import DERIVATIVE_TYPES, DualArray, asarray, dual_array, value_of
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from .multiindex import (
     contract_array,
@@ -87,19 +89,25 @@ _plain_kinds = DERIVATIVE_TYPES.isdisjoint
 def _as_comps(values, size):
     """A fresh ``(..., size)`` component array.
 
-    An ndarray is read as ``(..., size)``.  Any other sequence holds the
-    ``size`` entries a field's ``comps_fn`` returns: scalars, Duals, Jets,
-    or arrays over batch axes, broadcast together and stacked on the last
-    axis.
+    An ndarray or DualArray is read as ``(..., size)``.  Any other
+    sequence holds the ``size`` entries a field's ``comps_fn`` returns:
+    scalars, Duals, Jets, or arrays over batch axes, broadcast together
+    and stacked on the last axis.  Duals of one float seeding (with
+    constants) give a :class:`~symkt.dual.DualArray`; Jets and nested
+    Duals an object array.
     """
-    if isinstance(values, np.ndarray):
+    if isinstance(values, DualArray):
+        arr = values.copy()
+    elif isinstance(values, np.ndarray):
         arr = values.copy() if values.dtype == object else values.astype(float)
     else:
         vals = list(values)
         kinds = set(map(type, vals))
         if not _plain_kinds(kinds):
-            arr = np.empty(len(vals), dtype=object)
-            arr[:] = vals
+            arr = dual_array(vals)
+            if arr is None:  # Jets or nested Duals
+                arr = np.empty(len(vals), dtype=object)
+                arr[:] = vals
         elif np.ndarray in kinds:
             arr = np.stack(np.broadcast_arrays(*vals), axis=-1, dtype=float)
         else:
@@ -120,6 +128,8 @@ def _ordered_sum(terms):
     opposite sign meet, either sign may come out, as from numpy's own
     elementwise add, which picks by position in its vector loop.)
     """
+    if isinstance(terms, DualArray):
+        return terms.sum(axis=-1) + 0.0
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
@@ -132,6 +142,8 @@ def _scatter_add(w, pos, size):
     Jet components, which ``bincount`` cannot sum, take ``np.add.at``, as
     does an empty batch, whose ``bincount`` would come back as ints.
     """
+    if isinstance(w, DualArray):
+        return w.scatter(pos, size)
     lead = w.shape[:-1]
     if w.dtype == object or not w.size:
         out = np.zeros(lead + (size,), dtype=w.dtype)
@@ -249,15 +261,19 @@ class SymTensor:
 
     def values(self):
         """Components with dual layers stripped (floats)."""
+        if isinstance(self.comps, DualArray):
+            return self.comps.val.copy()
         if self.comps.dtype != object:
             return np.array(self.comps)
         return np.array([value_of(v) for v in self.comps.ravel()]).reshape(self.comps.shape)
 
     def entries(self):
-        """The components as a list of ``size`` entries, each a scalar or
-        an array over the batch axes: the form a field's ``comps_fn``
-        returns."""
-        return list(self.comps.transpose(-1, *range(self.comps.ndim - 1)))
+        """The components as a sequence of ``size`` entries, each a scalar
+        or an array over the batch axes: the form a field's ``comps_fn``
+        returns.  A list, or for DualArray components the DualArray with
+        the component axis first, whose entries are the same Duals."""
+        entries = self.comps.transpose(-1, *range(self.comps.ndim - 1))
+        return entries if isinstance(entries, DualArray) else list(entries)
 
     def to_dense(self):
         """Full dense array, batch axes first: one gather over
@@ -301,7 +317,7 @@ def contract(v, K):
     """
     if K.degree < 1:
         raise DegreeError("cannot contract a degree-0 tensor")
-    vc = np.asarray(v.comps if isinstance(v, SymTensor) else v)
+    vc = asarray(v.comps if isinstance(v, SymTensor) else v)
     terms = vc[..., None, :] * K.comps.take(contract_array(K.dim, K.degree), axis=-1)
     return _tensor(K.dim, K.degree - 1, _ordered_sum(terms))
 
@@ -559,7 +575,7 @@ def change_basis(K, M):
     contracts one old slot against column I[-1] of M, summing over the old
     index A in order from +0.0: one gather and one ordered sum per slot.
     """
-    M = np.asarray(M)
+    M = asarray(M)
     m, n_new = M.shape[-2:]
     p = K.degree
     if sym_size(m, p) != K.comps.shape[-1]:

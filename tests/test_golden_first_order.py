@@ -17,8 +17,16 @@ import numpy as np
 import pytest
 
 from symkt.classify import classify
-from symkt.constructors import build_constructor, constructor_catalog
+from symkt.constructors import (
+    build_constructor,
+    condition_d1_residual,
+    constructor_catalog,
+    hopf_split,
+    nijenhuis,
+)
+from symkt.dual import jacobian
 from symkt.fields import _nabla_jet
+from symkt.manifolds import gamma_frame, manifold_from_key
 
 GOLDEN = {
     "broken-hopf-stackel/batch": "c523605ed68d9e4b",
@@ -117,6 +125,106 @@ def test_golden_covers_every_digest(current):
     assert sorted(current) == sorted(GOLDEN)
 
 
+# The raw first-order jet under nabla K, before the connection sums it:
+# the jacobian of a field's components and frame at a point and at a
+# batch of three, so that each signed zero of J is pinned, not only its
+# sum into nabla K; ``gamma_frame`` at a batch of three on each catalog
+# manifold; and the Nijenhuis tensor and condition (d1) of the Hopf split
+# at a batch of three.
+RAW_GOLDEN = {
+    "broken-hopf-stackel/jacobian-batch": "65e76ebe9f15a797",
+    "broken-hopf-stackel/jacobian-point": "a7650e65b62f18a7",
+    "broken-killing-form/jacobian-batch": "fd1bdf017589aebf",
+    "broken-killing-form/jacobian-point": "f80b870a6fe05ad8",
+    "broken-product-ckt/jacobian-batch": "f662344481974849",
+    "broken-product-ckt/jacobian-point": "cf7033378c82ee29",
+    "broken-special-hat/jacobian-batch": "fad5ce56409d4387",
+    "broken-special-hat/jacobian-point": "5aa676b3abb85056",
+    "broken-sphere-curvature/jacobian-batch": "3cfb0ffbb5f401a9",
+    "broken-sphere-curvature/jacobian-point": "c5be524ff55de035",
+    "broken-sym-product/jacobian-batch": "bc7a257daafc89e9",
+    "broken-sym-product/jacobian-point": "23e70f78b35ea53b",
+    "gamma_frame/euclidean:3": "87155fe8d7322698",
+    "gamma_frame/product:sphere:2,sphere:2": "3b547878639b409f",
+    "gamma_frame/sphere:2": "477b8286536c8a84",
+    "gamma_frame/sphere:3": "161f062435211c88",
+    "gamma_frame/sphere:4": "a3063e3d5f1cecf8",
+    "hopf-stackel/jacobian-batch": "143f9dc746fb7ee7",
+    "hopf-stackel/jacobian-point": "20fcd1520efb1e29",
+    "hopf/condition_d1": "10e8f38719612223",
+    "hopf/nijenhuis": "77fe8495f1efccce",
+    "killing-form:q=1/jacobian-batch": "a5aaa1c9b5056051",
+    "killing-form:q=1/jacobian-point": "dd6a161e4b930147",
+    "killing-form:q=2/jacobian-batch": "e7614916e009d49b",
+    "killing-form:q=2/jacobian-point": "1456ed2b5ab92aee",
+    "metric/jacobian-batch": "4a62c8e7a4c34376",
+    "product-ckt/jacobian-batch": "3aa9077d4a0240cb",
+    "product-ckt/jacobian-point": "08a987b3f311d79a",
+    "sasakian-stackel/jacobian-batch": "584f1a5fa1ff2b14",
+    "sasakian-stackel/jacobian-point": "da635d6b01171aba",
+    "special-flat-hat/jacobian-batch": "bd3e831f9ba308dd",
+    "special-flat-hat/jacobian-point": "b30ddbd9acc3bd29",
+    "special-flat/jacobian-batch": "df5688cdd680f440",
+    "special-flat/jacobian-point": "d59019c2cc3eb2cd",
+    "sphere-curvature-weyl/jacobian-batch": "958d1806d88bf179",
+    "sphere-curvature-weyl/jacobian-point": "86cee5a94b43f57d",
+    "sphere-curvature/jacobian-batch": "fcc039dbc9c99e29",
+    "sphere-curvature/jacobian-point": "f50baec870d74258",
+    "sym-product-hopf/jacobian-batch": "7ebfc9741f373316",
+    "sym-product-hopf/jacobian-point": "085b28d6ee2c7f19",
+    "sym-product/jacobian-batch": "7d539a9f98e68c7e",
+    "sym-product/jacobian-point": "7902b9200896002b",
+"metric/jacobian-point": "f1dada8606c7e464",
+}
+
+
+def raw_digests():
+    """The current value of every entry of ``RAW_GOLDEN``."""
+    out = {}
+    bases = {}
+    for i, key in enumerate(constructor_catalog()):
+        field = build_constructor(key, seed=5)[0]
+        base = field.base
+        bases[base.key] = base
+        rng = np.random.default_rng([2031, i])
+        points = [list(base.sample_point(rng)) for _ in range(4)]
+
+        def comps_and_frame(y, field=field):
+            return [*field.comps_fn(y), *field.base.frame(y).ravel()]
+
+        out[f"{key}/jacobian-point"] = _digest(*jacobian(comps_and_frame, points[0]))
+        out[f"{key}/jacobian-batch"] = _digest(*jacobian(comps_and_frame, points[1:]))
+    for j, (name, base) in enumerate(sorted(bases.items())):
+        rng = np.random.default_rng([2032, j])
+        points = [list(base.sample_point(rng)) for _ in range(3)]
+        out[f"gamma_frame/{name}"] = _digest(gamma_frame(base, points))
+    sphere = manifold_from_key("sphere:3")
+    split = hopf_split(sphere)
+    field = build_constructor("hopf-stackel", seed=5)[0]
+    rng = np.random.default_rng(2033)
+    points = [list(sphere.sample_point(rng)) for _ in range(3)]
+    out["hopf/nijenhuis"] = _digest(nijenhuis(field, points))
+    out["hopf/condition_d1"] = _digest(condition_d1_residual(split, points))
+    return out
+
+
+@pytest.fixture(scope="module")
+def current_raw():
+    return raw_digests()
+
+
+@pytest.mark.parametrize("name", sorted(RAW_GOLDEN))
+def test_raw_first_order_bits_are_pinned(current_raw, name):
+    assert current_raw[name] == RAW_GOLDEN[name]
+
+
+def test_raw_golden_covers_every_digest(current_raw):
+    assert sorted(current_raw) == sorted(RAW_GOLDEN)
+
+
 if __name__ == "__main__":
     for name, value in digests().items():
+        print(f'    "{name}": "{value}",')
+    print()
+    for name, value in raw_digests().items():
         print(f'    "{name}": "{value}",')

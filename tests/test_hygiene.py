@@ -29,6 +29,11 @@ shape for every backend.  The packed-algebra kernels (``symtensor``,
 from the int literal ``0`` (``out = 0`` grown by ``out = out + ...`` or
 ``+=``, or a ``sum`` without a start), which costs a Python-int
 conversion on every call and hides the start the bits depend on.
+Coordinates become arrays only in ``dual`` (``stack``) and in
+``manifolds.point_array``, which build a ``DualArray`` at a point of Duals
+of a float seeding: elsewhere no ``np.stack`` takes a bare name (``np.stack(x,
+...)``) and no ``dtype=object`` array is built from the coordinates ``x``,
+which at such a point would bring back one Python call per entry.
 """
 
 import ast
@@ -43,6 +48,7 @@ REDUCTIONS = {"worst", "least"}
 DERIVATIVE_TYPE_NAMES = {"Jet", "Dual"}
 GATE_OWNERS = {"KILLING_CHECK_TOL": "_require", "KILLING_CHECK_SAMPLES": "_check_points"}
 ALGEBRA_KERNELS = ("symtensor.py", "cartan.py")
+COORDINATE_ARRAY_OWNERS = {"dual.py": None, "manifolds.py": "point_array"}
 
 
 def _imported(tree):
@@ -227,6 +233,38 @@ def int_zero_accumulators(source):
     return sorted(found)
 
 
+def _is_object_dtype(node):
+    """Whether a call asks for object dtype: ``dtype=object`` or ``astype(object)``."""
+    if any(k.arg == "dtype" and getattr(k.value, "id", None) == "object"
+           for k in node.keywords):
+        return True
+    return (_called_name(node) == "astype" and bool(node.args)
+            and getattr(node.args[0], "id", None) == "object")
+
+
+def coordinate_object_arrays(source, owner=None):
+    """Sorted lines outside the function ``owner`` that stack a bare name
+    with ``np.stack`` or build a ``dtype=object`` array from ``x``."""
+    tree = ast.parse(source)
+    owned = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == owner:
+            owned |= set(range(node.lineno, node.end_lineno + 1))
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "stack"
+                and getattr(func.value, "id", None) == "np"
+                and node.args and isinstance(node.args[0], ast.Name)):
+            found.add(node.lineno)
+        elif _is_object_dtype(node) and any(
+                isinstance(n, ast.Name) and n.id == "x" for n in ast.walk(node)):
+            found.add(node.lineno)
+    return sorted(found - owned)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -264,6 +302,13 @@ def test_construction_checks_share_one_gate():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_geodesic_rhs_takes_one_packed_state(path):
     assert rhs_off_the_packed_state(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dual.py"],
+                         ids=lambda p: p.name)
+def test_coordinates_become_arrays_only_in_dual_and_point_array(path):
+    owner = COORDINATE_ARRAY_OWNERS.get(path.name)
+    assert coordinate_object_arrays(path.read_text(), owner) == []
 
 
 @pytest.mark.parametrize("name", ALGEBRA_KERNELS)
@@ -415,3 +460,17 @@ def test_checker_flags_int_zero_accumulators():
         "count = 0\n"
     )
     assert int_zero_accumulators(source) == [2, 7, 16, 17]
+
+
+def test_checker_flags_coordinate_object_arrays():
+    source = (
+        "def amb(x):\n"
+        "    X = np.stack(x, axis=-1)\n"
+        "    Y = np.array([[x[0] * x[1]]], dtype=object)\n"
+        "    Z = np.asarray(x).astype(object)\n"
+        "    return np.stack([X, Y]), np.empty(3, dtype=object), Z.astype(float)\n"
+        "def point_array(data, x):\n"
+        "    return np.array(data, dtype=object), np.stack(x, axis=-1)\n"
+    )
+    assert coordinate_object_arrays(source) == [2, 3, 4, 7]
+    assert coordinate_object_arrays(source, "point_array") == [2, 3, 4]

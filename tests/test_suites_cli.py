@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symkt.io
+import symkt.multiindex
 import symkt.suites as suites
 from symkt.cli import main
 from symkt.errors import ConfigError
@@ -205,6 +207,38 @@ def test_cli_oversized_manifold_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     assert main(["geodesic", "--manifold", "conformal:bump:sphere:50",
                  "--construct", "hopf-stackel"]) == 2
+
+
+def _refuse_tables(monkeypatch):
+    """Make any index table built from here on fail the test."""
+    def refuse(n, p):
+        raise AssertionError(f"index_position({n}, {p}) built for a rejected input")
+
+    monkeypatch.setattr(symkt.multiindex, "index_position", refuse)
+    monkeypatch.setattr(symkt.io, "index_position", refuse)
+
+
+@pytest.mark.parametrize("command", ["verify", "geodesic"])
+@pytest.mark.parametrize("dim, degree", [(1000, 6), (3, 2), (3, 7)])
+def test_cli_oversized_field_file_exits_2_before_any_table(tmp_path, capsys, monkeypatch,
+                                                           command, dim, degree):
+    # sphere:2 has dimension 2: the dimension, then the degree cap, refuse
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps({"dim": dim, "degree": degree, "entries": []}))
+    _refuse_tables(monkeypatch)
+    assert main([command, "--manifold", "sphere:2", "--field-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, spec", [("--dims", "2..1000"), ("--dims", "9..9"),
+                                        ("--degrees", "0..7"), ("--degrees", "0..100000")])
+def test_cli_identities_beyond_the_caps_exit_2_before_any_table(capsys, monkeypatch,
+                                                                flag, spec):
+    _refuse_tables(monkeypatch)
+    assert main(["identities", flag, spec]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cap" in err and err.count("\n") == 1
 
 
 _VERIFY = ["verify", "--manifold", "sphere:3", "--construct", "hopf-stackel"]
