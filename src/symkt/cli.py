@@ -73,11 +73,8 @@ def _load_field(args):
         return constant_field(base, K, name=f"file:{args.field_file}"), None
     if not args.construct:
         raise ConfigError("need --construct KEY or --field-file PATH")
-    catalog = constructor_catalog()
-    if args.construct not in catalog:
-        raise ConfigError(f"unknown constructor key {args.construct!r}")
-    entry = catalog[args.construct]
-    if entry.manifold_key != args.manifold:
+    entry = constructor_catalog().get(args.construct)
+    if entry is not None and entry.manifold_key != args.manifold:
         raise ConfigError(
             f"constructor {args.construct!r} lives on {entry.manifold_key!r}, "
             f"not {args.manifold!r}"
@@ -93,22 +90,10 @@ def run_verify(args):
             for rec in report.sample_records():
                 fh.write(tio.dumps_report(rec))
     doc = report.to_dict()
+    ok = True
     if entry is not None:
-        doc["expected"] = dict(sorted(entry.expected.items()))
-        mismatches = {
-            k: report.verdicts[k]
-            for k, v in entry.expected.items()
-            if report.verdicts.get(k) != v
-        }
-        doc["matches_expected"] = not mismatches
-        if entry.negative_check:
-            observed = report.max_residuals[entry.negative_check]
-            doc["negative_control"] = {
-                "check": entry.negative_check,
-                "min_residual": entry.min_residual,
-                "observed": observed,
-                "pass": observed >= entry.min_residual,
-            }
+        record, _, ok = entry.judge(report)
+        doc.update(record)
     _write_report(doc, args)
     if not args.json:
         for k in sorted(report.verdicts):
@@ -117,11 +102,6 @@ def run_verify(args):
             v = report.max_residuals[k]
             if v is not None:
                 print(f"residual {k}: {v:.3e}")
-    ok = True
-    if entry is not None:
-        ok = doc.get("matches_expected", True)
-        if entry.negative_check:
-            ok = ok and doc["negative_control"]["pass"]
     print(f"field={field.name} manifold={field.base.key} pass={ok}")
     return 0 if ok else 1
 
@@ -142,8 +122,9 @@ def run_geodesic(args):
     drifts = [row["drift"] for row in rows if row["status"] == "ok"]
     if args.max_drift is not None:
         ok = bool(drifts) and all(d <= args.max_drift for d in drifts)
-    elif entry is not None and (entry.negative_check or not entry.expected.get("killing")):
-        # a control passes when its drift was caught (a NaN drift is not)
+    elif entry is not None and not entry.declared_killing:
+        # a field not declared Killing passes when its drift was caught (a
+        # NaN drift is not)
         ok = any(d > DRIFT_TOL for d in drifts)
     else:
         ok = bool(drifts) and all(d <= DRIFT_TOL for d in drifts)

@@ -620,14 +620,22 @@ def traceless_killing_product(xi, zeta, rng, name=None):
 # constructor registry
 
 
+CONTROL_FLOOR = 1e-3
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One registry row: builder, natural manifold, declared verdicts.
 
-    ``expected`` maps classifier verdict names to booleans; for negative
-    controls ``negative_check`` names the residual that must exceed
-    ``min_residual``.  ``params`` names the parameter keys the builder
-    reads; any other key is a configuration error.
+    ``expected`` maps classifier verdict names to the booleans ``classify``
+    must reproduce.  A ``broken-*`` control names instead the
+    ``negative_check`` whose residual must reach ``min_residual``, the one
+    floor ``CONTROL_FLOOR``; its ``expected`` is that verdict false.
+    ``judge`` is the only place a report is held to an entry, and
+    ``declared_killing`` (``expected["killing"] is True``) the only test of
+    whether the field keeps its first integral along geodesics.
+    ``params`` names the parameter keys the builder reads; any other key
+    is a configuration error.
     """
 
     key: str
@@ -635,9 +643,38 @@ class CatalogEntry:
     build: object
     expected: dict = dc_field(default_factory=dict)
     negative_check: str = ""
-    min_residual: float = 0.0
-    geodesic_killing: bool = False
     params: tuple = ()
+
+    def __post_init__(self):
+        if self.negative_check:
+            object.__setattr__(self, "expected", {self.negative_check: False})
+
+    @property
+    def min_residual(self):
+        return CONTROL_FLOOR if self.negative_check else 0.0
+
+    @property
+    def declared_killing(self):
+        return self.expected.get("killing") is True
+
+    def judge(self, report):
+        """Hold a classify report to this entry.  Returns the ``verify``
+        record (``expected``, ``matches_expected`` and, for a control, its
+        ``negative_control``), the max residuals of the verdicts declared
+        true, and whether the report passed."""
+        matches = all(report.verdicts.get(k) == v for k, v in self.expected.items())
+        record = {"expected": dict(sorted(self.expected.items())),
+                  "matches_expected": matches}
+        passed = matches
+        if self.negative_check:
+            observed = report.max_residuals[self.negative_check]
+            caught = observed >= self.min_residual
+            record["negative_control"] = {"check": self.negative_check, "observed": observed,
+                                          "min_residual": self.min_residual, "pass": caught}
+            passed = matches and caught
+        residuals = [report.max_residuals[k] for k, v in self.expected.items()
+                     if v and k in report.max_residuals]
+        return record, residuals, passed
 
 
 def _rotation_generator(N, i, j):
@@ -795,47 +832,39 @@ def constructor_catalog():
             "metric", "sphere:2", _build_metric,
             expected={"killing": True, "conformal": True, "tracefree": False,
                       "divfree": True, "special_conformal": True},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "sphere-curvature", "sphere:3", _build_sphere_curvature,
             expected={"killing": True, "conformal": True, "tracefree": False},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "sphere-curvature-weyl", "sphere:3", _build_sphere_curvature_weyl,
             expected={"killing": True, "conformal": True, "tracefree": True,
                       "stackel": True, "divfree": True},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "sym-product", "sphere:2", _build_sym_product,
-            expected={"killing": True, "conformal": True},
-            geodesic_killing=True, params=("generators",),
+            expected={"killing": True, "conformal": True}, params=("generators",),
         ),
         CatalogEntry(
             "sym-product-hopf", "sphere:3", _build_sym_product_hopf,
             expected={"killing": True, "conformal": True, "tracefree": True,
                       "stackel": True, "divfree": True},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "sasakian-stackel", "sphere:3", _build_sasakian,
             expected={"killing": True, "conformal": True, "tracefree": True,
                       "stackel": True, "divfree": True},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "killing-form:q=1", "sphere:3",
             lambda base, rng, params=None: _build_killing_form(base, rng, 1),
             expected={"killing": True, "conformal": True},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "killing-form:q=2", "sphere:4",
             lambda base, rng, params=None: _build_killing_form(base, rng, 2),
             expected={"killing": True, "conformal": True},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "special-flat", "euclidean:3", _build_special_flat,
@@ -847,50 +876,30 @@ def constructor_catalog():
             "special-flat-hat", "euclidean:3", _build_special_flat_hat,
             expected={"killing": True, "conformal": True, "tracefree": False,
                       "divfree": False},
-            geodesic_killing=True, params=("k0",),
+            params=("k0",),
         ),
         CatalogEntry(
             "hopf-stackel", "sphere:3", _build_hopf_stackel,
             expected={"killing": True, "conformal": True, "tracefree": True,
                       "stackel": True, "divfree": True},
-            geodesic_killing=True,
         ),
         CatalogEntry(
             "product-ckt", "product:sphere:2,sphere:2", _build_product_ckt,
             expected={"killing": False, "conformal": True, "tracefree": True},
         ),
         # negative controls
-        CatalogEntry(
-            "broken-sphere-curvature", "sphere:3", _build_broken_curvature,
-            expected={"killing": False},
-            negative_check="killing", min_residual=1e-3,
-        ),
-        CatalogEntry(
-            "broken-sym-product", "sphere:2", _build_broken_sym_product,
-            expected={"killing": False},
-            negative_check="killing", min_residual=1e-3,
-        ),
-        CatalogEntry(
-            "broken-killing-form", "sphere:3", _build_broken_killing_form,
-            expected={"killing": False},
-            negative_check="killing", min_residual=1e-3,
-        ),
-        CatalogEntry(
-            "broken-special-hat", "euclidean:3", _build_broken_special_hat,
-            expected={"killing": False},
-            negative_check="killing", min_residual=1e-3, params=("k0",),
-        ),
-        CatalogEntry(
-            "broken-hopf-stackel", "sphere:3", _build_broken_hopf,
-            expected={"killing": False},
-            negative_check="killing", min_residual=1e-3,
-        ),
-        CatalogEntry(
-            "broken-product-ckt", "product:sphere:2,sphere:2",
-            _build_broken_product,
-            expected={"conformal": False},
-            negative_check="conformal", min_residual=1e-3,
-        ),
+        CatalogEntry("broken-sphere-curvature", "sphere:3", _build_broken_curvature,
+                     negative_check="killing"),
+        CatalogEntry("broken-sym-product", "sphere:2", _build_broken_sym_product,
+                     negative_check="killing"),
+        CatalogEntry("broken-killing-form", "sphere:3", _build_broken_killing_form,
+                     negative_check="killing"),
+        CatalogEntry("broken-special-hat", "euclidean:3", _build_broken_special_hat,
+                     negative_check="killing", params=("k0",)),
+        CatalogEntry("broken-hopf-stackel", "sphere:3", _build_broken_hopf,
+                     negative_check="killing"),
+        CatalogEntry("broken-product-ckt", "product:sphere:2,sphere:2", _build_broken_product,
+                     negative_check="conformal"),
     ]
     return {e.key: e for e in entries}
 

@@ -436,18 +436,14 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
         field, _ = build_constructor(key, seed=seed)
         tol = FLAT_TOL if field.base.key.startswith("euclidean") else SPHERE_TOL
         rep = classify(field, samples=samples, tol=tol, seed=seed)
-        if entry.negative_check:
-            val = rep.max_residuals[entry.negative_check]
-            report.add(f"negative-control:{key}", val, entry.min_residual, kind="floor")
+        record, residuals, _ = entry.judge(rep)
+        control = record.get("negative_control")
+        if control:
+            report.add(f"negative-control:{key}", control["observed"],
+                       control["min_residual"], kind="floor")
             continue
-        res = []
-        ok = True
-        for verdict, expected in entry.expected.items():
-            if rep.verdicts[verdict] != expected:
-                ok = False
-            if expected and verdict in rep.max_residuals:
-                res.append(rep.max_residuals[verdict])
-        report.samples(f"classify:{key}", res if ok else [1.0], tol)
+        report.samples(f"classify:{key}", residuals if record["matches_expected"] else [1.0],
+                       tol)
 
         # conformal invariance of the conformal-Killing verdict
         wrapped_base = conformal_rescale(field.base)
@@ -458,7 +454,7 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
             f"conformal-invariance:{key}", 0.0 if agree else 1.0, 0.5
         )
 
-        if entry.geodesic_killing:
+        if entry.declared_killing:
             rng = stable_stream(seed, f"drift:{key}")
             x0, v0 = initial_condition(field.base, rng)
             d = geodesic_drift(field, x0, v0, drift_steps, drift_dt,

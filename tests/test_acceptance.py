@@ -306,7 +306,7 @@ def test_criterion_9_geodesic_first_integrals():
     problems = []
     for key in POSITIVE_KEYS:
         field, entry = build_constructor(key, seed=SEED)
-        if not entry.geodesic_killing:
+        if not entry.declared_killing:
             continue
         x0, v0 = initial_condition(field.base, stable_stream(SEED, f"acc9:{key}"))
         drift = geodesic_drift(field, x0, v0, 10000, 1e-3, check_domain=False)

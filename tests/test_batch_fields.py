@@ -130,7 +130,7 @@ def _initial_condition(base, rng):
 
 
 DRIFT_KEYS = sorted(
-    [k for k, e in constructor_catalog().items() if e.geodesic_killing]
+    [k for k, e in constructor_catalog().items() if e.declared_killing]
     + ["broken-hopf-stackel", "metric@sphere:3", "metric@hyperbolic:3"]
 )
 

@@ -1,6 +1,7 @@
 """Constructor factories and their defining identities."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -448,6 +449,60 @@ def test_registry_coverage():
         assert key in catalog
     with pytest.raises(ConfigError):
         build_constructor("does-not-exist")
+
+
+# the entries declared Killing: each must conserve its first integral
+# along geodesics
+DECLARED_KILLING = [
+    "metric", "sphere-curvature", "sphere-curvature-weyl", "sym-product",
+    "sym-product-hopf", "sasakian-stackel", "killing-form:q=1",
+    "killing-form:q=2", "special-flat-hat", "hopf-stackel",
+]
+
+
+def test_catalog_derives_controls_and_killing_entries():
+    catalog = constructor_catalog()
+    controls = [e for e in catalog.values() if e.negative_check]
+    assert len(controls) == 6
+    for e in controls:
+        assert e.key.startswith("broken-")
+        assert type(e.expected) is dict and e.expected == {e.negative_check: False}
+        assert type(e.min_residual) is float and e.min_residual == 1e-3
+    for e in catalog.values():
+        if not e.negative_check:
+            assert type(e.min_residual) is float and e.min_residual == 0.0
+    assert [k for k, e in catalog.items() if e.declared_killing] == DECLARED_KILLING
+
+
+def test_judge_fails_a_contradicted_verdict_and_an_uncaught_control():
+    catalog = constructor_catalog()
+    report = SimpleNamespace(
+        verdicts={"killing": True, "conformal": True, "tracefree": False},
+        max_residuals={"killing": 1e-12, "conformal": 2e-12, "tracefree": 0.5},
+    )
+    entry = catalog["sphere-curvature"]
+    record, residuals, passed = entry.judge(report)
+    assert record == {"expected": {"conformal": True, "killing": True, "tracefree": False},
+                      "matches_expected": True}
+    assert residuals == [1e-12, 2e-12] and passed is True
+    report.verdicts["tracefree"] = True
+    record, residuals, passed = entry.judge(report)
+    assert record["matches_expected"] is False and passed is False
+
+    control = catalog["broken-hopf-stackel"]
+    for observed, caught in ((5e-4, False), (1e-3, True), (math.nan, False)):
+        report = SimpleNamespace(verdicts={"killing": False},
+                                 max_residuals={"killing": observed})
+        record, residuals, passed = control.judge(report)
+        assert record["matches_expected"] is True and residuals == []
+        assert record["negative_control"]["pass"] is caught and passed is caught
+        assert {k: v for k, v in record["negative_control"].items() if k != "observed"} == {
+            "check": "killing", "min_residual": 1e-3, "pass": caught}
+    # caught by the floor, yet contradicted by its verdict
+    report = SimpleNamespace(verdicts={"killing": True}, max_residuals={"killing": 1.0})
+    record, _, passed = control.judge(report)
+    assert record["negative_control"]["pass"] is True
+    assert record["matches_expected"] is False and passed is False
 
 
 def test_verify_killing_gate():

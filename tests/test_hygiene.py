@@ -34,6 +34,10 @@ Coordinates become arrays only in ``dual`` (``stack``) and in
 of a float seeding: elsewhere no ``np.stack`` takes a bare name (``np.stack(x,
 ...)``) and no ``dtype=object`` array is built from the coordinates ``x``,
 which at such a point would bring back one Python call per entry.
+A catalog entry is judged in one place, ``CatalogEntry.judge`` (and
+``declared_killing`` for the geodesic rule): no module but
+``constructors`` reads ``.expected``, ``.negative_check`` or
+``.min_residual``, so no caller keeps its own copy of the rule.
 """
 
 import ast
@@ -49,6 +53,7 @@ DERIVATIVE_TYPE_NAMES = {"Jet", "Dual"}
 GATE_OWNERS = {"KILLING_CHECK_TOL": "_require", "KILLING_CHECK_SAMPLES": "_check_points"}
 ALGEBRA_KERNELS = ("symtensor.py", "cartan.py")
 COORDINATE_ARRAY_OWNERS = {"dual.py": None, "manifolds.py": "point_array"}
+CATALOG_DECLARATION = {"expected", "negative_check", "min_residual"}
 
 
 def _imported(tree):
@@ -180,6 +185,14 @@ def gate_reads_outside_their_owner(source):
     return sorted(reads - owned)
 
 
+def catalog_declaration_reads(source):
+    """Sorted (name, line) of every read of a catalog entry's declaration:
+    an attribute ``.expected``, ``.negative_check`` or ``.min_residual``."""
+    return sorted({(node.attr, node.lineno) for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and node.attr in CATALOG_DECLARATION})
+
+
 def rhs_off_the_packed_state(source):
     """Sorted lines of every ``geodesic_rhs`` method that takes anything but
     one state argument after ``self``."""
@@ -299,6 +312,12 @@ def test_construction_checks_share_one_gate():
     assert gate_reads_outside_their_owner((SRC / "constructors.py").read_text()) == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "constructors.py"],
+                         ids=lambda p: p.name)
+def test_only_the_catalog_judges_its_entries(path):
+    assert catalog_declaration_reads(path.read_text()) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_geodesic_rhs_takes_one_packed_state(path):
     assert rhs_off_the_packed_state(path.read_text()) == []
@@ -412,6 +431,20 @@ def test_checker_flags_gate_reads_outside_their_owner():
     )
     assert gate_reads_outside_their_owner(source) == [
         ("KILLING_CHECK_SAMPLES", 14), ("KILLING_CHECK_TOL", 8), ("KILLING_CHECK_TOL", 12)]
+
+
+def test_checker_flags_catalog_declaration_reads():
+    source = (
+        "def run(entry, report, doc):\n"
+        "    if entry.negative_check:\n"
+        "        floor = entry.min_residual\n"
+        "    doc['expected'] = dict(sorted(entry.expected.items()))\n"
+        "    expected = doc.get('expected')\n"
+        "    record, _, ok = entry.judge(report)\n"
+        "    return expected if entry.declared_killing else record['negative_control']\n"
+    )
+    assert catalog_declaration_reads(source) == [
+        ("expected", 4), ("min_residual", 3), ("negative_check", 2)]
 
 
 def test_checker_flags_geodesic_rhs_off_the_packed_state():
