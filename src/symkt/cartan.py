@@ -226,15 +226,21 @@ def slot_hooks(S, p):
     return _flat_slots(S).take(slot_contract_array(S.shape[-2], p), axis=-1)
 
 
-def _tracefree_products(S, p):
+def _hooks(S, p):
+    """``slot_hooks(S, p)``; None for degree-0 slots, which have no hooks."""
+    return slot_hooks(S, p) if p else None
+
+
+def _tracefree_products(S, p, hooks):
     """Rows (e_a . S_a)_0 = e_a . S_a - L(e_a -| S_a) / (n + 2p - 2) for
-    trace-free S_a, as ``tracefree_sym_product`` computes them."""
+    trace-free S_a, as ``tracefree_sym_product`` computes them, from the
+    hooks e_a -| S_a that ``_hooks(S, p)`` gathers."""
     n = S.shape[-2]
     rows = slot_products(S, p)
     if p == 0:
         return rows
     c = 1.0 / (n + 2 * (p - 1))
-    return rows - mult_L(_tensor(n, p - 1, slot_hooks(S, p))).scale(c).comps
+    return rows - mult_L(_tensor(n, p - 1, hooks)).scale(c).comps
 
 
 def _rows(S, n):
@@ -245,12 +251,14 @@ def _rows(S, n):
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
     _require_tracefree(_slotwise(T), "pi1")
-    return _pi1(T)
+    return _pi1(T, _hooks(T.comps, T.degree))
 
 
-def _pi1(T):
-    """``pi1`` of a T whose slots the caller has found trace-free."""
-    return _tensor(T.dim, T.degree + 1, slot_sum(_tracefree_products(T.comps, T.degree)))
+def _pi1(T, hooks):
+    """``pi1`` of a T whose slots the caller has found trace-free, from the
+    slot hooks of T."""
+    return _tensor(T.dim, T.degree + 1,
+                   slot_sum(_tracefree_products(T.comps, T.degree, hooks)))
 
 
 def pi1_star(S):
@@ -261,7 +269,12 @@ def pi1_star(S):
 
 def pi2(T):
     """Sum of contractions e_i -| slot_i, degree p-1."""
-    return _tensor(T.dim, T.degree - 1, slot_sum(slot_hooks(T.comps, T.degree)))
+    return _pi2(T, slot_hooks(T.comps, T.degree))
+
+
+def _pi2(T, hooks):
+    """``pi2`` of T from its slot hooks e_i -| slot_i."""
+    return _tensor(T.dim, T.degree - 1, slot_sum(hooks))
 
 
 def pi2_star(S):
@@ -273,7 +286,8 @@ def pi2_star(S):
 def _pi2_star(S):
     """``pi2_star`` of an S the caller has found trace-free."""
     n, p = S.dim, S.degree
-    return _frame(n, p + 1, _tracefree_products(_rows(S.comps, n), p))
+    rows = _rows(S.comps, n)
+    return _frame(n, p + 1, _tracefree_products(rows, p, _hooks(rows, p)))
 
 
 CartanParts = namedtuple("CartanParts", ["P1", "P2", "P3", "pi1", "pi2"])
@@ -293,13 +307,16 @@ def cartan_decompose(T, tol=DEFAULT_TRACE_TOL):
     TraceError
         If some slot of T, or pi2(T), is not trace-free within ``tol``
         (the relative ``trace_residual``).  T is checked once: pi1 and
-        pi2* run unguarded on what the two checks passed.
+        pi2* run unguarded on what the two checks passed.  The slot hooks
+        e_a -| T_a are gathered once, for the trace-free products of pi1
+        and for pi2.
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
     _require_tracefree(_slotwise(T), "cartan_decompose", tol)
-    s1 = _pi1(T)
-    s2 = pi2(T)
+    hooks = slot_hooks(T.comps, p)
+    s1 = _pi1(T, hooks)
+    s2 = _pi2(T, hooks)
     _require_tracefree(s2, "pi2_star", tol)
     P1 = pi1_star(s1).scale(1.0 / (p + 1))
     P2 = _pi2_star(s2).scale(1.0 / pi2_constant(n, p))

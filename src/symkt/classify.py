@@ -5,6 +5,13 @@ parallel fields cannot pass curved-space checks merely by being small.
 The conformal residual uses the trace-free part of dK (equivalently the
 trace-free projection of d applied to the trace-free part of the field,
 which coincides by uniqueness of the standard decomposition).
+
+The B sample points are drawn one by one into one (B, m) float array,
+which the domain check and the seeding of the one batched jet read as
+they are.  Every operand is computed once, and the norms of tensors of
+one shape are taken as one stack: row i of a stacked ``inner`` or
+``frame_inner`` is one matmul over a contiguous row, the dot kernel of
+the call on tensor i alone, so each residual keeps its bits.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, supported_pair
-from .constructors import special_conformal_residual
+from .constructors import _special_conformal_defect
 from .errors import ConfigError, DegreeError, VerificationError
 from .fields import TensorField, _nabla_jet, d_op, delta_op, nabla
 from .multiindex import exchange_array
@@ -87,11 +94,29 @@ class ClassReport:
         return out
 
 
-def _scale(T):
-    """Residual normalizer max(1, |nabla K|) per point; NaN where |nabla K|
-    is not finite."""
-    s = frame_norm(T)
+def _scale(s):
+    """Residual normalizer max(1, |nabla K|) per point from s = |nabla K|;
+    NaN where |nabla K| is not finite."""
     return finite_or_nan(np.maximum(s, 1.0))
+
+
+def _sample_points(base, count, rng):
+    """``count`` points of ``base`` as one (count, m) float array, drawn one
+    after another from ``rng``."""
+    return np.array([base.sample_point(rng) for _ in range(count)])
+
+
+def _norms(tensors):
+    """The norms of named tensors of one shape, all SymTensors or all
+    FrameTensors, by name, taken as one stacked norm whose row for each
+    name is bit for bit the norm of that tensor alone."""
+    A = next(iter(tensors.values()))
+    comps = np.array([t.comps for t in tensors.values()])
+    if isinstance(A, FrameTensor):
+        rows = frame_norm(FrameTensor.from_stacked(A.dim, A.degree, comps))
+    else:
+        rows = norm(SymTensor(A.dim, A.degree, comps))
+    return dict(zip(tensors, rows))
 
 
 def _codazzi_residual(S, n, p):
@@ -131,40 +156,48 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     rng = np.random.default_rng(seed)
     use_parts = p_parts and supported_pair(n, p)
 
-    points = [list(base.sample_point(rng)) for _ in range(samples)]
+    points = _sample_points(base, samples, rng)
     # g is parallel, so nabla K_0 = (nabla K)_0 and d tr K = tr nabla K
     # are read off this one jet instead of re-differentiated; K is the
     # jet's value part
     vals, S = _nabla_jet(field, points)
     K = SymTensor(n, p, vals)
     T = FrameTensor.from_stacked(n, p, S)
-    scale = _scale(T)
     dK = d_op(field, points, T=T)
     deltaK = delta_op(field, points, T=T)
-    res = {k: [] for k in RESIDUAL_KEYS}
-    res["killing"] = norm(dK) / scale
-    res["conformal"] = norm(tracefree_part(dK)) / scale
-    res["tracefree"] = (norm(trace_Lambda(K)) if p >= 2 else 0.0) / scale
-    res["divfree"] = norm(deltaK) / scale
-    res["special_conformal"] = special_conformal_residual(field, points, T=T, deltaK=deltaK)
-    res["codazzi"] = _codazzi_residual(S, n, p) / scale
+    # one stacked norm per shape, each tensor under the residual it gives:
+    # the frame tensors (nabla K itself gives the scale), then dK and
+    # (dK)_0, then delta K and the two-tensor defect
+    frames = {"scale": T, "special_conformal": _special_conformal_defect(T, deltaK)}
     if use_parts:
         T0 = T
         if p >= 2:
             T0 = FrameTensor.from_stacked(n, p, tracefree_part(SymTensor(n, p, S)).comps)
         parts = cartan_decompose(T0)
-        res["p1"] = frame_norm(parts.P1) / scale
-        res["p2"] = frame_norm(parts.P2) / scale
-        res["p3"] = frame_norm(parts.P3) / scale
+        frames.update(p1=parts.P1, p2=parts.P2, p3=parts.P3)
         if p == 2:
-            # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z)
+            # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z),
+            # k = -c2 delta(K0) = c2 pi2(K0)
             c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
-            k_vec = delta_op(field, points, T=T0).scale(-c2)
-            res["special1"] = frame_norm(T0 - pi2_star(k_vec)) / scale
+            frames["special1"] = T0 - pi2_star(parts.pi2.scale(c2))
+    deltas = {"divfree": deltaK}
     if p == 2:
         # d tr K = 2 delta K for Killing 2-tensors
         dtr = SymTensor(n, 1, trace_Lambda(SymTensor(n, p, S)).comps[..., 0])
-        res["two_tensor"] = norm(dtr - deltaK.scale(2.0)) / scale
+        deltas["two_tensor"] = dtr - deltaK.scale(2.0)
+    norms = {**_norms(frames), **_norms({"killing": dK, "conformal": tracefree_part(dK)}),
+             **_norms(deltas)}
+    s = norms.pop("scale")
+    special = norms.pop("special_conformal")
+    scale = _scale(s)
+    res = {k: [] for k in RESIDUAL_KEYS}
+    for key, value in norms.items():
+        res[key] = value / scale
+    # normalized as special_conformal_residual does: by max(1, s), an
+    # infinite s kept where _scale makes it NaN
+    res["special_conformal"] = special / np.maximum(1.0, s)
+    res["tracefree"] = (norm(trace_Lambda(K)) if p >= 2 else 0.0) / scale
+    res["codazzi"] = _codazzi_residual(S, n, p) / scale
     res = {k: np.asarray(v, dtype=float).tolist() for k, v in res.items()}
 
     maxes = {k: worst(v) for k, v in res.items()}
@@ -190,7 +223,7 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
         residuals=res,
         max_residuals=maxes,
         verdicts=verdicts,
-        points=points,
+        points=points.tolist(),
     )
 
 
@@ -223,9 +256,9 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42):
 
         part_field = TensorField(base, deg_i, comps,
                                  name=f"{field.name}[part {i}]")
-        points = [list(base.sample_point(rng)) for _ in range(samples)]
+        points = _sample_points(base, samples, rng)
         T = nabla(part_field, points)
-        scale = _scale(T)
+        scale = _scale(frame_norm(T))
         worst_d = worst(norm(d_op(part_field, points, T=T)) / scale)
         worst_delta = 0.0
         if deg_i >= 1:

@@ -155,9 +155,10 @@ _POSITIVE_FLAGS = ("dt", "drift_dt", "tol")
 
 def _check_numbers(args):
     """Raise ConfigError unless every count is >= 1, every step size and
-    tolerance finite and > 0, and ``--max-drift``, when given, finite and
-    >= 0: a run of zero samples or steps, or a NaN step, would pass
-    every check vacuously."""
+    tolerance finite and > 0, ``--max-drift``, when given, finite and
+    >= 0, and ``--seed`` >= 0: a run of zero samples or steps, or a NaN
+    step, would pass every check vacuously, and numpy's generators refuse
+    a negative seed."""
     def flag(name):
         return "--" + name.replace("_", "-")
 
@@ -172,6 +173,8 @@ def _check_numbers(args):
     value = getattr(args, "max_drift", None)
     if value is not None and not (math.isfinite(value) and value >= 0):
         raise ConfigError(f"--max-drift must be finite and >= 0, got {value}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
 
 
 def build_parser():

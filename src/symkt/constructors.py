@@ -362,16 +362,23 @@ def special_conformal_residual(field, x, T=None, deltaK=None):
     K`` and ``deltaK`` at x may be passed in when the caller already has
     them.
     """
-    n, p = field.base.dim, field.degree
     if T is None:
         T = nabla(field, x)
     if deltaK is None:
         deltaK = delta_op(field, x, T=T)
+    s = frame_norm(T)
+    return frame_norm(_special_conformal_defect(T, deltaK)) / (
+        np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
+
+
+def _special_conformal_defect(T, deltaK):
+    """The frame tensor nabla K - X . k, k = -delta K / (n + p - 1), from
+    ``T = nabla K`` and ``deltaK``: it vanishes for a special conformal
+    Killing tensor."""
+    n, p = T.dim, T.degree
     k = deltaK.scale(-1.0 / (n + p - 1))
     rows = slot_products(_rows(k.comps, n), p - 1)
-    s = frame_norm(T)
-    return frame_norm(T - FrameTensor.from_stacked(n, p, rows)) / (
-        np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
+    return T - FrameTensor.from_stacked(n, p, rows)
 
 
 def nijenhuis(field, x):

@@ -977,17 +977,17 @@ def seed(x):
 
     ``x`` is a point (m scalars, floats or Duals) or a batch of B points
     (a ``(B, m)`` array or nested sequence).  Coordinate i gets gradient
-    row i of the identity: ``(m,)`` at a point, broadcast to ``(m, B)``
-    over a batch, and an object array at a point of Duals, so that the
-    enclosing seeding's Duals multiply it entry by entry.
+    row i of the identity: ``(m,)`` at a point, over a batch the ``(m, B)``
+    row i of one identity broadcast to ``(m, m, B)``, and an object array
+    at a point of Duals, so that the enclosing seeding's Duals multiply it
+    entry by entry.
     """
     tag = next(_tag_counter)
     if np.ndim(x[0]):  # a batch of points
         X = np.asarray(x, dtype=float)
         B, m = X.shape
-        eye = np.eye(m)
-        return [Dual(col, np.broadcast_to(eye[i][:, None], (m, B)), tag)
-                for i, col in enumerate(X.T.copy())]
+        eye = np.broadcast_to(np.eye(m)[:, :, None], (m, m, B))
+        return [Dual(col, eye[i], tag) for i, col in enumerate(X.T.copy())]
     eye = np.eye(len(x))
     if isinstance(x[0], (Dual, Jet)):
         eye = eye.astype(object)
@@ -1015,9 +1015,10 @@ def jacobian(fn, x):
     lead = grad0.shape[1:]  # (B,) at a batch
     if isinstance(ys, DualArray) and ys.tag == tag:
         # read whole; a constant's row is +0.0
-        vals = np.array(ys.val)
+        vals = ys.val
         jac = ys.grad if ys.const is None else np.where(ys._gm(ys.const), 0.0, ys.grad)
-        jac = np.array(jac)
+        if not lead:  # arrays of the caller's own; a batch is copied below
+            return np.array(vals), np.array(jac)
     else:
         vals = np.empty((len(ys),) + lead, dtype=grad0.dtype)
         jac = np.full((len(ys), len(X)) + lead, 0.0, dtype=grad0.dtype)
@@ -1026,9 +1027,9 @@ def jacobian(fn, x):
                 vals[k], jac[k] = y.val, y.grad
             else:
                 vals[k] = y
-    if lead:  # points on the leading axis
-        return (np.ascontiguousarray(vals.T),
-                np.ascontiguousarray(np.moveaxis(jac, (0, 1), (1, 2))))
+    if lead:  # points on the leading axis, in one C-ordered copy each
+        return (np.array(vals.T, order="C"),
+                np.array(np.moveaxis(jac, (0, 1), (1, 2)), order="C"))
     return vals, jac
 
 

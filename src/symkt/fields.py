@@ -270,7 +270,9 @@ def _assemble_first(p, vals, jac, F, gam):
 
 
 def _check_domain(base, x):
-    X = np.asarray(value_of(list(x)), dtype=float)
+    """Raise unless every point of x (a point, a list of points or a (B, m)
+    float array, read as it is) lies in the domain of ``base``."""
+    X = x if isinstance(x, np.ndarray) else np.asarray(value_of(list(x)), dtype=float)
     if not all(base.contains(p) for p in X.reshape(-1, X.shape[-1])):
         raise DomainError(f"point outside the domain of {base.key}")
 

@@ -41,14 +41,15 @@ by the product rule on the same contraction, from one second-order jet of
 the frame and metric; curvature and nabla^2 are assembled from it in
 :mod:`symkt.curvature` and :mod:`symkt.fields`.
 
-Each frame jet is taken once per point, through two one-entry caches.
+Each frame jet is taken once per point, through one-entry caches.
 ``connection_jet`` keeps its last jet at a float point, keyed by the base
 object and the float64 bytes of the point, as read-only arrays: the
 curvature, q(R) and nabla^2 at one point share one hessian.  Each
-backend's ``frame`` keeps its last value at a seeding's Duals, keyed by
-the seeding's tag and the base and hit only by those same Duals: a field
-whose components evaluate the frame and the connection taken in the same
-jacobian (``fields._nabla_jet``) share one frame evaluation.
+backend object keeps the last value of its ``frame`` at a seeding's
+Duals, keyed by the seeding's tag and hit only by those same Duals: a
+field whose components evaluate the frame and the connection taken in
+the same jacobian (``fields._nabla_jet``) share one frame evaluation, and
+a product's frame reuses its factors' frames at their slices.
 
 Sign conventions are pinned by the unit sphere: the curvature operator on
 2-forms is minus the identity there, i.e. R(X,Y,Z,V) = g(X,V)g(Y,Z) -
@@ -174,16 +175,10 @@ def _block_diag(A, B):
     return out
 
 
-# One entry: (seeding tag, base, seeded coordinates, frame) of the last
-# frame evaluated at a seeding's Duals.
-_last_frame = (None, None, (), None)
-
-
 def _remembered_frame(base, x):
-    """The memo's frame if x holds that entry's seeded Duals, by identity."""
-    tag, cached, coords, F = _last_frame
-    if (cached is base and x[0].tag == tag and len(x) == len(coords)
-            and all(u is v for u, v in zip(x, coords))):
+    """The frame ``base`` remembers if x holds its seeded Duals, by identity."""
+    tag, coords, F = getattr(base, "_frame_at_seeding", (None, (), None))
+    if x[0].tag == tag and len(x) == len(coords) and all(u is v for u, v in zip(x, coords)):
         return F
     return None
 
@@ -191,24 +186,24 @@ def _remembered_frame(base, x):
 def _frame_memo(frame):
     """A backend's ``frame`` method, remembering its last value at Duals.
 
-    At a point of Duals the frame is computed once per seeding, base and
-    coordinates: a field's components and the connection of the same
-    jacobian share it (:func:`_seeded_frame`).  A product factor's slice
-    or any other point of the seeding holds other Duals and is computed
-    afresh.  The remembered frame is read-only.  Float and batch points
-    pass through.
+    At a point of Duals the frame is computed once per seeding and
+    coordinates, and kept on the backend object, one entry per backend: a
+    field's components and the connection of the same jacobian share it
+    (:func:`_seeded_frame`), and so does a product's frame with the frames
+    its factors computed at their slices of the same Duals.  Any other
+    point of the seeding holds other Duals and is computed afresh.  The
+    remembered frame is read-only.  Float and batch points pass through.
     """
 
     @functools.wraps(frame)
     def memo_frame(self, x):
-        global _last_frame
         if not isinstance(x[0], Dual):
             return frame(self, x)
         F = _remembered_frame(self, x)
         if F is None:
             F = frame(self, x)
             F.setflags(write=False)
-            _last_frame = (x[0].tag, self, tuple(x), F)
+            self._frame_at_seeding = (x[0].tag, tuple(x), F)
         return F
 
     return memo_frame
@@ -301,7 +296,7 @@ class Chart:
             return np.array([rng.uniform(0.0, b) for b in self.box])
         v = rng.standard_normal(self.dim)
         r = self.radius * rng.uniform(0.05, 0.95) ** (1.0 / self.dim)
-        return v / np.linalg.norm(v) * r
+        return v / math.sqrt(v.dot(v)) * r  # the dot and sqrt of np.linalg.norm
 
     def contains(self, x):
         if self.box is not None:
@@ -378,7 +373,7 @@ class EmbeddedSphere:
 
     def sample_point(self, rng):
         v = rng.standard_normal(self.coord_dim)
-        return v / np.linalg.norm(v) * self.radius
+        return v / math.sqrt(v.dot(v)) * self.radius  # the dot and sqrt of np.linalg.norm
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)

@@ -283,9 +283,10 @@ def _cartan_cases(n, p, trials, seed, report):
             row = FrameTensor.from_stacked(n, p, again[i].comps[i])
             r["orth"].append(frame_norm(row - P) / sT)
 
-        # trace-free part of the symmetrized derivative via the L-shift
+        # trace-free part of the symmetrized derivative via the L-shift;
+        # the divergence of T is -pi2(T)
         dK = SymTensor(n, p + 1, slot_sum(slot_products(T.comps, p)))
-        deltaK = SymTensor(n, p - 1, -slot_sum(slot_hooks(T.comps, p)))
+        deltaK = -s2
         shifted = dK + mult_L(deltaK).scale(1.0 / (n + 2 * p - 2))
         r["dproj"].append(norm(shifted - tracefree_part(dK)) / sT)
 

@@ -11,7 +11,7 @@ without a batch axis.
 import numpy as np
 import pytest
 
-from symkt import suites
+from symkt import cartan, suites
 from symkt.cartan import (
     FrameTensor,
     _rows,
@@ -44,6 +44,7 @@ from symkt.symtensor import (
     contract,
     inner,
     mult_L,
+    norm,
     random_tracefree_tensor,
     sym_product,
     tracefree_part,
@@ -173,6 +174,58 @@ def test_frame_inner_matches_slot_sum(n, p, batch, seed):
             _same(got[b], ref_frame_inner(_at(A, b), _at(B, b)))
 
 
+SPECIALS = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+def _with_specials(data, X):
+    """A copy of the stack X (k, B, ...) with a few (k, B) rows, and a few
+    entries, set to NaN, +-inf or +-0.0."""
+    X = X.copy()
+    rows = X.reshape(X.shape[0] * X.shape[1], -1)  # a view: writes reach X
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows[data.draw(st.integers(0, len(rows) - 1))] = data.draw(SPECIALS)
+    for _ in range(data.draw(st.integers(0, 3))):
+        rows.flat[data.draw(st.integers(0, rows.size - 1))] = data.draw(SPECIALS)
+    return X
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@PROPERTY
+@given(st.data(), st.integers(1, 6), st.sampled_from([1, 2, 5]), st.integers(2, 4),
+       st.integers(0, 3), SEEDS)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_norms_keep_each_rows_bytes(data, k, B, n, p, seed):
+    # classify stacks its same-shape tensors and takes one norm: row i of
+    # the (k, B) result must be the bytes of the call on tensor i alone,
+    # and each of its B points the value of the one-point dot products
+    # (a batch may differ from one point in the sign of a zero or a NaN)
+    rng = np.random.default_rng(seed)
+    size = sym_size(n, p)
+    X, Y = (_with_specials(data, rng.standard_normal((k, B, size))) for _ in range(2))
+    dots, norms = inner(SymTensor(n, p, X), SymTensor(n, p, Y)), norm(SymTensor(n, p, X))
+    for i in range(k):
+        assert _bits(dots[i]) == _bits(inner(SymTensor(n, p, X[i]), SymTensor(n, p, Y[i])))
+        assert _bits(norms[i]) == _bits(norm(SymTensor(n, p, X[i])))
+        for b in range(B):
+            A, C = SymTensor(n, p, X[i, b]), SymTensor(n, p, Y[i, b])
+            assert np.array_equal(dots[i, b], inner(A, C), equal_nan=True)
+            assert np.array_equal(norms[i, b], norm(A), equal_nan=True)
+    X, Y = (_with_specials(data, rng.standard_normal((k, B, n, size))) for _ in range(2))
+    A, C = FrameTensor.from_stacked(n, p, X), FrameTensor.from_stacked(n, p, Y)
+    dots, norms = frame_inner(A, C), frame_norm(A)
+    for i in range(k):
+        assert _bits(dots[i]) == _bits(frame_inner(_at(A, i), _at(C, i)))
+        assert _bits(norms[i]) == _bits(frame_norm(_at(A, i)))
+        for b in range(B):
+            want = ref_frame_inner(_at(_at(A, i), b), _at(_at(C, i), b))
+            assert np.array_equal(dots[i, b], want, equal_nan=True)
+            square = ref_frame_inner(_at(_at(A, i), b), _at(_at(A, i), b))
+            assert np.array_equal(norms[i, b], np.sqrt(max(square, 0.0)), equal_nan=True)
+
+
 def test_mismatched_shapes_raise_shape_mismatch():
     rng = np.random.default_rng(0)
     A = random_frame_tensor(3, 2, rng)
@@ -292,11 +345,14 @@ def test_d_delta_kernels_match_basis_loop(n, p, batch, seed):
     _same(-slot_sum(slot_hooks(T.comps, p)), deltaK.comps)
 
 
-@pytest.mark.parametrize("kernel", ["slot_products", "slot_hooks"])
-def test_slot_kernel_sign_flip_fails_suite(monkeypatch, kernel):
-    # meta-test: a sign error in the d/delta kernels of the Cartan cases
-    original = getattr(suites, kernel)
-    monkeypatch.setattr(suites, kernel, lambda S, p: -original(S, p))
+@pytest.mark.parametrize("module, kernel", [(suites, "slot_products"), (cartan, "_pi2")],
+                         ids=["slot_products", "slot_hooks"])
+def test_slot_kernel_sign_flip_fails_suite(monkeypatch, module, kernel):
+    # meta-test: a sign error in the d/delta kernels of the Cartan cases;
+    # delta K is -pi2(T), the sum of the slot hooks that cartan_decompose
+    # gathers
+    original = getattr(module, kernel)
+    monkeypatch.setattr(module, kernel, lambda *args: -original(*args))
     rep = suites.identity_suite(dims="3..3", degrees="2..2", trials=3, seed=42)
     failed = {c.name for c in rep.cases if not c.passed}
     assert "dprojection-consistency:n=3,p=2" in failed

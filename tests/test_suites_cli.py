@@ -272,6 +272,15 @@ def test_cli_rejects_counts_and_steps_out_of_range(capsys, argv, flag):
     assert err.startswith(f"error: {flag} must be ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["identities"], _VERIFY, _GEODESIC, ["geometry"]],
+                         ids=lambda argv: argv[0])
+def test_cli_rejects_a_negative_seed(capsys, argv):
+    # numpy's generators raise on a negative seed, which used to surface
+    # as a traceback
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
 def test_cli_geodesic(tmp_path):
     out = tmp_path / "g.json"
     code = main(["geodesic", "--manifold", "sphere:3", "--construct",
