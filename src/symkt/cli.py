@@ -49,6 +49,14 @@ def run_identities(args):
     return _print_suite(report, args)
 
 
+def _finite_number(text):
+    """A number of a --params blob, as JSON reads it; NaN, Infinity and a
+    literal that rounds to inf (1e400) raise."""
+    if not math.isfinite(float(text)):
+        raise ValueError(f"number {text} is not finite")
+    return json.loads(text)
+
+
 def _parse_params(args):
     raw = getattr(args, "params", None)
     if not raw:
@@ -56,9 +64,9 @@ def _parse_params(args):
     try:
         if raw.startswith("@"):
             with open(raw[1:]) as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.loads(raw)
+                raw = fh.read()
+        doc = json.loads(raw, parse_float=_finite_number, parse_int=_finite_number,
+                         parse_constant=_finite_number)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad --params blob: {exc}") from exc
     if not isinstance(doc, dict):
@@ -84,6 +92,8 @@ def _load_field(args):
 
 def run_verify(args):
     field, entry = _load_field(args)
+    if field.degree < 1:
+        raise ConfigError(f"verify needs a tensor of degree >= 1, got degree {field.degree}")
     report = classify(field, samples=args.samples, tol=args.tol, seed=args.seed)
     if args.dump_samples:
         with open(args.dump_samples, "w") as fh:

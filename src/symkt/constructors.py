@@ -28,6 +28,7 @@ from .fields import (
     product_field,
     tracefree_part_field,
 )
+from .io import _is_int
 from .manifolds import (
     EmbeddedSphere,
     frame_at,
@@ -722,9 +723,24 @@ def _build_broken_curvature(base, rng, params=None):
     return curvature_to_killing(Rc, base, name="broken-sphere-curvature")
 
 
+def _generators_param(params, N):
+    """The two rotation generators [[i, j], [k, l]] of ``params``: pairs
+    of distinct integers in [0, N)."""
+    gens = (params or {}).get("generators", [[0, 1], [1, 2]])
+
+    def pair(g):
+        return (isinstance(g, list) and len(g) == 2 and g[0] != g[1]
+                and all(_is_int(i) and 0 <= i < N for i in g))
+
+    if not (isinstance(gens, list) and len(gens) == 2 and all(map(pair, gens))):
+        raise ConfigError(
+            f"generators must be two pairs of distinct integers in [0, {N}), got {gens!r}")
+    return gens
+
+
 def _build_sym_product(base, rng, params=None):
     N = base.coord_dim
-    gens = (params or {}).get("generators", [[0, 1], [1, 2]])
+    gens = _generators_param(params, N)
     xi = killing_vector(base, _rotation_generator(N, *gens[0]), name="rot-a")
     zeta = killing_vector(base, _rotation_generator(N, *gens[1]), name="rot-b")
     return sym_product_field(xi, zeta, rng)
@@ -779,9 +795,11 @@ def _build_broken_killing_form(base, rng, params=None):
 
 
 def _build_special_flat(base, rng, params=None):
-    k0 = np.asarray((params or {}).get("k0", [0.4, -0.3, 0.5]), dtype=float)
-    if len(k0) != base.dim:
-        raise ConfigError(f"k0 must have length {base.dim}")
+    # finiteness is checked where --params is read, in ``cli``
+    k0 = (params or {}).get("k0", [0.4, -0.3, 0.5])
+    if not (isinstance(k0, list) and len(k0) == base.dim
+            and all(_is_int(v) or isinstance(v, float) for v in k0)):
+        raise ConfigError(f"k0 must be a list of {base.dim} numbers, got {k0!r}")
     return special_ckt_flat(k0, base)
 
 

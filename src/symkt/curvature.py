@@ -8,10 +8,12 @@ Ricci endomorphism (eigenvalue n-1 on the unit sphere).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .cartan import frame_norm, slot_sum
+from .dual import Dual, Jet
 from .fields import TensorField, _nabla2_jet, d_delta, delta_d, nabla, rough_laplacian
 from .manifolds import connection_jet
 from .multiindex import index_array, multi_indices, replace_array
@@ -85,38 +87,38 @@ def _curvature(jet):
     )
 
 
-# One entry: (connection jet, its RiemannAtPoint) of the last float point.
-_last_riemann = (None, None)
-
-
-def _riemann_of(jet):
-    """The :class:`RiemannAtPoint` of a :class:`ConnectionJet`.
-
-    At a float point the last one is kept, keyed by the identity of the
-    jet ``connection_jet`` keeps there (a new point, base or signed zero
-    gives a new jet), with read-only arrays, so ``riemann`` and
-    ``lichnerowicz_defect`` at one point assemble the curvature once.
-    The entry holds the jet, so its identity is never reused.  Jets at
-    dual points are assembled afresh.
+@lru_cache(maxsize=1)
+def _kept_point(base, key):
+    """The read-only (connection jet, :class:`RiemannAtPoint`) pair at the
+    float point whose float64 bytes are ``key`` (which tell -0.0 from
+    0.0): the last one is kept, so ``riemann``, ``qR_act`` without ``rm``
+    and ``lichnerowicz_defect`` at one point share one frame hessian and
+    one curvature assembly.  ``_kept_point.cache_clear()`` empties it.
     """
-    global _last_riemann
-    if jet.gamma.dtype == object:
-        return RiemannAtPoint.from_R4(_curvature(jet))
-    cached, rm = _last_riemann
-    if cached is not jet:
-        rm = RiemannAtPoint.from_R4(_curvature(jet))
-        rm.R4.flags.writeable = rm.ricci.flags.writeable = False
-        _last_riemann = (jet, rm)
-    return rm
+    jet = connection_jet(base, np.frombuffer(key))
+    rm = RiemannAtPoint.from_R4(_curvature(jet))
+    for a in (*jet, rm.R4, rm.ricci):
+        a.flags.writeable = False
+    return jet, rm
+
+
+def _jet_and_riemann(base, x):
+    """The connection jet at x and its curvature: kept at a float point,
+    assembled afresh at a dual point."""
+    if isinstance(x[0], (Dual, Jet)):
+        jet = connection_jet(base, list(x))
+        return jet, RiemannAtPoint.from_R4(_curvature(jet))
+    return _kept_point(base, np.asarray(x, dtype=float).tobytes())
 
 
 def riemann(base, x):
     """Frame curvature at x, with Ricci and scalar curvature.
 
     At a float point the result is shared with the next call at the same
-    point and base, and its arrays are read-only.
+    point and base (and with ``lichnerowicz_defect`` there), and its
+    arrays are read-only.
     """
-    return _riemann_of(connection_jet(base, x))
+    return _jet_and_riemann(base, x)[1]
 
 
 def qR_act(base, x, K, rm=None):
@@ -163,17 +165,16 @@ def lichnerowicz_defect(field, x):
     """|(delta d - d delta)K - (nabla*nabla - q(R))K| at x, relative.
 
     One connection jet at x serves both ``nabla^2 K`` and the curvature
-    (the jet and curvature ``riemann`` took at x, if it was the last
-    point), and one hessian of the components both ``nabla^2 K`` and the
-    values of K that q(R) acts on.
+    (at a float point, the jet and curvature ``riemann`` keeps there), and
+    one hessian of the components both ``nabla^2 K`` and the values of K
+    that q(R) acts on.
     """
     if field.degree < 1:
         raise ValueError("defect check needs degree >= 1")
-    jet = connection_jet(field.base, list(x))
+    jet, rm = _jet_and_riemann(field.base, x)
     vals, W = _nabla2_jet(field, x, jet)
     lhs = delta_d(field, x, W=W) - d_delta(field, x, W=W)
     rl = rough_laplacian(field, x, W=W)
-    rm = _riemann_of(jet)
     rhs = rl - qR_act(field.base, x, SymTensor(field.base.dim, field.degree, vals), rm=rm)
     scale = max(1.0, norm(rl))
     return norm(lhs - rhs) / scale

@@ -28,7 +28,7 @@ import numpy as np
 from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
 from .dual import concatenate, d_dot, d_exp, hessian, jacobian, value_of
 from .errors import DegreeError, DomainError
-from .manifolds import _frame_connection, _seeded_frame, connection_jet, point_array
+from .manifolds import _frame_connection, connection_jet, point_array
 from .multiindex import multi_indices, sym_size
 from .symtensor import (
     SymTensor,
@@ -295,7 +295,7 @@ def _nabla_jet(field, x):
     def comps_and_frame(y):
         # the components first: if they evaluate the frame, it is remembered
         comps = field.comps_fn(y)
-        return concatenate([comps, _seeded_frame(base, y).ravel()])
+        return concatenate([comps, base.frame(y).ravel()])
 
     vals, jac = jacobian(comps_and_frame, x)
     # contiguous parts, laid out as two jacobians would give them, so the
@@ -341,9 +341,7 @@ def _nabla2_jet(field, x, jet=None):
 def nabla2(field, x):
     """Second covariant derivative: grid W[b][a] = nabla^2_{e_b, e_a} K.
 
-    From one hessian of the components and the connection jet at x, which
-    ``connection_jet`` keeps for the next call at the same float point
-    (``riemann`` there reuses it).
+    From one hessian of the components and one connection jet at x.
     """
     n, p = field.base.dim, field.degree
     W = _nabla2_jet(field, x)[1]

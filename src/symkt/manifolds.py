@@ -41,15 +41,13 @@ by the product rule on the same contraction, from one second-order jet of
 the frame and metric; curvature and nabla^2 are assembled from it in
 :mod:`symkt.curvature` and :mod:`symkt.fields`.
 
-Each frame jet is taken once per point, through one-entry caches.
-``connection_jet`` keeps its last jet at a float point, keyed by the base
-object and the float64 bytes of the point, as read-only arrays: the
-curvature, q(R) and nabla^2 at one point share one hessian.  Each
-backend object keeps the last value of its ``frame`` at a seeding's
-Duals, keyed by the seeding's tag and hit only by those same Duals: a
-field whose components evaluate the frame and the connection taken in
-the same jacobian (``fields._nabla_jet``) share one frame evaluation, and
-a product's frame reuses its factors' frames at their slices.
+Each frame is evaluated once per seeding: each backend object keeps the
+last value of its ``frame`` at a point of Duals, keyed by the identity of
+those Duals, so a field whose components evaluate the frame and the
+connection taken in the same jacobian (``fields._nabla_jet``) share one
+frame evaluation, and a product's frame reuses its factors' frames at
+their slices.  ``connection_jet`` keeps nothing; the connection jet and
+curvature of the last float point are kept in :mod:`symkt.curvature`.
 
 Sign conventions are pinned by the unit sphere: the curvature operator on
 2-forms is minus the identity there, i.e. R(X,Y,Z,V) = g(X,V)g(Y,Z) -
@@ -175,44 +173,32 @@ def _block_diag(A, B):
     return out
 
 
-def _remembered_frame(base, x):
-    """The frame ``base`` remembers if x holds its seeded Duals, by identity."""
-    tag, coords, F = getattr(base, "_frame_at_seeding", (None, (), None))
-    if x[0].tag == tag and len(x) == len(coords) and all(u is v for u, v in zip(x, coords)):
-        return F
-    return None
-
-
 def _frame_memo(frame):
     """A backend's ``frame`` method, remembering its last value at Duals.
 
-    At a point of Duals the frame is computed once per seeding and
-    coordinates, and kept on the backend object, one entry per backend: a
-    field's components and the connection of the same jacobian share it
-    (:func:`_seeded_frame`), and so does a product's frame with the frames
-    its factors computed at their slices of the same Duals.  Any other
-    point of the seeding holds other Duals and is computed afresh.  The
-    remembered frame is read-only.  Float and batch points pass through.
+    At a point of Duals the frame is computed once per coordinates, and
+    kept on the backend object, one entry per backend, keyed by the
+    identity of the Duals (the same Duals are the same seeding; the entry
+    holds them, so an identity is never reused): a field's components and
+    the connection of the same jacobian share it, and so does a product's
+    frame with the frames its factors computed at their slices of the
+    same Duals.  Any other point of the seeding holds other Duals and is
+    computed afresh.  The remembered frame is read-only.  Float and batch
+    points pass through.
     """
 
     @functools.wraps(frame)
     def memo_frame(self, x):
         if not isinstance(x[0], Dual):
             return frame(self, x)
-        F = _remembered_frame(self, x)
-        if F is None:
+        coords, F = getattr(self, "_frame_at_seeding", ((), None))
+        if len(x) != len(coords) or any(u is not v for u, v in zip(x, coords)):
             F = frame(self, x)
             F.setflags(write=False)
-            self._frame_at_seeding = (x[0].tag, tuple(x), F)
+            self._frame_at_seeding = (tuple(x), F)
         return F
 
     return memo_frame
-
-
-def _seeded_frame(base, x):
-    """``base.frame(x)`` at seeded Duals, without a call when it is remembered."""
-    F = _remembered_frame(base, x)
-    return base.frame(x) if F is None else F
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +572,6 @@ class ConnectionJet(NamedTuple):
     dgamma: np.ndarray
 
 
-# One entry: (base, float64 bytes of x, ConnectionJet) of the last float point.
-_last_jet = (None, None, None)
-
-
 def connection_jet(base, x):
     """The :class:`ConnectionJet` at x from one hessian of frame and metric.
 
@@ -597,29 +579,9 @@ def connection_jet(base, x):
     product-rule derivative; the frame's bracket serves both, so the jet
     takes three brackets.  Float arrays at a float point; object arrays
     of Duals at a dual point, so curvature built from the jet can be
-    differentiated once more.
-
-    At a float point the last jet is kept, keyed by the base object and
-    the float64 bytes of x (which tell -0.0 from 0.0), so ``riemann``,
-    ``qR_act`` without ``rm``, ``nabla2`` and ``lichnerowicz_defect`` at
-    one point share one hessian; its arrays are read-only.  Dual points
-    are computed afresh.
+    differentiated once more.  Nothing is kept: ``curvature`` keeps the
+    jet of its last float point.
     """
-    global _last_jet
-    x = list(x)
-    if isinstance(x[0], (Dual, Jet)):
-        return _connection_jet(base, x)
-    key = np.asarray(x, dtype=float).tobytes()
-    cached, cached_key, jet = _last_jet
-    if cached is not base or cached_key != key:
-        jet = _connection_jet(base, x)
-        for a in jet:
-            a.flags.writeable = False
-        _last_jet = (base, key, jet)
-    return jet
-
-
-def _connection_jet(base, x):
     m, n = base.coord_dim, base.dim
     mn = m * n
     vals, grads, hess = hessian(

@@ -325,8 +325,13 @@ def contract(v, K):
 def inner(A, B):
     """Scalar product: (1/p!) times the dot product over all p-tuples.
 
-    Per point for float components with batch axes: a stack of the same
-    dot products, bit for bit.
+    Per point for float components with batch axes: row i of a stack is
+    bit for bit the call on row i alone, and equal by value to the
+    one-point dot product, but the sign of a zero or a NaN may differ
+    (``test_stacked_norms_keep_each_rows_bytes``).  One point keeps the
+    1-D ``.dot``: at n = 4, p = 3 it takes about 0.85 us against 2.8 us
+    for the matmul path (timeit, best of 7 x 50000, one Xeon core), and
+    the identity suite takes many one-point norms.
     """
     A._check_same_shape(B)
     mult = multiplicities(A.dim, A.degree)
@@ -359,13 +364,9 @@ def mult_L(K):
     return sym_product(_l_element(K.dim), K)
 
 
-_L_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _l_element(n):
-    if n not in _L_CACHE:
-        _L_CACHE[n] = SymTensor.metric(n).scale(2.0)
-    return _L_CACHE[n]
+    return SymTensor.metric(n).scale(2.0)
 
 
 def trace_Lambda(K):

@@ -38,6 +38,9 @@ A catalog entry is judged in one place, ``CatalogEntry.judge`` (and
 ``declared_killing`` for the geodesic rule): no module but
 ``constructors`` reads ``.expected``, ``.negative_check`` or
 ``.min_residual``, so no caller keeps its own copy of the rule.
+No module rebinds module state with a ``global`` statement: a value kept
+between calls is a ``functools`` cache (one ``cache_clear`` resets it) or
+lives on the object it belongs to.
 """
 
 import ast
@@ -278,6 +281,12 @@ def coordinate_object_arrays(source, owner=None):
     return sorted(found - owned)
 
 
+def global_statements(source):
+    """Sorted lines of every ``global`` statement, at any depth."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Global))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -328,6 +337,11 @@ def test_geodesic_rhs_takes_one_packed_state(path):
 def test_coordinates_become_arrays_only_in_dual_and_point_array(path):
     owner = COORDINATE_ARRAY_OWNERS.get(path.name)
     assert coordinate_object_arrays(path.read_text(), owner) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_global_statement(path):
+    assert global_statements(path.read_text()) == []
 
 
 @pytest.mark.parametrize("name", ALGEBRA_KERNELS)
@@ -507,3 +521,25 @@ def test_checker_flags_coordinate_object_arrays():
     )
     assert coordinate_object_arrays(source) == [2, 3, 4, 7]
     assert coordinate_object_arrays(source, "point_array") == [2, 3, 4]
+
+
+def test_checker_flags_global_statements():
+    source = (
+        "_last = None\n"
+        "def keep(x):\n"
+        "    global _last\n"
+        "    _last = x\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            global _a, _b\n"
+        "        return inner\n"
+        "def outer():\n"
+        "    n = 0\n"
+        "    def bump():\n"
+        "        nonlocal n\n"
+        "        n += 1\n"
+        "    return bump\n"
+    )
+    # a nonlocal rebinding stays inside its closure and is not flagged
+    assert global_statements(source) == [3, 8]

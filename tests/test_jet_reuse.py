@@ -5,8 +5,9 @@ classifier reads nabla K_0 = (nabla K)_0 and d tr K = tr nabla K off a
 single nabla K, and the Lichnerowicz defect reads all three second-order
 operators off a single nabla^2 K, and q(R) off the same connection jet.
 The connection jet at a float point, and the curvature assembled from
-it, are kept for the next call at the same point, and the frame at a
-seeding's Duals for the next call at the same Duals.  These tests pin the identities on every catalog backend and
+it, are kept in ``curvature`` for the next call at the same point.  Each
+backend keeps its frame at a seeding's Duals for the next call at the
+same Duals.  These tests pin the identities on every catalog backend and
 count the derivative calls.
 """
 
@@ -46,11 +47,10 @@ REL = 1e-12
 
 
 @pytest.fixture(autouse=True)
-def empty_caches(monkeypatch):
-    # call counts must not depend on what earlier tests left in the caches
-    # (a frame remembered on a backend is hit only by its own seeded Duals)
-    monkeypatch.setattr(manifolds, "_last_jet", (None, None, None))
-    monkeypatch.setattr(curvature, "_last_riemann", (None, None))
+def empty_caches():
+    # call counts must not depend on what earlier tests left in the kept
+    # point (a frame remembered on a backend is hit only by its own Duals)
+    curvature._kept_point.cache_clear()
 
 
 def _L_field(field):
@@ -245,17 +245,17 @@ def test_riemann_evaluates_the_frame_once(monkeypatch):
 
 
 def test_nabla_evaluates_the_frame_once(monkeypatch):
-    # at the dual point inside the field; the connection reuses that frame,
-    # whose values also serve as the frame at x
+    # at the dual point inside the field; the connection reuses that frame
+    # through the memo, and its values also serve as the frame at x
     field = build_constructor("hopf-stackel")[0]
-    frame = EmbeddedSphere.frame
+    compute = EmbeddedSphere.frame.__wrapped__  # the frame without its memo
     calls = []
 
     def counted(self, x):
         calls.append(1)
-        return frame(self, x)
+        return compute(self, x)
 
-    monkeypatch.setattr(EmbeddedSphere, "frame", counted)
+    monkeypatch.setattr(EmbeddedSphere, "frame", manifolds._frame_memo(counted))
     nabla(field, field.base.sample_point(np.random.default_rng(6)))
     assert len(calls) == 1
 
@@ -277,24 +277,31 @@ def test_one_point_takes_one_frame_hessian(monkeypatch, key):
 
 
 def test_connection_jet_is_kept_per_base_and_point_bytes(monkeypatch):
+    # kept by curvature, for riemann and the Lichnerowicz defect
     base = manifold_from_key("stereographic:2")
     hessians = _count(monkeypatch, dual, "hessian")
     x = [0.25, 0.0]
-    jet = connection_jet(base, x)
-    assert connection_jet(base, np.array(x)) is jet  # the same float64 bytes
+    jet = curvature._jet_and_riemann(base, x)[0]
+    assert curvature._jet_and_riemann(base, np.array(x))[0] is jet  # the same float64 bytes
     assert len(hessians) == 1
     # a different point, a fresh base of the same key, the other signed zero
     for b, y in [(base, [0.25, 0.125]), (manifold_from_key("stereographic:2"), x),
                  (base, [0.25, -0.0])]:
-        other = connection_jet(b, y)
+        other = curvature._jet_and_riemann(b, y)[0]
         assert other is not jet
         jet = other
     assert len(hessians) == 4
+    info = curvature._kept_point.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+    # connection_jet itself keeps nothing
+    assert connection_jet(base, x) is not connection_jet(base, x)
+    assert len(hessians) == 6
 
 
 def test_connection_jet_arrays_are_read_only():
+    # the jet curvature keeps at a float point
     base = manifold_from_key("sphere:3")
-    jet = connection_jet(base, base.sample_point(np.random.default_rng(13)))
+    jet = curvature._jet_and_riemann(base, base.sample_point(np.random.default_rng(13)))[0]
     for a in jet:
         with pytest.raises(ValueError):
             a.flat[0] = 1.0
@@ -308,8 +315,7 @@ def test_nabla_of_ricci_field_bypasses_the_cache():
     comps = np.ascontiguousarray(nabla(curvature.ricci_field(base), x).comps, dtype=float)
     digest = hashlib.sha256(repr(comps.shape).encode() + comps.tobytes()).hexdigest()
     assert digest[:16] == "756af045756b2425"
-    assert manifolds._last_jet == (None, None, None)
-    assert curvature._last_riemann == (None, None)
+    assert curvature._kept_point.cache_info().currsize == 0
 
 
 def test_riemann_and_the_defect_assemble_the_curvature_once(monkeypatch):
@@ -356,8 +362,8 @@ def test_nabla_of_ricci_field_leaves_the_kept_riemann(monkeypatch):
     comps = np.ascontiguousarray(nabla(curvature.ricci_field(base), x).comps, dtype=float)
     digest = hashlib.sha256(repr(comps.shape).encode() + comps.tobytes()).hexdigest()
     assert digest[:16] == "756af045756b2425"
+    assert curvature.riemann(base, x) is rm
     assert len(calls) == 1
-    assert curvature._last_riemann[1] is rm
 
 
 def test_frame_is_remembered_only_at_the_seeded_duals(monkeypatch):

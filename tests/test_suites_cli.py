@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import symkt.cartan as cartan
 import symkt.io
 import symkt.multiindex
 import symkt.suites as suites
@@ -513,6 +514,56 @@ def test_cli_rejects_unknown_params(capsys):
     assert main(["verify", "--manifold", "sphere:2", "--construct",
                  "sym-product", "--params", '{"generators": [[0, 1], [0, 2]]}',
                  "--samples", "3"]) == 0
+
+
+@pytest.mark.parametrize("key, manifold, params", [
+    ("sym-product", "sphere:2", '{"generators": [[0, 7], [0, 1]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[0]]}'),
+    ("sym-product", "sphere:2", '{"generators": "ab"}'),
+    ("sym-product", "sphere:2", '{"generators": [[0, 1]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[0.5, 1], [1, 2]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[-1, 1], [1, 2]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[0, 0], [1, 2]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[true, 1], [1, 2]]}'),
+    ("special-flat", "euclidean:3", '{"k0": 3}'),
+    ("special-flat", "euclidean:3", '{"k0": ["a", 1, 2]}'),
+    ("special-flat", "euclidean:3", '{"k0": [1e400, 0, 0]}'),
+    ("special-flat", "euclidean:3", '{"k0": [null, 0, 0]}'),
+    ("special-flat", "euclidean:3", '{"k0": [NaN, 0, 0]}'),
+    ("special-flat", "euclidean:3", '{"k0": [1, -Infinity, 0]}'),
+    ("special-flat", "euclidean:3", '{"k0": [1, 2, %s]}' % ("9" * 400)),
+    ("special-flat-hat", "euclidean:3", '{"k0": [true, 0, 0]}'),
+], ids=["generator-out-of-range", "short-pair", "string", "one-pair", "float-index",
+        "negative-index", "equal-indices", "bool-index", "k0-scalar", "k0-string",
+        "k0-overflow", "k0-null", "k0-nan", "k0-inf", "k0-huge-int", "k0-bool"])
+def test_cli_rejects_malformed_constructor_params(capsys, key, manifold, params):
+    # bad configuration: exit 2 with one error line, before any check runs
+    code = main(["verify", "--manifold", manifold, "--construct", key,
+                 "--params", params, "--samples", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_verify_rejects_a_degree_0_field_file(tmp_path, capsys):
+    path = tmp_path / "K.json"
+    dump_tensor(SymTensor(3, 0, [1.5]), path)
+    code = main(["verify", "--manifold", "euclidean:3", "--field-file",
+                 str(path), "--samples", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "degree" in err and err.count("\n") == 1
+
+
+def test_cli_reports_a_check_that_raises_as_failed(monkeypatch, capsys):
+    # a sign-flipped slot kernel makes cartan_decompose raise inside the
+    # suite: the CLI exits 1 with one "check failed:" line
+    original = cartan.slot_hooks
+    monkeypatch.setattr(cartan, "slot_hooks", lambda *args: -original(*args))
+    code = main(["identities", "--dims", "3..3", "--degrees", "2..2", "--trials", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("check failed: ") and err.count("\n") == 1
 
 
 def test_python_m_symkt_runs_from_a_checkout(tmp_path):
