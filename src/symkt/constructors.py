@@ -28,7 +28,7 @@ from .fields import (
     product_field,
     tracefree_part_field,
 )
-from .io import _is_int
+from .io import _is_int, finite_number
 from .manifolds import (
     EmbeddedSphere,
     frame_at,
@@ -795,12 +795,10 @@ def _build_broken_killing_form(base, rng, params=None):
 
 
 def _build_special_flat(base, rng, params=None):
-    # finiteness is checked where --params is read, in ``cli``
     k0 = (params or {}).get("k0", [0.4, -0.3, 0.5])
-    if not (isinstance(k0, list) and len(k0) == base.dim
-            and all(_is_int(v) or isinstance(v, float) for v in k0)):
+    if not (isinstance(k0, list) and len(k0) == base.dim):
         raise ConfigError(f"k0 must be a list of {base.dim} numbers, got {k0!r}")
-    return special_ckt_flat(k0, base)
+    return special_ckt_flat([finite_number(v, "k0 entry") for v in k0], base)
 
 
 def _build_special_flat_hat(base, rng, params=None):

@@ -15,7 +15,8 @@ Anything else raises ConfigError.  ``tensor_from_dict`` decodes NaN and
 infinite values, so a caller can build a non-finite field on purpose (the
 benchmark's fail-closed check does); ``load_tensor``, which reads the
 literal files given on the command line, rejects them.  Round-trips are
-bit-exact for finite floats (shortest-repr JSON floats).
+bit-exact for finite floats (shortest-repr JSON floats).  ``finite_number``
+rejects a non-finite number given to a constructor as a parameter.
 """
 
 import json
@@ -26,7 +27,7 @@ from .multiindex import MAX_DEGREE, index_position, multi_indices
 from .symtensor import SymTensor
 
 __all__ = ["tensor_to_dict", "tensor_from_dict", "dump_tensor", "load_tensor",
-           "dumps_report"]
+           "finite_number", "dumps_report"]
 
 
 def tensor_to_dict(K):
@@ -50,6 +51,18 @@ def _number(value, what):
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def finite_number(value, what):
+    """``value``, an int or a float (not a bool), as a finite float; NaN,
+    an infinity, an int beyond the float range or a non-number raises."""
+    if _is_int(value) or isinstance(value, float):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 def tensor_from_dict(doc, dim=None):

@@ -6,11 +6,14 @@ with one entry per non-decreasing multi-index ``I = (i_1 <= ... <= i_p)``,
 the common entry of the fully symmetric dense array, so looking up an
 arbitrary index tuple means looking up its sorted permutation.
 
-All tables are cached per shape; they are tiny at the sizes this package
-targets (n <= 8, p <= 6 or so).  The product, contraction and trace tables
-are also compiled to read-only integer index arrays (``product_arrays``,
-``contract_array``, ``trace_array``) that the kernels in ``symtensor``
-gather with, in table order; ``index_array`` and ``replace_array`` serve
+All tables are cached per shape.  The kernels in ``symtensor`` gather,
+in table order, with read-only integer index arrays: ``contract_array``
+and ``trace_array`` compile the contraction and trace tables, and
+``product_arrays`` builds the product table in numpy from repeat counts.
+The product table has one entry per pair (a, b) of stored indices of
+degrees p and q, with its multinomial count, ordered by output position
+and then by A position.  ``multiplicities`` reads the orbit sizes off
+the same repeat counts.  ``index_array`` and ``replace_array`` serve
 the derivation action of matrices, ``prefix_arrays`` the slot-by-slot
 change of basis, ``dense_array`` the gather of the full dense array and
 ``exchange_array`` the Codazzi exchange of a slot with a tensor index,
@@ -19,8 +22,8 @@ and ``slot_product_arrays``/``slot_contract_array`` the slot kernels of
 """
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
-from math import comb, factorial
+from itertools import combinations_with_replacement, product
+from math import comb
 
 import numpy as np
 
@@ -66,19 +69,6 @@ def index_position(n, p):
     return {I: k for k, I in enumerate(multi_indices(n, p))}
 
 
-@lru_cache(maxsize=None)
-def multiplicities(n, p):
-    """Orbit sizes p!/prod(repeat counts!) per stored index, as floats."""
-    out = np.empty(sym_size(n, p))
-    for k, I in enumerate(multi_indices(n, p)):
-        m = factorial(p)
-        for i in set(I):
-            m //= factorial(I.count(i))
-        out[k] = float(m)
-    out.flags.writeable = False
-    return out
-
-
 def sorted_insert(I, j):
     """Sorted tuple obtained by inserting index j into sorted tuple I."""
     out = []
@@ -91,31 +81,6 @@ def sorted_insert(I, j):
     if not placed:
         out.append(j)
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def product_table(n, p, q):
-    """Shuffle table for the symmetric product of degrees p and q.
-
-    Entry ``k`` of the returned tuple lists ``(pos_a, pos_b, count)``
-    triples such that the k-th component of the product is
-    ``sum(count * A[pos_a] * B[pos_b])``.  The count records how many of
-    the C(p+q, p) position shuffles of the output index produce the same
-    (sorted A-part, sorted B-part) pair.
-    """
-    posa = index_position(n, p)
-    posb = index_position(n, q)
-    table = []
-    for I in multi_indices(n, p + q):
-        counts = {}
-        for sel in combinations(range(p + q), p):
-            rest = [k for k in range(p + q) if k not in sel]
-            a = tuple(I[k] for k in sel)
-            b = tuple(I[k] for k in rest)
-            key = (posa[a], posb[b])
-            counts[key] = counts.get(key, 0) + 1
-        table.append(tuple((ka, kb, float(c)) for (ka, kb), c in counts.items()))
-    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -145,18 +110,61 @@ def _frozen(values, dtype):
 
 
 @lru_cache(maxsize=None)
+def _binomials(top):
+    """(top + 1, top + 1) table of the binomials C(i, j), as floats."""
+    return _frozen([[comb(i, j) for j in range(top + 1)] for i in range(top + 1)], float)
+
+
+@lru_cache(maxsize=None)
+def _repeat_counts(n, p):
+    """(size, n) repeat counts: entry [k, v] counts the entries equal to v
+    of the k-th stored index."""
+    size = sym_size(n, p)
+    flat = (np.arange(size)[:, None] * n + index_array(n, p)).ravel()
+    return _frozen(np.bincount(flat, minlength=size * n).reshape(size, n), np.intp)
+
+
+@lru_cache(maxsize=None)
+def multiplicities(n, p):
+    """Orbit sizes p!/prod(repeat counts!) per stored index, as floats."""
+    c = _repeat_counts(n, p)
+    # p!/prod_v c(v)! = prod_v C(c(0) + ... + c(v), c(v)): a product of
+    # float integers, exact below 2**53, so for every p <= 18
+    return _frozen(_binomials(p)[c.cumsum(axis=-1), c].prod(axis=-1), float)
+
+
+@lru_cache(maxsize=None)
 def product_arrays(n, p, q):
-    """``product_table(n, p, q)`` flattened in table order.
+    """Flat table of the symmetric product of degrees p and q.
 
     Returns ``(out_pos, pos_a, pos_b, count)``: entry t contributes
-    ``count[t] * A[pos_a[t]] * B[pos_b[t]]`` to output ``out_pos[t]``;
-    ``out_pos`` is non-decreasing.
+    ``count[t] * A[pos_a[t]] * B[pos_b[t]]`` to output ``out_pos[t]``.
+    Each pair (a, b) of stored indices of degrees p and q is one entry,
+    at the position of the merged index I = a + b, with the multinomial
+    count prod_v C(c_I(v), c_a(v)) of the C(p+q, p) position shuffles of
+    I that split it into a and b (c_I(v): entries of I equal to v).
+    Entries are ordered by ``out_pos``, then by ``pos_a``: the order in
+    which ``sym_product`` sums them, so its bits depend on it.
     """
-    rows = [(k, ka, kb, c) for k, row in enumerate(product_table(n, p, q))
-            for ka, kb, c in row]
-    out_pos, pos_a, pos_b, count = zip(*rows)
-    return (_frozen(out_pos, np.intp), _frozen(pos_a, np.intp),
-            _frozen(pos_b, np.intp), _frozen(count, float))
+    m = p + q
+    size_a, size_b = sym_size(n, p), sym_size(n, q)
+    c_a = _repeat_counts(n, p)
+    c = c_a[:, None, :] + _repeat_counts(n, q)  # (size_a, size_b, n), of I
+    # lexicographic rank of I: for each v with k = c(0) + ... + c(v) < m
+    # (so I[k] > v), the sym_size(n - v, m - 1 - k) indices that share
+    # I[:k] and put v at k come before I
+    passed = [[sym_size(n - v, m - 1 - k) for k in range(m)] + [0] for v in range(n)]
+    out = np.asarray(passed, dtype=np.intp)[np.arange(n), c.cumsum(axis=-1)].sum(axis=-1)
+    count = _binomials(m)[c, c_a[:, None, :]].prod(axis=-1)
+    # (out, pos_a) names each pair once: a pair's place in that order is
+    # the number of (out, pos_a) slots taken before its own
+    slot = (out * size_a + np.arange(size_a)[:, None]).ravel()
+    place = np.bincount(slot, minlength=sym_size(n, m) * size_a).cumsum()[slot] - 1
+    pair = np.empty_like(slot)
+    pair[place] = np.arange(slot.size)
+    pos_a, pos_b = np.divmod(pair, size_b)
+    return (_frozen(out.ravel()[pair], np.intp), _frozen(pos_a, np.intp),
+            _frozen(pos_b, np.intp), _frozen(count.ravel()[pair], float))
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,9 @@ former per-output-component ``sum`` loops over the tuple tables; the
 kernels must match them bit for bit, on floats (signed zeros included)
 and on nested dual numbers.  On a ``(B, size)`` batch, with one factor
 batched or both, each row must give the bytes of the kernel on that row.
+``product_table``, the former shuffle-loop builder of the product table,
+is kept verbatim below as the reference that ``product_arrays`` (built
+from index pairs) must flatten entry for entry, in order.
 
 The derivation kernel (``symtensor.derivation``) and the slot gathers
 (``cartan.slot_products``/``slot_hooks``) are pinned the same way against
@@ -15,6 +18,9 @@ the former scalar and basis-vector loops, kept verbatim below: equal
 within 4 eps times max(1, |reference|), as they sum in another order.
 """
 
+from functools import lru_cache
+from itertools import combinations
+from math import factorial, prod
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,8 +47,8 @@ from symkt.multiindex import (
     index_array,
     index_position,
     multi_indices,
+    multiplicities,
     product_arrays,
-    product_table,
     replace_array,
     sorted_insert,
     sym_size,
@@ -64,6 +70,31 @@ from symkt.symtensor import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
+
+
+@lru_cache(maxsize=None)
+def product_table(n, p, q):
+    """Shuffle table for the symmetric product of degrees p and q.
+
+    Entry ``k`` of the returned tuple lists ``(pos_a, pos_b, count)``
+    triples such that the k-th component of the product is
+    ``sum(count * A[pos_a] * B[pos_b])``.  The count records how many of
+    the C(p+q, p) position shuffles of the output index produce the same
+    (sorted A-part, sorted B-part) pair.
+    """
+    posa = index_position(n, p)
+    posb = index_position(n, q)
+    table = []
+    for I in multi_indices(n, p + q):
+        counts = {}
+        for sel in combinations(range(p + q), p):
+            rest = [k for k in range(p + q) if k not in sel]
+            a = tuple(I[k] for k in sel)
+            b = tuple(I[k] for k in rest)
+            key = (posa[a], posb[b])
+            counts[key] = counts.get(key, 0) + 1
+        table.append(tuple((ka, kb, float(c)) for (ka, kb), c in counts.items()))
+    return tuple(table)
 
 
 def ref_sym_product(A, B):
@@ -220,14 +251,33 @@ def test_batched_negative_zeros_sum_like_one_row():
 
 
 def test_compiled_arrays_are_read_only_and_in_table_order():
-    out_pos, pos_a, pos_b, count = product_arrays(3, 2, 1)
-    flat = [(k, ka, kb, c) for k, row in enumerate(product_table(3, 2, 1))
-            for ka, kb, c in row]
-    assert list(zip(out_pos, pos_a, pos_b, count)) == flat
     assert np.array_equal(contract_array(4, 3), np.array(contract_table(4, 3)))
     assert np.array_equal(trace_array(4, 3), np.array(trace_table(4, 3)))
-    for arr in (out_pos, pos_a, pos_b, count, contract_array(4, 3), trace_array(4, 3)):
+    for arr in (*product_arrays(3, 2, 1), contract_array(4, 3), trace_array(4, 3)):
         assert not arr.flags.writeable
+
+
+PRODUCT_SHAPES = [(n, p, q) for n in range(1, 7) for p in range(5) for q in range(5)]
+
+
+@pytest.mark.parametrize("n, p, q", PRODUCT_SHAPES + [(8, 1, 6), (8, 2, 4)])
+def test_product_arrays_flatten_the_shuffle_table(n, p, q):
+    # same entries, order, dtypes and bits as the reference shuffle loop
+    want = [(k, ka, kb, c) for k, row in enumerate(product_table(n, p, q))
+            for ka, kb, c in row]
+    got = product_arrays(n, p, q)
+    assert [a.dtype for a in got] == [np.intp, np.intp, np.intp, float]
+    assert list(zip(*(a.tolist() for a in got))) == want
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_multiplicities_are_the_orbit_sizes(n):
+    for p in range(9):
+        want = [float(factorial(p) // prod(factorial(I.count(i)) for i in set(I)))
+                for I in multi_indices(n, p)]
+        got = multiplicities(n, p)
+        assert got.dtype == float and not got.flags.writeable
+        assert got.tolist() == want
 
 
 def _flatten(x):

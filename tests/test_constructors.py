@@ -451,6 +451,14 @@ def test_registry_coverage():
         build_constructor("does-not-exist")
 
 
+@pytest.mark.parametrize("key", ["special-flat", "special-flat-hat", "broken-special-hat"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_special_flat_rejects_a_non_finite_k0(key, bad):
+    # from Python, not only through --params: no check runs on inf or NaN
+    with pytest.raises(ConfigError, match="finite"):
+        build_constructor(key, params={"k0": [0.4, bad, 0.5]})
+
+
 # the entries declared Killing: each must conserve its first integral
 # along geodesics
 DECLARED_KILLING = [

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import symkt.cartan as cartan
-import symkt.io
 import symkt.multiindex
 import symkt.suites as suites
 from symkt.cli import main
 from symkt.errors import ConfigError
 from symkt.io import dump_tensor, dumps_report
+from symkt.manifolds import MAX_KEY_DIM
+from symkt.multiindex import MAX_DEGREE
 from symkt.suites import identity_suite
 from symkt.symtensor import SymTensor
 
@@ -25,6 +26,13 @@ def test_identity_suite_passes():
     rep = identity_suite(dims="2..4", degrees="0..3", trials=8, seed=42)
     assert rep.passed
     assert rep.max_residual <= 1e-10
+
+
+def test_identity_suite_passes_at_the_caps():
+    # n = 8, p = 6: the largest cell --dims and --degrees accept
+    rep = identity_suite(dims=(MAX_KEY_DIM, MAX_KEY_DIM), degrees=(MAX_DEGREE, MAX_DEGREE),
+                         trials=1, seed=42)
+    assert len(rep.cases) == 12 and rep.passed
 
 
 def test_identity_suite_deterministic():
@@ -211,12 +219,17 @@ def test_cli_oversized_manifold_exit_2(capsys):
 
 
 def _refuse_tables(monkeypatch):
-    """Make any index table built from here on fail the test."""
+    """Make any index table built from here on fail the test: every table
+    starts from ``index_position`` or ``multi_indices``, refused in each
+    ``symkt`` module that imported them."""
     def refuse(n, p):
-        raise AssertionError(f"index_position({n}, {p}) built for a rejected input")
+        raise AssertionError(f"index table ({n}, {p}) built for a rejected input")
 
-    monkeypatch.setattr(symkt.multiindex, "index_position", refuse)
-    monkeypatch.setattr(symkt.io, "index_position", refuse)
+    for name in ("index_position", "multi_indices"):
+        builder = getattr(symkt.multiindex, name)
+        for module in [m for k, m in sys.modules.items() if k.startswith("symkt.")]:
+            if getattr(module, name, None) is builder:
+                monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.mark.parametrize("command", ["verify", "geodesic"])
