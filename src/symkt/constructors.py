@@ -35,7 +35,14 @@ from .manifolds import (
     manifold_from_key,
     point_array,
 )
-from .multiindex import dense_array, index_array, multi_indices
+from .multiindex import (
+    _repeat_counts,
+    dense_array,
+    index_array,
+    multi_indices,
+    positions,
+    sym_size,
+)
 from .obs import finite_or_nan, worst
 from .symtensor import (
     Decomposition,
@@ -563,9 +570,8 @@ def _lift_field(product, which, factor_field):
     off = product.first.dim if which else 0
     m1 = product.first.coord_dim
     coords = slice(m1, None) if which else slice(0, m1)
-    sub_idx = {I: k for k, I in enumerate(multi_indices(factor.dim, p))}
-    gather = np.array([sub_idx.get(tuple(i - off for i in I), len(sub_idx))
-                       for I in multi_indices(product.dim, p)])
+    counts = _repeat_counts(product.dim, p)[:, off:off + factor.dim]
+    gather = np.where(counts.sum(axis=-1) == p, positions(counts), sym_size(factor.dim, p))
 
     def comps(x):
         sub = concatenate([factor_field.comps_fn(list(x[coords])), [0.0]])

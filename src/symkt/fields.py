@@ -29,7 +29,7 @@ from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
 from .dual import concatenate, d_dot, d_exp, hessian, jacobian, value_of
 from .errors import DegreeError, DomainError
 from .manifolds import _frame_connection, connection_jet, point_array
-from .multiindex import multi_indices, sym_size
+from .multiindex import sym_size
 from .symtensor import (
     SymTensor,
     change_basis,
@@ -112,8 +112,7 @@ def constant_field(base, tensor, name="constant"):
 
 
 def metric_field(base, name="metric"):
-    n = base.dim
-    comps = [1.0 if a == b else 0.0 for a, b in multi_indices(n, 2)]
+    comps = SymTensor.metric(base.dim).comps.tolist()
     return TensorField(base, 2, lambda x: list(comps), name=name)
 
 

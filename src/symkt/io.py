@@ -8,9 +8,9 @@ Tensor literals are JSON documents::
 with an integer ``dim`` and ``degree`` (a JSON integer, not a float, a
 string or a boolean; the degree at most ``multiindex.MAX_DEGREE``, and the
 dimension the caller's manifold has, checked before any index table is
-built), 1-based, non-decreasing index tuples of integers and
-numbers (or strings that ``float`` reads) as values; omitted indices are
-zero.
+built), 1-based, non-decreasing index tuples of integers, each listed
+at most once, and numbers (or strings that ``float`` reads) as values;
+omitted indices are zero.
 Anything else raises ConfigError.  ``tensor_from_dict`` decodes NaN and
 infinite values, so a caller can build a non-finite field on purpose (the
 benchmark's fail-closed check does); ``load_tensor``, which reads the
@@ -23,7 +23,7 @@ import json
 import math
 
 from .errors import ConfigError
-from .multiindex import MAX_DEGREE, index_position, multi_indices
+from .multiindex import MAX_DEGREE, multi_indices, positions, sym_size
 from .symtensor import SymTensor
 
 __all__ = ["tensor_to_dict", "tensor_from_dict", "dump_tensor", "load_tensor",
@@ -84,8 +84,8 @@ def tensor_from_dict(doc, dim=None):
         raise ConfigError(f"field file dimension {n} != manifold dimension {dim}")
     if not isinstance(entries, list):
         raise ConfigError(f"tensor literal entries must be a list, got {entries!r}")
-    pos = index_position(n, p)
-    comps = [0.0] * len(pos)
+    comps = [0.0] * sym_size(n, p)
+    listed = set()
     for e in entries:
         if not isinstance(e, dict) or "index" not in e or "value" not in e:
             raise ConfigError(f"tensor literal entry {e!r} needs an index and a value")
@@ -100,7 +100,10 @@ def tensor_from_dict(doc, dim=None):
             raise ConfigError(f"index {index} is not sorted")
         if any(i < 0 or i >= n for i in idx):
             raise ConfigError(f"index {index} out of range for dim {n}")
-        comps[pos[idx]] = value
+        if idx in listed:
+            raise ConfigError(f"index {index} is listed twice")
+        listed.add(idx)
+        comps[positions([idx.count(v) for v in range(n)])] = value
     return SymTensor(n, p, comps)
 
 

@@ -7,38 +7,39 @@ the common entry of the fully symmetric dense array, so looking up an
 arbitrary index tuple means looking up its sorted permutation.
 
 All tables are cached per shape.  The kernels in ``symtensor`` gather,
-in table order, with read-only integer index arrays: ``contract_array``
-and ``trace_array`` compile the contraction and trace tables, and
-``product_arrays`` builds the product table in numpy from repeat counts.
-The product table has one entry per pair (a, b) of stored indices of
-degrees p and q, with its multinomial count, ordered by output position
-and then by A position.  ``multiplicities`` reads the orbit sizes off
-the same repeat counts.  ``index_array`` and ``replace_array`` serve
-the derivation action of matrices, ``prefix_arrays`` the slot-by-slot
-change of basis, ``dense_array`` the gather of the full dense array and
-``exchange_array`` the Codazzi exchange of a slot with a tensor index,
-and ``slot_product_arrays``/``slot_contract_array`` the slot kernels of
-``cartan`` on n stacked slots read as one flat axis.
+in table order, with read-only integer index arrays, each built in numpy
+from repeat counts (how many entries of an index equal each v) and one
+rank, ``positions``, the only inverse of the storage order:
+``contract_array`` ranks J + e_j, ``trace_array`` J + 2 e_j,
+``prefix_arrays`` I - e_last, ``replace_array`` I - e_{I_m}, and
+``product_arrays`` the merged index a + b of each pair of stored indices
+of degrees p and q (with its multinomial count, ordered by output and
+then by A position); ``multiplicities`` reads the orbit sizes off the
+counts.  ``index_array`` and ``replace_array`` serve the derivation
+action of matrices, ``prefix_arrays`` the slot-by-slot change of basis,
+``dense_array`` the gather of the full dense array and ``exchange_array``
+the Codazzi exchange of a slot with a tensor index (both read contraction
+rows), and ``slot_product_arrays``/``slot_contract_array`` the slot
+kernels of ``cartan`` on n stacked slots read as one flat axis.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
 # Largest degree a tensor literal or an identity range may ask for: the
-# tables grow like C(n + p - 1, p), and ``index_position`` holds one entry
-# per multi-index, so a larger degree is refused before any table is built.
+# tables grow like C(n + p - 1, p) and ``dense_array`` like n^p, so a
+# larger degree is refused before any table is built.
 MAX_DEGREE = 6
 
 __all__ = [
     "MAX_DEGREE",
     "sym_size",
     "multi_indices",
-    "index_position",
+    "positions",
     "multiplicities",
-    "sorted_insert",
     "product_arrays",
     "contract_array",
     "trace_array",
@@ -63,46 +64,6 @@ def multi_indices(n, p):
     return tuple(combinations_with_replacement(range(n), p))
 
 
-@lru_cache(maxsize=None)
-def index_position(n, p):
-    """Dict mapping each sorted multi-index to its storage position."""
-    return {I: k for k, I in enumerate(multi_indices(n, p))}
-
-
-def sorted_insert(I, j):
-    """Sorted tuple obtained by inserting index j into sorted tuple I."""
-    out = []
-    placed = False
-    for i in I:
-        if not placed and j <= i:
-            out.append(j)
-            placed = True
-        out.append(i)
-    if not placed:
-        out.append(j)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def contract_table(n, p):
-    """Positions K[sorted(J + (j,))] for each output index J and slot j."""
-    pos = index_position(n, p)
-    table = []
-    for J in multi_indices(n, p - 1):
-        table.append(tuple(pos[sorted_insert(J, j)] for j in range(n)))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def trace_table(n, p):
-    """Positions K[sorted(J + (j, j))] for each output index J and j."""
-    pos = index_position(n, p)
-    table = []
-    for J in multi_indices(n, p - 2):
-        table.append(tuple(pos[sorted_insert(sorted_insert(J, j), j)] for j in range(n)))
-    return tuple(table)
-
-
 def _frozen(values, dtype):
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
@@ -122,6 +83,24 @@ def _repeat_counts(n, p):
     size = sym_size(n, p)
     flat = (np.arange(size)[:, None] * n + index_array(n, p)).ravel()
     return _frozen(np.bincount(flat, minlength=size * n).reshape(size, n), np.intp)
+
+
+@lru_cache(maxsize=None)
+def _passed(n, top):
+    """(n, top + 1) table: entry [v, r] is sym_size(n - v, r - 1), 0 at r = 0."""
+    return _frozen([[0] + [sym_size(n - v, r - 1) for r in range(1, top + 1)]
+                    for v in range(n)], np.intp)
+
+
+def positions(counts):
+    """Storage positions, each among the indices of its own degree, of the
+    multi-indices I with repeat counts ``counts`` (..., n): for each v with
+    r > 0 entries of I above v, the sym_size(n - v, r - 1) indices that
+    share the entries of I up to v and put one more v next come before I."""
+    counts = np.asarray(counts)
+    above = counts.sum(axis=-1, keepdims=True) - counts.cumsum(axis=-1)
+    n = counts.shape[-1]
+    return _passed(n, int(above.max(initial=0)))[np.arange(n), above].sum(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -150,11 +129,7 @@ def product_arrays(n, p, q):
     size_a, size_b = sym_size(n, p), sym_size(n, q)
     c_a = _repeat_counts(n, p)
     c = c_a[:, None, :] + _repeat_counts(n, q)  # (size_a, size_b, n), of I
-    # lexicographic rank of I: for each v with k = c(0) + ... + c(v) < m
-    # (so I[k] > v), the sym_size(n - v, m - 1 - k) indices that share
-    # I[:k] and put v at k come before I
-    passed = [[sym_size(n - v, m - 1 - k) for k in range(m)] + [0] for v in range(n)]
-    out = np.asarray(passed, dtype=np.intp)[np.arange(n), c.cumsum(axis=-1)].sum(axis=-1)
+    out = positions(c)
     count = _binomials(m)[c, c_a[:, None, :]].prod(axis=-1)
     # (out, pos_a) names each pair once: a pair's place in that order is
     # the number of (out, pos_a) slots taken before its own
@@ -169,14 +144,16 @@ def product_arrays(n, p, q):
 
 @lru_cache(maxsize=None)
 def contract_array(n, p):
-    """``contract_table(n, p)`` as a (size_out, n) position matrix."""
-    return _frozen(contract_table(n, p), np.intp)
+    """(size_out, n) positions of J + e_j: row J of degree p - 1, column j."""
+    rows = _repeat_counts(n, p - 1)[:, None, :] + np.eye(n, dtype=np.intp)
+    return _frozen(positions(rows), np.intp)
 
 
 @lru_cache(maxsize=None)
 def trace_array(n, p):
-    """``trace_table(n, p)`` as a (size_out, n) position matrix."""
-    return _frozen(trace_table(n, p), np.intp)
+    """(size_out, n) positions of J + 2 e_j: row J of degree p - 2, column j."""
+    rows = _repeat_counts(n, p - 2)[:, None, :] + 2 * np.eye(n, dtype=np.intp)
+    return _frozen(positions(rows), np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -193,9 +170,9 @@ def prefix_arrays(n, p):
     is the storage position of I[:-1] among the degree p-1 indices and
     ``last[k]`` is I[-1].
     """
-    pos = index_position(n, p - 1)
-    return (_frozen([pos[I[:-1]] for I in multi_indices(n, p)], np.intp),
-            index_array(n, p)[:, -1])
+    last = index_array(n, p)[:, -1]
+    prefix = positions(_repeat_counts(n, p) - np.eye(n, dtype=np.intp)[last])
+    return _frozen(prefix, np.intp), last
 
 
 @lru_cache(maxsize=None)
@@ -208,9 +185,8 @@ def replace_array(n, p):
     """
     if p == 0:
         return _frozen(np.empty((1, 0, n)), np.intp)
-    pos = index_position(n, p - 1)
-    drop = [[pos[I[:m] + I[m + 1:]] for m in range(p)] for I in multi_indices(n, p)]
-    return _frozen(contract_array(n, p)[drop], np.intp)
+    drop = _repeat_counts(n, p)[:, None, :] - np.eye(n, dtype=np.intp)[index_array(n, p)]
+    return _frozen(contract_array(n, p)[positions(drop)], np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -219,11 +195,12 @@ def dense_array(n, p):
 
     Entry [i_1, ..., i_p] is the position of sorted((i_1, ..., i_p)), so
     ``comps[..., dense_array(n, p)]`` is the fully symmetric dense array
-    of packed components, batch axes first.  Degree 0 gives a 0-d array.
+    of packed components, batch axes first.  Degree 0 gives a 0-d array;
+    degree p reads the contraction rows of the degree p-1 entries.
     """
-    pos = index_position(n, p)
-    return _frozen([pos[tuple(sorted(J))] for J in product(range(n), repeat=p)],
-                   np.intp).reshape((n,) * p)
+    if p == 0:
+        return _frozen(0, np.intp)
+    return _frozen(contract_array(n, p)[dense_array(n, p - 1)], np.intp)
 
 
 @lru_cache(maxsize=None)
@@ -233,12 +210,13 @@ def exchange_array(n, p):
     One column per slot pair a < b and degree p-1 index I: ``ia`` is the
     position of sorted((b,) + I) and ``ib`` that of sorted((a,) + I), so
     ``S[..., a, ia] - S[..., b, ib]`` compares S[a][(b,) + I] with
-    S[b][(a,) + I] for stacked slots S (..., n, size).
+    S[b][(a,) + I] for stacked slots S (..., n, size).  For n = 1 there
+    is no pair and the table is (4, 0).
     """
-    pos = index_position(n, p)
-    columns = [(a, pos[sorted_insert(I, b)], b, pos[sorted_insert(I, a)])
-               for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)]
-    return _frozen(list(zip(*columns)), np.intp)
+    a, b = np.triu_indices(n, 1)
+    rows = contract_array(n, p)
+    return _frozen([np.repeat(a, len(rows)), rows[:, b].T.ravel(),
+                    np.repeat(b, len(rows)), rows[:, a].T.ravel()], np.intp)
 
 
 @lru_cache(maxsize=None)

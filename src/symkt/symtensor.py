@@ -46,9 +46,9 @@ from .multiindex import (
     contract_array,
     dense_array,
     index_array,
-    index_position,
     multi_indices,
     multiplicities,
+    positions,
     prefix_arrays,
     product_arrays,
     replace_array,
@@ -229,11 +229,14 @@ class SymTensor:
         return f"SymTensor(dim={self.dim}, degree={self.degree})"
 
     def __getitem__(self, idx):
-        """Entry for an arbitrary index tuple (looked up via its sort)."""
+        """Entry for an arbitrary index tuple (looked up via its sort); an
+        index of the wrong length or out of range (negative too) raises."""
         if isinstance(idx, int):
             idx = (idx,)
-        key = tuple(sorted(idx))
-        return self.comps[..., index_position(self.dim, self.degree)[key]]
+        if len(idx) != self.degree or not all(0 <= i < self.dim for i in idx):
+            raise ShapeMismatchError(
+                f"index {idx} is not a degree-{self.degree} index over dim {self.dim}")
+        return self.comps[..., positions([idx.count(v) for v in range(self.dim)])]
 
     def _check_same_shape(self, other):
         if self.dim != other.dim or self.degree != other.degree:

@@ -10,7 +10,10 @@ and on nested dual numbers.  On a ``(B, size)`` batch, with one factor
 batched or both, each row must give the bytes of the kernel on that row.
 ``product_table``, the former shuffle-loop builder of the product table,
 is kept verbatim below as the reference that ``product_arrays`` (built
-from index pairs) must flatten entry for entry, in order.
+from index pairs) must flatten entry for entry, in order; so are the
+former tuple builders ``index_position``, ``sorted_insert``,
+``contract_table`` and ``trace_table``, the references of every table
+that ``multiindex`` now builds from repeat counts and one rank.
 
 The derivation kernel (``symtensor.derivation``) and the slot gathers
 (``cartan.slot_products``/``slot_hooks``) are pinned the same way against
@@ -19,7 +22,7 @@ within 4 eps times max(1, |reference|), as they sum in another order.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial, prod
 from types import SimpleNamespace
 
@@ -43,17 +46,18 @@ from symkt.dual import Dual, seed, value_of
 from symkt.fields import _assemble_first, d_delta, delta_d
 from symkt.multiindex import (
     contract_array,
-    contract_table,
+    dense_array,
+    exchange_array,
     index_array,
-    index_position,
     multi_indices,
     multiplicities,
+    prefix_arrays,
     product_arrays,
     replace_array,
-    sorted_insert,
+    slot_contract_array,
+    slot_product_arrays,
     sym_size,
     trace_array,
-    trace_table,
 )
 from symkt.symtensor import (
     SymTensor,
@@ -70,6 +74,46 @@ from symkt.symtensor import (
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given, settings = hypothesis.given, hypothesis.settings
+
+
+@lru_cache(maxsize=None)
+def index_position(n, p):
+    """Dict mapping each sorted multi-index to its storage position."""
+    return {I: k for k, I in enumerate(multi_indices(n, p))}
+
+
+def sorted_insert(I, j):
+    """Sorted tuple obtained by inserting index j into sorted tuple I."""
+    out = []
+    placed = False
+    for i in I:
+        if not placed and j <= i:
+            out.append(j)
+            placed = True
+        out.append(i)
+    if not placed:
+        out.append(j)
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def contract_table(n, p):
+    """Positions K[sorted(J + (j,))] for each output index J and slot j."""
+    pos = index_position(n, p)
+    table = []
+    for J in multi_indices(n, p - 1):
+        table.append(tuple(pos[sorted_insert(J, j)] for j in range(n)))
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def trace_table(n, p):
+    """Positions K[sorted(J + (j, j))] for each output index J and j."""
+    pos = index_position(n, p)
+    table = []
+    for J in multi_indices(n, p - 2):
+        table.append(tuple(pos[sorted_insert(sorted_insert(J, j), j)] for j in range(n)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -278,6 +322,67 @@ def test_multiplicities_are_the_orbit_sizes(n):
         got = multiplicities(n, p)
         assert got.dtype == float and not got.flags.writeable
         assert got.tolist() == want
+
+
+def ref_prefix(n, p):
+    pos = index_position(n, p - 1)
+    return [pos[I[:-1]] for I in multi_indices(n, p)], [I[-1] for I in multi_indices(n, p)]
+
+
+def ref_dense(n, p):
+    pos = index_position(n, p)
+    return np.reshape([pos[tuple(sorted(J))] for J in product(range(n), repeat=p)],
+                      (n,) * p)
+
+
+def ref_exchange(n, p):
+    # one column (a, ia, b, ib) per slot pair a < b: none for n = 1, a (4, 0) table
+    pos = index_position(n, p)
+    columns = [(a, pos[sorted_insert(I, b)], b, pos[sorted_insert(I, a)])
+               for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)]
+    return np.reshape(list(zip(*columns)), (4, len(columns)))
+
+
+def same_table(got, want):
+    """A read-only intp array with the shape, order and values of ``want``."""
+    want = np.asarray(want)
+    assert got.dtype == np.intp and not got.flags.writeable
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+
+
+def product_entries(n, p, q):
+    """The shuffle table flattened: (out, pos_a, pos_b, count) per entry."""
+    return [(k, ka, kb, c) for k, row in enumerate(product_table(n, p, q))
+            for ka, kb, c in row]
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n in range(1, 9) for p in range(7)])
+def test_rank_tables_match_the_tuple_loops(n, p):
+    size, up = sym_size(n, p), sym_size(n, p + 1)
+    same_table(replace_array(n, p), np.reshape(ref_replace_table(n, p), (size, p, n)))
+    if n ** p <= 3 * 10**5:
+        same_table(dense_array(n, p), ref_dense(n, p))
+    for q in range(7 - p):
+        got = product_arrays(n, p, q)
+        assert [a.dtype for a in got] == [np.intp, np.intp, np.intp, float]
+        assert not any(a.flags.writeable for a in got)
+        assert list(zip(*(a.tolist() for a in got))) == product_entries(n, p, q)
+    want = product_entries(n, 1, p)
+    take, put, count = slot_product_arrays(n, p)
+    same_table(take, [ka * size + kb for _, ka, kb, _ in want])
+    same_table(put, [ka * up + k for k, ka, _, _ in want])
+    assert count.tolist() == [c for *_, c in want] and not count.flags.writeable
+    if p >= 1:
+        rows = np.reshape(contract_table(n, p), (sym_size(n, p - 1), n))
+        same_table(contract_array(n, p), rows)
+        same_table(slot_contract_array(n, p), np.arange(n)[:, None] * size + rows.T)
+        prefix, last = prefix_arrays(n, p)
+        want_prefix, want_last = ref_prefix(n, p)
+        same_table(prefix, want_prefix)
+        same_table(last, want_last)
+        same_table(exchange_array(n, p), ref_exchange(n, p))
+    if p >= 2:
+        same_table(trace_array(n, p), np.reshape(trace_table(n, p), (sym_size(n, p - 2), n)))
 
 
 def _flatten(x):

@@ -40,7 +40,11 @@ A catalog entry is judged in one place, ``CatalogEntry.judge`` (and
 ``.min_residual``, so no caller keeps its own copy of the rule.
 No module rebinds module state with a ``global`` statement: a value kept
 between calls is a ``functools`` cache (one ``cache_clear`` resets it) or
-lives on the object it belongs to.
+lives on the object it belongs to.  The storage order of packed tensors
+is inverted in one place, ``multiindex.positions``: no other module
+builds a position lookup from ``multi_indices`` (a comprehension over its
+``enumerate``, or its ``.index``), which would be a second copy of the
+order.
 """
 
 import ast
@@ -287,6 +291,30 @@ def global_statements(source):
                   if isinstance(node, ast.Global))
 
 
+def position_lookups(source):
+    """Sorted lines that invert the storage order by hand: a comprehension
+    over ``enumerate`` of ``multi_indices(...)`` (or of a name bound to
+    one), or an ``.index`` on either."""
+    tree = ast.parse(source)
+    bound = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Call) and _called_name(node.value) == "multi_indices"
+             for t in node.targets if isinstance(t, ast.Name)}
+
+    def is_indices(node):
+        return ((isinstance(node, ast.Call) and _called_name(node) == "multi_indices")
+                or (isinstance(node, ast.Name) and node.id in bound))
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            if any(isinstance(g.iter, ast.Call) and _called_name(g.iter) == "enumerate"
+                   and g.iter.args and is_indices(g.iter.args[0]) for g in node.generators):
+                found.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "index" and is_indices(node.value):
+            found.add(node.lineno)
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -342,6 +370,12 @@ def test_coordinates_become_arrays_only_in_dual_and_point_array(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_global_statement(path):
     assert global_statements(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "multiindex.py"],
+                         ids=lambda p: p.name)
+def test_only_multiindex_inverts_the_storage_order(path):
+    assert position_lookups(path.read_text()) == []
 
 
 @pytest.mark.parametrize("name", ALGEBRA_KERNELS)
@@ -543,3 +577,20 @@ def test_checker_flags_global_statements():
     )
     # a nonlocal rebinding stays inside its closure and is not flagged
     assert global_statements(source) == [3, 8]
+
+
+def test_checker_flags_position_lookups():
+    source = (
+        "pos = {I: k for k, I in enumerate(multi_indices(n, p))}\n"
+        "idx = multi_indices(n, 2)\n"
+        "rows = [k for k, I in enumerate(idx) if I[0] == 0]\n"
+        "k = idx.index((0, 1))\n"
+        "j = mi.multi_indices(n, 1).index((0,))\n"
+        "for k, I in enumerate(multi_indices(n, p)):\n"
+        "    out.append(I)\n"
+        "vals = [I[0] for I in idx]\n"
+        "other = {x: k for k, x in enumerate(xs)}\n"
+        "s = text.index('a')\n"
+    )
+    # a forward walk over the indices is not a lookup
+    assert position_lookups(source) == [1, 3, 4, 5]

@@ -53,6 +53,18 @@ def test_one_based_sorted_indices_enforced():
         tensor_from_dict({"dim": 2, "degree": -1, "entries": []})
 
 
+def test_an_index_listed_twice_is_rejected():
+    # the later value does not silently win
+    doc = {"dim": 2, "degree": 2, "entries": [{"index": [1, 1], "value": 1.0},
+                                              {"index": [1, 2], "value": 3.0},
+                                              {"index": [1, 1], "value": 2.0}]}
+    with pytest.raises(ConfigError, match=r"index \[1, 1\] is listed twice"):
+        tensor_from_dict(doc)
+    doc = {"dim": 2, "degree": 0, "entries": [{"index": [], "value": 1.0}] * 2}
+    with pytest.raises(ConfigError, match=r"index \[\] is listed twice"):
+        tensor_from_dict(doc)
+
+
 @pytest.mark.parametrize("field", ["dim", "degree"])
 @pytest.mark.parametrize("value", [2.9, 2.0, "3", True, False, None, [2]])
 def test_dim_and_degree_must_be_integers(field, value):

@@ -47,7 +47,6 @@ from symkt.manifolds import (
 from symkt.multiindex import (
     dense_array,
     exchange_array,
-    index_position,
     multi_indices,
     sym_size,
 )
@@ -230,7 +229,7 @@ def test_dense_array_is_cached_and_read_only():
 
 def ref_exchange_pairs(n, p):
     """The Codazzi pair table as ``classify`` built it on every call."""
-    pos = index_position(n, p)
+    pos = {I: k for k, I in enumerate(multi_indices(n, p))}
     return np.array([
         (a, pos[tuple(sorted((b,) + I))], b, pos[tuple(sorted((a,) + I))])
         for a in range(n) for b in range(a + 1, n) for I in multi_indices(n, p - 1)

@@ -220,12 +220,12 @@ def test_cli_oversized_manifold_exit_2(capsys):
 
 def _refuse_tables(monkeypatch):
     """Make any index table built from here on fail the test: every table
-    starts from ``index_position`` or ``multi_indices``, refused in each
-    ``symkt`` module that imported them."""
-    def refuse(n, p):
-        raise AssertionError(f"index table ({n}, {p}) built for a rejected input")
+    starts from ``multi_indices`` or the rank ``positions``, refused in
+    each ``symkt`` module that imported them."""
+    def refuse(*args):
+        raise AssertionError(f"index table built for a rejected input: {args}")
 
-    for name in ("index_position", "multi_indices"):
+    for name in ("multi_indices", "positions"):
         builder = getattr(symkt.multiindex, name)
         for module in [m for k, m in sys.modules.items() if k.startswith("symkt.")]:
             if getattr(module, name, None) is builder:
@@ -440,6 +440,15 @@ def test_cli_field_file(tmp_path):
     dump_tensor(SymTensor.metric(2), path)
     assert main(["verify", "--manifold", "euclidean:3", "--field-file",
                  str(path), "--samples", "5"]) == 2
+
+
+def test_cli_field_file_listing_an_index_twice_exits_2(tmp_path, capsys):
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps({"dim": 3, "degree": 2, "entries": [
+        {"index": [1, 1], "value": 1.0}, {"index": [1, 1], "value": 2.0}]}))
+    assert main(["verify", "--manifold", "euclidean:3", "--field-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "[1, 1]" in err and err.count("\n") == 1
 
 
 def test_geometry_residual_case_fails_closed_on_nan(monkeypatch):

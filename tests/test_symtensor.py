@@ -150,6 +150,25 @@ def test_product_dimension_mismatch():
         sym_product(SymTensor.basis_vector(2, 0), SymTensor.basis_vector(3, 0))
 
 
+def test_getitem_reads_every_permutation_of_a_stored_index():
+    for n, p in ((1, 3), (3, 0), (3, 2), (4, 3)):
+        K = random_sym_tensor(n, p, rng0)
+        D = K.to_dense()
+        for J in np.ndindex(D.shape):
+            assert K[J] == D[J]
+    batch = SymTensor(3, 1, np.arange(6.0).reshape(2, 3))
+    assert batch[2].tolist() == [2.0, 5.0]
+
+
+def test_getitem_rejects_a_wrong_index():
+    K = random_sym_tensor(3, 2, rng0)
+    for idx in ((0,), (0, 1, 2), (0, 3), (-1, 0), (0, -3), 1):
+        with pytest.raises(ShapeMismatchError):
+            K[idx]
+    with pytest.raises(ShapeMismatchError):
+        SymTensor.scalar(2, 1.0)[(0,)]
+
+
 # ---------------------------------------------------------------------------
 # contraction
 
