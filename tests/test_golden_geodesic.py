@@ -28,6 +28,8 @@ CASES = {
     "stereographic:2": lambda: manifold_from_key("stereographic:2"),
     "product:sphere:2,sphere:2": lambda: manifold_from_key("product:sphere:2,sphere:2"),
     "product:sphere:2,hyperbolic:3": lambda: manifold_from_key("product:sphere:2,hyperbolic:3"),
+    "torus:3": lambda: manifold_from_key("torus:3"),
+    "product:sphere:2,euclidean:2": lambda: manifold_from_key("product:sphere:2,euclidean:2"),
 }
 
 # trajectory: 200 steps of 5e-3; drift: 50 steps of 1e-3 inside the domain;
@@ -79,6 +81,18 @@ GOLDEN = {
     "product:sphere:2,hyperbolic:3/1/trajectory": "186525bd2716833a",
     "product:sphere:2,hyperbolic:3/1/drift": "0x1.188f1eb062c61p-5",
     "product:sphere:2,hyperbolic:3/1/series": "0x1.c78e0f8d0a098p-6 0x1.c78e0f8d07c4fp-6 0x1.c78e0f8d07918p-6",
+    "torus:3/0/trajectory": "82282f863788e1f5",
+    "torus:3/0/drift": "0x1.29b4600901ad3p-6",
+    "torus:3/0/series": "0x1.dc6c53ad5437ap-7 0x1.dc6c53ad53892p-7 0x1.dc6c53ad5381dp-7",
+    "torus:3/1/trajectory": "e0de9f4dc80304a9",
+    "torus:3/1/drift": "0x1.3691813fd42b5p-8",
+    "torus:3/1/series": "0x1.f2a62f189cb57p-9 0x1.f2a62f189d7b5p-9 0x1.f2a62f189c109p-9",
+    "product:sphere:2,euclidean:2/0/trajectory": "23570a004f31aa9e",
+    "product:sphere:2,euclidean:2/0/drift": "0x1.6792075dda454p-7",
+    "product:sphere:2,euclidean:2/0/series": "0x1.1d2529bb96b12p-7 0x1.1d2529bb96b8fp-7 0x1.1d2529bb974d5p-7",
+    "product:sphere:2,euclidean:2/1/trajectory": "4de6d3641fbb246e",
+    "product:sphere:2,euclidean:2/1/drift": "0x1.1d7d8c82d363dp-7",
+    "product:sphere:2,euclidean:2/1/series": "0x1.cea87a403d7cep-8 0x1.cea87a403ce0fp-8 0x1.cea87a403e0cdp-8",
 }
 
 
