@@ -11,7 +11,8 @@ one batched call of the field.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
+from .io import finite_number
 from .manifolds import EmbeddedSphere, ProductManifold
 from .obs import worst
 from .symtensor import SymTensor, poly_eval
@@ -73,8 +74,18 @@ def geodesic_drift(field, x0, v0, steps, dt, check_domain=True):
 
     Returns max_t |F(t) - F(0)| / max(1, |F(0)|), NaN if any value along
     the trajectory is not finite.  Raises DomainError at the first step
-    that leaves the sampling domain of a chart backend.
+    that leaves the sampling domain, as the backend's ``contains`` draws
+    it (a chart's ball, an embedded sphere's surface, each factor of a
+    product), and ConfigError for a negative ``steps`` or a ``dt`` that is
+    not finite and > 0.  With ``steps = 0`` the drift is 0, or NaN when
+    F(0) is not finite.
     """
+    # a negative step count, or a zero or non-finite step, measures
+    # nothing and would read as conserved
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    if not finite_number(dt, "dt") > 0.0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
     base = field.base
     xs, vs = [np.asarray(x0, dtype=float)], [np.asarray(v0, dtype=float)]
     for x, v in rk4_geodesic(base, x0, v0, steps, dt):
@@ -90,7 +101,11 @@ def geodesic_drift(field, x0, v0, steps, dt, check_domain=True):
 
 
 def drift_series(field, x0, v0, steps, dt, halvings=1):
-    """Drift at dt, dt/2, ... (same total time), for order checks."""
+    """Drift at dt, dt/2, ... (same total time), for order checks; a
+    negative ``halvings`` raises ConfigError, as ``geodesic_drift`` does for
+    its ``steps`` and ``dt``."""
+    if halvings < 0:
+        raise ConfigError(f"halvings must be >= 0, got {halvings}")
     out = []
     for k in range(halvings + 1):
         out.append(

@@ -291,10 +291,16 @@ class Chart:
         return math.sqrt(x.dot(x)) <= self.radius * 1.05
 
     def geodesic_rhs(self, y):
-        """(v, -Gamma(v, v)) = (v, |v|^2 grad phi - 2 (grad phi . v) v)."""
+        """(v, -Gamma(v, v)) = (v, |v|^2 grad phi - 2 (grad phi . v) v).
+
+        On a flat chart grad phi is zero (NaN where |x|^2 overflows), so it
+        is its own acceleration and is returned as it is.
+        """
         m = self.coord_dim
         x, v = y[:m], y[m:]
         p = self.log_gradient(x)
+        if self.kappa == 0:
+            return np.concatenate((v, p))
         return np.concatenate((v, float(v.dot(v)) * p - (2.0 * float(p.dot(v))) * v))
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symkt.constructors import build_constructor
-from symkt.errors import DomainError
+from symkt.errors import ConfigError, DomainError
 from symkt.fields import TensorField, metric_field
 from symkt.constructors import stable_stream
 from symkt.geodesic import drift_series, geodesic_drift, initial_condition, rk4_geodesic
@@ -176,3 +176,23 @@ def test_drift_is_nan_when_the_first_integral_is_nan_at_the_start(steps):
     field = TensorField(eu, 2, comps, name="nan-before-0.2005")
     d = geodesic_drift(field, [0.2, 0.0, 0.0], [1.0, 0.0, 0.0], steps, 1e-3)
     assert np.isnan(d)
+
+
+@pytest.mark.parametrize("steps, dt", [(50, 0.0), (50, -1e-3), (50, float("nan")),
+                                       (50, float("inf")), (-5, 1e-3)])
+def test_drift_refuses_a_run_that_measures_nothing(steps, dt):
+    # unchecked, dt 0 and steps -5 read a drift of 0.0 from this start
+    # (2.7e-3 over 50 steps of 1e-3), and an infinite dt read NaN
+    field, _ = build_constructor("broken-hopf-stackel")
+    x0, v0 = tangent_ic(field.base, np.random.default_rng(9))
+    with pytest.raises(ConfigError):
+        geodesic_drift(field, x0, v0, steps, dt, check_domain=False)
+    with pytest.raises(ConfigError):
+        drift_series(field, x0, v0, steps, dt)
+
+
+def test_drift_series_refuses_negative_halvings():
+    field, _ = build_constructor("broken-hopf-stackel")
+    x0, v0 = tangent_ic(field.base, np.random.default_rng(9))
+    with pytest.raises(ConfigError, match="halvings"):
+        drift_series(field, x0, v0, 20, 1e-3, halvings=-1)

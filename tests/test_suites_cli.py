@@ -350,6 +350,20 @@ def test_cli_geodesic_fails_when_no_trajectory_was_measured(tmp_path, capsys):
     assert capsys.readouterr().out.endswith("pass=False\n")
 
 
+def test_cli_geodesic_fails_on_a_flat_chart_whose_log_gradient_overflows(tmp_path):
+    # steps of 1e300 overflow |x|^2 on the torus: grad phi, the flat
+    # acceleration, is NaN there, so the drift is NaN and fails, where a
+    # bare zero acceleration would read drift 0 and pass
+    path, out = tmp_path / "g.json", tmp_path / "out.json"
+    dump_tensor(SymTensor.metric(3), path)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code = main(["geodesic", "--manifold", "torus:3", "--field-file", str(path),
+                     "--steps", "10", "--dt", "1e300", "--json", str(out)])
+    assert code == 1
+    rows = json.loads(out.read_text())["trajectories"]
+    assert rows and all(r["status"] == "ok" and r["drift"] == "NaN" for r in rows)
+
+
 def test_cli_geodesic_on_a_product_of_spheres(tmp_path):
     # the velocity is tangent to both sphere factors, so no trajectory
     # leaves the product's domain
