@@ -163,8 +163,8 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     vals, S = _nabla_jet(field, points)
     K = SymTensor(n, p, vals)
     T = FrameTensor.from_stacked(n, p, S)
-    dK = d_op(field, points, T=T)
-    deltaK = delta_op(field, points, T=T)
+    dK = d_op(T)
+    deltaK = delta_op(T)
     # one stacked norm per shape, each tensor under the residual it gives:
     # the frame tensors (nabla K itself gives the scale), then dK and
     # (dK)_0, then delta K and the two-tensor defect
@@ -259,10 +259,10 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42):
         points = _sample_points(base, samples, rng)
         T = nabla(part_field, points)
         scale = _scale(frame_norm(T))
-        worst_d = worst(norm(d_op(part_field, points, T=T)) / scale)
+        worst_d = worst(norm(d_op(T)) / scale)
         worst_delta = 0.0
         if deg_i >= 1:
-            worst_delta = worst(norm(delta_op(part_field, points, T=T)) / scale)
+            worst_delta = worst(norm(delta_op(T)) / scale)
         out[i] = {
             "degree": deg_i,
             "d": worst_d,

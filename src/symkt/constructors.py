@@ -213,7 +213,7 @@ def verify_killing(field, rng):
     """
     points = _check_points(field.base, rng)
     T = nabla(field, points)
-    return _require(norm(d_op(field, points, T=T)) / np.maximum(1.0, frame_norm(T)),
+    return _require(norm(d_op(T)) / np.maximum(1.0, frame_norm(T)),
                     "field is not Killing")
 
 
@@ -363,19 +363,14 @@ def special_to_killing(field, rng):
     return TensorField(field.base, p, comps, name=f"hat({field.name})")
 
 
-def special_conformal_residual(field, x, T=None, deltaK=None):
+def special_conformal_residual(field, x):
     """|nabla K - X . k| with k = -delta K / (n + p - 1), relative.
 
-    A float at a point; a (B,) array at a batch of B points.  ``T = nabla
-    K`` and ``deltaK`` at x may be passed in when the caller already has
-    them.
+    A float at a point; a (B,) array at a batch of B points.
     """
-    if T is None:
-        T = nabla(field, x)
-    if deltaK is None:
-        deltaK = delta_op(field, x, T=T)
+    T = nabla(field, x)
     s = frame_norm(T)
-    return frame_norm(_special_conformal_defect(T, deltaK)) / (
+    return frame_norm(_special_conformal_defect(T, delta_op(T))) / (
         np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 

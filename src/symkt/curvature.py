@@ -12,8 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import frame_norm, slot_sum
+from .cartan import FrameTensor, frame_norm, slot_sum
 from .dual import Dual, Jet
+from .errors import DegreeError
 from .fields import TensorField, _nabla2_jet, d_delta, delta_d, nabla, rough_laplacian
 from .manifolds import connection_jet
 from .multiindex import index_array, multi_indices, replace_array
@@ -91,9 +92,10 @@ def _curvature(jet):
 def _kept_point(base, key):
     """The read-only (connection jet, :class:`RiemannAtPoint`) pair at the
     float point whose float64 bytes are ``key`` (which tell -0.0 from
-    0.0): the last one is kept, so ``riemann``, ``qR_act`` without ``rm``
-    and ``lichnerowicz_defect`` at one point share one frame hessian and
-    one curvature assembly.  ``_kept_point.cache_clear()`` empties it.
+    0.0): the last one is kept, so ``riemann``, ``qrh_check``, ``qR_act``
+    without ``rm`` and ``lichnerowicz_defect`` at one point share one
+    frame hessian and one curvature assembly.  ``_kept_point.cache_clear()``
+    empties it.
     """
     jet = connection_jet(base, np.frombuffer(key))
     rm = RiemannAtPoint.from_R4(_curvature(jet))
@@ -139,7 +141,7 @@ def qR_act(base, x, K, rm=None):
     return SymTensor(n, p, out)
 
 
-def qrh_check(base, x, h, rm=None):
+def qrh_check(base, x, h):
     """Residual of q(R) = 2 R_ring - Ric on a degree-2 tensor h.
 
     R_ring is the classical curvature action (R_ring h)(X,Y) =
@@ -147,10 +149,9 @@ def qrh_check(base, x, h, rm=None):
     Ric(h)(X,Y) = -h(Ric X, Y) - h(X, Ric Y).
     """
     if h.degree != 2:
-        raise ValueError("qrh_check needs a degree-2 tensor")
+        raise DegreeError("qrh_check needs a degree-2 tensor")
     n = base.dim
-    if rm is None:
-        rm = riemann(base, x)
+    rm = riemann(base, x)
     R, ric = rm.R4, rm.ricci
     hm = h.to_dense()
     ring = np.einsum("aibl,li->ab", R, hm)
@@ -170,12 +171,14 @@ def lichnerowicz_defect(field, x):
     that q(R) acts on.
     """
     if field.degree < 1:
-        raise ValueError("defect check needs degree >= 1")
+        raise DegreeError("defect check needs degree >= 1")
+    n, p = field.base.dim, field.degree
     jet, rm = _jet_and_riemann(field.base, x)
-    vals, W = _nabla2_jet(field, x, jet)
-    lhs = delta_d(field, x, W=W) - d_delta(field, x, W=W)
-    rl = rough_laplacian(field, x, W=W)
-    rhs = rl - qR_act(field.base, x, SymTensor(field.base.dim, field.degree, vals), rm=rm)
+    vals, grid = _nabla2_jet(field, x, jet)
+    W = FrameTensor.from_stacked(n, p, grid)
+    lhs = delta_d(W) - d_delta(W)
+    rl = rough_laplacian(W)
+    rhs = rl - qR_act(field.base, x, SymTensor(n, p, vals), rm=rm)
     scale = max(1.0, norm(rl))
     return norm(lhs - rhs) / scale
 

@@ -21,6 +21,12 @@ second covariant derivative nabla^2_{e_b, e_a} K used by the rough
 Laplacian and the Weitzenboeck-type checks, assembled from one hessian of
 the components and the connection jet of
 :func:`~symkt.manifolds.connection_jet`.
+
+Each differential operator reads only the derivative it is built from:
+``d_op``, ``delta_op`` and ``d0_op`` take ``T = nabla(field, x)``, and
+``rough_laplacian``, ``delta_d`` and ``d_delta`` take ``W = nabla2(field,
+x)``.  Degree and dimension come from that derivative, so no operator can
+be handed one field's derivative and another field's degree.
 """
 
 import numpy as np
@@ -338,76 +344,61 @@ def _nabla2_jet(field, x, jet=None):
 
 
 def nabla2(field, x):
-    """Second covariant derivative: grid W[b][a] = nabla^2_{e_b, e_a} K.
+    """Second covariant derivative W at x, a read-only FrameTensor.
 
-    From one hessian of the components and one connection jet at x.
+    ``W.comps`` is the ``(n, n, size)`` array whose row b is the frame
+    tensor nabla_{e_b}(nabla K): ``W.comps[b, a]`` holds nabla^2_{e_b, e_a}
+    K.  Its leading axis is the direction b, not a batch of points; x is
+    one point.  From one hessian of the components and one connection jet
+    at x.
     """
-    n, p = field.base.dim, field.degree
-    W = _nabla2_jet(field, x)[1]
-    return [[SymTensor(n, p, W[b, a]) for a in range(n)] for b in range(n)]
+    return FrameTensor.from_stacked(field.base.dim, field.degree, _nabla2_jet(field, x)[1])
 
 
-def d_op(field, x, T=None):
-    """Symmetrized covariant derivative: sum_a e_a . nabla_{e_a} K.
-
-    Pass a precomputed ``nabla(field, x)`` as ``T`` to avoid recomputing.
-    """
-    if T is None:
-        T = nabla(field, x)
+def d_op(T):
+    """Symmetrized covariant derivative: sum_a e_a . nabla_{e_a} K, from
+    ``T = nabla(field, x)`` (a point or a batch)."""
     return SymTensor(T.dim, T.degree + 1, slot_sum(slot_products(T.comps, T.degree)))
 
 
-def delta_op(field, x, T=None):
-    """Divergence: - sum_a e_a -| nabla_{e_a} K (degree p >= 1)."""
-    if field.degree < 1:
+def delta_op(T):
+    """Divergence: - sum_a e_a -| nabla_{e_a} K (degree p >= 1), from
+    ``T = nabla(field, x)``."""
+    if T.degree < 1:
         raise DegreeError("divergence needs degree >= 1")
-    if T is None:
-        T = nabla(field, x)
     return SymTensor(T.dim, T.degree - 1, -slot_sum(slot_hooks(T.comps, T.degree)))
 
 
-def d0_op(field, x, T=None):
-    """Trace-free part of d K for a trace-free field.
+def d0_op(T):
+    """Trace-free part of d K for a trace-free field, from ``T = nabla(field, x)``.
 
     Uses (dK)_0 = dK + L(delta K)/(n + 2p - 2); the field must be
     pointwise trace-free for this to be the projection.
     """
-    n, p = field.base.dim, field.degree
-    if T is None:
-        T = nabla(field, x)
-    dK = d_op(field, x, T=T)
+    n, p = T.dim, T.degree
+    dK = d_op(T)
     if p == 0:
         return dK
-    return dK + mult_L(delta_op(field, x, T=T)).scale(1.0 / (n + 2 * p - 2))
+    return dK + mult_L(delta_op(T)).scale(1.0 / (n + 2 * p - 2))
 
 
-def _grid(W):
-    """The (n, n, size) array of a ``nabla2`` grid (an array passes as is)."""
-    if isinstance(W, np.ndarray):
-        return W
-    return np.stack([np.stack([s.comps for s in row]) for row in W])
+def rough_laplacian(W):
+    """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K, from ``W = nabla2(field, x)``."""
+    n = W.dim
+    return SymTensor(n, W.degree, -slot_sum(W.comps[np.arange(n), np.arange(n)]))
 
 
-def rough_laplacian(field, x, W=None):
-    """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K from ``W = nabla2``."""
-    W = nabla2(field, x) if W is None else W
-    n = field.base.dim
-    return SymTensor(n, field.degree, -slot_sum(_grid(W)[np.arange(n), np.arange(n)]))
+def delta_d(W):
+    """delta d K, from ``W = nabla2(field, x)``."""
+    p = W.degree
+    dW = slot_sum(slot_products(W.comps, p))  # row b: sum_a e_a . W[b][a]
+    return SymTensor(W.dim, p, -slot_sum(slot_hooks(dW, p + 1)))
 
 
-def delta_d(field, x, W=None):
-    """delta d K assembled from the second covariant derivative ``W``."""
-    W = nabla2(field, x) if W is None else W
-    p = field.degree
-    dW = slot_sum(slot_products(_grid(W), p))  # row b: sum_a e_a . W[b][a]
-    return SymTensor(field.base.dim, p, -slot_sum(slot_hooks(dW, p + 1)))
-
-
-def d_delta(field, x, W=None):
-    """d delta K assembled from the second covariant derivative ``W``."""
-    if field.degree < 1:
+def d_delta(W):
+    """d delta K (degree p >= 1), from ``W = nabla2(field, x)``."""
+    p = W.degree
+    if p < 1:
         raise DegreeError("d delta needs degree >= 1")
-    W = nabla2(field, x) if W is None else W
-    p = field.degree
-    hW = slot_sum(slot_hooks(_grid(W), p))  # row b: sum_a e_a -| W[b][a]
-    return SymTensor(field.base.dim, p, -slot_sum(slot_products(hW, p - 1)))
+    hW = slot_sum(slot_hooks(W.comps, p))  # row b: sum_a e_a -| W[b][a]
+    return SymTensor(W.dim, p, -slot_sum(slot_products(hW, p - 1)))

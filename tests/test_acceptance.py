@@ -212,7 +212,7 @@ def test_criterion_6_identity_checks(classified_controls):
     residuals = []
     for _ in range(20):
         x = sp.sample_point(rng)
-        residuals.append(norm(delta_op(h, x) - d_op(fdot, x)))
+        residuals.append(norm(delta_op(nabla(h, x)) - d_op(nabla(fdot, x))))
     worst = obs.worst(residuals)
     if not worst <= 1e-9:
         problems.append(f"killing-pair divergence {worst:.1e}")
@@ -244,7 +244,7 @@ def test_criterion_6_identity_checks(classified_controls):
         x = hopf.base.sample_point(rng)
         T = nabla(Lf, x)
         s = max(1.0, frame_norm(T))
-        residuals += [norm(d_op(Lf, x, T=T)) / s, norm(delta_op(Lf, x, T=T)) / s]
+        residuals += [norm(d_op(T)) / s, norm(delta_op(T)) / s]
     worst = obs.worst(residuals)
     if not worst <= 1e-9:
         problems.append(f"L-preservation {worst:.1e}")

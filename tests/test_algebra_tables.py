@@ -24,7 +24,6 @@ within 4 eps times max(1, |reference|), as they sum in another order.
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, prod
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -742,11 +741,12 @@ def test_slot_gathers_match_basis_vector_loops(shape):
 @given(SHAPES)
 def test_second_order_gathers_match_loops(shape):
     n, p, s = shape
-    W = [_frame(n, p, s + b).slots for b in range(n)]
-    field = SimpleNamespace(degree=p, base=SimpleNamespace(dim=n))
-    close(delta_d(field, None, W=W), ref_delta_d(n, p, W))
+    rows = [_frame(n, p, s + b) for b in range(n)]
+    W = FrameTensor.from_stacked(n, p, np.stack([T.comps for T in rows]))
+    grid = [T.slots for T in rows]
+    close(delta_d(W), ref_delta_d(n, p, grid))
     if p >= 1:
-        close(d_delta(field, None, W=W), ref_d_delta(n, p, W))
+        close(d_delta(W), ref_d_delta(n, p, grid))
 
 
 @PROPERTY

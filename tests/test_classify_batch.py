@@ -65,13 +65,13 @@ def _reference(field, samples, tol, seed):
         s = frame_norm(T)
         scale = max(1.0, s) if math.isfinite(s) else math.nan
         K = field(x)
-        dK = d_op(field, x, T=T)
-        deltaK = delta_op(field, x, T=T)
+        dK = d_op(T)
+        deltaK = delta_op(T)
         res["killing"].append(norm(dK) / scale)
         res["conformal"].append(norm(tracefree_part(dK)) / scale)
         res["tracefree"].append((norm(trace_Lambda(K)) if p >= 2 else 0.0) / scale)
         res["divfree"].append(norm(deltaK) / scale)
-        res["special_conformal"].append(special_conformal_residual(field, x, T=T, deltaK=deltaK))
+        res["special_conformal"].append(special_conformal_residual(field, x))
         diffs = [value_of(T.slots[a][(b,) + I]) - value_of(T.slots[b][(a,) + I])
                  for a in range(n) for b in range(a + 1, n)
                  for I in multi_indices(n, p - 1)]
@@ -84,7 +84,7 @@ def _reference(field, samples, tol, seed):
             res["p3"].append(frame_norm(parts.P3) / scale)
             if p == 2:
                 c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
-                k_vec = delta_op(field, x, T=T0).scale(-c2)
+                k_vec = delta_op(T0).scale(-c2)
                 res["special1"].append(frame_norm(T0 - pi2_star(k_vec)) / scale)
         if p == 2:
             dtr = SymTensor(n, 1, [trace_Lambda(s).comps[0] for s in T.slots])

@@ -52,7 +52,7 @@ def killing_residual(field, samples=5, seed=0):
     for _ in range(samples):
         x = field.base.sample_point(rng)
         T = nabla(field, x)
-        worst = max(worst, norm(d_op(field, x, T=T)) / max(1.0, frame_norm(T)))
+        worst = max(worst, norm(d_op(T)) / max(1.0, frame_norm(T)))
     return worst
 
 
@@ -169,8 +169,8 @@ def test_sym_product_field_killing_and_delta_identity():
     rng = np.random.default_rng(17)
     for _ in range(5):
         x = sp.sample_point(rng)
-        lhs = delta_op(h, x)
-        rhs = d_op(fdot, x)
+        lhs = delta_op(nabla(h, x))
+        rhs = d_op(nabla(fdot, x))
         assert norm(lhs - rhs) <= 1e-9
 
 
@@ -208,7 +208,7 @@ def test_hopf_pair_tensor_is_stackel():
         assert abs(trace_Lambda(field(x)).comps[0]) <= 1e-13
     assert killing_residual(field) <= 1e-10
     dres = max(
-        norm(delta_op(field, field.base.sample_point(rng))) for _ in range(5)
+        norm(delta_op(nabla(field, field.base.sample_point(rng)))) for _ in range(5)
     )
     assert dres <= 1e-9
 
@@ -350,7 +350,7 @@ def test_product_ckt_verdict_ingredients():
     for _ in range(5):
         x = field.base.sample_point(rng)
         T = nabla(field, x)
-        dK = d_op(field, x, T=T)
+        dK = d_op(T)
         worst = max(worst, norm(tracefree_part(dK)) / max(1.0, frame_norm(T)))
     assert worst <= 1e-9
 
@@ -370,7 +370,7 @@ def test_product_ckt_without_pairs():
     for _ in range(4):
         x = pr.sample_point(rng)
         T = nabla(h, x)
-        dK = d_op(h, x, T=T)
+        dK = d_op(T)
         worst = max(worst, norm(tracefree_part(dK)) / max(1.0, frame_norm(T)))
         assert abs(trace_Lambda(h(x)).comps[0]) <= 1e-12
     assert worst <= 1e-9

@@ -14,7 +14,8 @@ from symkt.curvature import (
     ricci_killing_residual,
     riemann,
 )
-from symkt.fields import random_polynomial_field, random_tangential_field
+from symkt.errors import DegreeError
+from symkt.fields import random_polynomial_field, random_tangential_field, scalar_field
 from symkt.manifolds import (
     EmbeddedSphere,
     conformal_rescale,
@@ -155,6 +156,23 @@ def test_qrh_on_metric_matches_ricci_relation():
     x = sp.sample_point(rng)
     assert qrh_check(sp, x, SymTensor.metric(3)) <= 1e-12
     assert norm(qR_act(sp, x, SymTensor.metric(3))) <= 1e-12
+
+
+def test_qrh_check_refuses_a_tensor_of_another_degree():
+    # a degree error like every other one, which callers catching
+    # ValueError still catch
+    base = manifold_from_key("sphere:3")
+    x = base.sample_point(np.random.default_rng(103))
+    for p in (1, 3):
+        with pytest.raises(DegreeError, match="degree-2"):
+            qrh_check(base, x, random_sym_tensor(3, p, np.random.default_rng(p)))
+
+
+def test_lichnerowicz_defect_refuses_a_scalar_field():
+    eu = euclidean_chart(3)
+    f = scalar_field(eu, lambda x: x[0] * x[1])
+    with pytest.raises(DegreeError, match="degree >= 1"):
+        lichnerowicz_defect(f, eu.sample_point(np.random.default_rng(107)))
 
 
 def test_nonpositive_curvature_quadratic_form():

@@ -44,7 +44,13 @@ lives on the object it belongs to.  The storage order of packed tensors
 is inverted in one place, ``multiindex.positions``: no other module
 builds a position lookup from ``multi_indices`` (a comprehension over its
 ``enumerate``, or its ``.index``), which would be a second copy of the
-order.
+order.  An operator reads the derivative it is given: no function falls
+back to computing ``nabla``, ``nabla2``, ``riemann``, ``delta_op`` or a
+jet when an optional argument is None (``if T is None: T = nabla(...)``,
+``nabla(...) if T is None else T``).  Such a fallback makes the other
+arguments dead once the derivative is passed, so one field's degree can
+meet another field's derivative.  The two kept fallbacks are listed with
+their reasons.
 """
 
 import ast
@@ -61,6 +67,14 @@ GATE_OWNERS = {"KILLING_CHECK_TOL": "_require", "KILLING_CHECK_SAMPLES": "_check
 ALGEBRA_KERNELS = ("symtensor.py", "cartan.py")
 COORDINATE_ARRAY_OWNERS = {"dual.py": None, "manifolds.py": "point_array"}
 CATALOG_DECLARATION = {"expected", "negative_check", "min_residual"}
+RECOMPUTED = {"nabla", "nabla2", "riemann", "delta_op", "connection_jet", "_nabla_jet",
+              "_nabla2_jet"}
+RECOMPUTE_ALLOWED = {
+    # the curvature benchmark workload calls it with rm=
+    ("curvature.py", "qR_act"),
+    # nabla2 passes no jet and lichnerowicz_defect the kept one
+    ("fields.py", "_nabla2_jet"),
+}
 
 
 def _imported(tree):
@@ -315,6 +329,46 @@ def position_lookups(source):
     return sorted(found)
 
 
+def _none_tested(test):
+    """NAME of a test ``NAME is None``, else None."""
+    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
+            and len(test.ops) == 1 and isinstance(test.ops[0], ast.Is)
+            and isinstance(test.comparators[0], ast.Constant)
+            and test.comparators[0].value is None):
+        return test.left.id
+    return None
+
+
+def _recomputes(node):
+    return isinstance(node, ast.Call) and _called_name(node) in RECOMPUTED
+
+
+def derivative_recomputes(source):
+    """Sorted (function, line) of every fallback that computes a derivative
+    an optional argument could carry: ``if NAME is None: NAME = f(...)`` or
+    ``f(...) if NAME is None else NAME``, with f in ``RECOMPUTED``."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            name = _none_tested(child.test) if isinstance(child, (ast.If, ast.IfExp)) else None
+            if isinstance(child, ast.If) and name and any(
+                    isinstance(s, ast.Assign) and _recomputes(s.value)
+                    and any(isinstance(t, ast.Name) and t.id == name for t in s.targets)
+                    for s in child.body):
+                found.add((owner, child.lineno))
+            elif (isinstance(child, ast.IfExp) and name and _recomputes(child.body)
+                  and isinstance(child.orelse, ast.Name) and child.orelse.id == name):
+                found.add((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -376,6 +430,13 @@ def test_no_global_statement(path):
                          ids=lambda p: p.name)
 def test_only_multiindex_inverts_the_storage_order(path):
     assert position_lookups(path.read_text()) == []
+
+
+def test_no_operator_recomputes_a_derivative_it_can_be_given():
+    sites = {(path.name, owner) for path in MODULES
+             for owner, _ in derivative_recomputes(path.read_text())}
+    assert sites - RECOMPUTE_ALLOWED == set()
+    assert RECOMPUTE_ALLOWED <= sites  # a kept fallback that is gone leaves the list
 
 
 @pytest.mark.parametrize("name", ALGEBRA_KERNELS)
@@ -594,3 +655,32 @@ def test_checker_flags_position_lookups():
     )
     # a forward walk over the indices is not a lookup
     assert position_lookups(source) == [1, 3, 4, 5]
+
+
+def test_checker_flags_derivative_recomputes():
+    source = (
+        "def d_op(field, x, T=None):\n"
+        "    if T is None:\n"
+        "        T = nabla(field, x)\n"
+        "    return T\n"
+        "def laplacian(field, x, W=None):\n"
+        "    W = fields.nabla2(field, x) if W is None else W\n"
+        "    def inner(rm=None):\n"
+        "        if rm is None:\n"
+        "            scale = 2.0\n"
+        "            rm = riemann(base, x)\n"
+        "        return rm\n"
+        "    return W\n"
+        "def kept(x, T=None):\n"
+        "    T = T if T is not None else nabla(f, x)\n"
+        "    if T is None:\n"
+        "        S = nabla(f, x)\n"
+        "    jet = connection_jet(base, x) if other is None else jet\n"
+        "    return norm(x) if T is None else T, (x if x is None else nabla(f, x))\n"
+        "if jet is None:\n"
+        "    jet = _nabla2_jet(f, x)\n"
+    )
+    # only NAME = f(...) under NAME is None, or f(...) if NAME is None else
+    # NAME, with f a derivative, counts
+    assert derivative_recomputes(source) == [
+        ("<module>", 19), ("d_op", 2), ("inner", 8), ("laplacian", 6)]

@@ -130,7 +130,7 @@ def test_d_trace_is_slot_traces(field):
             assert _close(trace_Lambda(T.slots[a]), Ttr.slots[a])
         if p == 2:
             dtr = SymTensor(n, 1, [trace_Lambda(s).comps[0] for s in T.slots])
-            assert _close(dtr, d_op(tr, x))
+            assert _close(dtr, d_op(Ttr))
 
 
 @pytest.mark.parametrize("field", _GENERIC, ids=lambda f: f"{f.name}@{f.base.key}")

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from symkt import suites
+from symkt.cartan import FrameTensor
 from symkt.curvature import (
     RiemannAtPoint,
     lichnerowicz_defect,
@@ -29,9 +30,11 @@ from symkt.dual import Jet, d_exp, d_log, d_sqrt, hessian, jacobian, value_of
 from symkt.fields import (
     TensorField,
     _assemble_first,
+    _nabla2_jet,
     _nabla_jet,
     d_delta,
     delta_d,
+    metric_field,
     nabla,
     nabla2,
     random_polynomial_field,
@@ -91,15 +94,10 @@ def ref_nabla2(field, x):
     return first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
 
 
-def _grid_tensors(field, W):
-    n, p = field.base.dim, field.degree
-    return [[SymTensor(n, p, W[b, a]) for a in range(n)] for b in range(n)]
-
-
 def ref_lichnerowicz_defect(field, x):
-    W = _grid_tensors(field, ref_nabla2(field, x))
-    lhs = delta_d(field, x, W=W) - d_delta(field, x, W=W)
-    rl = rough_laplacian(field, x, W=W)
+    W = FrameTensor.from_stacked(field.base.dim, field.degree, ref_nabla2(field, x))
+    lhs = delta_d(W) - d_delta(W)
+    rl = rough_laplacian(W)
     rm = RiemannAtPoint.from_R4(ref_curvature(field.base, x))
     rhs = rl - qR_act(field.base, x, field(x), rm=rm)
     return norm(lhs - rhs) / max(1.0, norm(rl))
@@ -286,9 +284,34 @@ def test_second_order_matches_nested_duals(key, degree):
         want = ref_curvature(base, x)
         close(rm.R4, want)
         close(rm.ricci, np.einsum("aiib->ab", want))
-        W = nabla2(field, x)
-        close(np.array([[w.comps for w in row] for row in W]), ref_nabla2(field, x))
+        close(nabla2(field, x).comps, ref_nabla2(field, x))
         close(lichnerowicz_defect(field, x), ref_lichnerowicz_defect(field, x))
+
+
+# the curvature benchmark's manifolds with stereographic:3 for
+# stereographic:2, then a flat and a box chart; the product carries the
+# metric field
+DEFECT_KEYS = ["euclidean:3", "sphere:2", "sphere:3", "stereographic:3", "hyperbolic:3",
+               "product:sphere:2,sphere:2", "conformal:bump:euclidean:3", "torus:2"]
+
+
+@pytest.mark.parametrize("key,degree", [
+    (key, degree) for key in DEFECT_KEYS
+    for degree in ((2,) if key.startswith("product") else (1, 2, 3))])
+def test_public_pieces_rebuild_the_one_jet_defect_bit_for_bit(key, degree):
+    # nabla2, the three second-order operators, riemann and qR_act read the
+    # same arrays as the one-jet lichnerowicz_defect and give its bits
+    base = manifold_from_key(key)
+    rng = np.random.default_rng(sum(map(ord, key)) + 10 * degree)
+    field = metric_field(base) if key.startswith("product") else _field(base, degree, rng)
+    x = base.sample_point(rng)
+    W = nabla2(field, x)
+    assert not W.comps.flags.writeable
+    assert W.comps.tobytes() == _nabla2_jet(field, x)[1].tobytes()
+    rl = rough_laplacian(W)
+    qR = qR_act(base, x, field(x), rm=riemann(base, x))
+    got = norm(delta_d(W) - d_delta(W) - (rl - qR)) / max(1.0, norm(rl))
+    assert got == lichnerowicz_defect(field, x)
 
 
 @pytest.mark.parametrize("key", ["sphere:2", "hyperbolic:2", "conformal:bump:sphere:2"])
@@ -313,7 +336,9 @@ def test_ricci_field_refuses_second_order_operators():
     ric = ricci_field(base)
     x = base.sample_point(np.random.default_rng(23))
     assert len(nabla(ric, x).slots) == base.dim
-    for op in (nabla2, rough_laplacian, delta_d, d_delta, lichnerowicz_defect):
+    # rough_laplacian, delta_d and d_delta read nabla2's W, so they are
+    # reached only through it
+    for op in (nabla2, lichnerowicz_defect):
         with pytest.raises(ValueError, match="hessian does not nest"):
             op(ric, x)
 

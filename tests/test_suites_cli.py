@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import symkt.suites as suites
 from symkt.cli import main
 from symkt.errors import ConfigError
 from symkt.io import dump_tensor, dumps_report
-from symkt.manifolds import MAX_KEY_DIM
+from symkt.manifolds import MAX_KEY_DIM, manifold_from_key
 from symkt.multiindex import MAX_DEGREE
 from symkt.suites import identity_suite
 from symkt.symtensor import SymTensor
@@ -356,12 +357,30 @@ def test_cli_geodesic_fails_on_a_flat_chart_whose_log_gradient_overflows(tmp_pat
     # bare zero acceleration would read drift 0 and pass
     path, out = tmp_path / "g.json", tmp_path / "out.json"
     dump_tensor(SymTensor.metric(3), path)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is read, not printed
         code = main(["geodesic", "--manifold", "torus:3", "--field-file", str(path),
                      "--steps", "10", "--dt", "1e300", "--json", str(out)])
     assert code == 1
     rows = json.loads(out.read_text())["trajectories"]
     assert rows and all(r["status"] == "ok" and r["drift"] == "NaN" for r in rows)
+
+
+@pytest.mark.parametrize("key", ["hyperbolic:3", "stereographic:3", "sphere:2",
+                                 "product:sphere:2,euclidean:2"])
+def test_cli_geodesic_fails_without_a_warning_when_a_trajectory_overflows(tmp_path, key):
+    # steps of 1e300 overflow the chart factors and the embedded spheres:
+    # each trajectory reads drift NaN or leaves the domain, and the run
+    # fails with no numpy warning on stderr
+    path, out = tmp_path / "g.json", tmp_path / "out.json"
+    dump_tensor(SymTensor.metric(manifold_from_key(key).dim), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["geodesic", "--manifold", key, "--field-file", str(path),
+                     "--steps", "10", "--dt", "1e300", "--json", str(out)])
+    assert code == 1
+    rows = json.loads(out.read_text())["trajectories"]
+    assert rows and all(r["drift"] == "NaN" or r["status"] == "left-domain" for r in rows)
 
 
 def test_cli_geodesic_on_a_product_of_spheres(tmp_path):
