@@ -26,6 +26,7 @@ from .multiindex import multiplicities, slot_contract_array, slot_product_arrays
 from .symtensor import (
     DEFAULT_TRACE_TOL,
     SymTensor,
+    _PackedTensor,
     _require_tracefree,
     _root_of_square,
     _tensor,
@@ -54,7 +55,7 @@ __all__ = [
 ]
 
 
-class FrameTensor:
+class FrameTensor(_PackedTensor):
     """n slots of degree-p symmetric tensors over R^n, stored as one array.
 
     ``comps`` is a read-only ``(..., n, size)`` array: row a holds the
@@ -65,7 +66,7 @@ class FrameTensor:
     array at once; a raised shape mismatch is ``ShapeMismatchError``.
     """
 
-    __slots__ = ("dim", "degree", "comps")
+    __slots__ = ()
 
     def __init__(self, slots):
         slots = tuple(slots)
@@ -77,9 +78,7 @@ class FrameTensor:
         for s in slots:
             if s.dim != n or s.degree != p:
                 raise ShapeMismatchError("slots disagree in (dim, degree)")
-        self.dim = n
-        self.degree = p
-        self.comps = _readonly(np.stack([s.comps for s in slots], axis=-2))
+        super().__init__(n, p, np.stack([s.comps for s in slots], axis=-2))
 
     @classmethod
     def from_stacked(cls, dim, degree, S):
@@ -102,23 +101,6 @@ class FrameTensor:
         return tuple(_tensor(self.dim, self.degree, self.comps[..., a, :])
                      for a in range(self.dim))
 
-    def _check_same_shape(self, other):
-        if self.dim != other.dim or self.degree != other.degree:
-            raise ShapeMismatchError(
-                f"shape ({self.dim},{self.degree}) vs ({other.dim},{other.degree})"
-            )
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return _frame(self.dim, self.degree, self.comps + other.comps)
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return _frame(self.dim, self.degree, self.comps - other.comps)
-
-    def __neg__(self):
-        return _frame(self.dim, self.degree, -self.comps)
-
     def scale(self, c):
         """Multiply by a scalar; a ``(..., 1)`` array scales per batch point."""
         if np.ndim(c):
@@ -128,21 +110,9 @@ class FrameTensor:
     __mul__ = scale
     __rmul__ = scale
 
-    def __repr__(self):
-        return f"FrameTensor(dim={self.dim}, degree={self.degree})"
 
-
-def _readonly(comps):
-    if comps.dtype != object:
-        comps.setflags(write=False)
-    return comps
-
-
-def _frame(dim, degree, comps):
-    """FrameTensor around a kernel's ``(..., n, size)`` output, unchecked."""
-    out = FrameTensor.__new__(FrameTensor)
-    out.dim, out.degree, out.comps = dim, degree, _readonly(comps)
-    return out
+# bound once, as ``symtensor._tensor``: the kernels wrap their ``(..., n, size)`` outputs
+_frame = FrameTensor._wrap
 
 
 def slot_sum(rows):

@@ -429,17 +429,12 @@ class DistributionSplit:
 def _projector_frame_matrix(split, x):
     """Frame-basis matrix g(P e_a, e_b) of the projector, generic over scalars.
 
-    At a single float point P is cast to object dtype: the products with
-    it sum left to right in Python, in the order of the loops they
-    replaced.  G @ F is an ordinary float64 matmul there.  At Duals of a
-    float seeding every matmul is a DualArray's, with the same sums; a
-    batch point keeps float64 throughout.
+    Every product is one matmul: float64 at a float point or a batch, a
+    DualArray's at Duals of a float seeding.
     """
     x = list(x)
     F = split.base.frame(x)
     P = point_array(split.projector_fn(x), x)
-    if isinstance(P, np.ndarray) and P.ndim == 2:
-        P = P.astype(object)
     return np.swapaxes(P @ F, -1, -2) @ (split.base.metric_matrix(x) @ F)
 
 

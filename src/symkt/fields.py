@@ -113,13 +113,12 @@ class TensorField:
 
 
 def constant_field(base, tensor, name="constant"):
-    comps = list(tensor.comps)
+    comps = tensor.comps.tolist()
     return TensorField(base, tensor.degree, lambda x: list(comps), name=name)
 
 
 def metric_field(base, name="metric"):
-    comps = SymTensor.metric(base.dim).comps.tolist()
-    return TensorField(base, 2, lambda x: list(comps), name=name)
+    return constant_field(base, SymTensor.metric(base.dim), name=name)
 
 
 def scalar_field(base, fn, name="scalar"):

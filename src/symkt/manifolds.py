@@ -26,10 +26,11 @@ are ``(B,)`` arrays (see :func:`point_array`).
 
 Every chart is a conformally flat space form, g = c(x) delta of curvature
 sign kappa (:class:`Chart`): its frame is c^(-1/2) times the identity, and
-its metric jet, Christoffel symbols and geodesic right-hand side are float
-closed forms in the log-gradient of c, so chart geodesics build no dual
-numbers.  Other conformally flat metrics exp(2 f) delta are
-:func:`conformal_rescale` of a flat chart.
+its metric derivative, Christoffel symbols and geodesic right-hand side
+are float closed forms in c and the gradient of log(c)/2 (``factor``,
+``log_gradient``), so chart geodesics build no dual numbers.  Other
+conformally flat metrics exp(2 f) delta are :func:`conformal_rescale` of a
+flat chart.
 
 The frame connection coefficients g(nabla_{e_a} e_b, e_c) are computed
 once for all backends from the Koszul formula with orthonormal arguments,
@@ -142,11 +143,6 @@ def _points(c):
     """A scalar c as it meets (..., rows, cols) matrices: a batch c of shape
     (B,) gets two trailing axes, so each point's matrix meets its own c."""
     return c[..., None, None] if isinstance(c, np.ndarray) else c
-
-
-def _scale_points(c, M):
-    """c * M for a scalar c, or per point for a batch c of shape (B,)."""
-    return _points(c) * M
 
 
 def frame_components(base, x, vec):
@@ -267,16 +263,6 @@ class Chart:
     def frame(self, x):
         return self._diagonal(1.0 / d_sqrt(self.factor(x)), x)
 
-    def metric(self, x):
-        """Metric matrix at a float point as a float array."""
-        return np.asarray(self.metric_matrix(list(x)), dtype=float)
-
-    def metric_jet(self, x):
-        """Metric G = c I and its partials dG[k] = d_k G = 2 c phi_k I at a float point."""
-        c = self.factor(x)
-        eye = np.eye(self.dim)
-        return c * eye, (2.0 * c) * self.log_gradient(x)[:, None, None] * eye
-
     def sample_point(self, rng):
         if self.box is not None:
             return np.array([rng.uniform(0.0, b) for b in self.box])
@@ -393,8 +379,8 @@ class EmbeddedSphere:
 class ProductManifold:
     """Riemannian product of two backends (coordinates concatenated).
 
-    Not a chart, even of two charts: it has no metric jet, so no coordinate
-    Christoffel symbols.
+    Not a chart, even of two charts: it has no conformal factor, so no
+    coordinate Christoffel symbols.
     """
 
     is_chart = False
@@ -465,11 +451,11 @@ class ConformalRescale:
         self.is_chart = False
 
     def metric_matrix(self, x):
-        return _scale_points(d_exp(2.0 * self.f_fn(x)), self.base.metric_matrix(x))
+        return _points(d_exp(2.0 * self.f_fn(x))) * self.base.metric_matrix(x)
 
     @_frame_memo
     def frame(self, x):
-        return _scale_points(d_exp(-1.0 * self.f_fn(x)), self.base.frame(x))
+        return _points(d_exp(-1.0 * self.f_fn(x))) * self.base.frame(x)
 
     def sample_point(self, rng):
         return self.base.sample_point(rng)

@@ -5,9 +5,10 @@ hash), so the set of sampled points is independent of case ordering and
 two runs with the same seed produce byte-identical JSON reports.  Cases
 come in two kinds: ``residual`` (pass iff max residual <= tol) and
 ``floor`` (negative controls and order checks: pass iff value >= tol).
-A case hands its samples to ``SuiteReport.samples``, the one place that
-reduces them: ``obs.worst`` for a residual, ``obs.least`` for a floor.
-A case with no samples, or with a NaN or inf sample, reads NaN and fails
+Every case is recorded by ``SuiteReport.samples``, the one place that
+reduces samples and builds a ``SuiteCase``: ``obs.worst`` for a residual,
+``obs.least`` for a floor; a single-value case passes ``[value]``.  A
+case with no samples, or with a NaN or inf sample, reads NaN and fails
 either way.
 """
 
@@ -144,14 +145,12 @@ class SuiteReport:
     def max_residual(self):
         return worst([c.max_residual for c in self.cases if c.kind == "residual"], 0.0)
 
-    def add(self, name, value, tol, kind="residual"):
-        self.cases.append(SuiteCase(name, float(value), float(tol), kind))
-
     def samples(self, name, values, tol, kind="residual"):
         """Add a case from its samples (a list or a 1-D array): the worst
         for a residual, the least for a floor, NaN when there is none."""
         reduce = {"residual": worst, "floor": least}[kind]
-        self.add(name, reduce(values) if len(values) else math.nan, tol, kind)
+        value = reduce(values) if len(values) else math.nan
+        self.cases.append(SuiteCase(name, float(value), float(tol), kind))
 
     def to_dict(self):
         return {
@@ -343,14 +342,15 @@ def _per_manifold_cases(key, samples, seed, report):
         G = base.metric_matrix(list(x))
         r["gram"].append(float(np.abs(F.T @ G @ F - np.eye(base.dim)).max()))
         if is_chart:
-            _, dG = base.metric_jet(x)
+            # d_k G = 2 c phi_k I, against central differences of G = c I
+            dG = (2.0 * base.factor(x)) * base.log_gradient(x)[:, None, None] * np.eye(base.dim)
             h = 1e-5
             for k_dir in range(base.dim):
                 xp = np.array(x, dtype=float)
                 xm = xp.copy()
                 xp[k_dir] += h
                 xm[k_dir] -= h
-                fd = (base.metric(xp) - base.metric(xm)) / (2 * h)
+                fd = (base.metric_matrix(list(xp)) - base.metric_matrix(list(xm))) / (2 * h)
                 r["dmetric"].append(float(np.abs(fd - dG[k_dir]).max()))
         rm = riemann(base, x)
         r["sym"].append(rm.symmetry_residual() / max(1.0, np.abs(rm.R4).max()))
@@ -439,8 +439,8 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
         record, residuals, _ = entry.judge(rep)
         control = record.get("negative_control")
         if control:
-            report.add(f"negative-control:{key}", control["observed"],
-                       control["min_residual"], kind="floor")
+            report.samples(f"negative-control:{key}", [control["observed"]],
+                           control["min_residual"], kind="floor")
             continue
         report.samples(f"classify:{key}", residuals if record["matches_expected"] else [1.0],
                        tol)
@@ -450,16 +450,14 @@ def _constructor_cases(report, seed, samples, drift_steps, drift_dt):
         wfield = wrap_conformal_field(wrapped_base, field)
         wrep = classify(wfield, samples=max(10, samples // 4), tol=tol, seed=seed)
         agree = wrep.verdicts["conformal"] == rep.verdicts["conformal"]
-        report.add(
-            f"conformal-invariance:{key}", 0.0 if agree else 1.0, 0.5
-        )
+        report.samples(f"conformal-invariance:{key}", [0.0 if agree else 1.0], 0.5)
 
         if entry.declared_killing:
             rng = stable_stream(seed, f"drift:{key}")
             x0, v0 = initial_condition(field.base, rng)
             d = geodesic_drift(field, x0, v0, drift_steps, drift_dt,
                                check_domain=False)
-            report.add(f"geodesic-drift:{key}", d, DRIFT_TOL)
+            report.samples(f"geodesic-drift:{key}", [d], DRIFT_TOL)
 
 
 def _identity_cases(report, seed, samples):
@@ -587,11 +585,11 @@ def _geodesic_order_case(report, seed):
     x0, v0 = initial_condition(field.base, rng)
     series = drift_series(field, x0, v0, 200, 0.05, halvings=1)
     ratio = series[0] / max(series[1], 1e-300)
-    report.add("geodesic-order-ratio", ratio, 16.0, kind="floor")
+    report.samples("geodesic-order-ratio", [ratio], 16.0, kind="floor")
 
     broken, _ = build_constructor("broken-hopf-stackel", seed=seed)
     d = geodesic_drift(broken, x0, v0, 2000, 1e-3, check_domain=False)
-    report.add("geodesic-drift-negative-control", d, 1e-3, kind="floor")
+    report.samples("geodesic-drift-negative-control", [d], 1e-3, kind="floor")
 
 
 DEFAULT_GEOMETRY_KEYS = (

@@ -156,20 +156,52 @@ def _scatter_add(w, pos, size):
     return np.bincount(bins, w.ravel(), minlength=size * rows).reshape(lead + (size,))
 
 
-def _tensor(dim, degree, comps):
-    """SymTensor around a kernel's freshly computed ``(..., size)`` output.
+class _PackedTensor:
+    """The packed core of ``SymTensor`` and ``cartan.FrameTensor``: a
+    ``comps`` array of packed components (float ones read-only) of one
+    ``(dim, degree)``, with the shape check, sums, differences and
+    negation every packed tensor shares."""
 
-    Skips the defensive copy of the constructor: nothing else holds
-    ``comps``.
-    """
-    out = SymTensor.__new__(SymTensor)
-    out.dim, out.degree, out.comps = dim, degree, comps
-    if comps.dtype != object:
-        comps.setflags(write=False)
-    return out
+    __slots__ = ("dim", "degree", "comps")
+
+    def __init__(self, dim, degree, comps):
+        self.dim, self.degree, self.comps = dim, degree, comps
+        if comps.dtype != object:
+            comps.setflags(write=False)
+
+    @classmethod
+    def _wrap(cls, dim, degree, comps):
+        """An instance around a kernel's freshly computed ``comps``, unchecked:
+        skips the subclass constructor and its defensive copy.  The body is
+        ``__init__``'s, inlined, as the kernels wrap every output."""
+        out = cls.__new__(cls)
+        out.dim, out.degree, out.comps = dim, degree, comps
+        if comps.dtype != object:
+            comps.setflags(write=False)
+        return out
+
+    def __repr__(self):
+        return f"{type(self).__name__}(dim={self.dim}, degree={self.degree})"
+
+    def _check_same_shape(self, other):
+        if self.dim != other.dim or self.degree != other.degree:
+            raise ShapeMismatchError(
+                f"shape ({self.dim},{self.degree}) vs ({other.dim},{other.degree})"
+            )
+
+    def __add__(self, other):
+        self._check_same_shape(other)
+        return self._wrap(self.dim, self.degree, self.comps + other.comps)
+
+    def __sub__(self, other):
+        self._check_same_shape(other)
+        return self._wrap(self.dim, self.degree, self.comps - other.comps)
+
+    def __neg__(self):
+        return self._wrap(self.dim, self.degree, -self.comps)
 
 
-class SymTensor:
+class SymTensor(_PackedTensor):
     """Symmetric p-tensor over R^n with packed dense storage.
 
     Parameters
@@ -185,16 +217,12 @@ class SymTensor:
         per point of a batch.
     """
 
-    __slots__ = ("dim", "degree", "comps")
+    __slots__ = ()
 
     def __init__(self, dim, degree, comps):
         if dim < 1 or degree < 0:
             raise ShapeMismatchError("need dim >= 1 and degree >= 0")
-        self.dim = int(dim)
-        self.degree = int(degree)
-        self.comps = _as_comps(comps, sym_size(dim, degree))
-        if self.comps.dtype != object:
-            self.comps.setflags(write=False)
+        super().__init__(int(dim), int(degree), _as_comps(comps, sym_size(dim, degree)))
 
     # -- constructors ----------------------------------------------------
 
@@ -225,9 +253,6 @@ class SymTensor:
 
     # -- basics ----------------------------------------------------------
 
-    def __repr__(self):
-        return f"SymTensor(dim={self.dim}, degree={self.degree})"
-
     def __getitem__(self, idx):
         """Entry for an arbitrary index tuple (looked up via its sort); an
         index of the wrong length or out of range (negative too) raises."""
@@ -237,23 +262,6 @@ class SymTensor:
             raise ShapeMismatchError(
                 f"index {idx} is not a degree-{self.degree} index over dim {self.dim}")
         return self.comps[..., positions([idx.count(v) for v in range(self.dim)])]
-
-    def _check_same_shape(self, other):
-        if self.dim != other.dim or self.degree != other.degree:
-            raise ShapeMismatchError(
-                f"shape ({self.dim},{self.degree}) vs ({other.dim},{other.degree})"
-            )
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return _tensor(self.dim, self.degree, self.comps + other.comps)
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return _tensor(self.dim, self.degree, self.comps - other.comps)
-
-    def __neg__(self):
-        return _tensor(self.dim, self.degree, -self.comps)
 
     def scale(self, c):
         """Multiply by a scalar; a ``(..., 1)`` array scales per batch point."""
@@ -282,6 +290,10 @@ class SymTensor:
         """Full dense array, batch axes first: one gather over
         ``dense_array``.  Degree 0 gives the scalar (per point, an array)."""
         return self.values().take(dense_array(self.dim, self.degree), axis=-1)
+
+
+# bound once: the kernels wrap thousands of outputs per request and skip the lookup
+_tensor = SymTensor._wrap
 
 
 def sym_product(A, B):

@@ -18,7 +18,12 @@ caller's seed, never from ``default_rng`` with a literal seed or none: a
 hidden fixed stream is an option no caller can set.  A suite case hands
 its samples to ``SuiteReport.samples``, so ``suites`` calls ``worst`` and
 ``least`` only inside ``class SuiteReport``: a case that reduces its own
-samples picks its own empty default.  The catalog's construction checks
+samples picks its own empty default.  For the same reason ``suites``
+builds a ``SuiteCase`` only inside ``SuiteReport.samples``: a case that
+records one value passes ``[value]``, so a lone inf reads NaN there too.
+``SymTensor`` and ``cartan.FrameTensor`` share one packed core,
+``symtensor._PackedTensor``: in ``symtensor`` and ``cartan`` no other
+class defines its shape check, sum, difference or negation.  The catalog's construction checks
 go through one gate: in ``constructors`` only ``_require`` reads
 ``KILLING_CHECK_TOL`` and only ``_check_points`` reads
 ``KILLING_CHECK_SAMPLES``, so no check compares with its own copy.
@@ -69,6 +74,8 @@ COORDINATE_ARRAY_OWNERS = {"dual.py": None, "manifolds.py": "point_array"}
 CATALOG_DECLARATION = {"expected", "negative_check", "min_residual"}
 RECOMPUTED = {"nabla", "nabla2", "riemann", "delta_op", "connection_jet", "_nabla_jet",
               "_nabla2_jet"}
+PACKED_CORE = "_PackedTensor"
+PACKED_METHODS = {"_check_same_shape", "__add__", "__sub__", "__neg__"}
 RECOMPUTE_ALLOWED = {
     # the curvature benchmark workload calls it with rm=
     ("curvature.py", "qR_act"),
@@ -175,9 +182,9 @@ def literal_rng_seeds(source):
     return sorted(found)
 
 
-def _reduction_calls(tree):
+def _calls_to(tree, names):
     return {node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and _called_name(node) in REDUCTIONS}
+            if isinstance(node, ast.Call) and _called_name(node) in names}
 
 
 def reductions_outside_the_report(source):
@@ -186,8 +193,35 @@ def reductions_outside_the_report(source):
     owned = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and node.name == "SuiteReport":
-            owned |= _reduction_calls(node)
-    return sorted(_reduction_calls(tree) - owned)
+            owned |= _calls_to(node, REDUCTIONS)
+    return sorted(_calls_to(tree, REDUCTIONS) - owned)
+
+
+def cases_outside_samples(source):
+    """Sorted lines that build a ``SuiteCase`` outside ``SuiteReport.samples``."""
+    tree = ast.parse(source)
+    owned = set()
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and cls.name == "SuiteReport":
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "samples":
+                    owned |= _calls_to(node, {"SuiteCase"})
+    return sorted(_calls_to(tree, {"SuiteCase"}) - owned)
+
+
+def packed_copies(source):
+    """Sorted (class, name) of every shared packed-tensor method that a
+    class other than the packed core defines (by ``def`` or assignment)."""
+    found = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef) or cls.name == PACKED_CORE:
+            continue
+        for node in cls.body:
+            names = ([node.name] if isinstance(node, ast.FunctionDef) else
+                     [t.id for t in node.targets if isinstance(t, ast.Name)]
+                     if isinstance(node, ast.Assign) else [])
+            found |= {(cls.name, name) for name in names if name in PACKED_METHODS}
+    return sorted(found)
 
 
 def gate_reads_outside_their_owner(source):
@@ -399,6 +433,15 @@ def test_suite_cases_reduce_only_through_the_report():
     assert reductions_outside_the_report((SRC / "suites.py").read_text()) == []
 
 
+def test_suite_cases_are_built_only_by_samples():
+    assert cases_outside_samples((SRC / "suites.py").read_text()) == []
+
+
+@pytest.mark.parametrize("name", ALGEBRA_KERNELS)
+def test_only_the_packed_core_defines_the_shared_arithmetic(name):
+    assert packed_copies((SRC / name).read_text()) == []
+
+
 def test_construction_checks_share_one_gate():
     assert gate_reads_outside_their_owner((SRC / "constructors.py").read_text()) == []
 
@@ -519,6 +562,44 @@ def test_checker_flags_reductions_outside_the_report():
         "reduce = worst\n"
     )
     assert reductions_outside_the_report(source) == [5, 7, 9]
+
+
+def test_checker_flags_cases_outside_samples():
+    source = (
+        "class SuiteReport:\n"
+        "    def samples(self, name, values, tol):\n"
+        "        self.cases.append(SuiteCase(name, worst(values), tol))\n"
+        "    def add(self, name, value, tol):\n"
+        "        self.cases.append(SuiteCase(name, value, tol))\n"
+        "def case(report):\n"
+        "    report.cases.append(suites.SuiteCase('x', 0.0, 1.0))\n"
+        "def samples(report):\n"
+        "    return SuiteCase('y', 0.0, 1.0)\n"
+    )
+    # only the report's own samples method may build one
+    assert cases_outside_samples(source) == [5, 7, 9]
+
+
+def test_checker_flags_packed_copies():
+    source = (
+        "class _PackedTensor:\n"
+        "    def __add__(self, other):\n"
+        "        return self._wrap(self.comps + other.comps)\n"
+        "    def __neg__(self):\n"
+        "        return self._wrap(-self.comps)\n"
+        "class SymTensor(_PackedTensor):\n"
+        "    def __sub__(self, other):\n"
+        "        return _tensor(self.comps - other.comps)\n"
+        "    def scale(self, c):\n"
+        "        return _tensor(self.comps * c)\n"
+        "    __mul__ = scale\n"
+        "class FrameTensor(_PackedTensor):\n"
+        "    _check_same_shape = SymTensor._check_same_shape\n"
+        "    __neg__ = lambda self: _frame(-self.comps)\n"
+    )
+    assert packed_copies(source) == [
+        ("FrameTensor", "__neg__"), ("FrameTensor", "_check_same_shape"),
+        ("SymTensor", "__sub__")]
 
 
 def test_checker_flags_gate_reads_outside_their_owner():

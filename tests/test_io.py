@@ -8,7 +8,7 @@ import pytest
 
 from symkt.errors import ConfigError
 from symkt.io import dump_tensor, dumps_report, load_tensor, tensor_from_dict, tensor_to_dict
-from symkt.suites import SuiteReport
+from symkt.suites import SuiteCase, SuiteReport
 from symkt.symtensor import SymTensor, random_sym_tensor
 
 
@@ -106,11 +106,14 @@ def _reject_constant(token):
 
 
 def test_report_with_nan_case_is_strict_json():
-    report = SuiteReport("demo", 42, 1e-10)
-    report.add("finite", 1e-12, 1e-10)
-    report.add("fail-closed", math.nan, 1e-10)
-    report.add("blown-up", math.inf, 1e-10)
-    report.add("floor", -math.inf, 1e-3, kind="floor")
+    # cases built directly: the report's own reduction reads NaN for any
+    # non-finite sample, and these values are what serialization must carry
+    report = SuiteReport("demo", 42, 1e-10, [
+        SuiteCase("finite", 1e-12, 1e-10),
+        SuiteCase("fail-closed", math.nan, 1e-10),
+        SuiteCase("blown-up", math.inf, 1e-10),
+        SuiteCase("floor", -math.inf, 1e-3, kind="floor"),
+    ])
     text = dumps_report(report.to_dict())
     doc = json.loads(text, parse_constant=_reject_constant)
     values = [case["max_residual"] for case in doc["cases"]]
@@ -118,6 +121,6 @@ def test_report_with_nan_case_is_strict_json():
     assert doc["pass"] is False
     # finite reports keep their bytes
     finite = SuiteReport("demo", 42, 1e-10)
-    finite.add("finite", 1e-12, 1e-10)
+    finite.samples("finite", [1e-12], 1e-10)
     assert dumps_report(finite.to_dict()) == json.dumps(
         finite.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"

@@ -112,14 +112,16 @@ def test_dmetric_matches_finite_differences():
     st = stereographic_sphere_chart(3)
     rng = np.random.default_rng(11)
     x = st.sample_point(rng)
-    G, dG = st.metric_jet(x)
-    assert np.array_equal(G, st.metric(x))
+    # G = c I and d_k G = 2 c phi_k I, from the chart's factor and log-gradient
+    c = st.factor(x)
+    assert np.array_equal(c * np.eye(3), st.metric_matrix(list(x)))
+    dG = (2.0 * c) * st.log_gradient(x)[:, None, None] * np.eye(3)
     h = 1e-5
     for k in range(3):
         xp, xm = x.copy(), x.copy()
         xp[k] += h
         xm[k] -= h
-        fd = (st.metric(xp) - st.metric(xm)) / (2 * h)
+        fd = (st.metric_matrix(list(xp)) - st.metric_matrix(list(xm))) / (2 * h)
         assert np.abs(fd - dG[k]).max() <= 1e-6
 
 
@@ -269,7 +271,7 @@ def _reference_frame_components(base, x, vec):
         return np.exp(f) * _reference_frame_components(base.base, x, vec)
     if isinstance(base, EmbeddedSphere):
         return frame_at(base, x).T @ np.asarray(vec, dtype=float)
-    G = base.metric(np.asarray(x, dtype=float))
+    G = base.metric_matrix(list(np.asarray(x, dtype=float)))
     return frame_at(base, x).T @ (G @ np.asarray(vec, dtype=float))
 
 

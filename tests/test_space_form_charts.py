@@ -57,7 +57,10 @@ def test_closed_forms_match_the_dual_metric_jet(kappa, n, seed):
     x = chart.sample_point(rng)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    G, dG = chart.metric_jet(x)
+    # G = c I and d_k G = 2 c phi_k I, from the closed-form factor and log-gradient
+    c = chart.factor(x)
+    G = c * np.eye(n)
+    dG = (2.0 * c) * chart.log_gradient(x)[:, None, None] * np.eye(n)
     want_G, want_dG = _dual_metric_jet(chart, x)
     assert np.array_equal(G, want_G)
     assert _close_to(dG, want_dG)

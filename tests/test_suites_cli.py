@@ -580,6 +580,9 @@ def test_cli_rejects_unknown_params(capsys):
     ("sym-product", "sphere:2", '{"generators": [[-1, 1], [1, 2]]}'),
     ("sym-product", "sphere:2", '{"generators": [[0, 0], [1, 2]]}'),
     ("sym-product", "sphere:2", '{"generators": [[true, 1], [1, 2]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[0, NaN], [1, 2]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[0, 1], [Infinity, 2]]}'),
+    ("sym-product", "sphere:2", '{"generators": [[0, 1], [1, 1e400]]}'),
     ("special-flat", "euclidean:3", '{"k0": 3}'),
     ("special-flat", "euclidean:3", '{"k0": ["a", 1, 2]}'),
     ("special-flat", "euclidean:3", '{"k0": [1e400, 0, 0]}'),
@@ -589,7 +592,8 @@ def test_cli_rejects_unknown_params(capsys):
     ("special-flat", "euclidean:3", '{"k0": [1, 2, %s]}' % ("9" * 400)),
     ("special-flat-hat", "euclidean:3", '{"k0": [true, 0, 0]}'),
 ], ids=["generator-out-of-range", "short-pair", "string", "one-pair", "float-index",
-        "negative-index", "equal-indices", "bool-index", "k0-scalar", "k0-string",
+        "negative-index", "equal-indices", "bool-index", "generator-nan",
+        "generator-inf", "generator-overflow", "k0-scalar", "k0-string",
         "k0-overflow", "k0-null", "k0-nan", "k0-inf", "k0-huge-int", "k0-bool"])
 def test_cli_rejects_malformed_constructor_params(capsys, key, manifold, params):
     # bad configuration: exit 2 with one error line, before any check runs
