@@ -21,7 +21,7 @@ import numpy as np
 from .cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, supported_pair
 from .constructors import _special_conformal_defect
 from .errors import ConfigError, DegreeError, VerificationError
-from .fields import TensorField, _nabla_jet, d_op, delta_op, nabla
+from .fields import _nabla_jet, d_op, delta_op, derived_field, nabla
 from .multiindex import exchange_array
 from .obs import finite_or_nan, worst
 from .symtensor import (
@@ -243,19 +243,13 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42):
         raise VerificationError(
             "field must be divergence-free Killing before part analysis"
         )
-    base = field.base
-    n, p = base.dim, field.degree
+    base, p = field.base, field.degree
     rng = np.random.default_rng(seed)
     out = {}
     for i in range(p // 2 + 1):
         deg_i = p - 2 * i
-
-        def comps(x, i=i):
-            K = SymTensor(n, p, field.comps_fn(x))
-            return standard_decomposition(K).parts[i].entries()
-
-        part_field = TensorField(base, deg_i, comps,
-                                 name=f"{field.name}[part {i}]")
+        part_field = derived_field(lambda K, i=i: standard_decomposition(K).parts[i],
+                                   field, name=f"{field.name}[part {i}]")
         points = _sample_points(base, samples, rng)
         T = nabla(part_field, points)
         scale = _scale(frame_norm(T))

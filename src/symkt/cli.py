@@ -73,6 +73,8 @@ def _parse_params(args):
 def _load_field(args):
     base = manifold_from_key(args.manifold)
     if args.field_file:
+        if args.construct is not None or getattr(args, "params", None) is not None:
+            raise ConfigError("--field-file takes no --construct or --params")
         K = tio.load_tensor(args.field_file, dim=base.dim)
         return constant_field(base, K, name=f"file:{args.field_file}"), None
     if not args.construct:

@@ -22,6 +22,7 @@ from .fields import (
     add_fields,
     d_op,
     delta_op,
+    derived_field,
     field_from_components,
     metric_field,
     nabla,
@@ -355,12 +356,11 @@ def special_to_killing(field, rng):
              "input is not special conformal Killing")
     coeffs = special_killing_coefficients(n, p)
 
-    def comps(x):
-        parts = standard_decomposition(SymTensor(n, p, field.comps_fn(x))).parts
-        scaled = tuple(part.scale(c) for part, c in zip(parts, coeffs))
-        return Decomposition(n, p, scaled).reconstruct().entries()
+    def hat(K):
+        parts = standard_decomposition(K).parts
+        return Decomposition(n, p, tuple(q.scale(c) for q, c in zip(parts, coeffs))).reconstruct()
 
-    return TensorField(field.base, p, comps, name=f"hat({field.name})")
+    return derived_field(hat, field, name=f"hat({field.name})")
 
 
 def special_conformal_residual(field, x):
@@ -606,18 +606,14 @@ def traceless_killing_product(xi, zeta, rng, name=None):
     """
     verify_killing(xi, rng)
     verify_killing(zeta, rng)
-    base = xi.base
-    n = base.dim
+    n = xi.dim
     gidx = multi_indices(n, 2)
 
-    def comps(x):
-        a = xi.comps_fn(x)
-        b = zeta.comps_fn(x)
-        corr = d_dot(a, b) * (2.0 / n)
-        prod = sym_product(SymTensor(n, 1, a), SymTensor(n, 1, b))
-        return (prod - SymTensor(n, 2, [corr if i == j else 0.0 for i, j in gidx])).entries()
+    def traceless_product(A, B):
+        corr = d_dot(A.entries(), B.entries()) * (2.0 / n)
+        return sym_product(A, B) - SymTensor(n, 2, [corr if i == j else 0.0 for i, j in gidx])
 
-    return TensorField(base, 2, comps, name=name or f"({xi.name}.{zeta.name})_0")
+    return derived_field(traceless_product, xi, zeta, name=name or f"({xi.name}.{zeta.name})_0")
 
 
 # ---------------------------------------------------------------------------
@@ -802,16 +798,9 @@ def _build_special_flat_hat(base, rng, params=None):
 
 
 def _build_broken_special_hat(base, rng, params=None):
-    K = _build_special_flat(base, rng, params)
-    n = base.dim
-
-    def comps(x):
-        S = SymTensor(n, 2, K.comps_fn(x))
-        tr = trace_Lambda(S).comps
-        wrong = S - SymTensor.metric(n).scale(0.5 * tr)
-        return wrong.entries()
-
-    return TensorField(base, 2, comps, name="broken-special-hat")
+    g = SymTensor.metric(base.dim)
+    return derived_field(lambda S: S - g.scale(0.5 * trace_Lambda(S).comps),
+                         _build_special_flat(base, rng, params), name="broken-special-hat")
 
 
 def _build_hopf_stackel(base, rng, params=None):
@@ -836,8 +825,8 @@ def _build_broken_product(base, rng, params=None):
     xi = killing_vector(f1, _rotation_generator(f1.coord_dim, 0, 1), name="xi")
     c = np.linspace(0.4, 1.0, f2.coord_dim)
     eta = field_from_components(f2, 1, lambda x: _tangential(c, x), name="concircular")
-    cross = product_field(_lift_field(base, 0, xi), _lift_field(base, 1, eta))
-    return TensorField(base, 2, cross.comps_fn, name="broken-product-ckt")
+    return product_field(_lift_field(base, 0, xi), _lift_field(base, 1, eta),
+                         name="broken-product-ckt")
 
 
 def _build_metric(base, rng, params=None):

@@ -26,14 +26,16 @@ Each differential operator reads only the derivative it is built from:
 ``d_op``, ``delta_op`` and ``d0_op`` take ``T = nabla(field, x)``, and
 ``rough_laplacian``, ``delta_d`` and ``d_delta`` take ``W = nabla2(field,
 x)``.  Degree and dimension come from that derivative, so no operator can
-be handed one field's derivative and another field's degree.
+be handed one field's derivative and another field's degree.  Likewise
+:func:`derived_field` builds every field from fields, reading base and
+degree off its inputs; it refuses fields on different bases.
 """
 
 import numpy as np
 
 from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
 from .dual import concatenate, d_dot, d_exp, hessian, jacobian, value_of
-from .errors import DegreeError, DomainError
+from .errors import DegreeError, DomainError, ShapeMismatchError
 from .manifolds import _frame_connection, connection_jet, point_array
 from .multiindex import sym_size
 from .symtensor import (
@@ -51,6 +53,7 @@ __all__ = [
     "metric_field",
     "scalar_field",
     "field_from_components",
+    "derived_field",
     "tracefree_part_field",
     "add_fields",
     "product_field",
@@ -141,40 +144,36 @@ def field_from_components(base, degree, fn, name="field"):
     return TensorField(base, degree, comps, name=name)
 
 
-def tracefree_part_field(field, name=None):
-    """Pointwise trace-free part of a field."""
+def derived_field(fn, *fields, name):
+    """The field x -> fn(A(x), B(x), ...) of ``fields``, which must share one
+    base object (else ShapeMismatchError, when the field is built).  ``fn``
+    maps one SymTensor per field to a SymTensor; the degree is that of
+    ``fn`` on zero tensors, so ``fn`` must accept them."""
+    base = fields[0].base
+    if any(f.base is not base for f in fields):
+        raise ShapeMismatchError(f"{name}: fields on mixed bases {[f.base.key for f in fields]}")
+    n = base.dim
+    degree = fn(*(SymTensor.zero(n, f.degree) for f in fields)).degree
 
     def comps(x):
-        K = SymTensor(field.base.dim, field.degree, field.comps_fn(x))
-        return tracefree_part(K).entries()
+        return fn(*(SymTensor(n, f.degree, f.comps_fn(x)) for f in fields)).entries()
 
-    return TensorField(field.base, field.degree, comps, name=name or f"{field.name}_0")
+    return TensorField(base, degree, comps, name=name)
+
+
+def tracefree_part_field(field, name=None):
+    """Pointwise trace-free part of a field (:func:`derived_field`)."""
+    return derived_field(tracefree_part, field, name=name or f"{field.name}_0")
 
 
 def add_fields(a, b, name=None):
-    if a.degree != b.degree or a.base is not b.base:
-        raise DegreeError("can only add fields of equal degree on the same base")
-
-    n = a.base.dim
-
-    def comps(x):
-        return (SymTensor(n, a.degree, a.comps_fn(x))
-                + SymTensor(n, b.degree, b.comps_fn(x))).entries()
-
-    return TensorField(a.base, a.degree, comps, name=name or f"{a.name}+{b.name}")
+    """Pointwise sum of two fields of one degree on one base (:func:`derived_field`)."""
+    return derived_field(SymTensor.__add__, a, b, name=name or f"{a.name}+{b.name}")
 
 
 def product_field(a, b, name=None):
-    """Pointwise symmetric product of two fields on the same base."""
-    n = a.base.dim
-
-    def comps(x):
-        A = SymTensor(n, a.degree, a.comps_fn(x))
-        B = SymTensor(n, b.degree, b.comps_fn(x))
-        return sym_product(A, B).entries()
-
-    return TensorField(a.base, a.degree + b.degree, comps,
-                       name=name or f"{a.name}.{b.name}")
+    """Pointwise symmetric product of two fields on one base (:func:`derived_field`)."""
+    return derived_field(sym_product, a, b, name=name or f"{a.name}.{b.name}")
 
 
 def wrap_conformal_field(wrapped_base, field, name=None):

@@ -56,18 +56,17 @@ from .curvature import lichnerowicz_defect, qR_act, qrh_check, ricci_killing_res
 from .dual import d_dot
 from .errors import ConfigError
 from .fields import (
-    TensorField,
     d_delta,
     d_op,
     delta_d,
     delta_op,
+    derived_field,
     metric_field,
     nabla,
     nabla2,
     product_field,
     random_polynomial_field,
     random_tangential_field,
-    scalar_field,
     wrap_conformal_field,
 )
 from .geodesic import DRIFT_TOL, drift_series, geodesic_drift, initial_condition
@@ -473,11 +472,8 @@ def _identity_cases(report, seed, samples):
         xi = killing_vector(base, _rotation_generator(N, *gen_pairs[0]))
         zeta = killing_vector(base, _rotation_generator(N, *gen_pairs[1]))
         h = sym_product_field(xi, zeta, rng=rng)
-
-        def dot_fn(x, xi=xi, zeta=zeta):
-            return d_dot(xi.comps_fn(x), zeta.comps_fn(x))
-
-        fdot = scalar_field(base, dot_fn, name="g(xi,zeta)")
+        fdot = derived_field(lambda A, B: SymTensor.scalar(A.dim, d_dot(A.entries(), B.entries())),
+                             xi, zeta, name="g(xi,zeta)")
         points = [list(base.sample_point(rng)) for _ in range(max(5, samples // 10))]
         T = nabla(h, points)
         lhs = delta_op(T)
@@ -503,13 +499,7 @@ def _identity_cases(report, seed, samples):
     # L preserves divergence-free Killing tensors
     hopf, _ = build_constructor("hopf-stackel", seed=seed)
     base = hopf.base
-    n = base.dim
-
-    def L_comps(x):
-        K = SymTensor(n, 2, hopf.comps_fn(x))
-        return mult_L(K).entries()
-
-    Lfield = TensorField(base, 4, L_comps, name="L(hopf-stackel)")
+    Lfield = derived_field(mult_L, hopf, name="L(hopf-stackel)")
     rng = stable_stream(seed, "L-preserves")
     points = [list(base.sample_point(rng)) for _ in range(max(5, samples // 10))]
     T = nabla(Lfield, points)

@@ -5,17 +5,20 @@ import pytest
 
 from symkt.cartan import frame_norm
 from symkt.constructors import _rotation_generator, killing_vector
-from symkt.errors import DegreeError
+from symkt.errors import DegreeError, ShapeMismatchError
 from symkt.fields import (
     TensorField,
+    add_fields,
     constant_field,
     d0_op,
     d_op,
     delta_op,
+    derived_field,
     field_from_components,
     metric_field,
     nabla,
     nabla2,
+    product_field,
     random_polynomial_field,
     random_tangential_field,
     rough_laplacian,
@@ -195,3 +198,30 @@ def test_field_from_coordinate_components_roundtrip():
     F = frame_at(st, x)
     want = F.T @ np.array([x[1], -x[0]])
     assert np.allclose(f(x).comps, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("combine", [product_field, add_fields], ids=["product", "sum"])
+def test_fields_on_two_bases_do_not_combine(combine):
+    # a field built from fields reads them all at its own base's points
+    flat = metric_field(manifold_from_key("euclidean:3"))
+    other = random_polynomial_field(manifold_from_key("hyperbolic:3"), 2,
+                                    np.random.default_rng(5))
+    with pytest.raises(ShapeMismatchError):
+        combine(flat, other)
+
+
+def test_fields_of_two_degrees_do_not_add():
+    base, rng = euclidean_chart(3), np.random.default_rng(6)
+    with pytest.raises(ShapeMismatchError):
+        add_fields(random_polynomial_field(base, 1, rng), random_polynomial_field(base, 2, rng))
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_derived_field_reads_its_degree_off_fn(p):
+    base = manifold_from_key("sphere:3")
+    rng = np.random.default_rng(p)
+    f = random_tangential_field(base, p, rng)
+    Lf = derived_field(mult_L, f, name="L(f)")
+    assert Lf.degree == p + 2 and Lf.base is base
+    points = [list(base.sample_point(rng)) for _ in range(4)]
+    assert np.array_equal(Lf.batch(points), mult_L(SymTensor(3, p, f.batch(points))).comps)

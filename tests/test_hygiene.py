@@ -55,7 +55,11 @@ jet when an optional argument is None (``if T is None: T = nabla(...)``,
 ``nabla(...) if T is None else T``).  Such a fallback makes the other
 arguments dead once the derivative is passed, so one field's degree can
 meet another field's derivative.  The two kept fallbacks are listed with
-their reasons.
+their reasons.  A field built from fields goes through
+``fields.derived_field``, which reads base and degree off its inputs:
+outside ``fields`` no ``SymTensor(...)`` call takes a field's
+``.comps_fn(...)`` among its arguments, which would hand-type a dimension
+and a degree and skip the check that the fields share one base.
 """
 
 import ast
@@ -74,6 +78,7 @@ COORDINATE_ARRAY_OWNERS = {"dual.py": None, "manifolds.py": "point_array"}
 CATALOG_DECLARATION = {"expected", "negative_check", "min_residual"}
 RECOMPUTED = {"nabla", "nabla2", "riemann", "delta_op", "connection_jet", "_nabla_jet",
               "_nabla2_jet"}
+COMPONENT_WRAP_OWNER = "fields.py"
 PACKED_CORE = "_PackedTensor"
 PACKED_METHODS = {"_check_same_shape", "__add__", "__sub__", "__neg__"}
 RECOMPUTE_ALLOWED = {
@@ -221,6 +226,20 @@ def packed_copies(source):
                      [t.id for t in node.targets if isinstance(t, ast.Name)]
                      if isinstance(node, ast.Assign) else [])
             found |= {(cls.name, name) for name in names if name in PACKED_METHODS}
+    return sorted(found)
+
+
+def component_wraps(source):
+    """Sorted lines of every ``SymTensor(...)`` call with a ``.comps_fn(...)``
+    call anywhere in its arguments."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called_name(node) == "SymTensor":
+            args = [*node.args, *(k.value for k in node.keywords)]
+            if any(isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                   and inner.func.attr == "comps_fn"
+                   for arg in args for inner in ast.walk(arg)):
+                found.add(node.lineno)
     return sorted(found)
 
 
@@ -442,6 +461,12 @@ def test_only_the_packed_core_defines_the_shared_arithmetic(name):
     assert packed_copies((SRC / name).read_text()) == []
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != COMPONENT_WRAP_OWNER],
+                         ids=lambda p: p.name)
+def test_fields_from_fields_go_through_derived_field(path):
+    assert component_wraps(path.read_text()) == []
+
+
 def test_construction_checks_share_one_gate():
     assert gate_reads_outside_their_owner((SRC / "constructors.py").read_text()) == []
 
@@ -600,6 +625,22 @@ def test_checker_flags_packed_copies():
     assert packed_copies(source) == [
         ("FrameTensor", "__neg__"), ("FrameTensor", "_check_same_shape"),
         ("SymTensor", "__sub__")]
+
+
+def test_checker_flags_component_wraps():
+    source = (
+        "def hat(field, x, n):\n"
+        "    K = SymTensor(n, 2, field.comps_fn(x))\n"
+        "    L = symtensor.SymTensor(n, 2, list(field.comps_fn(x)))\n"
+        "    M = SymTensor(n, 2, comps=other.comps_fn(x))\n"
+        "    a = field.comps_fn(x)\n"
+        "    B = SymTensor(n, 1, a)\n"
+        "    C = SymTensor(n, 2, field.batch(x))\n"
+        "    D = SymTensor(n, 0, [comps_fn(x)])\n"
+        "    return K, L, M, B, C, D, tracefree_part(field(x)).entries()\n"
+    )
+    # a value bound first, a batch and a bare callable are not flagged
+    assert component_wraps(source) == [2, 3, 4]
 
 
 def test_checker_flags_gate_reads_outside_their_owner():

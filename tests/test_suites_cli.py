@@ -475,6 +475,21 @@ def test_cli_field_file(tmp_path):
                  str(path), "--samples", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--params", '{"bogus": NaN}', "--samples", "3"],
+    ["verify", "--construct", "special-flat", "--samples", "3"],
+    ["geodesic", "--construct", "hopf-stackel", "--steps", "10", "--trajectories", "1"],
+], ids=["verify-params", "verify-construct", "geodesic-construct"])
+def test_cli_field_file_refuses_constructor_flags(tmp_path, capsys, argv):
+    # a field file leaves nothing for --construct or --params to build
+    path = tmp_path / "K.json"
+    dump_tensor(SymTensor.metric(3), path)
+    code = main(argv + ["--manifold", "euclidean:3", "--field-file", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_field_file_listing_an_index_twice_exits_2(tmp_path, capsys):
     path = tmp_path / "K.json"
     path.write_text(json.dumps({"dim": 3, "degree": 2, "entries": [
