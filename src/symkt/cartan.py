@@ -17,6 +17,7 @@ for bit a slot-by-slot loop, where ``.sum`` may sum pairwise.
 """
 
 from collections import namedtuple
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -27,11 +28,11 @@ from .symtensor import (
     DEFAULT_TRACE_TOL,
     SymTensor,
     _PackedTensor,
+    _mult_L_comps,
     _require_tracefree,
     _root_of_square,
     _tensor,
     derivation,
-    mult_L,
     tracefree_part,
 )
 
@@ -93,7 +94,7 @@ class FrameTensor(_PackedTensor):
         if S.shape[-2:] != (dim, sym_size(dim, degree)):
             raise ShapeMismatchError(
                 f"expected (..., {dim}, {sym_size(dim, degree)}) slots, got {S.shape}")
-        return _frame(dim, degree, S.view())  # read-only view; S keeps its flags
+        return cls._wrap(dim, degree, S.view())  # read-only view; S keeps its flags
 
     @property
     def slots(self):
@@ -103,8 +104,8 @@ class FrameTensor(_PackedTensor):
 
     def scale(self, c):
         """Multiply by a scalar; a ``(..., 1)`` array scales per batch point."""
-        if np.ndim(c):
-            c = np.asarray(c)[..., None, :]  # the same factor on every slot
+        if isinstance(c, np.ndarray) and c.ndim:
+            c = c[..., None, :]  # the same factor on every slot
         return _frame(self.dim, self.degree, self.comps * c)
 
     __mul__ = scale
@@ -123,12 +124,6 @@ def slot_sum(rows):
     or more slots when a row holds one entry), which rounds differently.
     """
     return np.add.accumulate(rows, axis=-2)[..., -1, :]
-
-
-def _slotwise(T):
-    """The slots of T as one SymTensor whose last batch axis is the slot
-    axis, so a per-point kernel acts on every slot in one call."""
-    return _tensor(T.dim, T.degree, T.comps)
 
 
 def frame_inner(A, B):
@@ -209,8 +204,7 @@ def _tracefree_products(S, p, hooks):
     rows = slot_products(S, p)
     if p == 0:
         return rows
-    c = 1.0 / (n + 2 * (p - 1))
-    return rows - mult_L(_tensor(n, p - 1, hooks)).scale(c).comps
+    return rows - _mult_L_comps(hooks, n, p - 1) * (1.0 / (n + 2 * (p - 1)))
 
 
 def _rows(S, n):
@@ -220,7 +214,7 @@ def _rows(S, n):
 
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
-    _require_tracefree(_slotwise(T), "pi1")
+    _require_tracefree(T, "pi1")
     return _pi1(T, _hooks(T.comps, T.degree))
 
 
@@ -255,9 +249,13 @@ def pi2_star(S):
 
 def _pi2_star(S):
     """``pi2_star`` of an S the caller has found trace-free."""
-    n, p = S.dim, S.degree
-    rows = _rows(S.comps, n)
-    return _frame(n, p + 1, _tracefree_products(rows, p, _hooks(rows, p)))
+    return _frame(S.dim, S.degree + 1, _pi2_star_rows(S.comps, S.dim, S.degree))
+
+
+def _pi2_star_rows(S, n, p):
+    """The slots (e_a . S)_0 of ``_pi2_star`` from degree-p components S."""
+    rows = _rows(S, n)
+    return _tracefree_products(rows, p, _hooks(rows, p))
 
 
 CartanParts = namedtuple("CartanParts", ["P1", "P2", "P3", "pi1", "pi2"])
@@ -283,15 +281,16 @@ def cartan_decompose(T, tol=DEFAULT_TRACE_TOL):
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
-    _require_tracefree(_slotwise(T), "cartan_decompose", tol)
+    _require_tracefree(T, "cartan_decompose", tol)
     hooks = slot_hooks(T.comps, p)
     s1 = _pi1(T, hooks)
     s2 = _pi2(T, hooks)
     _require_tracefree(s2, "pi2_star", tol)
-    P1 = pi1_star(s1).scale(1.0 / (p + 1))
-    P2 = _pi2_star(s2).scale(1.0 / pi2_constant(n, p))
-    P3 = T - P1 - P2
-    return CartanParts(P1, P2, P3, s1, s2)
+    # the slots of pi1*(s1) and pi2*(s2), scaled, and the remainder
+    P1 = slot_hooks(_rows(s1.comps, n), p + 1) * (1.0 / (p + 1))
+    P2 = _pi2_star_rows(s2.comps, n, p - 1) * (1.0 / pi2_constant(n, p))
+    P3 = T.comps - P1 - P2
+    return CartanParts(_frame(n, p, P1), _frame(n, p, P2), _frame(n, p, P3), s1, s2)
 
 
 def conformal_weight(T):
@@ -303,11 +302,18 @@ def conformal_weight(T):
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
+    return _frame(n, p, slot_sum(derivation(_wedge(n), T.comps[..., None, :, :], p)))
+
+
+@lru_cache(maxsize=None)
+def _wedge(n):
+    """wedge[i, j] = e_j e_i^T - e_i e_j^T, the matrix of (e_i ^ e_j)*;
+    read-only, built once per n."""
     E = np.eye(n)
-    # wedge[i, j] = e_j e_i^T - e_i e_j^T, the matrix of (e_i ^ e_j)*
     wedge = E[None, :, :, None] * E[:, None, None, :]
     wedge = wedge - wedge.transpose(1, 0, 2, 3)
-    return _frame(n, p, slot_sum(derivation(wedge, T.comps[..., None, :, :], p)))
+    wedge.setflags(write=False)
+    return wedge
 
 
 def random_frame_tensor(n, p, rng):

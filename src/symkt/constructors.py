@@ -15,7 +15,7 @@ import numpy as np
 
 from .cartan import FrameTensor, _rows, frame_norm, slot_products
 from .dual import DualArray, concatenate, d_dot, jacobian, stack
-from .errors import ConfigError, VerificationError
+from .errors import ConfigError, DegreeError, VerificationError
 from .fields import (
     TensorField,
     _nabla_jet,
@@ -576,7 +576,8 @@ def product_ckt(product, rng, K1=None, K2=None, pairs=()):
     Assembles the trace-free part of the lifted Killing tensors plus the
     symmetric products of the Killing-field pairs (xi_i on the first
     factor, zeta_i on the second).  Inputs are verified Killing on their
-    factors at points drawn from ``rng``.
+    factors at points drawn from ``rng``.  Ingredients of another degree
+    than 2 raise ``DegreeError`` when the field is built.
     """
     core = None
     for which, K in enumerate((K1, K2)):
@@ -593,6 +594,8 @@ def product_ckt(product, rng, K1=None, K2=None, pairs=()):
         core = cross if core is None else add_fields(core, cross)
     if core is None:
         raise ConfigError("product_ckt needs at least one ingredient")
+    if core.degree != 2:
+        raise DegreeError(f"product_ckt needs degree-2 ingredients, got degree {core.degree}")
     return TensorField(product, 2, core.comps_fn, name="product-ckt")
 
 

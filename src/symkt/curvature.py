@@ -12,10 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cartan import FrameTensor, frame_norm, slot_sum
+from .cartan import frame_norm, slot_sum
 from .dual import Dual, Jet
 from .errors import DegreeError
-from .fields import TensorField, _nabla2_jet, d_delta, delta_d, nabla, rough_laplacian
+from .fields import (SecondDerivative, TensorField, _nabla2_jet, d_delta, delta_d, nabla,
+                     rough_laplacian)
 from .manifolds import connection_jet
 from .multiindex import index_array, multi_indices, replace_array
 from .symtensor import SymTensor, derivation, norm, poly_eval, trace_Lambda
@@ -175,7 +176,7 @@ def lichnerowicz_defect(field, x):
     n, p = field.base.dim, field.degree
     jet, rm = _jet_and_riemann(field.base, x)
     vals, grid = _nabla2_jet(field, x, jet)
-    W = FrameTensor.from_stacked(n, p, grid)
+    W = SecondDerivative.from_stacked(n, p, grid)
     lhs = delta_d(W) - d_delta(W)
     rl = rough_laplacian(W)
     rhs = rl - qR_act(field.base, x, SymTensor(n, p, vals), rm=rm)

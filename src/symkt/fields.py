@@ -24,11 +24,12 @@ the components and the connection jet of
 
 Each differential operator reads only the derivative it is built from:
 ``d_op``, ``delta_op`` and ``d0_op`` take ``T = nabla(field, x)``, and
-``rough_laplacian``, ``delta_d`` and ``d_delta`` take ``W = nabla2(field,
-x)``.  Degree and dimension come from that derivative, so no operator can
-be handed one field's derivative and another field's degree.  Likewise
-:func:`derived_field` builds every field from fields, reading base and
-degree off its inputs; it refuses fields on different bases.
+``rough_laplacian``, ``delta_d`` and ``d_delta`` only the
+:class:`SecondDerivative` ``W = nabla2(field, x)``.  Degree and dimension
+come from that derivative, so no operator can be handed one field's
+derivative and another field's degree, nor one order's for the other's.
+Likewise :func:`derived_field` builds every field from fields, reading
+base and degree off its inputs; it refuses fields on different bases.
 """
 
 import numpy as np
@@ -49,6 +50,7 @@ from .symtensor import (
 
 __all__ = [
     "TensorField",
+    "SecondDerivative",
     "constant_field",
     "metric_field",
     "scalar_field",
@@ -341,8 +343,20 @@ def _nabla2_jet(field, x, jet=None):
     return vals, first.transpose(1, 0, 2) - np.einsum("bad,dk->bak", gam, S)
 
 
+class SecondDerivative(FrameTensor):
+    """``nabla2``'s W: a FrameTensor whose leading axis is a direction, not
+    a batch, so only the second-order operators take it."""
+
+    __slots__ = ()
+
+
+def _check_order(D, second, what):
+    if isinstance(D, SecondDerivative) != second:
+        raise DegreeError(f"{what} takes {'nabla2' if second else 'nabla'}(field, x)")
+
+
 def nabla2(field, x):
-    """Second covariant derivative W at x, a read-only FrameTensor.
+    """Second covariant derivative W at x, a read-only SecondDerivative.
 
     ``W.comps`` is the ``(n, n, size)`` array whose row b is the frame
     tensor nabla_{e_b}(nabla K): ``W.comps[b, a]`` holds nabla^2_{e_b, e_a}
@@ -350,18 +364,20 @@ def nabla2(field, x):
     one point.  From one hessian of the components and one connection jet
     at x.
     """
-    return FrameTensor.from_stacked(field.base.dim, field.degree, _nabla2_jet(field, x)[1])
+    return SecondDerivative.from_stacked(field.base.dim, field.degree, _nabla2_jet(field, x)[1])
 
 
 def d_op(T):
     """Symmetrized covariant derivative: sum_a e_a . nabla_{e_a} K, from
     ``T = nabla(field, x)`` (a point or a batch)."""
+    _check_order(T, False, "d_op")
     return SymTensor(T.dim, T.degree + 1, slot_sum(slot_products(T.comps, T.degree)))
 
 
 def delta_op(T):
     """Divergence: - sum_a e_a -| nabla_{e_a} K (degree p >= 1), from
     ``T = nabla(field, x)``."""
+    _check_order(T, False, "delta_op")
     if T.degree < 1:
         raise DegreeError("divergence needs degree >= 1")
     return SymTensor(T.dim, T.degree - 1, -slot_sum(slot_hooks(T.comps, T.degree)))
@@ -382,12 +398,14 @@ def d0_op(T):
 
 def rough_laplacian(W):
     """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K, from ``W = nabla2(field, x)``."""
+    _check_order(W, True, "rough_laplacian")
     n = W.dim
     return SymTensor(n, W.degree, -slot_sum(W.comps[np.arange(n), np.arange(n)]))
 
 
 def delta_d(W):
     """delta d K, from ``W = nabla2(field, x)``."""
+    _check_order(W, True, "delta_d")
     p = W.degree
     dW = slot_sum(slot_products(W.comps, p))  # row b: sum_a e_a . W[b][a]
     return SymTensor(W.dim, p, -slot_sum(slot_hooks(dW, p + 1)))
@@ -395,6 +413,7 @@ def delta_d(W):
 
 def d_delta(W):
     """d delta K (degree p >= 1), from ``W = nabla2(field, x)``."""
+    _check_order(W, True, "d_delta")
     p = W.degree
     if p < 1:
         raise DegreeError("d delta needs degree >= 1")

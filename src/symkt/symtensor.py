@@ -32,6 +32,12 @@ tuple tables.  The product's scatter is ``bincount`` on floats and
 ``np.add.at`` on Dual and Jet components, which ``bincount`` cannot sum;
 both add each output's terms in table order from zero.  A batch row gets
 the bits of the same kernel on that row alone.
+Each kernel is also a function of component arrays (``_product_comps``,
+``_contract_comps``, ``_trace_comps``, ``_mult_L_comps``,
+``_inner_comps``).  Composites (``mult_L``, ``standard_decomposition``,
+``tracefree_sym_product``, the trace-free guard) chain those and wrap
+only the tensors they return, with the operations, and so the bits, of
+the chain of wrapped tensors.
 """
 
 from dataclasses import dataclass
@@ -311,10 +317,15 @@ def sym_product(A, B):
         return B.scale(A.comps[..., :1])
     if B.degree == 0:
         return A.scale(B.comps[..., :1])
-    p = A.degree + B.degree
-    out_pos, pos_a, pos_b, count = product_arrays(A.dim, A.degree, B.degree)
-    w = count * A.comps.take(pos_a, axis=-1) * B.comps.take(pos_b, axis=-1)
-    return _tensor(A.dim, p, _scatter_add(w, out_pos, sym_size(A.dim, p)))
+    return _tensor(A.dim, A.degree + B.degree,
+                   _product_comps(A.comps, B.comps, A.dim, A.degree, B.degree))
+
+
+def _product_comps(a, b, n, p, q):
+    """``sym_product``'s kernel on the components of degrees p, q >= 1."""
+    out_pos, pos_a, pos_b, count = product_arrays(n, p, q)
+    w = count * a.take(pos_a, axis=-1) * b.take(pos_b, axis=-1)
+    return _scatter_add(w, out_pos, sym_size(n, p + q))
 
 
 def sym_power(v, p):
@@ -333,8 +344,13 @@ def contract(v, K):
     if K.degree < 1:
         raise DegreeError("cannot contract a degree-0 tensor")
     vc = asarray(v.comps if isinstance(v, SymTensor) else v)
-    terms = vc[..., None, :] * K.comps.take(contract_array(K.dim, K.degree), axis=-1)
-    return _tensor(K.dim, K.degree - 1, _ordered_sum(terms))
+    return _tensor(K.dim, K.degree - 1, _contract_comps(vc, K.comps, K.dim, K.degree))
+
+
+def _contract_comps(vc, comps, n, p):
+    """``contract``'s kernel on the components of degree p >= 1."""
+    terms = vc[..., None, :] * comps.take(contract_array(n, p), axis=-1)
+    return _ordered_sum(terms)
 
 
 def inner(A, B):
@@ -349,17 +365,27 @@ def inner(A, B):
     the identity suite takes many one-point norms.
     """
     A._check_same_shape(B)
-    mult = multiplicities(A.dim, A.degree)
-    if A.comps.ndim == 1 and B.comps.ndim == 1:
-        return (A.comps * mult).dot(B.comps) / factorial(A.degree)
+    return _inner_comps(A.comps, B.comps, A.dim, A.degree)
+
+
+def _inner_comps(a, b, n, p):
+    """``inner``'s kernel on two component arrays of degree p."""
+    mult = multiplicities(n, p)
+    if a.ndim == 1 and b.ndim == 1:
+        return (a * mult).dot(b) / factorial(p)
     # contiguous rows: numpy's matmul then takes the dot kernel of np.dot
-    a, b = (np.ascontiguousarray(X.comps) for X in (A, B))
-    return ((a * mult)[..., None, :] @ b[..., :, None])[..., 0, 0] / factorial(A.degree)
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return ((a * mult)[..., None, :] @ b[..., :, None])[..., 0, 0] / factorial(p)
 
 
 def norm(A):
     """|A|, a float; per point, an array, for components with batch axes."""
-    return _root_of_square(inner(A, A))
+    return _norm_comps(A.comps, A.dim, A.degree)
+
+
+def _norm_comps(a, n, p):
+    """``norm``'s kernel on a component array of degree p."""
+    return _root_of_square(_inner_comps(a, a, n, p))
 
 
 def _root_of_square(v):
@@ -376,7 +402,7 @@ def _root_of_square(v):
 
 def mult_L(K):
     """Multiplication by the metric: L(K) = sum_i e_i . e_i . K."""
-    return sym_product(_l_element(K.dim), K)
+    return _tensor(K.dim, K.degree + 2, _mult_L_comps(K.comps, K.dim, K.degree))
 
 
 @lru_cache(maxsize=None)
@@ -384,12 +410,36 @@ def _l_element(n):
     return SymTensor.metric(n).scale(2.0)
 
 
+@lru_cache(maxsize=None)
+def _l_plan(n, p):
+    """``sym_product(_l_element(n), K)``'s tables for degree p >= 1, with its
+    first product ``count * (2 g)[pos_a]`` formed once, read-only."""
+    out_pos, pos_a, pos_b, count = product_arrays(n, 2, p)
+    coef = count * _l_element(n).comps.take(pos_a)
+    coef.setflags(write=False)
+    return out_pos, coef, pos_b, sym_size(n, p + 2)
+
+
+def _mult_L_comps(comps, n, p):
+    """``mult_L``'s kernel on degree-p components: the product with 2 g as
+    ``sym_product`` forms it, ``(count * 2 g_a) * K_b`` summed in table
+    order, with the first factor from the plan.  Degree 0 scales 2 g."""
+    if p == 0:
+        return _l_element(n).comps * comps[..., :1]
+    out_pos, coef, pos_b, size = _l_plan(n, p)
+    return _scatter_add(coef * comps.take(pos_b, axis=-1), out_pos, size)
+
+
 def trace_Lambda(K):
     """Metric trace: Lambda(K) = sum_i e_i -| e_i -| K (needs p >= 2)."""
     if K.degree < 2:
         raise DegreeError("Lambda needs degree >= 2")
-    terms = K.comps.take(trace_array(K.dim, K.degree), axis=-1)
-    return _tensor(K.dim, K.degree - 2, _ordered_sum(terms))
+    return _tensor(K.dim, K.degree - 2, _trace_comps(K.comps, K.dim, K.degree))
+
+
+def _trace_comps(comps, n, p):
+    """``trace_Lambda``'s kernel on the components of degree p >= 2."""
+    return _ordered_sum(comps.take(trace_array(n, p), axis=-1))
 
 
 def poly_eval(K, X):
@@ -447,23 +497,25 @@ def trace_residual(K):
 
 def _relative(t, K):
     """t / max(1, |K|), per point for components with batch axes."""
-    s = norm(K)
+    s = _norm_comps(K.comps, K.dim, K.degree)
     return t / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 
 def _require_tracefree(K, what, tol=DEFAULT_TRACE_TOL):
     """Raise TraceError unless K is trace-free within ``tol`` at every point
     of its batch axes, that is unless every ``trace_residual`` is <= tol
-    (a NaN residual does not raise).
+    (a NaN residual does not raise).  K is a SymTensor, or a FrameTensor,
+    whose slot axis then counts as one more batch axis.
 
     The trace comes first: when every t = |Lambda(K)| is <= tol, so is
     t / max(1, |K|), as a rounded division by a number >= 1 never rises
     above t.  Only when some t is above tol, NaN or inf is |K| computed,
     and the full relative test gives the verdict.
     """
-    if K.degree < 2:
+    n, p = K.dim, K.degree
+    if p < 2:
         return
-    t = norm(trace_Lambda(K))
+    t = _norm_comps(_trace_comps(K.comps, n, p), n, p - 2)
     if (t <= tol) if isinstance(t, float) else (t <= tol).all():
         return
     if (np.asarray(_relative(t, K)) > tol).any():
@@ -480,11 +532,14 @@ def tracefree_sym_product(v, K, tol=DEFAULT_TRACE_TOL):
     if not isinstance(v, SymTensor):
         v = SymTensor.from_vector(v)
     _require_tracefree(K, "tracefree_sym_product", tol)
-    p = K.degree
+    n, p = K.dim, K.degree
     if p == 0:
         return sym_product(v, K)
-    vK = sym_product(v, K)
-    return vK - mult_L(contract(v, K)).scale(1.0 / (K.dim + 2 * (p - 1)))
+    if (v.dim, v.degree) != (n, 1):
+        raise ShapeMismatchError(f"need a vector over R^{n}, got ({v.dim},{v.degree})")
+    vK = _product_comps(v.comps, K.comps, n, 1, p)
+    hook = _contract_comps(v.comps, K.comps, n, p)
+    return _tensor(n, p + 1, vK - _mult_L_comps(hook, n, p - 1) * (1.0 / (n + 2 * (p - 1))))
 
 
 @dataclass(frozen=True)
@@ -542,29 +597,37 @@ def standard_decomposition(K):
 
     Deflation: repeated traces Lambda^j K give a triangular system in the
     parts, solved top-down with the closed-form coefficients of
-    Lambda(L^i S); exact up to rounding, O(total size).  ``lifted[i]``
-    holds L^(i-j) K_i at step j, one ``mult_L`` further each step.
+    Lambda(L^i S); exact up to rounding, O(total size).  It runs on
+    component arrays (``_deflate``), and each part is wrapped once.
     """
     n, p = K.dim, K.degree
-    traces = [K]
-    for _ in range(p // 2):
-        traces.append(trace_Lambda(traces[-1]))
+    parts = _deflate(K.comps, n, p)
+    return Decomposition(n, p, tuple(_tensor(n, p - 2 * i, c) for i, c in enumerate(parts)))
+
+
+def _deflate(comps, n, p):
+    """The component arrays of the parts K_0, K_1, ... of degree-p
+    components.  ``lifted[i]`` holds L^(i-j) K_i at step j, one ``mult_L``
+    further each step."""
+    traces = [comps]
+    for j in range(p // 2):
+        traces.append(_trace_comps(traces[-1], n, p - 2 * j))
     parts, lifted = [], {}
     for j, coeffs, inv in _deflation(n, p):
         residue = traces[j]
         for i, coeff in coeffs.items():
-            lifted[i] = mult_L(lifted[i])
-            residue = residue - lifted[i].scale(coeff)
-        parts.append(residue.scale(inv))
+            lifted[i] = _mult_L_comps(lifted[i], n, p - 2 * j - 2)
+            residue = residue - lifted[i] * coeff
+        parts.append(residue * inv)
         lifted[j] = parts[-1]
-    return Decomposition(n, p, tuple(reversed(parts)))
+    return parts[::-1]
 
 
 def tracefree_part(K):
     """Projection onto the trace-free summand (degree unchanged)."""
     if K.degree < 2:
         return K
-    return standard_decomposition(K).parts[0]
+    return _tensor(K.dim, K.degree, _deflate(K.comps, K.dim, K.degree)[0])
 
 
 def constant_a(n, p, i):

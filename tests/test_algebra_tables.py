@@ -19,6 +19,13 @@ The derivation kernel (``symtensor.derivation``) and the slot gathers
 (``cartan.slot_products``/``slot_hooks``) are pinned the same way against
 the former scalar and basis-vector loops, kept verbatim below: equal
 within 4 eps times max(1, |reference|), as they sum in another order.
+
+The composites that run on component arrays and wrap once (``mult_L``,
+``standard_decomposition``, ``tracefree_sym_product``, ``cartan_decompose``
+and ``conformal_weight`` with its cached wedge) are pinned by ``tobytes``
+to the chains of wrapped tensors they replace, kept below as ``chain_*``:
+on floats with NaN, infinities and signed zeros, on ``(B, size)`` and
+``(B, n, size)`` batches, and on DualArray and object-Jet components.
 """
 
 from functools import lru_cache
@@ -31,18 +38,22 @@ import pytest
 from symkt.cartan import (
     FrameTensor,
     _check_supported,
+    _rows,
+    cartan_decompose,
     conformal_weight,
     pi1,
     pi1_star,
     pi2,
+    pi2_constant,
     pi2_star,
     slot_hooks,
     slot_products,
+    slot_sum,
     supported_pair,
 )
 from symkt.curvature import RiemannAtPoint, qR_act
-from symkt.dual import Dual, seed, value_of
-from symkt.fields import _assemble_first, d_delta, delta_d
+from symkt.dual import Dual, DualArray, Jet, seed, value_of
+from symkt.fields import SecondDerivative, _assemble_first, d_delta, delta_d
 from symkt.multiindex import (
     contract_array,
     dense_array,
@@ -59,10 +70,13 @@ from symkt.multiindex import (
 )
 from symkt.symtensor import (
     SymTensor,
+    _deflation,
+    _l_element,
     contract,
     derivation,
     lambda2_act,
     mult_L,
+    standard_decomposition,
     sym_product,
     trace_Lambda,
     tracefree_part,
@@ -717,7 +731,7 @@ def test_slot_gathers_match_basis_vector_loops(shape):
 def test_second_order_gathers_match_loops(shape):
     n, p, s = shape
     rows = [_frame(n, p, s + b) for b in range(n)]
-    W = FrameTensor.from_stacked(n, p, np.stack([T.comps for T in rows]))
+    W = SecondDerivative.from_stacked(n, p, np.stack([T.comps for T in rows]))
     grid = [T.slots for T in rows]
     close(delta_d(W), ref_delta_d(n, p, grid))
     if p >= 1:
@@ -766,3 +780,203 @@ def test_kernel_and_gathers_on_nested_duals():
             close(-slot_hooks(T.comps, p).sum(0), ref_delta(T))
             close(conformal_weight(T), ref_conformal_weight(T))
     assert value_of(derivation(np.eye(n), duals((1,)), 0)[0]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# composites on component arrays against the chains of wrapped tensors
+
+
+def chain_mult_L(K):
+    return sym_product(_l_element(K.dim), K)
+
+
+def chain_deflation(K):
+    """The parts K_0, K_1, ... of the SymTensor-level deflation."""
+    n, p = K.dim, K.degree
+    traces = [K]
+    for _ in range(p // 2):
+        traces.append(trace_Lambda(traces[-1]))
+    parts, lifted = [], {}
+    for j, coeffs, inv in _deflation(n, p):
+        residue = traces[j]
+        for i, coeff in coeffs.items():
+            lifted[i] = chain_mult_L(lifted[i])
+            residue = residue - lifted[i].scale(coeff)
+        parts.append(residue.scale(inv))
+        lifted[j] = parts[-1]
+    return parts[::-1]
+
+
+def chain_tracefree_sym_product(v, K):
+    p = K.degree
+    if p == 0:
+        return sym_product(v, K)
+    return sym_product(v, K) - chain_mult_L(contract(v, K)).scale(1.0 / (K.dim + 2 * (p - 1)))
+
+
+def chain_tracefree_products(S, p):
+    """Rows (e_a . S_a)_0 of slots S (..., n, size) through a wrapped ``mult_L``."""
+    n = S.shape[-2]
+    rows = slot_products(S, p)
+    if p == 0:
+        return rows
+    hooks = SymTensor(n, p - 1, slot_hooks(S, p))
+    return rows - chain_mult_L(hooks).scale(1.0 / (n + 2 * (p - 1))).comps
+
+
+def chain_cartan_decompose(T):
+    n, p = T.dim, T.degree
+    s1 = SymTensor(n, p + 1, slot_sum(chain_tracefree_products(T.comps, p)))
+    s2 = SymTensor(n, p - 1, slot_sum(slot_hooks(T.comps, p)))
+    P1 = pi1_star(s1).scale(1.0 / (p + 1))
+    pi2s = FrameTensor.from_stacked(n, p, chain_tracefree_products(_rows(s2.comps, n), p - 1))
+    P2 = pi2s.scale(1.0 / pi2_constant(n, p))
+    return P1, P2, T - P1 - P2, s1, s2
+
+
+def chain_conformal_weight(T):
+    """``conformal_weight`` with its wedge built from ``np.eye`` on the call."""
+    n, p = T.dim, T.degree
+    E = np.eye(n)
+    wedge = E[None, :, :, None] * E[:, None, None, :]
+    wedge = wedge - wedge.transpose(1, 0, 2, 3)
+    return FrameTensor.from_stacked(n, p, slot_sum(derivation(wedge, T.comps[..., None, :, :], p)))
+
+
+def _scalar_bits(v):
+    if isinstance(v, Jet):
+        return ("jet", _scalar_bits(v.val), tuple(_scalar_bits(c) for c in v.d))
+    if isinstance(v, Dual):
+        return ("dual", _scalar_bits(v.val), np.asarray(v.grad, dtype=float).tobytes())
+    return np.float64(v).tobytes()
+
+
+def bits(T):
+    """Every bit of a packed tensor: dim, degree, and float, DualArray or
+    object components."""
+    c = T.comps
+    if isinstance(c, DualArray):
+        const = None if c.const is None else c.const.tobytes()
+        return (T.dim, T.degree, "dual", c.val.shape, c.val.tobytes(), c.grad.tobytes(), const)
+    if c.dtype == object:
+        return (T.dim, T.degree, "object", c.shape, [_scalar_bits(v) for v in c.ravel()])
+    return (T.dim, T.degree, c.dtype.str, c.shape, c.tobytes())
+
+
+def same_tensor_bits(got, want):
+    assert type(got) is type(want)
+    assert bits(got) == bits(want)
+
+
+SPECIALS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0])
+
+
+def _edgy(seed_, shape, rate):
+    """``_array``'s floats with NaNs of both signs, infinities and signed
+    zeros in a fraction ``rate`` of the entries."""
+    rng = np.random.default_rng(seed_)
+    out = _array(rng.integers(2**32), shape)
+    hit = rng.random(shape) < rate
+    out[hit] = rng.choice(SPECIALS, hit.sum())
+    return out
+
+
+def _jets(seed_, shape):
+    """An object array of second-order jets in two variables."""
+    c = _edgy(seed_, shape + (6,), 0.05)
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        v, g0, g1, h00, h01, h11 = c[idx]
+        out[idx] = Jet(v, [g0, g1], [[h00, h01], [h01, h11]])
+    return out
+
+
+def _duals(seed_, size, batched):
+    """Duals of one seeding, at a point or a batch of two points."""
+    at = np.array([[0.3, -0.7], [1.1, 0.2]]) if batched else [0.3, -0.7]
+    x = seed(at)
+    c = _edgy(seed_, (size, 3), 0.05)
+    return [a * x[0] + b * x[1] + e for a, b, e in c]
+
+
+# component kinds: float shapes (point, (B, size), (B, n, size)), Duals, Jets
+KINDS = st.sampled_from(["point", "rows", "slots", "duals", "batched-duals", "jets"])
+RATES = st.sampled_from([0.0, 0.02, 0.2])
+
+
+def _components(kind, seed_, n, size, rate):
+    lead = {"point": (), "rows": (3,), "slots": (2, n)}
+    if kind in lead:
+        return _edgy(seed_, lead[kind] + (size,), rate)
+    if kind == "jets":
+        return _jets(seed_, (size,))
+    return _duals(seed_, size, kind == "batched-duals")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs
+@PROPERTY
+@given(SHAPES, KINDS, RATES)
+@hypothesis.example((3, 2, 5), "point", 0.0)
+def test_mult_L_is_the_product_with_the_l_element(shape, kind, rate):
+    n, p, s = shape
+    K = SymTensor(n, p, _components(kind, s, n, sym_size(n, p), rate))
+    same_tensor_bits(mult_L(K), chain_mult_L(K))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs
+@PROPERTY
+@given(SHAPES, KINDS, RATES)
+def test_standard_decomposition_is_the_wrapped_deflation(shape, kind, rate):
+    n, p, s = shape
+    K = SymTensor(n, p, _components(kind, s, n, sym_size(n, p), rate))
+    want = chain_deflation(K)
+    got = standard_decomposition(K).parts
+    assert len(got) == len(want)
+    for part, ref in zip(got, want):
+        same_tensor_bits(part, ref)
+    if p >= 2:
+        same_tensor_bits(tracefree_part(K), want[0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs
+@PROPERTY
+@given(SHAPES, KINDS.filter(lambda k: "duals" not in k), RATES)
+def test_tracefree_sym_product_is_the_wrapped_chain(shape, kind, rate):
+    # tol=inf lets any K through the guard, so the formula itself is pinned
+    n, p, s = shape
+    K = SymTensor(n, p, _components(kind, s, n, sym_size(n, p), rate))
+    v = SymTensor(n, 1, _edgy([s, 1], n, rate))
+    same_tensor_bits(tracefree_sym_product(v, K, tol=np.inf), chain_tracefree_sym_product(v, K))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf inputs
+@PROPERTY
+@given(SHAPES, st.sampled_from(["point", "rows", "jets"]), RATES)
+def test_cartan_decompose_and_conformal_weight_are_the_wrapped_chains(shape, kind, rate):
+    n, p, s = shape
+    hypothesis.assume(supported_pair(n, p))
+    size = sym_size(n, p)
+    if kind == "jets":
+        comps = _jets(s, (n, size))
+    else:
+        comps = _edgy(s, ((3,) if kind == "rows" else ()) + (n, size), rate)
+    T = FrameTensor.from_stacked(n, p, comps)
+    for got, want in zip(cartan_decompose(T, tol=np.inf), chain_cartan_decompose(T)):
+        same_tensor_bits(got, want)
+    same_tensor_bits(conformal_weight(T), chain_conformal_weight(T))
+
+
+@PROPERTY
+@given(SHAPES)
+def test_composites_on_finite_floats_match_the_loops(shape):
+    # the chains above share the product kernel with the composites; here
+    # the products come from the per-component loop, so a kernel that
+    # associates count * (a * b) fails
+    n, p, s = shape
+    K = SymTensor(n, p, _array([s, 0], sym_size(n, p)))
+    v = SymTensor(n, 1, _array([s, 1], n))
+    same_tensor_bits(mult_L(K), ref_sym_product(_l_element(n), K))
+    if p >= 1:
+        want = ref_sym_product(v, K) - ref_sym_product(
+            _l_element(n), ref_contract(v, K)).scale(1.0 / (n + 2 * (p - 1)))
+        same_tensor_bits(tracefree_sym_product(v, K, tol=np.inf), want)

@@ -27,6 +27,7 @@ from symkt.constructors import (
     killing_form_to_tensor,
     killing_vector,
     nijenhuis,
+    product_ckt,
     special_ckt_flat,
     special_killing_coefficients,
     special_to_killing,
@@ -36,10 +37,10 @@ from symkt.constructors import (
     verify_killing,
     weyl_part,
 )
-from symkt.errors import ConfigError, VerificationError
+from symkt.errors import ConfigError, DegreeError, VerificationError
 from symkt.dual import hessian, jacobian, value_of
 from symkt.fields import TensorField, d_op, delta_op, metric_field, nabla, scalar_field
-from symkt.manifolds import EmbeddedSphere, euclidean_chart
+from symkt.manifolds import EmbeddedSphere, euclidean_chart, manifold_from_key
 from symkt.multiindex import multi_indices
 from symkt.symtensor import SymTensor, norm, sym_product, trace_Lambda
 
@@ -374,6 +375,17 @@ def test_product_ckt_without_pairs():
         worst = max(worst, norm(tracefree_part(dK)) / max(1.0, frame_norm(T)))
         assert abs(trace_Lambda(h(x)).comps[0]) <= 1e-12
     assert worst <= 1e-9
+
+
+def test_product_ckt_refuses_ingredients_of_another_degree():
+    # a Killing vector lifts to a degree-1 core: it used to build a field
+    # that claimed degree 2 and failed only when evaluated
+    pr = manifold_from_key("product:sphere:2,sphere:2")
+    xi = killing_vector(pr.first, _rotation_generator(3, 0, 1))
+    zeta = killing_vector(pr.second, _rotation_generator(3, 1, 2))
+    with pytest.raises(DegreeError):
+        product_ckt(pr, np.random.default_rng(5), K1=xi)
+    assert product_ckt(pr, np.random.default_rng(5), pairs=[(xi, zeta)]).degree == 2
 
 
 def _ref_lift_field(product, which, factor_field, name=None):

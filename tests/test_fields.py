@@ -7,11 +7,14 @@ from symkt.cartan import frame_norm
 from symkt.constructors import _rotation_generator, killing_vector
 from symkt.errors import DegreeError, ShapeMismatchError
 from symkt.fields import (
+    SecondDerivative,
     TensorField,
     add_fields,
     constant_field,
     d0_op,
+    d_delta,
     d_op,
+    delta_d,
     delta_op,
     derived_field,
     field_from_components,
@@ -171,6 +174,33 @@ def test_rough_laplacian_scalar_flat():
     x = eu.sample_point(rng0)
     got = rough_laplacian(nabla2(f, x))
     assert np.isclose(got.comps[0], -(2.0 + 6.0))  # nabla*nabla = -Laplace
+
+
+def _first_and_second_derivative():
+    # nabla at three points of R^3 and nabla2 at one point are both
+    # (3, 3, size) arrays: only their types tell them apart
+    eu = euclidean_chart(3)
+    rng = np.random.default_rng(59)
+    f = random_polynomial_field(eu, 2, rng)
+    X = np.array([eu.sample_point(rng) for _ in range(3)])
+    T, W = nabla(f, X), nabla2(f, X[0])
+    assert T.comps.shape == W.comps.shape
+    assert isinstance(W, SecondDerivative) and not W.comps.flags.writeable
+    return T, W
+
+
+@pytest.mark.parametrize("op", [rough_laplacian, delta_d, d_delta], ids=lambda f: f.__name__)
+def test_second_order_operators_refuse_a_first_derivative(op):
+    T, _ = _first_and_second_derivative()
+    with pytest.raises(DegreeError):
+        op(T)
+
+
+@pytest.mark.parametrize("op", [d_op, delta_op, d0_op], ids=lambda f: f.__name__)
+def test_first_order_operators_refuse_a_second_derivative(op):
+    _, W = _first_and_second_derivative()
+    with pytest.raises(DegreeError):
+        op(W)
 
 
 def test_killing_vector_field_on_sphere():

@@ -60,6 +60,10 @@ their reasons.  A field built from fields goes through
 outside ``fields`` no ``SymTensor(...)`` call takes a field's
 ``.comps_fn(...)`` among its arguments, which would hand-type a dimension
 and a degree and skip the check that the fields share one base.
+Multiplication by the metric has one path, ``mult_L``'s plan and kernel:
+only ``symtensor._l_plan`` and ``symtensor._mult_L_comps`` read
+``_l_element``, so no ``sym_product(_l_element(n), K)`` can come back
+beside them with its own bits and its own per-call cost.
 """
 
 import ast
@@ -81,6 +85,7 @@ RECOMPUTED = {"nabla", "nabla2", "riemann", "delta_op", "connection_jet", "_nabl
 COMPONENT_WRAP_OWNER = "fields.py"
 PACKED_CORE = "_PackedTensor"
 PACKED_METHODS = {"_check_same_shape", "__add__", "__sub__", "__neg__"}
+L_ELEMENT_READERS = {"_l_plan", "_mult_L_comps"}
 RECOMPUTE_ALLOWED = {
     # the curvature benchmark workload calls it with rm=
     ("curvature.py", "qR_act"),
@@ -422,6 +427,23 @@ def derivative_recomputes(source):
     return sorted(found)
 
 
+def l_element_reads(source):
+    """Sorted (top-level definition, line) of every read or import of
+    ``_l_element`` outside ``L_ELEMENT_READERS`` (``<module>`` at module
+    level); a definition of the name is not a read."""
+    found = set()
+    for top in ast.parse(source).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            read = ((isinstance(node, ast.Name) and node.id == "_l_element")
+                    or (isinstance(node, ast.Attribute) and node.attr == "_l_element")
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(a.name == "_l_element" for a in node.names)))
+            if read and owner not in L_ELEMENT_READERS:
+                found.add((owner, node.lineno))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -505,6 +527,11 @@ def test_no_operator_recomputes_a_derivative_it_can_be_given():
              for owner, _ in derivative_recomputes(path.read_text())}
     assert sites - RECOMPUTE_ALLOWED == set()
     assert RECOMPUTE_ALLOWED <= sites  # a kept fallback that is gone leaves the list
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_mult_L_plan_and_kernel_read_the_l_element(path):
+    assert l_element_reads(path.read_text()) == []
 
 
 @pytest.mark.parametrize("name", ALGEBRA_KERNELS)
@@ -806,3 +833,25 @@ def test_checker_flags_derivative_recomputes():
     # NAME, with f a derivative, counts
     assert derivative_recomputes(source) == [
         ("<module>", 19), ("d_op", 2), ("inner", 8), ("laplacian", 6)]
+
+
+def test_checker_flags_l_element_reads():
+    source = (
+        "@lru_cache(maxsize=None)\n"
+        "def _l_element(n):\n"
+        "    return SymTensor.metric(n).scale(2.0)\n"
+        "def _l_plan(n, p):\n"
+        "    return _l_element(n).comps\n"
+        "def _mult_L_comps(comps, n, p):\n"
+        "    return _l_element(n).comps * comps[..., :1]\n"
+        "def mult_L(K):\n"
+        "    return sym_product(_l_element(K.dim), K)\n"
+        "class Lift:\n"
+        "    def __call__(self, K):\n"
+        "        return sym_product(symtensor._l_element(K.dim), K)\n"
+        "from .symtensor import _l_element as g2\n"
+        "G = _l_element\n"
+    )
+    # the definition and the plan's and kernel's reads are not flagged
+    assert l_element_reads(source) == [
+        ("<module>", 13), ("<module>", 14), ("Lift", 12), ("mult_L", 9)]

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from symkt import suites
-from symkt.cartan import FrameTensor
 from symkt.curvature import (
     RiemannAtPoint,
     lichnerowicz_defect,
@@ -28,6 +27,7 @@ from symkt.curvature import (
 )
 from symkt.dual import Jet, d_exp, d_log, d_sqrt, hessian, jacobian, value_of
 from symkt.fields import (
+    SecondDerivative,
     TensorField,
     _assemble_first,
     _nabla2_jet,
@@ -95,7 +95,7 @@ def ref_nabla2(field, x):
 
 
 def ref_lichnerowicz_defect(field, x):
-    W = FrameTensor.from_stacked(field.base.dim, field.degree, ref_nabla2(field, x))
+    W = SecondDerivative.from_stacked(field.base.dim, field.degree, ref_nabla2(field, x))
     lhs = delta_d(W) - d_delta(W)
     rl = rough_laplacian(W)
     rm = RiemannAtPoint.from_R4(ref_curvature(field.base, x))
