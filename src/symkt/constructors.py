@@ -531,18 +531,6 @@ def tilted_split(sphere):
     return DistributionSplit(sphere, 1, projector, name="tilted")
 
 
-def coordinate_split(chart, n1):
-    """Axis-aligned splitting of a flat chart."""
-
-    def projector(x):
-        n = chart.dim
-        return [
-            [1.0 if (i == j and i < n1) else 0.0 for j in range(n)] for i in range(n)
-        ]
-
-    return DistributionSplit(chart, n1, projector, name="coordinate")
-
-
 # ---------------------------------------------------------------------------
 # conformal Killing tensors on Riemannian products
 

@@ -221,10 +221,12 @@ class DualArray:
     gradient).  ``sum``, ``@`` and ``tensordot`` add the terms of each
     output left to right from the first, as numpy's object loops do;
     ``scatter`` adds them in input order onto int 0, which touches the
-    value only.  A sum or product may take its two operands in the other
-    order (a constant's value first, or a running sum that is still a
-    constant before a Dual term); that changes at most which NaN comes
-    out where two NaNs meet, which numpy's own float loops leave to the
+    value only.  ``dot`` sums its gradient that way too, but takes its
+    value from the float ``.dot`` of the values, as the float kernels do.
+    A sum or product may take its two operands in the other order (a
+    constant's value first, or a running sum that is still a constant
+    before a Dual term); that changes at most which NaN comes out where
+    two NaNs meet, which numpy's own float loops leave to the
     position of the entry.
 
     ``__array_ufunc__ = None`` hands numpy's binary operators to the
@@ -506,6 +508,23 @@ class DualArray:
         const = None if self.const is None else self.const.all(axis=a)
         return self._new(np.add.accumulate(self.val, axis=a)[at],
                          np.add.accumulate(self.grad, axis=a)[at], const)
+
+    def dot(self, other):
+        """``ndarray.dot`` of two vectors: their products' gradients summed
+        left to right from the first, as ``sum`` does, and the value the
+        float ``.dot`` of the two values (per batch point, a matmul over
+        contiguous rows, which takes ``np.dot``'s kernel).  That is the sum
+        the float kernels make, so the value keeps their bits, though not
+        the object array's left-to-right sum."""
+        prod = self * other
+        va, vb = self.val, np.broadcast_to(self._parts(other)[0], self.val.shape)
+        if self.nb:
+            va, vb = (np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in (va, vb))
+            val = (va[..., None, :] @ vb[..., :, None])[..., 0, 0]
+        else:
+            val = va.dot(vb)
+        const = None if prod.const is None else prod.const.all(axis=0)
+        return prod._new(val, np.add.accumulate(prod.grad, axis=0)[-1], const)
 
     def scatter(self, pos, size):
         """``out[..., pos[i]] += self[..., i]`` onto int 0, in the order of i.

@@ -287,7 +287,10 @@ class Chart:
         p = self.log_gradient(x)
         if self.kappa == 0:
             return np.concatenate((v, p))
-        return np.concatenate((v, float(v.dot(v)) * p - (2.0 * float(p.dot(v))) * v))
+        out = np.empty(2 * m)
+        out[:m] = v
+        np.subtract(float(v.dot(v)) * p, (2.0 * float(p.dot(v))) * v, out=out[m:])
+        return out
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components
@@ -362,7 +365,10 @@ class EmbeddedSphere:
         m = self.coord_dim
         x, v = y[:m], y[m:]
         speed2 = float(v.dot(v)) / self.radius**2
-        return np.concatenate((v, -speed2 * x))
+        out = np.empty(2 * m)
+        out[:m] = v
+        np.multiply(-speed2, x, out=out[m:])
+        return out
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components
@@ -421,10 +427,12 @@ class ProductManifold:
         """The factors' right-hand sides on their packed states (x1, v1) and
         (x2, v2), interleaved back as (x1', x2', v1', v2')."""
         m1, m = self.first.coord_dim, self.coord_dim
-        m2 = m - m1
         d1 = self.first.geodesic_rhs(np.concatenate((y[:m1], y[m:m + m1])))
         d2 = self.second.geodesic_rhs(np.concatenate((y[m1:m], y[m + m1:])))
-        return np.concatenate((d1[:m1], d2[:m2], d1[m1:], d2[m2:]))
+        out = np.empty((2, m))
+        out[:, :m1] = d1.reshape(2, m1)
+        out[:, m1:] = d2.reshape(2, m - m1)
+        return out.ravel()
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components

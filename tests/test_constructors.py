@@ -16,7 +16,6 @@ from symkt.constructors import (
     build_constructor,
     condition_d1_residual,
     constructor_catalog,
-    coordinate_split,
     curvature_project,
     curvature_to_killing,
     distribution_stackel,
@@ -43,6 +42,8 @@ from symkt.fields import TensorField, d_op, delta_op, metric_field, nabla, scala
 from symkt.manifolds import EmbeddedSphere, euclidean_chart, manifold_from_key
 from symkt.multiindex import multi_indices
 from symkt.symtensor import SymTensor, norm, sym_product, trace_Lambda
+
+from flat_splits import coordinate_split
 
 rng0 = np.random.default_rng(2025)
 

@@ -179,6 +179,28 @@ def test_products_match_the_object_loops(data, s, i, j, k):
 
 
 @PROPERTY
+@given(st.data(), seedings(), st.integers(1, 10))
+def test_dot_sums_gradients_as_the_object_loop_and_values_as_floats(data, s, k):
+    # the gradient and which entries are Duals: the object array's dot; the
+    # value: the float dot of the values, per batch point
+    draw = data.draw
+    A_obj, A = s.pair(draw, (k,))
+    B_obj, B = s.pair(draw, (k,))
+    c = np.array(draw(st.lists(VALUES, min_size=k, max_size=k)))
+    for got, want, other in [(A.dot(B), A_obj.dot(B_obj), parts(B_obj, s)[1]),
+                             (A.dot(c), A_obj.dot(c), c[(...,) + (None,) * len(s.lead)])]:
+        (g_dual, g_val, g_grad), (w_dual, _, w_grad) = parts(got, s), parts(want, s)
+        assert g_dual.tobytes() == w_dual.tobytes()
+        assert _canonical(g_grad).tobytes() == _canonical(w_grad).tobytes()
+        va, vb = np.broadcast_arrays(parts(A_obj, s)[1], other)
+        points = [va.dot(vb)] if s.batch is None else [
+            np.ascontiguousarray(va[:, b]).dot(np.ascontiguousarray(vb[:, b]))
+            for b in range(s.batch)]
+        # a stacked row may give the other sign of a zero or a NaN (``symtensor.inner``)
+        assert np.array_equal(g_val, np.reshape(points, s.lead), equal_nan=True)
+
+
+@PROPERTY
 @given(st.data(), seedings())
 def test_moves_match_the_object_array(data, s):
     A_obj, A = s.pair(data.draw, (2, 3, 4))

@@ -140,6 +140,33 @@ def test_golden_covers_every_digest(current):
     assert sorted(current) == sorted(GOLDEN)
 
 
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_each_right_hand_side_returns_fresh_memory(key):
+    # an RK4 step keeps k1 to k4 alive together and yields views into y, so
+    # each call must leave y alone and return memory of its own
+    base = CASES[key]()
+    rng = np.random.default_rng(1921)
+    states = [np.concatenate(initial_condition(base, rng)) for _ in range(2)]
+    before = [y.copy() for y in states]
+    outs = [base.geodesic_rhs(y) for y in states]
+    assert not np.shares_memory(outs[0], outs[1])
+    for out in outs:
+        assert out.shape == states[0].shape
+        assert not any(np.shares_memory(out, y) for y in states)
+    for y, b in zip(states, before):
+        assert y.tobytes() == b.tobytes()
+    assert outs[0].tobytes() == base.geodesic_rhs(states[0]).tobytes()
+
+
+@pytest.mark.parametrize("key", sorted(CASES))
+def test_yielded_views_keep_their_values_after_later_steps(key):
+    base = CASES[key]()
+    x0, v0 = initial_condition(base, np.random.default_rng(1922))
+    seen = [(x, v, x.copy(), v.copy()) for x, v in rk4_geodesic(base, x0, v0, 5, 1e-2)]
+    for x, v, x_then, v_then in seen:
+        assert x.tobytes() == x_then.tobytes() and v.tobytes() == v_then.tobytes()
+
+
 if __name__ == "__main__":
     for name, value in digests().items():
         print(f'    "{name}": "{value}",')

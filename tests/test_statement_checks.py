@@ -24,7 +24,6 @@ from symkt.constructors import (
     _killing_form_omega,
     _projector_frame_matrix,
     condition_d1_residual,
-    coordinate_split,
     hopf_split,
     killing_form_residual,
     killing_form_sphere,
@@ -51,6 +50,8 @@ from symkt.multiindex import (
 )
 from symkt.obs import worst
 from symkt.symtensor import SymTensor, norm, poly_eval, random_sym_tensor, trace_Lambda
+
+from flat_splits import coordinate_split
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")

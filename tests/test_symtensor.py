@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symkt.dual import DualArray, seed, value_of
 from symkt.errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from symkt.symtensor import (
     SymTensor,
+    _as_comps,
     _require_tracefree,
     change_basis,
     constant_a,
@@ -550,3 +552,105 @@ def test_change_basis_matches_dense():
     assert np.allclose(got, want, atol=1e-12)
     v = random_sym_tensor(m, 1, rng)
     assert np.allclose(change_basis(v, M).comps, M.T @ v.comps)
+
+
+# ---------------------------------------------------------------------------
+# DualArray components: the scalar product and the trace-free guard
+
+TRACEFREE = [1.0, 2.0, -0.5, 3.0, 0.25, -4.0]  # diagonal 1 + 3 - 4 = 0
+
+
+def _dual_tensor(coeffs, point):
+    """Degree 2 over R^3 with components c d, d = 1.5 s0 - 0.25 s1 + 2 of
+    one seeding at ``point`` (a point, or a (B, 2) batch): a DualArray."""
+    s = seed(point)
+    d = 1.5 * s[0] - 0.25 * s[1] + 2.0
+    K = SymTensor(3, 2, [c * d for c in coeffs])
+    assert isinstance(K.comps, DualArray)
+    return K
+
+
+def test_dual_scalar_product_has_the_float_kernels_value():
+    K = _dual_tensor([1.0] * 6, [0.3, -0.7])
+    F = SymTensor(3, 2, K.values())
+    got = inner(K, K)
+    assert np.float64(value_of(got)).tobytes() == np.float64(inner(F, F)).tobytes()
+    # <K, K> = |C|^2 d^2 with |C|^2 = 4.5 and d = 2.625: gradient 2 |C|^2 d (1.5, -0.25)
+    assert np.allclose(got.grad, 2 * 4.5 * 2.625 * np.array([1.5, -0.25]), rtol=1e-15, atol=0)
+    assert norm(K) == norm(F)
+    v = SymTensor(3, 1, [1.0, 2.0, 3.0])
+    for T in (K, F):  # not trace-free: the guard refuses both alike
+        with pytest.raises(TraceError):
+            tracefree_sym_product(v, T)
+
+
+def test_dual_tracefree_product_has_the_float_kernels_value():
+    K = _dual_tensor(TRACEFREE, [0.3, -0.7])
+    v = SymTensor(3, 1, [1.0, 2.0, 3.0])
+    got = tracefree_sym_product(v, K)
+    want = tracefree_sym_product(v, SymTensor(3, 2, K.values()))
+    assert got.values().tobytes() == want.comps.tobytes()
+    # linear in d: the gradient is the product of C times d's (1.5, -0.25)
+    unit = tracefree_sym_product(v, SymTensor(3, 2, TRACEFREE)).comps
+    assert np.allclose(got.comps.grad, unit[:, None] * [1.5, -0.25], rtol=1e-15, atol=1e-15)
+    assert trace_residual(K) <= 1e-15
+
+
+def test_dual_norms_and_guard_act_per_batch_point():
+    X = np.array([[0.3, -0.7], [1.1, 0.4], [-0.2, 0.9]])
+    K = _dual_tensor(TRACEFREE, X)
+    v = SymTensor(3, 1, [1.0, 2.0, 3.0])
+    got = tracefree_sym_product(v, K).values()
+    for b in range(len(X)):
+        F = SymTensor(3, 2, K.values()[:, b])
+        assert norm(K)[b] == norm(F)
+        assert got[:, b].tobytes() == tracefree_sym_product(v, F).comps.tobytes()
+    with pytest.raises(TraceError):
+        tracefree_sym_product(v, _dual_tensor([1.0] * 6, X))
+
+
+# ---------------------------------------------------------------------------
+# component lists with batch columns
+
+SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def component_lists(draw, batches):
+    """1..10 entries, each a Python float, a numpy float, an int or a float
+    array of one of the batch shapes drawn from ``batches``."""
+    shapes = draw(batches)
+    out = []
+    for _ in range(draw(st.integers(1, 10))):
+        kind = draw(st.sampled_from(["float", "float64", "int", "array"]))
+        if kind == "float":
+            out.append(draw(FLOATS))
+        elif kind == "float64":
+            out.append(np.float64(draw(FLOATS)))
+        elif kind == "int":
+            out.append(draw(st.integers(-2**63, 2**63 - 1)))
+        else:
+            shape = draw(st.sampled_from(shapes))
+            out.append(np.array(draw(st.lists(FLOATS, min_size=shape[0], max_size=shape[0]))))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(component_lists(st.sampled_from([[(1,)], [(3,)], [(1,), (4,)]])))
+def test_component_lists_stack_as_broadcast_arrays(vals):
+    want = np.stack(np.broadcast_arrays(*vals), axis=-1, dtype=float)
+    got = _as_comps(vals, len(vals))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # NaN signs and payloads, signed zeros
+
+
+@settings(max_examples=50, deadline=None)
+@given(component_lists(st.just([(2,)])), st.lists(FLOATS, min_size=3, max_size=3), st.data())
+def test_component_lists_that_do_not_broadcast_raise_as_broadcast_arrays(vals, col, data):
+    vals.insert(data.draw(st.integers(0, len(vals))), np.array(col))  # (3,) against (2,)
+    vals.insert(data.draw(st.integers(0, len(vals))), np.zeros(2))
+    with pytest.raises(Exception) as want:
+        np.broadcast_arrays(*vals)
+    with pytest.raises(want.type):
+        _as_comps(vals, len(vals))
