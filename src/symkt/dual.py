@@ -222,7 +222,8 @@ class DualArray:
     output left to right from the first, as numpy's object loops do;
     ``scatter`` adds them in input order onto int 0, which touches the
     value only.  ``dot`` sums its gradient that way too, but takes its
-    value from the float ``.dot`` of the values, as the float kernels do.
+    value from the float ``.dot`` of the values, as the float kernels do
+    (an ndarray's ``.dot`` of a DualArray sums the object array instead).
     A sum or product may take its two operands in the other order (a
     constant's value first, or a running sum that is still a constant
     before a Dual term); that changes at most which NaN comes out where
@@ -512,15 +513,17 @@ class DualArray:
     def dot(self, other):
         """``ndarray.dot`` of two vectors: their products' gradients summed
         left to right from the first, as ``sum`` does, and the value the
-        float ``.dot`` of the two values (per batch point, a matmul over
-        contiguous rows, which takes ``np.dot``'s kernel).  That is the sum
-        the float kernels make, so the value keeps their bits, though not
-        the object array's left-to-right sum."""
+        float ``.dot`` of the two values (per batch point, ``_row_dots``).
+        That is the sum the float kernels make, so the value keeps their
+        bits, though not the object array's left-to-right sum.  Only this
+        method gives that value: an ndarray's ``.dot`` of a DualArray takes
+        its object array and sums left to right, so ``symtensor.inner``
+        calls the DualArray's ``dot`` with a float operand on either side
+        (the float dot is the same from either side)."""
         prod = self * other
         va, vb = self.val, np.broadcast_to(self._parts(other)[0], self.val.shape)
         if self.nb:
-            va, vb = (np.ascontiguousarray(np.moveaxis(v, 0, -1)) for v in (va, vb))
-            val = (va[..., None, :] @ vb[..., :, None])[..., 0, 0]
+            val = _row_dots(np.moveaxis(va, 0, -1), np.moveaxis(vb, 0, -1))
         else:
             val = va.dot(vb)
         const = None if prod.const is None else prod.const.all(axis=0)
@@ -612,6 +615,14 @@ def _both(ca, cb):
 def asarray(x):
     """``np.asarray(x)``, a DualArray as it is."""
     return x if isinstance(x, DualArray) else np.asarray(x)
+
+
+def _row_dots(a, b):
+    """The dot product of each pair of last-axis rows of two float arrays.
+    The rows are made contiguous, so numpy's matmul takes the kernel of
+    ``np.dot``."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _matmul(a, b):

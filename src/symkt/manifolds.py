@@ -427,12 +427,10 @@ class ProductManifold:
         """The factors' right-hand sides on their packed states (x1, v1) and
         (x2, v2), interleaved back as (x1', x2', v1', v2')."""
         m1, m = self.first.coord_dim, self.coord_dim
+        m2 = m - m1
         d1 = self.first.geodesic_rhs(np.concatenate((y[:m1], y[m:m + m1])))
         d2 = self.second.geodesic_rhs(np.concatenate((y[m1:m], y[m + m1:])))
-        out = np.empty((2, m))
-        out[:, :m1] = d1.reshape(2, m1)
-        out[:, m1:] = d2.reshape(2, m - m1)
-        return out.ravel()
+        return np.concatenate((d1[:m1], d2[:m2], d1[m1:], d2[m2:]))
 
     # own class entry: perfbench/tracing.py wraps cls.__dict__["frame_components"]
     frame_components = frame_components

@@ -46,7 +46,7 @@ from math import factorial, prod, sqrt
 
 import numpy as np
 
-from .dual import DERIVATIVE_TYPES, DualArray, asarray, dual_array, value_of
+from .dual import DERIVATIVE_TYPES, DualArray, _row_dots, asarray, dual_array, value_of
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError, TraceError
 from .multiindex import (
     contract_array,
@@ -99,12 +99,13 @@ def _as_comps(values, size):
     sequence holds the ``size`` entries a field's ``comps_fn`` returns:
     scalars, Duals, Jets, or arrays over batch axes.  Numbers and arrays
     fill one ``np.empty`` of the broadcast batch shape, one entry per
-    column of the last axis: the bytes of ``np.stack`` over
-    ``np.broadcast_arrays`` (and its ValueError for shapes that do not
-    broadcast), at a quarter to a half of its cost (7 against 28 us for
-    six (51,) columns and four constants).  Duals of one float seeding
-    (with constants) give a :class:`~symkt.dual.DualArray`; Jets and
-    nested Duals an object array.
+    column of the last axis, cast ``same_kind`` as ``np.stack`` casts:
+    the bytes of ``np.stack`` over ``np.broadcast_arrays``, and its
+    ValueError for shapes that do not broadcast and TypeError for a
+    complex or string entry, at a quarter to a half of its cost
+    (``BENCH_pr34.json``: 10.9 against 29.0 us for six (51,) columns and
+    four constants).  Duals of one float seeding (with constants) give a
+    :class:`~symkt.dual.DualArray`; Jets and nested Duals an object array.
     """
     if isinstance(values, DualArray):
         arr = values.copy()
@@ -122,7 +123,7 @@ def _as_comps(values, size):
             batch = np.broadcast_shapes(*{v.shape for v in vals if isinstance(v, np.ndarray)})
             arr = np.empty(batch + (len(vals),))
             for k, v in enumerate(vals):
-                arr[..., k] = v
+                np.copyto(arr[..., k], v, casting="same_kind")
         else:
             arr = np.asarray(vals, dtype=float)
     if arr.shape[-1:] != (size,):
@@ -372,7 +373,12 @@ def inner(A, B):
     the identity suite takes many one-point norms.
     """
     A._check_same_shape(B)
-    return _inner_comps(A.comps, B.comps, A.dim, A.degree)
+    a, b = A.comps, B.comps
+    if isinstance(b, DualArray) and not isinstance(a, DualArray):
+        # ndarray.dot would sum B's Duals left to right; DualArray.dot gives
+        # the float kernel's value, which is the same from either side
+        return b.dot(a * multiplicities(A.dim, A.degree)) / factorial(A.degree)
+    return _inner_comps(a, b, A.dim, A.degree)
 
 
 def _inner_comps(a, b, n, p):
@@ -380,9 +386,7 @@ def _inner_comps(a, b, n, p):
     mult = multiplicities(n, p)
     if a.ndim == 1 and b.ndim == 1:
         return (a * mult).dot(b) / factorial(p)
-    # contiguous rows: numpy's matmul then takes the dot kernel of np.dot
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    return ((a * mult)[..., None, :] @ b[..., :, None])[..., 0, 0] / factorial(p)
+    return _row_dots(a * mult, b) / factorial(p)
 
 
 def norm(A):

@@ -578,10 +578,29 @@ def test_dual_scalar_product_has_the_float_kernels_value():
     # <K, K> = |C|^2 d^2 with |C|^2 = 4.5 and d = 2.625: gradient 2 |C|^2 d (1.5, -0.25)
     assert np.allclose(got.grad, 2 * 4.5 * 2.625 * np.array([1.5, -0.25]), rtol=1e-15, atol=0)
     assert norm(K) == norm(F)
+    # a float tensor on either side: the DualArray's dot, not the object sum
+    rng = np.random.default_rng(34)
+    for G in (SymTensor(3, 2, rng.normal(size=6)) for _ in range(8)):
+        for got, want in [(inner(G, K), inner(G, F)), (inner(K, G), inner(F, G))]:
+            assert np.float64(value_of(got)).tobytes() == np.float64(want).tobytes()
+        assert np.array_equal(inner(G, K).grad, inner(K, G).grad)
     v = SymTensor(3, 1, [1.0, 2.0, 3.0])
     for T in (K, F):  # not trace-free: the guard refuses both alike
         with pytest.raises(TraceError):
             tracefree_sym_product(v, T)
+
+
+def test_dual_scalar_product_of_degree_three_is_within_an_ulp():
+    # p! = 6: a Dual divides by it as a product with the reciprocal
+    s = seed([0.3, -0.7])
+    d = 1.5 * s[0] - 0.25 * s[1] + 2.0
+    rng = np.random.default_rng(34)
+    C, G = rng.normal(size=10), SymTensor(3, 3, rng.normal(size=10))
+    K, F = SymTensor(3, 3, [c * d for c in C]), SymTensor(3, 3, C * value_of(d))
+    assert K.values().tobytes() == F.comps.tobytes()
+    for got, want in [(inner(K, K), inner(F, F)), (inner(G, K), inner(G, F)),
+                      (inner(K, G), inner(F, G))]:
+        assert abs(value_of(got) - want) <= np.spacing(abs(want))
 
 
 def test_dual_tracefree_product_has_the_float_kernels_value():
@@ -653,4 +672,13 @@ def test_component_lists_that_do_not_broadcast_raise_as_broadcast_arrays(vals, c
     with pytest.raises(Exception) as want:
         np.broadcast_arrays(*vals)
     with pytest.raises(want.type):
+        _as_comps(vals, len(vals))
+
+
+@pytest.mark.parametrize("col", [1j, np.array([1j, 2.0]), "1.5", np.array(["1", "2"])])
+def test_component_columns_that_do_not_cast_same_kind_raise_as_stack(col):
+    vals = [np.zeros(2), col, 1.0]
+    with pytest.raises(TypeError):
+        np.stack(np.broadcast_arrays(*vals), axis=-1, dtype=float)
+    with pytest.raises(TypeError):
         _as_comps(vals, len(vals))
