@@ -135,15 +135,24 @@ def frame_inner(A, B):
     result equals the slot-by-slot sum of ``inner`` bit for bit.
     """
     A._check_same_shape(B)
-    mult = multiplicities(A.dim, A.degree)
-    a, b = (np.ascontiguousarray(X.comps) for X in (A, B))
-    dots = ((a * mult)[..., None, :] @ b[..., :, None])[..., 0] / factorial(A.degree)
+    return _frame_inner_comps(A.comps, B.comps, A.dim, A.degree)
+
+
+def _frame_inner_comps(a, b, n, p):
+    """``frame_inner``'s kernel on two slot arrays (..., n, size) of degree p."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    dots = ((a * multiplicities(n, p))[..., None, :] @ b[..., :, None])[..., 0] / factorial(p)
     return slot_sum(dots)[..., 0][()]  # [()]: a scalar, not a 0-d array, at a point
 
 
 def frame_norm(A):
     """|A|, a float; per point, an array, for slots with batch axes."""
-    return _root_of_square(frame_inner(A, A))
+    return _frame_norm_comps(A.comps, A.dim, A.degree)
+
+
+def _frame_norm_comps(a, n, p):
+    """``frame_norm``'s kernel on a slot array (..., n, size) of degree p."""
+    return _root_of_square(_frame_inner_comps(a, a, n, p))
 
 
 def _check_supported(n, p):
@@ -214,15 +223,9 @@ def _rows(S, n):
 
 def pi1(T):
     """Sum of trace-free products (e_i . slot_i)_0, degree p+1."""
-    _require_tracefree(T, "pi1")
-    return _pi1(T, _hooks(T.comps, T.degree))
-
-
-def _pi1(T, hooks):
-    """``pi1`` of a T whose slots the caller has found trace-free, from the
-    slot hooks of T."""
-    return _tensor(T.dim, T.degree + 1,
-                   slot_sum(_tracefree_products(T.comps, T.degree, hooks)))
+    n, p = T.dim, T.degree
+    _require_tracefree(T.comps, n, p, "pi1")
+    return _tensor(n, p + 1, slot_sum(_tracefree_products(T.comps, p, _hooks(T.comps, p))))
 
 
 def pi1_star(S):
@@ -233,17 +236,17 @@ def pi1_star(S):
 
 def pi2(T):
     """Sum of contractions e_i -| slot_i, degree p-1."""
-    return _pi2(T, slot_hooks(T.comps, T.degree))
+    return _tensor(T.dim, T.degree - 1, _pi2(slot_hooks(T.comps, T.degree)))
 
 
-def _pi2(T, hooks):
-    """``pi2`` of T from its slot hooks e_i -| slot_i."""
-    return _tensor(T.dim, T.degree - 1, slot_sum(hooks))
+def _pi2(hooks):
+    """``pi2``'s kernel: the sum of the slot hooks e_i -| slot_i."""
+    return slot_sum(hooks)
 
 
 def pi2_star(S):
     """Adjoint embedding: slot i = (e_i . S)_0."""
-    _require_tracefree(S, "pi2_star")
+    _require_tracefree(S.comps, S.dim, S.degree, "pi2_star")
     return _pi2_star(S)
 
 
@@ -281,16 +284,23 @@ def cartan_decompose(T, tol=DEFAULT_TRACE_TOL):
     """
     n, p = T.dim, T.degree
     _check_supported(n, p)
-    _require_tracefree(T, "cartan_decompose", tol)
-    hooks = slot_hooks(T.comps, p)
-    s1 = _pi1(T, hooks)
-    s2 = _pi2(T, hooks)
-    _require_tracefree(s2, "pi2_star", tol)
+    P1, P2, P3, s1, s2 = _cartan_comps(T.comps, n, p, slot_hooks(T.comps, p), tol)
+    return CartanParts(_frame(n, p, P1), _frame(n, p, P2), _frame(n, p, P3),
+                       _tensor(n, p + 1, s1), _tensor(n, p - 1, s2))
+
+
+def _cartan_comps(T, n, p, hooks, tol=DEFAULT_TRACE_TOL):
+    """``cartan_decompose``'s kernel on the slots T (..., n, size) of a
+    supported (n, p), given their hooks e_a -| T_a: the arrays P1, P2, P3
+    and pi1, pi2, behind the guards of ``cartan_decompose``."""
+    _require_tracefree(T, n, p, "cartan_decompose", tol)
+    s1 = slot_sum(_tracefree_products(T, p, hooks))
+    s2 = _pi2(hooks)
+    _require_tracefree(s2, n, p - 1, "pi2_star", tol)
     # the slots of pi1*(s1) and pi2*(s2), scaled, and the remainder
-    P1 = slot_hooks(_rows(s1.comps, n), p + 1) * (1.0 / (p + 1))
-    P2 = _pi2_star_rows(s2.comps, n, p - 1) * (1.0 / pi2_constant(n, p))
-    P3 = T.comps - P1 - P2
-    return CartanParts(_frame(n, p, P1), _frame(n, p, P2), _frame(n, p, P3), s1, s2)
+    P1 = slot_hooks(_rows(s1, n), p + 1) * (1.0 / (p + 1))
+    P2 = _pi2_star_rows(s2, n, p - 1) * (1.0 / pi2_constant(n, p))
+    return P1, P2, T - P1 - P2, s1, s2
 
 
 def conformal_weight(T):

@@ -8,29 +8,36 @@ which coincides by uniqueness of the standard decomposition).
 
 The B sample points are drawn one by one into one (B, m) float array,
 which the domain check and the seeding of the one batched jet read as
-they are.  Every operand is computed once, and the norms of tensors of
-one shape are taken as one stack: row i of a stacked ``inner`` or
-``frame_inner`` is one matmul over a contiguous row, the dot kernel of
-the call on tensor i alone, so each residual keeps its bits.
+they are.  The residual stage after the jet (``_residuals``) runs the
+kernels of the wrapped operators on the raw arrays of K and of the slots
+S of nabla K and wraps nothing, so each residual keeps the bits of the
+chain of wrapped tensors (docs/conventions.md).  Every operand is
+computed once, and the norms of arrays of one shape are taken as one
+stack: row i of a stacked ``_norm_comps`` or ``_frame_norm_comps`` is
+one matmul over a contiguous row, the dot kernel of the call on array i
+alone.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .cartan import FrameTensor, cartan_decompose, frame_norm, pi2_star, supported_pair
+from .cartan import (
+    _cartan_comps,
+    _frame_norm_comps,
+    _pi2_star_rows,
+    frame_norm,
+    slot_hooks,
+    slot_products,
+    slot_sum,
+    supported_pair,
+)
 from .constructors import _special_conformal_defect
 from .errors import ConfigError, DegreeError, VerificationError
 from .fields import _nabla_jet, d_op, delta_op, derived_field, nabla
 from .multiindex import exchange_array
 from .obs import finite_or_nan, worst
-from .symtensor import (
-    SymTensor,
-    norm,
-    standard_decomposition,
-    trace_Lambda,
-    tracefree_part,
-)
+from .symtensor import _deflate, _norm_comps, _trace_comps, _traces, norm, standard_decomposition
 
 __all__ = ["ClassReport", "classify", "divfree_killing_parts"]
 
@@ -106,17 +113,11 @@ def _sample_points(base, count, rng):
     return np.array([base.sample_point(rng) for _ in range(count)])
 
 
-def _norms(tensors):
-    """The norms of named tensors of one shape, all SymTensors or all
-    FrameTensors, by name, taken as one stacked norm whose row for each
-    name is bit for bit the norm of that tensor alone."""
-    A = next(iter(tensors.values()))
-    comps = np.array([t.comps for t in tensors.values()])
-    if isinstance(A, FrameTensor):
-        rows = frame_norm(FrameTensor.from_stacked(A.dim, A.degree, comps))
-    else:
-        rows = norm(SymTensor(A.dim, A.degree, comps))
-    return dict(zip(tensors, rows))
+def _norms(kernel, n, p, arrays):
+    """The norms of named component arrays of one shape, by name: one
+    ``kernel`` (``_norm_comps`` or ``_frame_norm_comps``) on their stack,
+    whose row for each name is bit for bit the norm of that array alone."""
+    return dict(zip(arrays, kernel(np.array(list(arrays.values())), n, p)))
 
 
 def _codazzi_residual(S, n, p):
@@ -127,12 +128,62 @@ def _codazzi_residual(S, n, p):
     return finite_or_nan(np.abs(S[..., a, ia] - S[..., b, ib]).max(-1))
 
 
+def _residuals(vals, S, n, p, use_parts):
+    """Every residual, a per-sample list by key, from the jet of
+    ``_nabla_jet``: the components ``vals`` (B, size) of K and the slots
+    ``S`` (B, n, size) of nabla K, with the Cartan parts if ``use_parts``.
+    """
+    # g is parallel, so nabla K_0 = (nabla K)_0 and d tr K = tr nabla K
+    # are read off this one jet instead of re-differentiated
+    dK = slot_sum(slot_products(S, p))
+    hooks = slot_hooks(S, p)
+    deltaK = -slot_sum(hooks)
+    traces = _traces(S, n, p) if use_parts or p == 2 else None
+    # one stacked norm per shape, each array under the residual it gives:
+    # the slots (nabla K itself gives the scale), then dK and (dK)_0, then
+    # delta K and the two-tensor defect
+    frames = {"scale": S, "special_conformal": _special_conformal_defect(S, deltaK, n, p)}
+    if use_parts:
+        T0, hooks0 = S, hooks
+        if p >= 2:
+            T0 = _deflate(traces, n, p)[0]
+            hooks0 = slot_hooks(T0, p)
+        P1, P2, P3, _, s2 = _cartan_comps(T0, n, p, hooks0)
+        frames.update(p1=P1, p2=P2, p3=P3)
+        if p == 2:
+            # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z),
+            # k = -c2 delta(K0) = c2 pi2(K0)
+            c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
+            frames["special1"] = T0 - _pi2_star_rows(s2 * c2, n, p - 1)
+    deltas = {"divfree": deltaK}
+    if p == 2:
+        # d tr K = 2 delta K for Killing 2-tensors
+        deltas["two_tensor"] = traces[1][..., 0] - deltaK * 2.0
+    dKs = {"killing": dK, "conformal": _deflate(_traces(dK, n, p + 1), n, p + 1)[0]}
+    norms = {**_norms(_frame_norm_comps, n, p, frames), **_norms(_norm_comps, n, p + 1, dKs),
+             **_norms(_norm_comps, n, p - 1, deltas)}
+    s = norms.pop("scale")
+    special = norms.pop("special_conformal")
+    scale = _scale(s)
+    res = {k: [] for k in RESIDUAL_KEYS}
+    for key, value in norms.items():
+        res[key] = value / scale
+    # normalized as special_conformal_residual does: by max(1, s), an
+    # infinite s kept where _scale makes it NaN
+    res["special_conformal"] = special / np.maximum(1.0, s)
+    tracefree = _norm_comps(_trace_comps(vals, n, p), n, p - 2) if p >= 2 else 0.0
+    res["tracefree"] = tracefree / scale
+    res["codazzi"] = _codazzi_residual(S, n, p) / scale
+    return {k: np.asarray(v, dtype=float).tolist() for k, v in res.items()}
+
+
 def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     """Evaluate classification residuals of a field at random domain points.
 
     The points are drawn first and the field is differentiated once for
-    all of them (one batched jacobian of the components and one of the
-    frame); every residual is then an array operation over the samples.
+    all of them (one seeding of the components and the frame, unpacked
+    each alone); every residual is then an array operation over the
+    samples (``_residuals``).
 
     Parameters
     ----------
@@ -157,49 +208,7 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     use_parts = p_parts and supported_pair(n, p)
 
     points = _sample_points(base, samples, rng)
-    # g is parallel, so nabla K_0 = (nabla K)_0 and d tr K = tr nabla K
-    # are read off this one jet instead of re-differentiated; K is the
-    # jet's value part
-    vals, S = _nabla_jet(field, points)
-    K = SymTensor(n, p, vals)
-    T = FrameTensor.from_stacked(n, p, S)
-    dK = d_op(T)
-    deltaK = delta_op(T)
-    # one stacked norm per shape, each tensor under the residual it gives:
-    # the frame tensors (nabla K itself gives the scale), then dK and
-    # (dK)_0, then delta K and the two-tensor defect
-    frames = {"scale": T, "special_conformal": _special_conformal_defect(T, deltaK)}
-    if use_parts:
-        T0 = T
-        if p >= 2:
-            T0 = FrameTensor.from_stacked(n, p, tracefree_part(SymTensor(n, p, S)).comps)
-        parts = cartan_decompose(T0)
-        frames.update(p1=parts.P1, p2=parts.P2, p3=parts.P3)
-        if p == 2:
-            # (nabla_X K0)(Y,Z) = g(X,Y)k(Z) + g(X,Z)k(Y) - (2/n)k(X)g(Y,Z),
-            # k = -c2 delta(K0) = c2 pi2(K0)
-            c2 = (n + 2 * p - 4) / ((n + 2 * p - 2) * (n + p - 3))
-            frames["special1"] = T0 - pi2_star(parts.pi2.scale(c2))
-    deltas = {"divfree": deltaK}
-    if p == 2:
-        # d tr K = 2 delta K for Killing 2-tensors
-        dtr = SymTensor(n, 1, trace_Lambda(SymTensor(n, p, S)).comps[..., 0])
-        deltas["two_tensor"] = dtr - deltaK.scale(2.0)
-    norms = {**_norms(frames), **_norms({"killing": dK, "conformal": tracefree_part(dK)}),
-             **_norms(deltas)}
-    s = norms.pop("scale")
-    special = norms.pop("special_conformal")
-    scale = _scale(s)
-    res = {k: [] for k in RESIDUAL_KEYS}
-    for key, value in norms.items():
-        res[key] = value / scale
-    # normalized as special_conformal_residual does: by max(1, s), an
-    # infinite s kept where _scale makes it NaN
-    res["special_conformal"] = special / np.maximum(1.0, s)
-    res["tracefree"] = (norm(trace_Lambda(K)) if p >= 2 else 0.0) / scale
-    res["codazzi"] = _codazzi_residual(S, n, p) / scale
-    res = {k: np.asarray(v, dtype=float).tolist() for k, v in res.items()}
-
+    res = _residuals(*_nabla_jet(field, points), n, p, use_parts)
     maxes = {k: worst(v) for k, v in res.items()}
     verdicts = {}
     verdicts["killing"] = maxes["killing"] <= tol

@@ -13,7 +13,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .cartan import FrameTensor, _rows, frame_norm, slot_products
+from .cartan import _frame_norm_comps, _rows, frame_norm, slot_products
 from .dual import DualArray, concatenate, d_dot, jacobian, stack
 from .errors import ConfigError, DegreeError, VerificationError
 from .fields import (
@@ -369,19 +369,17 @@ def special_conformal_residual(field, x):
     A float at a point; a (B,) array at a batch of B points.
     """
     T = nabla(field, x)
-    s = frame_norm(T)
-    return frame_norm(_special_conformal_defect(T, delta_op(T))) / (
-        np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
-
-
-def _special_conformal_defect(T, deltaK):
-    """The frame tensor nabla K - X . k, k = -delta K / (n + p - 1), from
-    ``T = nabla K`` and ``deltaK``: it vanishes for a special conformal
-    Killing tensor."""
     n, p = T.dim, T.degree
-    k = deltaK.scale(-1.0 / (n + p - 1))
-    rows = slot_products(_rows(k.comps, n), p - 1)
-    return T - FrameTensor.from_stacked(n, p, rows)
+    s = frame_norm(T)
+    defect = _special_conformal_defect(T.comps, delta_op(T).comps, n, p)
+    return _frame_norm_comps(defect, n, p) / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
+
+
+def _special_conformal_defect(S, delta, n, p):
+    """The slots of nabla K - X . k, k = -delta K / (n + p - 1), from the
+    slots S (..., n, size) of ``nabla K`` and the components ``delta`` of
+    delta K: they vanish for a special conformal Killing tensor."""
+    return S - slot_products(_rows(delta * (-1.0 / (n + p - 1)), n), p - 1)
 
 
 def nijenhuis(field, x):

@@ -1002,6 +1002,13 @@ def d_log(x):
     return np.log(x) if isinstance(x, np.ndarray) else math.log(x)
 
 
+@functools.lru_cache(maxsize=64)
+def _batch_directions(B, m):
+    """Row i of one identity on each of B points, the read-only (m, m, B)
+    broadcast the batch seedings of B points in m coordinates share."""
+    return np.broadcast_to(np.eye(m)[:, :, None], (m, m, B))
+
+
 def seed(x):
     """Lift a point to Duals with unit directions.
 
@@ -1015,8 +1022,7 @@ def seed(x):
     tag = next(_tag_counter)
     if np.ndim(x[0]):  # a batch of points
         X = np.asarray(x, dtype=float)
-        B, m = X.shape
-        eye = np.broadcast_to(np.eye(m)[:, :, None], (m, m, B))
+        eye = _batch_directions(*X.shape)
         return [Dual(col, eye[i], tag) for i, col in enumerate(X.T.copy())]
     eye = np.eye(len(x))
     if isinstance(x[0], (Dual, Jet)):
@@ -1036,8 +1042,15 @@ def jacobian(fn, x):
     enclosing seeding's derivatives, so nesting works.
     """
     X = seed(x)
+    return _unpack(fn(X), X)
+
+
+def _unpack(ys, X):
+    """The ``(vals, jac)`` that ``jacobian`` returns, of the outputs ys (a
+    flat sequence) of a function evaluated at the Duals ``X = seed(x)``.
+    A caller that evaluates several outputs at one seeding unpacks each
+    alone, in the layout of a jacobian of that output alone."""
     tag, grad0 = X[0].tag, X[0].grad
-    ys = fn(X)
     if not isinstance(ys, DualArray):
         ys = list(ys)
         arr = dual_array(ys)

@@ -35,12 +35,13 @@ base and degree off its inputs; it refuses fields on different bases.
 import numpy as np
 
 from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
-from .dual import concatenate, d_dot, d_exp, hessian, jacobian, value_of
+from .dual import _unpack, d_dot, d_exp, hessian, seed, value_of
 from .errors import DegreeError, DomainError, ShapeMismatchError
 from .manifolds import _frame_connection, connection_jet, point_array
 from .multiindex import sym_size
 from .symtensor import (
     SymTensor,
+    _tensor,
     change_basis,
     derivation,
     mult_L,
@@ -283,32 +284,24 @@ def _check_domain(base, x):
 
 
 def _nabla_jet(field, x):
-    """Components K and frame components of nabla K from one jacobian.
+    """Components K and frame components of nabla K from one seeding.
 
     At a point (any dual level) ``(size,)`` and ``(n, size)`` arrays; at a
     batch of B points ``(B, size)`` and ``(B, n, size)`` float arrays, from
     one seeding that evaluates the field and the frame, and one Koszul
     contraction.  The frame is evaluated once at the seeding: when the
-    components evaluate it, the connection reuses that value.  Callers
-    that also need K (``classify``) take it from here instead of
-    evaluating the field again.
+    components evaluate it, the connection reuses that value.  Components
+    and frame are unpacked each straight from its own Duals, in the
+    C-ordered layout of a jacobian of each alone, which the einsum and
+    bracket sums are pinned to.  Callers that also need K (``classify``)
+    take it from here instead of evaluating the field again.
     """
     base = field.base
     _check_domain(base, x)
-    mn = base.coord_dim * base.dim
-
-    def comps_and_frame(y):
-        # the components first: if they evaluate the frame, it is remembered
-        comps = field.comps_fn(y)
-        return concatenate([comps, base.frame(y).ravel()])
-
-    vals, jac = jacobian(comps_and_frame, x)
-    # contiguous parts, laid out as two jacobians would give them, so the
-    # einsum and bracket sums see the layout they were pinned on
-    F, gam = _frame_connection(base, x, np.ascontiguousarray(vals[..., -mn:]),
-                               np.ascontiguousarray(jac[..., -mn:, :]))
-    vals = np.ascontiguousarray(vals[..., :-mn])
-    jac = np.ascontiguousarray(jac[..., :-mn, :])
+    X = seed(x)
+    # the components first: if they evaluate the frame, it is remembered
+    vals, jac = _unpack(field.comps_fn(X), X)
+    F, gam = _frame_connection(base, x, *_unpack(base.frame(X).ravel(), X))
     return vals, _assemble_first(field.degree, vals, jac, F, gam)
 
 
@@ -371,7 +364,7 @@ def d_op(T):
     """Symmetrized covariant derivative: sum_a e_a . nabla_{e_a} K, from
     ``T = nabla(field, x)`` (a point or a batch)."""
     _check_order(T, False, "d_op")
-    return SymTensor(T.dim, T.degree + 1, slot_sum(slot_products(T.comps, T.degree)))
+    return _tensor(T.dim, T.degree + 1, slot_sum(slot_products(T.comps, T.degree)))
 
 
 def delta_op(T):
@@ -380,7 +373,7 @@ def delta_op(T):
     _check_order(T, False, "delta_op")
     if T.degree < 1:
         raise DegreeError("divergence needs degree >= 1")
-    return SymTensor(T.dim, T.degree - 1, -slot_sum(slot_hooks(T.comps, T.degree)))
+    return _tensor(T.dim, T.degree - 1, -slot_sum(slot_hooks(T.comps, T.degree)))
 
 
 def d0_op(T):
@@ -400,7 +393,7 @@ def rough_laplacian(W):
     """nabla* nabla K = - sum_a nabla^2_{e_a, e_a} K, from ``W = nabla2(field, x)``."""
     _check_order(W, True, "rough_laplacian")
     n = W.dim
-    return SymTensor(n, W.degree, -slot_sum(W.comps[np.arange(n), np.arange(n)]))
+    return _tensor(n, W.degree, -slot_sum(W.comps[np.arange(n), np.arange(n)]))
 
 
 def delta_d(W):
@@ -408,7 +401,7 @@ def delta_d(W):
     _check_order(W, True, "delta_d")
     p = W.degree
     dW = slot_sum(slot_products(W.comps, p))  # row b: sum_a e_a . W[b][a]
-    return SymTensor(W.dim, p, -slot_sum(slot_hooks(dW, p + 1)))
+    return _tensor(W.dim, p, -slot_sum(slot_hooks(dW, p + 1)))
 
 
 def d_delta(W):
@@ -418,4 +411,4 @@ def d_delta(W):
     if p < 1:
         raise DegreeError("d delta needs degree >= 1")
     hW = slot_sum(slot_hooks(W.comps, p))  # row b: sum_a e_a -| W[b][a]
-    return SymTensor(W.dim, p, -slot_sum(slot_products(hW, p - 1)))
+    return _tensor(W.dim, p, -slot_sum(slot_products(hW, p - 1)))

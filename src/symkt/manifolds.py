@@ -541,7 +541,8 @@ def _frame_connection(base, x, vals, jac):
     m, n = base.coord_dim, base.dim
     lead = vals.shape[:-1]  # (B,) at a batch, () at a point
     F = vals.reshape(lead + (m, n))
-    dF = np.moveaxis(jac.reshape(lead + (m, n, m)), -1, -3)  # [..., i, k, b] = d_i F[k, b]
+    # [..., i, k, b] = d_i F[k, b]
+    dF = jac.reshape(lead + (m, n, m)).swapaxes(-1, -2).swapaxes(-2, -3)
     coords = list(np.asarray(x, dtype=float).T) if lead else list(x)
     gamma = _koszul(_bracket(F, dF), base.metric_matrix(coords) @ F)
     # column-major like the backends' frames: einsum sums depend on the layout

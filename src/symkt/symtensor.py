@@ -285,9 +285,12 @@ class SymTensor(_PackedTensor):
     __rmul__ = scale
 
     def values(self):
-        """Components with dual layers stripped (floats)."""
+        """Components with dual layers stripped (floats), batch axes first
+        as in a float batch tensor."""
         if isinstance(self.comps, DualArray):
-            return self.comps.val.copy()
+            # the DualArray holds its entries before the seeding's batch axes
+            e = self.comps.ndim
+            return np.array(np.moveaxis(self.comps.val, range(e), range(-e, 0)), order="C")
         if self.comps.dtype != object:
             return np.array(self.comps)
         return np.array([value_of(v) for v in self.comps.ravel()]).reshape(self.comps.shape)
@@ -506,33 +509,33 @@ def trace_residual(K):
     """Relative trace residual |Lambda(K)| / max(1, |K|); 0 for p < 2."""
     if K.degree < 2:
         return 0.0
-    return _relative(norm(trace_Lambda(K)), K)
+    return _relative(norm(trace_Lambda(K)), K.comps, K.dim, K.degree)
 
 
-def _relative(t, K):
-    """t / max(1, |K|), per point for components with batch axes."""
-    s = _norm_comps(K.comps, K.dim, K.degree)
+def _relative(t, comps, n, p):
+    """t / max(1, |K|) of degree-p components, per point over batch axes."""
+    s = _norm_comps(comps, n, p)
     return t / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 
-def _require_tracefree(K, what, tol=DEFAULT_TRACE_TOL):
-    """Raise TraceError unless K is trace-free within ``tol`` at every point
-    of its batch axes, that is unless every ``trace_residual`` is <= tol
-    (a NaN residual does not raise).  K is a SymTensor, or a FrameTensor,
-    whose slot axis then counts as one more batch axis.
+def _require_tracefree(comps, n, p, what, tol=DEFAULT_TRACE_TOL):
+    """Raise TraceError unless the degree-p components are trace-free
+    within ``tol`` at every point of their batch axes, that is unless every
+    ``trace_residual`` is <= tol (a NaN residual does not raise).  The
+    slots ``(..., n, size)`` of a FrameTensor pass as components whose
+    slot axis counts as one more batch axis.
 
     The trace comes first: when every t = |Lambda(K)| is <= tol, so is
     t / max(1, |K|), as a rounded division by a number >= 1 never rises
     above t.  Only when some t is above tol, NaN or inf is |K| computed,
     and the full relative test gives the verdict.
     """
-    n, p = K.dim, K.degree
     if p < 2:
         return
-    t = _norm_comps(_trace_comps(K.comps, n, p), n, p - 2)
+    t = _norm_comps(_trace_comps(comps, n, p), n, p - 2)
     if (t <= tol) if isinstance(t, float) else (t <= tol).all():
         return
-    if (np.asarray(_relative(t, K)) > tol).any():
+    if (np.asarray(_relative(t, comps, n, p)) > tol).any():
         raise TraceError(f"{what} needs trace-free input")
 
 
@@ -545,8 +548,8 @@ def tracefree_sym_product(v, K, tol=DEFAULT_TRACE_TOL):
     """
     if not isinstance(v, SymTensor):
         v = SymTensor.from_vector(v)
-    _require_tracefree(K, "tracefree_sym_product", tol)
     n, p = K.dim, K.degree
+    _require_tracefree(K.comps, n, p, "tracefree_sym_product", tol)
     if p == 0:
         return sym_product(v, K)
     if (v.dim, v.degree) != (n, 1):
@@ -615,17 +618,23 @@ def standard_decomposition(K):
     component arrays (``_deflate``), and each part is wrapped once.
     """
     n, p = K.dim, K.degree
-    parts = _deflate(K.comps, n, p)
+    parts = _deflate(_traces(K.comps, n, p), n, p)
     return Decomposition(n, p, tuple(_tensor(n, p - 2 * i, c) for i, c in enumerate(parts)))
 
 
-def _deflate(comps, n, p):
-    """The component arrays of the parts K_0, K_1, ... of degree-p
-    components.  ``lifted[i]`` holds L^(i-j) K_i at step j, one ``mult_L``
-    further each step."""
+def _traces(comps, n, p):
+    """The repeated traces [K, Lambda K, ..., Lambda^(p // 2) K] of degree-p
+    components, which ``_deflate`` solves for the parts."""
     traces = [comps]
     for j in range(p // 2):
         traces.append(_trace_comps(traces[-1], n, p - 2 * j))
+    return traces
+
+
+def _deflate(traces, n, p):
+    """The component arrays of the parts K_0, K_1, ... of degree-p
+    components from their ``_traces``.  ``lifted[i]`` holds L^(i-j) K_i at
+    step j, one ``mult_L`` further each step."""
     parts, lifted = [], {}
     for j, coeffs, inv in _deflation(n, p):
         residue = traces[j]
@@ -641,7 +650,8 @@ def tracefree_part(K):
     """Projection onto the trace-free summand (degree unchanged)."""
     if K.degree < 2:
         return K
-    return _tensor(K.dim, K.degree, _deflate(K.comps, K.dim, K.degree)[0])
+    n, p = K.dim, K.degree
+    return _tensor(n, p, _deflate(_traces(K.comps, n, p), n, p)[0])
 
 
 def constant_a(n, p, i):

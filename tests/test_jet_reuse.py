@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from symkt import curvature, dual, manifolds
-from symkt.cartan import frame_norm
+from symkt.cartan import FrameTensor, frame_norm, supported_pair
 from symkt.classify import classify
 from symkt.constructors import build_constructor, constructor_catalog
 from symkt.dual import seed, value_of
@@ -41,6 +41,7 @@ from symkt.manifolds import (
     gamma_frame,
     manifold_from_key,
 )
+from symkt.multiindex import sym_size
 from symkt.symtensor import SymTensor, mult_L, norm, trace_Lambda, tracefree_part
 
 REL = 1e-12
@@ -189,13 +190,93 @@ def test_classify_takes_one_batched_jet(monkeypatch, key):
         return comps_fn(x)
 
     field.comps_fn = counted
-    jacobians = _count(monkeypatch, symkt.dual, "jacobian")
+    seeds = _count(monkeypatch, symkt.dual, "seed")
     field_calls = _count_method(monkeypatch, TensorField, "__call__")
     rep = classify(field, samples=10, seed=2)
     assert grads == [(field.base.coord_dim, 10)]
-    assert len(jacobians) == 1  # the components and the frame, one seeding
+    assert len(seeds) == 1  # the components and the frame, one seeding
     assert len(field_calls) == 0
     assert rep.max_residuals["p1"] is not None
+
+
+def _stage_field(case):
+    if case == "hopf-stackel":
+        return build_constructor(case, seed=3)[0]
+    if case == "L(hopf-stackel)":
+        return _L_field(build_constructor("hopf-stackel", seed=3)[0])
+    key, p = case.split("/p=")  # a random polynomial field
+    return random_polynomial_field(manifold_from_key(key), int(p), np.random.default_rng(3))
+
+
+def _record(monkeypatch, module, name, calls, keep):
+    """Record ``keep(*args)``, unless it is None, for each call of
+    ``module.name`` through that binding alone."""
+    orig = getattr(module, name)
+
+    def recorded(*args):
+        kept = keep(*args)
+        if kept is not None:
+            calls.append(kept)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+
+
+@pytest.mark.parametrize("case", ["euclidean:3/p=1", "euclidean:2/p=1", "hopf-stackel",
+                                  "euclidean:3/p=3", "L(hopf-stackel)"])
+def test_classify_computes_each_operand_once(monkeypatch, case):
+    # the residual stage reads the one jet: one deflation of nabla K (for
+    # the Cartan parts, p >= 2) and one of dK, one trace of S (at p = 2
+    # the deflation's, also read for two_tensor), one gather of the slot
+    # hooks of S (at p = 1 shared by delta K and the Cartan parts), and one
+    # stacked norm per shape
+    import symkt.classify as C
+    from symkt import cartan, symtensor
+
+    field = _stage_field(case)
+    n, p, B = field.base.dim, field.degree, 5
+    parts = supported_pair(n, p)
+    jets, deflations, frame_norms, norms = [], [], [], []
+    _record(monkeypatch, C, "_nabla_jet", jets, lambda f, x: f)
+    _record(monkeypatch, C, "_deflate", deflations, lambda traces, n, p: traces[0].shape)
+    _record(monkeypatch, C, "_frame_norm_comps", frame_norms, lambda a, n, p: a.shape)
+    _record(monkeypatch, C, "_norm_comps", norms, lambda a, n, p: a.shape)
+    S = nabla(field, classify(field, samples=B, seed=11).points).comps
+
+    def of_S(comps, *rest):
+        return comps.shape == S.shape and comps.tobytes() == S.tobytes()
+
+    traces = _count(monkeypatch, symtensor, "_trace_comps", of_S)
+    hooks = _count(monkeypatch, cartan, "slot_hooks", of_S)
+    # and the stage after the jet builds no tensor: no constructor, no wrap
+    stage, residuals = [], C._residuals
+
+    def in_stage(*args):
+        stage.append(True)
+        try:
+            return residuals(*args)
+        finally:
+            stage.pop()
+
+    monkeypatch.setattr(C, "_residuals", in_stage)
+    wraps = [_count(monkeypatch, symtensor, "_tensor", lambda *a: bool(stage)),
+             _count(monkeypatch, cartan, "_frame", lambda *a: bool(stage))]
+    for cls in (SymTensor, FrameTensor):
+        wraps.append([])
+        _record(monkeypatch, cls, "__init__", wraps[-1], lambda *a: True if stage else None)
+    for _ in range(2):  # exact and repeatable
+        for calls in (jets, deflations, frame_norms, norms, traces, hooks, *wraps):
+            calls.clear()
+        classify(field, samples=B, seed=11)
+        assert len(jets) == 1
+        assert deflations == [S.shape] * (parts and p >= 2) + [(B, sym_size(n, p + 1))]
+        assert len(traces) == (p == 2 or (parts and p >= 2))
+        assert len(hooks) == 1
+        assert frame_norms == [(2 + 3 * parts + (parts and p == 2),) + S.shape]
+        tracefree = [(B, sym_size(n, p - 2))] if p >= 2 else []
+        stacks = [(2, B, sym_size(n, p + 1)), (1 + (p == 2), B, sym_size(n, p - 1))]
+        assert norms == stacks + tracefree
+        assert [len(calls) for calls in wraps] == [0, 0, 0, 0]
 
 
 def test_lichnerowicz_defect_takes_one_component_hessian(monkeypatch):

@@ -454,7 +454,7 @@ def test_trace_guard_raises_exactly_when_a_residual_exceeds_tol(data, n, p, batc
     with np.errstate(invalid="ignore"):  # inf / inf in the batched residual
         want = bool((np.asarray(trace_residual(K)) > tol).any())
         try:
-            _require_tracefree(K, "test", tol)
+            _require_tracefree(K.comps, n, p, "test", tol)
             raised = False
         except TraceError:
             raised = True
@@ -621,11 +621,27 @@ def test_dual_norms_and_guard_act_per_batch_point():
     v = SymTensor(3, 1, [1.0, 2.0, 3.0])
     got = tracefree_sym_product(v, K).values()
     for b in range(len(X)):
-        F = SymTensor(3, 2, K.values()[:, b])
+        F = SymTensor(3, 2, K.values()[b])
         assert norm(K)[b] == norm(F)
-        assert got[:, b].tobytes() == tracefree_sym_product(v, F).comps.tobytes()
+        assert got[b].tobytes() == tracefree_sym_product(v, F).comps.tobytes()
     with pytest.raises(TraceError):
         tracefree_sym_product(v, _dual_tensor([1.0] * 6, X))
+
+
+@pytest.mark.parametrize("B", [5, 6])
+def test_dual_values_put_the_batch_axis_first(B):
+    # as a float batch tensor: (B, size) values, (B, 3, 3) dense arrays
+    X = np.random.default_rng(B).standard_normal((B, 2))
+    K = _dual_tensor([1.0, -2.0, 0.5, 3.0, -1.0, 0.25], X)
+    vals = K.values()
+    assert vals.shape == (B, 6) and vals.flags.c_contiguous
+    for b in range(B):
+        at_b = _dual_tensor([1.0, -2.0, 0.5, 3.0, -1.0, 0.25], X[b]).values()
+        assert vals[b].tobytes() == at_b.tobytes()
+    F = SymTensor(3, 2, vals)
+    assert F.comps.tobytes() == vals.tobytes()
+    assert K.to_dense().tobytes() == F.to_dense().tobytes()
+    assert K.to_dense().shape == (B, 3, 3)
 
 
 # ---------------------------------------------------------------------------
