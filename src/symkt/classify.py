@@ -8,14 +8,16 @@ which coincides by uniqueness of the standard decomposition).
 
 The B sample points are drawn one by one into one (B, m) float array,
 which the domain check and the seeding of the one batched jet read as
-they are.  The residual stage after the jet (``_residuals``) runs the
-kernels of the wrapped operators on the raw arrays of K and of the slots
-S of nabla K and wraps nothing, so each residual keeps the bits of the
-chain of wrapped tensors (docs/conventions.md).  Every operand is
-computed once, and the norms of arrays of one shape are taken as one
-stack: row i of a stacked ``_norm_comps`` or ``_frame_norm_comps`` is
-one matmul over a contiguous row, the dot kernel of the call on array i
-alone.
+they are.  The residual stage after the jet (``_residuals``) runs, on
+the raw arrays of K and of the slots S of nabla K, the kernels the
+wrapped operators run (``slot_products``, ``slot_hooks``, ``slot_sum``,
+``_traces``/``_deflate``, ``_cartan_comps`` with both trace-free guards,
+``_pi2_star_rows``), with the same operands in the same order, and wraps
+nothing, so each residual keeps the bits of the chain of wrapped tensors
+(docs/conventions.md).  Every operand is computed once, and the norms of
+arrays of one shape are one stack: row i of a stacked ``_norm_comps`` or
+``_frame_norm_comps`` is one matmul over a contiguous row, the dot
+kernel of the call on array i alone.
 """
 
 from dataclasses import dataclass, field as dc_field
