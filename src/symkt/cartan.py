@@ -18,20 +18,20 @@ for bit a slot-by-slot loop, where ``.sum`` may sum pairwise.
 
 from collections import namedtuple
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 
 from .errors import DegenerateRankError, DegreeError, ShapeMismatchError
-from .multiindex import multiplicities, slot_contract_array, slot_product_arrays, sym_size
+from .multiindex import slot_contract_array, slot_product_arrays, sym_size
 from .symtensor import (
     DEFAULT_TRACE_TOL,
     SymTensor,
     _PackedTensor,
-    _mult_L_comps,
+    _inner_comps,
     _require_tracefree,
     _root_of_square,
     _tensor,
+    _tracefree_shift,
     derivation,
     tracefree_part,
 )
@@ -90,7 +90,7 @@ class FrameTensor(_PackedTensor):
         """
         S = np.asarray(S)
         if S.dtype != object and S.dtype != float:
-            S = S.astype(float)
+            S = S.astype(float, casting="same_kind")
         if S.shape[-2:] != (dim, sym_size(dim, degree)):
             raise ShapeMismatchError(
                 f"expected (..., {dim}, {sym_size(dim, degree)}) slots, got {S.shape}")
@@ -129,10 +129,11 @@ def slot_sum(rows):
 def frame_inner(A, B):
     """Slot-wise sum of scalar products (the induced metric on T (x) Sym^p).
 
-    Per point for slots with batch axes.  One stacked matmul over
-    contiguous rows gives each slot's product ``inner``'s (``np.dot``'s)
-    bits, and ``slot_sum`` adds the n products in slot order, so the
-    result equals the slot-by-slot sum of ``inner`` bit for bit.
+    Per point for slots with batch axes.  ``inner``'s kernel on the
+    stacked rows (``dual._row_dots``, one matmul over contiguous rows)
+    gives each slot's product ``inner``'s (``np.dot``'s) bits, and
+    ``slot_sum`` adds the n products in slot order, so the result equals
+    the slot-by-slot sum of ``inner`` bit for bit.
     """
     A._check_same_shape(B)
     return _frame_inner_comps(A.comps, B.comps, A.dim, A.degree)
@@ -140,9 +141,8 @@ def frame_inner(A, B):
 
 def _frame_inner_comps(a, b, n, p):
     """``frame_inner``'s kernel on two slot arrays (..., n, size) of degree p."""
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
-    dots = ((a * multiplicities(n, p))[..., None, :] @ b[..., :, None])[..., 0] / factorial(p)
-    return slot_sum(dots)[..., 0][()]  # [()]: a scalar, not a 0-d array, at a point
+    # [()]: a scalar, not a 0-d array, at a point
+    return slot_sum(_inner_comps(a, b, n, p)[..., None])[..., 0][()]
 
 
 def frame_norm(A):
@@ -209,11 +209,8 @@ def _tracefree_products(S, p, hooks):
     """Rows (e_a . S_a)_0 = e_a . S_a - L(e_a -| S_a) / (n + 2p - 2) for
     trace-free S_a, as ``tracefree_sym_product`` computes them, from the
     hooks e_a -| S_a that ``_hooks(S, p)`` gathers."""
-    n = S.shape[-2]
     rows = slot_products(S, p)
-    if p == 0:
-        return rows
-    return rows - _mult_L_comps(hooks, n, p - 1) * (1.0 / (n + 2 * (p - 1)))
+    return _tracefree_shift(rows, hooks, S.shape[-2], p) if p else rows
 
 
 def _rows(S, n):

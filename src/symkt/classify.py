@@ -37,9 +37,11 @@ from .cartan import (
 from .constructors import _special_conformal_defect
 from .errors import ConfigError, DegreeError, VerificationError
 from .fields import _nabla_jet, d_op, delta_op, derived_field, nabla
+from .manifolds import sample_points
 from .multiindex import exchange_array
 from .obs import finite_or_nan, worst
-from .symtensor import _deflate, _norm_comps, _trace_comps, _traces, norm, standard_decomposition
+from .symtensor import (_deflate, _norm_comps, _relative, _trace_comps, _traces, norm,
+                        standard_decomposition)
 
 __all__ = ["ClassReport", "classify", "divfree_killing_parts"]
 
@@ -109,12 +111,6 @@ def _scale(s):
     return finite_or_nan(np.maximum(s, 1.0))
 
 
-def _sample_points(base, count, rng):
-    """``count`` points of ``base`` as one (count, m) float array, drawn one
-    after another from ``rng``."""
-    return np.array([base.sample_point(rng) for _ in range(count)])
-
-
 def _norms(kernel, n, p, arrays):
     """The norms of named component arrays of one shape, by name: one
     ``kernel`` (``_norm_comps`` or ``_frame_norm_comps``) on their stack,
@@ -167,12 +163,10 @@ def _residuals(vals, S, n, p, use_parts):
     s = norms.pop("scale")
     special = norms.pop("special_conformal")
     scale = _scale(s)
-    res = {k: [] for k in RESIDUAL_KEYS}
-    for key, value in norms.items():
-        res[key] = value / scale
+    res = {k: [] for k in RESIDUAL_KEYS} | {k: v / scale for k, v in norms.items()}
     # normalized as special_conformal_residual does: by max(1, s), an
     # infinite s kept where _scale makes it NaN
-    res["special_conformal"] = special / np.maximum(1.0, s)
+    res["special_conformal"] = _relative(special, s)
     tracefree = _norm_comps(_trace_comps(vals, n, p), n, p - 2) if p >= 2 else 0.0
     res["tracefree"] = tracefree / scale
     res["codazzi"] = _codazzi_residual(S, n, p) / scale
@@ -209,19 +203,13 @@ def classify(field, samples=100, tol=1e-9, seed=42, p_parts=True):
     rng = np.random.default_rng(seed)
     use_parts = p_parts and supported_pair(n, p)
 
-    points = _sample_points(base, samples, rng)
+    points = sample_points(base, samples, rng)
     res = _residuals(*_nabla_jet(field, points), n, p, use_parts)
     maxes = {k: worst(v) for k, v in res.items()}
-    verdicts = {}
-    verdicts["killing"] = maxes["killing"] <= tol
-    verdicts["tracefree"] = maxes["tracefree"] <= tol
-    verdicts["special_conformal"] = maxes["special_conformal"] <= tol
+    verdicts = {k: maxes[k] <= tol for k in ("killing", "tracefree", "special_conformal")}
     verdicts["stackel"] = verdicts["killing"] and verdicts["tracefree"]
-    verdicts["conformal"] = (
-        maxes["conformal"] <= tol
-        or verdicts["killing"]
-        or verdicts["special_conformal"]
-    )
+    verdicts["conformal"] = (maxes["conformal"] <= tol or verdicts["killing"]
+                             or verdicts["special_conformal"])
     verdicts["divfree"] = maxes["divfree"] <= tol or verdicts["stackel"]
     verdicts["codazzi"] = maxes["codazzi"] <= tol
     return ClassReport(
@@ -261,13 +249,11 @@ def divfree_killing_parts(field, samples=30, tol=1e-9, seed=42):
         deg_i = p - 2 * i
         part_field = derived_field(lambda K, i=i: standard_decomposition(K).parts[i],
                                    field, name=f"{field.name}[part {i}]")
-        points = _sample_points(base, samples, rng)
+        points = sample_points(base, samples, rng)
         T = nabla(part_field, points)
         scale = _scale(frame_norm(T))
         worst_d = worst(norm(d_op(T)) / scale)
-        worst_delta = 0.0
-        if deg_i >= 1:
-            worst_delta = worst(norm(delta_op(T)) / scale)
+        worst_delta = worst(norm(delta_op(T)) / scale) if deg_i >= 1 else 0.0
         out[i] = {
             "degree": deg_i,
             "d": worst_d,

@@ -14,7 +14,7 @@ from itertools import permutations
 import numpy as np
 
 from .cartan import _frame_norm_comps, _rows, frame_norm, slot_products
-from .dual import DualArray, concatenate, d_dot, jacobian, stack
+from .dual import DualArray, d_dot, jacobian, stack
 from .errors import ConfigError, DegreeError, VerificationError
 from .fields import (
     TensorField,
@@ -35,6 +35,7 @@ from .manifolds import (
     frame_at,
     manifold_from_key,
     point_array,
+    sample_points,
 )
 from .multiindex import (
     _repeat_counts,
@@ -42,12 +43,12 @@ from .multiindex import (
     index_array,
     multi_indices,
     positions,
-    sym_size,
 )
 from .obs import finite_or_nan, worst
 from .symtensor import (
     Decomposition,
     SymTensor,
+    _relative,
     norm,
     standard_decomposition,
     sym_product,
@@ -87,7 +88,7 @@ KILLING_CHECK_TOL = 1e-8
 
 def _check_points(base, rng):
     """The ``KILLING_CHECK_SAMPLES`` points of a construction check."""
-    return [list(base.sample_point(rng)) for _ in range(KILLING_CHECK_SAMPLES)]
+    return sample_points(base, KILLING_CHECK_SAMPLES, rng)
 
 
 def _require(residuals, what):
@@ -370,9 +371,8 @@ def special_conformal_residual(field, x):
     """
     T = nabla(field, x)
     n, p = T.dim, T.degree
-    s = frame_norm(T)
     defect = _special_conformal_defect(T.comps, delta_op(T).comps, n, p)
-    return _frame_norm_comps(defect, n, p) / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
+    return _relative(_frame_norm_comps(defect, n, p), frame_norm(T))
 
 
 def _special_conformal_defect(S, delta, n, p):
@@ -537,8 +537,8 @@ def _lift_field(product, which, factor_field):
     """Lift a field from one factor to the product (zero on the other slots).
 
     ``gather[k]`` is the position in the factor's packed components of the
-    product's k-th multi-index, or one past the last where it leaves the
-    factor's slots, which reads an appended 0.0: one ``take`` when the
+    product's k-th multi-index where it stays in the factor's slots; the
+    ``outside`` slots hold the constant 0.0.  One ``take`` when the
     components are a DualArray.
     """
     p = factor_field.degree
@@ -547,11 +547,16 @@ def _lift_field(product, which, factor_field):
     m1 = product.first.coord_dim
     coords = slice(m1, None) if which else slice(0, m1)
     counts = _repeat_counts(product.dim, p)[:, off:off + factor.dim]
-    gather = np.where(counts.sum(axis=-1) == p, positions(counts), sym_size(factor.dim, p))
+    outside = counts.sum(axis=-1) != p
+    gather = np.where(outside, 0, positions(counts))
 
     def comps(x):
-        sub = concatenate([factor_field.comps_fn(list(x[coords])), [0.0]])
-        return sub.take(gather) if isinstance(sub, DualArray) else [sub[k] for k in gather]
+        sub = factor_field.comps_fn(list(x[coords]))
+        if not isinstance(sub, DualArray):
+            return [0.0 if out else sub[k] for k, out in zip(gather, outside)]
+        lifted = sub.take(gather)
+        lifted[outside] = 0.0
+        return lifted
 
     return TensorField(product, p, comps, name=f"lift{which + 1}({factor_field.name})")
 

@@ -51,8 +51,7 @@ import math
 import numpy as np
 
 __all__ = ["Dual", "DualArray", "Jet", "seed", "jacobian", "hessian", "value_of", "d_sqrt",
-           "d_dot", "d_exp", "d_log", "asarray", "dual_array", "concatenate", "first_order",
-           "stack"]
+           "d_dot", "d_exp", "d_log", "asarray", "dual_array", "first_order", "stack"]
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
@@ -726,23 +725,6 @@ def dual_array(entries, shape=None, like=None):
     const = ~np.array(duals)
     return DualArray(val.reshape(shape + lead), grad.reshape(shape + gshape), tag,
                      const.reshape(shape), len(lead))
-
-
-def concatenate(parts):
-    """The entries of flat sequences one after another: one DualArray when
-    a part is a DualArray and the others hold its seeding's Duals and
-    constants, else a list."""
-    like = next((p for p in parts if isinstance(p, DualArray)), None)
-    if like is not None:
-        arrays = [p.ravel() if isinstance(p, DualArray) else dual_array(p, like=like)
-                  for p in parts]
-        if all(a is not None and a.tag == like.tag for a in arrays):
-            consts = [np.zeros(a.shape, bool) if a.const is None else a.const for a in arrays]
-            const = None if all(a.const is None for a in arrays) else np.concatenate(consts)
-            return DualArray(np.concatenate([a.val for a in arrays]),
-                             np.concatenate([a.grad for a in arrays]), like.tag, const,
-                             like.nb)
-    return [e for p in parts for e in p]
 
 
 def stack(xs):

@@ -288,20 +288,20 @@ def _nabla_jet(field, x):
 
     At a point (any dual level) ``(size,)`` and ``(n, size)`` arrays; at a
     batch of B points ``(B, size)`` and ``(B, n, size)`` float arrays, from
-    one seeding that evaluates the field and the frame, and one Koszul
-    contraction.  The frame is evaluated once at the seeding: when the
-    components evaluate it, the connection reuses that value.  Components
-    and frame are unpacked each straight from its own Duals, in the
-    C-ordered layout of a jacobian of each alone, which the einsum and
+    one seeding that evaluates the field and then, on ``gamma_frame``'s
+    path (``_frame_connection``), the frame and its Koszul contraction; a
+    sphere frame the components evaluated is remembered, not recomputed.
+    Components and frame are unpacked each straight from its own Duals, in
+    the C-ordered layout of a jacobian of each alone, which the einsum and
     bracket sums are pinned to.  Callers that also need K (``classify``)
     take it from here instead of evaluating the field again.
     """
     base = field.base
     _check_domain(base, x)
     X = seed(x)
-    # the components first: if they evaluate the frame, it is remembered
+    # the components first: if they evaluate a sphere frame, it is remembered
     vals, jac = _unpack(field.comps_fn(X), X)
-    F, gam = _frame_connection(base, x, *_unpack(base.frame(X).ravel(), X))
+    F, gam = _frame_connection(base, X, x)
     return vals, _assemble_first(field.degree, vals, jac, F, gam)
 
 

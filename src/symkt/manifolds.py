@@ -42,13 +42,15 @@ by the product rule on the same contraction, from one second-order jet of
 the frame and metric; curvature and nabla^2 are assembled from it in
 :mod:`symkt.curvature` and :mod:`symkt.fields`.
 
-Each frame is evaluated once per seeding: each backend object keeps the
-last value of its ``frame`` at a point of Duals, keyed by the identity of
-those Duals, so a field whose components evaluate the frame and the
-connection taken in the same jacobian (``fields._nabla_jet``) share one
-frame evaluation, and a product's frame reuses its factors' frames at
-their slices.  ``connection_jet`` keeps nothing; the connection jet and
-curvature of the last float point are kept in :mod:`symkt.curvature`.
+Only the embedded sphere remembers its frame (``_frame_memo``), per
+seeding of Duals, so the components and the connection of one seeding
+(``fields._nabla_jet``) share one Householder evaluation, as do the frames
+of a product or conformal wrapper over it.  Those and the charts evaluate
+theirs afresh: in a seed-7 ``verify`` pass and a small geometry suite
+none of their calls at Duals found its frame remembered, where the
+sphere's memo served 86 of 160.  ``connection_jet`` keeps nothing;
+:mod:`symkt.curvature` keeps the connection jet and curvature of the last
+float point.
 
 Sign conventions are pinned by the unit sphere: the curvature operator on
 2-forms is minus the identity there, i.e. R(X,Y,Z,V) = g(X,V)g(Y,Z) -
@@ -66,13 +68,14 @@ from .dual import (
     Dual,
     DualArray,
     Jet,
+    _unpack,
     d_dot,
     d_exp,
     d_sqrt,
     dual_array,
     first_order,
     hessian,
-    jacobian,
+    seed,
     stack,
     value_of,
 )
@@ -91,6 +94,7 @@ __all__ = [
     "manifold_from_key",
     "MAX_KEY_DIM",
     "point_array",
+    "sample_points",
     "frame_at",
     "frame_components",
     "gamma_frame",
@@ -157,6 +161,11 @@ def frame_components(base, x, vec):
     return (np.swapaxes(base.frame(x), -1, -2) @ Gv)[..., 0]
 
 
+def sample_points(base, count, rng):
+    """``count`` points of ``base``, drawn one by one, as a (count, m) array."""
+    return np.array([base.sample_point(rng) for _ in range(count)])
+
+
 def _block_diag(A, B):
     (r, c), lead = A.shape[-2:], np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     shape = lead + (r + B.shape[-2], c + B.shape[-1])
@@ -170,17 +179,16 @@ def _block_diag(A, B):
 
 
 def _frame_memo(frame):
-    """A backend's ``frame`` method, remembering its last value at Duals.
+    """``EmbeddedSphere.frame``, remembering its last value at Duals.
 
     At a point of Duals the frame is computed once per coordinates, and
-    kept on the backend object, one entry per backend, keyed by the
-    identity of the Duals (the same Duals are the same seeding; the entry
-    holds them, so an identity is never reused): a field's components and
-    the connection of the same jacobian share it, and so does a product's
-    frame with the frames its factors computed at their slices of the
-    same Duals.  Any other point of the seeding holds other Duals and is
-    computed afresh.  The remembered frame is read-only.  Float and batch
-    points pass through.
+    kept on the sphere, keyed by the identity of the Duals (the same Duals
+    are the same seeding; the entry holds them, so an identity is never
+    reused): a field's components and the connection at the same seeding
+    share it, and so do the frames of a product or conformal wrapper built
+    on the sphere at its slice of the same Duals.  Any other point of the
+    seeding holds other Duals and is computed afresh.  The remembered frame
+    is read-only.  Float and batch points pass through.
     """
 
     @functools.wraps(frame)
@@ -259,7 +267,6 @@ class Chart:
     def metric_matrix(self, x):
         return self._diagonal(self.factor(x), x)
 
-    @_frame_memo
     def frame(self, x):
         return self._diagonal(1.0 / d_sqrt(self.factor(x)), x)
 
@@ -408,7 +415,6 @@ class ProductManifold:
         x1, x2 = self._split(x)
         return _block_diag(self.first.metric_matrix(x1), self.second.metric_matrix(x2))
 
-    @_frame_memo
     def frame(self, x):
         x1, x2 = self._split(x)
         return _block_diag(self.first.frame(x1), self.second.frame(x2))
@@ -459,7 +465,6 @@ class ConformalRescale:
     def metric_matrix(self, x):
         return _points(d_exp(2.0 * self.f_fn(x))) * self.base.metric_matrix(x)
 
-    @_frame_memo
     def frame(self, x):
         return _points(d_exp(-1.0 * self.f_fn(x))) * self.base.frame(x)
 
@@ -526,34 +531,28 @@ def gamma_frame(base, x):
     points (a ``(B, m)`` array or nested sequence) a ``(B, n, n, n)`` float
     array, from one seeding and one frame evaluation for the whole batch.
     """
-    return _frame_connection(base, x, *jacobian(lambda y: base.frame(y).ravel(), x))[1]
+    return _frame_connection(base, seed(x), x)[1]
 
 
-def _frame_connection(base, x, vals, jac):
-    """The frame F and ``gamma`` at x from the frame's first-order jet.
+def _frame_connection(base, X, x):
+    """The frame F and ``gamma`` at x from the frame at X = ``seed(x)``.
 
-    ``vals`` (..., m n) is the raveled frame at x and ``jac`` (..., m n, m)
-    its partials, as ``jacobian`` returns them; ``gamma`` is their Koszul
-    contraction and F is stored column-major, as the backends build it.
-    ``gamma_frame`` takes the jet from a jacobian of the frame alone,
-    ``fields._nabla_jet`` from the jacobian of a field's components.
+    The frame's values and partials are unpacked as ``jacobian`` unpacks
+    them; ``gamma`` is their Koszul contraction and F is stored
+    column-major, as the backends build it.  ``fields._nabla_jet`` passes
+    the seeding of a field's components, whose sphere frame is remembered.
     """
     m, n = base.coord_dim, base.dim
+    vals, jac = _unpack(base.frame(X).ravel(), X)
     lead = vals.shape[:-1]  # (B,) at a batch, () at a point
     F = vals.reshape(lead + (m, n))
     # [..., i, k, b] = d_i F[k, b]
     dF = jac.reshape(lead + (m, n, m)).swapaxes(-1, -2).swapaxes(-2, -3)
     coords = list(np.asarray(x, dtype=float).T) if lead else list(x)
     gamma = _koszul(_bracket(F, dF), base.metric_matrix(coords) @ F)
-    # column-major like the backends' frames: einsum sums depend on the layout
-    return _column_major(F), gamma
-
-
-def _column_major(F):
-    """Each (m, n) frame of F stored column-major, as the backends build it."""
-    if F.ndim == 2:
-        return np.asfortranarray(F)
-    return np.swapaxes(np.swapaxes(F, -1, -2).copy(), -1, -2)
+    # each (m, n) frame column-major like the backends' frames: einsum sums
+    # depend on the layout
+    return np.swapaxes(np.swapaxes(F, -1, -2).copy(), -1, -2), gamma
 
 
 class ConnectionJet(NamedTuple):

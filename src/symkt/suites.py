@@ -78,6 +78,7 @@ from .manifolds import (
     frame_at,
     manifold_from_key,
     poincare_ball_chart,
+    sample_points,
 )
 from .multiindex import MAX_DEGREE
 from .obs import least, worst
@@ -335,7 +336,7 @@ def _per_manifold_cases(key, samples, seed, report):
     r = {k: [] for k in ("gram", "dmetric", "sym", "bianchi", "selfadj")}
     is_chart = getattr(base, "is_chart", False)
     geom_tol = 1e-8 if is_chart else 1e-12
-    pts = [base.sample_point(rng) for _ in range(max(3, samples // 10))]
+    pts = sample_points(base, max(3, samples // 10), rng)
     for x in pts:
         F = frame_at(base, x)
         G = base.metric_matrix(list(x))
@@ -388,7 +389,7 @@ def _nonpositive_case(report, seed):
     for n in (2, 3, 4):
         base = poincare_ball_chart(n)
         rng = stable_stream(seed, f"nonpos:{n}")
-        pts = [base.sample_point(rng) for _ in range(5)]
+        pts = sample_points(base, 5, rng)
         rms = [riemann(base, x) for x in pts]
         for t in range(NONPOSITIVE_TRIALS):
             x, rm = pts[t % len(pts)], rms[t % len(pts)]
@@ -402,13 +403,13 @@ def _lichnerowicz_cases(report, seed, samples):
     eu = euclidean_chart(3)
     rng = stable_stream(seed, "lichnerowicz:flat")
     fld = random_polynomial_field(eu, 2, rng)
-    res = [lichnerowicz_defect(fld, eu.sample_point(rng)) for _ in range(samples)]
+    res = [lichnerowicz_defect(fld, x) for x in sample_points(eu, samples, rng)]
     report.samples("lichnerowicz:euclidean:3", res, 1e-9)
 
     sp = EmbeddedSphere(2)
     rng = stable_stream(seed, "lichnerowicz:sphere")
     fld = random_tangential_field(sp, 2, rng)
-    res = [lichnerowicz_defect(fld, sp.sample_point(rng)) for _ in range(samples)]
+    res = [lichnerowicz_defect(fld, x) for x in sample_points(sp, samples, rng)]
     report.samples("lichnerowicz:sphere:2", res, SECOND_ORDER_TOL)
 
     mfield = metric_field(sp)
@@ -474,7 +475,7 @@ def _identity_cases(report, seed, samples):
         h = sym_product_field(xi, zeta, rng=rng)
         fdot = derived_field(lambda A, B: SymTensor.scalar(A.dim, d_dot(A.entries(), B.entries())),
                              xi, zeta, name="g(xi,zeta)")
-        points = [list(base.sample_point(rng)) for _ in range(max(5, samples // 10))]
+        points = sample_points(base, max(5, samples // 10), rng)
         T = nabla(h, points)
         lhs = delta_op(T)
         res.append(norm(lhs - d_op(nabla(fdot, points))) / np.maximum(1.0, frame_norm(T)))
@@ -488,7 +489,7 @@ def _identity_cases(report, seed, samples):
         A = random_polynomial_field(eu, 2, rng)
         B = random_polynomial_field(eu, 1, rng)
         AB = product_field(A, B)
-        points = [list(eu.sample_point(rng)) for _ in range(4)]
+        points = sample_points(eu, 4, rng)
         Ax, Bx = SymTensor(3, 2, A.batch(points)), SymTensor(3, 1, B.batch(points))
         lhs = d_op(nabla(AB, points))
         rhs = (sym_product(d_op(nabla(A, points)), Bx)
@@ -501,7 +502,7 @@ def _identity_cases(report, seed, samples):
     base = hopf.base
     Lfield = derived_field(mult_L, hopf, name="L(hopf-stackel)")
     rng = stable_stream(seed, "L-preserves")
-    points = [list(base.sample_point(rng)) for _ in range(max(5, samples // 10))]
+    points = sample_points(base, max(5, samples // 10), rng)
     T = nabla(Lfield, points)
     s = np.maximum(1.0, frame_norm(T))
     res = np.concatenate([norm(d_op(T)) / s, norm(delta_op(T)) / s])
@@ -516,7 +517,7 @@ def _identity_cases(report, seed, samples):
     special = special_ckt_flat(np.array([0.4, -0.3, 0.5]), chart=eu)
     hat = special_to_killing(special, rng=stable_stream(seed, "nij"))
     rng = stable_stream(seed, "nijenhuis")
-    points = [list(eu.sample_point(rng)) for _ in range(max(5, samples // 10))]
+    points = sample_points(eu, max(5, samples // 10), rng)
     res_special, res_hat = (np.abs(nijenhuis(f, points)).max(axis=(1, 2, 3))
                             for f in (special, hat))
     report.samples("nijenhuis-special-ckt", res_special, FLAT_TOL)
@@ -525,7 +526,7 @@ def _identity_cases(report, seed, samples):
     # condition (d1) for the circle-fibration split, violated by the tilt
     rng = stable_stream(seed, "d1")
     sp3 = EmbeddedSphere(3)
-    points = [list(sp3.sample_point(rng)) for _ in range(5)]
+    points = sample_points(sp3, 5, rng)
     res = condition_d1_residual(hopf_split(sp3), points)
     res_tilted = condition_d1_residual(tilted_split(sp3), points)
     report.samples("condition-d1-hopf", res, SPHERE_TOL)

@@ -95,22 +95,22 @@ _plain_kinds = DERIVATIVE_TYPES.isdisjoint
 def _as_comps(values, size):
     """A fresh ``(..., size)`` component array.
 
-    An ndarray or DualArray is read as ``(..., size)``.  Any other
-    sequence holds the ``size`` entries a field's ``comps_fn`` returns:
-    scalars, Duals, Jets, or arrays over batch axes.  Numbers and arrays
-    fill one ``np.empty`` of the broadcast batch shape, one entry per
-    column of the last axis, cast ``same_kind`` as ``np.stack`` casts:
-    the bytes of ``np.stack`` over ``np.broadcast_arrays``, and its
-    ValueError for shapes that do not broadcast and TypeError for a
-    complex or string entry, at a quarter to a half of its cost
-    (``BENCH_pr34.json``: 10.9 against 29.0 us for six (51,) columns and
-    four constants).  Duals of one float seeding (with constants) give a
-    :class:`~symkt.dual.DualArray`; Jets and nested Duals an object array.
+    An ndarray or DualArray is read as ``(..., size)``, a numeric ndarray
+    cast ``same_kind`` to float (a complex or string one raises
+    TypeError).  Any other sequence holds the ``size`` entries a field's
+    ``comps_fn`` returns: scalars, Duals, Jets, or arrays over batch axes.
+    Numbers and arrays fill one ``np.empty`` of the broadcast batch shape,
+    one entry per column of the last axis, cast ``same_kind`` as
+    ``np.stack`` casts: the bytes of ``np.stack`` over
+    ``np.broadcast_arrays``, and its ValueError for shapes that do not
+    broadcast and TypeError for a complex or string entry, at a quarter to
+    a half of its cost (``BENCH_pr34.json``: 10.9 against 29.0 us for six
+    (51,) columns and four constants).  Duals of one float seeding (with
+    constants) give a :class:`~symkt.dual.DualArray`; Jets and nested
+    Duals an object array.
     """
-    if isinstance(values, DualArray):
-        arr = values.copy()
-    elif isinstance(values, np.ndarray):
-        arr = values.copy() if values.dtype == object else values.astype(float)
+    if isinstance(values, (DualArray, np.ndarray)):
+        arr = values.copy() if values.dtype == object else values.astype(float, casting="same_kind")
     else:
         vals = list(values)
         kinds = set(map(type, vals))
@@ -268,11 +268,15 @@ class SymTensor(_PackedTensor):
     # -- basics ----------------------------------------------------------
 
     def __getitem__(self, idx):
-        """Entry for an arbitrary index tuple (looked up via its sort); an
-        index of the wrong length or out of range (negative too) raises."""
-        if isinstance(idx, int):
+        """Entry for an arbitrary index tuple (looked up via its sort), of
+        ``int`` or ``np.integer`` entries; a bare one is a 1-tuple.  An index
+        of the wrong length, out of range (negative too) or with an entry
+        that is a float or a bool raises ShapeMismatchError."""
+        if not isinstance(idx, tuple):
             idx = (idx,)
-        if len(idx) != self.degree or not all(0 <= i < self.dim for i in idx):
+        if len(idx) != self.degree or not all(
+                isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < self.dim
+                for i in idx):
             raise ShapeMismatchError(
                 f"index {idx} is not a degree-{self.degree} index over dim {self.dim}")
         return self.comps[..., positions([idx.count(v) for v in range(self.dim)])]
@@ -509,12 +513,12 @@ def trace_residual(K):
     """Relative trace residual |Lambda(K)| / max(1, |K|); 0 for p < 2."""
     if K.degree < 2:
         return 0.0
-    return _relative(norm(trace_Lambda(K)), K.comps, K.dim, K.degree)
+    return _relative(norm(trace_Lambda(K)), norm(K))
 
 
-def _relative(t, comps, n, p):
-    """t / max(1, |K|) of degree-p components, per point over batch axes."""
-    s = _norm_comps(comps, n, p)
+def _relative(t, s):
+    """t / max(1, s), a residual t relative to a norm s, per point over
+    batch axes."""
     return t / (np.maximum(1.0, s) if np.ndim(s) else max(1.0, s))
 
 
@@ -535,7 +539,7 @@ def _require_tracefree(comps, n, p, what, tol=DEFAULT_TRACE_TOL):
     t = _norm_comps(_trace_comps(comps, n, p), n, p - 2)
     if (t <= tol) if isinstance(t, float) else (t <= tol).all():
         return
-    if (np.asarray(_relative(t, comps, n, p)) > tol).any():
+    if (np.asarray(_relative(t, _norm_comps(comps, n, p))) > tol).any():
         raise TraceError(f"{what} needs trace-free input")
 
 
@@ -555,8 +559,13 @@ def tracefree_sym_product(v, K, tol=DEFAULT_TRACE_TOL):
     if (v.dim, v.degree) != (n, 1):
         raise ShapeMismatchError(f"need a vector over R^{n}, got ({v.dim},{v.degree})")
     vK = _product_comps(v.comps, K.comps, n, 1, p)
-    hook = _contract_comps(v.comps, K.comps, n, p)
-    return _tensor(n, p + 1, vK - _mult_L_comps(hook, n, p - 1) * (1.0 / (n + 2 * (p - 1))))
+    return _tensor(n, p + 1, _tracefree_shift(vK, _contract_comps(v.comps, K.comps, n, p), n, p))
+
+
+def _tracefree_shift(prod, hook, n, p):
+    """(v . K)_0 = v . K - L(v -| K) / (n + 2(p - 1)) for trace-free K of
+    degree p >= 1, from the components of v . K and of v -| K."""
+    return prod - _mult_L_comps(hook, n, p - 1) * (1.0 / (n + 2 * (p - 1)))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symkt.cartan import frame_norm
+from symkt.classify import classify
 from symkt.curvature import RiemannAtPoint
 from symkt import constructors
 from symkt.constructors import (
@@ -376,6 +377,31 @@ def test_product_ckt_without_pairs():
         worst = max(worst, norm(tracefree_part(dK)) / max(1.0, frame_norm(T)))
         assert abs(trace_Lambda(h(x)).comps[0]) <= 1e-12
     assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("with_K1", [False, True], ids=["K2", "K1+K2"])
+def test_product_ckt_lifts_the_second_factor(with_K1):
+    # the lift of a Killing 2-tensor of the second factor, alone and beside
+    # one of the first: its trace-free part is conformal Killing, not Killing
+    pr = manifold_from_key("product:sphere:2,sphere:2")
+    rng = np.random.default_rng(101)
+    K1 = curvature_to_killing(curvature_project(rng.standard_normal((3,) * 4)), pr.first)
+    K2 = curvature_to_killing(curvature_project(rng.standard_normal((3,) * 4)), pr.second)
+    h = product_ckt(pr, np.random.default_rng(103), K1=K1 if with_K1 else None, K2=K2)
+    rep = classify(h, samples=6, tol=1e-9, seed=107)
+    assert rep.verdicts["conformal"] and rep.verdicts["tracefree"]
+    assert not rep.verdicts["killing"]
+    # K2 is lifted onto the second factor's slots: on the first factor's
+    # (0, 0), (0, 1) and (1, 1) entries only the trace-free shift's g term
+    # is left, so those of K1 + K2 and of K1 alone differ by a multiple of g
+    x = pr.sample_point(rng)
+    K = h(x).values()
+    if with_K1:
+        K = K - product_ckt(pr, np.random.default_rng(103), K1=K1)(x).values()
+    g = SymTensor.metric(4).comps
+    first = [0, 1, 4]  # the packed positions of (0, 0), (0, 1), (1, 1)
+    assert np.allclose(K[first], K[0] * g[first], atol=1e-12)
+    assert np.abs(K).max() > 1e-3
 
 
 def test_product_ckt_refuses_ingredients_of_another_degree():

@@ -253,15 +253,31 @@ def test_a_constant_contributes_no_gradient_term():
     assert np.signbit(_scatter_add(A[:1], np.array([0]), 1).grad[0, 0])
 
 
+def _parts(A):
+    return [None if a is None else a.tobytes() for a in (A.val, A.grad, A.const)]
+
+
 @pytest.mark.parametrize("key", ["sphere:3", "stereographic:2", "product:sphere:2,sphere:2",
                                  "conformal:bump:euclidean:3"])
 def test_the_remembered_frame_is_read_only(key):
+    # only a sphere remembers its frame; a chart, a product and a conformal
+    # wrapper evaluate theirs afresh, to the same bytes, while a product's
+    # sphere factors still remember theirs at their slices
     base = manifold_from_key(key)
     x = seed(list(base.sample_point(np.random.default_rng(3))))
     F = base.frame(x)
-    assert isinstance(F, DualArray) and base.frame(x) is F
-    assert not F.flags.writeable
-    with pytest.raises(ValueError):
-        F[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        F.val[0, 0] = 1.0
+    assert isinstance(F, DualArray)
+    if key == "sphere:3":
+        spheres = [(base, x)]
+    else:
+        G = base.frame(x)
+        assert G is not F and F.flags.writeable and _parts(G) == _parts(F)
+        spheres = [(base.first, x[:3]), (base.second, x[3:])] if key.startswith("product:") else []
+    for sphere, y in spheres:
+        R = sphere.frame(y)
+        assert isinstance(R, DualArray) and sphere.frame(y) is R
+        assert not R.flags.writeable
+        with pytest.raises(ValueError):
+            R[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            R.val[0, 0] = 1.0

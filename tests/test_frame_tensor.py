@@ -239,6 +239,15 @@ def test_mismatched_shapes_raise_shape_mismatch():
         FrameTensor([SymTensor.zero(3, 2), SymTensor.zero(3, 2)])
 
 
+@pytest.mark.parametrize("bad", [np.array([1 + 2j, 0, 0]), np.array(["1", "2", "3"])])
+def test_stacked_slots_cast_same_kind(bad):
+    # a complex array used to drop its imaginary part, a string one was parsed
+    with pytest.raises(TypeError):
+        FrameTensor.from_stacked(3, 1, np.stack([bad] * 3))
+    for ok in (np.ones((3, 3), dtype=bool), np.arange(9).reshape(3, 3)):
+        assert FrameTensor.from_stacked(3, 1, ok).comps.tolist() == ok.astype(float).tolist()
+
+
 def test_dual_slots_match_slot_loops():
     # object-dtype (dual) slots: values and gradients bit for bit
     rng = np.random.default_rng(5)

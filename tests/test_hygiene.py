@@ -64,6 +64,12 @@ Multiplication by the metric has one path, ``mult_L``'s plan and kernel:
 only ``symtensor._l_plan`` and ``symtensor._mult_L_comps`` read
 ``_l_element``, so no ``sym_product(_l_element(n), K)`` can come back
 beside them with its own bits and its own per-call cost.
+A batched dot product has one kernel, ``dual._row_dots``: outside ``dual``
+no module forms one as a matmul of ``[..., None, :]`` rows, which would be
+a second copy of the layout rule its bits depend on.  Only the embedded
+sphere remembers its frame: ``manifolds._frame_memo`` decorates
+``EmbeddedSphere.frame`` and nothing else, as no traffic finds a chart's,
+a product's or a conformal wrapper's frame remembered.
 """
 
 import ast
@@ -86,6 +92,7 @@ COMPONENT_WRAP_OWNER = "fields.py"
 PACKED_CORE = "_PackedTensor"
 PACKED_METHODS = {"_check_same_shape", "__add__", "__sub__", "__neg__"}
 L_ELEMENT_READERS = {"_l_plan", "_mult_L_comps"}
+FRAME_MEMO_USERS = [("EmbeddedSphere", "frame")]
 RECOMPUTE_ALLOWED = {
     # the curvature benchmark workload calls it with rm=
     ("curvature.py", "qR_act"),
@@ -444,6 +451,59 @@ def l_element_reads(source):
     return sorted(found)
 
 
+def _is_row(node):
+    """Whether a subscript ends in ``None, :``, as ``a[..., None, :]`` does."""
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple)):
+        return False
+    *_, new_axis, whole = (None, None, *node.slice.elts)
+    return (isinstance(new_axis, ast.Constant) and new_axis.value is None
+            and isinstance(whole, ast.Slice) and not (whole.lower or whole.upper or whole.step))
+
+
+def _left_of_matmul(node):
+    """The left operand of ``a @ b`` or ``matmul(a, b)``, else None."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        return node.left
+    if isinstance(node, ast.Call) and node.args and getattr(
+            node.func, "attr", getattr(node.func, "id", None)) == "matmul":
+        return node.args[0]
+    return None
+
+
+def row_matmuls(source):
+    """Sorted lines of every matmul whose left operand is a row subscript
+    ``[..., None, :]``: a batched dot written out by hand."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if _is_row(_left_of_matmul(node))})
+
+
+def _is_frame_memo(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return getattr(target, "id", getattr(target, "attr", None)) == "_frame_memo"
+
+
+def frame_memo_users(source):
+    """Sorted (class, name) of every function decorated with ``_frame_memo``
+    and every name bound to a call of it (``<module>`` outside a class)."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    map(_is_frame_memo, child.decorator_list)):
+                found.add((owner, child.name))
+            elif isinstance(child, ast.Assign) and isinstance(child.value, ast.Call) \
+                    and _is_frame_memo(child.value):
+                found.update((owner, t.id) for t in child.targets if isinstance(t, ast.Name))
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -537,6 +597,18 @@ def test_only_the_mult_L_plan_and_kernel_read_the_l_element(path):
 @pytest.mark.parametrize("name", ALGEBRA_KERNELS)
 def test_algebra_sums_start_from_float_zero(name):
     assert int_zero_accumulators((SRC / name).read_text()) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dual.py"],
+                         ids=lambda p: p.name)
+def test_batched_dots_go_through_row_dots(path):
+    assert row_matmuls(path.read_text()) == []
+
+
+def test_only_the_sphere_remembers_its_frame():
+    users = {path.name: frame_memo_users(path.read_text()) for path in MODULES}
+    assert users.pop("manifolds.py") == FRAME_MEMO_USERS
+    assert not any(users.values())
 
 
 def test_checker_flags_unused_names():
@@ -855,3 +927,41 @@ def test_checker_flags_l_element_reads():
     # the definition and the plan's and kernel's reads are not flagged
     assert l_element_reads(source) == [
         ("<module>", 13), ("<module>", 14), ("Lift", 12), ("mult_L", 9)]
+
+
+def test_checker_flags_row_matmuls():
+    source = (
+        "def dots(a, b, m):\n"
+        "    x = (a * m)[..., None, :] @ b[..., :, None]\n"
+        "    y = a[None, :] @ b\n"
+        "    z = np.matmul(a[..., None, :], b[..., :, None])\n"
+        "    w = a[..., :, None] @ b[..., None, :]\n"
+        "    v = a[..., None, 1:] @ b\n"
+        "    return x, y, z, w, v, a @ b, b[..., None] * a[..., None, :]\n"
+    )
+    # a column operand on the left, a partial slice and a product are not rows
+    assert row_matmuls(source) == [2, 3, 4]
+
+
+def test_checker_flags_frame_memo_users():
+    source = (
+        "def _frame_memo(frame):\n"
+        "    return frame\n"
+        "class EmbeddedSphere:\n"
+        "    @_frame_memo\n"
+        "    def frame(self, x):\n"
+        "        return x\n"
+        "class Chart:\n"
+        "    @manifolds._frame_memo\n"
+        "    def frame(self, x):\n"
+        "        return x\n"
+        "    def metric_matrix(self, x):\n"
+        "        return x\n"
+        "class Product:\n"
+        "    frame = _frame_memo(lambda self, x: x)\n"
+        "remembered = _frame_memo(Chart.frame)\n"
+        "bare = EmbeddedSphere.frame.__wrapped__\n"
+    )
+    assert frame_memo_users(source) == [
+        ("<module>", "remembered"), ("Chart", "frame"), ("EmbeddedSphere", "frame"),
+        ("Product", "frame")]

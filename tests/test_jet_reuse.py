@@ -461,9 +461,14 @@ def test_frame_is_remembered_only_at_the_seeded_duals(monkeypatch):
     first = product.first.frame(X[:3])  # as a lifted factor field evaluates it
     F = product.frame(X)
     assert len(calls) == 2  # each factor once per seeding
-    assert product.frame(list(X)) is F and product.first.frame(X[:3]) is first
+    # the product evaluates its frame afresh, to the same bytes, from the
+    # frames its factors remember
+    again = product.frame(list(X))
+    assert again is not F and F.flags.writeable
+    assert again.val.tobytes() == F.val.tobytes() and again.grad.tobytes() == F.grad.tobytes()
+    assert product.first.frame(X[:3]) is first
     assert len(calls) == 2
-    for remembered in (F, first, product.second.frame(X[3:])):
+    for remembered in (first, product.second.frame(X[3:])):
         assert not remembered.flags.writeable
     assert len(calls) == 2
     shifted = [xi + 0.0 for xi in X]  # other Duals of the same seeding
@@ -496,8 +501,7 @@ def test_chart_geodesics_build_no_dual_numbers(monkeypatch, key):
 def test_connection_jet_frame_is_the_frame(key):
     base = manifold_from_key(key)
     x = list(base.sample_point(np.random.default_rng(8)))
-    F, gam = manifolds._frame_connection(
-        base, x, *dual.jacobian(lambda y: base.frame(y).ravel(), x))
+    F, gam = manifolds._frame_connection(base, seed(x), x)
     want = base.frame(x)
     assert F.tobytes(order="A") == want.tobytes(order="A")
     assert F.flags.f_contiguous == want.flags.f_contiguous

@@ -171,6 +171,31 @@ def test_getitem_rejects_a_wrong_index():
         SymTensor.scalar(2, 1.0)[(0,)]
 
 
+def test_getitem_takes_integer_entries_only():
+    # a float entry used to be read through its sort (1.5 as 1 or 2) and a
+    # bare np.integer had no len()
+    K = SymTensor(3, 2, [1., 2., 3., 4., 5., 6.])
+    assert K[(np.int64(1), 2)] == K[(2, np.int32(1))] == 5.0
+    assert SymTensor(3, 1, [1., 2., 3.])[np.int64(1)] == 2.0
+    for idx in ((1.5, 2), (0.5, 0.5), (1.0, 2), (np.float64(1.0), 2), (True, 0),
+                (np.True_, 1), 1.0):
+        with pytest.raises(ShapeMismatchError):
+            K[idx]
+    for idx in (True, np.True_, 0.0):
+        with pytest.raises(ShapeMismatchError):
+            SymTensor(3, 1, [1., 2., 3.])[idx]
+
+
+@pytest.mark.parametrize("bad", [np.array([1 + 2j, 0, 0]), np.array(["1", "2", "3"])])
+def test_array_components_cast_same_kind(bad):
+    # a complex array used to drop its imaginary part with a warning, and a
+    # string array was parsed into floats
+    with pytest.raises(TypeError):
+        SymTensor(3, 1, bad)
+    for ok in (np.array([True, False, True]), np.array([1, 0, 3])):
+        assert SymTensor(3, 1, ok).comps.tolist() == ok.astype(float).tolist()
+
+
 # ---------------------------------------------------------------------------
 # contraction
 
