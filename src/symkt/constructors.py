@@ -281,7 +281,8 @@ def killing_form_residual(u, x):
     # D[..., a]: the tangential ambient derivative along e_a
     D = np.tensordot(jac.reshape((N,) * (q + 1)), F, axes=([q], [0]))
     for axis in range(q):
-        D = np.moveaxis(np.tensordot(P, D, axes=([1], [axis])), 0, axis)
+        D = np.tensordot(P, D, axes=([1], [axis])).transpose(
+            *range(1, axis + 1), 0, *range(axis + 1, D.ndim))
     hooked = np.einsum("A...a,Aa->a...", D, F)  # e_a -| D[..., a]
     hooks = np.abs(hooked).reshape(sphere.dim, -1).max(1)
     return worst(hooks) / worst([1.0, float(np.abs(vals).max())])

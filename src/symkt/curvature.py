@@ -13,10 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 from .cartan import frame_norm, slot_sum
-from .dual import Dual, Jet
+from .dual import Dual, Jet, seed_jets
 from .errors import DegreeError
-from .fields import (SecondDerivative, TensorField, _nabla2_jet, d_delta, delta_d, nabla,
-                     rough_laplacian)
+from .fields import (SecondDerivative, TensorField, _check_domain, _nabla2_jet, d_delta, delta_d,
+                     nabla, rough_laplacian)
 from .manifolds import connection_jet
 from .multiindex import index_array, multi_indices, replace_array
 from .symtensor import SymTensor, derivation, norm, poly_eval, trace_Lambda
@@ -89,28 +89,36 @@ def _curvature(jet):
     )
 
 
+def _seeded_point(base, x):
+    """(connection jet, :class:`RiemannAtPoint`, jet seeding) from one seeding of x."""
+    Y = seed_jets(x)
+    jet = connection_jet(base, Y)
+    return jet, RiemannAtPoint.from_R4(_curvature(jet)), Y
+
+
 @lru_cache(maxsize=1)
 def _kept_point(base, key):
-    """The read-only (connection jet, :class:`RiemannAtPoint`) pair at the
-    float point whose float64 bytes are ``key`` (which tell -0.0 from
-    0.0): the last one is kept, so ``riemann``, ``qrh_check``, ``qR_act``
-    without ``rm`` and ``lichnerowicz_defect`` at one point share one
-    frame hessian and one curvature assembly.  ``_kept_point.cache_clear()``
-    empties it.
+    """The read-only ``_seeded_point`` at the float point whose float64 bytes
+    are ``key`` (which tell -0.0 from 0.0), once it is found in the domain
+    (else DomainError): the last one is kept, so ``riemann``, ``qrh_check``,
+    ``qR_act`` without ``rm`` and ``lichnerowicz_defect`` at one point share
+    one seeding, one curvature assembly and, as the defect evaluates the
+    components at that seeding, one sphere frame on its Jets.
+    ``_kept_point.cache_clear()`` empties it.
     """
-    jet = connection_jet(base, np.frombuffer(key))
-    rm = RiemannAtPoint.from_R4(_curvature(jet))
+    x = np.frombuffer(key)
+    _check_domain(base, x)
+    jet, rm, Y = _seeded_point(base, x)
     for a in (*jet, rm.R4, rm.ricci):
         a.flags.writeable = False
-    return jet, rm
+    return jet, rm, Y
 
 
 def _jet_and_riemann(base, x):
-    """The connection jet at x and its curvature: kept at a float point,
-    assembled afresh at a dual point."""
+    """The connection jet at x, its curvature and the jet seeding they were
+    taken at: kept at a float point, assembled afresh at a dual point."""
     if isinstance(x[0], (Dual, Jet)):
-        jet = connection_jet(base, list(x))
-        return jet, RiemannAtPoint.from_R4(_curvature(jet))
+        return _seeded_point(base, list(x))
     return _kept_point(base, np.asarray(x, dtype=float).tobytes())
 
 
@@ -168,14 +176,14 @@ def lichnerowicz_defect(field, x):
 
     One connection jet at x serves both ``nabla^2 K`` and the curvature
     (at a float point, the jet and curvature ``riemann`` keeps there), and
-    one hessian of the components both ``nabla^2 K`` and the values of K
+    the components at its seeding both ``nabla^2 K`` and the values of K
     that q(R) acts on.
     """
     if field.degree < 1:
         raise DegreeError("defect check needs degree >= 1")
     n, p = field.base.dim, field.degree
-    jet, rm = _jet_and_riemann(field.base, x)
-    vals, grid = _nabla2_jet(field, x, jet)
+    jet, rm, Y = _jet_and_riemann(field.base, x)
+    vals, grid = _nabla2_jet(field, x, (Y, jet))
     W = SecondDerivative.from_stacked(n, p, grid)
     lhs = delta_d(W) - d_delta(W)
     rl = rough_laplacian(W)

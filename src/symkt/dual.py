@@ -29,7 +29,9 @@ has no gradient term, and a scatter onto int 0 touches the value only).
 
 A :class:`Jet` is a second-order truncated Taylor scalar (hyper-dual
 style; Griewank & Walther, ch. 13), so ``hessian`` takes exact second
-partials from one evaluation.  It is a value and one flat tuple of m +
+partials from one evaluation: ``seed_jets``, then ``_unpack_jets``, as
+``seed`` and ``_unpack`` for a jacobian, so functions evaluated at one
+seeding are unpacked each alone.  It is a value and one flat tuple of m +
 m(m+1)/2 coefficients: the gradient, then the Hessian's upper triangle
 row by row.  Each gradient length m has its own subclass of ``Jet``,
 built once, and every jet is an instance of its length's class.  The
@@ -50,8 +52,8 @@ import math
 
 import numpy as np
 
-__all__ = ["Dual", "DualArray", "Jet", "seed", "jacobian", "hessian", "value_of", "d_sqrt",
-           "d_dot", "d_exp", "d_log", "asarray", "dual_array", "first_order", "stack"]
+__all__ = ["Dual", "DualArray", "Jet", "seed", "jacobian", "seed_jets", "hessian", "value_of",
+           "d_sqrt", "d_dot", "d_exp", "d_log", "asarray", "dual_array", "first_order", "stack"]
 
 _NUMBER_TYPES = (int, float, np.integer, np.floating)
 
@@ -522,7 +524,7 @@ class DualArray:
         prod = self * other
         va, vb = self.val, np.broadcast_to(self._parts(other)[0], self.val.shape)
         if self.nb:
-            val = _row_dots(np.moveaxis(va, 0, -1), np.moveaxis(vb, 0, -1))
+            val = _row_dots(*(v.transpose(*range(1, v.ndim), 0) for v in (va, vb)))
         else:
             val = va.dot(vb)
         const = None if prod.const is None else prod.const.all(axis=0)
@@ -1054,33 +1056,46 @@ def _unpack(ys, X):
                 vals[k] = y
     if lead:  # points on the leading axis, in one C-ordered copy each
         return (np.array(vals.T, order="C"),
-                np.array(np.moveaxis(jac, (0, 1), (1, 2)), order="C"))
+                np.array(jac.transpose(2, 0, 1), order="C"))
     return vals, jac
+
+
+def seed_jets(x):
+    """Lift a point to :class:`Jet` seeds: coordinate i gets gradient row i
+    of the identity and a zero Hessian.  Float coordinates enter as Python
+    floats of the same value, Duals as they are.  Jets do not nest: ``x``
+    may not hold Jets."""
+    if any(isinstance(xi, Jet) for xi in x):
+        raise ValueError("hessian does not nest")
+    m = len(x)
+    zero = (0.0,) * (m * (m + 3) // 2)
+    if not isinstance(x[0], Dual):
+        x = [float(xi) for xi in x]
+    return [_jet(xi, zero[:i] + (1.0,) + zero[i + 1:]) for i, xi in enumerate(x)]
+
+
+def _unpack_jets(ys, X):
+    """The ``(vals, grads, hess)`` that ``hessian`` returns, unpacked in one
+    step from the coefficient tuples of the outputs ys (a flat sequence) of
+    a function evaluated at the Jets ``X = seed_jets(x)``."""
+    m, size = len(X), len(X[0].d)
+    zero = (0.0,) * size
+    dtype = object if isinstance(X[0].val, Dual) else float
+    rows = [(y.val, *y.d) if isinstance(y, Jet) else (y, *zero) for y in ys]
+    table = np.array(rows, dtype=dtype).reshape(len(rows), size + 1)
+    return (table[:, 0].copy(), table[:, 1:m + 1].copy(),
+            table[:, m + 1 + _rules(size).square])
 
 
 def hessian(fn, x):
     """Values, gradients and Hessians of ``fn`` at ``x`` from one evaluation.
 
     ``fn`` maps a sequence of m scalars to a flat sequence of scalars and
-    is evaluated once on :class:`Jet` seeds.  Returns ``(vals, grads,
-    hess)`` of shapes ``(K,)``, ``(K, m)`` and ``(K, m, m)``, with
+    is evaluated once, on the Jets of :func:`seed_jets`.  Returns ``(vals,
+    grads, hess)`` of shapes ``(K,)``, ``(K, m)`` and ``(K, m, m)``, with
     ``hess[k, i, j]`` the second partial of output k in directions i and
-    j, unpacked from the outputs' coefficient tuples in one step.  They
-    are float arrays at a float point, whose coordinates enter as Python
-    floats of the same value, and object arrays at a dual point, whose
-    Duals carry the derivatives of an enclosing ``jacobian``.  Jets do not
-    nest: ``x`` may not hold Jets.
+    j: float arrays at a float point, object arrays at a dual point, whose
+    Duals carry the derivatives of an enclosing ``jacobian``.
     """
-    if any(isinstance(xi, Jet) for xi in x):
-        raise ValueError("hessian does not nest")
-    m = len(x)
-    size = m * (m + 3) // 2
-    zero = (0.0,) * size
-    dtype = object if isinstance(x[0], Dual) else float
-    if dtype is float:
-        x = [float(xi) for xi in x]
-    ys = fn([_jet(xi, zero[:i] + (1.0,) + zero[i + 1:]) for i, xi in enumerate(x)])
-    rows = [(y.val, *y.d) if isinstance(y, Jet) else (y, *zero) for y in ys]
-    table = np.array(rows, dtype=dtype).reshape(len(rows), size + 1)
-    return (table[:, 0].copy(), table[:, 1:m + 1].copy(),
-            table[:, m + 1 + _rules(size).square])
+    X = seed_jets(x)
+    return _unpack_jets(fn(X), X)

@@ -18,9 +18,9 @@ batch of B points: one seeding of Duals with ``(m, B)`` gradients, one
 evaluation of the components and one frame jet serve the whole batch.
 Iterating the same rule on the T (x) Sym^p frame components gives the full
 second covariant derivative nabla^2_{e_b, e_a} K used by the rough
-Laplacian and the Weitzenboeck-type checks, assembled from one hessian of
-the components and the connection jet of
-:func:`~symkt.manifolds.connection_jet`.
+Laplacian and the Weitzenboeck-type checks, assembled from the components
+and the connection jet of :func:`~symkt.manifolds.connection_jet`, both
+taken at one seeding of second-order jets.
 
 Each differential operator reads only the derivative it is built from:
 ``d_op``, ``delta_op`` and ``d0_op`` take ``T = nabla(field, x)``, and
@@ -35,7 +35,7 @@ base and degree off its inputs; it refuses fields on different bases.
 import numpy as np
 
 from .cartan import FrameTensor, slot_hooks, slot_products, slot_sum
-from .dual import _unpack, d_dot, d_exp, hessian, seed, value_of
+from .dual import _unpack, _unpack_jets, d_dot, d_exp, seed, seed_jets, value_of
 from .errors import DegreeError, DomainError, ShapeMismatchError
 from .manifolds import _frame_connection, connection_jet, point_array
 from .multiindex import sym_size
@@ -316,15 +316,17 @@ def nabla(field, x):
     return FrameTensor.from_stacked(n, p, _nabla_jet(field, x)[1])
 
 
-def _nabla2_jet(field, x, jet=None):
-    """Components K (size,) and the nabla^2 grid (n, n, size) at x, from one
-    hessian of the components (``nabla2`` and the Lichnerowicz defect)."""
+def _nabla2_jet(field, x, kept=None):
+    """Components K (size,) and the nabla^2 grid (n, n, size) at x from one
+    jet seeding: the (seeding, connection jet) pair ``kept`` by ``curvature``
+    at x, else a seeding whose components are evaluated before the connection
+    (so a sphere frame they evaluate is remembered for it)."""
     _check_domain(field.base, x)
     base = field.base
     p = field.degree
-    x = list(x)
-    F, dF, gam, dgam = connection_jet(base, x) if jet is None else jet
-    vals, grads, hess = hessian(field.comps_fn, x)
+    Y, jet = (seed_jets(list(x)), None) if kept is None else kept
+    vals, grads, hess = _unpack_jets(field.comps_fn(Y), Y)
+    F, dF, gam, dgam = connection_jet(base, Y) if jet is None else jet
     S = _assemble_first(p, vals, grads, F, gam)  # S[a] = nabla_{e_a} K
     # d_i S: _assemble_first is bilinear in (vals, jac) and (F, gam), so
     # two calls with the direction i as a leading axis
@@ -354,8 +356,8 @@ def nabla2(field, x):
     ``W.comps`` is the ``(n, n, size)`` array whose row b is the frame
     tensor nabla_{e_b}(nabla K): ``W.comps[b, a]`` holds nabla^2_{e_b, e_a}
     K.  Its leading axis is the direction b, not a batch of points; x is
-    one point.  From one hessian of the components and one connection jet
-    at x.
+    one point.  From the components and the connection jet at one jet
+    seeding of x.
     """
     return SecondDerivative.from_stacked(field.base.dim, field.degree, _nabla2_jet(field, x)[1])
 

@@ -43,14 +43,14 @@ the frame and metric; curvature and nabla^2 are assembled from it in
 :mod:`symkt.curvature` and :mod:`symkt.fields`.
 
 Only the embedded sphere remembers its frame (``_frame_memo``), per
-seeding of Duals, so the components and the connection of one seeding
-(``fields._nabla_jet``) share one Householder evaluation, as do the frames
-of a product or conformal wrapper over it.  Those and the charts evaluate
-theirs afresh: in a seed-7 ``verify`` pass and a small geometry suite
-none of their calls at Duals found its frame remembered, where the
-sphere's memo served 86 of 160.  ``connection_jet`` keeps nothing;
-:mod:`symkt.curvature` keeps the connection jet and curvature of the last
-float point.
+seeding of Duals or Jets, so the components and the connection of one
+seeding (``fields._nabla_jet``, ``fields._nabla2_jet``) share one
+Householder evaluation, as do the frames of a product or conformal wrapper
+over it.  Those and the charts evaluate theirs afresh: in a seed-7
+``verify`` pass and a small geometry suite none of their calls at Duals
+found its frame remembered, where the sphere's memo served 86 of 160.
+``connection_jet`` keeps no jet; :mod:`symkt.curvature` keeps the jet
+seeding, connection jet and curvature of the last float point.
 
 Sign conventions are pinned by the unit sphere: the curvature operator on
 2-forms is minus the identity there, i.e. R(X,Y,Z,V) = g(X,V)g(Y,Z) -
@@ -69,13 +69,14 @@ from .dual import (
     DualArray,
     Jet,
     _unpack,
+    _unpack_jets,
     d_dot,
     d_exp,
     d_sqrt,
     dual_array,
     first_order,
-    hessian,
     seed,
+    seed_jets,
     stack,
     value_of,
 )
@@ -179,21 +180,22 @@ def _block_diag(A, B):
 
 
 def _frame_memo(frame):
-    """``EmbeddedSphere.frame``, remembering its last value at Duals.
+    """``EmbeddedSphere.frame``, remembering its last value at Duals or Jets.
 
-    At a point of Duals the frame is computed once per coordinates, and
-    kept on the sphere, keyed by the identity of the Duals (the same Duals
-    are the same seeding; the entry holds them, so an identity is never
-    reused): a field's components and the connection at the same seeding
-    share it, and so do the frames of a product or conformal wrapper built
-    on the sphere at its slice of the same Duals.  Any other point of the
-    seeding holds other Duals and is computed afresh.  The remembered frame
-    is read-only.  Float and batch points pass through.
+    At a point of Duals or Jets the frame is computed once per coordinates,
+    and kept on the sphere, keyed by the identity of the scalars (the same
+    scalars are the same seeding; the entry holds them, so an identity is
+    never reused): a field's components and the connection at the same
+    seeding share it, at Duals (``fields._nabla_jet``) and at Jets (the
+    point ``curvature`` keeps, ``nabla2``), and so do the frames of a product
+    or conformal wrapper built on the sphere at its slice of the same
+    scalars.  Other scalars are computed afresh.  The remembered frame is
+    read-only.  Float and batch points pass through.
     """
 
     @functools.wraps(frame)
     def memo_frame(self, x):
-        if not isinstance(x[0], Dual):
+        if not isinstance(x[0], (Dual, Jet)):
             return frame(self, x)
         coords, F = getattr(self, "_frame_at_seeding", ((), None))
         if len(x) != len(coords) or any(u is not v for u, v in zip(x, coords)):
@@ -500,9 +502,8 @@ def _bracket(F, dF):
     is two calls by the product rule; leading axes broadcast.
     """
     # t[a, b, k, i] = e_a^i d_i e_b^k
-    t = (np.swapaxes(F, -1, -2)[..., :, None, None, :]
-         * np.swapaxes(dF, -1, -3)[..., None, :, :, :])
-    return (t - np.swapaxes(t, -4, -3)).sum(axis=-1)
+    t = F.swapaxes(-1, -2)[..., :, None, None, :] * dF.swapaxes(-1, -3)[..., None, :, :, :]
+    return np.add.reduce(t - t.swapaxes(-4, -3), axis=-1)
 
 
 def _koszul(bracket, GF):
@@ -519,7 +520,8 @@ def _koszul(bracket, GF):
     axes broadcast.
     """
     gb = bracket @ GF[..., None, :, :]  # gb[a, b, c] = g([e_a, e_b], e_c)
-    return 0.5 * (gb - np.swapaxes(gb, -1, -2) - np.moveaxis(gb, -1, -3))
+    gc = gb.swapaxes(-1, -2)  # views: gb's last axis moved to -2, then to -3
+    return 0.5 * (gb - gc - gc.swapaxes(-2, -3))
 
 
 def gamma_frame(base, x):
@@ -577,15 +579,17 @@ def connection_jet(base, x):
     product-rule derivative; the frame's bracket serves both, so the jet
     takes three brackets.  Float arrays at a float point; object arrays
     of Duals at a dual point, so curvature built from the jet can be
-    differentiated once more.  Nothing is kept: ``curvature`` keeps the
-    jet of its last float point.
+    differentiated once more.  ``x`` may be a caller's seeding, the Jets
+    of ``seed_jets``, at which a field's components then share the sphere
+    frame it remembers; jets of another length raise, as ``hessian`` does.
+    No jet is kept here: ``curvature`` keeps the jet of its last float
+    point, with its seeding.
     """
+    Y = x if isinstance(x[0], Jet) and x[0].m == len(x) else seed_jets(x)
     m, n = base.coord_dim, base.dim
     mn = m * n
-    vals, grads, hess = hessian(
-        lambda y: np.concatenate([base.frame(y).ravel(), base.metric_matrix(y).ravel()]),
-        x,
-    )
+    vals, grads, hess = _unpack_jets(
+        np.concatenate([base.frame(Y).ravel(), base.metric_matrix(Y).ravel()]), Y)
     F, G = vals[:mn].reshape(m, n), vals[mn:].reshape(m, m)
     dF = grads[:mn].reshape(m, n, m).transpose(2, 0, 1)  # [i, k, b] = d_i F[k, b]
     dG = grads[mn:].reshape(m, m, m).transpose(2, 0, 1)  # [i, k, l] = d_i G[k, l]

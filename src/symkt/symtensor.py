@@ -293,8 +293,8 @@ class SymTensor(_PackedTensor):
         as in a float batch tensor."""
         if isinstance(self.comps, DualArray):
             # the DualArray holds its entries before the seeding's batch axes
-            e = self.comps.ndim
-            return np.array(np.moveaxis(self.comps.val, range(e), range(-e, 0)), order="C")
+            e, val = self.comps.ndim, self.comps.val
+            return np.array(val.transpose(*range(e, val.ndim), *range(e)), order="C")
         if self.comps.dtype != object:
             return np.array(self.comps)
         return np.array([value_of(v) for v in self.comps.ravel()]).reshape(self.comps.shape)

@@ -521,6 +521,49 @@ def test_catalog_derives_controls_and_killing_entries():
     assert [k for k, e in catalog.items() if e.declared_killing] == DECLARED_KILLING
 
 
+# the positives a broken-* control breaks, and for each positive without
+# one the residuals its scaled copy f K, f = 1 + 0.5 x_0, must raise: f K
+# is no longer Killing (on the flat special tensor, no longer conformal
+# Killing nor special)
+TWINNED = {"sphere-curvature", "sym-product", "killing-form:q=1", "special-flat-hat",
+           "hopf-stackel", "product-ckt"}
+UNTWINNED_CHECKS = {
+    "metric": ("killing",),
+    "sphere-curvature-weyl": ("killing",),
+    "sym-product-hopf": ("killing",),
+    "sasakian-stackel": ("killing",),
+    "killing-form:q=2": ("killing",),
+    "special-flat": ("conformal", "special_conformal"),
+}
+
+
+def _scaled(field):
+    comps_fn = field.comps_fn
+    return TensorField(field.base, field.degree,
+                       lambda x: [(1.0 + 0.5 * x[0]) * v for v in comps_fn(x)],
+                       name=f"scaled-{field.name}")
+
+
+def test_every_positive_has_a_negative_control():
+    catalog = constructor_catalog()
+    positives = {k for k, e in catalog.items() if not e.negative_check}
+    assert positives == TWINNED | set(UNTWINNED_CHECKS)
+    assert not TWINNED & set(UNTWINNED_CHECKS)
+
+
+@pytest.mark.parametrize("key", list(UNTWINNED_CHECKS))
+def test_scaled_positive_is_caught(key):
+    field, entry = build_constructor(key, seed=42)
+    rep = classify(_scaled(field), samples=20, seed=42)
+    for check in UNTWINNED_CHECKS[key]:
+        assert entry.expected[check] is True  # the positive passes it
+        assert rep.max_residuals[check] >= constructors.CONTROL_FLOOR
+        assert rep.verdicts[check] is False
+    if key == "metric":
+        # f g is still trivially conformal Killing
+        assert rep.max_residuals["conformal"] == 0.0
+
+
 def test_judge_fails_a_contradicted_verdict_and_an_uncaught_control():
     catalog = constructor_catalog()
     report = SimpleNamespace(

@@ -4,9 +4,12 @@ The sphere q(R) eigenvalue is checked against an independent dense
 brute-force oracle built directly from the constant-curvature components.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from symkt import curvature
 from symkt.curvature import (
     lichnerowicz_defect,
     qR_act,
@@ -14,8 +17,8 @@ from symkt.curvature import (
     ricci_killing_residual,
     riemann,
 )
-from symkt.errors import DegreeError
-from symkt.fields import random_polynomial_field, random_tangential_field, scalar_field
+from symkt.errors import DegreeError, DomainError
+from symkt.fields import nabla2, random_polynomial_field, random_tangential_field, scalar_field
 from symkt.manifolds import (
     EmbeddedSphere,
     conformal_rescale,
@@ -292,3 +295,28 @@ def test_ricci_killing_residual_cases():
         for _ in range(5)
     ]
     assert max(vals) >= 1e-4  # negative control: genuinely violated
+
+
+# a NaN coordinate, a point on the ball's boundary (where the conformal
+# factor divides by zero) and a point off the sphere
+OFF_DOMAIN = [("hyperbolic:3", [math.nan, 0.0, 0.0]), ("hyperbolic:3", [1.0, 0.0, 0.0]),
+              ("sphere:2", [0.0, 0.0, 2.0])]
+
+
+@pytest.mark.parametrize("key, x", OFF_DOMAIN, ids=["nan", "boundary", "off-sphere"])
+def test_curvature_refuses_points_outside_the_domain(key, x):
+    # as nabla2 does; nothing is kept, so each call checks again
+    base = manifold_from_key(key)
+    n = base.dim
+    field = random_polynomial_field(base, 2, np.random.default_rng(5)) if base.is_chart \
+        else random_tangential_field(base, 2, np.random.default_rng(5))
+    for call in (lambda: riemann(base, x),
+                 lambda: qR_act(base, x, SymTensor(n, 1, np.ones(n))),
+                 lambda: qrh_check(base, x, SymTensor.metric(n)),
+                 lambda: lichnerowicz_defect(field, x),
+                 lambda: nabla2(field, x)):
+        curvature._kept_point.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                call()
+        assert curvature._kept_point.cache_info().currsize == 0

@@ -69,7 +69,11 @@ no module forms one as a matmul of ``[..., None, :]`` rows, which would be
 a second copy of the layout rule its bits depend on.  Only the embedded
 sphere remembers its frame: ``manifolds._frame_memo`` decorates
 ``EmbeddedSphere.frame`` and nothing else, as no traffic finds a chart's,
-a product's or a conformal wrapper's frame remembered.
+a product's or a conformal wrapper's frame remembered.  Axis moves are
+views built by ``.transpose`` or ``.swapaxes``, which an ndarray and a
+``DualArray`` both have: only ``dual``'s ``_ARRAY_FUNCTIONS`` table names
+``np.moveaxis``, for callers outside the package, since its Python
+argument handling costs several times the view it builds.
 """
 
 import ast
@@ -93,6 +97,7 @@ PACKED_CORE = "_PackedTensor"
 PACKED_METHODS = {"_check_same_shape", "__add__", "__sub__", "__neg__"}
 L_ELEMENT_READERS = {"_l_plan", "_mult_L_comps"}
 FRAME_MEMO_USERS = [("EmbeddedSphere", "frame")]
+MOVEAXIS_NAMERS = [("dual.py", "_ARRAY_FUNCTIONS")]
 RECOMPUTE_ALLOWED = {
     # the curvature benchmark workload calls it with rm=
     ("curvature.py", "qR_act"),
@@ -504,6 +509,23 @@ def frame_memo_users(source):
     return sorted(found)
 
 
+def moveaxis_names(source):
+    """Sorted (top-level definition, line) of every name or attribute
+    ``moveaxis`` and every import of it; a top-level assignment is owned by
+    its first target, anything else at module level by ``<module>``."""
+    found = set()
+    for top in ast.parse(source).body:
+        targets = getattr(top, "targets", [getattr(top, "target", None)])
+        owner = getattr(top, "name", getattr(targets[0], "id", "<module>"))
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "moveaxis")
+                    or (isinstance(node, ast.Attribute) and node.attr == "moveaxis")
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(a.name == "moveaxis" for a in node.names))):
+                found.add((owner, node.lineno))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
@@ -603,6 +625,12 @@ def test_algebra_sums_start_from_float_zero(name):
                          ids=lambda p: p.name)
 def test_batched_dots_go_through_row_dots(path):
     assert row_matmuls(path.read_text()) == []
+
+
+def test_only_the_array_function_table_names_moveaxis():
+    names = {(path.name, owner) for path in MODULES
+             for owner, _ in moveaxis_names(path.read_text())}
+    assert sorted(names) == MOVEAXIS_NAMERS
 
 
 def test_only_the_sphere_remembers_its_frame():
@@ -965,3 +993,22 @@ def test_checker_flags_frame_memo_users():
     assert frame_memo_users(source) == [
         ("<module>", "remembered"), ("Chart", "frame"), ("EmbeddedSphere", "frame"),
         ("Product", "frame")]
+
+
+def test_checker_flags_moveaxis_names():
+    source = (
+        "import numpy as np\n"
+        "from numpy import moveaxis\n"
+        "_ARRAY_FUNCTIONS = {\n"
+        "    np.moveaxis: np.moveaxis._implementation,\n"
+        "}\n"
+        "def move(a):\n"
+        "    b = np.moveaxis(a, 0, -1)\n"
+        "    return moveaxis(b, -1, 0), a.transpose(1, 0), a.swapaxes(0, 1)\n"
+        "class Tensor:\n"
+        "    mover = np.moveaxis\n"
+        "moved: object = np.moveaxis\n"
+    )
+    assert moveaxis_names(source) == [
+        ("<module>", 2), ("Tensor", 10), ("_ARRAY_FUNCTIONS", 4), ("move", 7), ("move", 8),
+        ("moved", 11)]

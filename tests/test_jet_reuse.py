@@ -18,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from symkt import curvature, dual, manifolds
+from symkt import curvature, dual, fields, manifolds
 from symkt.cartan import FrameTensor, frame_norm, supported_pair
 from symkt.classify import classify
 from symkt.constructors import build_constructor, constructor_catalog
@@ -28,6 +28,7 @@ from symkt.fields import (
     d_op,
     metric_field,
     nabla,
+    nabla2,
     random_polynomial_field,
     random_tangential_field,
     tracefree_part_field,
@@ -280,18 +281,19 @@ def test_classify_computes_each_operand_once(monkeypatch, case):
 
 
 def test_lichnerowicz_defect_takes_one_component_hessian(monkeypatch):
-    # one hessian of the frame and metric, one of the components: it gives
-    # nabla^2 K and the values of K that q(R) acts on
-    import symkt.dual
-
+    # one jet seeding, at which the frame and metric are unpacked once and
+    # the components once: they give nabla^2 K and the values of K that
+    # q(R) acts on
     sp = EmbeddedSphere(2)
     rng = np.random.default_rng(4)
     field = random_tangential_field(sp, 2, rng)
     x = sp.sample_point(rng)
-    hessians = _count(monkeypatch, symkt.dual, "hessian")
+    seedings = _count(monkeypatch, dual, "seed_jets")
+    unpacks = _count(monkeypatch, dual, "_unpack_jets")
     field_calls = _count_method(monkeypatch, TensorField, "__call__")
     assert curvature.lichnerowicz_defect(field, x) <= 1e-6
-    assert len(hessians) == 2
+    assert len(seedings) == 1
+    assert len(unpacks) == 2
     assert len(field_calls) == 0
 
 
@@ -343,40 +345,114 @@ def test_nabla_evaluates_the_frame_once(monkeypatch):
 
 @pytest.mark.parametrize("key", ["sphere:3", "hyperbolic:3", "product:sphere:2,sphere:2"])
 def test_one_point_takes_one_frame_hessian(monkeypatch, key):
-    # riemann, q(R) without rm and the Lichnerowicz defect share the jet
+    # riemann, q(R) without rm and the Lichnerowicz defect share the jet:
+    # one seeding, one unpack of the frame and metric, and the components
+    # unpacked at the same seeding
     base = manifold_from_key(key)
     rng = np.random.default_rng(12)
     field = (random_tangential_field(base, 2, rng) if isinstance(base, EmbeddedSphere)
              else random_polynomial_field(base, 2, rng))
     x = base.sample_point(rng)
-    hessians = _count(monkeypatch, dual, "hessian", lambda fn, y: fn is not field.comps_fn)
+    seedings = _count(monkeypatch, dual, "seed_jets")
+    size = sym_size(base.dim, 2)
+    unpacks = []  # (outputs, seeding) of each unpack, through every binding
+    _count(monkeypatch, dual, "_unpack_jets", lambda ys, X: unpacks.append((len(ys), X)))
     rm = curvature.riemann(base, x)
     K = SymTensor(base.dim, 1, rng.standard_normal(base.dim))
     assert norm(curvature.qR_act(base, x, K) - curvature.qR_act(base, x, K, rm=rm)) == 0.0
     assert curvature.lichnerowicz_defect(field, x) <= 1e-6
-    assert len(hessians) == 1
+    assert len(seedings) == 1
+    m, n = base.coord_dim, base.dim
+    assert [k for k, _ in unpacks] == [m * n + m * m, size]
+    assert unpacks[0][1] is unpacks[1][1]
 
 
 def test_connection_jet_is_kept_per_base_and_point_bytes(monkeypatch):
     # kept by curvature, for riemann and the Lichnerowicz defect
     base = manifold_from_key("stereographic:2")
-    hessians = _count(monkeypatch, dual, "hessian")
+    seedings = _count(monkeypatch, dual, "seed_jets")
+    unpacks = _count(monkeypatch, dual, "_unpack_jets")
     x = [0.25, 0.0]
     jet = curvature._jet_and_riemann(base, x)[0]
     assert curvature._jet_and_riemann(base, np.array(x))[0] is jet  # the same float64 bytes
-    assert len(hessians) == 1
+    assert len(seedings) == len(unpacks) == 1
     # a different point, a fresh base of the same key, the other signed zero
     for b, y in [(base, [0.25, 0.125]), (manifold_from_key("stereographic:2"), x),
                  (base, [0.25, -0.0])]:
         other = curvature._jet_and_riemann(b, y)[0]
         assert other is not jet
         jet = other
-    assert len(hessians) == 4
+    assert len(seedings) == len(unpacks) == 4
     info = curvature._kept_point.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
     # connection_jet itself keeps nothing
     assert connection_jet(base, x) is not connection_jet(base, x)
-    assert len(hessians) == 6
+    assert len(seedings) == len(unpacks) == 6
+
+
+def _jet_frames(monkeypatch):
+    """Record, for each evaluation of the sphere frame behind its memo,
+    whether it ran on Jets."""
+    compute = EmbeddedSphere.frame.__wrapped__  # the frame without its memo
+    calls = []
+
+    def counted(self, x):
+        calls.append(isinstance(x[0], dual.Jet))
+        return compute(self, x)
+
+    monkeypatch.setattr(EmbeddedSphere, "frame", manifolds._frame_memo(counted))
+    return calls
+
+
+@pytest.mark.parametrize("key", ["sphere:2", "sphere:3"])
+def test_riemann_and_the_defect_evaluate_the_frame_once_on_jets(monkeypatch, key):
+    # the defect evaluates the components at the seeding curvature keeps, so
+    # the frame they evaluate is the one the connection jet evaluated there
+    base = manifold_from_key(key)
+    rng = np.random.default_rng(15)
+    field = random_tangential_field(base, 2, rng)
+    x = base.sample_point(rng)
+    frames = _jet_frames(monkeypatch)
+    curvature.riemann(base, x)
+    assert curvature.lichnerowicz_defect(field, x) <= 1e-6
+    assert frames == [True]
+
+
+@pytest.mark.parametrize("key", ["sphere:2", "sphere:3", "hyperbolic:3"])
+def test_nabla2_seeds_once(monkeypatch, key):
+    # the components first, then the connection at the same seeding, to the
+    # bits of the defect's path, which takes the connection first
+    base = manifold_from_key(key)
+    rng = np.random.default_rng(16)
+    field = (random_tangential_field(base, 2, rng) if isinstance(base, EmbeddedSphere)
+             else random_polynomial_field(base, 2, rng))
+    x = base.sample_point(rng)
+    frames = _jet_frames(monkeypatch)
+    seedings = _count(monkeypatch, dual, "seed_jets")
+    W = nabla2(field, x)
+    assert len(seedings) == 1
+    assert frames == [True] * isinstance(base, EmbeddedSphere)
+    jet, _, Y = curvature._jet_and_riemann(base, x)
+    assert W.comps.tobytes() == fields._nabla2_jet(field, x, (Y, jet))[1].tobytes()
+
+
+def test_connection_jet_takes_a_seeding_of_its_own_length():
+    base = manifold_from_key("sphere:2")
+    x = list(base.sample_point(np.random.default_rng(18)))
+    at_seeding, at_point = connection_jet(base, dual.seed_jets(x)), connection_jet(base, x)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(at_seeding, at_point))
+    with pytest.raises(ValueError, match="hessian does not nest"):
+        connection_jet(base, dual.seed_jets(x + [0.5])[:3])
+
+
+def test_the_dual_point_branch_keeps_nothing(monkeypatch):
+    base = manifold_from_key("sphere:2")
+    X = seed(list(base.sample_point(np.random.default_rng(17))))
+    seedings = _count(monkeypatch, dual, "seed_jets")
+    first, second = (curvature._jet_and_riemann(base, X) for _ in range(2))
+    assert len(seedings) == 2
+    assert not any(a is b for a, b in zip(first, second))
+    assert curvature._kept_point.cache_info().currsize == 0
 
 
 def test_connection_jet_arrays_are_read_only():
